@@ -33,7 +33,16 @@ from .entanglement import (
     success_probability,
     w_state,
 )
-from .fock import AtomLevel, atom_population, build_basis, initial_state, state_to_dict
+from .fock import (
+    AtomLevel,
+    Basis,
+    StateVector,
+    atom_population,
+    build_basis,
+    initial_state,
+    require_full_dimension,
+    state_to_dict,
+)
 from .protocol import (
     SCHEMA_VERSION,
     SweepParameter,
@@ -325,8 +334,20 @@ def _emit(report: dict, config: RunConfig) -> None:
         Path(config.output_path).write_text(text)
 
 
+def _embed(psi: StateVector, basis: Basis) -> StateVector:
+    """psi on a basis that contains all of psi's basis states."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[[basis.index[s] for s in psi.basis.states]] = psi.amplitudes
+    return StateVector(basis, amps)
+
+
 def cmd_simulate(config: RunConfig) -> int:
-    basis = build_basis(config.n_modes, n_max=config.n_max)
+    # Admission still counts the full truncated space, which --dump-state
+    # reports, but the evolution runs in the excitation <= 1 sub-basis
+    # (N + 2 states): H conserves the excitation number, so the sector
+    # holding the initial state is closed under it.
+    require_full_dimension(config.n_modes, config.n_max)
+    basis = build_basis(config.n_modes, n_max=config.n_max, excitation_cap=1)
     t_star = optimal_time(config.n_modes, config.epsilon)
     if config.time is None:
         t = t_star
@@ -363,7 +384,8 @@ def cmd_simulate(config: RunConfig) -> int:
         "closed_vs_numeric_gap": gap,
     }
     if config.dump_state:
-        report["state"] = state_to_dict(numeric)
+        full = build_basis(config.n_modes, n_max=config.n_max)
+        report["state"] = state_to_dict(_embed(numeric, full))
     _emit(report, config)
     return 0
 

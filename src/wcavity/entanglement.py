@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .dynamics import HERMITICITY_TOL
 from .fock import (
     AtomLevel,
     Basis,
@@ -22,7 +23,6 @@ from .fock import (
     vacuum_occupations,
 )
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
@@ -129,7 +129,8 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
 
     The complementary subsystems are summed out in the occupation basis:
     entries of the reduced matrix accumulate products of amplitudes whose
-    discarded configurations coincide.
+    discarded configurations coincide.  Basis states absent from a capped
+    basis carry zero amplitude.
     """
     basis = psi.basis
     if basis.n_max != 1:
@@ -140,23 +141,26 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     if labels[0] < 0 or labels[-1] > basis.n_modes:
         raise ValueError(f"subsystem indices must lie in 0..{basis.n_modes}")
 
-    n_subsystems = basis.n_modes + 1
-    discard = [s for s in range(n_subsystems) if s not in labels]
-    dim = 2 ** len(labels)
-    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for state, amp in zip(basis.states, psi.amplitudes):
-        bits = (int(state.atom),) + state.occupations
-        kept_index = 0
-        for s in labels:
-            kept_index = (kept_index << 1) | bits[s]
-        key = tuple(bits[s] for s in discard)
-        groups.setdefault(key, []).append((kept_index, complex(amp)))
-
-    rho = np.zeros((dim, dim), dtype=complex)
-    for members in groups.values():
-        for r, a in members:
-            for c, b in members:
-                rho[r, c] += a * b.conjugate()
+    # row g of M holds the amplitudes of the states whose discarded
+    # subsystems share configuration g, at their kept index; then
+    # rho[r, c] = sum_g M[g, r] M[g, c]^*.  Zero amplitudes add nothing,
+    # and W and GHZ states occupy only a few basis states.
+    occupied = np.flatnonzero(psi.amplitudes)
+    levels = basis.levels[occupied]
+    kept_index = levels[:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
+    # packed bits keep the group key exact however many subsystems are
+    # discarded, where an int64 key would overflow past 63
+    packed = np.ascontiguousarray(
+        np.packbits(np.delete(levels, labels, axis=1).astype(bool), axis=1)
+    )
+    if packed.shape[1]:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, group = np.unique(keys, return_inverse=True)
+    else:
+        group = np.zeros(len(occupied), dtype=np.intp)
+    M = np.zeros((int(group.max()) + 1, 2 ** len(labels)), dtype=complex)
+    M[group, kept_index] = psi.amplitudes[occupied]
+    rho = M.T @ M.conj()
     return DensityMatrix(labels, rho)
 
 

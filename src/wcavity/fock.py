@@ -10,6 +10,7 @@ ascending lexicographically within each block.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -71,6 +72,16 @@ class Basis:
     def dim(self) -> int:
         return len(self.states)
 
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """Read-only (dim, n_modes + 1) integer array, one row per state:
+        the atom level in column 0, the photon count of mode i in column i.
+        Built once per basis."""
+        rows = [(int(s.atom), *s.occupations) for s in self.states]
+        arr = np.array(rows, dtype=np.int64).reshape(self.dim, self.n_modes + 1)
+        arr.flags.writeable = False
+        return arr
+
 
 class StateVector:
     """Normalized complex amplitude vector over an ordered basis.
@@ -129,6 +140,19 @@ def _capped_occupations(n_modes: int, n_max: int, budget: int):
             return
 
 
+def require_full_dimension(
+    n_modes: int, n_max: int, max_dimension: int = MAX_DIMENSION
+) -> int:
+    """Dimension 2 (n_max + 1)^n_modes of the uncapped basis, computed
+    without enumerating it; raises ValueError above ``max_dimension``."""
+    dim = 2 * (n_max + 1) ** n_modes
+    if dim > max_dimension:
+        raise ValueError(
+            f"truncation too large: dimension {dim} exceeds safety limit {max_dimension}"
+        )
+    return dim
+
+
 def build_basis(
     n_modes: int,
     n_max: int = 1,
@@ -162,11 +186,7 @@ def build_basis(
 
     states: list[BasisState] = []
     if excitation_cap is None:
-        dim = 2 * (n_max + 1) ** n_modes
-        if dim > max_dimension:
-            raise ValueError(
-                f"truncation too large: dimension {dim} exceeds safety limit {max_dimension}"
-            )
+        require_full_dimension(n_modes, n_max, max_dimension)
         for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
             for occ in itertools.product(range(n_max + 1), repeat=n_modes):
                 states.append(BasisState(atom, occ))

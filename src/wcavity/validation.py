@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import (
+    HERMITICITY_TOL,
     Frame,
     ModelParams,
     build_hamiltonian,
@@ -26,7 +26,6 @@ from .fock import StateVector, build_basis, initial_state
 
 DEFAULT_SEED = 20240201
 
-HERMITICITY_TOL = 1e-12
 CONSERVATION_TOL = 1e-13
 UNITARITY_TOL = 1e-10
 COMPOSITION_TOL = 1e-9
@@ -153,13 +152,30 @@ def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
     return CheckResult("closed-form-vs-numeric", worst <= ORACLE_TOL, worst, ORACLE_TOL, draws)
 
 
+def _bisect(f, a: float, b: float, xtol: float = 1e-14) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign."""
+    fa = f(a)
+    while b - a > xtol:
+        m = 0.5 * (a + b)
+        if m in (a, b):  # no float left between the ends
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def measure_rabi_period(n: int, epsilon: float) -> float:
     """Full oscillation period of the excited-state population, measured
     from numerically propagated states.
 
     The population dips to zero twice per cycle; those minima are located
-    as sign changes of the (real) excited-state amplitude and refined with
-    a root finder.  The period is the distance between the first and third
+    as sign changes of the (real) excited-state amplitude and refined by
+    bisection.  The period is the distance between the first and third
     minima.  The analytic estimate only sets the sampling density of the
     initial bracketing scan.
     """
@@ -179,7 +195,7 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
         if fa == 0.0:
             zeros.append(float(a))
         elif fa * fb < 0.0:
-            zeros.append(float(brentq(excited_amplitude, float(a), float(b), xtol=1e-14)))
+            zeros.append(_bisect(excited_amplitude, float(a), float(b)))
         if len(zeros) == 3:
             break
     if len(zeros) < 3:

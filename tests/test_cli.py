@@ -1,11 +1,28 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wcavity.cli import main
-from wcavity.dynamics import PropagationError
-from wcavity.fock import state_from_dict
+import wcavity
+from wcavity.cli import LAB_OMEGA, main
+from wcavity.dynamics import (
+    Frame,
+    ModelParams,
+    PropagationError,
+    build_hamiltonian,
+    propagate_numeric,
+)
+from wcavity.entanglement import fidelity, success_probability, w_state
+from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +96,68 @@ class TestSimulate:
         report = run_json(capsys, "simulate", "--n", "2", "--nmax", "3")
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
         assert report["closed_vs_numeric_gap"] <= 1e-9
+
+
+    def test_largest_admitted_truncation_runs(self, capsys):
+        report = run_json(capsys, "simulate", "--n", "13")  # full dimension 16384
+        assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
+
+
+def dense_route(n, n_max, epsilon, t, frame):
+    """The simulate evolution on the whole truncated space 2 (n_max + 1)^N."""
+    basis = build_basis(n, n_max)
+    params = ModelParams.resonant(n, epsilon, omega=LAB_OMEGA, frame=frame)
+    return propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(
+        st.tuples(st.integers(1, 8), st.just(1)), st.tuples(st.integers(1, 4), st.just(2))
+    ),
+    frame=st.sampled_from(["interaction", "lab"]),
+    epsilon=st.floats(0.25, 4.0),
+    time=st.floats(0.0, 6.0),
+    dump=st.booleans(),
+)
+def test_simulate_matches_dense_full_space(size, frame, epsilon, time, dump):
+    n, n_max = size
+    argv = ["simulate", "--n", str(n), "--nmax", str(n_max), "--frame", frame,
+            "--epsilon", repr(epsilon), "--time", repr(time)]
+    if dump:
+        argv.append("--dump-state")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    report = json.loads(buf.getvalue())
+
+    dense = dense_route(n, n_max, epsilon, time / epsilon, Frame(frame))
+    assert report["fidelity_W"] == pytest.approx(
+        fidelity(w_state(n, dense.basis), dense), abs=1e-12
+    )
+    assert report["success_prob"] == pytest.approx(success_probability(dense, n), abs=1e-12)
+    assert report["atom_ground_prob"] == pytest.approx(
+        atom_population(dense, AtomLevel.GROUND), abs=1e-12
+    )
+    assert report["closed_vs_numeric_gap"] <= 1e-9
+    if dump:
+        state = report["state"]
+        assert state["basis"] == {"n_modes": n, "n_max": n_max, "excitation_cap": None}
+        assert len(state["amplitudes"]) == dense.basis.dim
+        amps = np.array([complex(re, im) for re, im in state["amplitudes"]])
+        np.testing.assert_allclose(amps, dense.amplitudes, atol=1e-12, rtol=0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(wcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import sys, wcavity.cli; assert not any(m.startswith('scipy') for m in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcavity.dynamics import ModelParams, build_hamiltonian, evolve_closed_form, propagate_numeric
 from wcavity.entanglement import (
@@ -216,6 +218,38 @@ class TestPartialTrace:
                 rho.matrix, oracle_partial_trace(psi, keep), atol=1e-12
             )
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        cap=st.one_of(st.none(), st.integers(0, 5)),
+        zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_oracle_on_full_and_capped_bases(self, n, cap, zero_share, seed, data):
+        basis = build_basis(n, 1, cap)
+        keep = data.draw(st.sets(st.integers(0, n), min_size=1), label="keep")
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        raw[rng.random(basis.dim) < zero_share] = 0.0
+        raw[rng.integers(basis.dim)] += 1.0
+        psi = StateVector(basis, raw / np.linalg.norm(raw))
+        rho = partial_trace(psi, keep)
+        np.testing.assert_allclose(
+            rho.matrix, oracle_partial_trace(psi, keep), atol=1e-12, rtol=0
+        )
+
+    def test_w100_sector_pair_discards_99_subsystems(self):
+        # atom plus 98 modes are traced out: more discarded qubits than an
+        # int64 group key can hold
+        basis = build_basis(100, 1, excitation_cap=1)
+        rho = partial_trace(w_state(100, basis), {17, 83})
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = 0.98
+        expected[1:3, 1:3] = 0.01
+        np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
+        assert concurrence(rho) == pytest.approx(2.0 / 100.0, abs=1e-12)
 
     def test_atom_reduction_of_entangled_state(self):
         eps = 1.0

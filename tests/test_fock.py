@@ -11,6 +11,7 @@ from wcavity.fock import (
     build_basis,
     initial_state,
     inner_product,
+    require_full_dimension,
     state_from_dict,
     state_to_dict,
 )
@@ -86,6 +87,22 @@ class TestBuildBasis:
     def test_large_mode_count_with_cap(self):
         basis = build_basis(2000, n_max=1, excitation_cap=1)
         assert basis.dim == 2002
+
+    def test_full_dimension_without_enumeration(self):
+        assert require_full_dimension(13, 1) == 16384 == build_basis(13, n_max=1).dim
+        assert require_full_dimension(4, 2) == build_basis(4, n_max=2).dim
+        with pytest.raises(ValueError, match="truncation too large"):
+            require_full_dimension(14, 1)
+
+    def test_levels_table_matches_states(self):
+        for basis in (build_basis(3, 2), build_basis(4, 1, excitation_cap=2)):
+            levels = basis.levels
+            assert levels.shape == (basis.dim, basis.n_modes + 1)
+            assert [tuple(row) for row in levels.tolist()] == [
+                (int(s.atom), *s.occupations) for s in basis.states
+            ]
+            assert basis.levels is levels  # built once per basis
+            assert not levels.flags.writeable
 
 
 class TestStateVector:

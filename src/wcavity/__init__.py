@@ -16,13 +16,11 @@ from .dynamics import (
     evolve_closed_form,
     evolve_closed_form_general,
     excitation_operator,
-    hamiltonian_to_dict,
     propagate_numeric,
 )
 from .entanglement import (
     DensityMatrix,
     concurrence,
-    density_matrix_to_dict,
     fidelity,
     ghz_state,
     pairwise_concurrences,
@@ -83,14 +81,12 @@ __all__ = [
     "build_hamiltonian",
     "concurrence",
     "coupling_disorder_sweep",
-    "density_matrix_to_dict",
     "detuning_sweep",
     "evolve_closed_form",
     "evolve_closed_form_general",
     "excitation_operator",
     "fidelity",
     "ghz_state",
-    "hamiltonian_to_dict",
     "initial_state",
     "inner_product",
     "measure_rabi_period",

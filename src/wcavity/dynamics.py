@@ -185,30 +185,15 @@ def excitation_operator(basis: Basis) -> HermitianOperator:
     return HermitianOperator(basis, np.diag(diag))
 
 
-def _single_excitation_amplitudes(
-    basis: Basis, excited_amp: complex, photon_amps
-) -> StateVector:
-    vacuum = vacuum_occupations(basis.n_modes)
-    amps = np.zeros(basis.dim, dtype=complex)
-    try:
-        amps[basis.index[BasisState(AtomLevel.EXCITED, vacuum)]] = excited_amp
-        for i, amp in enumerate(photon_amps):
-            occ = list(vacuum)
-            occ[i] = 1
-            amps[basis.index[BasisState(AtomLevel.GROUND, tuple(occ))]] = amp
-    except KeyError as exc:
-        raise ValueError("basis does not contain the single-excitation sector") from exc
-    return StateVector(basis, amps)
-
-
 def evolve_closed_form(
     params: ModelParams, t: float, basis: Basis | None = None
 ) -> StateVector:
     """Resonant identical-coupling evolution of the excited-atom vacuum.
 
-    Returns cos(sqrt(N) eps t) on |e; 0...0> and
-    -i sin(sqrt(N) eps t)/sqrt(N) on each |g; 1_i>, the interaction-frame
-    state with the common phase factor discarded.
+    The equal-coupling case of :func:`evolve_closed_form_general`:
+    cos(sqrt(N) eps t) on |e; 0...0> and -i sin(sqrt(N) eps t)/sqrt(N) on
+    each |g; 1_i>, the interaction-frame state with the common phase
+    factor discarded.
     """
     if params.frame is not Frame.INTERACTION:
         raise ValueError("closed form is an interaction-frame expression")
@@ -217,15 +202,7 @@ def evolve_closed_form(
             "closed form requires resonance and identical couplings; "
             "use evolve_closed_form_general or propagate_numeric"
         )
-    if basis is None:
-        basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
-    elif basis.n_modes != params.n_modes:
-        raise ValueError("basis mode count does not match params")
-    n = params.n_modes
-    eps = float(np.mean(params.couplings))
-    theta = math.sqrt(n) * eps * t
-    photon = -1j * math.sin(theta) / math.sqrt(n)
-    return _single_excitation_amplitudes(basis, math.cos(theta), [photon] * n)
+    return evolve_closed_form_general(params, t, basis)
 
 
 def evolve_closed_form_general(
@@ -248,7 +225,17 @@ def evolve_closed_form_general(
     eps = np.asarray(params.couplings, dtype=float)
     omega = float(np.sqrt(np.sum(eps**2)))
     photon = -1j * (eps / omega) * math.sin(omega * t)
-    return _single_excitation_amplitudes(basis, math.cos(omega * t), photon)
+    vacuum = vacuum_occupations(basis.n_modes)
+    amps = np.zeros(basis.dim, dtype=complex)
+    try:
+        amps[basis.index[BasisState(AtomLevel.EXCITED, vacuum)]] = math.cos(omega * t)
+        for i, amp in enumerate(photon):
+            occ = list(vacuum)
+            occ[i] = 1
+            amps[basis.index[BasisState(AtomLevel.GROUND, tuple(occ))]] = amp
+    except KeyError as exc:
+        raise ValueError("basis does not contain the single-excitation sector") from exc
+    return StateVector(basis, amps)
 
 
 def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
@@ -286,14 +273,3 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
         )
     return StateVector(psi0.basis, out / norm)
-
-
-def hamiltonian_to_dict(op: HermitianOperator) -> dict:
-    """Debug dump: dimension plus [row, col, re, im] for each nonzero."""
-    entries = []
-    for r in range(op.basis.dim):
-        for c in range(op.basis.dim):
-            v = op.matrix[r, c]
-            if v != 0:
-                entries.append([r, c, float(v.real), float(v.imag)])
-    return {"dim": op.basis.dim, "entries": entries}

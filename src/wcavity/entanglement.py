@@ -210,13 +210,3 @@ def pairwise_concurrences(psi: StateVector) -> dict[tuple[int, int], float]:
         (i, j): concurrence(partial_trace(psi, {i, j}))
         for i, j in itertools.combinations(range(1, n + 1), 2)
     }
-
-
-def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    """JSON-ready form: labels plus nested [re, im] entries."""
-    return {
-        "labels": list(rho.subsystem_labels),
-        "matrix": [
-            [[float(v.real), float(v.imag)] for v in row] for row in rho.matrix
-        ],
-    }

@@ -140,15 +140,13 @@ def _capped_occupations(n_modes: int, n_max: int, budget: int):
             return
 
 
-def require_full_dimension(
-    n_modes: int, n_max: int, max_dimension: int = MAX_DIMENSION
-) -> int:
+def require_full_dimension(n_modes: int, n_max: int) -> int:
     """Dimension 2 (n_max + 1)^n_modes of the uncapped basis, computed
-    without enumerating it; raises ValueError above ``max_dimension``."""
+    without enumerating it; raises ValueError above ``MAX_DIMENSION``."""
     dim = 2 * (n_max + 1) ** n_modes
-    if dim > max_dimension:
+    if dim > MAX_DIMENSION:
         raise ValueError(
-            f"truncation too large: dimension {dim} exceeds safety limit {max_dimension}"
+            f"truncation too large: dimension {dim} exceeds safety limit {MAX_DIMENSION}"
         )
     return dim
 
@@ -157,7 +155,6 @@ def build_basis(
     n_modes: int,
     n_max: int = 1,
     excitation_cap: int | None = None,
-    max_dimension: int = MAX_DIMENSION,
 ) -> Basis:
     """Enumerate the complete truncated basis.
 
@@ -172,8 +169,8 @@ def build_basis(
         counts the atomic excitation, so ``excitation_cap=1`` with
         ``n_max=1`` yields the single-excitation sector of dimension
         ``n_modes + 2``.
-    max_dimension : int
-        Safety limit on the resulting dimension; exceeding it raises.
+
+    A dimension above ``MAX_DIMENSION`` raises ValueError.
     """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
@@ -186,7 +183,7 @@ def build_basis(
 
     states: list[BasisState] = []
     if excitation_cap is None:
-        require_full_dimension(n_modes, n_max, max_dimension)
+        require_full_dimension(n_modes, n_max)
         for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
             for occ in itertools.product(range(n_max + 1), repeat=n_modes):
                 states.append(BasisState(atom, occ))
@@ -197,9 +194,9 @@ def build_basis(
                 continue
             for occ in _capped_occupations(n_modes, n_max, budget):
                 states.append(BasisState(atom, occ))
-                if len(states) > max_dimension:
+                if len(states) > MAX_DIMENSION:
                     raise ValueError(
-                        f"truncation too large: dimension exceeds safety limit {max_dimension}"
+                        f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
                     )
     return Basis(n_modes, n_max, excitation_cap, tuple(states))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,14 +26,12 @@ from .dynamics import (
     evolve_closed_form_general,
     propagate_numeric,
 )
-from .entanglement import fidelity, success_probability, w_state
+from .entanglement import fidelity, w_state
 from .fock import StateVector, build_basis, initial_state
 
 SCHEMA_VERSION = "1"
 
 RNG_DESCRIPTION = "numpy PCG64, one stream per (seed, grid_index, trial_index)"
-
-CSV_HEADER = "x,fidelity_mean,fidelity_min,fidelity_max,success_prob_mean"
 
 
 def fmt12(value) -> str:
@@ -90,6 +88,11 @@ class SweepRow:
     success_prob_mean: float
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+
+CSV_HEADER = ",".join(_ROW_FIELDS)
+
+
 @dataclass
 class SweepResult:
     """Rows aligned one-to-one with the grid, plus run metadata."""
@@ -107,18 +110,7 @@ class SweepResult:
         ]
         lines.append(CSV_HEADER)
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    fmt12(v)
-                    for v in (
-                        row.x,
-                        row.fidelity_mean,
-                        row.fidelity_min,
-                        row.fidelity_max,
-                        row.success_prob_mean,
-                    )
-                )
-            )
+            lines.append(",".join(fmt12(getattr(row, name)) for name in _ROW_FIELDS))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
@@ -126,13 +118,7 @@ class SweepResult:
         return {
             "metadata": dict(self.metadata),
             "rows": [
-                {
-                    "x": round12(row.x),
-                    "fidelity_mean": round12(row.fidelity_mean),
-                    "fidelity_min": round12(row.fidelity_min),
-                    "fidelity_max": round12(row.fidelity_max),
-                    "success_prob_mean": round12(row.success_prob_mean),
-                }
+                {name: round12(getattr(row, name)) for name in _ROW_FIELDS}
                 for row in self.rows
             ],
         }
@@ -169,13 +155,10 @@ def run_protocol(n: int, epsilon: float) -> ProtocolResult:
     t_star = optimal_time(n, epsilon)
     params = ModelParams.resonant(n, epsilon)
     state = evolve_closed_form(params, t_star)
-    target = w_state(n, state.basis)
-    return ProtocolResult(
-        state=state,
-        fidelity=fidelity(state, target),
-        success_prob=success_probability(state, n),
-        t_star=t_star,
-    )
+    # the W target has the atom in its ground state, so the overlap with it
+    # is also the success probability
+    f = fidelity(state, w_state(n, state.basis))
+    return ProtocolResult(state=state, fidelity=f, success_prob=f, t_star=t_star)
 
 
 def _metadata(spec: SweepSpec, n_modes: int, epsilon: float, **extra) -> dict:
@@ -238,7 +221,6 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
     rows = []
     for gi, sigma in enumerate(spec.grid):
         fids = np.empty(spec.trials)
-        probs = np.empty(spec.trials)
         for trial in range(spec.trials):
             rng = np.random.default_rng([spec.seed, gi, trial])
             couplings = epsilon * (1.0 + sigma * rng.standard_normal(n))
@@ -251,16 +233,8 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
             params = ModelParams(n, 0.0, (0.0,) * n, tuple(couplings))
             psi = evolve_closed_form_general(params, t_star, basis)
             fids[trial] = fidelity(psi, target)
-            probs[trial] = success_probability(psi, n)
-        rows.append(
-            SweepRow(
-                sigma,
-                float(fids.mean()),
-                float(fids.min()),
-                float(fids.max()),
-                float(probs.mean()),
-            )
-        )
+        mean = float(fids.mean())
+        rows.append(SweepRow(sigma, mean, float(fids.min()), float(fids.max()), mean))
     return SweepResult(
         rows,
         _metadata(
@@ -301,8 +275,7 @@ def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
     """Numeric fidelity at the optimal time for each mode count in the grid."""
     _require_parameter(spec, SweepParameter.MODE_COUNT)
     rows = []
-    for x in spec.grid:
-        entry = n_scaling_table([int(x)], epsilon)[0]
+    for entry in n_scaling_table([int(x) for x in spec.grid], epsilon):
         f = entry.fidelity_numeric
         rows.append(SweepRow(float(entry.n), f, f, f, f))
     return SweepResult(rows, _metadata(spec, 0, epsilon))

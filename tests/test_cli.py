@@ -328,6 +328,17 @@ class TestConfigHandling:
     def test_unknown_frame_choice_exits_two(self, capsys):
         assert run_cli(capsys, "simulate", "--frame", "rotating")[0] == 2
 
+    def test_unknown_config_file_format_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        out = tmp_path / "sweep.out"
+        for argv in (("simulate",), ("sweep", "--out", str(out))):
+            code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert code == 2
+            assert "unknown format 'xml'" in err
+            assert stdout == ""
+        assert not out.exists()
+
     def test_oversized_basis_is_bad_input(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "14")
         assert code == 2

@@ -13,7 +13,6 @@ from wcavity.dynamics import (
     evolve_closed_form,
     evolve_closed_form_general,
     excitation_operator,
-    hamiltonian_to_dict,
     propagate_numeric,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
@@ -390,11 +389,3 @@ class TestHermitianOperator:
         basis = build_basis(1, 1, 1)
         with pytest.raises(ValueError):
             HermitianOperator(basis, np.eye(2))
-
-
-def test_hamiltonian_dump_lists_nonzeros_row_major():
-    basis = build_basis(1, 1, 1)
-    op = build_hamiltonian(ModelParams.resonant(1, 0.5), basis)
-    dump = hamiltonian_to_dict(op)
-    assert dump["dim"] == 3
-    assert dump["entries"] == [[1, 2, 0.5, 0.0], [2, 1, 0.5, 0.0]]

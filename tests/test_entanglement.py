@@ -10,7 +10,6 @@ from wcavity.dynamics import ModelParams, build_hamiltonian, evolve_closed_form,
 from wcavity.entanglement import (
     DensityMatrix,
     concurrence,
-    density_matrix_to_dict,
     fidelity,
     ghz_state,
     pairwise_concurrences,
@@ -371,11 +370,3 @@ class TestDensityMatrixValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             DensityMatrix((1, 2), np.eye(3) / 3.0)
-
-
-def test_density_matrix_dump_schema():
-    rho = partial_trace(w_state(2, build_basis(2, 1, 1)), {1, 2})
-    data = density_matrix_to_dict(rho)
-    assert data["labels"] == [1, 2]
-    assert len(data["matrix"]) == 4
-    assert data["matrix"][1][2] == [pytest.approx(0.5), pytest.approx(0.0)]

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wcavity.cli import _default_grid
 from wcavity.fock import AtomLevel, atom_population
 from wcavity.protocol import (
     CSV_HEADER,
@@ -266,3 +268,33 @@ class TestSweepResultSerialization:
         assert fmt12(1.0) == "1"
         assert fmt12(0.1234567890123456) == "0.123456789012"
         assert fmt12(-0.5) == "-0.5"
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+GOLDEN_SWEEPS = {
+    "timing-error": (SweepParameter.TIMING_ERROR, 1, 0),
+    "detuning": (SweepParameter.DETUNING, 1, 0),
+    "mode-count": (SweepParameter.MODE_COUNT, 1, 0),
+    "coupling-disorder-seed0": (SweepParameter.COUPLING_DISORDER, 100, 0),
+    "coupling-disorder-seed42": (SweepParameter.COUPLING_DISORDER, 100, 42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden_bytes(name):
+    """Same seed, same bytes across versions: the CSVs under tests/data
+    were written by an earlier version at N = 3, epsilon = 1 on the CLI's
+    default grids; every change must reproduce them exactly."""
+    parameter, trials, seed = GOLDEN_SWEEPS[name]
+    spec = SweepSpec(parameter, _default_grid(parameter, 3), trials=trials, seed=seed)
+    if parameter is SweepParameter.MODE_COUNT:
+        result = mode_count_sweep(1.0, spec)
+    elif parameter is SweepParameter.TIMING_ERROR:
+        result = timing_error_sweep(3, 1.0, spec)
+    elif parameter is SweepParameter.DETUNING:
+        result = detuning_sweep(3, 1.0, spec)
+    else:
+        result = coupling_disorder_sweep(3, 1.0, spec)
+    expected = (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_text()
+    assert result.to_csv_text() == expected

@@ -12,7 +12,8 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,65 +56,90 @@ from .validation import DEFAULT_SEED, run_validation
 LAB_OMEGA = 1.0
 
 _FRAMES = {"lab": Frame.LAB, "interaction": Frame.INTERACTION}
-_FORMATS = ("csv", "json")
 _PARAMETERS = {p.value: p for p in SweepParameter}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_modes: int
-    epsilon: float
-    time: float | None
-    sweep: SweepSpec | None
-    output_path: str
-    format: str
-    frame: Frame
-    n_max: int
-    dump_state: bool
-    seed: int
-    si: bool
-
-    def echo(self) -> dict:
-        data = {
-            "command": self.command,
-            "n": self.n_modes,
-            "epsilon": self.epsilon,
-            "time": self.time,
-            "frame": self.frame.value,
-            "nmax": self.n_max,
-            "out": self.output_path,
-            "format": self.format,
-            "seed": self.seed,
-            "dump_state": self.dump_state,
-            "si": self.si,
-        }
-        if self.sweep is not None:
-            data["sweep"] = {
-                "parameter": self.sweep.parameter.value,
-                "grid": list(self.sweep.grid),
-                "trials": self.sweep.trials,
-                "seed": self.sweep.seed,
-            }
-        return data
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _add_common_arguments(parser):
-    parser.add_argument("--n", type=int, default=None, help="number of modes (default 3)")
-    parser.add_argument("--epsilon", type=float, default=None, help="coupling strength (default 1)")
-    parser.add_argument("--time", type=float, default=None,
-                        help="interaction time in 1/epsilon units (default: optimal)")
-    parser.add_argument("--frame", choices=sorted(_FRAMES), default=None,
-                        help="evolution frame (default interaction)")
-    parser.add_argument("--nmax", type=int, default=None, help="photon truncation per mode (default 1)")
-    parser.add_argument("--out", default=None, help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=_FORMATS, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--dump-state", action="store_true", default=None,
-                        help="include the full state vector in the report")
-    parser.add_argument("--si", action="store_true", default=None,
-                        help="interpret --time as seconds and --epsilon as rad/s")
-    parser.add_argument("--config", default=None, help="flat key=value config file; flags override")
+@dataclass(frozen=True)
+class Option:
+    """One CLI option: the flag ``--<key>`` (``_`` spelled ``-``) and the
+    config-file key ``<key>``.  ``parse`` reads a config-file value; a
+    boolean option is a bare flag.  ``valid`` and ``requirement`` state
+    the check that every resolved value other than None must pass."""
+
+    parse: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    valid: Callable[[object], bool] | None = None
+    requirement: str = ""
+
+
+# every option, in the order the resolved config is echoed
+OPTIONS = {
+    "n": Option(int, 3, "number of modes (default 3)", valid=lambda v: v >= 1,
+                requirement="must be >= 1"),
+    "epsilon": Option(float, 1.0, "coupling strength (default 1)",
+                      valid=lambda v: math.isfinite(v) and v > 0,
+                      requirement="must be finite and > 0"),
+    "time": Option(float, None, "interaction time in 1/epsilon units (default: optimal)",
+                   valid=math.isfinite, requirement="must be finite"),
+    "frame": Option(str, "interaction", "evolution frame (default interaction)",
+                    choices=tuple(sorted(_FRAMES))),
+    "nmax": Option(int, 1, "photon truncation per mode (default 1)", valid=lambda v: v >= 1,
+                   requirement="must be >= 1"),
+    "out": Option(str, None, "output path, '-' for stdout"),
+    "format": Option(str, "json", choices=("csv", "json")),
+    "seed": Option(int, 0),
+    "dump_state": Option(_parse_bool, False, "include the full state vector in the report"),
+    "si": Option(_parse_bool, False, "interpret --time as seconds and --epsilon as rad/s"),
+    "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
+                        choices=tuple(sorted(_PARAMETERS))),
+    "grid": Option(str, None, "comma-separated grid values"),
+    "trials": Option(int, None, "Monte-Carlo trials per grid point (disorder sweeps)"),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand and the options it reads; it accepts no others."""
+
+    help: str
+    options: frozenset[str]
+    defaults: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "simulate": Command(
+        "evolve once and score against the W target",
+        frozenset({"n", "epsilon", "time", "frame", "nmax", "out", "format", "dump_state", "si"}),
+    ),
+    "sweep": Command(
+        "robustness sweep over a parameter grid",
+        frozenset({"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"}),
+        {"format": "csv"},
+    ),
+    "entanglement": Command(
+        "pairwise concurrences of W versus GHZ reductions", frozenset({"n", "out", "format"})
+    ),
+    "validate": Command(
+        "run the invariant self-check suite",
+        frozenset({"out", "format", "seed"}),
+        {"seed": DEFAULT_SEED},
+    ),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,26 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-atom multi-cavity W-state preparation simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser("simulate", help="evolve once and score against the W target")
-    _add_common_arguments(simulate)
-
-    sweep = sub.add_parser("sweep", help="robustness sweep over a parameter grid")
-    _add_common_arguments(sweep)
-    sweep.add_argument("--parameter", choices=sorted(_PARAMETERS), default=None,
-                       help="swept quantity (default timing-error)")
-    sweep.add_argument("--grid", default=None, help="comma-separated grid values")
-    sweep.add_argument("--trials", type=int, default=None,
-                       help="Monte-Carlo trials per grid point (disorder sweeps)")
-
-    ent = sub.add_parser("entanglement", help="pairwise concurrences of W versus GHZ reductions")
-    _add_common_arguments(ent)
-
-    validate = sub.add_parser("validate", help="run the invariant self-check suite")
-    _add_common_arguments(validate)
-    validate.add_argument("--inject-fault", action="store_true", default=None,
-                          help=argparse.SUPPRESS)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for key, option in OPTIONS.items():
+            if key not in command.options:
+                continue
+            if option.parse is _parse_bool:
+                cmd.add_argument(_flag(key), action="store_true", default=None, help=option.help)
+            else:
+                cmd.add_argument(_flag(key), type=option.parse, choices=option.choices,
+                                 default=None, help=option.help)
+        cmd.add_argument("--config", default=None,
+                         help="flat key=value config file; flags override")
+    sub.choices["validate"].add_argument("--inject-fault", action="store_true",
+                                         default=False, help=argparse.SUPPRESS)
     return parser
 
 
@@ -159,41 +179,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-_FILE_PARSERS = {
-    "n": int,
-    "nmax": int,
-    "seed": int,
-    "trials": int,
-    "epsilon": float,
-    "time": float,
-    "frame": str,
-    "format": str,
-    "out": str,
-    "parameter": str,
-    "grid": str,
-    "dump_state": _parse_bool,
-    "si": _parse_bool,
-}
-
-
-def _pick(args, file_values: dict, key: str, default):
-    from_flag = getattr(args, key, None)
-    if from_flag is not None:
-        return from_flag
-    if key in file_values:
-        return _FILE_PARSERS[key](file_values[key])
-    return default
-
-
 def _default_grid(parameter: SweepParameter, n: int) -> tuple[float, ...]:
     if parameter is SweepParameter.TIMING_ERROR:
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
@@ -205,72 +190,63 @@ def _default_grid(parameter: SweepParameter, n: int) -> tuple[float, ...]:
     return tuple(float(n) for n in range(1, 9))
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args) -> dict:
+    """The command and the value of each option it reads, in ``OPTIONS``
+    order: the flag if given, else the config-file value, else the
+    command's default, else the option's."""
+    command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(_FILE_PARSERS)
+    unknown = set(file_values) - command.options
     if unknown:
         raise ValueError(f"unknown config file keys: {sorted(unknown)}")
 
-    command = args.command
-    n = _pick(args, file_values, "n", 3)
-    epsilon = _pick(args, file_values, "epsilon", 1.0)
-    time = _pick(args, file_values, "time", None)
-    frame_name = _pick(args, file_values, "frame", "interaction")
-    n_max = _pick(args, file_values, "nmax", 1)
-    default_format = "csv" if command == "sweep" else "json"
-    fmt = _pick(args, file_values, "format", default_format)
-    out = _pick(args, file_values, "out", None)
-    seed = _pick(args, file_values, "seed", DEFAULT_SEED if command == "validate" else 0)
-    dump_state = bool(_pick(args, file_values, "dump_state", False))
-    si = bool(_pick(args, file_values, "si", False))
+    config = {"command": args.command}
+    for key, option in OPTIONS.items():
+        if key not in command.options:
+            continue
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            value = option.parse(file_values[key])
+        if value is None:
+            value = command.defaults.get(key, option.default)
+        if value is not None:
+            if option.choices is not None and value not in option.choices:
+                raise ValueError(f"unknown {key} {value!r}")
+            if option.valid is not None and not option.valid(value):
+                raise ValueError(f"{_flag(key)} {option.requirement}")
+        config[key] = value
 
-    if n < 1:
-        raise ValueError("--n must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("--epsilon must be > 0")
-    if n_max < 1:
-        raise ValueError("--nmax must be >= 1")
-    if frame_name not in _FRAMES:
-        raise ValueError(f"unknown frame {frame_name!r}")
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-
-    sweep_spec = None
-    if command == "sweep":
-        if out is None:
+    if config["out"] is None:
+        if args.command == "sweep":
             raise ValueError("sweep requires --out")
-        parameter_name = _pick(args, file_values, "parameter", "timing-error")
-        if parameter_name not in _PARAMETERS:
-            raise ValueError(f"unknown sweep parameter {parameter_name!r}")
-        parameter = _PARAMETERS[parameter_name]
-        grid_raw = _pick(args, file_values, "grid", None)
+        config["out"] = "-"
+    if args.command == "sweep":
+        parameter = _PARAMETERS[config["parameter"]]
+        grid_raw = config["grid"]
         if grid_raw is None:
-            grid = _default_grid(parameter, n)
+            config["grid"] = _default_grid(parameter, config["n"])
         else:
             try:
-                grid = tuple(float(v) for v in str(grid_raw).split(",") if v.strip())
+                config["grid"] = tuple(float(v) for v in grid_raw.split(",") if v.strip())
             except ValueError as exc:
                 raise ValueError(f"could not parse --grid {grid_raw!r}") from exc
-        default_trials = 100 if parameter is SweepParameter.COUPLING_DISORDER else 1
-        trials = _pick(args, file_values, "trials", default_trials)
-        sweep_spec = SweepSpec(parameter, grid, trials=trials, seed=seed)
-    elif out is None:
-        out = "-"
+        if config["trials"] is None:
+            config["trials"] = 100 if parameter is SweepParameter.COUPLING_DISORDER else 1
+    return config
 
-    return RunConfig(
-        command=command,
-        n_modes=n,
-        epsilon=epsilon,
-        time=time,
-        sweep=sweep_spec,
-        output_path=out,
-        format=fmt,
-        frame=_FRAMES[frame_name],
-        n_max=n_max,
-        dump_state=dump_state,
-        seed=seed,
-        si=si,
-    )
+
+def _echo(config: dict) -> dict:
+    """The resolved config as reports embed it; a sweep's grid, trials and
+    seed are grouped under ``sweep``."""
+    echo = {k: v for k, v in config.items() if k not in ("parameter", "grid", "trials")}
+    if config["command"] == "sweep":
+        echo["sweep"] = {
+            "parameter": config["parameter"],
+            "grid": list(config["grid"]),
+            "trials": config["trials"],
+            "seed": config["seed"],
+        }
+    return echo
 
 
 def _rounded(value):
@@ -283,28 +259,29 @@ def _rounded(value):
     return value
 
 
+def _leaves(key: str, value):
+    """(dotted key, value) for each non-dict value under ``value``."""
+    if isinstance(value, dict):
+        for sub, inner in value.items():
+            yield from _leaves(f"{key}.{sub}", inner)
+    else:
+        yield key, value
+
+
 def _report_to_csv(report: dict) -> str:
+    """Comment lines, then each list-of-dict table with its keys as header,
+    then one ``key,value`` line per leaf of the other entries, then the
+    dumped state's amplitudes."""
     lines = [f"# schema_version={report['schema_version']}"]
     lines.append("# config=" + json.dumps(report["config"], sort_keys=True))
-    if "rows" in report:
-        keys = list(report["rows"][0])
+    body = {k: v for k, v in report.items() if k not in ("schema_version", "config", "state")}
+    for table in (v for v in body.values() if isinstance(v, list)):
+        keys = list(table[0])
         lines.append(",".join(keys))
-        for row in report["rows"]:
-            lines.append(",".join(_csv_cell(row[k]) for k in keys))
-    if "checks" in report:
-        lines.append("check,passed,measured,tolerance,cases")
-        for check in report["checks"]:
-            lines.append(
-                f"{check['name']},{check['passed']},{_csv_cell(check['measured'])},"
-                f"{_csv_cell(check['tolerance'])},{check['cases']}"
-            )
-    scalars = {
-        k: v
-        for k, v in report.items()
-        if k not in ("schema_version", "config", "rows", "checks", "state")
-    }
-    for key, value in scalars.items():
-        lines.append(f"{key},{_csv_cell(value)}")
+        lines.extend(",".join(_csv_cell(row[k]) for k in keys) for row in table)
+    for key, value in body.items():
+        if not isinstance(value, list):
+            lines.extend(f"{k},{_csv_cell(v)}" for k, v in _leaves(key, value))
     if "state" in report:
         lines.append("amplitude_index,re,im")
         for k, (re, im) in enumerate(report["state"]["amplitudes"]):
@@ -320,15 +297,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    if config.format == "json":
+def _emit(report: dict, config: dict) -> None:
+    if config["format"] == "json":
         text = json.dumps(_rounded(report), indent=2) + "\n"
     else:
         text = _report_to_csv(_rounded(report))
-    if config.output_path == "-":
+    if config["out"] == "-":
         sys.stdout.write(text)
     else:
-        Path(config.output_path).write_text(text)
+        Path(config["out"]).write_text(text)
 
 
 def _embed(psi: StateVector, basis: Basis) -> StateVector:
@@ -338,32 +315,29 @@ def _embed(psi: StateVector, basis: Basis) -> StateVector:
     return StateVector(basis, amps)
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: dict) -> int:
     # Admission still counts the full truncated space, which --dump-state
     # reports, but the evolution runs in the excitation <= 1 sub-basis
     # (N + 2 states): H conserves the excitation number, so the sector
     # holding the initial state is closed under it.
-    require_full_dimension(config.n_modes, config.n_max)
-    basis = build_basis(config.n_modes, n_max=config.n_max, excitation_cap=1)
-    t_star = optimal_time(config.n_modes, config.epsilon)
-    if config.time is None:
+    n, n_max, eps, frame = config["n"], config["nmax"], config["epsilon"], _FRAMES[config["frame"]]
+    require_full_dimension(n, n_max)
+    basis = build_basis(n, n_max=n_max, excitation_cap=1)
+    t_star = optimal_time(n, eps)
+    if config["time"] is None:
         t = t_star
-    elif config.si:
-        t = config.time
+    elif config["si"]:
+        t = config["time"]
     else:
-        t = config.time / config.epsilon
+        t = config["time"] / eps
 
-    interaction = ModelParams.resonant(
-        config.n_modes, config.epsilon, omega=LAB_OMEGA, frame=Frame.INTERACTION
-    )
-    evolving = ModelParams.resonant(
-        config.n_modes, config.epsilon, omega=LAB_OMEGA, frame=config.frame
-    )
+    interaction = ModelParams.resonant(n, eps, omega=LAB_OMEGA, frame=Frame.INTERACTION)
+    evolving = ModelParams.resonant(n, eps, omega=LAB_OMEGA, frame=frame)
     closed = evolve_closed_form(interaction, t, basis)
     H = build_hamiltonian(evolving, basis)
     numeric = propagate_numeric(H, initial_state(basis), t)
 
-    if config.frame is Frame.INTERACTION:
+    if frame is Frame.INTERACTION:
         gap = float(np.max(np.abs(closed.amplitudes - numeric.amplitudes)))
     else:
         # frame rotation shifts phases; moduli are the invariant quantities
@@ -371,10 +345,10 @@ def cmd_simulate(config: RunConfig) -> int:
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability
-    f = fidelity(w_state(config.n_modes, basis), numeric)
+    f = fidelity(w_state(n, basis), numeric)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
+        "config": _echo(config),
         "t": t,
         "t_star": t_star,
         "fidelity_W": f,
@@ -382,8 +356,8 @@ def cmd_simulate(config: RunConfig) -> int:
         "atom_ground_prob": atom_population(numeric, AtomLevel.GROUND),
         "closed_vs_numeric_gap": gap,
     }
-    if config.dump_state:
-        full = build_basis(config.n_modes, n_max=config.n_max)
+    if config["dump_state"]:
+        full = build_basis(n, n_max=n_max)
         report["state"] = state_to_dict(_embed(numeric, full))
     _emit(report, config)
     return 0
@@ -395,9 +369,12 @@ def _sidecar_path(out: Path) -> Path:
     return Path(str(out) + ".meta.json")
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    spec = config.sweep
-    n, eps = config.n_modes, config.epsilon
+def cmd_sweep(config: dict) -> int:
+    spec = SweepSpec(
+        _PARAMETERS[config["parameter"]], config["grid"],
+        trials=config["trials"], seed=config["seed"],
+    )
+    n, eps = config["n"], config["epsilon"]
     if spec.parameter is SweepParameter.TIMING_ERROR:
         result = timing_error_sweep(n, eps, spec)
     elif spec.parameter is SweepParameter.COUPLING_DISORDER:
@@ -406,12 +383,12 @@ def cmd_sweep(config: RunConfig) -> int:
         result = detuning_sweep(n, eps, spec)
     else:
         result = mode_count_sweep(eps, spec)
-    result.metadata["config"] = json.dumps(config.echo(), sort_keys=True)
+    result.metadata["config"] = json.dumps(_echo(config), sort_keys=True)
 
-    out = Path(config.output_path)
+    out = Path(config["out"])
     written: list[Path] = []
     try:
-        if config.format == "csv":
+        if config["format"] == "csv":
             out.write_text(result.to_csv_text())
             written.append(out)
             sidecar = _sidecar_path(out)
@@ -427,8 +404,8 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def cmd_entanglement(config: RunConfig) -> int:
-    n = config.n_modes
+def cmd_entanglement(config: dict) -> int:
+    n = config["n"]
     if n < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
     basis = build_basis(n, n_max=1)  # uncapped: GHZ holds n photons
@@ -447,7 +424,7 @@ def cmd_entanglement(config: RunConfig) -> int:
         )
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
+        "config": _echo(config),
         "n": n,
         "rows": rows,
     }
@@ -455,8 +432,8 @@ def cmd_entanglement(config: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig, inject_fault: bool) -> int:
-    report = run_validation(seed=config.seed, inject_fault=inject_fault)
+def cmd_validate(config: dict, inject_fault: bool) -> int:
+    report = run_validation(seed=config["seed"], inject_fault=inject_fault)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -467,10 +444,10 @@ def cmd_validate(config: RunConfig, inject_fault: bool) -> int:
         f"summary: checks_run={report.checks_run} passed={report.passed} "
         f"failed={report.failed}"
     )
-    if config.output_path != "-":
+    if config["out"] != "-":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "config": config.echo(),
+            "config": _echo(config),
             "checks": [
                 {
                     "name": c.name,
@@ -499,21 +476,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = resolve_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if config.command == "simulate":
+        if args.command == "simulate":
             return cmd_simulate(config)
-        if config.command == "sweep":
+        if args.command == "sweep":
             return cmd_sweep(config)
-        if config.command == "entanglement":
+        if args.command == "entanglement":
             return cmd_entanglement(config)
-        return cmd_validate(config, bool(getattr(args, "inject_fault", None)))
+        return cmd_validate(config, args.inject_fault)
     except PropagationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import wcavity
 from wcavity.cli import LAB_OMEGA, main
+from wcavity.cli import build_parser, resolve_config
 from wcavity.dynamics import (
     Frame,
     ModelParams,
@@ -353,3 +356,138 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--n", "3")
     assert code == 3
     assert "numerical failure" in err
+
+
+# options each subcommand reads; every other option is refused
+READS = {
+    "simulate": {"n", "epsilon", "time", "frame", "nmax", "out", "format", "dump_state", "si"},
+    "sweep": {"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"},
+    "entanglement": {"n", "out", "format"},
+    "validate": {"out", "format", "seed"},
+}
+# a valid value for each option; None marks a bare flag
+SAMPLE = {
+    "n": "3", "epsilon": "1", "time": "1", "frame": "lab", "nmax": "1", "out": "-",
+    "format": "json", "seed": "1", "dump_state": None, "si": None,
+    "parameter": "detuning", "grid": "0", "trials": "1",
+}
+# the options that a subcommand accepted at schema version 1 but never read
+UNREAD = {
+    "simulate": ["seed"],
+    "sweep": ["time", "frame", "nmax", "dump_state", "si"],
+    "entanglement": ["epsilon", "time", "frame", "nmax", "seed", "dump_state", "si"],
+    "validate": ["n", "epsilon", "time", "frame", "nmax", "dump_state", "si"],
+}
+REMOVED = [(command, key) for command, keys in UNREAD.items() for key in keys]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest for a in sub.choices[command]._actions if a.option_strings
+    } - {"help", "config", "inject_fault"}
+
+    required = ["--out", str(tmp_path / "x.csv")] if command == "sweep" else []
+    file_keys = set()
+    for key, value in SAMPLE.items():
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {'true' if value is None else value}\n")
+        try:
+            resolve_config(parser.parse_args([command, "--config", str(cfg), *required]))
+        except ValueError as exc:
+            assert "unknown config file keys" in str(exc)
+        else:
+            file_keys.add(key)
+
+    out = tmp_path / "report.json"
+    extra = ["--grid", "0"] if command == "sweep" else []
+    assert main([command, "--format", "json", "--out", str(out), *extra]) == 0
+    report = json.loads(out.read_text())
+    echo = json.loads(report["metadata"]["config"]) if command == "sweep" else report["config"]
+    nested = echo.pop("sweep", {})
+    assert echo.pop("command") == command
+    echoed = set(echo) | set(nested)
+
+    assert flags == file_keys == echoed == READS[command]
+
+
+@pytest.mark.parametrize("command,key", REMOVED)
+def test_unread_option_is_refused(command, key, capsys, tmp_path):
+    out = tmp_path / "x.out"
+    value = [] if SAMPLE[key] is None else [SAMPLE[key]]
+    code, stdout, err = run_cli(capsys, command, flag(key), *value, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "unrecognized arguments" in err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {'true' if SAMPLE[key] is None else SAMPLE[key]}\n")
+    code, stdout, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert f"unknown config file keys: ['{key}']" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("simulate", "epsilon"), ("simulate", "time"), ("sweep", "epsilon"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_finite_epsilon_and_time_are_refused(command, key, value, source, capsys, tmp_path):
+    out = tmp_path / "x.out"
+    if source == "flag":
+        argv = [f"{flag(key)}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = ["--config", str(cfg)]
+    code, stdout, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {flag(key)} must be finite")
+    assert not out.exists()
+
+
+def test_validate_csv_reads_back_as_two_tables(capsys, tmp_path):
+    out = tmp_path / "v.csv"
+    code, _, err = run_cli(capsys, "validate", "--format", "csv", "--out", str(out))
+    assert code == 0, err
+    with out.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[0] == ["name", "passed", "measured", "tolerance", "cases"]
+    checks, summary = rows[1:7], rows[7:]
+    assert all(len(r) == 5 and r[1] == "True" for r in checks)
+    assert summary == [
+        ["summary.checks_run", "6"], ["summary.passed", "6"], ["summary.failed", "0"]
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate",),
+    ("sweep", "--grid", "0"),
+    ("validate",),
+])
+def test_unwritable_out_is_bad_input(argv, capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_sweep_leaves_no_partial_output_when_the_sidecar_fails(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.meta.json").mkdir()  # the sidecar path cannot be written
+    code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+    assert (tmp_path / "x.meta.json").is_dir()

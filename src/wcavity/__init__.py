@@ -13,14 +13,17 @@ from .dynamics import (
     ModelParams,
     PropagationError,
     build_hamiltonian,
+    closed_form_amplitudes,
     evolve_closed_form,
     evolve_closed_form_general,
     excitation_operator,
     propagate_numeric,
+    propagate_times,
 )
 from .entanglement import (
     DensityMatrix,
     concurrence,
+    fidelities,
     fidelity,
     ghz_state,
     pairwise_concurrences,
@@ -79,12 +82,14 @@ __all__ = [
     "atom_population",
     "build_basis",
     "build_hamiltonian",
+    "closed_form_amplitudes",
     "concurrence",
     "coupling_disorder_sweep",
     "detuning_sweep",
     "evolve_closed_form",
     "evolve_closed_form_general",
     "excitation_operator",
+    "fidelities",
     "fidelity",
     "ghz_state",
     "initial_state",
@@ -96,6 +101,7 @@ __all__ = [
     "pairwise_concurrences",
     "partial_trace",
     "propagate_numeric",
+    "propagate_times",
     "run_protocol",
     "run_validation",
     "state_from_dict",

@@ -179,7 +179,7 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _default_grid(parameter: SweepParameter, n: int) -> tuple[float, ...]:
+def _default_grid(parameter: SweepParameter, n: int | None) -> tuple[float, ...]:
     if parameter is SweepParameter.TIMING_ERROR:
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
         return tuple(np.linspace(-span, span, 41))
@@ -201,13 +201,16 @@ def resolve_config(args) -> dict:
         raise ValueError(f"unknown config file keys: {sorted(unknown)}")
 
     config = {"command": args.command}
+    given = set()  # options set by a flag or the config file
     for key, option in OPTIONS.items():
         if key not in command.options:
             continue
         value = getattr(args, key)
         if value is None and key in file_values:
             value = option.parse(file_values[key])
-        if value is None:
+        if value is not None:
+            given.add(key)
+        else:
             value = command.defaults.get(key, option.default)
         if value is not None:
             if option.choices is not None and value not in option.choices:
@@ -222,9 +225,13 @@ def resolve_config(args) -> dict:
         config["out"] = "-"
     if args.command == "sweep":
         parameter = _PARAMETERS[config["parameter"]]
+        if parameter is SweepParameter.MODE_COUNT:
+            if "n" in given:
+                raise ValueError("--n is not read by --parameter mode-count (its grid lists the mode counts)")
+            del config["n"]
         grid_raw = config["grid"]
         if grid_raw is None:
-            config["grid"] = _default_grid(parameter, config["n"])
+            config["grid"] = _default_grid(parameter, config.get("n"))
         else:
             try:
                 config["grid"] = tuple(float(v) for v in grid_raw.split(",") if v.strip())
@@ -374,29 +381,35 @@ def cmd_sweep(config: dict) -> int:
         _PARAMETERS[config["parameter"]], config["grid"],
         trials=config["trials"], seed=config["seed"],
     )
-    n, eps = config["n"], config["epsilon"]
+    eps = config["epsilon"]
     if spec.parameter is SweepParameter.TIMING_ERROR:
-        result = timing_error_sweep(n, eps, spec)
+        result = timing_error_sweep(config["n"], eps, spec)
     elif spec.parameter is SweepParameter.COUPLING_DISORDER:
-        result = coupling_disorder_sweep(n, eps, spec)
+        result = coupling_disorder_sweep(config["n"], eps, spec)
     elif spec.parameter is SweepParameter.DETUNING:
-        result = detuning_sweep(n, eps, spec)
+        result = detuning_sweep(config["n"], eps, spec)
     else:
         result = mode_count_sweep(eps, spec)
     result.metadata["config"] = json.dumps(_echo(config), sort_keys=True)
 
+    csv = config["format"] == "csv"
+    if csv:
+        body = result.to_csv_text()
+    else:
+        body = json.dumps(_rounded(result.to_dict()), indent=2) + "\n"
+    if config["out"] == "-":
+        # no sidecar: the CSV comment lines already carry the metadata
+        sys.stdout.write(body)
+        return 0
     out = Path(config["out"])
     written: list[Path] = []
     try:
-        if config["format"] == "csv":
-            out.write_text(result.to_csv_text())
-            written.append(out)
+        out.write_text(body)
+        written.append(out)
+        if csv:
             sidecar = _sidecar_path(out)
             sidecar.write_text(json.dumps(_rounded(result.metadata), indent=2) + "\n")
             written.append(sidecar)
-        else:
-            out.write_text(json.dumps(_rounded(result.to_dict()), indent=2) + "\n")
-            written.append(out)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

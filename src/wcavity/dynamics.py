@@ -8,7 +8,10 @@ Two independent evolution routes are provided on purpose:
   the (Hermitian) Hamiltonian.
 
 The two must agree to tight tolerance; the numerical route serves as the
-correctness oracle for the closed forms and vice versa.
+correctness oracle for the closed forms and vice versa.  Both evaluate
+many times (or many coupling draws) as one array: an operator keeps its
+decomposition after the first use, so one Hamiltonian evolved to any
+number of times costs one ``eigh``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import AtomLevel, Basis, BasisState, StateVector, build_basis, vacuum_occupations
+from .fock import (
+    AtomLevel,
+    Basis,
+    BasisState,
+    StateVector,
+    build_basis,
+    require_unit_rows,
+    vacuum_occupations,
+)
 
 #: Hermiticity and dimension checks on operator construction.
 HERMITICITY_TOL = 1e-12
@@ -107,9 +118,13 @@ class ModelParams:
 
 
 class HermitianOperator:
-    """Dense matrix observable on a truncated basis; validated Hermitian."""
+    """Dense matrix observable on a truncated basis; validated Hermitian.
 
-    __slots__ = ("basis", "matrix")
+    The matrix is read-only, so its spectral decomposition is computed on
+    first use and kept (:meth:`eigh`).
+    """
+
+    __slots__ = ("basis", "matrix", "_eigh")
 
     def __init__(self, basis: Basis, matrix) -> None:
         mat = np.array(matrix, dtype=complex)
@@ -123,9 +138,20 @@ class HermitianOperator:
         mat.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eigenvalues, eigenvectors) from ``numpy.linalg.eigh``,
+        computed once per operator."""
+        if self._eigh is None:
+            eigvals, eigvecs = np.linalg.eigh(self.matrix)
+            eigvals.flags.writeable = False
+            eigvecs.flags.writeable = False
+            object.__setattr__(self, "_eigh", (eigvals, eigvecs))
+        return self._eigh
 
 
 def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
@@ -146,43 +172,31 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
         raise ValueError(
             f"params describe {params.n_modes} modes but basis has {basis.n_modes}"
         )
-    dim = basis.dim
-    matrix = np.zeros((dim, dim), dtype=complex)
-
-    for k, state in enumerate(basis.states):
-        if params.frame is Frame.LAB:
-            s_z = 0.5 if state.atom is AtomLevel.EXCITED else -0.5
-            diag = params.omega_atom * s_z + sum(
-                w * n for w, n in zip(params.omega_modes, state.occupations)
-            )
-        else:
-            diag = sum(
-                (w - params.omega_atom) * n
-                for w, n in zip(params.omega_modes, state.occupations)
-            )
-        matrix[k, k] = diag
+    occupations = basis.levels[:, 1:]
+    if params.frame is Frame.LAB:
+        shifts = params.omega_modes
+        diag = params.omega_atom * (basis.levels[:, 0] - 0.5)  # s_z = +-1/2
+    else:
+        shifts = tuple(w - params.omega_atom for w in params.omega_modes)
+        diag = 0.0
+    # one mode at a time, so that each entry rounds like sum_i w_i n_i
+    # taken in mode order
+    photon = np.zeros(basis.dim)
+    for i, w in enumerate(shifts):
+        photon = photon + w * occupations[:, i]
+    matrix = np.diag((diag + photon).astype(complex))
 
     # exchange term: <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i)
-    for k, state in enumerate(basis.states):
-        if state.atom is not AtomLevel.GROUND:
-            continue
-        for i, n_i in enumerate(state.occupations):
-            if n_i == 0:
-                continue
-            occ = list(state.occupations)
-            occ[i] = n_i - 1
-            partner = basis.index[BasisState(AtomLevel.EXCITED, tuple(occ))]
-            element = params.couplings[i] * math.sqrt(n_i)
-            matrix[partner, k] += element
-            matrix[k, partner] += element
-
+    ground, excited, mode = basis.exchange_pairs
+    elements = np.asarray(params.couplings)[mode] * np.sqrt(occupations[ground, mode])
+    matrix[excited, ground] = elements
+    matrix[ground, excited] = elements
     return HermitianOperator(basis, matrix)
 
 
 def excitation_operator(basis: Basis) -> HermitianOperator:
     """Total excitation number |e><e| + sum_i n_i (diagonal, conserved)."""
-    diag = np.array([s.total_excitation for s in basis.states], dtype=complex)
-    return HermitianOperator(basis, np.diag(diag))
+    return HermitianOperator(basis, np.diag(basis.levels.sum(axis=1).astype(complex)))
 
 
 def evolve_closed_form(
@@ -220,31 +234,58 @@ def evolve_closed_form_general(
         raise ValueError("detuned parameters: use propagate_numeric")
     if basis is None:
         basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
-    elif basis.n_modes != params.n_modes:
+    amps = closed_form_amplitudes(np.array([params.couplings]), t, basis)
+    return StateVector(basis, amps[0])
+
+
+def closed_form_amplitudes(couplings, t: float, basis: Basis) -> np.ndarray:
+    """Resonant interaction-frame amplitudes at time t, one row per row of
+    the (draws, n_modes) coupling array: the array form of
+    :func:`evolve_closed_form_general`.
+
+    Checks what ModelParams and StateVector check for a single draw: the
+    couplings must be finite and strictly positive, and every row finite
+    with unit norm within ``NORM_TOL``.
+    """
+    eps = np.asarray(couplings, dtype=float)
+    if eps.ndim != 2 or eps.shape[1] != basis.n_modes:
         raise ValueError("basis mode count does not match params")
-    eps = np.asarray(params.couplings, dtype=float)
-    omega = float(np.sqrt(np.sum(eps**2)))
-    photon = -1j * (eps / omega) * math.sin(omega * t)
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("model parameters must be finite")
+    if np.any(eps <= 0):
+        raise ValueError("couplings must be strictly positive")
     vacuum = vacuum_occupations(basis.n_modes)
-    amps = np.zeros(basis.dim, dtype=complex)
     try:
-        amps[basis.index[BasisState(AtomLevel.EXCITED, vacuum)]] = math.cos(omega * t)
-        for i, amp in enumerate(photon):
-            occ = list(vacuum)
-            occ[i] = 1
-            amps[basis.index[BasisState(AtomLevel.GROUND, tuple(occ))]] = amp
+        excited = basis.index[BasisState(AtomLevel.EXCITED, vacuum)]
+        photons = [
+            basis.index[BasisState(AtomLevel.GROUND, vacuum[:i] + (1,) + vacuum[i + 1:])]
+            for i in range(basis.n_modes)
+        ]
     except KeyError as exc:
         raise ValueError("basis does not contain the single-excitation sector") from exc
-    return StateVector(basis, amps)
+    amps = np.zeros((len(eps), basis.dim), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the row check
+        omega = np.sqrt(np.sum(eps**2, axis=1))
+        amps[:, excited] = np.cos(omega * t)
+        amps[:, photons] = -1j * (eps / omega[:, None]) * np.sin(omega * t)[:, None]
+    require_unit_rows(amps)
+    return amps
 
 
 def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
-    """Evolve psi0 by exp(-i H t) via spectral decomposition.
+    """Evolve psi0 by exp(-i H t): the one-time case of
+    :func:`propagate_times`, with the same checks."""
+    return StateVector(psi0.basis, propagate_times(H, psi0, [t])[0])
 
-    The Hermitian matrix is diagonalized (``numpy.linalg.eigh``) and the
-    eigenphases applied exactly, so the propagator is unitary up to
-    rounding.  The result is renormalized only when the norm drift stays
-    below ``NORM_DRIFT_TOL``; anything larger raises
+
+def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarray:
+    """Evolve psi0 by exp(-i H t) for each t in a 1-D array of times.
+
+    The eigenphases of the operator's cached spectral decomposition
+    (:meth:`HermitianOperator.eigh`) are applied exactly, for all times in
+    one matrix product, so the propagator is unitary up to rounding.  Each
+    row is renormalized only when its norm drift stays below
+    ``NORM_DRIFT_TOL``; a larger drift in any row raises
     :class:`PropagationError`, as do non-finite amplitudes.
 
     Parameters
@@ -253,23 +294,32 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
         Generator of the evolution, sharing psi0's basis.
     psi0 : StateVector
         Initial state.
-    t : float
-        Evolution time (may be negative).
+    times : 1-D array of float
+        Evolution times (may be negative).
+
+    Returns
+    -------
+    ndarray, shape (len(times), dim)
+        The evolved amplitudes, one row per time.
     """
     if H.basis is not psi0.basis and H.basis != psi0.basis:
         raise ValueError("operator and state live on different bases")
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
-    eigvals, eigvecs = np.linalg.eigh(H.matrix)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
+        bad = float(times[~np.isfinite(times)][0])
+        raise ValueError(f"evolution time must be finite, got {bad!r}")
+    eigvals, eigvecs = H.eigh()
     with np.errstate(invalid="ignore", over="ignore"):
-        phases = np.exp(-1j * eigvals * t)
-        out = eigvecs @ (phases * (eigvecs.conj().T @ psi0.amplitudes))
-    if not np.all(np.isfinite(out.view(float))):
+        phases = np.exp(-1j * eigvals * times[:, None])
+        out = (phases * (eigvecs.conj().T @ psi0.amplitudes)) @ eigvecs.T
+    if not np.isfinite(out).all():
         raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
-    norm = float(np.linalg.norm(out))
-    drift = abs(norm - 1.0)
+    norms = np.linalg.norm(out, axis=1)
+    drift = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if drift > NORM_DRIFT_TOL:
         raise PropagationError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
         )
-    return StateVector(psi0.basis, out / norm)
+    return out / norms[:, None]

@@ -19,7 +19,6 @@ from .fock import (
     BasisState,
     StateVector,
     _require_same_basis,
-    inner_product,
     vacuum_occupations,
 )
 
@@ -108,8 +107,13 @@ def ghz_state(n: int, basis: Basis) -> StateVector:
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """|<psi|phi>|^2, clipped into [0, 1] against rounding."""
     _require_same_basis(psi, phi)
-    overlap = abs(inner_product(psi, phi)) ** 2
-    return float(min(max(overlap, 0.0), 1.0))
+    return float(fidelities(psi.amplitudes, phi))
+
+
+def fidelities(rows, target: StateVector) -> np.ndarray:
+    """|<row|target>|^2 for each amplitude row on target's basis (one row
+    per index of the leading axes), clipped into [0, 1] against rounding."""
+    return np.clip(np.abs(np.conj(rows) @ target.amplitudes) ** 2, 0.0, 1.0)
 
 
 def success_probability(psi: StateVector, n: int) -> float:

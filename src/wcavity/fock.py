@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ class BasisState:
 class Basis:
     """Ordered basis of the truncated atom + N-mode space.
 
-    Use :func:`build_basis` to construct one; the ``index`` attribute maps
-    each :class:`BasisState` back to its position in ``states``.
+    Use :func:`build_basis` to construct one; the read-only ``index``
+    attribute maps each :class:`BasisState` back to its position in
+    ``states``.  Bases are shared between callers, so nothing in one may
+    change.
     """
 
     n_modes: int
@@ -65,7 +68,9 @@ class Basis:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "index", {state: k for k, state in enumerate(self.states)}
+            self,
+            "index",
+            types.MappingProxyType({state: k for k, state in enumerate(self.states)}),
         )
 
     @property
@@ -81,6 +86,30 @@ class Basis:
         arr = np.array(rows, dtype=np.int64).reshape(self.dim, self.n_modes + 1)
         arr.flags.writeable = False
         return arr
+
+    @functools.cached_property
+    def exchange_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only index arrays (ground, excited, mode), one entry per
+        nonzero element <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i): the state
+        |g, n> sits at ``ground``, its partner |e, n - 1_i> at ``excited``,
+        and i is ``mode``.  Ascending by ground state, then by mode.  Built
+        once per basis."""
+        ground, excited, mode = [], [], []
+        for k, state in enumerate(self.states):
+            if state.atom is not AtomLevel.GROUND:
+                continue
+            for i, n_i in enumerate(state.occupations):
+                if n_i == 0:
+                    continue
+                occ = list(state.occupations)
+                occ[i] = n_i - 1
+                ground.append(k)
+                excited.append(self.index[BasisState(AtomLevel.EXCITED, tuple(occ))])
+                mode.append(i)
+        arrays = tuple(np.array(v, dtype=np.intp) for v in (ground, excited, mode))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 class StateVector:
@@ -99,11 +128,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has shape {arr.shape}, basis has dimension {basis.dim}"
             )
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        require_unit_rows(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", arr)
@@ -117,6 +142,19 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def require_unit_rows(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every amplitude is finite and every state,
+    one per index of the leading axes, has 2-norm within ``NORM_TOL`` of 1.
+    A 1-D array is one state."""
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("amplitudes must be finite")
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    bad = np.abs(norms - 1.0) > NORM_TOL
+    if bad.any():
+        norm = float(norms[bad].flat[0])
+        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL}")
 
 
 def _capped_occupations(n_modes: int, n_max: int, budget: int):
@@ -170,7 +208,10 @@ def build_basis(
         ``n_max=1`` yields the single-excitation sector of dimension
         ``n_modes + 2``.
 
-    A dimension above ``MAX_DIMENSION`` raises ValueError.
+    A dimension above ``MAX_DIMENSION`` raises ValueError.  Bases are
+    memoized per (n_modes, n_max, excitation_cap): a repeated call returns
+    the same read-only object.  The arguments are checked before the cache
+    is consulted, so a float that equals an int is refused like any other.
     """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
@@ -180,7 +221,11 @@ def build_basis(
         not isinstance(excitation_cap, int) or excitation_cap < 0
     ):
         raise ValueError(f"excitation_cap must be a non-negative integer, got {excitation_cap!r}")
+    return _enumerate_basis(n_modes, n_max, excitation_cap)
 
+
+@functools.lru_cache(maxsize=32)
+def _enumerate_basis(n_modes: int, n_max: int, excitation_cap: int | None) -> Basis:
     states: list[BasisState] = []
     if excitation_cap is None:
         require_full_dimension(n_modes, n_max)

@@ -21,6 +21,7 @@ from .dynamics import (
     evolve_closed_form,
     excitation_operator,
     propagate_numeric,
+    propagate_times,
 )
 from .fock import StateVector, build_basis, initial_state
 
@@ -101,8 +102,9 @@ def check_excitation_conservation(rng, draws: int = 50) -> CheckResult:
         params = _random_params(rng)
         basis = build_basis(params.n_modes, n_max=int(rng.integers(1, 3)))
         H = build_hamiltonian(params, basis).matrix
-        N = excitation_operator(basis).matrix
-        worst = max(worst, float(np.max(np.abs(H @ N - N @ H))))
+        n = np.diag(excitation_operator(basis).matrix)
+        # N is diagonal, so [H, N]_jk = H_jk (n_k - n_j)
+        worst = max(worst, float(np.max(np.abs(H * (n[None, :] - n[:, None])))))
     return CheckResult(
         "excitation-conservation", worst <= CONSERVATION_TOL, worst, CONSERVATION_TOL, draws
     )
@@ -152,21 +154,44 @@ def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
     return CheckResult("closed-form-vs-numeric", worst <= ORACLE_TOL, worst, ORACLE_TOL, draws)
 
 
-def _bisect(f, a: float, b: float, xtol: float = 1e-14) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign."""
-    fa = f(a)
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if m in (a, b):  # no float left between the ends
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
+#: Sub-intervals per bracket and round of :func:`_refine_roots`: about seven
+#: rounds narrow a bracket of the Rabi scan's spacing to 1e-14.
+REFINE_POINTS = 64
+
+
+def _refine_roots(f, brackets, xtol: float = 1e-14) -> list[float]:
+    """One root of f in each bracket (a, b, f(a)), where f(a) is zero or
+    differs in sign from f(b).  ``f`` maps a 1-D array of points to their
+    values.
+
+    All brackets are narrowed together: each round evaluates the interior
+    nodes of ``REFINE_POINTS`` equal sub-intervals of every open bracket in
+    one call of f and keeps the sub-interval where the sign changes, until
+    the bracket is at most xtol wide or has no float left inside.
+    """
+    brackets = [tuple(map(float, bracket)) for bracket in brackets]
+    roots = [a if fa == 0.0 else None for a, _, fa in brackets]
+    fractions = np.linspace(0.0, 1.0, REFINE_POINTS + 1)[1:-1]
+    while None in roots:
+        live = [i for i, root in enumerate(roots) if root is None]
+        inner = np.array([brackets[i][0] + (brackets[i][1] - brackets[i][0]) * fractions
+                          for i in live])
+        values = f(inner.ravel()).reshape(inner.shape)
+        for i, xs, vs in zip(live, inner.tolist(), values.tolist()):
+            a, b, fa = brackets[i]
+            nodes, vals = [a, *xs, b], [fa, *vs]
+            # the first interior node that is a root or past the sign
+            # change; with none, the change lies in the last sub-interval
+            k = next((j for j, v in enumerate(vs, 1) if v == 0.0 or (v < 0.0) != (fa < 0.0)),
+                     REFINE_POINTS)
+            if k < REFINE_POINTS and vals[k] == 0.0:
+                roots[i] = nodes[k]
+                continue
+            lo, hi = nodes[k - 1], nodes[k]
+            if hi - lo <= xtol or (lo, hi) == (a, b):
+                roots[i] = 0.5 * (lo + hi)
+            brackets[i] = (lo, hi, vals[k - 1])
+    return roots
 
 
 def measure_rabi_period(n: int, epsilon: float) -> float:
@@ -174,32 +199,33 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
     from numerically propagated states.
 
     The population dips to zero twice per cycle; those minima are located
-    as sign changes of the (real) excited-state amplitude and refined by
-    bisection.  The period is the distance between the first and third
-    minima.  The analytic estimate only sets the sampling density of the
-    initial bracketing scan.
+    as sign changes of the (real) excited-state amplitude on a 241-point
+    scan and refined together by :func:`_refine_roots`.  The period is the
+    distance between the first and third minima.  The analytic estimate
+    only sets the sampling density of the scan.  Every evaluation goes
+    through one array propagation of a single Hamiltonian, so the call
+    diagonalizes once.
     """
     basis = build_basis(n, n_max=1, excitation_cap=1)
     H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
     psi0 = initial_state(basis)
     excited = basis.index[basis.states[-1]]  # |e; 0...0> sorts last
 
-    def excited_amplitude(t: float) -> float:
-        return float(propagate_numeric(H, psi0, t).amplitudes[excited].real)
+    def excited_amplitude(ts) -> np.ndarray:
+        return propagate_times(H, psi0, ts)[:, excited].real
 
     estimate = 2.0 * math.pi / (math.sqrt(n) * epsilon)
     ts = np.linspace(0.0, 1.45 * estimate, 241)
-    values = [excited_amplitude(float(t)) for t in ts]
-    zeros = []
+    values = excited_amplitude(ts)
+    brackets = []
     for a, b, fa, fb in zip(ts, ts[1:], values, values[1:]):
-        if fa == 0.0:
-            zeros.append(float(a))
-        elif fa * fb < 0.0:
-            zeros.append(_bisect(excited_amplitude, float(a), float(b)))
-        if len(zeros) == 3:
+        if fa == 0.0 or fa * fb < 0.0:
+            brackets.append((a, b, fa))
+        if len(brackets) == 3:
             break
-    if len(zeros) < 3:
+    if len(brackets) < 3:
         raise RuntimeError("failed to bracket three population minima")
+    zeros = _refine_roots(excited_amplitude, brackets)
     return zeros[2] - zeros[0]
 
 

@@ -491,3 +491,48 @@ def test_sweep_leaves_no_partial_output_when_the_sidecar_fails(capsys, tmp_path)
     assert err.startswith("error: ")
     assert not out.exists()
     assert (tmp_path / "x.meta.json").is_dir()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_out_dash_writes_the_body_to_stdout_and_no_file(fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep", "--parameter", "coupling-disorder", "--grid", "0,0.05", "--trials", "5",
+            "--seed", "3", "--format", fmt]
+    code, stdout, err = run_cli(capsys, *args, "--out", "-")
+    assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
+
+    assert run_cli(capsys, *args, "--out", "file")[0] == 0
+    written = (tmp_path / "file").read_text()
+    if fmt == "csv":
+        # the comment lines carry the metadata a sidecar would; they differ
+        # from the file's only in the echoed --out
+        assert stdout.replace('"out": "-"', '"out": "file"') == written
+        assert "# seed=3" in stdout
+    else:
+        report, from_file = json.loads(stdout), json.loads(written)
+        for meta in (report["metadata"], from_file["metadata"]):
+            del meta["timestamp"], meta["config"]
+        assert report == from_file
+
+
+def test_mode_count_sweep_refuses_n(capsys, tmp_path):
+    out = tmp_path / "m.csv"
+    args = ["sweep", "--parameter", "mode-count", "--grid", "1,2", "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *args, "--n", "5")
+    assert code == 2
+    assert stdout == ""
+    assert "--n is not read by --parameter mode-count" in err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 5\n")
+    code, _, err = run_cli(capsys, *args, "--config", str(cfg))
+    assert code == 2
+    assert "--n is not read" in err
+    assert not out.exists()
+
+    assert run_cli(capsys, *args)[0] == 0
+    config = json.loads(json.loads((tmp_path / "m.meta.json").read_text())["config"])
+    assert "n" not in config
+    assert config["sweep"]["parameter"] == "mode-count"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcavity.dynamics import (
     Frame,
@@ -10,10 +12,12 @@ from wcavity.dynamics import (
     ModelParams,
     PropagationError,
     build_hamiltonian,
+    closed_form_amplitudes,
     evolve_closed_form,
     evolve_closed_form_general,
     excitation_operator,
     propagate_numeric,
+    propagate_times,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
 
@@ -45,6 +49,38 @@ def random_params(rng, frame=None, resonant=False, identical=False, n_modes=None
 def random_state(rng, basis):
     raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     return StateVector(basis, raw / np.linalg.norm(raw))
+
+
+def reference_hamiltonian(params, basis):
+    """The per-state loop that assembled H before the array version; kept
+    as the reference it must match bit for bit."""
+    dim = basis.dim
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for k, state in enumerate(basis.states):
+        if params.frame is Frame.LAB:
+            s_z = 0.5 if state.atom is AtomLevel.EXCITED else -0.5
+            diag = params.omega_atom * s_z + sum(
+                w * n for w, n in zip(params.omega_modes, state.occupations)
+            )
+        else:
+            diag = sum(
+                (w - params.omega_atom) * n
+                for w, n in zip(params.omega_modes, state.occupations)
+            )
+        matrix[k, k] = diag
+    for k, state in enumerate(basis.states):
+        if state.atom is not AtomLevel.GROUND:
+            continue
+        for i, n_i in enumerate(state.occupations):
+            if n_i == 0:
+                continue
+            occ = list(state.occupations)
+            occ[i] = n_i - 1
+            partner = basis.index[BasisState(AtomLevel.EXCITED, tuple(occ))]
+            element = params.couplings[i] * math.sqrt(n_i)
+            matrix[partner, k] += element
+            matrix[k, partner] += element
+    return matrix
 
 
 class TestModelParams:
@@ -122,6 +158,15 @@ class TestBuildHamiltonian:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3, 1, 1))
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(8)
+        for n_max, cap in [(1, None), (2, None), (1, 1), (2, 2), (3, 3), (2, 0)]:
+            for _ in range(15):
+                params = random_params(rng, n_modes=int(rng.integers(1, 5 if cap else 4)))
+                basis = build_basis(params.n_modes, n_max, cap)
+                H = build_hamiltonian(params, basis).matrix
+                np.testing.assert_array_equal(H, reference_hamiltonian(params, basis))
 
     def test_hermiticity_randomized(self):
         rng = np.random.default_rng(42)
@@ -241,6 +286,35 @@ class TestClosedFormGeneral:
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
         assert worst <= 1e-8
+
+
+class TestClosedFormAmplitudes:
+    def test_rows_match_single_draws(self):
+        rng = np.random.default_rng(12)
+        basis = build_basis(4, 1, 1)
+        couplings = rng.uniform(0.1, 3.0, size=(20, 4))
+        rows = closed_form_amplitudes(couplings, 0.9, basis)
+        for draw, row in zip(couplings, rows):
+            params = ModelParams(4, 0.0, (0.0,) * 4, tuple(draw))
+            np.testing.assert_array_equal(
+                row, evolve_closed_form_general(params, 0.9, basis).amplitudes
+            )
+
+    @pytest.mark.parametrize("bad,message", [
+        (0.0, "positive"), (-1.0, "positive"), (math.inf, "finite"), (math.nan, "finite"),
+    ])
+    def test_rejects_any_bad_coupling(self, bad, message):
+        couplings = np.ones((5, 3))
+        couplings[3, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            closed_form_amplitudes(couplings, 0.5, build_basis(3, 1, 1))
+
+    def test_rejects_any_non_finite_row(self):
+        # squares overflow in one draw: Omega is inf and its row NaN
+        couplings = np.ones((4, 2))
+        couplings[2] = 1e200
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_amplitudes(couplings, 0.5, build_basis(2, 1, 1))
 
 
 class TestPropagateNumeric:
@@ -375,6 +449,94 @@ class TestPropagateNumeric:
         monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
         with pytest.raises(PropagationError, match="norm drift"):
             propagate_numeric(H, psi, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    basis_spec=st.one_of(
+        st.tuples(st.integers(1, 4), st.just(1), st.none()),
+        st.tuples(st.integers(1, 3), st.just(2), st.none()),
+        st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 3)),
+    ),
+    frame=st.sampled_from(list(Frame)),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+)
+def test_propagate_times_rows_match_scipy_expm(basis_spec, frame, seed, times):
+    n, n_max, cap = basis_spec
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, frame=frame, n_modes=n)
+    basis = build_basis(n, n_max, cap)
+    H = build_hamiltonian(params, basis)
+    psi = random_state(rng, basis)
+    rows = propagate_times(H, psi, times)
+    assert rows.shape == (len(times), basis.dim)
+    for t, row in zip(times, rows):
+        ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
+        np.testing.assert_allclose(row, ref, atol=1e-12, rtol=0)
+
+
+class TestPropagateTimes:
+    def test_one_time_is_propagate_numeric(self):
+        rng = np.random.default_rng(4)
+        params = random_params(rng, n_modes=3)
+        basis = build_basis(3, 1)
+        H = build_hamiltonian(params, basis)
+        psi = random_state(rng, basis)
+        times = [-1.5, 0.0, 0.25, 3.0]
+        rows = propagate_times(H, psi, times)
+        # one row or many take different BLAS kernels: rounding-level gaps
+        for t, row in zip(times, rows):
+            np.testing.assert_allclose(
+                row, propagate_numeric(H, psi, t).amplitudes, atol=1e-14, rtol=0
+            )
+
+    def test_diagonalizes_once_per_operator(self, eigh_calls):
+        basis = build_basis(3, 1, 1)
+        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        psi0 = initial_state(basis)
+        propagate_times(H, psi0, np.linspace(0.0, 2.0, 50))
+        propagate_numeric(H, propagate_numeric(H, psi0, 0.3), 0.4)
+        assert eigh_calls == [(basis.dim, basis.dim)]
+        vals, vecs = H.eigh()
+        assert not vals.flags.writeable and not vecs.flags.writeable
+
+    def test_any_non_finite_row_raises(self):
+        basis = build_basis(1, 1, None)
+        H = build_hamiltonian(ModelParams(1, 1e308, (1e308,), (1.0,), Frame.LAB), basis)
+        # the row at t = 0 is finite, the one at 1e10 overflows
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate_times(H, initial_state(basis), [0.0, 1e10])
+
+    def test_drift_in_any_row_raises(self, monkeypatch):
+        basis = build_basis(2, 1, 1)
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        real_eigh = np.linalg.eigh
+
+        def decaying_eigh(matrix):
+            # an imaginary part on one eigenvalue: exact at t = 0, a norm
+            # drift that grows with |t| elsewhere
+            vals, vecs = real_eigh(matrix)
+            return vals + np.where(np.arange(len(vals)) == 0, 1e-6j, 0.0), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", decaying_eigh)
+        psi = StateVector(basis, np.full(basis.dim, 1.0 / math.sqrt(basis.dim)))
+        np.testing.assert_allclose(propagate_times(H, psi, [0.0])[0], psi.amplitudes, atol=1e-15)
+        with pytest.raises(PropagationError, match="norm drift"):
+            propagate_times(H, psi, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [math.nan], [-math.inf, 1.0]])
+    def test_rejects_any_non_finite_time(self, times):
+        basis = build_basis(1, 1, 1)
+        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
+        with pytest.raises(ValueError, match="finite"):
+            propagate_times(H, initial_state(basis), times)
+
+    def test_rejects_non_vector_times(self):
+        basis = build_basis(1, 1, 1)
+        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
+        with pytest.raises(ValueError, match="1-D"):
+            propagate_times(H, initial_state(basis), [[0.0, 1.0]])
 
 
 class TestHermitianOperator:

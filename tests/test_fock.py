@@ -81,6 +81,20 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="truncation too large"):
             build_basis(9, n_max=2, excitation_cap=18)  # 2 * 3^9 > 16384
 
+    def test_memoized_per_arguments(self):
+        basis = build_basis(3, 1)
+        assert build_basis(3, n_max=1, excitation_cap=None) is basis
+        assert build_basis(3, 1, 1) is not basis
+        with pytest.raises(TypeError):  # shared between callers, so read-only
+            basis.index[basis.states[0]] = 1
+
+    @pytest.mark.parametrize("args", [(3.0, 1), (3, 1.0), (3, 1, 1.0), (3, 1, -1)])
+    def test_checks_arguments_before_the_cache(self, args):
+        build_basis(3, 1)
+        build_basis(3, 1, 1)
+        with pytest.raises(ValueError, match="integer"):
+            build_basis(*args)
+
     def test_dimension_limit_is_inclusive(self):
         assert build_basis(13, n_max=1).dim == 16384
 

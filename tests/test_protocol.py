@@ -114,6 +114,11 @@ class TestTimingErrorSweep:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.fidelity_mean == pytest.approx(rb.fidelity_mean, abs=1e-12)
 
+    def test_diagonalizes_once(self, eigh_calls):
+        spec = timing_spec(_default_grid(SweepParameter.TIMING_ERROR, 3))
+        timing_error_sweep(3, 1.0, spec)
+        assert eigh_calls == [(5, 5)]
+
     def test_rejects_wrong_parameter(self):
         with pytest.raises(ValueError, match="timing-error"):
             timing_error_sweep(3, 1.0, disorder_spec((0.0,)))
@@ -151,6 +156,12 @@ class TestCouplingDisorderSweep:
         res = coupling_disorder_sweep(2, 1.0, disorder_spec((2.0,), trials=50, seed=3))
         row = res.rows[0]
         assert 0.0 <= row.fidelity_min and row.fidelity_max <= 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_draws_are_refused(self):
+        # draws near 1e308 overflow Omega or the couplings themselves
+        with pytest.raises(ValueError, match="finite"):
+            coupling_disorder_sweep(3, 1.0, disorder_spec((1e308,), trials=20))
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match=">= 0"):

@@ -1,8 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
-from wcavity.validation import measure_rabi_period, run_validation
+from wcavity import validation
+from wcavity.dynamics import HermitianOperator
+from wcavity.fock import AtomLevel, BasisState, vacuum_occupations
+from wcavity.validation import (
+    _refine_roots,
+    check_composition,
+    check_excitation_conservation,
+    measure_rabi_period,
+    run_validation,
+)
 
 
 def test_all_checks_pass_by_default():
@@ -34,3 +44,47 @@ def test_rabi_period_measurement(n, epsilon):
     expected = 2.0 * math.pi / (math.sqrt(n) * epsilon)
     measured = measure_rabi_period(n, epsilon)
     assert abs(measured - expected) / expected <= 1e-9
+
+
+def test_rabi_period_diagonalizes_once(eigh_calls):
+    measure_rabi_period(4, 1.3)
+    assert eigh_calls == [(6, 6)]
+
+
+def test_composition_diagonalizes_once_per_draw(eigh_calls):
+    check_composition(np.random.default_rng(0))
+    assert len(eigh_calls) == 50
+
+
+def test_conservation_check_sees_an_excitation_changing_element(monkeypatch):
+    real_build = validation.build_hamiltonian
+
+    def leaky(params, basis):
+        # couple |g; 0...0> to |e; 0...0>, whose excitation numbers differ by 1
+        matrix = np.array(real_build(params, basis).matrix)
+        vacuum = vacuum_occupations(basis.n_modes)
+        g0 = basis.index[BasisState(AtomLevel.GROUND, vacuum)]
+        e0 = basis.index[BasisState(AtomLevel.EXCITED, vacuum)]
+        matrix[g0, e0] = matrix[e0, g0] = 0.25
+        return HermitianOperator(basis, matrix)
+
+    monkeypatch.setattr(validation, "build_hamiltonian", leaky)
+    result = check_excitation_conservation(np.random.default_rng(1), draws=3)
+    assert not result.passed
+    assert result.measured == 0.25
+
+
+def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
+    def line(xs):
+        return np.asarray(xs) - 0.5
+
+    # 0.5 is an interior node of the first bracket and the left end of the second
+    assert _refine_roots(line, [(0.0, 1.0, -0.5), (0.5, 0.75, 0.0)]) == [0.5, 0.5]
+
+    after_one = float(np.nextafter(1.0, 2.0))
+
+    def step(xs):
+        return np.where(np.asarray(xs) <= 1.0, -1.0, 1.0)
+
+    # no tolerance: only running out of floats inside the bracket ends it
+    assert _refine_roots(step, [(0.0, 2.0, -1.0)], xtol=0.0)[0] in (1.0, after_one)

@@ -7,107 +7,79 @@ numerical propagator, entanglement analysis of the resulting states, and
 robustness sweeps, plus a CLI wrapping all of it.
 """
 
-from .dynamics import (
-    Frame,
-    HermitianOperator,
-    ModelParams,
-    PropagationError,
-    build_hamiltonian,
-    closed_form_amplitudes,
-    evolve_closed_form,
-    evolve_closed_form_general,
-    excitation_operator,
-    propagate_numeric,
-    propagate_times,
-)
-from .entanglement import (
-    DensityMatrix,
-    concurrence,
-    fidelities,
-    fidelity,
-    ghz_state,
-    pairwise_concurrences,
-    partial_trace,
-    success_probability,
-    w_state,
-)
-from .fock import (
-    AtomLevel,
-    Basis,
-    BasisState,
-    StateVector,
-    atom_population,
-    build_basis,
-    initial_state,
-    inner_product,
-    state_from_dict,
-    state_to_dict,
-)
-from .protocol import (
-    ProtocolResult,
-    ScalingRow,
-    SweepParameter,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    coupling_disorder_sweep,
-    detuning_sweep,
-    mode_count_sweep,
-    n_scaling_table,
-    optimal_time,
-    run_protocol,
-    timing_error_sweep,
-)
-from .validation import ValidationReport, measure_rabi_period, run_validation
+import importlib
+
+# Each public name and the module that defines it.  Names are resolved on
+# first access (PEP 562) and not stored here, so ``import wcavity`` loads no
+# submodule and a name always reads its home module's current binding.
+_HOMES = {
+    "dynamics": (
+        "Frame",
+        "HermitianOperator",
+        "ModelParams",
+        "PropagationError",
+        "build_hamiltonian",
+        "closed_form_amplitudes",
+        "evolve_closed_form",
+        "evolve_closed_form_general",
+        "excitation_operator",
+        "optimal_time",
+        "propagate_numeric",
+        "propagate_times",
+    ),
+    "entanglement": (
+        "DensityMatrix",
+        "concurrence",
+        "fidelities",
+        "fidelity",
+        "ghz_state",
+        "pairwise_concurrences",
+        "partial_trace",
+        "success_probability",
+        "w_state",
+    ),
+    "fock": (
+        "AtomLevel",
+        "Basis",
+        "BasisState",
+        "StateVector",
+        "atom_population",
+        "build_basis",
+        "initial_state",
+        "inner_product",
+        "state_from_dict",
+        "state_to_dict",
+    ),
+    "protocol": (
+        "ProtocolResult",
+        "ScalingRow",
+        "SweepParameter",
+        "SweepResult",
+        "SweepRow",
+        "SweepSpec",
+        "coupling_disorder_sweep",
+        "detuning_sweep",
+        "mode_count_sweep",
+        "n_scaling_table",
+        "run_protocol",
+        "timing_error_sweep",
+    ),
+    "validation": ("ValidationReport", "measure_rabi_period", "run_validation"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomLevel",
-    "Basis",
-    "BasisState",
-    "DensityMatrix",
-    "Frame",
-    "HermitianOperator",
-    "ModelParams",
-    "PropagationError",
-    "ProtocolResult",
-    "ScalingRow",
-    "StateVector",
-    "SweepParameter",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "ValidationReport",
-    "atom_population",
-    "build_basis",
-    "build_hamiltonian",
-    "closed_form_amplitudes",
-    "concurrence",
-    "coupling_disorder_sweep",
-    "detuning_sweep",
-    "evolve_closed_form",
-    "evolve_closed_form_general",
-    "excitation_operator",
-    "fidelities",
-    "fidelity",
-    "ghz_state",
-    "initial_state",
-    "inner_product",
-    "measure_rabi_period",
-    "mode_count_sweep",
-    "n_scaling_table",
-    "optimal_time",
-    "pairwise_concurrences",
-    "partial_trace",
-    "propagate_numeric",
-    "propagate_times",
-    "run_protocol",
-    "run_validation",
-    "state_from_dict",
-    "state_to_dict",
-    "success_probability",
-    "timing_error_sweep",
-    "w_state",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name):
+    if name in _HOMES:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -18,45 +17,40 @@ from pathlib import Path
 
 import numpy as np
 
+# Only the modules every subcommand needs are imported here: a fresh
+# process pays for what its subcommand runs, so `protocol` is imported on
+# the sweep paths and `validation` in `validate` alone.
 from .dynamics import (
+    DEFAULT_SEED,
+    SWEEP_PARAMETERS,
     Frame,
     ModelParams,
     PropagationError,
     build_hamiltonian,
     evolve_closed_form,
+    optimal_time,
     propagate_numeric,
 )
-from .entanglement import concurrence, fidelity, ghz_state, partial_trace, w_state
+from .entanglement import fidelity, ghz_state, pairwise_concurrences, w_state
 from .fock import (
+    SCHEMA_VERSION,
     AtomLevel,
     Basis,
     StateVector,
     atom_population,
     build_basis,
+    fmt12,
     initial_state,
     require_full_dimension,
+    round12,
     state_to_dict,
 )
-from .protocol import (
-    SCHEMA_VERSION,
-    SweepParameter,
-    SweepSpec,
-    coupling_disorder_sweep,
-    detuning_sweep,
-    fmt12,
-    mode_count_sweep,
-    optimal_time,
-    round12,
-    timing_error_sweep,
-)
-from .validation import DEFAULT_SEED, run_validation
 
 # atomic/mode frequency used for lab-frame runs; the CLI always works on
 # resonance, so the value only sets the frame-rotation phase
 LAB_OMEGA = 1.0
 
 _FRAMES = {"lab": Frame.LAB, "interaction": Frame.INTERACTION}
-_PARAMETERS = {p.value: p for p in SweepParameter}
 
 
 def _parse_bool(value: str) -> bool:
@@ -102,7 +96,7 @@ OPTIONS = {
     "dump_state": Option(_parse_bool, False, "include the full state vector in the report"),
     "si": Option(_parse_bool, False, "interpret --time as seconds and --epsilon as rad/s"),
     "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
-                        choices=tuple(sorted(_PARAMETERS))),
+                        choices=tuple(sorted(SWEEP_PARAMETERS))),
     "grid": Option(str, None, "comma-separated grid values"),
     "trials": Option(int, None, "Monte-Carlo trials per grid point (disorder sweeps)"),
 }
@@ -179,7 +173,9 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _default_grid(parameter: SweepParameter, n: int | None) -> tuple[float, ...]:
+def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
+    from .protocol import SweepParameter
+
     if parameter is SweepParameter.TIMING_ERROR:
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
         return tuple(np.linspace(-span, span, 41))
@@ -224,7 +220,9 @@ def resolve_config(args) -> dict:
             raise ValueError("sweep requires --out")
         config["out"] = "-"
     if args.command == "sweep":
-        parameter = _PARAMETERS[config["parameter"]]
+        from .protocol import SweepParameter
+
+        parameter = SweepParameter(config["parameter"])
         if parameter is SweepParameter.MODE_COUNT:
             if "n" in given:
                 raise ValueError("--n is not read by --parameter mode-count (its grid lists the mode counts)")
@@ -377,8 +375,17 @@ def _sidecar_path(out: Path) -> Path:
 
 
 def cmd_sweep(config: dict) -> int:
+    from .protocol import (
+        SweepParameter,
+        SweepSpec,
+        coupling_disorder_sweep,
+        detuning_sweep,
+        mode_count_sweep,
+        timing_error_sweep,
+    )
+
     spec = SweepSpec(
-        _PARAMETERS[config["parameter"]], config["grid"],
+        SweepParameter(config["parameter"]), config["grid"],
         trials=config["trials"], seed=config["seed"],
     )
     eps = config["epsilon"]
@@ -422,19 +429,17 @@ def cmd_entanglement(config: dict) -> int:
     if n < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
     basis = build_basis(n, n_max=1)  # uncapped: GHZ holds n photons
-    w = w_state(n, basis)
-    ghz = ghz_state(n, basis)
-    rows = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        traced = [0] + [m for m in range(1, n + 1) if m not in (i, j)]
-        rows.append(
-            {
-                "pair": [i, j],
-                "traced_out": traced,
-                "concurrence_w": concurrence(partial_trace(w, {i, j})),
-                "concurrence_ghz": concurrence(partial_trace(ghz, {i, j})),
-            }
-        )
+    c_w = pairwise_concurrences(w_state(n, basis))
+    c_ghz = pairwise_concurrences(ghz_state(n, basis))
+    rows = [
+        {
+            "pair": [i, j],
+            "traced_out": [0] + [m for m in range(1, n + 1) if m not in (i, j)],
+            "concurrence_w": c_w[i, j],
+            "concurrence_ghz": c_ghz[i, j],
+        }
+        for i, j in c_w
+    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": _echo(config),
@@ -446,6 +451,8 @@ def cmd_entanglement(config: dict) -> int:
 
 
 def cmd_validate(config: dict, inject_fault: bool) -> int:
+    from .validation import run_validation
+
     report = run_validation(seed=config["seed"], inject_fault=inject_fault)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -42,6 +42,17 @@ NORM_DRIFT_TOL = 1e-10
 #: couplings, resonance).
 PARAM_RTOL = 1e-12
 
+# The next two belong to `protocol` and `validation`, which import them
+# back; they live here because every CLI path loads this module, and the
+# CLI needs them before it knows whether it will load those two.
+
+#: The quantities a robustness sweep varies (``protocol.SweepParameter``):
+#: the evolution time, the couplings, the mode detuning and the mode count.
+SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count")
+
+#: Seed of the randomized self-checks (``validation.run_validation``).
+DEFAULT_SEED = 20240201
+
 
 class Frame(enum.Enum):
     """Reference frame for the Hamiltonian.
@@ -197,6 +208,15 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
 def excitation_operator(basis: Basis) -> HermitianOperator:
     """Total excitation number |e><e| + sum_i n_i (diagonal, conserved)."""
     return HermitianOperator(basis, np.diag(basis.levels.sum(axis=1).astype(complex)))
+
+
+def optimal_time(n: int, epsilon: float) -> float:
+    """Interaction time pi / (2 sqrt(n) epsilon) that completes the transfer."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    return math.pi / (2.0 * math.sqrt(n) * epsilon)
 
 
 def evolve_closed_form(

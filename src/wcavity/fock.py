@@ -5,6 +5,9 @@ The basis is the set of occupation-number states |atom; n_1 ... n_N> with
 number (atomic excitation plus total photon count).  Ordering is
 deterministic: ground-state block before excited-state block, occupations
 ascending lexicographically within each block.
+
+Every subcommand loads this module, so it also holds the conventions all
+outputs share: the schema version and the 12-digit number format.
 """
 
 from __future__ import annotations
@@ -282,6 +285,19 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
         if state.atom is level:
             total += abs(amp) ** 2
     return min(float(total), 1.0)
+
+
+#: Version of the report and sweep-file layout.
+SCHEMA_VERSION = "1"
+
+
+def fmt12(value) -> str:
+    """Fixed 12-significant-digit decimal rendering for stable diffs."""
+    return f"{float(value):.12g}"
+
+
+def round12(value: float) -> float:
+    return float(fmt12(value))
 
 
 def state_to_dict(psi: StateVector) -> dict:

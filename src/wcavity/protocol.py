@@ -19,36 +19,25 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (
+    SWEEP_PARAMETERS,
     Frame,
     ModelParams,
     build_hamiltonian,
     closed_form_amplitudes,
     evolve_closed_form,
+    optimal_time,
     propagate_numeric,
     propagate_times,
 )
 from .entanglement import fidelities, fidelity, w_state
-from .fock import StateVector, build_basis, initial_state
-
-SCHEMA_VERSION = "1"
+from .fock import SCHEMA_VERSION, StateVector, build_basis, fmt12, initial_state, round12
 
 RNG_DESCRIPTION = "numpy PCG64, one stream per (seed, grid_index, trial_index)"
 
 
-def fmt12(value) -> str:
-    """Fixed 12-significant-digit decimal rendering for stable diffs."""
-    return f"{float(value):.12g}"
-
-
-def round12(value: float) -> float:
-    return float(fmt12(value))
-
-
 class SweepParameter(enum.Enum):
-    TIMING_ERROR = "timing-error"
-    COUPLING_DISORDER = "coupling-disorder"
-    DETUNING = "detuning"
-    MODE_COUNT = "mode-count"
+    # the values of SWEEP_PARAMETERS, in its order
+    TIMING_ERROR, COUPLING_DISORDER, DETUNING, MODE_COUNT = SWEEP_PARAMETERS
 
 
 @dataclass(frozen=True)
@@ -140,15 +129,6 @@ class ScalingRow:
     fidelity_closed: float
     fidelity_numeric: float
     amplitude_gap: float
-
-
-def optimal_time(n: int, epsilon: float) -> float:
-    """Interaction time pi / (2 sqrt(n) epsilon) that completes the transfer."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    return math.pi / (2.0 * math.sqrt(n) * epsilon)
 
 
 def run_protocol(n: int, epsilon: float) -> ProtocolResult:

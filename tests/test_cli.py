@@ -536,3 +536,52 @@ def test_mode_count_sweep_refuses_n(capsys, tmp_path):
     config = json.loads(json.loads((tmp_path / "m.meta.json").read_text())["config"])
     assert "n" not in config
     assert config["sweep"]["parameter"] == "mode-count"
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, n, fmt", [
+    ("entanglement_n4.csv", 4, "csv"),
+    ("entanglement_n10.json", 10, "json"),
+])
+def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
+    """The files under tests/data were written by the version that reduced
+    one mode pair per call; the stacked pass must reproduce them exactly."""
+    code, out, err = run_cli(capsys, "entanglement", "--n", str(n), "--format", fmt, "--out", "-")
+    assert code == 0, err
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+_CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",
+                 "wcavity.fock"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["simulate", "--n", "3", "--out", "report.json"], _CORE_MODULES),
+    (["entanglement", "--n", "4", "--out", "report.json"], _CORE_MODULES),
+    (["validate", "--out", "report.json"], _CORE_MODULES | {"wcavity.validation"}),
+    (["sweep", "--n", "3", "--out", "sweep.csv"], _CORE_MODULES | {"wcavity.protocol"}),
+], ids=["simulate", "entanglement", "validate", "sweep"])
+def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_path):
+    """``python -m wcavity <subcommand>`` in a fresh process: after ``main``
+    returns, the package modules loaded are exactly those the subcommand runs."""
+    src = str(Path(wcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['wcavity', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('wcavity', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert set(loaded) == modules

@@ -11,9 +11,10 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, field
+import types
+from collections.abc import Callable, Mapping
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .dynamics import (
     optimal_time,
     propagate_numeric,
 )
-from .entanglement import fidelity, ghz_state, pairwise_concurrences, w_state
+from .entanglement import fidelity, ghz_state, pairwise_concurrences, support_basis, w_state
 from .fock import (
     SCHEMA_VERSION,
     AtomLevel,
@@ -62,8 +63,7 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One CLI option: the flag ``--<key>`` (``_`` spelled ``-``) and the
     config-file key ``<key>``.  ``parse`` reads a config-file value; a
     boolean option is a bare flag.  ``valid`` and ``requirement`` state
@@ -102,13 +102,13 @@ OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Command:
-    """A subcommand and the options it reads; it accepts no others."""
+class Command(NamedTuple):
+    """A subcommand and the options it reads; it accepts no others.
+    ``defaults`` overrides the default of some of those options."""
 
     help: str
     options: frozenset[str]
-    defaults: dict = field(default_factory=dict)
+    defaults: Mapping[str, object] = types.MappingProxyType({})
 
 
 COMMANDS = {
@@ -428,7 +428,10 @@ def cmd_entanglement(config: dict) -> int:
     n = config["n"]
     if n < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
-    basis = build_basis(n, n_max=1)  # uncapped: GHZ holds n photons
+    # admitted like the full space that GHZ lives in, but both states are
+    # built and reduced on the N + 2 states they occupy
+    require_full_dimension(n, 1)
+    basis = support_basis(n)
     c_w = pairwise_concurrences(w_state(n, basis))
     c_ghz = pairwise_concurrences(ghz_state(n, basis))
     rows = [

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from .fock import (
     AtomLevel,
     Basis,
     BasisState,
+    Frozen,
     StateVector,
+    Value,
     build_basis,
     require_unit_rows,
     vacuum_occupations,
@@ -75,8 +76,7 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= PARAM_RTOL * max(abs(a), abs(b), 1.0)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Value):
     """Physical parameters of the atom + N-mode model.
 
     omega_atom is the atomic transition frequency, omega_modes the mode
@@ -84,28 +84,30 @@ class ModelParams:
     time.  Couplings must be strictly positive.
     """
 
-    n_modes: int
-    omega_atom: float
-    omega_modes: tuple[float, ...]
-    couplings: tuple[float, ...]
-    frame: Frame = Frame.INTERACTION
+    __slots__ = ("n_modes", "omega_atom", "omega_modes", "couplings", "frame")
 
-    def __post_init__(self):
-        if self.n_modes < 1:
+    def __init__(
+        self,
+        n_modes: int,
+        omega_atom: float,
+        omega_modes: tuple[float, ...],
+        couplings: tuple[float, ...],
+        frame: Frame = Frame.INTERACTION,
+    ) -> None:
+        if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        object.__setattr__(self, "omega_modes", tuple(float(w) for w in self.omega_modes))
-        object.__setattr__(self, "couplings", tuple(float(c) for c in self.couplings))
-        if len(self.omega_modes) != self.n_modes:
-            raise ValueError(
-                f"expected {self.n_modes} mode frequencies, got {len(self.omega_modes)}"
-            )
-        if len(self.couplings) != self.n_modes:
-            raise ValueError(f"expected {self.n_modes} couplings, got {len(self.couplings)}")
-        values = (self.omega_atom, *self.omega_modes, *self.couplings)
-        if not all(math.isfinite(v) for v in values):
+        omega_modes = tuple(float(w) for w in omega_modes)
+        couplings = tuple(float(c) for c in couplings)
+        if len(omega_modes) != n_modes:
+            raise ValueError(f"expected {n_modes} mode frequencies, got {len(omega_modes)}")
+        if len(couplings) != n_modes:
+            raise ValueError(f"expected {n_modes} couplings, got {len(couplings)}")
+        if not all(math.isfinite(v) for v in (omega_atom, *omega_modes, *couplings)):
             raise ValueError("model parameters must be finite")
-        if any(c <= 0 for c in self.couplings):
+        if any(c <= 0 for c in couplings):
             raise ValueError("couplings must be strictly positive")
+        for name, value in zip(self.__slots__, (n_modes, omega_atom, omega_modes, couplings, frame)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def resonant(
@@ -128,35 +130,48 @@ class ModelParams:
         return self.is_resonant() and all(_close(c, c0) for c in self.couplings)
 
 
-class HermitianOperator:
+def hermiticity_defect(matrix) -> np.ndarray:
+    """max |H - H^dag| of a square matrix, or one value per item of a
+    (P, dim, dim) stack."""
+    gap = np.conj(np.swapaxes(matrix, -1, -2))
+    gap -= matrix  # in place: one temporary matrix, and |H^dag - H| = |H - H^dag|
+    return np.abs(gap).max(axis=(-2, -1), initial=0.0)
+
+
+class HermitianOperator(Frozen):
     """Dense matrix observable on a truncated basis; validated Hermitian.
 
-    The matrix is read-only, so its spectral decomposition is computed on
-    first use and kept (:meth:`eigh`).
+    ``matrix`` is one (dim, dim) operator or a stack of P of them,
+    (P, dim, dim), on one basis; every item is checked.  ``defect`` keeps
+    the measured max |H - H^dag|: a float, or one value per item of a
+    stack.  The matrix is read-only, so its spectral decomposition is
+    computed on first use and kept (:meth:`eigh`).
     """
 
-    __slots__ = ("basis", "matrix", "_eigh")
+    __slots__ = ("basis", "matrix", "defect", "_eigh")
 
     def __init__(self, basis: Basis, matrix) -> None:
         mat = np.array(matrix, dtype=complex)
-        if mat.shape != (basis.dim, basis.dim):
+        if mat.shape[-2:] != (basis.dim, basis.dim) or mat.ndim not in (2, 3):
             raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {basis.dim}")
-        if not np.all(np.isfinite(mat.view(float))):
+        if not np.isfinite(mat.view(float)).all():
             raise ValueError("operator entries must be finite")
-        defect = float(np.max(np.abs(mat - mat.conj().T))) if basis.dim else 0.0
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
+        defect = hermiticity_defect(mat)
+        worst = float(defect.max(initial=0.0))
+        if worst > HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {worst:.3e}")
+        if mat.ndim == 2:
+            defect = float(defect)
+        else:
+            defect.flags.writeable = False
         mat.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_eigh", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianOperator is immutable")
+        for name, value in (("basis", basis), ("matrix", mat), ("defect", defect), ("_eigh", None)):
+            object.__setattr__(self, name, value)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (eigenvalues, eigenvectors) from ``numpy.linalg.eigh``,
-        computed once per operator."""
+        computed once per operator; for a stack, one decomposition per
+        item, from one call."""
         if self._eigh is None:
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
             eigvals.flags.writeable = False
@@ -165,7 +180,7 @@ class HermitianOperator:
         return self._eigh
 
 
-def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
+def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
     """Assemble the atom-field Hamiltonian on the given truncated basis.
 
     Lab frame::
@@ -178,31 +193,45 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     detunings sum_i (omega_i - omega_atom) * n_i; at resonance only the
     exchange term survives.  Photon transitions carry the bosonic
     sqrt(n) factors; transitions leaving the truncated space are dropped.
+
+    ``params`` is one ModelParams, or a non-empty sequence of them (each
+    item with its own frame) for a stacked operator; one ModelParams is
+    built as the one-item stack, and each item of a stack equals its own
+    single build bit for bit.
     """
-    if params.n_modes != basis.n_modes:
-        raise ValueError(
-            f"params describe {params.n_modes} modes but basis has {basis.n_modes}"
-        )
+    stack = [params] if isinstance(params, ModelParams) else list(params)
+    if not stack:
+        raise ValueError("build_hamiltonian needs at least one ModelParams")
+    for item in stack:
+        if item.n_modes != basis.n_modes:
+            raise ValueError(
+                f"params describe {item.n_modes} modes but basis has {basis.n_modes}"
+            )
     occupations = basis.levels[:, 1:]
-    if params.frame is Frame.LAB:
-        shifts = params.omega_modes
-        diag = params.omega_atom * (basis.levels[:, 0] - 0.5)  # s_z = +-1/2
-    else:
-        shifts = tuple(w - params.omega_atom for w in params.omega_modes)
-        diag = 0.0
+    # per item: the s_z coefficient, then the frequency of each mode in
+    # the frame (an interaction-frame item's 0.0 * s_z adds +-0.0, which
+    # leaves every entry as the detunings alone would make it)
+    coefficients = np.array([
+        (item.omega_atom, *item.omega_modes) if item.frame is Frame.LAB
+        else (0.0, *(w - item.omega_atom for w in item.omega_modes))
+        for item in stack
+    ])
+    diagonal = coefficients[:, :1] * (basis.levels[:, 0] - 0.5)  # s_z = +-1/2
     # one mode at a time, so that each entry rounds like sum_i w_i n_i
     # taken in mode order
-    photon = np.zeros(basis.dim)
-    for i, w in enumerate(shifts):
-        photon = photon + w * occupations[:, i]
-    matrix = np.diag((diag + photon).astype(complex))
+    photon = np.zeros((len(stack), basis.dim))
+    for i in range(basis.n_modes):
+        photon = photon + coefficients[:, i + 1, None] * occupations[:, i]
+    matrix = np.zeros((len(stack), basis.dim, basis.dim), dtype=complex)
+    matrix.reshape(len(stack), -1)[:, :: basis.dim + 1] = diagonal + photon
 
     # exchange term: <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i)
     ground, excited, mode = basis.exchange_pairs
-    elements = np.asarray(params.couplings)[mode] * np.sqrt(occupations[ground, mode])
-    matrix[excited, ground] = elements
-    matrix[ground, excited] = elements
-    return HermitianOperator(basis, matrix)
+    couplings = np.array([item.couplings for item in stack])
+    elements = couplings[:, mode] * np.sqrt(occupations[ground, mode])
+    matrix[:, excited, ground] = elements
+    matrix[:, ground, excited] = elements
+    return HermitianOperator(basis, matrix[0] if isinstance(params, ModelParams) else matrix)
 
 
 def excitation_operator(basis: Basis) -> HermitianOperator:
@@ -255,13 +284,14 @@ def evolve_closed_form_general(
     if basis is None:
         basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
     amps = closed_form_amplitudes(np.array([params.couplings]), t, basis)
-    return StateVector(basis, amps[0])
+    return StateVector._from_checked(basis, amps[0])
 
 
-def closed_form_amplitudes(couplings, t: float, basis: Basis) -> np.ndarray:
+def closed_form_amplitudes(couplings, t, basis: Basis) -> np.ndarray:
     """Resonant interaction-frame amplitudes at time t, one row per row of
     the (draws, n_modes) coupling array: the array form of
-    :func:`evolve_closed_form_general`.
+    :func:`evolve_closed_form_general`.  ``t`` is one time for every draw,
+    or a 1-D array of one time per draw.
 
     Checks what ModelParams and StateVector check for a single draw: the
     couplings must be finite and strictly positive, and every row finite
@@ -270,6 +300,9 @@ def closed_form_amplitudes(couplings, t: float, basis: Basis) -> np.ndarray:
     eps = np.asarray(couplings, dtype=float)
     if eps.ndim != 2 or eps.shape[1] != basis.n_modes:
         raise ValueError("basis mode count does not match params")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or t.size not in (1, len(eps)):
+        raise ValueError(f"expected one time or one per draw, got shape {t.shape}")
     if not np.all(np.isfinite(eps)):
         raise ValueError("model parameters must be finite")
     if np.any(eps <= 0):
@@ -292,14 +325,17 @@ def closed_form_amplitudes(couplings, t: float, basis: Basis) -> np.ndarray:
     return amps
 
 
-def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
+def propagate_numeric(H: HermitianOperator, psi0: StateVector, t) -> StateVector:
     """Evolve psi0 by exp(-i H t): the one-time case of
-    :func:`propagate_times`, with the same checks."""
-    return StateVector(psi0.basis, propagate_times(H, psi0, [t])[0])
+    :func:`propagate_times`, with the same checks.  For a stacked H, t is
+    one time for every item or a 1-D array of one time per item, and the
+    result is the stack of evolved states."""
+    times = np.asarray(t, dtype=float)[..., None]
+    return StateVector._from_checked(psi0.basis, propagate_times(H, psi0, times)[..., 0, :])
 
 
 def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarray:
-    """Evolve psi0 by exp(-i H t) for each t in a 1-D array of times.
+    """Evolve psi0 by exp(-i H t) for each t in an array of times.
 
     The eigenphases of the operator's cached spectral decomposition
     (:meth:`HermitianOperator.eigh`) are applied exactly, for all times in
@@ -308,38 +344,56 @@ def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarra
     ``NORM_DRIFT_TOL``; a larger drift in any row raises
     :class:`PropagationError`, as do non-finite amplitudes.
 
+    A single operator is evolved as the one-item stack of a stacked one,
+    so every item of a stack evolves as it would alone.
+
     Parameters
     ----------
     H : HermitianOperator
-        Generator of the evolution, sharing psi0's basis.
+        Generator of the evolution, sharing psi0's basis: one operator or
+        a stack of P.
     psi0 : StateVector
-        Initial state.
-    times : 1-D array of float
-        Evolution times (may be negative).
+        Initial state; for a stacked H, one state for every item or a
+        stack of P, one per item.
+    times : array of float
+        Evolution times (may be negative): a 1-D array of T times, or for
+        a stacked H a (P, T) array of T times per item.
 
     Returns
     -------
-    ndarray, shape (len(times), dim)
+    ndarray, shape (T, dim), or (P, T, dim) for a stacked H
         The evolved amplitudes, one row per time.
     """
     if H.basis is not psi0.basis and H.basis != psi0.basis:
         raise ValueError("operator and state live on different bases")
+    stacked = H.matrix.ndim == 3
+    items = len(H.matrix) if stacked else 1
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if not (times.ndim == 1 or (stacked and times.ndim == 2 and len(times) in (1, items))):
+        shape = "1-D" if not stacked else f"1-D or ({items}, T)"
+        raise ValueError(f"times must be a {shape} array, got shape {times.shape}")
+    if psi0.amplitudes.ndim == 2 and len(psi0.amplitudes) not in ((1, items) if stacked else ()):
+        operators = f"a stack of {items} operators" if stacked else "one operator"
+        raise ValueError(f"a stack of {len(psi0.amplitudes)} states does not fit {operators}")
     if not np.all(np.isfinite(times)):
         bad = float(times[~np.isfinite(times)][0])
         raise ValueError(f"evolution time must be finite, got {bad!r}")
     eigvals, eigvecs = H.eigh()
+    if not stacked:
+        eigvals, eigvecs = eigvals[None], eigvecs[None]
+    times = times.reshape(-1, times.shape[-1])  # (1 or P, T)
+    amps = psi0.amplitudes.reshape(-1, H.basis.dim, 1)  # (1 or P, dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        phases = np.exp(-1j * eigvals * times[:, None])
-        out = (phases * (eigvecs.conj().T @ psi0.amplitudes)) @ eigvecs.T
+        phases = np.exp(-1j * eigvals[:, None, :] * times[:, :, None])
+        coeffs = (eigvecs.conj().swapaxes(-1, -2) @ amps).swapaxes(-1, -2)  # eigvecs^dag psi0, as rows
+        out = (phases * coeffs) @ eigvecs.swapaxes(-1, -2)
     if not np.isfinite(out).all():
         raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
-    norms = np.linalg.norm(out, axis=1)
+    norms = np.linalg.norm(out, axis=-1)
     drift = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if drift > NORM_DRIFT_TOL:
         raise PropagationError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
         )
-    return out / norms[:, None]
+    out /= norms[..., None]
+    return out if stacked else out[0]

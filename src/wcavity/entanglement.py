@@ -17,15 +17,17 @@ from .fock import (
     AtomLevel,
     Basis,
     BasisState,
+    Frozen,
     StateVector,
     _require_same_basis,
+    require_one_state,
     vacuum_occupations,
 )
 
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Reduced state over a subset of subsystems (each a qubit), or a stack
     of such states over equally many subsystems.
 
@@ -67,9 +69,6 @@ class DensityMatrix:
         object.__setattr__(self, "subsystem_labels", labels)
         object.__setattr__(self, "matrix", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
     def purity(self):
         """Tr(rho^2): a float, or one value per state of a stack."""
         values = np.real(np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1))
@@ -81,6 +80,19 @@ def _lookup(basis: Basis, state: BasisState, why: str) -> int:
     if pos is None:
         raise ValueError(f"basis too small: missing {state.label()} ({why})")
     return pos
+
+
+def support_basis(n: int) -> Basis:
+    """The N + 2 states that W_n and GHZ_n occupy, atom in the ground
+    state: the vacuum, each |g; 1_i>, and |g; 1...1>, in the order of the
+    full basis.  Both states and their reductions are exact on it, with
+    N + 2 states where the full space has 2 * 2^N."""
+    if n < 2:
+        raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
+    vacuum = vacuum_occupations(n)
+    singles = [vacuum[:i] + (1,) + vacuum[i + 1:] for i in reversed(range(n))]
+    states = [BasisState(AtomLevel.GROUND, occ) for occ in (vacuum, *singles, (1,) * n)]
+    return Basis(n, 1, n, tuple(states))
 
 
 def w_state(n: int, basis: Basis) -> StateVector:
@@ -151,6 +163,7 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     discarded configurations coincide.  Basis states absent from a capped
     basis carry zero amplitude.
     """
+    require_one_state(psi)
     basis = psi.basis
     if basis.n_max != 1:
         raise ValueError("partial trace requires n_max = 1 (qubit subsystems)")

@@ -16,7 +16,6 @@ import enum
 import functools
 import itertools
 import types
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +33,54 @@ class AtomLevel(enum.IntEnum):
     EXCITED = 1
 
 
-@dataclass(frozen=True)
-class BasisState:
+class Frozen:
+    """Base of the immutable classes: every attribute is a slot, set once
+    in ``__init__`` through ``object.__setattr__``; setting or deleting one
+    afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Value(Frozen):
+    """A Frozen class whose instances are equal, and hash alike, when they
+    are of one class and their ``_key()`` (by default, the slot values) is
+    equal; never equal to a tuple of those values."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class BasisState(Value):
     """One occupation-number label: atom level plus photon count per mode."""
 
-    atom: AtomLevel
-    occupations: tuple[int, ...]
+    __slots__ = ("atom", "occupations")
+
+    def __init__(self, atom: AtomLevel, occupations: tuple[int, ...]) -> None:
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "occupations", occupations)
+
+    def _key(self) -> tuple:  # the slot values, without the generic loop: bases hash many states
+        return (self.atom, self.occupations)
 
     @property
     def total_excitation(self) -> int:
@@ -54,27 +95,34 @@ class BasisState:
         return f"|{atom};{occ}>"
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Value):
     """Ordered basis of the truncated atom + N-mode space.
 
     Use :func:`build_basis` to construct one; the read-only ``index``
     attribute maps each :class:`BasisState` back to its position in
     ``states``.  Bases are shared between callers, so nothing in one may
     change.
+
+    A basis may also hold only some states of its truncation, such as the
+    support of a few target states (``entanglement.support_basis``);
+    :func:`state_to_dict` refuses states on such a basis.
     """
 
-    n_modes: int
-    n_max: int
-    excitation_cap: int | None
-    states: tuple[BasisState, ...] = field(repr=False)
+    # __dict__ holds the cached_property values, which bypass __setattr__
+    __slots__ = ("n_modes", "n_max", "excitation_cap", "states", "index", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "index",
-            types.MappingProxyType({state: k for k, state in enumerate(self.states)}),
-        )
+    def __init__(self, n_modes: int, n_max: int, excitation_cap: int | None,
+                 states: tuple[BasisState, ...]) -> None:
+        index = types.MappingProxyType({state: k for k, state in enumerate(states)})
+        for name, value in zip(self.__slots__, (n_modes, n_max, excitation_cap, states, index)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.n_modes, self.n_max, self.excitation_cap, self.states)
+
+    def __repr__(self):
+        return (f"Basis(n_modes={self.n_modes!r}, n_max={self.n_max!r}, "
+                f"excitation_cap={self.excitation_cap!r})")
 
     @property
     def dim(self) -> int:
@@ -115,36 +163,50 @@ class Basis:
         return arrays
 
 
-class StateVector:
-    """Normalized complex amplitude vector over an ordered basis.
+class StateVector(Frozen):
+    """Normalized complex amplitude vector over an ordered basis, or a
+    stack of P such vectors, (P, dim).
 
     Immutable: the amplitude array is copied and marked read-only.  The
     constructor rejects vectors whose 2-norm deviates from 1 by more than
-    ``NORM_TOL`` so that propagator defects surface immediately.
+    ``NORM_TOL`` so that propagator defects surface immediately.  Stacks
+    are what the propagation routes of ``dynamics`` take and return; the
+    scores and reductions take one state.
     """
 
     __slots__ = ("basis", "amplitudes")
 
     def __init__(self, basis: Basis, amplitudes) -> None:
         arr = np.array(amplitudes, dtype=complex)
-        if arr.shape != (basis.dim,):
+        if arr.shape[-1:] != (basis.dim,) or arr.ndim > 2:
             raise ValueError(
                 f"amplitude vector has shape {arr.shape}, basis has dimension {basis.dim}"
             )
         require_unit_rows(arr)
+        self._set(basis, arr)
+
+    @classmethod
+    def _from_checked(cls, basis: Basis, amplitudes: np.ndarray) -> "StateVector":
+        """A StateVector over rows that an array route has just made and
+        checked as the constructor would (``require_unit_rows``); the array
+        is taken over, not copied or checked again."""
+        self = object.__new__(cls)
+        self._set(basis, amplitudes)
+        return self
+
+    def _set(self, basis: Basis, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
 
     def amplitude(self, state: BasisState) -> complex:
         """Amplitude on a single basis state."""
         return complex(self.amplitudes[self.basis.index[state]])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        """2-norm: a float, or one value per state of a stack."""
+        norms = np.linalg.norm(self.amplitudes, axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
 
 
 def require_unit_rows(amplitudes: np.ndarray) -> None:
@@ -272,19 +334,26 @@ def _require_same_basis(a: StateVector, b: StateVector) -> None:
         raise ValueError("state vectors live on different bases")
 
 
+def require_one_state(psi: StateVector) -> None:
+    """Raise ValueError if psi is a stack of states."""
+    if psi.amplitudes.ndim != 1:
+        raise ValueError(f"expected one state, got a stack of {len(psi.amplitudes)}")
+
+
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _require_same_basis(a, b)
+    require_one_state(a)
+    require_one_state(b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def atom_population(psi: StateVector, level: AtomLevel) -> float:
-    """Total probability of finding the atom in the given level."""
-    total = 0.0
-    for state, amp in zip(psi.basis.states, psi.amplitudes):
-        if state.atom is level:
-            total += abs(amp) ** 2
-    return min(float(total), 1.0)
+    """Total probability of finding the atom in the given level: the
+    states with that level are a mask on ``levels[:, 0]``."""
+    require_one_state(psi)
+    probs = np.abs(psi.amplitudes[psi.basis.levels[:, 0] == level]) ** 2
+    return min(float(probs.sum()), 1.0)
 
 
 #: Version of the report and sweep-file layout.
@@ -301,7 +370,15 @@ def round12(value: float) -> float:
 
 
 def state_to_dict(psi: StateVector) -> dict:
-    """JSON-ready form: basis parameters plus [re, im] amplitude pairs."""
+    """JSON-ready form: basis parameters plus [re, im] amplitude pairs.
+
+    Only one state on a basis that :func:`build_basis` rebuilds from those
+    parameters is accepted.
+    """
+    require_one_state(psi)
+    basis = psi.basis
+    if basis != build_basis(basis.n_modes, basis.n_max, basis.excitation_cap):
+        raise ValueError("state_to_dict needs a basis that build_basis enumerates")
     return {
         "basis": {
             "n_modes": psi.basis.n_modes,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import enum
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,15 @@ from .dynamics import (
     propagate_times,
 )
 from .entanglement import fidelities, fidelity, w_state
-from .fock import SCHEMA_VERSION, StateVector, build_basis, fmt12, initial_state, round12
+from .fock import (
+    SCHEMA_VERSION,
+    StateVector,
+    Value,
+    build_basis,
+    fmt12,
+    initial_state,
+    round12,
+)
 
 RNG_DESCRIPTION = "numpy PCG64, one stream per (seed, grid_index, trial_index)"
 
@@ -40,37 +48,32 @@ class SweepParameter(enum.Enum):
     TIMING_ERROR, COUPLING_DISORDER, DETUNING, MODE_COUNT = SWEEP_PARAMETERS
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """Grid, trial count, and seed for one robustness sweep."""
 
-    parameter: SweepParameter
-    grid: tuple[float, ...]
-    trials: int = 1
-    seed: int = 0
+    __slots__ = ("parameter", "grid", "trials", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
-        if not self.grid:
+    def __init__(self, parameter: SweepParameter, grid, trials: int = 1, seed: int = 0) -> None:
+        grid = tuple(float(x) for x in grid)
+        if not grid:
             raise ValueError("sweep grid must not be empty")
-        if not all(math.isfinite(x) for x in self.grid):
+        if not all(math.isfinite(x) for x in grid):
             raise ValueError("sweep grid must be finite")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.parameter is SweepParameter.COUPLING_DISORDER and any(
-            x < 0 for x in self.grid
-        ):
+        if parameter is SweepParameter.COUPLING_DISORDER and any(x < 0 for x in grid):
             raise ValueError("disorder grid entries must be >= 0")
-        if self.parameter is SweepParameter.MODE_COUNT and any(
-            x != int(x) or x < 1 for x in self.grid
-        ):
+        if parameter is SweepParameter.MODE_COUNT and any(x != int(x) or x < 1 for x in grid):
             raise ValueError("mode-count grid entries must be positive integers")
+        for name, value in zip(self.__slots__, (parameter, grid, trials, seed)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One CSV row; the field order is the column order."""
+
     x: float
     fidelity_mean: float
     fidelity_min: float
@@ -78,13 +81,10 @@ class SweepRow:
     success_prob_mean: float
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-
-CSV_HEADER = ",".join(_ROW_FIELDS)
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """Rows aligned one-to-one with the grid, plus run metadata."""
 
     rows: list[SweepRow]
@@ -100,7 +100,7 @@ class SweepResult:
         ]
         lines.append(CSV_HEADER)
         for row in self.rows:
-            lines.append(",".join(fmt12(getattr(row, name)) for name in _ROW_FIELDS))
+            lines.append(",".join(fmt12(value) for value in row))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
@@ -108,22 +108,20 @@ class SweepResult:
         return {
             "metadata": dict(self.metadata),
             "rows": [
-                {name: round12(getattr(row, name)) for name in _ROW_FIELDS}
+                {name: round12(value) for name, value in zip(SweepRow._fields, row)}
                 for row in self.rows
             ],
         }
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     state: StateVector
     fidelity: float
     success_prob: float
     t_star: float
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     n: int
     t_star: float
     fidelity_closed: float

@@ -553,6 +553,17 @@ def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+def test_entanglement_admits_by_the_full_space_it_no_longer_builds(capsys):
+    """W and GHZ are built on their N + 2 support states, but admission
+    still counts the full 2 * 2^N space: N = 13 runs, N = 14 exits 2."""
+    code, out, err = run_cli(capsys, "entanglement", "--n", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: truncation too large: dimension 32768 exceeds safety limit 16384\n"
+    code, out, err = run_cli(capsys, "entanglement", "--n", "13", "--out", "-")
+    assert code == 0, err
+    assert len(json.loads(out)["rows"]) == 78
+
+
 _CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",
                  "wcavity.fock"}
 
@@ -565,7 +576,9 @@ _CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entangle
 ], ids=["simulate", "entanglement", "validate", "sweep"])
 def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_path):
     """``python -m wcavity <subcommand>`` in a fresh process: after ``main``
-    returns, the package modules loaded are exactly those the subcommand runs."""
+    returns, the package modules loaded are exactly those the subcommand
+    runs, and ``dataclasses`` is not loaded (it costs milliseconds of
+    import and class generation per process)."""
     src = str(Path(wcavity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -577,11 +590,13 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
         "    runpy.run_module('wcavity', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
-        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity')]))\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity'),\n"
+        "                  'dataclasses' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    status, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert set(loaded) == modules
+    assert not dataclasses_loaded

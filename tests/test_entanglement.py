@@ -15,6 +15,7 @@ from wcavity.entanglement import (
     pairwise_concurrences,
     partial_trace,
     success_probability,
+    support_basis,
     w_state,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
@@ -512,3 +513,40 @@ class TestStackedReductions:
         stack = partial_trace(ghz_state(3, build_basis(3, 1, None)), [[1, 2], [0, 3]])
         np.testing.assert_allclose(stack.purity(), [0.5, 0.5], atol=1e-14)
         assert stack.purity()[0] == partial_trace(ghz_state(3, build_basis(3, 1, None)), {1, 2}).purity()
+
+
+class TestSupportBasis:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_holds_the_w_and_ghz_support_in_full_basis_order(self, n):
+        basis = support_basis(n)
+        full = build_basis(n, n_max=1)
+        assert basis.dim == n + 2
+        positions = [full.index[s] for s in basis.states]
+        assert positions == sorted(positions)
+        for make in (w_state, ghz_state):
+            on_full = make(n, full)
+            assert set(np.flatnonzero(on_full.amplitudes)) <= set(positions)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_concurrences_equal_the_full_basis_ones_bit_for_bit(self, n):
+        for make in (w_state, ghz_state):
+            assert pairwise_concurrences(make(n, support_basis(n))) == pairwise_concurrences(
+                make(n, build_basis(n, n_max=1))
+            )
+
+    def test_reaches_beyond_the_full_space_limit(self):
+        n = 20  # the full space would hold 2 * 2^20 states
+        c = pairwise_concurrences(w_state(n, support_basis(n)))
+        assert len(c) == n * (n - 1) // 2
+        assert all(v == pytest.approx(2.0 / n, abs=1e-12) for v in c.values())
+        assert all(v == 0.0 for v in pairwise_concurrences(ghz_state(n, support_basis(n))).values())
+
+    def test_refuses_one_mode(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            support_basis(1)
+
+    def test_partial_trace_refuses_a_stack(self):
+        basis = support_basis(2)
+        stack = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
+        with pytest.raises(ValueError, match="one state"):
+            partial_trace(stack, [1, 2])

@@ -254,3 +254,65 @@ def test_basis_state_labels():
     assert g(1, 0, 0).label() == "|g;100>"
     assert e(0).label() == "|e;0>"
     assert g(0, 12).label() == "|g;0,12>"
+
+
+def _atom_population_by_state(psi, level):
+    """The per-state loop that ``atom_population`` replaced."""
+    total = 0.0
+    for state, amp in zip(psi.basis.states, psi.amplitudes):
+        if state.atom is level:
+            total += abs(amp) ** 2
+    return min(float(total), 1.0)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, None), (2, 2, None), (4, 1, 2), (9, 1, 1), (3, 2, 3),
+                                  (7, 1, None), (2, 1, 0)])
+def test_atom_population_equals_the_per_state_loop(spec):
+    basis = build_basis(*spec)
+    rng = np.random.default_rng(spec[0] * 100 + spec[1])
+    for _ in range(20):
+        raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        raw[rng.random(basis.dim) < 0.3] = 0.0  # some sparse amplitudes too
+        if not raw.any():
+            raw[0] = 1.0
+        psi = StateVector(basis, raw / np.linalg.norm(raw))
+        for level in AtomLevel:
+            # numpy's array modulus and sum may round the last bits differently
+            assert atom_population(psi, level) == pytest.approx(
+                _atom_population_by_state(psi, level), rel=0, abs=2e-15
+            )
+
+
+class TestStacks:
+    def test_stack_of_states(self):
+        basis = build_basis(2, 1, 1)
+        rows = np.eye(basis.dim, dtype=complex)[:3]
+        psi = StateVector(basis, rows)
+        assert psi.amplitudes.shape == (3, basis.dim)
+        np.testing.assert_array_equal(psi.norm(), [1.0, 1.0, 1.0])
+        rows[0] = 0.0  # the stack holds a copy
+        assert psi.amplitudes[0].any()
+
+    def test_every_row_is_checked(self):
+        basis = build_basis(2, 1, 1)
+        rows = np.eye(basis.dim, dtype=complex)[:3]
+        rows[2] *= 2.0
+        with pytest.raises(ValueError, match="norm 2.0"):
+            StateVector(basis, rows)
+        with pytest.raises(ValueError, match="shape"):
+            StateVector(basis, np.ones((2, 2, basis.dim)))
+
+    def test_single_state_functions_refuse_a_stack(self):
+        basis = build_basis(2, 1, 1)
+        psi = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
+        for call in (lambda: inner_product(psi, psi), lambda: atom_population(psi, AtomLevel.GROUND),
+                     lambda: state_to_dict(psi)):
+            with pytest.raises(ValueError, match="one state"):
+                call()
+
+
+def test_state_to_dict_refuses_a_basis_of_some_states():
+    from wcavity.entanglement import support_basis, w_state
+
+    with pytest.raises(ValueError, match="build_basis"):
+        state_to_dict(w_state(3, support_basis(3)))

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from wcavity import validation
-from wcavity.dynamics import HermitianOperator
+from wcavity.dynamics import HermitianOperator, ModelParams
 from wcavity.fock import AtomLevel, BasisState, vacuum_occupations
 from wcavity.validation import (
     _refine_roots,
@@ -53,7 +54,14 @@ def test_rabi_period_diagonalizes_once(eigh_calls):
 
 def test_composition_diagonalizes_once_per_draw(eigh_calls):
     check_composition(np.random.default_rng(0))
-    assert len(eigh_calls) == 50
+    # one eigh call per stack; each stack diagonalizes one matrix per draw
+    assert sum(math.prod(shape[:-2]) for shape in eigh_calls) == 50
+
+
+def test_stacks_hold_at_most_stack_bytes_of_matrices(eigh_calls):
+    check_composition(np.random.default_rng(0))
+    assert all(math.prod(shape) * 16 <= validation.STACK_BYTES for shape in eigh_calls)
+    assert any(shape[0] > 1 for shape in eigh_calls)  # and draws are stacked
 
 
 def test_conservation_check_sees_an_excitation_changing_element(monkeypatch):
@@ -88,3 +96,61 @@ def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
 
     # no tolerance: only running out of floats inside the bracket ends it
     assert _refine_roots(step, [(0.0, 2.0, -1.0)], xtol=0.0)[0] in (1.0, after_one)
+
+
+def test_hermiticity_check_reads_the_stored_defect(monkeypatch):
+    measured = []
+    real = validation.hermiticity_defect
+
+    def counting(matrix):
+        measured.append(np.shape(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(validation, "hermiticity_defect", counting)
+    assert validation.check_hermiticity(np.random.default_rng(3)).passed
+    assert measured == []
+    faulty = validation.check_hermiticity(np.random.default_rng(3), inject_fault=True)
+    assert len(measured) == 1 and not faulty.passed
+
+
+def _params_one_draw_at_a_time(check, rng):
+    """The ModelParams of each draw, with every input taken from rng as the
+    per-draw checks took it before the draws were stacked."""
+    params = []
+    for _ in range(100 if check == "oracle" else 50):
+        if check == "oracle":
+            n = int(rng.integers(1, 7))
+            eps = float(rng.uniform(0.1, 10.0))
+            rng.uniform(0.0, 4.0 * math.pi / eps)  # the time
+            params.append(ModelParams.resonant(n, eps))
+            continue
+        params.append(validation._random_params(rng))
+        dim = validation.build_basis(params[-1].n_modes, n_max=1).dim
+        rng.standard_normal(dim), rng.standard_normal(dim)  # the state
+        if check == "unitarity":
+            rng.uniform(-20.0, 20.0)
+        else:
+            rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    return params
+
+
+@pytest.mark.parametrize("check, run", [
+    ("unitarity", validation.check_unitarity),
+    ("composition", validation.check_composition),
+    ("oracle", validation.check_oracle_equivalence),
+])
+def test_stacked_checks_take_the_per_draw_inputs(check, run, monkeypatch):
+    seen = []
+    real = validation.build_hamiltonian
+
+    def recording(params, basis):
+        seen.extend(params)
+        return real(params, basis)
+
+    monkeypatch.setattr(validation, "build_hamiltonian", recording)
+    stacked_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    result = run(stacked_rng)
+    reference = _params_one_draw_at_a_time(check, reference_rng)
+    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+    assert Counter(seen) == Counter(reference)
+    assert result.passed and result.cases == len(reference)

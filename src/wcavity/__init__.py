@@ -21,7 +21,6 @@ _HOMES = {
         "build_hamiltonian",
         "closed_form_amplitudes",
         "evolve_closed_form",
-        "evolve_closed_form_general",
         "excitation_operator",
         "optimal_time",
         "propagate_numeric",

@@ -53,6 +53,10 @@ LAB_OMEGA = 1.0
 
 _FRAMES = {"lab": Frame.LAB, "interaction": Frame.INTERACTION}
 
+#: Largest array a sweep may allocate: one dense complex operator of
+#: dimension 1024, the sector of a 1022-mode sweep.
+MAX_SWEEP_BYTES = 16 * 2**20
+
 
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
@@ -88,8 +92,6 @@ OPTIONS = {
                    valid=math.isfinite, requirement="must be finite"),
     "frame": Option(str, "interaction", "evolution frame (default interaction)",
                     choices=tuple(sorted(_FRAMES))),
-    "nmax": Option(int, 1, "photon truncation per mode (default 1)", valid=lambda v: v >= 1,
-                   requirement="must be >= 1"),
     "out": Option(str, None, "output path, '-' for stdout"),
     "format": Option(str, "json", choices=("csv", "json")),
     "seed": Option(int, 0),
@@ -114,7 +116,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "simulate": Command(
         "evolve once and score against the W target",
-        frozenset({"n", "epsilon", "time", "frame", "nmax", "out", "format", "dump_state", "si"}),
+        frozenset({"n", "epsilon", "time", "frame", "out", "format", "dump_state", "si"}),
     ),
     "sweep": Command(
         "robustness sweep over a parameter grid",
@@ -189,7 +191,9 @@ def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
 def resolve_config(args) -> dict:
     """The command and the value of each option it reads, in ``OPTIONS``
     order: the flag if given, else the config-file value, else the
-    command's default, else the option's."""
+    command's default, else the option's; for a sweep, then its
+    ``SweepSpec`` under ``spec``.  Refuses, before any work, an input
+    above the size limits."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -219,8 +223,12 @@ def resolve_config(args) -> dict:
         if args.command == "sweep":
             raise ValueError("sweep requires --out")
         config["out"] = "-"
+    if args.command in ("simulate", "entanglement"):
+        # both run on N + 2 states, but are admitted by the n_max = 1 full
+        # space: the one --dump-state reports and GHZ lives in
+        require_full_dimension(config["n"], 1)
     if args.command == "sweep":
-        from .protocol import SweepParameter
+        from .protocol import SweepParameter, SweepSpec
 
         parameter = SweepParameter(config["parameter"])
         if parameter is SweepParameter.MODE_COUNT:
@@ -237,13 +245,21 @@ def resolve_config(args) -> dict:
                 raise ValueError(f"could not parse --grid {grid_raw!r}") from exc
         if config["trials"] is None:
             config["trials"] = 100 if parameter is SweepParameter.COUPLING_DISORDER else 1
+        # the spec refuses a bad grid or trial count before it is sized
+        spec = config["spec"] = SweepSpec(
+            parameter, config["grid"], trials=config["trials"], seed=config["seed"]
+        )
+        size = spec.largest_array_bytes(config.get("n"))
+        if size > MAX_SWEEP_BYTES:
+            raise ValueError(f"sweep too large: its largest array takes {size} bytes, "
+                             f"above the limit of {MAX_SWEEP_BYTES} bytes")
     return config
 
 
 def _echo(config: dict) -> dict:
     """The resolved config as reports embed it; a sweep's grid, trials and
     seed are grouped under ``sweep``."""
-    echo = {k: v for k, v in config.items() if k not in ("parameter", "grid", "trials")}
+    echo = {k: v for k, v in config.items() if k not in ("parameter", "grid", "trials", "spec")}
     if config["command"] == "sweep":
         echo["sweep"] = {
             "parameter": config["parameter"],
@@ -321,13 +337,11 @@ def _embed(psi: StateVector, basis: Basis) -> StateVector:
 
 
 def cmd_simulate(config: dict) -> int:
-    # Admission still counts the full truncated space, which --dump-state
-    # reports, but the evolution runs in the excitation <= 1 sub-basis
-    # (N + 2 states): H conserves the excitation number, so the sector
-    # holding the initial state is closed under it.
-    n, n_max, eps, frame = config["n"], config["nmax"], config["epsilon"], _FRAMES[config["frame"]]
-    require_full_dimension(n, n_max)
-    basis = build_basis(n, n_max=n_max, excitation_cap=1)
+    # The evolution runs in the excitation <= 1 sector (N + 2 states): H
+    # conserves the excitation number, so the sector holding the initial
+    # state is closed under it.  Only --dump-state reports the full space.
+    n, eps, frame = config["n"], config["epsilon"], _FRAMES[config["frame"]]
+    basis = build_basis(n, excitation_cap=1)
     t_star = optimal_time(n, eps)
     if config["time"] is None:
         t = t_star
@@ -362,7 +376,7 @@ def cmd_simulate(config: dict) -> int:
         "closed_vs_numeric_gap": gap,
     }
     if config["dump_state"]:
-        full = build_basis(n, n_max=n_max)
+        full = build_basis(n)
         report["state"] = state_to_dict(_embed(numeric, full))
     _emit(report, config)
     return 0
@@ -377,18 +391,13 @@ def _sidecar_path(out: Path) -> Path:
 def cmd_sweep(config: dict) -> int:
     from .protocol import (
         SweepParameter,
-        SweepSpec,
         coupling_disorder_sweep,
         detuning_sweep,
         mode_count_sweep,
         timing_error_sweep,
     )
 
-    spec = SweepSpec(
-        SweepParameter(config["parameter"]), config["grid"],
-        trials=config["trials"], seed=config["seed"],
-    )
-    eps = config["epsilon"]
+    spec, eps = config["spec"], config["epsilon"]
     if spec.parameter is SweepParameter.TIMING_ERROR:
         result = timing_error_sweep(config["n"], eps, spec)
     elif spec.parameter is SweepParameter.COUPLING_DISORDER:
@@ -428,9 +437,7 @@ def cmd_entanglement(config: dict) -> int:
     n = config["n"]
     if n < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
-    # admitted like the full space that GHZ lives in, but both states are
-    # built and reduced on the N + 2 states they occupy
-    require_full_dimension(n, 1)
+    # both states are built and reduced on the N + 2 states they occupy
     basis = support_basis(n)
     c_w = pairwise_concurrences(w_state(n, basis))
     c_ghz = pairwise_concurrences(ghz_state(n, basis))
@@ -471,21 +478,8 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": _echo(config),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "tolerance": c.tolerance,
-                    "cases": c.cases,
-                }
-                for c in report.checks
-            ],
-            "summary": {
-                "checks_run": report.checks_run,
-                "passed": report.passed,
-                "failed": report.failed,
-            },
+            "checks": [c._asdict() for c in report.checks],
+            "summary": {key: getattr(report, key) for key in ("checks_run", "passed", "failed")},
         }
         _emit(payload, config)
     return 0 if report.all_passed else 1

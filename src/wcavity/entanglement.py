@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .dynamics import HERMITICITY_TOL
+from .dynamics import HERMITICITY_TOL, hermiticity_defect
 from .fock import (
     AtomLevel,
     Basis,
@@ -57,7 +57,7 @@ class DensityMatrix(Frozen):
         if mat.shape[-2:] != (dim, dim) or mat.ndim not in (2, 3):
             raise ValueError(f"matrix shape {mat.shape} does not fit {qubits} qubits")
         items = mat.reshape(-1, dim, dim)
-        if np.any(np.max(np.abs(items - items.conj().swapaxes(1, 2)), axis=(1, 2)) > HERMITICITY_TOL):
+        if np.any(hermiticity_defect(items) > HERMITICITY_TOL):
             raise ValueError("density matrix is not Hermitian")
         traces = np.trace(items, axis1=1, axis2=2)
         off = np.abs(traces - 1.0) > TRACE_TOL

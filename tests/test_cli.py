@@ -95,37 +95,28 @@ class TestSimulate:
         assert lines[1].startswith("# config=")
         assert any(line.startswith("fidelity_W,1") for line in lines)
 
-    def test_larger_truncation_still_exact(self, capsys):
-        report = run_json(capsys, "simulate", "--n", "2", "--nmax", "3")
-        assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
-        assert report["closed_vs_numeric_gap"] <= 1e-9
-
-
     def test_largest_admitted_truncation_runs(self, capsys):
         report = run_json(capsys, "simulate", "--n", "13")  # full dimension 16384
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
 
 
-def dense_route(n, n_max, epsilon, t, frame):
-    """The simulate evolution on the whole truncated space 2 (n_max + 1)^N."""
-    basis = build_basis(n, n_max)
+def dense_route(n, epsilon, t, frame):
+    """The simulate evolution on the whole truncated space 2 * 2^N."""
+    basis = build_basis(n)
     params = ModelParams.resonant(n, epsilon, omega=LAB_OMEGA, frame=frame)
     return propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    size=st.one_of(
-        st.tuples(st.integers(1, 8), st.just(1)), st.tuples(st.integers(1, 4), st.just(2))
-    ),
+    n=st.integers(1, 8),
     frame=st.sampled_from(["interaction", "lab"]),
     epsilon=st.floats(0.25, 4.0),
     time=st.floats(0.0, 6.0),
     dump=st.booleans(),
 )
-def test_simulate_matches_dense_full_space(size, frame, epsilon, time, dump):
-    n, n_max = size
-    argv = ["simulate", "--n", str(n), "--nmax", str(n_max), "--frame", frame,
+def test_simulate_matches_dense_full_space(n, frame, epsilon, time, dump):
+    argv = ["simulate", "--n", str(n), "--frame", frame,
             "--epsilon", repr(epsilon), "--time", repr(time)]
     if dump:
         argv.append("--dump-state")
@@ -134,7 +125,7 @@ def test_simulate_matches_dense_full_space(size, frame, epsilon, time, dump):
         assert main(argv) == 0
     report = json.loads(buf.getvalue())
 
-    dense = dense_route(n, n_max, epsilon, time / epsilon, Frame(frame))
+    dense = dense_route(n, epsilon, time / epsilon, Frame(frame))
     assert report["fidelity_W"] == pytest.approx(
         fidelity(w_state(n, dense.basis), dense), abs=1e-12
     )
@@ -145,7 +136,7 @@ def test_simulate_matches_dense_full_space(size, frame, epsilon, time, dump):
     assert report["closed_vs_numeric_gap"] <= 1e-9
     if dump:
         state = report["state"]
-        assert state["basis"] == {"n_modes": n, "n_max": n_max, "excitation_cap": None}
+        assert state["basis"] == {"n_modes": n, "n_max": 1, "excitation_cap": None}
         assert len(state["amplitudes"]) == dense.basis.dim
         amps = np.array([complex(re, im) for re, im in state["amplitudes"]])
         np.testing.assert_allclose(amps, dense.amplitudes, atol=1e-12, rtol=0)
@@ -360,20 +351,21 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
 
 # options each subcommand reads; every other option is refused
 READS = {
-    "simulate": {"n", "epsilon", "time", "frame", "nmax", "out", "format", "dump_state", "si"},
+    "simulate": {"n", "epsilon", "time", "frame", "out", "format", "dump_state", "si"},
     "sweep": {"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"},
     "entanglement": {"n", "out", "format"},
     "validate": {"out", "format", "seed"},
 }
 # a valid value for each option; None marks a bare flag
 SAMPLE = {
-    "n": "3", "epsilon": "1", "time": "1", "frame": "lab", "nmax": "1", "out": "-",
+    "n": "3", "epsilon": "1", "time": "1", "frame": "lab", "nmax": "2", "out": "-",
     "format": "json", "seed": "1", "dump_state": None, "si": None,
     "parameter": "detuning", "grid": "0", "trials": "1",
 }
-# the options that a subcommand accepted at schema version 1 but never read
+# the options that a subcommand accepted at schema version 1 but never read,
+# and simulate's retired --nmax, which changed no reported number
 UNREAD = {
-    "simulate": ["seed"],
+    "simulate": ["seed", "nmax"],
     "sweep": ["time", "frame", "nmax", "dump_state", "si"],
     "entanglement": ["epsilon", "time", "frame", "nmax", "seed", "dump_state", "si"],
     "validate": ["n", "epsilon", "time", "frame", "nmax", "dump_state", "si"],
@@ -562,6 +554,69 @@ def test_entanglement_admits_by_the_full_space_it_no_longer_builds(capsys):
     code, out, err = run_cli(capsys, "entanglement", "--n", "13", "--out", "-")
     assert code == 0, err
     assert len(json.loads(out)["rows"]) == 78
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """The names of the basis builders called, through any module binding."""
+    import wcavity.protocol  # noqa: F401  (a sweep loads it; bind it before patching)
+    from wcavity import entanglement, fock
+
+    calls = []
+    for name, real in (("build_basis", fock.build_basis),
+                       ("support_basis", entanglement.support_basis)):
+        def recording(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("wcavity.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+FULL_SPACE_REFUSAL = "truncation too large: dimension 32768 exceeds safety limit 16384"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", "14"], FULL_SPACE_REFUSAL),
+    (["entanglement", "--n", "14"], FULL_SPACE_REFUSAL),
+    (["sweep", "--n", "16000", "--parameter", "detuning"],
+     "sweep too large: its largest array takes 4097024064 bytes, above the limit of 16777216 bytes"),
+    (["sweep", "--parameter", "mode-count", "--grid", "1,20000"],
+     "sweep too large: its largest array takes 6401280064 bytes, above the limit of 16777216 bytes"),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "300000"],
+     "sweep too large: its largest array takes 24000000 bytes, above the limit of 16777216 bytes"),
+], ids=["simulate", "entanglement", "sweep-detuning", "sweep-mode-count", "sweep-trials"])
+def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_builds,
+                                                          capsys, tmp_path):
+    out = tmp_path / "x.out"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert basis_builds == []
+    assert not out.exists()
+
+    assert run_cli(capsys, "sweep", "--n", "3", "--grid", "0", "--out", str(out))[0] == 0
+    assert basis_builds == ["build_basis"]
+
+
+@pytest.mark.parametrize("largest, args", [
+    # a dense H of dimension 1024 takes 16 MiB
+    (1022, lambda k: ["--parameter", "detuning", "--n", str(k), "--grid", "0"]),
+    (1022, lambda k: ["--parameter", "timing-error", "--n", str(k), "--grid", "0"]),
+    (1022, lambda k: ["--parameter", "mode-count", "--grid", f"1,{k}"]),
+    # the basis: 1449 tuples of 1447 references
+    (1447, lambda k: ["--parameter", "coupling-disorder", "--n", str(k), "--grid", "0"]),
+    # the evolved rows, 5 amplitudes each
+    (209715, lambda k: ["--parameter", "timing-error", "--n", "3", "--grid", ",".join(["0"] * k)]),
+], ids=["detuning", "timing-error", "mode-count", "coupling-disorder", "timing-error-grid"])
+def test_sweep_admission_bound(largest, args, tmp_path):
+    """The largest sweep admitted, and the next one refused."""
+    parser = build_parser()
+    out = ["sweep", "--out", str(tmp_path / "x.csv")]
+    resolve_config(parser.parse_args([*out, *args(largest)]))
+    with pytest.raises(ValueError, match="sweep too large"):
+        resolve_config(parser.parse_args([*out, *args(largest + 1)]))
 
 
 _CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",

@@ -15,7 +15,6 @@ from wcavity.dynamics import (
     build_hamiltonian,
     closed_form_amplitudes,
     evolve_closed_form,
-    evolve_closed_form_general,
     excitation_operator,
     hermiticity_defect,
     propagate_numeric,
@@ -96,16 +95,10 @@ class TestModelParams:
         with pytest.raises(ValueError, match="positive"):
             ModelParams(1, 1.0, (1.0,), (0.0,))
 
-    def test_resonant_identical_flag(self):
-        assert ModelParams.resonant(3, 0.7).is_resonant_identical()
-        detuned = ModelParams(3, 1.0, (1.0, 1.0, 1.5), (0.7,) * 3)
-        assert not detuned.is_resonant_identical()
-        uneven = ModelParams(3, 1.0, (1.0,) * 3, (0.7, 0.7, 0.8))
-        assert uneven.is_resonant() and not uneven.is_resonant_identical()
-
     def test_tolerates_rounding_level_spread(self):
-        eps = (0.7, 0.7 * (1 + 1e-15), 0.7)
-        assert ModelParams(3, 1.0, (1.0,) * 3, eps).is_resonant_identical()
+        omegas = (1.0, 1.0 * (1 + 1e-15), 1.0)
+        assert ModelParams(3, 1.0, omegas, (0.7,) * 3).is_resonant()
+        assert not ModelParams(3, 1.0, (1.0, 1.0, 1.5), (0.7,) * 3).is_resonant()
 
 
 class TestBuildHamiltonian:
@@ -222,10 +215,14 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="interaction-frame"):
             evolve_closed_form(params, 0.1)
 
-    def test_rejects_unequal_couplings(self):
+    def test_takes_unequal_couplings(self):
         params = ModelParams(2, 0.0, (0.0, 0.0), (1.0, 1.2))
-        with pytest.raises(ValueError, match="identical couplings"):
-            evolve_closed_form(params, 0.1)
+        psi = evolve_closed_form(params, 0.1)
+        omega = math.sqrt(1.0 + 1.2**2)
+        assert psi.amplitude(e(0, 0)) == pytest.approx(math.cos(0.1 * omega), abs=1e-15)
+        assert psi.amplitude(g(0, 1)) == pytest.approx(
+            -1.2j / omega * math.sin(0.1 * omega), abs=1e-15
+        )
 
     def test_embeds_into_larger_basis(self):
         params = ModelParams.resonant(3, 1.0)
@@ -245,21 +242,25 @@ class TestClosedForm:
 
 class TestClosedFormGeneral:
     def test_reduces_to_identical_coupling_form(self):
+        # equal couplings: cos(sqrt(N) eps t) and -i sin(sqrt(N) eps t) / sqrt(N)
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 5.0))
             t = float(rng.uniform(0.0, 10.0))
-            params = ModelParams.resonant(n, eps)
-            a = evolve_closed_form(params, t)
-            b = evolve_closed_form_general(params, t)
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-14
+            psi = evolve_closed_form(ModelParams.resonant(n, eps), t)
+            phase = math.sqrt(n) * eps * t
+            assert abs(psi.amplitude(e(*(0,) * n)) - math.cos(phase)) <= 1e-14
+            for i in range(n):
+                one = tuple(int(m == i) for m in range(n))
+                want = -1j * math.sin(phase) / math.sqrt(n)
+                assert abs(psi.amplitude(g(*one)) - want) <= 1e-14
 
     def test_three_four_coupling_case(self):
         # Omega = 5, t = pi/10: full transfer weighted by eps_i / Omega
         params = ModelParams(2, 0.0, (0.0, 0.0), (3.0, 4.0))
         t = math.pi / 10.0
-        psi = evolve_closed_form_general(params, t)
+        psi = evolve_closed_form(params, t)
         assert abs(psi.amplitude(e(0, 0))) <= 1e-12
         assert psi.amplitude(g(1, 0)) == pytest.approx(-0.6j, abs=1e-12)
         assert psi.amplitude(g(0, 1)) == pytest.approx(-0.8j, abs=1e-12)
@@ -272,7 +273,7 @@ class TestClosedFormGeneral:
     def test_rejects_detuning(self):
         params = ModelParams(2, 0.0, (0.0, 0.3), (1.0, 1.0))
         with pytest.raises(ValueError, match="detuned"):
-            evolve_closed_form_general(params, 0.1)
+            evolve_closed_form(params, 0.1)
 
     def test_validated_against_numeric_on_random_draws(self):
         # formula must agree with the propagator before it is used anywhere
@@ -283,7 +284,7 @@ class TestClosedFormGeneral:
             eps = tuple(float(c) for c in rng.uniform(0.1, 10.0, size=n))
             t = float(rng.uniform(0.0, 4.0 * math.pi / max(eps)))
             params = ModelParams(n, 0.0, (0.0,) * n, eps)
-            closed = evolve_closed_form_general(params, t)
+            closed = evolve_closed_form(params, t)
             H = build_hamiltonian(params, closed.basis)
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
@@ -299,7 +300,7 @@ class TestClosedFormAmplitudes:
         for draw, row in zip(couplings, rows):
             params = ModelParams(4, 0.0, (0.0,) * 4, tuple(draw))
             np.testing.assert_array_equal(
-                row, evolve_closed_form_general(params, 0.9, basis).amplitudes
+                row, evolve_closed_form(params, 0.9, basis).amplitudes
             )
 
     @pytest.mark.parametrize("bad,message", [
@@ -478,6 +479,30 @@ def test_propagate_times_rows_match_scipy_expm(basis_spec, frame, seed, times):
         np.testing.assert_allclose(row, ref, atol=1e-12, rtol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(
+        st.tuples(st.integers(1, 4), st.just(2)), st.tuples(st.integers(1, 3), st.just(3))
+    ),
+    frame=st.sampled_from(list(Frame)),
+    epsilon=st.floats(0.25, 4.0),
+    time=st.floats(0.0, 6.0),
+)
+def test_sector_evolution_equals_the_dense_full_space(size, frame, epsilon, time):
+    """H conserves the excitation number, so |e; 0...0> evolved on the
+    excitation <= 1 sector equals its evolution on the whole truncated
+    space 2 (n_max + 1)^N of a larger n_max, where every other amplitude
+    stays 0."""
+    n, n_max = size
+    params = ModelParams.resonant(n, epsilon, omega=1.0, frame=frame)
+    sector, full = build_basis(n, excitation_cap=1), build_basis(n, n_max)
+    small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
+    dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
+    embedded = np.zeros(full.dim, dtype=complex)
+    embedded[[full.index[state] for state in sector.states]] = small.amplitudes
+    np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
+
+
 class TestPropagateTimes:
     def test_one_time_is_propagate_numeric(self):
         rng = np.random.default_rng(4)
@@ -553,6 +578,20 @@ class TestHermitianOperator:
         basis = build_basis(1, 1, 1)
         with pytest.raises(ValueError):
             HermitianOperator(basis, np.eye(2))
+
+    def test_constructor_copies_and_the_owning_path_takes_over(self):
+        basis = build_basis(1, 1, 1)
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[1, 2] = mat[2, 1] = 0.5
+        copied = HermitianOperator(basis, mat)
+        assert copied.matrix is not mat and mat.flags.writeable
+        owned = HermitianOperator._from_owned(basis, mat)
+        assert owned.matrix is mat and not mat.flags.writeable
+        assert owned.defect == copied.defect == 0.0
+        bad = mat.copy()
+        bad[0, 1] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator._from_owned(basis, bad)
 
     def test_keeps_its_defect(self):
         basis = build_basis(1, 1, 1)
@@ -707,7 +746,7 @@ class TestRowsAreCheckedOnce:
     def test_a_bad_row_raises_as_before(self):
         overflowing = ModelParams(2, 0.0, (0.0, 0.0), (1e200, 1e200))
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            evolve_closed_form_general(overflowing, 1.0)
+            evolve_closed_form(overflowing, 1.0)
 
 
 def test_closed_form_amplitudes_take_one_time_per_draw():

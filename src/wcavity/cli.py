@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 import types
 from collections.abc import Callable, Mapping
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -231,9 +232,18 @@ def resolve_config(args) -> dict:
         from .protocol import SweepParameter, SweepSpec
 
         parameter = SweepParameter(config["parameter"])
+        # options this parameter never reads: refused if given, so that no
+        # output tells of a value the sweep did not use
+        unread = {}
         if parameter is SweepParameter.MODE_COUNT:
-            if "n" in given:
-                raise ValueError("--n is not read by --parameter mode-count (its grid lists the mode counts)")
+            unread["n"] = "its grid lists the mode counts"
+        if parameter is not SweepParameter.COUPLING_DISORDER:
+            unread["trials"] = unread["seed"] = "only coupling-disorder draws random trials"
+        for key in OPTIONS:
+            if key in unread and key in given:
+                raise ValueError(f"{_flag(key)} is not read by --parameter {parameter.value} "
+                                 f"({unread[key]})")
+        if parameter is SweepParameter.MODE_COUNT:
             del config["n"]
         grid_raw = config["grid"]
         if grid_raw is None:
@@ -508,5 +518,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m wcavity`` and the ``wcavity``
+    script: ``main`` on ``sys.argv``, then exit with its code.
+
+    After ``main`` returns, ``gc.freeze`` moves every live object into the
+    collector's permanent generation, which the full collections of
+    interpreter shutdown skip: about 22k objects once numpy and the
+    package are loaded, 5-8 ms per collection on a 2-core host.  Exit is
+    otherwise unchanged: atexit handlers run and open files are flushed
+    and closed.
+    ``main`` itself never freezes, because tests and library callers run
+    it in a process that goes on."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

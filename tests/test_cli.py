@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity.cli import LAB_OMEGA, main
+from wcavity.cli import LAB_OMEGA, main, run
 from wcavity.cli import build_parser, resolve_config
 from wcavity.dynamics import (
     Frame,
@@ -142,14 +143,19 @@ def test_simulate_matches_dense_full_space(n, frame, epsilon, time, dump):
         np.testing.assert_allclose(amps, dense.amplitudes, atol=1e-12, rtol=0)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def package_env():
+    """The environment of a child interpreter that imports this package."""
     src = str(Path(wcavity.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, wcavity.cli; assert not any(m.startswith('scipy') for m in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -385,7 +391,9 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
         a.dest for a in sub.choices[command]._actions if a.option_strings
     } - {"help", "config", "inject_fault"}
 
-    required = ["--out", str(tmp_path / "x.csv")] if command == "sweep" else []
+    # the disorder sweep is the one that reads every sweep key
+    required = (["--out", str(tmp_path / "x.csv"), "--parameter", "coupling-disorder"]
+                if command == "sweep" else [])
     file_keys = set()
     for key, value in SAMPLE.items():
         cfg = tmp_path / f"{key}.cfg"
@@ -530,6 +538,32 @@ def test_mode_count_sweep_refuses_n(capsys, tmp_path):
     assert config["sweep"]["parameter"] == "mode-count"
 
 
+@pytest.mark.parametrize("parameter", ["timing-error", "detuning", "mode-count"])
+@pytest.mark.parametrize("key", ["trials", "seed"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_sweep_refuses_trials_and_seed_it_never_reads(parameter, key, source, capsys, tmp_path):
+    """Only the disorder sweep draws random trials; elsewhere a given
+    --trials or --seed would be echoed into the CSV without being used."""
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--parameter", parameter, "--grid", "1", "--out", str(out)]
+    if source == "flag":
+        given = [flag(key), "7"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        given = ["--config", str(cfg)]
+    code, stdout, err = run_cli(capsys, *args, *given)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {flag(key)} is not read by --parameter {parameter} "
+                   "(only coupling-disorder draws random trials)\n")
+    assert not out.exists()
+
+    # not given, the defaults are echoed as before
+    assert run_cli(capsys, *args)[0] == 0
+    text = out.read_text()
+    assert "# trials=1\n" in text and "# seed=0\n" in text
+
+
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 
@@ -634,10 +668,6 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
     returns, the package modules loaded are exactly those the subcommand
     runs, and ``dataclasses`` is not loaded (it costs milliseconds of
     import and class generation per process)."""
-    src = str(Path(wcavity.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = ['wcavity', *{argv!r}]\n"
@@ -648,10 +678,61 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
         "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity'),\n"
         "                  'dataclasses' in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     status, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert set(loaded) == modules
     assert not dataclasses_loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3"],
+    ["sweep", "--n", "3", "--grid", "0", "--out", "-"],
+    ["entanglement", "--n", "3"],
+    ["validate"],
+], ids=["simulate", "sweep", "entanglement", "validate"])
+def test_main_leaves_the_collector_unfrozen(argv, capsys):
+    """Only the process entry freezes: ``main`` runs in callers' processes,
+    which go on collecting."""
+    before = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, monkeypatch):
+    events = []
+
+    def fake_main():
+        events.append("main")
+        return code
+
+    monkeypatch.setattr("wcavity.cli.main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "13", "--dump-state"],  # about 1 MB of JSON
+    ["validate", "--inject-fault"],
+    ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"],
+], ids=["simulate-dump", "validate-fault", "sweep-refused"])
+def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path):
+    """``python -m wcavity`` through pipes: the same stdout and stderr
+    bytes and the same exit code as ``main`` in process.  The child's
+    stdout is block-buffered, as in a shell pipeline, so output still in
+    the buffer at exit is checked too."""
+    code, out, err = run_cli(capsys, *argv)
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "wcavity", *argv], env=env,
+                          cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr == err.encode()
+    assert proc.stdout == out.encode()

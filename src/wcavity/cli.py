@@ -95,13 +95,13 @@ OPTIONS = {
                     choices=tuple(sorted(_FRAMES))),
     "out": Option(str, None, "output path, '-' for stdout"),
     "format": Option(str, "json", choices=("csv", "json")),
-    "seed": Option(int, 0),
+    "seed": Option(int, 0, valid=lambda v: v >= 0, requirement="must be >= 0"),
     "dump_state": Option(_parse_bool, False, "include the full state vector in the report"),
     "si": Option(_parse_bool, False, "interpret --time as seconds and --epsilon as rad/s"),
     "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
                         choices=tuple(sorted(SWEEP_PARAMETERS))),
     "grid": Option(str, None, "comma-separated grid values"),
-    "trials": Option(int, None, "Monte-Carlo trials per grid point (disorder sweeps)"),
+    "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)"),
 }
 
 
@@ -122,7 +122,7 @@ COMMANDS = {
     "sweep": Command(
         "robustness sweep over a parameter grid",
         frozenset({"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"}),
-        {"format": "csv"},
+        {"format": "csv", "trials": 100},
     ),
     "entanglement": Command(
         "pairwise concurrences of W versus GHZ reductions", frozenset({"n", "out", "format"})
@@ -132,6 +132,17 @@ COMMANDS = {
         frozenset({"out", "format", "seed"}),
         {"seed": DEFAULT_SEED},
     ),
+}
+
+# The sweep options a --parameter never reads, each with the reason, in
+# ``OPTIONS`` order: refused if given and absent otherwise, so that no
+# output tells of a value the sweep did not use.
+_DRAWS_NOTHING = dict.fromkeys(("seed", "trials"), "only coupling-disorder draws random trials")
+SWEEP_UNREAD = {
+    "timing-error": _DRAWS_NOTHING,
+    "coupling-disorder": {},
+    "detuning": _DRAWS_NOTHING,
+    "mode-count": {"n": "its grid lists the mode counts", **_DRAWS_NOTHING},
 }
 
 
@@ -189,12 +200,24 @@ def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
     return tuple(float(n) for n in range(1, 9))
 
 
+def _require_closed_form_range(epsilon: float, n: int) -> None:
+    """Refuse an epsilon the closed form cannot evaluate at up to n modes:
+    one whose square, or whose n-fold sum of squares, leaves the normal
+    doubles (a subnormal square keeps too few digits for the norm check)."""
+    square = epsilon * epsilon
+    if square < sys.float_info.min:
+        raise ValueError(f"--epsilon {epsilon!r} is too small: "
+                         "its square is below the smallest normal double")
+    if not math.isfinite(n * square):
+        raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
+
+
 def resolve_config(args) -> dict:
     """The command and the value of each option it reads, in ``OPTIONS``
     order: the flag if given, else the config-file value, else the
     command's default, else the option's; for a sweep, then its
     ``SweepSpec`` under ``spec``.  Refuses, before any work, an input
-    above the size limits."""
+    above the size limits or out of the closed form's range."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -228,23 +251,20 @@ def resolve_config(args) -> dict:
         # both run on N + 2 states, but are admitted by the n_max = 1 full
         # space: the one --dump-state reports and GHZ lives in
         require_full_dimension(config["n"], 1)
+    if args.command == "simulate":
+        _require_closed_form_range(config["epsilon"], config["n"])
+        time = config["time"]
+        if time is not None and not config["si"] and not math.isfinite(time / config["epsilon"]):
+            raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
     if args.command == "sweep":
         from .protocol import SweepParameter, SweepSpec
 
         parameter = SweepParameter(config["parameter"])
-        # options this parameter never reads: refused if given, so that no
-        # output tells of a value the sweep did not use
-        unread = {}
-        if parameter is SweepParameter.MODE_COUNT:
-            unread["n"] = "its grid lists the mode counts"
-        if parameter is not SweepParameter.COUPLING_DISORDER:
-            unread["trials"] = unread["seed"] = "only coupling-disorder draws random trials"
-        for key in OPTIONS:
-            if key in unread and key in given:
+        for key, reason in SWEEP_UNREAD[parameter.value].items():
+            if key in given:
                 raise ValueError(f"{_flag(key)} is not read by --parameter {parameter.value} "
-                                 f"({unread[key]})")
-        if parameter is SweepParameter.MODE_COUNT:
-            del config["n"]
+                                 f"({reason})")
+            del config[key]
         grid_raw = config["grid"]
         if grid_raw is None:
             config["grid"] = _default_grid(parameter, config.get("n"))
@@ -253,30 +273,27 @@ def resolve_config(args) -> dict:
                 config["grid"] = tuple(float(v) for v in grid_raw.split(",") if v.strip())
             except ValueError as exc:
                 raise ValueError(f"could not parse --grid {grid_raw!r}") from exc
-        if config["trials"] is None:
-            config["trials"] = 100 if parameter is SweepParameter.COUPLING_DISORDER else 1
         # the spec refuses a bad grid or trial count before it is sized
         spec = config["spec"] = SweepSpec(
-            parameter, config["grid"], trials=config["trials"], seed=config["seed"]
+            parameter, config["grid"], **{k: config[k] for k in ("trials", "seed") if k in config}
         )
         size = spec.largest_array_bytes(config.get("n"))
         if size > MAX_SWEEP_BYTES:
             raise ValueError(f"sweep too large: its largest array takes {size} bytes, "
                              f"above the limit of {MAX_SWEEP_BYTES} bytes")
+        if parameter in (SweepParameter.COUPLING_DISORDER, SweepParameter.MODE_COUNT):
+            # the sweeps that evaluate the closed form, at N or at each grid entry
+            _require_closed_form_range(config["epsilon"], config.get("n") or int(max(spec.grid)))
     return config
 
 
 def _echo(config: dict) -> dict:
-    """The resolved config as reports embed it; a sweep's grid, trials and
-    seed are grouped under ``sweep``."""
+    """The resolved config as reports embed it; a sweep's parameter, grid
+    and, where it reads them, trials and seed are grouped under ``sweep``."""
     echo = {k: v for k, v in config.items() if k not in ("parameter", "grid", "trials", "spec")}
     if config["command"] == "sweep":
-        echo["sweep"] = {
-            "parameter": config["parameter"],
-            "grid": list(config["grid"]),
-            "trials": config["trials"],
-            "seed": config["seed"],
-        }
+        echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
+        echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
     return echo
 
 
@@ -374,14 +391,12 @@ def cmd_simulate(config: dict) -> int:
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability
-    f = fidelity(w_state(n, basis), numeric)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": _echo(config),
         "t": t,
         "t_star": t_star,
-        "fidelity_W": f,
-        "success_prob": f,
+        "fidelity_W": fidelity(w_state(n, basis), numeric),
         "atom_ground_prob": atom_population(numeric, AtomLevel.GROUND),
         "closed_vs_numeric_gap": gap,
     }
@@ -460,13 +475,7 @@ def cmd_entanglement(config: dict) -> int:
         }
         for i, j in c_w
     ]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echo(config),
-        "n": n,
-        "rows": rows,
-    }
-    _emit(report, config)
+    _emit({"schema_version": SCHEMA_VERSION, "config": _echo(config), "rows": rows}, config)
     return 0
 
 

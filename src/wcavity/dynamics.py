@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .fock import (
+    ROUNDING_TOL,
     AtomLevel,
     Basis,
     BasisState,
@@ -32,9 +33,6 @@ from .fock import (
     require_unit_rows,
     vacuum_occupations,
 )
-
-#: Hermiticity and dimension checks on operator construction.
-HERMITICITY_TOL = 1e-12
 
 #: Norm drift above this signals a propagator defect rather than rounding.
 NORM_DRIFT_TOL = 1e-10
@@ -160,7 +158,7 @@ class HermitianOperator(Frozen):
             raise ValueError("operator entries must be finite")
         defect = hermiticity_defect(mat)
         worst = float(defect.max(initial=0.0))
-        if worst > HERMITICITY_TOL:
+        if worst > ROUNDING_TOL:
             raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {worst:.3e}")
         if mat.ndim == 2:
             defect = float(defect)
@@ -286,7 +284,7 @@ def closed_form_amplitudes(couplings, t, basis: Basis) -> np.ndarray:
 
     Checks what ModelParams and StateVector check for a single draw: the
     couplings must be finite and strictly positive, and every row finite
-    with unit norm within ``NORM_TOL``.
+    with unit norm within ``ROUNDING_TOL``.
     """
     eps = np.asarray(couplings, dtype=float)
     if eps.ndim != 2 or eps.shape[1] != basis.n_modes:
@@ -308,7 +306,7 @@ def closed_form_amplitudes(couplings, t, basis: Basis) -> np.ndarray:
     except KeyError as exc:
         raise ValueError("basis does not contain the single-excitation sector") from exc
     amps = np.zeros((len(eps), basis.dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the row check
+    with np.errstate(all="ignore"):  # an overflow or a zero frequency fails the row check
         omega = np.sqrt(np.sum(eps**2, axis=1))
         amps[:, excited] = np.cos(omega * t)
         amps[:, photons] = -1j * (eps / omega[:, None]) * np.sin(omega * t)[:, None]

@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
-from .dynamics import HERMITICITY_TOL, hermiticity_defect
+from .dynamics import hermiticity_defect
 from .fock import (
+    ROUNDING_TOL,
     AtomLevel,
     Basis,
     BasisState,
@@ -24,7 +25,6 @@ from .fock import (
     vacuum_occupations,
 )
 
-TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 class DensityMatrix(Frozen):
@@ -57,10 +57,10 @@ class DensityMatrix(Frozen):
         if mat.shape[-2:] != (dim, dim) or mat.ndim not in (2, 3):
             raise ValueError(f"matrix shape {mat.shape} does not fit {qubits} qubits")
         items = mat.reshape(-1, dim, dim)
-        if np.any(hermiticity_defect(items) > HERMITICITY_TOL):
+        if np.any(hermiticity_defect(items) > ROUNDING_TOL):
             raise ValueError("density matrix is not Hermitian")
         traces = np.trace(items, axis1=1, axis2=2)
-        off = np.abs(traces - 1.0) > TRACE_TOL
+        off = np.abs(traces - 1.0) > ROUNDING_TOL
         if off.any():
             raise ValueError(f"density matrix trace {complex(traces[off][0])!r} deviates from 1")
         if np.any(np.linalg.eigvalsh(items) < EIGENVALUE_FLOOR):

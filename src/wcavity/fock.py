@@ -19,8 +19,9 @@ import types
 
 import numpy as np
 
-#: Tolerance on | ||psi|| - 1 | accepted by the StateVector constructor.
-NORM_TOL = 1e-12
+#: The rounding tolerance of every constructor check: | ||psi|| - 1 | of a
+#: StateVector, | H - H^dag | of an operator, | tr rho - 1 | of a density matrix.
+ROUNDING_TOL = 1e-12
 
 #: Largest basis dimension accepted by default (dense matrices stay tractable).
 MAX_DIMENSION = 16384
@@ -169,7 +170,7 @@ class StateVector(Frozen):
 
     Immutable: the amplitude array is copied and marked read-only.  The
     constructor rejects vectors whose 2-norm deviates from 1 by more than
-    ``NORM_TOL`` so that propagator defects surface immediately.  Stacks
+    ``ROUNDING_TOL`` so that propagator defects surface immediately.  Stacks
     are what the propagation routes of ``dynamics`` take and return; the
     scores and reductions take one state.
     """
@@ -211,15 +212,15 @@ class StateVector(Frozen):
 
 def require_unit_rows(amplitudes: np.ndarray) -> None:
     """Raise ValueError unless every amplitude is finite and every state,
-    one per index of the leading axes, has 2-norm within ``NORM_TOL`` of 1.
+    one per index of the leading axes, has 2-norm within ``ROUNDING_TOL`` of 1.
     A 1-D array is one state."""
     if not np.isfinite(amplitudes).all():
         raise ValueError("amplitudes must be finite")
     norms = np.linalg.norm(amplitudes, axis=-1)
-    bad = np.abs(norms - 1.0) > NORM_TOL
+    bad = np.abs(norms - 1.0) > ROUNDING_TOL
     if bad.any():
         norm = float(norms[bad].flat[0])
-        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
 
 
 def _capped_occupations(n_modes: int, n_max: int, budget: int):
@@ -357,7 +358,7 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
 
 
 #: Version of the report and sweep-file layout.
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def fmt12(value) -> str:

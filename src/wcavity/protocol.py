@@ -40,9 +40,6 @@ from .fock import (
     round12,
 )
 
-RNG_DESCRIPTION = "numpy PCG64, one stream per (seed, grid_index, trial_index)"
-
-
 class SweepParameter(enum.Enum):
     # the values of SWEEP_PARAMETERS, in its order
     TIMING_ERROR, COUPLING_DISORDER, DETUNING, MODE_COUNT = SWEEP_PARAMETERS
@@ -87,13 +84,14 @@ class SweepSpec(Value):
 
 
 class SweepRow(NamedTuple):
-    """One CSV row; the field order is the column order."""
+    """One CSV row; the field order is the column order.  A sweep that
+    draws nothing repeats its one fidelity as mean, min and max, so that
+    every sweep writes the same table."""
 
     x: float
     fidelity_mean: float
     fidelity_min: float
     fidelity_max: float
-    success_prob_mean: float
 
 
 CSV_HEADER = ",".join(SweepRow._fields)
@@ -155,17 +153,10 @@ def run_protocol(n: int, epsilon: float) -> ProtocolResult:
     return ProtocolResult(state=state, fidelity=f, success_prob=f, t_star=t_star)
 
 
-def _metadata(spec: SweepSpec, n_modes: int, epsilon: float, **extra) -> dict:
-    md = {
-        "schema_version": SCHEMA_VERSION,
-        "parameter": spec.parameter.value,
-        "n_modes": n_modes,
-        "epsilon": epsilon,
-        "seed": spec.seed,
-        "trials": spec.trials,
-        "rng": RNG_DESCRIPTION,
-    }
-    md.update(extra)
+def _metadata(spec: SweepSpec, **fields) -> dict:
+    """The schema version and the parameter, then ``fields`` in order (the
+    values the sweep used), then the timestamp."""
+    md = {"schema_version": SCHEMA_VERSION, "parameter": spec.parameter.value, **fields}
     md["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )
@@ -193,10 +184,10 @@ def timing_error_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
     H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
     states = propagate_times(H, initial_state(basis), t_star + np.array(spec.grid) / epsilon)
     rows = [
-        SweepRow(x, f, f, f, f)
+        SweepRow(x, f, f, f)
         for x, f in zip(spec.grid, fidelities(states, w_state(n, basis)).tolist())
     ]
-    return SweepResult(rows, _metadata(spec, n, epsilon, t_star=t_star))
+    return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
 def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
@@ -222,18 +213,12 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
                 draw[bad] = epsilon * (1.0 + sigma * rng.standard_normal(int(bad.sum())))
                 bad = draw <= 0.0
         fids = fidelities(closed_form_amplitudes(couplings, t_star, basis), target)
-        mean = float(fids.mean())
-        rows.append(SweepRow(sigma, mean, float(fids.min()), float(fids.max()), mean))
-    return SweepResult(
-        rows,
-        _metadata(
-            spec,
-            n,
-            epsilon,
-            t_star=t_star,
-            disorder_model="gaussian relative std-dev, non-positive couplings redrawn",
-        ),
-    )
+        rows.append(SweepRow(sigma, float(fids.mean()), float(fids.min()), float(fids.max())))
+    return SweepResult(rows, _metadata(
+        spec, n_modes=n, epsilon=epsilon, seed=spec.seed, trials=spec.trials,
+        rng="numpy PCG64, one stream per (seed, grid_index, trial_index)", t_star=t_star,
+        disorder_model="gaussian relative std-dev, non-positive couplings redrawn",
+    ))
 
 
 def detuning_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
@@ -256,8 +241,8 @@ def detuning_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
         )
         psi = propagate_numeric(build_hamiltonian(params, basis), psi0, t_star)
         f = fidelity(psi, target)
-        rows.append(SweepRow(x, f, f, f, f))
-    return SweepResult(rows, _metadata(spec, n, epsilon, t_star=t_star))
+        rows.append(SweepRow(x, f, f, f))
+    return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
 def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
@@ -266,8 +251,8 @@ def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
     rows = []
     for entry in n_scaling_table([int(x) for x in spec.grid], epsilon):
         f = entry.fidelity_numeric
-        rows.append(SweepRow(float(entry.n), f, f, f, f))
-    return SweepResult(rows, _metadata(spec, 0, epsilon))
+        rows.append(SweepRow(float(entry.n), f, f, f))
+    return SweepResult(rows, _metadata(spec, epsilon=epsilon))
 
 
 def n_scaling_table(n_list, epsilon: float) -> list[ScalingRow]:

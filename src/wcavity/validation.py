@@ -15,7 +15,6 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_SEED,
-    HERMITICITY_TOL,
     Frame,
     ModelParams,
     build_hamiltonian,
@@ -24,7 +23,7 @@ from .dynamics import (
     propagate_numeric,
     propagate_times,
 )
-from .fock import StateVector, build_basis, initial_state
+from .fock import ROUNDING_TOL, StateVector, build_basis, initial_state
 
 CONSERVATION_TOL = 1e-13
 UNITARITY_TOL = 1e-10
@@ -120,7 +119,7 @@ def check_hermiticity(rng, draws: int = 50, inject_fault: bool = False) -> Check
             matrix[r, c] = -matrix[r, c]
             defect = float(hermiticity_defect(matrix))
         worst = max(worst, defect)
-    return CheckResult("hermiticity", worst <= HERMITICITY_TOL, worst, HERMITICITY_TOL, draws)
+    return CheckResult("hermiticity", worst <= ROUNDING_TOL, worst, ROUNDING_TOL, draws)
 
 
 def check_excitation_conservation(rng, draws: int = 50) -> CheckResult:

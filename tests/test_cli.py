@@ -45,10 +45,10 @@ class TestSimulate:
     def test_default_run_reaches_w_state(self, capsys):
         report = run_json(capsys, "simulate", "--n", "3", "--epsilon", "1")
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
-        assert report["success_prob"] == pytest.approx(1.0, abs=1e-9)
+        assert "success_prob" not in report  # it equals fidelity_W
         assert report["atom_ground_prob"] == pytest.approx(1.0, abs=1e-9)
         assert report["closed_vs_numeric_gap"] <= 1e-9
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["config"]["n"] == 3
 
     def test_zero_time_is_no_evolution(self, capsys):
@@ -92,7 +92,7 @@ class TestSimulate:
         )
         assert code == 0, err
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "# schema_version=1"
+        assert lines[0] == "# schema_version=2"
         assert lines[1].startswith("# config=")
         assert any(line.startswith("fidelity_W,1") for line in lines)
 
@@ -130,7 +130,8 @@ def test_simulate_matches_dense_full_space(n, frame, epsilon, time, dump):
     assert report["fidelity_W"] == pytest.approx(
         fidelity(w_state(n, dense.basis), dense), abs=1e-12
     )
-    assert report["success_prob"] == pytest.approx(success_probability(dense, n), abs=1e-12)
+    # the W target has the atom in its ground state: the fidelity is the success probability
+    assert report["fidelity_W"] == pytest.approx(success_probability(dense, n), abs=1e-12)
     assert report["atom_ground_prob"] == pytest.approx(
         atom_population(dense, AtomLevel.GROUND), abs=1e-12
     )
@@ -169,8 +170,8 @@ class TestSweep:
         )
         assert code == 0, err
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert data[0] == "x,fidelity_mean,fidelity_min,fidelity_max,success_prob_mean"
-        assert data[1] == "0,1,1,1,1"
+        assert data[0] == "x,fidelity_mean,fidelity_min,fidelity_max"
+        assert data[1] == "0,1,1,1"
         meta = json.loads((tmp_path / "sweep.meta.json").read_text())
         assert meta["parameter"] == "timing-error"
         assert "timestamp" in meta
@@ -183,7 +184,7 @@ class TestSweep:
         )
         assert code == 0, err
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert data[1] == "0,1,1,1,1"
+        assert data[1] == "0,1,1,1"
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "a.csv"
@@ -322,6 +323,23 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "simulate", "--epsilon", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["sweep", "--parameter", "coupling-disorder", "--grid", "0"],
+    ], ids=["validate", "sweep"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_names_the_flag(self, argv, source, capsys, tmp_path):
+        out = tmp_path / "x.out"
+        if source == "flag":
+            given = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            given = ["--config", str(cfg)]
+        code, stdout, err = run_cli(capsys, *argv, *given, "--out", str(out))
+        assert (code, stdout, err) == (2, "", "error: --seed must be >= 0\n")
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         assert run_cli(capsys, "simulate", "--bogus")[0] == 2
 
@@ -406,7 +424,7 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
             file_keys.add(key)
 
     out = tmp_path / "report.json"
-    extra = ["--grid", "0"] if command == "sweep" else []
+    extra = ["--grid", "0", "--parameter", "coupling-disorder"] if command == "sweep" else []
     assert main([command, "--format", "json", "--out", str(out), *extra]) == 0
     report = json.loads(out.read_text())
     echo = json.loads(report["metadata"]["config"]) if command == "sweep" else report["config"]
@@ -558,10 +576,53 @@ def test_sweep_refuses_trials_and_seed_it_never_reads(parameter, key, source, ca
                    "(only coupling-disorder draws random trials)\n")
     assert not out.exists()
 
-    # not given, the defaults are echoed as before
+    # not given, it is neither reported nor echoed
     assert run_cli(capsys, *args)[0] == 0
-    text = out.read_text()
-    assert "# trials=1\n" in text and "# seed=0\n" in text
+    lines = out.read_text().splitlines()
+    assert not any(line.startswith((f"# {key}=", "# rng=")) for line in lines)
+    config = json.loads(next(line for line in lines if line.startswith("# config="))[9:])
+    assert key not in config and key not in config["sweep"]
+
+
+# the metadata of each sweep besides schema_version, parameter, epsilon and
+# the echoed config: only the disorder sweep draws, and only a sweep at one
+# mode count has one
+SWEEP_METADATA = {
+    "timing-error": {"n_modes", "t_star"},
+    "coupling-disorder": {"n_modes", "t_star", "seed", "trials", "rng", "disorder_model"},
+    "detuning": {"n_modes", "t_star"},
+    "mode-count": set(),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(SWEEP_METADATA))
+def test_schema_2_reports_only_values_the_sweep_used(parameter, capsys, tmp_path):
+    """The CSV comment lines, the sidecar and the JSON form name seed,
+    trials and rng exactly for the sweep that draws them, and no output
+    names the success probability, which equals the fidelity."""
+    args = ["sweep", "--parameter", parameter, "--grid", "1"]
+    if parameter != "mode-count":
+        args += ["--n", "3"]
+    csv_out, sidecar, json_out = tmp_path / "s.csv", tmp_path / "s.meta.json", tmp_path / "s.json"
+    assert run_cli(capsys, *args, "--out", str(csv_out))[0] == 0
+    assert run_cli(capsys, *args, "--format", "json", "--out", str(json_out))[0] == 0
+    keys = SWEEP_METADATA[parameter] | {"schema_version", "parameter", "epsilon", "config"}
+    draws = parameter == "coupling-disorder"
+
+    lines = csv_out.read_text().splitlines()
+    assert sorted(l[2:].partition("=")[0] for l in lines if l.startswith("# ")) == sorted(keys)
+    assert lines[-2:] == ["x,fidelity_mean,fidelity_min,fidelity_max", lines[-1]]
+    report = json.loads(json_out.read_text())
+    assert list(report["rows"][0]) == ["x", "fidelity_mean", "fidelity_min", "fidelity_max"]
+    for metadata in (json.loads(sidecar.read_text()), report["metadata"]):
+        assert metadata.pop("timestamp")
+        assert set(metadata) == keys
+        assert metadata["schema_version"] == "2"
+        echo = json.loads(metadata["config"])
+        assert ("seed" in echo) is draws and ("n" in echo) is (parameter != "mode-count")
+        assert set(echo["sweep"]) == {"parameter", "grid"} | ({"trials", "seed"} if draws else set())
+    for path in (csv_out, sidecar, json_out):
+        assert "success_prob" not in path.read_text()
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -572,8 +633,9 @@ GOLDEN_DIR = Path(__file__).parent / "data"
     ("entanglement_n10.json", 10, "json"),
 ])
 def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
-    """The files under tests/data were written by the version that reduced
-    one mode pair per call; the stacked pass must reproduce them exactly."""
+    """The files under tests/data were written at schema version 2; every
+    value in them is the one the version that reduced one mode pair per
+    call wrote, so the stacked pass reproduces that version's numbers."""
     code, out, err = run_cli(capsys, "entanglement", "--n", str(n), "--format", fmt, "--out", "-")
     assert code == 0, err
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
@@ -610,6 +672,8 @@ def basis_builds(monkeypatch):
 
 
 FULL_SPACE_REFUSAL = "truncation too large: dimension 32768 exceeds safety limit 16384"
+EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
+EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -621,7 +685,22 @@ FULL_SPACE_REFUSAL = "truncation too large: dimension 32768 exceeds safety limit
      "sweep too large: its largest array takes 6401280064 bytes, above the limit of 16777216 bytes"),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "300000"],
      "sweep too large: its largest array takes 24000000 bytes, above the limit of 16777216 bytes"),
-], ids=["simulate", "entanglement", "sweep-detuning", "sweep-mode-count", "sweep-trials"])
+    (["simulate", "--n", "3", "--epsilon", "1e-170"], EPSILON_UNDERFLOW.format("1e-170")),
+    (["simulate", "--n", "3", "--epsilon", "1e-160"], EPSILON_UNDERFLOW.format("1e-160")),
+    (["simulate", "--n", "3", "--epsilon", "1e160"], EPSILON_OVERFLOW.format("1e+160", 3)),
+    (["simulate", "--n", "3", "--time", "1e300", "--epsilon", "1e-10"],
+     "--time 1e+300 is too large: t = time / epsilon is not finite"),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e-170"],
+     EPSILON_UNDERFLOW.format("1e-170")),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e160"],
+     EPSILON_OVERFLOW.format("1e+160", 3)),
+    (["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"],
+     EPSILON_OVERFLOW.format("2.13e+153", 40)),
+], ids=["simulate", "entanglement", "sweep-detuning", "sweep-mode-count", "sweep-trials",
+        "simulate-epsilon-underflow", "simulate-epsilon-subnormal", "simulate-epsilon-overflow",
+        "simulate-time-overflow", "sweep-disorder-epsilon-underflow",
+        "sweep-disorder-epsilon-overflow", "sweep-mode-count-epsilon-overflow"])
+@pytest.mark.filterwarnings("error")  # a refused input leaks no numpy warning either
 def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_builds,
                                                           capsys, tmp_path):
     out = tmp_path / "x.out"
@@ -651,6 +730,42 @@ def test_sweep_admission_bound(largest, args, tmp_path):
     resolve_config(parser.parse_args([*out, *args(largest)]))
     with pytest.raises(ValueError, match="sweep too large"):
         resolve_config(parser.parse_args([*out, *args(largest + 1)]))
+
+
+@pytest.mark.parametrize("admitted, refused", [
+    # epsilon^2 against the smallest normal double, 2.2250738585072014e-308
+    (["simulate", "--epsilon", "1.5e-154"], ["simulate", "--epsilon", "1.4e-154"]),
+    (["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.5e-154"],
+     ["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.4e-154"]),
+    # N epsilon^2 against the largest double, 1.7976931348623157e+308
+    (["simulate", "--n", "3", "--epsilon", "7.7e153"], ["simulate", "--n", "3", "--epsilon", "7.8e153"]),
+    (["simulate", "--n", "13", "--epsilon", "3.7e153"], ["simulate", "--n", "13", "--epsilon", "3.8e153"]),
+    (["sweep", "--parameter", "mode-count", "--grid", "1,39", "--epsilon", "2.13e153"],
+     ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"]),
+    # t = time / epsilon, unless --si gives t itself
+    (["simulate", "--time", "1e300", "--epsilon", "1e-8"], ["simulate", "--time", "1e300", "--epsilon", "1e-9"]),
+    (["simulate", "--time", "1e300", "--epsilon", "1e-9", "--si"],
+     ["simulate", "--time", "1e300", "--epsilon", "1e-9"]),
+], ids=["simulate-small", "disorder-small", "simulate-large", "simulate-13-large",
+        "mode-count-large", "time", "time-si"])
+def test_closed_form_range_bound(admitted, refused, tmp_path):
+    """The closed form's range admits the first input and refuses the second."""
+    parser = build_parser()
+    out = ["--out", str(tmp_path / "x.csv")]
+    resolve_config(parser.parse_args([*admitted, *out]))
+    with pytest.raises(ValueError, match="^--(epsilon|time) .* is too (small|large)"):
+        resolve_config(parser.parse_args([*refused, *out]))
+
+
+@pytest.mark.parametrize("parameter", ["timing-error", "detuning"])
+@pytest.mark.parametrize("epsilon", ["1e-170", "1e160"])
+def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys):
+    """Only simulate and the coupling-disorder and mode-count sweeps
+    evaluate the closed form; the other two sweeps run at any finite epsilon."""
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--parameter", parameter,
+                             "--epsilon", epsilon, "--grid", "0", "--out", "-")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "0,1,1,1"
 
 
 _CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",
@@ -721,7 +836,8 @@ def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, mo
     ["simulate", "--n", "13", "--dump-state"],  # about 1 MB of JSON
     ["validate", "--inject-fault"],
     ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"],
-], ids=["simulate-dump", "validate-fault", "sweep-refused"])
+    ["simulate", "--epsilon", "1e-170"],
+], ids=["simulate-dump", "validate-fault", "sweep-refused", "simulate-refused-epsilon"])
 def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path):
     """``python -m wcavity`` through pipes: the same stdout and stderr
     bytes and the same exit code as ``main`` in process.  The child's

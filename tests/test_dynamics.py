@@ -319,6 +319,14 @@ class TestClosedFormAmplitudes:
         with pytest.raises(ValueError, match="finite"):
             closed_form_amplitudes(couplings, 0.5, build_basis(2, 1, 1))
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_squares_raise_without_a_warning(self):
+        # squares underflow to 0 in one draw: Omega is 0 and eps / Omega 0 / 0
+        couplings = np.ones((4, 3))
+        couplings[1] = 1e-170
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_amplitudes(couplings, 0.5, build_basis(3, 1, 1))
+
 
 class TestPropagateNumeric:
     def test_time_zero_identity(self):

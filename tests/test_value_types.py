@@ -14,7 +14,7 @@ from wcavity.fock import AtomLevel, BasisState, build_basis
 def _instances():
     basis = build_basis(2, 1, 1)
     check = validation.CheckResult("hermiticity", True, 0.0, 1e-12, 1)
-    row = protocol.SweepRow(0.0, 1.0, 1.0, 1.0, 1.0)
+    row = protocol.SweepRow(0.0, 1.0, 1.0, 1.0)
     return {
         "Option": cli.OPTIONS["n"],
         "Command": cli.COMMANDS["sweep"],
@@ -80,12 +80,11 @@ def test_value_classes_equal_their_own_class_only():
 
 
 def test_sweep_row_fields_are_the_csv_columns():
-    assert protocol.CSV_HEADER == "x,fidelity_mean,fidelity_min,fidelity_max,success_prob_mean"
-    result = protocol.SweepResult([protocol.SweepRow(0.5, 0.25, 0.125, 1.0, 0.25)], {"b": 1})
-    assert result.to_csv_text().splitlines()[-1] == "0.5,0.25,0.125,1,0.25"
+    assert protocol.CSV_HEADER == "x,fidelity_mean,fidelity_min,fidelity_max"
+    result = protocol.SweepResult([protocol.SweepRow(0.5, 0.25, 0.125, 1.0)], {"b": 1})
+    assert result.to_csv_text().splitlines()[-1] == "0.5,0.25,0.125,1"
     assert result.to_dict()["rows"] == [
-        {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0,
-         "success_prob_mean": 0.25}
+        {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0}
     ]
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: simulate, sweep, entanglement, validate.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
-3 numerical failure.  Times are given in units of 1/epsilon unless
-``--si`` is passed, in which case --time is seconds and --epsilon rad/s.
+3 numerical failure.  Times are given in units of 1/epsilon, and every
+evolution runs in the interaction frame on resonance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .dynamics import (
     DEFAULT_SEED,
     SWEEP_PARAMETERS,
-    Frame,
     ModelParams,
     PropagationError,
     build_hamiltonian,
@@ -36,10 +35,6 @@ from .dynamics import (
 from .entanglement import fidelity, ghz_state, pairwise_concurrences, support_basis, w_state
 from .fock import (
     SCHEMA_VERSION,
-    AtomLevel,
-    Basis,
-    StateVector,
-    atom_population,
     build_basis,
     fmt12,
     initial_state,
@@ -48,14 +43,8 @@ from .fock import (
     state_to_dict,
 )
 
-# atomic/mode frequency used for lab-frame runs; the CLI always works on
-# resonance, so the value only sets the frame-rotation phase
-LAB_OMEGA = 1.0
-
-_FRAMES = {"lab": Frame.LAB, "interaction": Frame.INTERACTION}
-
-#: Largest array a sweep may allocate: one dense complex operator of
-#: dimension 1024, the sector of a 1022-mode sweep.
+#: Largest array a sweep or ``simulate`` may allocate: one dense complex
+#: operator of dimension 1024, the sector of 1022 modes.
 MAX_SWEEP_BYTES = 16 * 2**20
 
 
@@ -91,17 +80,16 @@ OPTIONS = {
                       requirement="must be finite and > 0"),
     "time": Option(float, None, "interaction time in 1/epsilon units (default: optimal)",
                    valid=math.isfinite, requirement="must be finite"),
-    "frame": Option(str, "interaction", "evolution frame (default interaction)",
-                    choices=tuple(sorted(_FRAMES))),
     "out": Option(str, None, "output path, '-' for stdout"),
     "format": Option(str, "json", choices=("csv", "json")),
     "seed": Option(int, 0, valid=lambda v: v >= 0, requirement="must be >= 0"),
-    "dump_state": Option(_parse_bool, False, "include the full state vector in the report"),
-    "si": Option(_parse_bool, False, "interpret --time as seconds and --epsilon as rad/s"),
+    "dump_state": Option(_parse_bool, False,
+                         "include the state vector, on the N + 2 state sector, in the report"),
     "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
                         choices=tuple(sorted(SWEEP_PARAMETERS))),
     "grid": Option(str, None, "comma-separated grid values"),
-    "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)"),
+    "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)",
+                     valid=lambda v: v >= 1, requirement="must be >= 1"),
 }
 
 
@@ -117,7 +105,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "simulate": Command(
         "evolve once and score against the W target",
-        frozenset({"n", "epsilon", "time", "frame", "out", "format", "dump_state", "si"}),
+        frozenset({"n", "epsilon", "time", "out", "format", "dump_state"}),
     ),
     "sweep": Command(
         "robustness sweep over a parameter grid",
@@ -212,12 +200,35 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
         raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
 
 
+def _require_array_bytes(command: str, size: int) -> None:
+    if size > MAX_SWEEP_BYTES:
+        raise ValueError(f"{command} too large: its largest array takes {size} bytes, "
+                         f"above the limit of {MAX_SWEEP_BYTES} bytes")
+
+
+def _require_finite_sweep_times(timing: bool, n: int, epsilon: float, grid, given: bool) -> None:
+    """Refuse a timing-error (``timing``) or detuning sweep whose optimal
+    time, or a grid entry's evolution time or detuning, is not a finite
+    double, each computed as the sweep computes it.  ``given`` tells
+    whether --grid set the grid."""
+    t_star = optimal_time(n, epsilon)
+    if not math.isfinite(t_star):
+        raise ValueError(f"--epsilon {epsilon!r} is too small: "
+                         "t* = pi / (2 sqrt(N) epsilon) is not finite")
+    for x in grid:
+        if not math.isfinite(t_star + x / epsilon if timing else x * epsilon):
+            what = "t* + x / epsilon" if timing else "the detuning x * epsilon"
+            entry = "--grid entry" if given else "default grid entry"
+            raise ValueError(f"{entry} {x!r} is too large for --epsilon {epsilon!r}: "
+                             f"{what} is not finite")
+
+
 def resolve_config(args) -> dict:
     """The command and the value of each option it reads, in ``OPTIONS``
     order: the flag if given, else the config-file value, else the
     command's default, else the option's; for a sweep, then its
     ``SweepSpec`` under ``spec``.  Refuses, before any work, an input
-    above the size limits or out of the closed form's range."""
+    above the size limits or whose times or couplings leave the doubles."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -247,14 +258,16 @@ def resolve_config(args) -> dict:
         if args.command == "sweep":
             raise ValueError("sweep requires --out")
         config["out"] = "-"
-    if args.command in ("simulate", "entanglement"):
-        # both run on N + 2 states, but are admitted by the n_max = 1 full
-        # space: the one --dump-state reports and GHZ lives in
+    if args.command == "entanglement":
+        # W and GHZ are built on N + 2 states, but admission still counts
+        # the n_max = 1 full space GHZ lives in
         require_full_dimension(config["n"], 1)
     if args.command == "simulate":
+        # the dense operator of the N + 2 state sector it evolves on
+        _require_array_bytes("simulate", 16 * (config["n"] + 2) ** 2)
         _require_closed_form_range(config["epsilon"], config["n"])
         time = config["time"]
-        if time is not None and not config["si"] and not math.isfinite(time / config["epsilon"]):
+        if time is not None and not math.isfinite(time / config["epsilon"]):
             raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
     if args.command == "sweep":
         from .protocol import SweepParameter, SweepSpec
@@ -277,23 +290,26 @@ def resolve_config(args) -> dict:
         spec = config["spec"] = SweepSpec(
             parameter, config["grid"], **{k: config[k] for k in ("trials", "seed") if k in config}
         )
-        size = spec.largest_array_bytes(config.get("n"))
-        if size > MAX_SWEEP_BYTES:
-            raise ValueError(f"sweep too large: its largest array takes {size} bytes, "
-                             f"above the limit of {MAX_SWEEP_BYTES} bytes")
+        _require_array_bytes("sweep", spec.largest_array_bytes(config.get("n")))
         if parameter in (SweepParameter.COUPLING_DISORDER, SweepParameter.MODE_COUNT):
             # the sweeps that evaluate the closed form, at N or at each grid entry
             _require_closed_form_range(config["epsilon"], config.get("n") or int(max(spec.grid)))
+        else:
+            _require_finite_sweep_times(parameter is SweepParameter.TIMING_ERROR, config["n"],
+                                        config["epsilon"], spec.grid, "grid" in given)
     return config
 
 
 def _echo(config: dict) -> dict:
     """The resolved config as reports embed it; a sweep's parameter, grid
-    and, where it reads them, trials and seed are grouped under ``sweep``."""
-    echo = {k: v for k, v in config.items() if k not in ("parameter", "grid", "trials", "spec")}
-    if config["command"] == "sweep":
-        echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
-        echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
+    and, where it reads them, trials and seed are grouped under ``sweep``
+    and nowhere else."""
+    if config["command"] != "sweep":
+        return dict(config)
+    grouped = ("parameter", "grid", "trials", "seed", "spec")
+    echo = {k: v for k, v in config.items() if k not in grouped}
+    echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
+    echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
     return echo
 
 
@@ -356,53 +372,31 @@ def _emit(report: dict, config: dict) -> None:
         Path(config["out"]).write_text(text)
 
 
-def _embed(psi: StateVector, basis: Basis) -> StateVector:
-    """psi on a basis that contains all of psi's basis states."""
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[[basis.index[s] for s in psi.basis.states]] = psi.amplitudes
-    return StateVector(basis, amps)
-
-
 def cmd_simulate(config: dict) -> int:
     # The evolution runs in the excitation <= 1 sector (N + 2 states): H
     # conserves the excitation number, so the sector holding the initial
-    # state is closed under it.  Only --dump-state reports the full space.
-    n, eps, frame = config["n"], config["epsilon"], _FRAMES[config["frame"]]
+    # state is closed under it.  --dump-state reports the state there too.
+    n, eps = config["n"], config["epsilon"]
     basis = build_basis(n, excitation_cap=1)
     t_star = optimal_time(n, eps)
-    if config["time"] is None:
-        t = t_star
-    elif config["si"]:
-        t = config["time"]
-    else:
-        t = config["time"] / eps
+    t = t_star if config["time"] is None else config["time"] / eps
 
-    interaction = ModelParams.resonant(n, eps, omega=LAB_OMEGA, frame=Frame.INTERACTION)
-    evolving = ModelParams.resonant(n, eps, omega=LAB_OMEGA, frame=frame)
-    closed = evolve_closed_form(interaction, t, basis)
-    H = build_hamiltonian(evolving, basis)
-    numeric = propagate_numeric(H, initial_state(basis), t)
-
-    if frame is Frame.INTERACTION:
-        gap = float(np.max(np.abs(closed.amplitudes - numeric.amplitudes)))
-    else:
-        # frame rotation shifts phases; moduli are the invariant quantities
-        gap = float(np.max(np.abs(np.abs(closed.amplitudes) - np.abs(numeric.amplitudes))))
+    params = ModelParams.resonant(n, eps)
+    closed = evolve_closed_form(params, t, basis)
+    numeric = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
 
     # the W target has the atom in its ground state, so the overlap with it
-    # is also the success probability
+    # is also the success probability and the atom's ground population
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": _echo(config),
         "t": t,
         "t_star": t_star,
         "fidelity_W": fidelity(w_state(n, basis), numeric),
-        "atom_ground_prob": atom_population(numeric, AtomLevel.GROUND),
-        "closed_vs_numeric_gap": gap,
+        "closed_vs_numeric_gap": float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))),
     }
     if config["dump_state"]:
-        full = build_basis(n)
-        report["state"] = state_to_dict(_embed(numeric, full))
+        report["state"] = state_to_dict(numeric)
     _emit(report, config)
     return 0
 
@@ -469,7 +463,6 @@ def cmd_entanglement(config: dict) -> int:
     rows = [
         {
             "pair": [i, j],
-            "traced_out": [0] + [m for m in range(1, n + 1) if m not in (i, j)],
             "concurrence_w": c_w[i, j],
             "concurrence_ghz": c_ghz[i, j],
         }

@@ -358,7 +358,7 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
 
 
 #: Version of the report and sweep-file layout.
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def fmt12(value) -> str:

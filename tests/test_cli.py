@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -16,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity.cli import LAB_OMEGA, main, run
+from wcavity.cli import main, run
 from wcavity.cli import build_parser, resolve_config
 from wcavity.dynamics import (
-    Frame,
     ModelParams,
     PropagationError,
     build_hamiltonian,
@@ -45,16 +45,15 @@ class TestSimulate:
     def test_default_run_reaches_w_state(self, capsys):
         report = run_json(capsys, "simulate", "--n", "3", "--epsilon", "1")
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
-        assert "success_prob" not in report  # it equals fidelity_W
-        assert report["atom_ground_prob"] == pytest.approx(1.0, abs=1e-9)
+        # both equal fidelity_W
+        assert "success_prob" not in report and "atom_ground_prob" not in report
         assert report["closed_vs_numeric_gap"] <= 1e-9
-        assert report["schema_version"] == "2"
+        assert report["schema_version"] == "3"
         assert report["config"]["n"] == 3
 
     def test_zero_time_is_no_evolution(self, capsys):
         report = run_json(capsys, "simulate", "--n", "3", "--epsilon", "1", "--time", "0")
         assert report["fidelity_W"] == pytest.approx(0.0, abs=1e-12)
-        assert report["atom_ground_prob"] == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_rotation_two_modes(self, capsys):
         report = run_json(capsys, "simulate", "--n", "2", "--epsilon", "1", "--time", "0.5")
@@ -67,23 +66,12 @@ class TestSimulate:
         expected = math.sin(math.sqrt(2.0) * 2.0 * 0.25) ** 2
         assert report["fidelity_W"] == pytest.approx(expected, abs=1e-9)
 
-    def test_si_mode_takes_absolute_time(self, capsys):
-        report = run_json(
-            capsys, "simulate", "--n", "2", "--epsilon", "2", "--time", "0.5", "--si"
-        )
-        assert report["t"] == pytest.approx(0.5, abs=1e-12)
-
     def test_dump_state_round_trips(self, capsys):
         report = run_json(capsys, "simulate", "--n", "3", "--dump-state")
         psi = state_from_dict(report["state"])
-        assert psi.basis.n_modes == 3
+        # the state on the N + 2 state sector it was evolved on
+        assert psi.basis == build_basis(3, excitation_cap=1)
         assert abs(psi.norm() - 1.0) <= 1e-9
-
-    def test_lab_frame_agrees_on_observables(self, capsys):
-        inter = run_json(capsys, "simulate", "--n", "3", "--time", "0.4")
-        lab = run_json(capsys, "simulate", "--n", "3", "--time", "0.4", "--frame", "lab")
-        assert lab["fidelity_W"] == pytest.approx(inter["fidelity_W"], abs=1e-9)
-        assert lab["closed_vs_numeric_gap"] <= 1e-9
 
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
@@ -92,33 +80,33 @@ class TestSimulate:
         )
         assert code == 0, err
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "# schema_version=2"
+        assert lines[0] == "# schema_version=3"
         assert lines[1].startswith("# config=")
         assert any(line.startswith("fidelity_W,1") for line in lines)
 
     def test_largest_admitted_truncation_runs(self, capsys):
-        report = run_json(capsys, "simulate", "--n", "13")  # full dimension 16384
+        # its dense sector operator, of dimension 1024, takes the 16 MiB limit
+        report = run_json(capsys, "simulate", "--n", "1022")
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
+        assert report["closed_vs_numeric_gap"] <= 1e-9
 
 
-def dense_route(n, epsilon, t, frame):
+def dense_route(n, epsilon, t):
     """The simulate evolution on the whole truncated space 2 * 2^N."""
     basis = build_basis(n)
-    params = ModelParams.resonant(n, epsilon, omega=LAB_OMEGA, frame=frame)
+    params = ModelParams.resonant(n, epsilon)
     return propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 8),
-    frame=st.sampled_from(["interaction", "lab"]),
     epsilon=st.floats(0.25, 4.0),
     time=st.floats(0.0, 6.0),
     dump=st.booleans(),
 )
-def test_simulate_matches_dense_full_space(n, frame, epsilon, time, dump):
-    argv = ["simulate", "--n", str(n), "--frame", frame,
-            "--epsilon", repr(epsilon), "--time", repr(time)]
+def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
+    argv = ["simulate", "--n", str(n), "--epsilon", repr(epsilon), "--time", repr(time)]
     if dump:
         argv.append("--dump-state")
     buf = io.StringIO()
@@ -126,22 +114,27 @@ def test_simulate_matches_dense_full_space(n, frame, epsilon, time, dump):
         assert main(argv) == 0
     report = json.loads(buf.getvalue())
 
-    dense = dense_route(n, epsilon, time / epsilon, Frame(frame))
+    dense = dense_route(n, epsilon, time / epsilon)
     assert report["fidelity_W"] == pytest.approx(
         fidelity(w_state(n, dense.basis), dense), abs=1e-12
     )
-    # the W target has the atom in its ground state: the fidelity is the success probability
+    # the W target has the atom in its ground state: the fidelity is the
+    # success probability and the atom's ground population
     assert report["fidelity_W"] == pytest.approx(success_probability(dense, n), abs=1e-12)
-    assert report["atom_ground_prob"] == pytest.approx(
+    assert report["fidelity_W"] == pytest.approx(
         atom_population(dense, AtomLevel.GROUND), abs=1e-12
     )
     assert report["closed_vs_numeric_gap"] <= 1e-9
     if dump:
         state = report["state"]
-        assert state["basis"] == {"n_modes": n, "n_max": 1, "excitation_cap": None}
-        assert len(state["amplitudes"]) == dense.basis.dim
+        assert state["basis"] == {"n_modes": n, "n_max": 1, "excitation_cap": 1}
+        sector = build_basis(n, excitation_cap=1)
         amps = np.array([complex(re, im) for re, im in state["amplitudes"]])
-        np.testing.assert_allclose(amps, dense.amplitudes, atol=1e-12, rtol=0)
+        assert len(amps) == sector.dim == n + 2
+        # the dense route's amplitudes at the sector states, which hold all its norm
+        at_sector = dense.amplitudes[[dense.basis.index[s] for s in sector.states]]
+        np.testing.assert_allclose(amps, at_sector, atol=1e-12, rtol=0)
+        assert np.linalg.norm(at_sector) == pytest.approx(1.0, abs=1e-12)
 
 
 def package_env():
@@ -249,7 +242,7 @@ class TestEntanglement:
         for row in report["rows"]:
             assert row["concurrence_w"] == pytest.approx(2.0 / 3.0, abs=1e-9)
             assert row["concurrence_ghz"] == pytest.approx(0.0, abs=1e-12)
-            assert 0 in row["traced_out"]
+            assert set(row) == {"pair", "concurrence_w", "concurrence_ghz"}
 
     def test_four_modes(self, capsys):
         report = run_json(capsys, "entanglement", "--n", "4")
@@ -340,6 +333,21 @@ class TestConfigHandling:
         assert (code, stdout, err) == (2, "", "error: --seed must be >= 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_too_few_trials_names_the_flag(self, value, source, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        if source == "flag":
+            given = ["--trials", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"trials = {value}\n")
+            given = ["--config", str(cfg)]
+        code, stdout, err = run_cli(capsys, "sweep", "--parameter", "coupling-disorder",
+                                    *given, "--out", str(out))
+        assert (code, stdout, err) == (2, "", "error: --trials must be >= 1\n")
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         assert run_cli(capsys, "simulate", "--bogus")[0] == 2
 
@@ -358,9 +366,9 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_oversized_basis_is_bad_input(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--n", "14")
+        code, _, err = run_cli(capsys, "simulate", "--n", "1023")
         assert code == 2
-        assert "truncation too large" in err
+        assert "simulate too large" in err
 
 
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
@@ -375,7 +383,7 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
 
 # options each subcommand reads; every other option is refused
 READS = {
-    "simulate": {"n", "epsilon", "time", "frame", "out", "format", "dump_state", "si"},
+    "simulate": {"n", "epsilon", "time", "out", "format", "dump_state"},
     "sweep": {"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"},
     "entanglement": {"n", "out", "format"},
     "validate": {"out", "format", "seed"},
@@ -387,9 +395,10 @@ SAMPLE = {
     "parameter": "detuning", "grid": "0", "trials": "1",
 }
 # the options that a subcommand accepted at schema version 1 but never read,
-# and simulate's retired --nmax, which changed no reported number
+# and simulate's retired --nmax, --frame and --si, which changed no reported
+# number beyond rounding or a rescaling of --time
 UNREAD = {
-    "simulate": ["seed", "nmax"],
+    "simulate": ["seed", "nmax", "frame", "si"],
     "sweep": ["time", "frame", "nmax", "dump_state", "si"],
     "entanglement": ["epsilon", "time", "frame", "nmax", "seed", "dump_state", "si"],
     "validate": ["n", "epsilon", "time", "frame", "nmax", "dump_state", "si"],
@@ -617,9 +626,10 @@ def test_schema_2_reports_only_values_the_sweep_used(parameter, capsys, tmp_path
     for metadata in (json.loads(sidecar.read_text()), report["metadata"]):
         assert metadata.pop("timestamp")
         assert set(metadata) == keys
-        assert metadata["schema_version"] == "2"
+        assert metadata["schema_version"] == "3"
         echo = json.loads(metadata["config"])
-        assert ("seed" in echo) is draws and ("n" in echo) is (parameter != "mode-count")
+        assert "seed" not in echo  # only under sweep, where it is read
+        assert ("n" in echo) is (parameter != "mode-count")
         assert set(echo["sweep"]) == {"parameter", "grid"} | ({"trials", "seed"} if draws else set())
     for path in (csv_out, sidecar, json_out):
         assert "success_prob" not in path.read_text()
@@ -633,7 +643,7 @@ GOLDEN_DIR = Path(__file__).parent / "data"
     ("entanglement_n10.json", 10, "json"),
 ])
 def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
-    """The files under tests/data were written at schema version 2; every
+    """The files under tests/data were written at schema version 3; every
     value in them is the one the version that reduced one mode pair per
     call wrote, so the stacked pass reproduces that version's numbers."""
     code, out, err = run_cli(capsys, "entanglement", "--n", str(n), "--format", fmt, "--out", "-")
@@ -662,7 +672,10 @@ def basis_builds(monkeypatch):
     for name, real in (("build_basis", fock.build_basis),
                        ("support_basis", entanglement.support_basis)):
         def recording(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            uncapped = bound.arguments.get("excitation_cap", 0) is None
+            calls.append(f"{_name} uncapped" if uncapped else _name)
             return _real(*args, **kwargs)
 
         for module in [m for k, m in sys.modules.items() if k.startswith("wcavity.")]:
@@ -672,12 +685,14 @@ def basis_builds(monkeypatch):
 
 
 FULL_SPACE_REFUSAL = "truncation too large: dimension 32768 exceeds safety limit 16384"
+SIMULATE_REFUSAL = ("simulate too large: its largest array takes 16810000 bytes, "
+                    "above the limit of 16777216 bytes")
 EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
 EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", "--n", "14"], FULL_SPACE_REFUSAL),
+    (["simulate", "--n", "1023"], SIMULATE_REFUSAL),
     (["entanglement", "--n", "14"], FULL_SPACE_REFUSAL),
     (["sweep", "--n", "16000", "--parameter", "detuning"],
      "sweep too large: its largest array takes 4097024064 bytes, above the limit of 16777216 bytes"),
@@ -696,10 +711,25 @@ EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}
      EPSILON_OVERFLOW.format("1e+160", 3)),
     (["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"],
      EPSILON_OVERFLOW.format("2.13e+153", 40)),
+    (["sweep", "--n", "3", "--epsilon", "1e-320"],
+     "--epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is not finite"),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e-320"],
+     "--epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is not finite"),
+    (["sweep", "--n", "3", "--grid", "0,1e300", "--epsilon", "1e-10"],
+     "--grid entry 1e+300 is too large for --epsilon 1e-10: t* + x / epsilon is not finite"),
+    (["sweep", "--n", "3", "--epsilon", "5.1e-309"],
+     "default grid entry 0.01813799364234217 is too large for --epsilon 5.1e-309: "
+     "t* + x / epsilon is not finite"),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "1e300", "--epsilon", "1e10"],
+     "--grid entry 1e+300 is too large for --epsilon 10000000000.0: "
+     "the detuning x * epsilon is not finite"),
 ], ids=["simulate", "entanglement", "sweep-detuning", "sweep-mode-count", "sweep-trials",
         "simulate-epsilon-underflow", "simulate-epsilon-subnormal", "simulate-epsilon-overflow",
         "simulate-time-overflow", "sweep-disorder-epsilon-underflow",
-        "sweep-disorder-epsilon-overflow", "sweep-mode-count-epsilon-overflow"])
+        "sweep-disorder-epsilon-overflow", "sweep-mode-count-epsilon-overflow",
+        "sweep-timing-epsilon-underflow", "sweep-detuning-epsilon-underflow",
+        "sweep-timing-grid-overflow", "sweep-timing-default-grid-overflow",
+        "sweep-detuning-grid-overflow"])
 @pytest.mark.filterwarnings("error")  # a refused input leaks no numpy warning either
 def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_builds,
                                                           capsys, tmp_path):
@@ -742,18 +772,29 @@ def test_sweep_admission_bound(largest, args, tmp_path):
     (["simulate", "--n", "13", "--epsilon", "3.7e153"], ["simulate", "--n", "13", "--epsilon", "3.8e153"]),
     (["sweep", "--parameter", "mode-count", "--grid", "1,39", "--epsilon", "2.13e153"],
      ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"]),
-    # t = time / epsilon, unless --si gives t itself
+    # t = time / epsilon
     (["simulate", "--time", "1e300", "--epsilon", "1e-8"], ["simulate", "--time", "1e300", "--epsilon", "1e-9"]),
-    (["simulate", "--time", "1e300", "--epsilon", "1e-9", "--si"],
-     ["simulate", "--time", "1e300", "--epsilon", "1e-9"]),
+    # the timing-error and detuning sweeps: t* = pi / (2 sqrt(3) epsilon),
+    # t* + x / epsilon and the detuning x * epsilon against the largest double
+    (["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.05e-309"],
+     ["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.04e-309"]),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.05e-309"],
+     ["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.04e-309"]),
+    (["sweep", "--n", "3", "--epsilon", "0.5", "--grid", "8.9e307"],
+     ["sweep", "--n", "3", "--epsilon", "0.5", "--grid", "9e307"]),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.79e298"],
+     ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.8e298"]),
 ], ids=["simulate-small", "disorder-small", "simulate-large", "simulate-13-large",
-        "mode-count-large", "time", "time-si"])
+        "mode-count-large", "time", "timing-epsilon", "detuning-epsilon", "timing-grid",
+        "detuning-grid"])
 def test_closed_form_range_bound(admitted, refused, tmp_path):
-    """The closed form's range admits the first input and refuses the second."""
+    """The range of doubles that the closed form, or a sweep's evolution
+    time or detuning, can represent admits the first input and refuses
+    the second."""
     parser = build_parser()
     out = ["--out", str(tmp_path / "x.csv")]
     resolve_config(parser.parse_args([*admitted, *out]))
-    with pytest.raises(ValueError, match="^--(epsilon|time) .* is too (small|large)"):
+    with pytest.raises(ValueError, match="^--(epsilon|time|grid) .* is too (small|large)"):
         resolve_config(parser.parse_args([*refused, *out]))
 
 
@@ -766,6 +807,17 @@ def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys
                              "--epsilon", epsilon, "--grid", "0", "--out", "-")
     assert code == 0, err
     assert out.splitlines()[-1] == "0,1,1,1"
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["report", "dump-state"])
+def test_simulate_never_enumerates_the_uncapped_basis(dump, basis_builds, capsys):
+    """simulate builds, evolves and dumps the N + 2 state sector alone."""
+    argv = ["simulate", "--n", "13"] + (["--dump-state"] if dump else [])
+    report = run_json(capsys, *argv)
+    assert basis_builds and set(basis_builds) == {"build_basis"}
+    if dump:
+        assert report["state"]["basis"]["excitation_cap"] == 1
+        assert len(report["state"]["amplitudes"]) == 15
 
 
 _CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",
@@ -833,16 +885,23 @@ def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, mo
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--n", "13", "--dump-state"],  # about 1 MB of JSON
+    ["simulate", "--n", "13", "--dump-state"],
+    # about 450 KB of CSV, far above a 64 KiB pipe buffer; the grid comes
+    # from a file because one argv string is capped at 128 KiB on Linux
+    ["sweep", "--n", "3", "--config", "long-grid.cfg", "--out", "-"],
     ["validate", "--inject-fault"],
     ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"],
     ["simulate", "--epsilon", "1e-170"],
-], ids=["simulate-dump", "validate-fault", "sweep-refused", "simulate-refused-epsilon"])
-def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path):
+], ids=["simulate-dump", "sweep-long-grid", "validate-fault", "sweep-refused",
+        "simulate-refused-epsilon"])
+def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path, monkeypatch):
     """``python -m wcavity`` through pipes: the same stdout and stderr
     bytes and the same exit code as ``main`` in process.  The child's
     stdout is block-buffered, as in a shell pipeline, so output still in
     the buffer at exit is checked too."""
+    monkeypatch.chdir(tmp_path)
+    grid = ",".join(repr(k / 4096) for k in range(-3000, 3000))
+    (tmp_path / "long-grid.cfg").write_text(f"grid = {grid}\n")
     code, out, err = run_cli(capsys, *argv)
     env = package_env()
     env.pop("PYTHONUNBUFFERED", None)

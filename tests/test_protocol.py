@@ -261,7 +261,7 @@ class TestSweepResultSerialization:
         assert data[0] == CSV_HEADER
         assert len(data) == 3
         assert data[1].split(",")[0] == "0"
-        assert "# schema_version=2" in comments
+        assert "# schema_version=3" in comments
         # the timing sweep draws nothing, so the spec's seed is not reported
         assert not any(l.startswith(("# seed=", "# trials=", "# rng=")) for l in comments)
         assert not any("timestamp" in l for l in comments)
@@ -296,7 +296,7 @@ GOLDEN_SWEEPS = {
 def test_sweep_csv_matches_golden_bytes(name):
     """Same seed, same bytes across versions: the CSVs under tests/data
     were written at N = 3, epsilon = 1 on the CLI's default grids, at
-    schema version 2 with every number unchanged from schema version 1;
+    schema version 3 with every number unchanged from schema version 1;
     every change must reproduce them exactly."""
     parameter, trials, seed = GOLDEN_SWEEPS[name]
     spec = SweepSpec(parameter, _default_grid(parameter, 3), trials=trials, seed=seed)

@@ -38,14 +38,13 @@ from .fock import (
     build_basis,
     fmt12,
     initial_state,
-    require_full_dimension,
     round12,
     state_to_dict,
 )
 
-#: Largest array a sweep or ``simulate`` may allocate: one dense complex
-#: operator of dimension 1024, the sector of 1022 modes.
-MAX_SWEEP_BYTES = 16 * 2**20
+#: Largest array a command other than ``validate`` may allocate: one dense
+#: complex operator of dimension 1024, the sector of 1022 modes.
+MAX_ARRAY_BYTES = 16 * 2**20
 
 
 def _parse_bool(value: str) -> bool:
@@ -200,10 +199,32 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
         raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
 
 
+def _largest_array_bytes(config: dict) -> int:
+    """Bytes of the largest array the command of a resolved config
+    allocates, on the N + 2 state sector of N modes (for the mode-count
+    sweep, the largest grid entry)."""
+    parameter, n = config.get("parameter"), config.get("n")
+    if config["command"] == "entanglement":
+        # partial_trace's grouping matrix: one 4-entry complex row per mode
+        # pair and support state
+        return 64 * (n * (n - 1) // 2) * (n + 2)
+    if parameter == "mode-count":
+        n = int(max(config["grid"]))
+    dim = n + 2
+    if parameter == "coupling-disorder":
+        # no operator: the basis, an N-tuple of 8-byte references per
+        # state, and one (trials, dim) complex amplitude array per grid point
+        return max(8 * dim * n, 16 * config["trials"] * dim)
+    # simulate and the other sweeps: a dense (dim, dim) complex operator;
+    # the timing sweep also evolves all grid times as one (grid points, dim) array
+    rows = len(config["grid"]) if parameter == "timing-error" else 1
+    return 16 * dim * max(dim, rows)
+
+
 def _require_array_bytes(command: str, size: int) -> None:
-    if size > MAX_SWEEP_BYTES:
+    if size > MAX_ARRAY_BYTES:
         raise ValueError(f"{command} too large: its largest array takes {size} bytes, "
-                         f"above the limit of {MAX_SWEEP_BYTES} bytes")
+                         f"above the limit of {MAX_ARRAY_BYTES} bytes")
 
 
 def _require_finite_sweep_times(timing: bool, n: int, epsilon: float, grid, given: bool) -> None:
@@ -228,7 +249,8 @@ def resolve_config(args) -> dict:
     order: the flag if given, else the config-file value, else the
     command's default, else the option's; for a sweep, then its
     ``SweepSpec`` under ``spec``.  Refuses, before any work, an input
-    above the size limits or whose times or couplings leave the doubles."""
+    whose largest array exceeds ``MAX_ARRAY_BYTES`` or whose times or
+    couplings leave the doubles."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -258,17 +280,8 @@ def resolve_config(args) -> dict:
         if args.command == "sweep":
             raise ValueError("sweep requires --out")
         config["out"] = "-"
-    if args.command == "entanglement":
-        # W and GHZ are built on N + 2 states, but admission still counts
-        # the n_max = 1 full space GHZ lives in
-        require_full_dimension(config["n"], 1)
-    if args.command == "simulate":
-        # the dense operator of the N + 2 state sector it evolves on
-        _require_array_bytes("simulate", 16 * (config["n"] + 2) ** 2)
-        _require_closed_form_range(config["epsilon"], config["n"])
-        time = config["time"]
-        if time is not None and not math.isfinite(time / config["epsilon"]):
-            raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
+    if args.command == "entanglement" and config["n"] < 2:
+        raise ValueError("entanglement comparison needs --n >= 2")
     if args.command == "sweep":
         from .protocol import SweepParameter, SweepSpec
 
@@ -290,7 +303,14 @@ def resolve_config(args) -> dict:
         spec = config["spec"] = SweepSpec(
             parameter, config["grid"], **{k: config[k] for k in ("trials", "seed") if k in config}
         )
-        _require_array_bytes("sweep", spec.largest_array_bytes(config.get("n")))
+    if args.command != "validate":
+        _require_array_bytes(args.command, _largest_array_bytes(config))
+    if args.command == "simulate":
+        _require_closed_form_range(config["epsilon"], config["n"])
+        time = config["time"]
+        if time is not None and not math.isfinite(time / config["epsilon"]):
+            raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
+    if args.command == "sweep":
         if parameter in (SweepParameter.COUPLING_DISORDER, SweepParameter.MODE_COUNT):
             # the sweeps that evaluate the closed form, at N or at each grid entry
             _require_closed_form_range(config["epsilon"], config.get("n") or int(max(spec.grid)))
@@ -454,8 +474,6 @@ def cmd_sweep(config: dict) -> int:
 
 def cmd_entanglement(config: dict) -> int:
     n = config["n"]
-    if n < 2:
-        raise ValueError("entanglement comparison needs --n >= 2")
     # both states are built and reduced on the N + 2 states they occupy
     basis = support_basis(n)
     c_w = pairwise_concurrences(w_state(n, basis))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import types
 
 import numpy as np
@@ -292,23 +291,20 @@ def build_basis(
 
 @functools.lru_cache(maxsize=32)
 def _enumerate_basis(n_modes: int, n_max: int, excitation_cap: int | None) -> Basis:
-    states: list[BasisState] = []
     if excitation_cap is None:
         require_full_dimension(n_modes, n_max)
-        for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
-            for occ in itertools.product(range(n_max + 1), repeat=n_modes):
-                states.append(BasisState(atom, occ))
-    else:
-        for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
-            budget = excitation_cap - int(atom)
-            if budget < 0:
-                continue
-            for occ in _capped_occupations(n_modes, n_max, budget):
-                states.append(BasisState(atom, occ))
-                if len(states) > MAX_DIMENSION:
-                    raise ValueError(
-                        f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
-                    )
+    states: list[BasisState] = []
+    for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
+        # without a cap, a budget of n_modes * n_max admits every occupation
+        budget = n_modes * n_max if excitation_cap is None else excitation_cap - int(atom)
+        if budget < 0:
+            continue
+        for occ in _capped_occupations(n_modes, n_max, budget):
+            states.append(BasisState(atom, occ))
+            if len(states) > MAX_DIMENSION:
+                raise ValueError(
+                    f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
+                )
     return Basis(n_modes, n_max, excitation_cap, tuple(states))
 
 

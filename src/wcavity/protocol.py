@@ -67,21 +67,6 @@ class SweepSpec(Value):
         for name, value in zip(self.__slots__, (parameter, grid, trials, seed)):
             object.__setattr__(self, name, value)
 
-    def largest_array_bytes(self, n: int | None) -> int:
-        """Bytes of the largest array the sweep allocates on the N + 2
-        state sector of N modes (for mode-count, the largest grid entry)."""
-        if self.parameter is SweepParameter.MODE_COUNT:
-            n = int(max(self.grid))
-        dim = n + 2
-        if self.parameter is SweepParameter.COUPLING_DISORDER:
-            # no operator: the basis, an N-tuple of 8-byte references per
-            # state, and one (trials, dim) complex amplitude array per grid point
-            return max(8 * dim * n, 16 * self.trials * dim)
-        # a dense (dim, dim) complex operator; the timing sweep also evolves
-        # all grid times as one (grid points, dim) array
-        rows = len(self.grid) if self.parameter is SweepParameter.TIMING_ERROR else 1
-        return 16 * dim * max(dim, rows)
-
 
 class SweepRow(NamedTuple):
     """One CSV row; the field order is the column order.  A sweep that

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import wcavity
 from wcavity.cli import main, run
-from wcavity.cli import build_parser, resolve_config
+from wcavity.cli import _largest_array_bytes, build_parser, resolve_config
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -351,9 +352,6 @@ class TestConfigHandling:
     def test_unknown_flag_exits_two(self, capsys):
         assert run_cli(capsys, "simulate", "--bogus")[0] == 2
 
-    def test_unknown_frame_choice_exits_two(self, capsys):
-        assert run_cli(capsys, "simulate", "--frame", "rotating")[0] == 2
-
     def test_unknown_config_file_format_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = xml\n")
@@ -651,15 +649,19 @@ def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
-def test_entanglement_admits_by_the_full_space_it_no_longer_builds(capsys):
-    """W and GHZ are built on their N + 2 support states, but admission
-    still counts the full 2 * 2^N space: N = 13 runs, N = 14 exits 2."""
-    code, out, err = run_cli(capsys, "entanglement", "--n", "14")
-    assert (code, out) == (2, "")
-    assert err == "error: truncation too large: dimension 32768 exceeds safety limit 16384\n"
-    code, out, err = run_cli(capsys, "entanglement", "--n", "13", "--out", "-")
+def test_entanglement_admits_by_its_largest_array(capsys):
+    """entanglement is sized by partial_trace's grouping matrix, 64 bytes
+    per mode pair and support state: N = 80 runs, with the W law (pair
+    concurrence 2/N) and no GHZ pair entanglement, and N = 81 exits 2."""
+    code, out, err = run_cli(capsys, "entanglement", "--n", "80", "--out", "-")
     assert code == 0, err
-    assert len(json.loads(out)["rows"]) == 78
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 80 * 79 // 2
+    assert all(abs(row["concurrence_w"] - 2 / 80) <= 1e-12 for row in rows)
+    assert all(row["concurrence_ghz"] == 0 for row in rows)
+    code, out, err = run_cli(capsys, "entanglement", "--n", "81")
+    assert (code, out) == (2, "")
+    assert err == f"error: {ENTANGLEMENT_REFUSAL}\n"
 
 
 @pytest.fixture
@@ -684,7 +686,8 @@ def basis_builds(monkeypatch):
     return calls
 
 
-FULL_SPACE_REFUSAL = "truncation too large: dimension 32768 exceeds safety limit 16384"
+ENTANGLEMENT_REFUSAL = ("entanglement too large: its largest array takes 17210880 bytes, "
+                        "above the limit of 16777216 bytes")
 SIMULATE_REFUSAL = ("simulate too large: its largest array takes 16810000 bytes, "
                     "above the limit of 16777216 bytes")
 EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
@@ -693,7 +696,8 @@ EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--n", "1023"], SIMULATE_REFUSAL),
-    (["entanglement", "--n", "14"], FULL_SPACE_REFUSAL),
+    (["entanglement", "--n", "81"], ENTANGLEMENT_REFUSAL),
+    (["entanglement", "--n", "1"], "entanglement comparison needs --n >= 2"),
     (["sweep", "--n", "16000", "--parameter", "detuning"],
      "sweep too large: its largest array takes 4097024064 bytes, above the limit of 16777216 bytes"),
     (["sweep", "--parameter", "mode-count", "--grid", "1,20000"],
@@ -723,7 +727,7 @@ EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}
     (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "1e300", "--epsilon", "1e10"],
      "--grid entry 1e+300 is too large for --epsilon 10000000000.0: "
      "the detuning x * epsilon is not finite"),
-], ids=["simulate", "entanglement", "sweep-detuning", "sweep-mode-count", "sweep-trials",
+], ids=["simulate", "entanglement", "entanglement-one-mode", "sweep-detuning", "sweep-mode-count", "sweep-trials",
         "simulate-epsilon-underflow", "simulate-epsilon-subnormal", "simulate-epsilon-overflow",
         "simulate-time-overflow", "sweep-disorder-epsilon-underflow",
         "sweep-disorder-epsilon-overflow", "sweep-mode-count-epsilon-overflow",
@@ -760,6 +764,32 @@ def test_sweep_admission_bound(largest, args, tmp_path):
     resolve_config(parser.parse_args([*out, *args(largest)]))
     with pytest.raises(ValueError, match="sweep too large"):
         resolve_config(parser.parse_args([*out, *args(largest + 1)]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "254"],
+    ["entanglement", "--n", "32"],
+    # one mode count per route, so that no route reuses a basis another memoized
+    ["sweep", "--parameter", "timing-error", "--n", "255"],
+    ["sweep", "--parameter", "detuning", "--n", "256", "--grid", "0"],
+    ["sweep", "--parameter", "mode-count", "--grid", "257"],
+    ["sweep", "--parameter", "coupling-disorder", "--n", "362", "--grid", "0", "--trials", "1"],
+], ids=["simulate", "entanglement", "timing-error", "detuning", "mode-count",
+        "coupling-disorder"])
+def test_peak_memory_is_a_few_times_the_largest_array(argv, capsys):
+    """At a size whose largest array takes at least 1 MiB, the traced peak
+    of main, basis included, stays within 5 times that array."""
+    argv = [*argv, "--out", "-"]
+    largest = _largest_array_bytes(resolve_config(build_parser().parse_args(argv)))
+    assert largest >= 2**20
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak <= 5 * largest
 
 
 @pytest.mark.parametrize("admitted, refused", [

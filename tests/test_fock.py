@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,16 @@ class TestBuildBasis:
     def test_two_modes_uncapped(self):
         basis = build_basis(n_modes=2, n_max=1)
         assert basis.dim == 8  # 2 atom levels x 2^2 occupations
+
+    @pytest.mark.parametrize("n_modes, n_max", [(1, 1), (3, 1), (4, 2), (2, 5), (6, 3)])
+    def test_uncapped_order_is_ground_block_then_lexicographic(self, n_modes, n_max):
+        """The documented order of an uncapped basis: the ground block, then
+        the excited block, each in ascending lexicographic order of the
+        occupations, which is the order of itertools.product."""
+        occupations = list(itertools.product(range(n_max + 1), repeat=n_modes))
+        assert build_basis(n_modes, n_max).states == tuple(
+            BasisState(atom, occ) for atom in AtomLevel for occ in occupations
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_single_excitation_dimension(self, n):

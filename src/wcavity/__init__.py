@@ -17,12 +17,10 @@ _HOMES = {
         "Frame",
         "HermitianOperator",
         "ModelParams",
-        "PropagationError",
         "build_hamiltonian",
         "closed_form_amplitudes",
         "evolve_closed_form",
         "excitation_operator",
-        "optimal_time",
         "propagate_numeric",
         "propagate_times",
     ),
@@ -63,6 +61,7 @@ _HOMES = {
         "run_protocol",
         "timing_error_sweep",
     ),
+    "sector": ("PropagationError", "optimal_time"),
     "validation": ("ValidationReport", "measure_rabi_period", "run_validation"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -17,29 +17,19 @@ from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
-import numpy as np
-
 # Only the modules every subcommand needs are imported here: a fresh
-# process pays for what its subcommand runs, so `protocol` is imported on
-# the sweep paths and `validation` in `validate` alone.
-from .dynamics import (
+# process pays for what its subcommand runs.  `simulate` and `entanglement`
+# run on `sector`, which needs the standard library alone, so numpy is
+# imported on the sweep and `validate` paths only.
+from . import sector
+from .sector import (
     DEFAULT_SEED,
-    SWEEP_PARAMETERS,
-    ModelParams,
-    PropagationError,
-    build_hamiltonian,
-    evolve_closed_form,
-    optimal_time,
-    propagate_numeric,
-)
-from .entanglement import fidelity, ghz_state, pairwise_concurrences, support_basis, w_state
-from .fock import (
     SCHEMA_VERSION,
-    build_basis,
+    SWEEP_PARAMETERS,
+    PropagationError,
     fmt12,
-    initial_state,
+    optimal_time,
     round12,
-    state_to_dict,
 )
 
 #: Largest array a command other than ``validate`` may allocate: one dense
@@ -175,6 +165,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
+    import numpy as np
+
     from .protocol import SweepParameter
 
     if parameter is SweepParameter.TIMING_ERROR:
@@ -202,7 +194,10 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
 def _largest_array_bytes(config: dict) -> int:
     """Bytes of the largest array the command of a resolved config
     allocates, on the N + 2 state sector of N modes (for the mode-count
-    sweep, the largest grid entry)."""
+    sweep, the largest grid entry).  ``simulate`` and ``entanglement`` run
+    on ``sector``'s lists of N + 2 amplitudes, but are still admitted by
+    the largest array of their numpy oracle (``dynamics`` and
+    ``entanglement``), so that what they admit stays as it was."""
     parameter, n = config.get("parameter"), config.get("n")
     if config["command"] == "entanglement":
         # partial_trace's grouping matrix: one 4-entry complex row per mode
@@ -397,13 +392,12 @@ def cmd_simulate(config: dict) -> int:
     # conserves the excitation number, so the sector holding the initial
     # state is closed under it.  --dump-state reports the state there too.
     n, eps = config["n"], config["epsilon"]
-    basis = build_basis(n, excitation_cap=1)
     t_star = optimal_time(n, eps)
     t = t_star if config["time"] is None else config["time"] / eps
 
-    params = ModelParams.resonant(n, eps)
-    closed = evolve_closed_form(params, t, basis)
-    numeric = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    couplings = (eps,) * n
+    closed = sector.closed_form(couplings, t)
+    numeric = sector.evolve(couplings, t)
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population
@@ -412,11 +406,14 @@ def cmd_simulate(config: dict) -> int:
         "config": _echo(config),
         "t": t,
         "t_star": t_star,
-        "fidelity_W": fidelity(w_state(n, basis), numeric),
-        "closed_vs_numeric_gap": float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))),
+        "fidelity_W": sector.w_fidelity(numeric),
+        "closed_vs_numeric_gap": max(abs(a - b) for a, b in zip(closed, numeric)),
     }
     if config["dump_state"]:
-        report["state"] = state_to_dict(numeric)
+        report["state"] = {
+            "basis": {"n_modes": n, "n_max": 1, "excitation_cap": 1},
+            "amplitudes": [[a.real, a.imag] for a in numeric],
+        }
     _emit(report, config)
     return 0
 
@@ -474,10 +471,9 @@ def cmd_sweep(config: dict) -> int:
 
 def cmd_entanglement(config: dict) -> int:
     n = config["n"]
-    # both states are built and reduced on the N + 2 states they occupy
-    basis = support_basis(n)
-    c_w = pairwise_concurrences(w_state(n, basis))
-    c_ghz = pairwise_concurrences(ghz_state(n, basis))
+    # both states are reduced from the N + 2 amplitudes they occupy
+    c_w = sector.pairwise_concurrences(sector.w_support(n))
+    c_ghz = sector.pairwise_concurrences(sector.ghz_support(n))
     rows = [
         {
             "pair": [i, j],
@@ -545,9 +541,9 @@ def run() -> NoReturn:
     After ``main`` returns, ``gc.freeze`` moves every live object into the
     collector's permanent generation, which the full collections of
     interpreter shutdown skip: about 22k objects once numpy and the
-    package are loaded, 5-8 ms per collection on a 2-core host.  Exit is
-    otherwise unchanged: atexit handlers run and open files are flushed
-    and closed.
+    package are loaded (a sweep or ``validate``), 5-8 ms per collection on
+    a 2-core host.  Exit is otherwise unchanged: atexit handlers run and
+    open files are flushed and closed.
     ``main`` itself never freezes, because tests and library callers run
     it in a process that goes on."""
     code = main()

@@ -33,23 +33,18 @@ from .fock import (
     require_unit_rows,
     vacuum_occupations,
 )
-
-#: Norm drift above this signals a propagator defect rather than rounding.
-NORM_DRIFT_TOL = 1e-10
+# defined in `sector`, which needs no numpy; imported back here, where they
+# have always been importable from
+from .sector import (
+    DEFAULT_SEED,
+    NORM_DRIFT_TOL,
+    SWEEP_PARAMETERS,
+    PropagationError,
+    optimal_time,
+)
 
 #: Relative tolerance used when testing resonance.
 PARAM_RTOL = 1e-12
-
-# The next two belong to `protocol` and `validation`, which import them
-# back; they live here because every CLI path loads this module, and the
-# CLI needs them before it knows whether it will load those two.
-
-#: The quantities a robustness sweep varies (``protocol.SweepParameter``):
-#: the evolution time, the couplings, the mode detuning and the mode count.
-SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count")
-
-#: Seed of the randomized self-checks (``validation.run_validation``).
-DEFAULT_SEED = 20240201
 
 
 class Frame(enum.Enum):
@@ -63,10 +58,6 @@ class Frame(enum.Enum):
 
     LAB = "lab"
     INTERACTION = "interaction"
-
-
-class PropagationError(RuntimeError):
-    """Numerical failure during time evolution (norm drift, overflow)."""
 
 
 class ModelParams(Value):
@@ -238,15 +229,6 @@ def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
 def excitation_operator(basis: Basis) -> HermitianOperator:
     """Total excitation number |e><e| + sum_i n_i (diagonal, conserved)."""
     return HermitianOperator(basis, np.diag(basis.levels.sum(axis=1).astype(complex)))
-
-
-def optimal_time(n: int, epsilon: float) -> float:
-    """Interaction time pi / (2 sqrt(n) epsilon) that completes the transfer."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    return math.pi / (2.0 * math.sqrt(n) * epsilon)
 
 
 def evolve_closed_form(

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dynamics import hermiticity_defect
 from .fock import (
-    ROUNDING_TOL,
     AtomLevel,
     Basis,
     BasisState,
@@ -24,6 +23,7 @@ from .fock import (
     require_one_state,
     vacuum_occupations,
 )
+from .sector import ROUNDING_TOL
 
 EIGENVALUE_FLOOR = -1e-10
 

@@ -5,9 +5,6 @@ The basis is the set of occupation-number states |atom; n_1 ... n_N> with
 number (atomic excitation plus total photon count).  Ordering is
 deterministic: ground-state block before excited-state block, occupations
 ascending lexicographically within each block.
-
-Every subcommand loads this module, so it also holds the conventions all
-outputs share: the schema version and the 12-digit number format.
 """
 
 from __future__ import annotations
@@ -18,9 +15,9 @@ import types
 
 import numpy as np
 
-#: The rounding tolerance of every constructor check: | ||psi|| - 1 | of a
-#: StateVector, | H - H^dag | of an operator, | tr rho - 1 | of a density matrix.
-ROUNDING_TOL = 1e-12
+# the output conventions live in `sector`; they are imported back here,
+# where they have always been importable from
+from .sector import ROUNDING_TOL, SCHEMA_VERSION, fmt12, round12
 
 #: Largest basis dimension accepted by default (dense matrices stay tractable).
 MAX_DIMENSION = 16384
@@ -351,19 +348,6 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
     require_one_state(psi)
     probs = np.abs(psi.amplitudes[psi.basis.levels[:, 0] == level]) ** 2
     return min(float(probs.sum()), 1.0)
-
-
-#: Version of the report and sweep-file layout.
-SCHEMA_VERSION = "3"
-
-
-def fmt12(value) -> str:
-    """Fixed 12-significant-digit decimal rendering for stable diffs."""
-    return f"{float(value):.12g}"
-
-
-def round12(value: float) -> float:
-    return float(fmt12(value))
 
 
 def state_to_dict(psi: StateVector) -> dict:

@@ -19,26 +19,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    SWEEP_PARAMETERS,
     Frame,
     ModelParams,
     build_hamiltonian,
     closed_form_amplitudes,
     evolve_closed_form,
-    optimal_time,
     propagate_numeric,
     propagate_times,
 )
 from .entanglement import fidelities, fidelity, w_state
-from .fock import (
-    SCHEMA_VERSION,
-    StateVector,
-    Value,
-    build_basis,
-    fmt12,
-    initial_state,
-    round12,
-)
+from .fock import StateVector, Value, build_basis, initial_state
+from .sector import SCHEMA_VERSION, SWEEP_PARAMETERS, fmt12, optimal_time, round12
 
 class SweepParameter(enum.Enum):
     # the values of SWEEP_PARAMETERS, in its order

@@ -1,0 +1,282 @@
+"""The N + 2 state sector, on the standard library alone.
+
+One excited atom and N empty modes stay in the sector of the vacuum and
+the states with one excitation.  There the Hamiltonian takes |e;0> into a
+2-dimensional invariant subspace: |e;0> and the bright mode
+sum_i eps_i |g;1_i> / Omega, Omega = sqrt(sum_i eps_i^2) (the Morris-Shore
+reduction).  So a Lanczos run from |e;0> breaks down after two steps, and
+the exact exponential of its 2x2 tridiagonal matrix gives the state at any
+time, with O(N) work and no dense linear algebra.
+
+Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: index 0
+is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
+index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
+has the same order, with |g;1...1> at index N + 1.
+
+This module imports only ``math``, so that a process running ``simulate``
+or ``entanglement`` never loads numpy; the numpy modules are its oracle.
+It also holds the conventions every output shares: the schema version and
+the 12-digit number format.
+"""
+
+from __future__ import annotations
+
+import math
+
+#: Version of the report and sweep-file layout.
+SCHEMA_VERSION = "3"
+
+#: The rounding tolerance of every constructor check: | ||psi|| - 1 | of a
+#: state, | H - H^dag | of an operator, | tr rho - 1 | of a density matrix.
+ROUNDING_TOL = 1e-12
+
+#: Norm drift above this signals a propagator defect rather than rounding.
+NORM_DRIFT_TOL = 1e-10
+
+#: The Lanczos residual, relative to the size of the 2x2 matrix, above which
+#: the Hamiltonian does not close on |e;0> and the bright mode.
+BREAKDOWN_RTOL = 1e-12
+
+#: Largest modulus of an entry of a two-mode reduction outside its
+#: diagonal and anti-diagonal for which the reduction counts as an X state.
+X_SHAPE_TOL = 1e-15
+
+#: The quantities a robustness sweep varies (``protocol.SweepParameter``):
+#: the evolution time, the couplings, the mode detuning and the mode count.
+SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count")
+
+#: Seed of the randomized self-checks (``validation.run_validation``).
+DEFAULT_SEED = 20240201
+
+
+class PropagationError(RuntimeError):
+    """Numerical failure during time evolution (norm drift, overflow)."""
+
+
+def fmt12(value) -> str:
+    """Fixed 12-significant-digit decimal rendering for stable diffs."""
+    return f"{float(value):.12g}"
+
+
+def round12(value: float) -> float:
+    return float(fmt12(value))
+
+
+def optimal_time(n: int, epsilon: float) -> float:
+    """Interaction time pi / (2 sqrt(n) epsilon) that completes the transfer."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    return math.pi / (2.0 * math.sqrt(n) * epsilon)
+
+
+def _norm(amps) -> float:
+    return math.hypot(*[part for a in amps for part in (a.real, a.imag)])
+
+
+def _require_couplings(couplings) -> None:
+    if not couplings:
+        raise ValueError("n_modes must be >= 1")
+    if not all(math.isfinite(c) for c in couplings):
+        raise ValueError("model parameters must be finite")
+    if any(c <= 0 for c in couplings):
+        raise ValueError("couplings must be strictly positive")
+
+
+def matvec(couplings, detunings, amps) -> list:
+    """H amps in the interaction frame, in O(N): mode i (1-based) has
+    coupling ``couplings[i - 1]`` and detuning ``detunings[i - 1]`` from
+    the atom, and ``amps`` lists N + 2 amplitudes in sector order."""
+    n = len(couplings)
+    excited = amps[n + 1]
+    out = [0.0] * (n + 2)
+    bright = 0.0
+    for j in range(1, n + 1):
+        eps = couplings[n - j]
+        out[j] = detunings[n - j] * amps[j] + eps * excited
+        bright += eps * amps[j]
+    out[n + 1] = bright
+    return out
+
+
+def lanczos(couplings, detunings) -> tuple[float, float, list]:
+    """Two Lanczos steps from |e;0>: (beta1, alpha1, bright), the entries
+    of the tridiagonal matrix [[0, beta1], [beta1, alpha1]] (|e;0> has no
+    diagonal entry in the interaction frame) and the second Lanczos
+    vector, whose amplitude is eps_i / Omega on mode i.  Raises ValueError
+    unless the third vector vanishes to ``BREAKDOWN_RTOL`` of the matrix,
+    as it does for one common detuning and not for per-mode ones."""
+    n = len(couplings)
+    start = [0.0] * (n + 2)
+    start[n + 1] = 1.0
+    w = matvec(couplings, detunings, start)
+    beta1 = _norm(w)
+    if not (math.isfinite(beta1) and beta1 > 0.0):
+        raise PropagationError(f"coupling norm {beta1!r} is not a positive finite number")
+    bright = [x / beta1 for x in w]
+    w = matvec(couplings, detunings, bright)
+    alpha1 = math.fsum(b * x for b, x in zip(bright, w))
+    w[n + 1] -= beta1
+    beta2 = _norm([x - alpha1 * b for x, b in zip(w, bright)])
+    if not beta2 <= BREAKDOWN_RTOL * (beta1 + abs(alpha1)):
+        raise ValueError(f"the Hamiltonian does not close on |e;0> and one bright mode "
+                         f"(Lanczos residual {beta2:.3e}): per-mode detunings need the "
+                         "dense route")
+    return beta1, alpha1, bright
+
+
+def evolve(couplings, t: float, detunings=None) -> list[complex]:
+    """exp(-i H t) |e;0> in the interaction frame: the N + 2 amplitudes in
+    sector order.  ``detunings`` lists each mode's detuning from the atom
+    (default: all on resonance); they must be one common value.
+
+    The state is the exact exponential of the 2x2 Lanczos matrix.
+    Non-finite amplitudes raise :class:`PropagationError`, and so does a
+    norm drift above ``NORM_DRIFT_TOL``; a smaller one is renormalized.
+    """
+    _require_couplings(couplings)
+    n = len(couplings)
+    if detunings is None:
+        detunings = (0.0,) * n
+    elif len(detunings) != n:
+        raise ValueError(f"expected {n} detunings, got {len(detunings)}")
+    elif not all(math.isfinite(d) for d in detunings):
+        raise ValueError("model parameters must be finite")
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
+    beta1, alpha1, bright = lanczos(couplings, detunings)
+    # exp(-i T t) (1, 0) for T = [[0, beta1], [beta1, alpha1]] is
+    # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) beta1 / g), with
+    # m the mean and d the half difference of the diagonal, g = |(d, beta1)|
+    mean, half = 0.5 * alpha1, -0.5 * alpha1
+    g = math.hypot(half, beta1)
+    angle, turn = g * t, mean * t
+    if not (math.isfinite(angle) and math.isfinite(turn)):
+        raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
+    c, s = math.cos(angle), math.sin(angle)
+    phase = complex(math.cos(turn), -math.sin(turn))
+    lower = phase * complex(0.0, -s * (beta1 / g))
+    amps = [lower * b for b in bright]
+    amps[n + 1] = phase * complex(c, -s * (half / g))
+    return _renormalized(amps)
+
+
+def _renormalized(amps) -> list[complex]:
+    """An evolved state divided by its norm.  Non-finite amplitudes raise
+    :class:`PropagationError`, and so does a norm drift above
+    ``NORM_DRIFT_TOL``."""
+    norm = _norm(amps)
+    if not math.isfinite(norm):
+        raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
+    drift = abs(norm - 1.0)
+    if drift > NORM_DRIFT_TOL:
+        raise PropagationError(
+            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
+        )
+    return [a / norm for a in amps]
+
+
+def closed_form(couplings, t: float) -> list[complex]:
+    """Resonant interaction-frame amplitudes of the excited-atom vacuum at
+    time t, in sector order: cos(Omega t) on |e;0> and
+    -i (eps_i / Omega) sin(Omega t) on mode i.  Every amplitude must be
+    finite and the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
+    _require_couplings(couplings)
+    n = len(couplings)
+    omega = math.hypot(*couplings)
+    angle = omega * t
+    if not math.isfinite(angle):
+        raise ValueError("amplitudes must be finite")
+    s = math.sin(angle)
+    amps = [0j] * (n + 2)
+    for j in range(1, n + 1):
+        amps[j] = complex(0.0, -(couplings[n - j] / omega) * s)
+    amps[n + 1] = complex(math.cos(angle), 0.0)
+    norm = _norm(amps)
+    if not abs(norm - 1.0) <= ROUNDING_TOL:
+        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
+    return amps
+
+
+def w_fidelity(amps) -> float:
+    """|<W_N, g|psi>|^2 of N + 2 sector amplitudes, clipped into [0, 1]
+    against rounding."""
+    n = len(amps) - 2
+    weight = 1.0 / math.sqrt(n)
+    overlap = sum(weight * a for a in amps[1:n + 1])
+    return min(max(abs(overlap) ** 2, 0.0), 1.0)
+
+
+def w_support(n: int) -> list[float]:
+    """|W_N> on its N + 2 support states: 1/sqrt(N) on each |g;1_i>."""
+    weight = 1.0 / math.sqrt(n)
+    return [0.0] + [weight] * n + [0.0]
+
+
+def ghz_support(n: int) -> list[float]:
+    """(|0...0> + |1...1>)/sqrt(2) on its N + 2 support states."""
+    half = 1.0 / math.sqrt(2.0)
+    return [half] + [0.0] * n + [half]
+
+
+def pair_reductions(support):
+    """Yield ((i, j), rho) for every mode pair i < j, in lexicographic
+    order: the reduced density matrix of modes i and j, a 4x4 nested list
+    in the order |n_i n_j> = 00, 01, 10, 11, of the pure state with the
+    N + 2 support amplitudes ``support`` (the atom in its ground state).
+
+    Tracing out the atom and the other modes groups the support states by
+    what they leave there: |g;0>, |g;1_i> and |g;1_j> leave nothing;
+    |g;1_k> leaves one photon in mode k; |g;1...1> leaves N - 2 photons,
+    which is nothing at N = 2 and the photon of |g;1_k> at N = 3.
+    """
+    n = len(support) - 2
+    if n < 2:
+        raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
+    vac, ones = support[0], support[n + 1]
+    singles = [abs(a) ** 2 for a in support[1:n + 1]]
+    for i in range(1, n):
+        x = support[n + 1 - i]
+        for j in range(i + 1, n + 1):
+            y = support[n + 1 - j]
+            # summed, not subtracted from the total: rho_00 multiplies
+            # rho_33 under a square root, which would turn a rounding
+            # residue of 1e-17 into a concurrence error of 1e-8
+            lo, hi = n - j, n - i
+            rest = math.fsum(singles[:lo] + singles[lo + 1:hi] + singles[hi + 1:])
+            # the state that leaves what |g;1...1> leaves: |g;0> at N = 2,
+            # |g;1_k> for the third mode k at N = 3, none beyond
+            partner = vac if n == 2 else support[i + j - 2] if n == 3 else 0.0
+            rho = [
+                [abs(vac) ** 2 + rest, vac * y.conjugate(), vac * x.conjugate(),
+                 partner * ones.conjugate()],
+                [0.0, abs(y) ** 2, y * x.conjugate(), y * ones.conjugate() if n == 2 else 0.0],
+                [0.0, 0.0, abs(x) ** 2, x * ones.conjugate() if n == 2 else 0.0],
+                [0.0, 0.0, 0.0, abs(ones) ** 2],
+            ]
+            for r in range(1, 4):
+                for c in range(r):
+                    rho[r][c] = rho[c][r].conjugate()
+            yield (i, j), rho
+
+
+def x_concurrence(rho) -> float:
+    """Concurrence of a two-qubit X state (Wootters; Yu and Eberly):
+    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
+    clipped into [0, 1].  Raises ValueError unless every entry off the
+    diagonal and the anti-diagonal is at most ``X_SHAPE_TOL`` in modulus."""
+    off = max(abs(rho[r][c]) for r, c in ((0, 1), (0, 2), (1, 3), (2, 3)))
+    if not off <= X_SHAPE_TOL:
+        raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
+    d = [rho[k][k].real for k in range(4)]
+    coherent = abs(rho[1][2]) - math.sqrt(max(d[0] * d[3], 0.0))
+    paired = abs(rho[0][3]) - math.sqrt(max(d[1] * d[2], 0.0))
+    return min(max(2.0 * coherent, 2.0 * paired, 0.0), 1.0)
+
+
+def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
+    """Concurrence of every two-mode reduction of the state with N + 2
+    support amplitudes ``support``, keyed by mode pair (i, j), i < j, in
+    lexicographic order."""
+    return {pair: x_concurrence(rho) for pair, rho in pair_reductions(support)}

@@ -1,9 +1,11 @@
 """Self-check suite: the cross-checks behind `wcavity validate`.
 
 Each check measures a defect on randomized inputs and compares it to a
-fixed tolerance.  ``inject_fault`` flips the sign of one off-diagonal
-Hamiltonian entry before the Hermiticity measurement, so the suite's
-ability to fail is itself testable.
+fixed tolerance.  The dense numpy routes check each other, and they in
+turn check ``sector``, the route ``simulate`` runs.  ``inject_fault``
+flips the sign of one off-diagonal Hamiltonian entry before the
+Hermiticity measurement, so the suite's ability to fail is itself
+testable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_SEED,
     Frame,
     ModelParams,
     build_hamiltonian,
@@ -23,12 +24,15 @@ from .dynamics import (
     propagate_numeric,
     propagate_times,
 )
-from .fock import ROUNDING_TOL, StateVector, build_basis, initial_state
+from . import sector
+from .fock import StateVector, build_basis, initial_state
+from .sector import DEFAULT_SEED, ROUNDING_TOL
 
 CONSERVATION_TOL = 1e-13
 UNITARITY_TOL = 1e-10
 COMPOSITION_TOL = 1e-9
 ORACLE_TOL = 1e-8
+SECTOR_TOL = 1e-10
 RABI_PERIOD_RTOL = 1e-6
 
 
@@ -198,6 +202,33 @@ def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
     return CheckResult("closed-form-vs-numeric", worst <= ORACLE_TOL, worst, ORACLE_TOL, draws)
 
 
+def check_sector_route(rng, draws: int = 24) -> CheckResult:
+    """The standard-library sector route against the dense sector route on
+    random draws: unequal couplings and one common detuning, in the
+    interaction frame.  A draw on which the sector route raises counts as
+    an infinite defect."""
+    inputs = []
+    for _ in range(draws):
+        n = int(rng.integers(1, 7))
+        couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
+        detuning = float(rng.uniform(-5.0, 5.0))
+        t = float(rng.uniform(-5.0, 5.0))
+        params = ModelParams(n, 0.0, (detuning,) * n, couplings)
+        inputs.append((build_basis(n, n_max=1, excitation_cap=1), params, t))
+    worst = 0.0
+    for basis, stack in _stacks(inputs):
+        params, t = zip(*stack)
+        dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+        for item, time, expected in zip(params, t, dense.amplitudes.tolist()):
+            try:
+                amps = sector.evolve(item.couplings, time, item.omega_modes)
+            except (ValueError, sector.PropagationError):
+                worst = math.inf
+                continue
+            worst = max(worst, max(abs(a - b) for a, b in zip(amps, expected)))
+    return CheckResult("sector-vs-dense", worst <= SECTOR_TOL, worst, SECTOR_TOL, draws)
+
+
 #: Sub-intervals per bracket and round of :func:`_refine_roots`: about seven
 #: rounds narrow a bracket of the Rabi scan's spacing to 1e-14.
 REFINE_POINTS = 64
@@ -286,7 +317,7 @@ def check_rabi_period(n_values=range(1, 7), epsilon: float = 1.0) -> CheckResult
 
 def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> ValidationReport:
     """Run every check on fresh seeded streams; deterministic per seed."""
-    streams = np.random.SeedSequence(seed).spawn(5)
+    streams = np.random.SeedSequence(seed).spawn(6)
     checks = (
         check_hermiticity(np.random.default_rng(streams[0]), inject_fault=inject_fault),
         check_excitation_conservation(np.random.default_rng(streams[1])),
@@ -294,5 +325,6 @@ def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> Vali
         check_composition(np.random.default_rng(streams[3])),
         check_oracle_equivalence(np.random.default_rng(streams[4])),
         check_rabi_period(),
+        check_sector_route(np.random.default_rng(streams[5])),
     )
     return ValidationReport(checks)

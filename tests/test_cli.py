@@ -263,8 +263,8 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         lines = out.strip().split("\n")
-        assert sum(1 for l in lines if l.startswith("PASS ")) == 6
-        assert lines[-1] == "summary: checks_run=6 passed=6 failed=0"
+        assert sum(1 for l in lines if l.startswith("PASS ")) == 7
+        assert lines[-1] == "summary: checks_run=7 passed=7 failed=0"
 
     def test_injected_fault_fails_hermiticity(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--inject-fault")
@@ -277,7 +277,7 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", "--out", str(out))
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["summary"] == {"checks_run": 6, "passed": 6, "failed": 0}
+        assert data["summary"] == {"checks_run": 7, "passed": 7, "failed": 0}
         assert all(c["passed"] for c in data["checks"])
 
 
@@ -373,7 +373,7 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise PropagationError("synthetic norm drift")
 
-    monkeypatch.setattr("wcavity.cli.propagate_numeric", explode)
+    monkeypatch.setattr("wcavity.sector.evolve", explode)
     code, _, err = run_cli(capsys, "simulate", "--n", "3")
     assert code == 3
     assert "numerical failure" in err
@@ -488,10 +488,10 @@ def test_validate_csv_reads_back_as_two_tables(capsys, tmp_path):
     with out.open(newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
     assert rows[0] == ["name", "passed", "measured", "tolerance", "cases"]
-    checks, summary = rows[1:7], rows[7:]
+    checks, summary = rows[1:8], rows[8:]
     assert all(len(r) == 5 and r[1] == "True" for r in checks)
     assert summary == [
-        ["summary.checks_run", "6"], ["summary.passed", "6"], ["summary.failed", "0"]
+        ["summary.checks_run", "7"], ["summary.passed", "7"], ["summary.failed", "0"]
     ]
 
 
@@ -841,30 +841,33 @@ def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys
 
 @pytest.mark.parametrize("dump", [False, True], ids=["report", "dump-state"])
 def test_simulate_never_enumerates_the_uncapped_basis(dump, basis_builds, capsys):
-    """simulate builds, evolves and dumps the N + 2 state sector alone."""
+    """simulate evolves and dumps the N + 2 state sector as a list of
+    amplitudes, without building any basis."""
     argv = ["simulate", "--n", "13"] + (["--dump-state"] if dump else [])
     report = run_json(capsys, *argv)
-    assert basis_builds and set(basis_builds) == {"build_basis"}
+    assert basis_builds == []
     if dump:
         assert report["state"]["basis"]["excitation_cap"] == 1
         assert len(report["state"]["amplitudes"]) == 15
 
 
-_CORE_MODULES = {"wcavity", "wcavity.cli", "wcavity.dynamics", "wcavity.entanglement",
-                 "wcavity.fock"}
+_SECTOR_MODULES = {"wcavity", "wcavity.cli", "wcavity.sector"}
+_NUMPY_MODULES = _SECTOR_MODULES | {"wcavity.dynamics", "wcavity.fock"}
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["simulate", "--n", "3", "--out", "report.json"], _CORE_MODULES),
-    (["entanglement", "--n", "4", "--out", "report.json"], _CORE_MODULES),
-    (["validate", "--out", "report.json"], _CORE_MODULES | {"wcavity.validation"}),
-    (["sweep", "--n", "3", "--out", "sweep.csv"], _CORE_MODULES | {"wcavity.protocol"}),
+    (["simulate", "--n", "3", "--out", "report.json"], _SECTOR_MODULES),
+    (["entanglement", "--n", "4", "--out", "report.json"], _SECTOR_MODULES),
+    (["validate", "--out", "report.json"], _NUMPY_MODULES | {"wcavity.validation"}),
+    (["sweep", "--n", "3", "--out", "sweep.csv"],
+     _NUMPY_MODULES | {"wcavity.entanglement", "wcavity.protocol"}),
 ], ids=["simulate", "entanglement", "validate", "sweep"])
 def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_path):
     """``python -m wcavity <subcommand>`` in a fresh process: after ``main``
     returns, the package modules loaded are exactly those the subcommand
-    runs, and ``dataclasses`` is not loaded (it costs milliseconds of
-    import and class generation per process)."""
+    runs, ``dataclasses`` is not loaded (it costs milliseconds of import
+    and class generation per process), and numpy is loaded only by the
+    subcommands that run a numpy module."""
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = ['wcavity', *{argv!r}]\n"
@@ -873,15 +876,23 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
         "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity'),\n"
-        "                  'dataclasses' in sys.modules]))\n"
+        "                  'dataclasses' in sys.modules, 'numpy' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
+    status, loaded, dataclasses_loaded, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert set(loaded) == modules
     assert not dataclasses_loaded
+    assert numpy_loaded == ("wcavity.dynamics" in modules)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, wcavity.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,14 +23,15 @@ def test_import_loads_no_submodule():
     code = (
         "import sys, wcavity\n"
         "print(sorted(m for m in sys.modules if m.startswith('wcavity')))\n"
-        "assert wcavity.fock is sys.modules['wcavity.fock']\n"  # a submodule loads on access
+        # a submodule loads on access; `sector` imports no other submodule
+        "assert wcavity.sector is sys.modules['wcavity.sector']\n"
         "print(sorted(m for m in sys.modules if m.startswith('wcavity')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['wcavity']", "['wcavity', 'wcavity.fock']"]
+    assert proc.stdout.splitlines() == ["['wcavity']", "['wcavity', 'wcavity.sector']"]
 
 
 @pytest.mark.parametrize("name", PUBLIC)

@@ -1,0 +1,242 @@
+"""The standard-library sector route against the numpy routes: the
+evolution against the dense sector propagator and scipy's ``expm``, the
+pair reductions and X-state concurrences against ``partial_trace`` and
+``concurrence``."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wcavity import sector
+from wcavity.dynamics import (
+    ModelParams,
+    PropagationError,
+    build_hamiltonian,
+    closed_form_amplitudes,
+    propagate_times,
+)
+from wcavity.entanglement import (
+    concurrence,
+    fidelity,
+    ghz_state,
+    partial_trace,
+    support_basis,
+    w_state,
+)
+from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
+
+
+def dense_operator(couplings, detunings):
+    """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0."""
+    n = len(couplings)
+    params = ModelParams(n, 0.0, tuple(detunings), tuple(couplings))
+    return build_hamiltonian(params, build_basis(n, excitation_cap=1))
+
+
+def test_sector_order_is_that_of_the_capped_basis_and_the_support():
+    for n in (1, 2, 5):
+        states = build_basis(n, excitation_cap=1).states
+        assert len(states) == n + 2
+        assert states[0] == BasisState(AtomLevel.GROUND, (0,) * n)
+        assert states[n + 1] == BasisState(AtomLevel.EXCITED, (0,) * n)
+        for j in range(1, n + 1):
+            mode = n + 1 - j  # 1-based
+            assert states[j].occupations == tuple(int(i == mode - 1) for i in range(n))
+        if n >= 2:
+            support = support_basis(n).states
+            assert support[:n + 1] == states[:n + 1]
+            assert support[n + 1] == BasisState(AtomLevel.GROUND, (1,) * n)
+
+
+couplings_st = st.integers(1, 13).flatmap(
+    lambda n: st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(couplings=couplings_st, detuning=st.floats(-5.0, 5.0), t=st.floats(-10.0, 10.0))
+def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, t):
+    n = len(couplings)
+    detunings = (detuning,) * n
+    amps = np.array(sector.evolve(couplings, t, detunings))
+    H = dense_operator(couplings, detunings)
+    psi0 = initial_state(H.basis)
+    dense = propagate_times(H, psi0, np.array([t]))[0]
+    ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
+    np.testing.assert_allclose(amps, dense, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(couplings=couplings_st, data=st.data())
+def test_matvec_is_the_dense_operator(couplings, data):
+    """Any detunings, any complex vector: the O(N) product is H @ v."""
+    n = len(couplings)
+    real = st.floats(-5.0, 5.0)
+    detunings = data.draw(st.lists(real, min_size=n, max_size=n))
+    parts = data.draw(st.lists(real, min_size=2 * (n + 2), max_size=2 * (n + 2)))
+    vector = [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    got = sector.matvec(couplings, detunings, vector)
+    want = dense_operator(couplings, detunings).matrix @ np.array(vector)
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
+def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
+    n = len(couplings)
+    closed = sector.closed_form(couplings, t)
+    numpy_closed = closed_form_amplitudes([couplings], t, build_basis(n, excitation_cap=1))[0]
+    np.testing.assert_allclose(closed, numpy_closed, atol=1e-14, rtol=0)
+    np.testing.assert_allclose(closed, sector.evolve(couplings, t), atol=1e-13, rtol=0)
+
+
+def test_resonant_transfer_reaches_w_at_optimal_time():
+    for n in (1, 2, 3, 9):
+        amps = sector.evolve((1.3,) * n, sector.optimal_time(n, 1.3))
+        assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
+        assert abs(amps[n + 1]) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
+def test_w_fidelity_matches_numpy_fidelity(couplings, t):
+    n = len(couplings)
+    amps = sector.evolve(couplings, t)
+    basis = build_basis(n, excitation_cap=1)
+    want = fidelity(w_state(n, basis), StateVector(basis, amps))
+    assert sector.w_fidelity(amps) == pytest.approx(want, abs=1e-14)
+
+
+def test_per_mode_detunings_raise_instead_of_a_wrong_state():
+    couplings, detunings = (1.0, 0.7, 1.4), (0.0, 0.5, -0.3)
+    with pytest.raises(ValueError, match="does not close on"):
+        sector.evolve(couplings, 0.9, detunings)
+    # the dense route evolves the same Hamiltonian out of the 2-state subspace
+    assert np.linalg.matrix_rank(
+        np.array([np.linalg.matrix_power(dense_operator(couplings, detunings).matrix, k)[:, -1]
+                  for k in range(4)]), tol=1e-9) > 2
+
+
+def test_common_detuning_breaks_down_in_two_steps():
+    beta1, alpha1, bright = sector.lanczos((1.0, 2.0, 2.0), (0.4,) * 3)
+    assert beta1 == 3.0
+    assert alpha1 == pytest.approx(0.4, abs=1e-15)
+    assert bright == pytest.approx([0.0, 2 / 3, 2 / 3, 1 / 3, 0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("couplings, t, error, match", [
+    ((), 1.0, ValueError, "n_modes"),
+    ((1.0, 0.0), 1.0, ValueError, "strictly positive"),
+    ((1.0, math.inf), 1.0, ValueError, "finite"),
+    ((1.0, 1.0), math.nan, ValueError, "evolution time must be finite"),
+    ((1e200, 1e200), 1e200, PropagationError, "non-finite"),
+])
+def test_evolve_refuses_bad_input(couplings, t, error, match):
+    with pytest.raises(error, match=match):
+        sector.evolve(couplings, t)
+
+
+def test_norm_drift_raises_and_small_drift_is_renormalized():
+    state = sector.evolve((1.0, 0.5), 0.3)
+    with pytest.raises(PropagationError, match="norm drift"):
+        sector._renormalized([a * (1.0 + 1e-9) for a in state])
+    with pytest.raises(PropagationError, match="non-finite"):
+        sector._renormalized([*state[:-1], complex(math.nan, 0.0)])
+    renormalized = sector._renormalized([a * (1.0 + 1e-11) for a in state])
+    np.testing.assert_allclose(renormalized, state, atol=1e-15, rtol=0)
+
+
+def test_closed_form_checks_finite_unit_norm(monkeypatch):
+    with pytest.raises(ValueError, match="finite"):
+        sector.closed_form((1e200, 1e200), 1e200)
+    monkeypatch.setattr(sector, "_norm", lambda amps: 1.0 + 1e-11)
+    with pytest.raises(ValueError, match="deviates from 1"):
+        sector.closed_form((1.0, 1.0), 0.3)
+
+
+def numpy_pair_concurrences(amps):
+    n = len(amps) - 2
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rho = partial_trace(StateVector(support_basis(n), amps), pairs)
+    return pairs, rho.matrix, concurrence(rho)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("state", ["W", "GHZ"])
+def test_x_concurrence_equals_numpy_concurrence(n, state):
+    support = sector.w_support(n) if state == "W" else sector.ghz_support(n)
+    basis = support_basis(n)
+    target = w_state(n, basis) if state == "W" else ghz_state(n, basis)
+    np.testing.assert_array_equal(support, target.amplitudes)
+    pairs, matrices, expected = numpy_pair_concurrences(support)
+    reductions = dict(sector.pair_reductions(support))
+    got = sector.pairwise_concurrences(support)
+    assert list(got) == pairs == list(reductions)
+    for pair, matrix, want in zip(pairs, matrices, expected):
+        np.testing.assert_allclose(reductions[pair], matrix, atol=1e-15, rtol=0)
+        assert got[pair] == pytest.approx(want, abs=1e-12)
+        assert got[pair] == pytest.approx(2 / n if state == "W" else float(n == 2), abs=1e-12)
+
+
+def test_three_modes_trace_all_ones_with_the_photon_of_the_third_mode():
+    """At N = 3 the environment of |1,1,1> for pair (i, j) is one photon in
+    the third mode, as for |1_k>: the two are coherent in the reduction."""
+    amps = [0.0, 0.6, 0.0, 0.0, 0.8]  # 0.6 |g;0,0,1> + 0.8 |g;1,1,1>
+    reductions = dict(sector.pair_reductions(amps))
+    pairs, matrices, expected = numpy_pair_concurrences(amps)
+    assert reductions[1, 2][0][3] == pytest.approx(0.48)
+    for pair, matrix, want in zip(pairs, matrices, expected):
+        np.testing.assert_allclose(reductions[pair], matrix, atol=1e-15, rtol=0)
+        assert sector.x_concurrence(reductions[pair]) == pytest.approx(want, abs=1e-12)
+    assert sector.x_concurrence(reductions[1, 2]) == pytest.approx(0.96, abs=1e-12)
+
+
+# zero, or of modulus at least 0.05: numpy's concurrence floors eigenvalues
+# below 1e-13 of the largest, which moves it by about twice the smallest
+# amplitude of a nearly pure product reduction
+amplitude_st = st.just(0j) | st.builds(
+    lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
+    st.floats(0.05, 1.0), st.floats(0.0, 2 * math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_x_shaped_support_states_match_numpy(n, data):
+    """Support states without vacuum (N >= 3) or without single photons
+    reduce to X states; their concurrences equal the numpy ones."""
+    parts = data.draw(st.lists(amplitude_st, min_size=n + 2, max_size=n + 2))
+    if n == 2 or data.draw(st.booleans()):
+        parts[1:n + 1] = [0.0] * n
+    else:
+        parts[0] = 0.0
+    norm = math.sqrt(sum(abs(a) ** 2 for a in parts))
+    if norm == 0.0:
+        parts, norm = [1.0] + [0.0] * (n + 1), 1.0
+    amps = [a / norm for a in parts]
+    pairs, _, expected = numpy_pair_concurrences(amps)
+    got = sector.pairwise_concurrences(amps)
+    for pair, want in zip(pairs, expected):
+        assert got[pair] == pytest.approx(want, abs=1e-12)
+
+
+def test_an_empty_environment_leaves_rho_00_exactly_zero():
+    """2/3 |1_2> + 1/3 |1_1> + 2/3 |1,1,1>: the pair (1, 2) leaves no
+    |00> weight, and its concurrence is 2 |rho_12| = 4/9 to rounding."""
+    reductions = dict(sector.pair_reductions([0.0, 0.0, 2 / 3, 1 / 3, 2 / 3]))
+    assert reductions[1, 2][0][0] == 0.0
+    assert sector.x_concurrence(reductions[1, 2]) == pytest.approx(4 / 9, abs=1e-15)
+
+
+def test_a_reduction_that_is_not_x_shaped_is_refused():
+    """W plus vacuum: <00|rho|01> = a_vac a_j is far from 0."""
+    n = 4
+    amps = [math.sqrt(0.5)] + [math.sqrt(0.5 / n)] * n + [0.0]
+    with pytest.raises(ValueError, match="not an X state"):
+        sector.pairwise_concurrences(amps)

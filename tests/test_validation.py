@@ -4,13 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wcavity import validation
+from wcavity import sector, validation
 from wcavity.dynamics import HermitianOperator, ModelParams
 from wcavity.fock import AtomLevel, BasisState, vacuum_occupations
 from wcavity.validation import (
     _refine_roots,
     check_composition,
     check_excitation_conservation,
+    check_sector_route,
     measure_rabi_period,
     run_validation,
 )
@@ -19,8 +20,8 @@ from wcavity.validation import (
 def test_all_checks_pass_by_default():
     report = run_validation()
     assert report.all_passed
-    assert report.checks_run == 6
-    assert report.passed == 6
+    assert report.checks_run == 7
+    assert report.passed == 7
     assert report.failed == 0
 
 
@@ -154,3 +155,29 @@ def test_stacked_checks_take_the_per_draw_inputs(check, run, monkeypatch):
     assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
     assert Counter(seen) == Counter(reference)
     assert result.passed and result.cases == len(reference)
+
+
+def test_sector_check_passes_on_the_sector_route():
+    result = check_sector_route(np.random.default_rng(3))
+    assert result.passed and result.cases == 24
+    assert result.measured <= 1e-13
+
+
+@pytest.mark.parametrize("fault", ["detuning sign", "coupling sign"])
+def test_sector_check_fails_on_a_faulted_sector_matvec(fault, monkeypatch):
+    """A sign flip in the matvec either evolves a wrong state (detuning) or
+    stops the Lanczos run from closing (coupling); the check fails on both,
+    without raising."""
+    real = sector.matvec
+
+    def flipped(couplings, detunings, amps):
+        if fault == "detuning sign":
+            return real(couplings, [-d for d in detunings], amps)
+        out = real(couplings, detunings, amps)
+        out[-1] = -out[-1]
+        return out
+
+    monkeypatch.setattr(sector, "matvec", flipped)
+    result = check_sector_route(np.random.default_rng(3))
+    assert not result.passed
+    assert result.measured > 1e-3

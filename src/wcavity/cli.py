@@ -18,9 +18,10 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 # Only the modules every subcommand needs are imported here: a fresh
-# process pays for what its subcommand runs.  `simulate` and `entanglement`
-# run on `sector`, which needs the standard library alone, so numpy is
-# imported on the sweep and `validate` paths only.
+# process pays for what its subcommand runs.  `simulate`, `entanglement`
+# and the timing-error, detuning and mode-count sweeps run on `sector`,
+# which needs the standard library alone, so numpy is imported on the
+# coupling-disorder sweep and `validate` paths only.
 from . import sector
 from .sector import (
     DEFAULT_SEED,
@@ -164,18 +165,23 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, computed
+    as numpy.linspace computes them, so that each is the same double."""
+    step = (stop - start) / (num - 1)
+    return (*(i * step + start for i in range(num - 1)), stop)
 
+
+def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
     from .protocol import SweepParameter
 
     if parameter is SweepParameter.TIMING_ERROR:
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
-        return tuple(np.linspace(-span, span, 41))
+        return _linspace(-span, span, 41)
     if parameter is SweepParameter.COUPLING_DISORDER:
-        return tuple(np.linspace(0.0, 0.1, 11))
+        return _linspace(0.0, 0.1, 11)
     if parameter is SweepParameter.DETUNING:
-        return tuple(np.linspace(-2.0, 2.0, 41))
+        return _linspace(-2.0, 2.0, 41)
     return tuple(float(n) for n in range(1, 9))
 
 
@@ -194,10 +200,11 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
 def _largest_array_bytes(config: dict) -> int:
     """Bytes of the largest array the command of a resolved config
     allocates, on the N + 2 state sector of N modes (for the mode-count
-    sweep, the largest grid entry).  ``simulate`` and ``entanglement`` run
-    on ``sector``'s lists of N + 2 amplitudes, but are still admitted by
-    the largest array of their numpy oracle (``dynamics`` and
-    ``entanglement``), so that what they admit stays as it was."""
+    sweep, the largest grid entry).  ``simulate``, ``entanglement`` and
+    the timing-error, detuning and mode-count sweeps run on ``sector``'s
+    lists of N + 2 amplitudes, but are still charged the largest array of
+    their numpy oracle (``dynamics`` and ``entanglement``), so that what
+    they admit stays as it was."""
     parameter, n = config.get("parameter"), config.get("n")
     if config["command"] == "entanglement":
         # partial_trace's grouping matrix: one 4-entry complex row per mode
@@ -210,8 +217,9 @@ def _largest_array_bytes(config: dict) -> int:
         # no operator: the basis, an N-tuple of 8-byte references per
         # state, and one (trials, dim) complex amplitude array per grid point
         return max(8 * dim * n, 16 * config["trials"] * dim)
-    # simulate and the other sweeps: a dense (dim, dim) complex operator;
-    # the timing sweep also evolves all grid times as one (grid points, dim) array
+    # simulate and the other sweeps: their oracle's dense (dim, dim) complex
+    # operator; the timing oracle also evolves all grid times as one
+    # (grid points, dim) array
     rows = len(config["grid"]) if parameter == "timing-error" else 1
     return 16 * dim * max(dim, rows)
 
@@ -307,7 +315,9 @@ def resolve_config(args) -> dict:
             raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
     if args.command == "sweep":
         if parameter in (SweepParameter.COUPLING_DISORDER, SweepParameter.MODE_COUNT):
-            # the sweeps that evaluate the closed form, at N or at each grid entry
+            # the disorder sweep evaluates the closed form at N; the mode-count
+            # sweep keeps the range of its dense route, which evaluated it at
+            # each grid entry
             _require_closed_form_range(config["epsilon"], config.get("n") or int(max(spec.grid)))
         else:
             _require_finite_sweep_times(parameter is SweepParameter.TIMING_ERROR, config["n"],
@@ -397,7 +407,7 @@ def cmd_simulate(config: dict) -> int:
 
     couplings = (eps,) * n
     closed = sector.closed_form(couplings, t)
-    numeric = sector.evolve(couplings, t)
+    numeric = sector.evolve(couplings, (t,))[0]
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population
@@ -541,9 +551,9 @@ def run() -> NoReturn:
     After ``main`` returns, ``gc.freeze`` moves every live object into the
     collector's permanent generation, which the full collections of
     interpreter shutdown skip: about 22k objects once numpy and the
-    package are loaded (a sweep or ``validate``), 5-8 ms per collection on
-    a 2-core host.  Exit is otherwise unchanged: atexit handlers run and
-    open files are flushed and closed.
+    package are loaded (a coupling-disorder sweep or ``validate``), 5-8 ms
+    per collection on a 2-core host.  Exit is otherwise unchanged: atexit
+    handlers run and open files are flushed and closed.
     ``main`` itself never freezes, because tests and library callers run
     it in a process that goes on."""
     code = main()

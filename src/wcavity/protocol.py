@@ -14,22 +14,17 @@ from __future__ import annotations
 import datetime
 import enum
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+# The deterministic sweeps run on `sector`, which needs the standard
+# library alone; numpy and its modules are imported inside the functions
+# that run them (the disorder sweep, run_protocol, n_scaling_table).
+from . import sector
+from .sector import SCHEMA_VERSION, SWEEP_PARAMETERS, Value, fmt12, optimal_time, round12
 
-from .dynamics import (
-    Frame,
-    ModelParams,
-    build_hamiltonian,
-    closed_form_amplitudes,
-    evolve_closed_form,
-    propagate_numeric,
-    propagate_times,
-)
-from .entanglement import fidelities, fidelity, w_state
-from .fock import StateVector, Value, build_basis, initial_state
-from .sector import SCHEMA_VERSION, SWEEP_PARAMETERS, fmt12, optimal_time, round12
+if TYPE_CHECKING:
+    from .fock import StateVector
+
 
 class SweepParameter(enum.Enum):
     # the values of SWEEP_PARAMETERS, in its order
@@ -120,6 +115,9 @@ class ScalingRow(NamedTuple):
 
 def run_protocol(n: int, epsilon: float) -> ProtocolResult:
     """Prepare, evolve to the optimal time, and score against the W target."""
+    from .dynamics import ModelParams, evolve_closed_form
+    from .entanglement import fidelity, w_state
+
     t_star = optimal_time(n, epsilon)
     params = ModelParams.resonant(n, epsilon)
     state = evolve_closed_form(params, t_star)
@@ -150,19 +148,14 @@ def timing_error_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
     """Fidelity versus timing offset around the optimal time.
 
     Grid entries are offsets in units of 1/epsilon; the state is evolved
-    numerically to t* + x/epsilon and scored against the W target, so the
-    rows check the analytic law cos^2(sqrt(n) x) with the propagator, not
-    with the formula that predicts it.
+    to t* + x/epsilon (all times from one Lanczos run) and scored against
+    the W target, so the rows check the analytic law cos^2(sqrt(n) x) with
+    the propagator, not with the formula that predicts it.
     """
     _require_parameter(spec, SweepParameter.TIMING_ERROR)
     t_star = optimal_time(n, epsilon)
-    basis = build_basis(n, n_max=1, excitation_cap=1)
-    H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
-    states = propagate_times(H, initial_state(basis), t_star + np.array(spec.grid) / epsilon)
-    rows = [
-        SweepRow(x, f, f, f)
-        for x, f in zip(spec.grid, fidelities(states, w_state(n, basis)).tolist())
-    ]
+    states = sector.evolve((epsilon,) * n, [t_star + x / epsilon for x in spec.grid])
+    rows = [SweepRow(x, f, f, f) for x, f in zip(spec.grid, map(sector.w_fidelity, states))]
     return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
@@ -174,6 +167,12 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
     evolves in closed form to the nominal optimal time.  The draws of one
     grid point are evaluated as one (trials, n) array.
     """
+    import numpy as np
+
+    from .dynamics import closed_form_amplitudes
+    from .entanglement import fidelities, w_state
+    from .fock import build_basis
+
     _require_parameter(spec, SweepParameter.COUPLING_DISORDER)
     t_star = optimal_time(n, epsilon)
     basis = build_basis(n, n_max=1, excitation_cap=1)
@@ -206,17 +205,11 @@ def detuning_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
     """
     _require_parameter(spec, SweepParameter.DETUNING)
     t_star = optimal_time(n, epsilon)
-    basis = build_basis(n, n_max=1, excitation_cap=1)
-    psi0 = initial_state(basis)
-    target = w_state(n, basis)
+    couplings = (epsilon,) * n
     rows = []
     for x in spec.grid:
-        delta = x * epsilon
-        params = ModelParams(
-            n, 0.0, (delta,) * n, (epsilon,) * n, Frame.INTERACTION
-        )
-        psi = propagate_numeric(build_hamiltonian(params, basis), psi0, t_star)
-        f = fidelity(psi, target)
+        (psi,) = sector.evolve(couplings, (t_star,), (x * epsilon,) * n)
+        f = sector.w_fidelity(psi)
         rows.append(SweepRow(x, f, f, f))
     return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
 
@@ -225,14 +218,22 @@ def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
     """Numeric fidelity at the optimal time for each mode count in the grid."""
     _require_parameter(spec, SweepParameter.MODE_COUNT)
     rows = []
-    for entry in n_scaling_table([int(x) for x in spec.grid], epsilon):
-        f = entry.fidelity_numeric
-        rows.append(SweepRow(float(entry.n), f, f, f))
+    for x in spec.grid:
+        n = int(x)
+        (psi,) = sector.evolve((epsilon,) * n, (optimal_time(n, epsilon),))
+        f = sector.w_fidelity(psi)
+        rows.append(SweepRow(float(n), f, f, f))
     return SweepResult(rows, _metadata(spec, epsilon=epsilon))
 
 
 def n_scaling_table(n_list, epsilon: float) -> list[ScalingRow]:
     """Closed-form versus numeric scorecard across mode counts."""
+    import numpy as np
+
+    from .dynamics import ModelParams, build_hamiltonian, evolve_closed_form, propagate_numeric
+    from .entanglement import fidelity, w_state
+    from .fock import initial_state
+
     rows = []
     for n in n_list:
         t_star = optimal_time(n, epsilon)

@@ -13,10 +13,11 @@ is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
 index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
 has the same order, with |g;1...1> at index N + 1.
 
-This module imports only ``math``, so that a process running ``simulate``
-or ``entanglement`` never loads numpy; the numpy modules are its oracle.
-It also holds the conventions every output shares: the schema version and
-the 12-digit number format.
+This module imports only ``math``, so that a process running ``simulate``,
+``entanglement`` or a sweep other than coupling-disorder never loads
+numpy; the numpy modules are its oracle.  It also holds the conventions
+every output shares (the schema version and the 12-digit number format)
+and the immutable value bases ``Frozen`` and ``Value``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,43 @@ DEFAULT_SEED = 20240201
 
 class PropagationError(RuntimeError):
     """Numerical failure during time evolution (norm drift, overflow)."""
+
+
+class Frozen:
+    """Base of the immutable classes: every attribute is a slot, set once
+    in ``__init__`` through ``object.__setattr__``; setting or deleting one
+    afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Value(Frozen):
+    """A Frozen class whose instances are equal, and hash alike, when they
+    are of one class and their ``_key()`` (by default, the slot values) is
+    equal; never equal to a tuple of those values."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def fmt12(value) -> str:
@@ -126,14 +164,16 @@ def lanczos(couplings, detunings) -> tuple[float, float, list]:
     return beta1, alpha1, bright
 
 
-def evolve(couplings, t: float, detunings=None) -> list[complex]:
-    """exp(-i H t) |e;0> in the interaction frame: the N + 2 amplitudes in
-    sector order.  ``detunings`` lists each mode's detuning from the atom
-    (default: all on resonance); they must be one common value.
+def evolve(couplings, times, detunings=None) -> list[list[complex]]:
+    """exp(-i H t) |e;0> in the interaction frame at each time t of
+    ``times``: one list of N + 2 amplitudes in sector order per time.
+    ``detunings`` lists each mode's detuning from the atom (default: all
+    on resonance); they must be one common value.
 
-    The state is the exact exponential of the 2x2 Lanczos matrix.
-    Non-finite amplitudes raise :class:`PropagationError`, and so does a
-    norm drift above ``NORM_DRIFT_TOL``; a smaller one is renormalized.
+    One Lanczos run gives the 2x2 matrix, and each state is its exact
+    exponential.  Non-finite amplitudes raise :class:`PropagationError`,
+    and so does a norm drift above ``NORM_DRIFT_TOL``; a smaller one is
+    renormalized.
     """
     _require_couplings(couplings)
     n = len(couplings)
@@ -143,23 +183,27 @@ def evolve(couplings, t: float, detunings=None) -> list[complex]:
         raise ValueError(f"expected {n} detunings, got {len(detunings)}")
     elif not all(math.isfinite(d) for d in detunings):
         raise ValueError("model parameters must be finite")
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
     beta1, alpha1, bright = lanczos(couplings, detunings)
     # exp(-i T t) (1, 0) for T = [[0, beta1], [beta1, alpha1]] is
     # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) beta1 / g), with
     # m the mean and d the half difference of the diagonal, g = |(d, beta1)|
     mean, half = 0.5 * alpha1, -0.5 * alpha1
     g = math.hypot(half, beta1)
-    angle, turn = g * t, mean * t
-    if not (math.isfinite(angle) and math.isfinite(turn)):
-        raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
-    c, s = math.cos(angle), math.sin(angle)
-    phase = complex(math.cos(turn), -math.sin(turn))
-    lower = phase * complex(0.0, -s * (beta1 / g))
-    amps = [lower * b for b in bright]
-    amps[n + 1] = phase * complex(c, -s * (half / g))
-    return _renormalized(amps)
+    states = []
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"evolution time must be finite, got {t!r}")
+        angle, turn = g * t, mean * t
+        if not (math.isfinite(angle) and math.isfinite(turn)):
+            raise PropagationError("propagation produced non-finite amplitudes "
+                                   "(parameter overflow)")
+        c, s = math.cos(angle), math.sin(angle)
+        phase = complex(math.cos(turn), -math.sin(turn))
+        lower = phase * complex(0.0, -s * (beta1 / g))
+        amps = [lower * b for b in bright]
+        amps[n + 1] = phase * complex(c, -s * (half / g))
+        states.append(_renormalized(amps))
+    return states
 
 
 def _renormalized(amps) -> list[complex]:

@@ -221,7 +221,7 @@ def check_sector_route(rng, draws: int = 24) -> CheckResult:
         dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
         for item, time, expected in zip(params, t, dense.amplitudes.tolist()):
             try:
-                amps = sector.evolve(item.couplings, time, item.omega_modes)
+                amps = sector.evolve(item.couplings, (time,), item.omega_modes)[0]
             except (ValueError, sector.PropagationError):
                 worst = math.inf
                 continue

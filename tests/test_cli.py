@@ -236,6 +236,88 @@ class TestSweep:
         assert "grid" in err
 
 
+def sweep_rows(text: str) -> list[tuple[float, ...]]:
+    """The rows of a sweep CSV, under its comment lines and header."""
+    lines = [l for l in text.splitlines() if not l.startswith("# ")]
+    assert lines[0] == "x,fidelity_mean,fidelity_min,fidelity_max"
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+def test_default_grids_are_the_numpy_linspace_doubles():
+    """``_default_grid`` builds each default grid with the standard library,
+    bit for bit the ``np.linspace`` grid it used to return, at every N the
+    sweeps admit."""
+    from wcavity.cli import _default_grid
+    from wcavity.protocol import SweepParameter
+
+    fixed = {
+        SweepParameter.COUPLING_DISORDER: np.linspace(0.0, 0.1, 11),
+        SweepParameter.DETUNING: np.linspace(-2.0, 2.0, 41),
+        SweepParameter.MODE_COUNT: np.arange(1.0, 9.0),
+    }
+    for n in range(1, 1023):
+        span = 0.2 * math.pi / (2.0 * math.sqrt(n))
+        for parameter in SweepParameter:
+            want = fixed.get(parameter)
+            if want is None:
+                want = np.linspace(-span, span, 41)
+            got = _default_grid(parameter, n)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [float(x).hex() for x in want], (parameter, n)
+
+
+@pytest.mark.parametrize("parameter", ["timing-error", "coupling-disorder", "detuning",
+                                       "mode-count"])
+def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path, monkeypatch):
+    """The ``# config=`` line and the sidecar echo the default grid with
+    the bytes they had when its values were ``np.float64``."""
+    import wcavity.cli
+
+    args = ["sweep", "--parameter", parameter]
+    if parameter != "mode-count":
+        args += ["--n", "5"]
+    outputs = []
+    for numpy_grid in (False, True):
+        if numpy_grid:
+            stdlib = wcavity.cli._default_grid
+            monkeypatch.setattr(wcavity.cli, "_default_grid",
+                                lambda *a: tuple(np.array(stdlib(*a))))
+        # the echoed config names --out: both runs write s.csv in a directory of their own
+        (tmp_path / str(numpy_grid)).mkdir()
+        monkeypatch.chdir(tmp_path / str(numpy_grid))
+        out = Path("s.csv")
+        assert run_cli(capsys, *args, "--out", str(out))[0] == 0
+        sidecar = json.loads(out.with_suffix(".meta.json").read_text())
+        assert sidecar.pop("timestamp")
+        outputs.append((out.read_text(), sidecar))
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("# config=") for line in outputs[0][0].splitlines())
+
+
+def test_largest_detuning_sweep_follows_the_bright_mode_law(capsys):
+    """At N = 1022, the largest N the detuning sweep admits, every row is
+    the two-level law g^2 / G^2 sin^2(G t*) of the bright mode: collective
+    coupling g = sqrt(N) epsilon, G = sqrt(g^2 + delta^2 / 4)."""
+    n = 1022
+    code, out, err = run_cli(capsys, "sweep", "--n", str(n), "--parameter", "detuning",
+                             "--out", "-")
+    assert code == 0, err
+    rows = sweep_rows(out)
+    assert len(rows) == 41
+    g2, t_star = float(n), math.pi / (2.0 * math.sqrt(n))
+    for x, *fids in rows:
+        big_g2 = g2 + x * x / 4.0
+        law = g2 / big_g2 * math.sin(math.sqrt(big_g2) * t_star) ** 2
+        assert all(abs(f - law) <= 1e-9 for f in fids), x
+
+
+def test_mode_count_sweep_reaches_w_at_the_largest_admitted_count(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "mode-count",
+                             "--grid", "1,2,511,1022", "--out", "-")
+    assert code == 0, err
+    assert sweep_rows(out) == [(float(n), 1.0, 1.0, 1.0) for n in (1, 2, 511, 1022)]
+
+
 class TestEntanglement:
     def test_three_modes(self, capsys):
         report = run_json(capsys, "entanglement", "--n", "3")
@@ -667,7 +749,6 @@ def test_entanglement_admits_by_its_largest_array(capsys):
 @pytest.fixture
 def basis_builds(monkeypatch):
     """The names of the basis builders called, through any module binding."""
-    import wcavity.protocol  # noqa: F401  (a sweep loads it; bind it before patching)
     from wcavity import entanglement, fock
 
     calls = []
@@ -743,7 +824,9 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
     assert basis_builds == []
     assert not out.exists()
 
-    assert run_cli(capsys, "sweep", "--n", "3", "--grid", "0", "--out", str(out))[0] == 0
+    # the disorder sweep still builds its basis: the fixture sees the call
+    assert run_cli(capsys, "sweep", "--n", "3", "--parameter", "coupling-disorder",
+                   "--grid", "0", "--out", str(out))[0] == 0
     assert basis_builds == ["build_basis"]
 
 
@@ -853,15 +936,22 @@ def test_simulate_never_enumerates_the_uncapped_basis(dump, basis_builds, capsys
 
 _SECTOR_MODULES = {"wcavity", "wcavity.cli", "wcavity.sector"}
 _NUMPY_MODULES = _SECTOR_MODULES | {"wcavity.dynamics", "wcavity.fock"}
+_SECTOR_SWEEP_MODULES = _SECTOR_MODULES | {"wcavity.protocol"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     (["simulate", "--n", "3", "--out", "report.json"], _SECTOR_MODULES),
     (["entanglement", "--n", "4", "--out", "report.json"], _SECTOR_MODULES),
     (["validate", "--out", "report.json"], _NUMPY_MODULES | {"wcavity.validation"}),
-    (["sweep", "--n", "3", "--out", "sweep.csv"],
+    # the default parameter, timing-error
+    (["sweep", "--n", "3", "--out", "sweep.csv"], _SECTOR_SWEEP_MODULES),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--out", "sweep.csv"],
+     _SECTOR_SWEEP_MODULES),
+    (["sweep", "--parameter", "mode-count", "--out", "sweep.csv"], _SECTOR_SWEEP_MODULES),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--out", "sweep.csv"],
      _NUMPY_MODULES | {"wcavity.entanglement", "wcavity.protocol"}),
-], ids=["simulate", "entanglement", "validate", "sweep"])
+], ids=["simulate", "entanglement", "validate", "sweep", "sweep-detuning", "sweep-mode-count",
+        "sweep-coupling-disorder"])
 def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_path):
     """``python -m wcavity <subcommand>`` in a fresh process: after ``main``
     returns, the package modules loaded are exactly those the subcommand

@@ -3,9 +3,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcavity import sector
 from wcavity.cli import _default_grid
-from wcavity.fock import AtomLevel, atom_population
+from wcavity.dynamics import (
+    Frame,
+    ModelParams,
+    build_hamiltonian,
+    propagate_numeric,
+    propagate_times,
+)
+from wcavity.entanglement import fidelities, fidelity, w_state
+from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
     SweepParameter,
@@ -114,10 +125,16 @@ class TestTimingErrorSweep:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.fidelity_mean == pytest.approx(rb.fidelity_mean, abs=1e-12)
 
-    def test_diagonalizes_once(self, eigh_calls):
+    def test_runs_lanczos_once(self, eigh_calls, monkeypatch):
+        """All grid times come from one 2x2 Lanczos matrix, with no dense
+        diagonalization."""
+        runs = []
+        real = sector.lanczos
+        monkeypatch.setattr(sector, "lanczos", lambda *args: runs.append(args) or real(*args))
         spec = timing_spec(_default_grid(SweepParameter.TIMING_ERROR, 3))
         timing_error_sweep(3, 1.0, spec)
-        assert eigh_calls == [(5, 5)]
+        assert len(runs) == 1
+        assert eigh_calls == []
 
     def test_rejects_wrong_parameter(self):
         with pytest.raises(ValueError, match="timing-error"):
@@ -220,6 +237,58 @@ class TestModeCountSweep:
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError, match="positive integers"):
             SweepSpec(SweepParameter.MODE_COUNT, (2.5,))
+
+
+# The dense numpy routes these sweeps ran before the N + 2 sector route
+# replaced them are its oracle: every row agrees with them to 1e-12.
+ORACLE_TOL = 1e-12
+
+n_st = st.integers(1, 13)
+epsilon_st = st.floats(0.1, 10.0)
+grid_st = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)
+
+
+def dense_fidelity(n, epsilon, t, detuning=0.0):
+    """W fidelity of |e;0> evolved by the dense sector propagator, all
+    modes detuned by ``detuning`` from the atom."""
+    basis = build_basis(n, n_max=1, excitation_cap=1)
+    params = ModelParams(n, 0.0, (detuning,) * n, (epsilon,) * n, Frame.INTERACTION)
+    psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    return fidelity(psi, w_state(n, basis))
+
+
+def assert_rows(result, grid, fids):
+    assert [row.x for row in result.rows] == [float(x) for x in grid]
+    for row, f in zip(result.rows, fids):
+        for value in row[1:]:
+            assert abs(value - f) <= ORACLE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=n_st, epsilon=epsilon_st, grid=grid_st)
+def test_timing_rows_match_the_dense_propagator(n, epsilon, grid):
+    result = timing_error_sweep(n, epsilon, timing_spec(grid))
+    basis = build_basis(n, n_max=1, excitation_cap=1)
+    H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
+    times = optimal_time(n, epsilon) + np.array(grid) / epsilon
+    states = propagate_times(H, initial_state(basis), times)
+    assert_rows(result, grid, fidelities(states, w_state(n, basis)).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=n_st, epsilon=epsilon_st, grid=grid_st)
+def test_detuning_rows_match_the_dense_propagator(n, epsilon, grid):
+    result = detuning_sweep(n, epsilon, detuning_spec(grid))
+    t_star = optimal_time(n, epsilon)
+    assert_rows(result, grid, [dense_fidelity(n, epsilon, t_star, x * epsilon) for x in grid])
+
+
+@settings(max_examples=30, deadline=None)
+@given(epsilon=epsilon_st, grid=st.lists(n_st, min_size=1, max_size=6))
+def test_mode_count_rows_match_the_dense_propagator(epsilon, grid):
+    result = mode_count_sweep(epsilon, SweepSpec(SweepParameter.MODE_COUNT, grid))
+    assert_rows(result, grid, [dense_fidelity(n, epsilon, optimal_time(n, epsilon))
+                               for n in grid])
 
 
 class TestNScalingTable:

@@ -59,17 +59,23 @@ couplings_st = st.integers(1, 13).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
-@given(couplings=couplings_st, detuning=st.floats(-5.0, 5.0), t=st.floats(-10.0, 10.0))
-def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, t):
+@given(couplings=couplings_st, detuning=st.floats(-5.0, 5.0),
+       times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times):
+    """Every time of one call against the dense sector propagator and
+    ``expm``; the one-time call is the one-item case."""
     n = len(couplings)
     detunings = (detuning,) * n
-    amps = np.array(sector.evolve(couplings, t, detunings))
+    states = sector.evolve(couplings, times, detunings)
     H = dense_operator(couplings, detunings)
     psi0 = initial_state(H.basis)
-    dense = propagate_times(H, psi0, np.array([t]))[0]
-    ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
-    np.testing.assert_allclose(amps, dense, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
+    dense = propagate_times(H, psi0, np.array(times))
+    assert len(states) == len(times)
+    for amps, row, t in zip(states, dense, times):
+        ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
+        np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
+        assert sector.evolve(couplings, (t,), detunings) == [amps]
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,12 +99,12 @@ def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     closed = sector.closed_form(couplings, t)
     numpy_closed = closed_form_amplitudes([couplings], t, build_basis(n, excitation_cap=1))[0]
     np.testing.assert_allclose(closed, numpy_closed, atol=1e-14, rtol=0)
-    np.testing.assert_allclose(closed, sector.evolve(couplings, t), atol=1e-13, rtol=0)
+    np.testing.assert_allclose(closed, sector.evolve(couplings, (t,))[0], atol=1e-13, rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
     for n in (1, 2, 3, 9):
-        amps = sector.evolve((1.3,) * n, sector.optimal_time(n, 1.3))
+        (amps,) = sector.evolve((1.3,) * n, (sector.optimal_time(n, 1.3),))
         assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
         assert abs(amps[n + 1]) <= 1e-15
 
@@ -107,7 +113,7 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
 def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     n = len(couplings)
-    amps = sector.evolve(couplings, t)
+    (amps,) = sector.evolve(couplings, (t,))
     basis = build_basis(n, excitation_cap=1)
     want = fidelity(w_state(n, basis), StateVector(basis, amps))
     assert sector.w_fidelity(amps) == pytest.approx(want, abs=1e-14)
@@ -116,7 +122,7 @@ def test_w_fidelity_matches_numpy_fidelity(couplings, t):
 def test_per_mode_detunings_raise_instead_of_a_wrong_state():
     couplings, detunings = (1.0, 0.7, 1.4), (0.0, 0.5, -0.3)
     with pytest.raises(ValueError, match="does not close on"):
-        sector.evolve(couplings, 0.9, detunings)
+        sector.evolve(couplings, (0.9,), detunings)
     # the dense route evolves the same Hamiltonian out of the 2-state subspace
     assert np.linalg.matrix_rank(
         np.array([np.linalg.matrix_power(dense_operator(couplings, detunings).matrix, k)[:, -1]
@@ -139,11 +145,11 @@ def test_common_detuning_breaks_down_in_two_steps():
 ])
 def test_evolve_refuses_bad_input(couplings, t, error, match):
     with pytest.raises(error, match=match):
-        sector.evolve(couplings, t)
+        sector.evolve(couplings, (0.5, t))
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized():
-    state = sector.evolve((1.0, 0.5), 0.3)
+    (state,) = sector.evolve((1.0, 0.5), (0.3,))
     with pytest.raises(PropagationError, match="norm drift"):
         sector._renormalized([a * (1.0 + 1e-9) for a in state])
     with pytest.raises(PropagationError, match="non-finite"):

@@ -19,9 +19,9 @@ from typing import NamedTuple, NoReturn
 
 # Only the modules every subcommand needs are imported here: a fresh
 # process pays for what its subcommand runs.  `simulate`, `entanglement`
-# and the timing-error, detuning and mode-count sweeps run on `sector`,
-# which needs the standard library alone, so numpy is imported on the
-# coupling-disorder sweep and `validate` paths only.
+# and all four sweeps run on `sector` (the coupling-disorder sweep also on
+# `normals`), which need the standard library alone, so numpy is imported
+# on the `validate` path only.
 from . import sector
 from .sector import (
     DEFAULT_SEED,
@@ -200,11 +200,11 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
 def _largest_array_bytes(config: dict) -> int:
     """Bytes of the largest array the command of a resolved config
     allocates, on the N + 2 state sector of N modes (for the mode-count
-    sweep, the largest grid entry).  ``simulate``, ``entanglement`` and
-    the timing-error, detuning and mode-count sweeps run on ``sector``'s
-    lists of N + 2 amplitudes, but are still charged the largest array of
-    their numpy oracle (``dynamics`` and ``entanglement``), so that what
-    they admit stays as it was."""
+    sweep, the largest grid entry).  Every command but ``validate`` runs
+    on ``sector``'s lists of N + 2 amplitudes, but is still charged the
+    largest array of its numpy oracle (``dynamics``, ``entanglement`` and,
+    for the coupling-disorder sweep, the numpy route the tests keep), so
+    that what they admit stays as it was."""
     parameter, n = config.get("parameter"), config.get("n")
     if config["command"] == "entanglement":
         # partial_trace's grouping matrix: one 4-entry complex row per mode
@@ -214,8 +214,9 @@ def _largest_array_bytes(config: dict) -> int:
         n = int(max(config["grid"]))
     dim = n + 2
     if parameter == "coupling-disorder":
-        # no operator: the basis, an N-tuple of 8-byte references per
-        # state, and one (trials, dim) complex amplitude array per grid point
+        # its oracle's arrays, no operator: the basis, an N-tuple of 8-byte
+        # references per state, and one (trials, dim) complex amplitude
+        # array per grid point
         return max(8 * dim * n, 16 * config["trials"] * dim)
     # simulate and the other sweeps: their oracle's dense (dim, dim) complex
     # operator; the timing oracle also evolves all grid times as one
@@ -551,10 +552,9 @@ def run() -> NoReturn:
     After ``main`` returns, ``gc.freeze`` moves every live object into the
     collector's permanent generation, which the full collections of
     interpreter shutdown skip: about 22k objects once numpy and the
-    package are loaded (a coupling-disorder sweep or ``validate``), 5-8 ms
-    per collection on a 2-core host.  Exit is otherwise unchanged: atexit
-    handlers run and open files are flushed and closed.
-    ``main`` itself never freezes, because tests and library callers run
+    package are loaded (``validate``), 5-8 ms per collection on a 2-core
+    host.  Exit is otherwise unchanged: atexit handlers run and open
+    files are flushed and closed.  ``main`` itself never freezes, because tests and library callers run
     it in a process that goes on."""
     code = main()
     gc.freeze()

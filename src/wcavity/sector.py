@@ -14,10 +14,10 @@ index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
 has the same order, with |g;1...1> at index N + 1.
 
 This module imports only ``math``, so that a process running ``simulate``,
-``entanglement`` or a sweep other than coupling-disorder never loads
-numpy; the numpy modules are its oracle.  It also holds the conventions
-every output shares (the schema version and the 12-digit number format)
-and the immutable value bases ``Frozen`` and ``Value``.
+``entanglement`` or a sweep never loads numpy; the numpy modules are its
+oracle.  It also holds the conventions every output shares (the schema
+version and the 12-digit number format) and the immutable value bases
+``Frozen`` and ``Value``.
 """
 
 from __future__ import annotations
@@ -221,14 +221,17 @@ def _renormalized(amps) -> list[complex]:
     return [a / norm for a in amps]
 
 
-def closed_form(couplings, t: float) -> list[complex]:
+def closed_form(couplings, t: float, omega: float | None = None) -> list[complex]:
     """Resonant interaction-frame amplitudes of the excited-atom vacuum at
     time t, in sector order: cos(Omega t) on |e;0> and
-    -i (eps_i / Omega) sin(Omega t) on mode i.  Every amplitude must be
-    finite and the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
+    -i (eps_i / Omega) sin(Omega t) on mode i.  ``omega`` is
+    Omega = sqrt(sum_i eps_i^2) as the caller rounded it (default:
+    ``math.hypot`` of the couplings).  Every amplitude must be finite and
+    the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
     _require_couplings(couplings)
     n = len(couplings)
-    omega = math.hypot(*couplings)
+    if omega is None:
+        omega = math.hypot(*couplings)
     angle = omega * t
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")

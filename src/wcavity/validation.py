@@ -2,10 +2,11 @@
 
 Each check measures a defect on randomized inputs and compares it to a
 fixed tolerance.  The dense numpy routes check each other, and they in
-turn check ``sector``, the route ``simulate`` runs.  ``inject_fault``
-flips the sign of one off-diagonal Hamiltonian entry before the
-Hermiticity measurement, so the suite's ability to fail is itself
-testable.
+turn check ``sector``, the route ``simulate`` runs; numpy's generator
+checks ``normals``, the stream the coupling-disorder sweep draws.
+``inject_fault`` flips the sign of one off-diagonal Hamiltonian entry
+before the Hermiticity measurement, so the suite's ability to fail is
+itself testable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dynamics import (
     propagate_numeric,
     propagate_times,
 )
-from . import sector
+from . import normals, sector
 from .fock import StateVector, build_basis, initial_state
 from .sector import DEFAULT_SEED, ROUNDING_TOL
 
@@ -229,6 +230,21 @@ def check_sector_route(rng, draws: int = 24) -> CheckResult:
     return CheckResult("sector-vs-dense", worst <= SECTOR_TOL, worst, SECTOR_TOL, draws)
 
 
+def check_rng_stream(rng, keys: int = 8, draws: int = 256) -> CheckResult:
+    """The standard-library normal stream of the coupling-disorder sweep
+    against ``numpy.random.default_rng(key).standard_normal`` on random
+    keys of one to four entries, each of 1, 32 or 64 random bits: the
+    number of draws whose bits differ, of ``keys * draws``."""
+    differ = 0
+    for _ in range(keys):
+        key = [int(rng.integers(0, 2**int(rng.choice([1, 32, 64])), dtype=np.uint64))
+               for _ in range(int(rng.integers(1, 5)))]
+        expected = np.random.default_rng(key).standard_normal(draws).tolist()
+        ours = normals.standard_normals(key)
+        differ += sum(next(ours).hex() != x.hex() for x in expected)
+    return CheckResult("rng-stream", differ == 0, float(differ), 0.0, keys * draws)
+
+
 #: Sub-intervals per bracket and round of :func:`_refine_roots`: about seven
 #: rounds narrow a bracket of the Rabi scan's spacing to 1e-14.
 REFINE_POINTS = 64
@@ -317,7 +333,7 @@ def check_rabi_period(n_values=range(1, 7), epsilon: float = 1.0) -> CheckResult
 
 def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> ValidationReport:
     """Run every check on fresh seeded streams; deterministic per seed."""
-    streams = np.random.SeedSequence(seed).spawn(6)
+    streams = np.random.SeedSequence(seed).spawn(7)
     checks = (
         check_hermiticity(np.random.default_rng(streams[0]), inject_fault=inject_fault),
         check_excitation_conservation(np.random.default_rng(streams[1])),
@@ -326,5 +342,6 @@ def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> Vali
         check_oracle_equivalence(np.random.default_rng(streams[4])),
         check_rabi_period(),
         check_sector_route(np.random.default_rng(streams[5])),
+        check_rng_stream(np.random.default_rng(streams[6])),
     )
     return ValidationReport(checks)

@@ -12,6 +12,7 @@ from wcavity.dynamics import (
     Frame,
     ModelParams,
     build_hamiltonian,
+    closed_form_amplitudes,
     propagate_numeric,
     propagate_times,
 )
@@ -20,7 +21,10 @@ from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
     SweepParameter,
+    SweepResult,
+    SweepRow,
     SweepSpec,
+    _pairwise_sum,
     coupling_disorder_sweep,
     detuning_sweep,
     fmt12,
@@ -182,6 +186,83 @@ class TestCouplingDisorderSweep:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match=">= 0"):
             disorder_spec((-0.1,))
+
+
+def numpy_disorder_rows(n: int, epsilon: float, spec: SweepSpec) -> list[SweepRow]:
+    """The oracle of the disorder sweep: its numpy route, one
+    ``default_rng([seed, grid index, trial])`` per trial, the (trials, n)
+    couplings evolved by ``closed_form_amplitudes``, scored by
+    ``fidelities`` against W and averaged by ``np.mean``."""
+    t_star = optimal_time(n, epsilon)
+    basis = build_basis(n, n_max=1, excitation_cap=1)
+    target = w_state(n, basis)
+    rows = []
+    for gi, sigma in enumerate(spec.grid):
+        couplings = np.empty((spec.trials, n))
+        for trial, draw in enumerate(couplings):
+            rng = np.random.default_rng([spec.seed, gi, trial])
+            draw[:] = epsilon * (1.0 + sigma * rng.standard_normal(n))
+            bad = draw <= 0.0
+            while bad.any():
+                draw[bad] = epsilon * (1.0 + sigma * rng.standard_normal(int(bad.sum())))
+                bad = draw <= 0.0
+        fids = fidelities(closed_form_amplitudes(couplings, t_star, basis), target)
+        rows.append(SweepRow(sigma, float(np.mean(fids)), float(fids.min()), float(fids.max())))
+    return rows
+
+
+class TestDisorderOracle:
+    """The standard-library disorder sweep writes the bytes of its numpy
+    route."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 123])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
+    def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
+        spec = disorder_spec(_default_grid(SweepParameter.COUPLING_DISORDER, n), trials=100,
+                             seed=seed)
+        result = coupling_disorder_sweep(n, 1.0, spec)
+        oracle = SweepResult(numpy_disorder_rows(n, 1.0, spec), result.metadata)
+        assert result.to_csv_text() == oracle.to_csv_text()
+
+    @pytest.mark.parametrize("n, seed", [(2, 3), (6, 0), (12, 123)])
+    def test_redrawn_couplings_csv_equals_the_numpy_route(self, n, seed):
+        # at sigma >= 2 a draw is non-positive one time in three or more; at
+        # sigma = 2 (N = 6, seed 0) and 5 (N = 12, seed 123) a fidelity near 0
+        # turns on the last bit of Omega, which math.hypot rounds otherwise
+        spec = disorder_spec((0.5, 1.0, 2.0, 5.0, 10.0), trials=100, seed=seed)
+        result = coupling_disorder_sweep(n, 1.0, spec)
+        oracle = SweepResult(numpy_disorder_rows(n, 1.0, spec), result.metadata)
+        assert result.to_csv_text() == oracle.to_csv_text()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e308, 1e200, 1e155])
+    def test_overflowing_draws_are_refused_as_by_the_numpy_route(self, sigma):
+        # 1e308: some coupling is infinite; 1e200 and 1e155: sum eps_i^2 overflows
+        spec = disorder_spec((sigma,), trials=20)
+        with pytest.raises(ValueError) as expected:
+            numpy_disorder_rows(3, 1.0, spec)
+        with pytest.raises(ValueError) as refused:
+            coupling_disorder_sweep(3, 1.0, spec)
+        assert str(refused.value) == str(expected.value)
+
+    def test_pinned_cell(self):
+        """N = 40, seed 0, sigma = 0.03: Python's sum over the overlap gave
+        a max of ...844; math.fsum, the numpy route and a 50-digit mpmath
+        evaluation (0.99949734284450006) give ...845."""
+        grid = _default_grid(SweepParameter.COUPLING_DISORDER, 40)[:4]
+        row = coupling_disorder_sweep(40, 1.0, disorder_spec(grid, trials=100, seed=0)).rows[3]
+        assert fmt12(row.x) == "0.03"
+        assert fmt12(row.fidelity_max) == "0.999497342845"
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), max_size=600)
+       | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+def test_pairwise_sum_is_numpy_sum(values):
+    """Sizes below 8, up to 128 and beyond, where the halves split."""
+    assert _pairwise_sum(values) == np.add.reduce(np.array(values, dtype=float))
+    if values:
+        assert _pairwise_sum(values) / len(values) == np.mean(values)
 
 
 class TestDetuningSweep:

@@ -20,8 +20,8 @@ from wcavity.validation import (
 def test_all_checks_pass_by_default():
     report = run_validation()
     assert report.all_passed
-    assert report.checks_run == 7
-    assert report.passed == 7
+    assert report.checks_run == 8
+    assert report.passed == 8
     assert report.failed == 0
 
 

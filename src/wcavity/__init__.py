@@ -45,11 +45,8 @@ _HOMES = {
         "initial_state",
         "inner_product",
         "state_from_dict",
-        "state_to_dict",
     ),
     "protocol": (
-        "ProtocolResult",
-        "ScalingRow",
         "SweepParameter",
         "SweepResult",
         "SweepRow",
@@ -57,8 +54,6 @@ _HOMES = {
         "coupling_disorder_sweep",
         "detuning_sweep",
         "mode_count_sweep",
-        "n_scaling_table",
-        "run_protocol",
         "timing_error_sweep",
     ),
     "sector": ("PropagationError", "optimal_time"),

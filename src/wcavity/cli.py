@@ -20,8 +20,8 @@ from typing import NamedTuple, NoReturn
 # Only the modules every subcommand needs are imported here: a fresh
 # process pays for what its subcommand runs.  `simulate`, `entanglement`
 # and all four sweeps run on `sector` (the coupling-disorder sweep also on
-# `normals`), which need the standard library alone, so numpy is imported
-# on the `validate` path only.
+# `normals`), which need the standard library alone, so numpy, an optional
+# extra, is imported on the `validate` path only.
 from . import sector
 from .sector import (
     DEFAULT_SEED,
@@ -198,28 +198,28 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
 
 
 def _largest_array_bytes(config: dict) -> int:
-    """Bytes of the largest array the command of a resolved config
-    allocates, on the N + 2 state sector of N modes (for the mode-count
-    sweep, the largest grid entry).  Every command but ``validate`` runs
-    on ``sector``'s lists of N + 2 amplitudes, but is still charged the
-    largest array of its numpy oracle (``dynamics``, ``entanglement`` and,
-    for the coupling-disorder sweep, the numpy route the tests keep), so
-    that what they admit stays as it was."""
+    """Bytes charged to the command of a resolved config, on the N + 2
+    state sector of N modes (for the mode-count sweep, the largest grid
+    entry).  Every command but ``validate`` runs on ``sector``'s lists of
+    N + 2 amplitudes and allocates far less: the bounds are fixed
+    formulas, the largest arrays of the dense routes these commands once
+    ran, kept so that the set of admitted inputs stays as it was until
+    each route is charged what it allocates."""
     parameter, n = config.get("parameter"), config.get("n")
     if config["command"] == "entanglement":
-        # partial_trace's grouping matrix: one 4-entry complex row per mode
-        # pair and support state
+        # 64 bytes per mode pair and support state: one 4-entry complex row
+        # of the stacked reduction's grouping matrix
         return 64 * (n * (n - 1) // 2) * (n + 2)
     if parameter == "mode-count":
         n = int(max(config["grid"]))
     dim = n + 2
     if parameter == "coupling-disorder":
-        # its oracle's arrays, no operator: the basis, an N-tuple of 8-byte
-        # references per state, and one (trials, dim) complex amplitude
-        # array per grid point
+        # the dense route's arrays, no operator: the basis, an N-tuple of
+        # 8-byte references per state, and one (trials, dim) complex
+        # amplitude array per grid point
         return max(8 * dim * n, 16 * config["trials"] * dim)
-    # simulate and the other sweeps: their oracle's dense (dim, dim) complex
-    # operator; the timing oracle also evolves all grid times as one
+    # simulate and the other sweeps: the dense route's (dim, dim) complex
+    # operator; the timing route also evolved all grid times as one
     # (grid points, dim) array
     rows = len(config["grid"]) if parameter == "timing-error" else 1
     return 16 * dim * max(dim, rows)
@@ -498,7 +498,13 @@ def cmd_entanglement(config: dict) -> int:
 
 
 def cmd_validate(config: dict, inject_fault: bool) -> int:
-    from .validation import run_validation
+    try:
+        from .validation import run_validation
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        # the checks run the dense numpy oracle, which the runtime leaves out
+        raise ValueError("validate needs numpy: install wcavity[oracle]") from None
 
     report = run_validation(seed=config["seed"], inject_fault=inject_fault)
     for check in report.checks:

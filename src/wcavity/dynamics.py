@@ -33,15 +33,7 @@ from .fock import (
     require_unit_rows,
     vacuum_occupations,
 )
-# defined in `sector`, which needs no numpy; imported back here, where they
-# have always been importable from
-from .sector import (
-    DEFAULT_SEED,
-    NORM_DRIFT_TOL,
-    SWEEP_PARAMETERS,
-    PropagationError,
-    optimal_time,
-)
+from .sector import NORM_DRIFT_TOL, PropagationError
 
 #: Relative tolerance used when testing resonance.
 PARAM_RTOL = 1e-12

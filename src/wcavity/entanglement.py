@@ -28,51 +28,36 @@ from .sector import ROUNDING_TOL
 EIGENVALUE_FLOOR = -1e-10
 
 class DensityMatrix(Frozen):
-    """Reduced state over a subset of subsystems (each a qubit), or a stack
-    of such states over equally many subsystems.
+    """Reduced state over a subset of subsystems (each a qubit).
 
     ``subsystem_labels`` lists the retained subsystems in ascending order
     (0 = atom, i = mode i); the first label is the most significant bit of
-    the row/column index.  A stack of P states has a (P, 2^k, 2^k)
-    ``matrix`` and one label tuple per state.  The constructor enforces
-    Hermiticity, unit trace, and positivity up to rounding on every state.
+    the row/column index.  The constructor enforces Hermiticity, unit
+    trace, and positivity up to rounding.
     """
 
     __slots__ = ("subsystem_labels", "matrix")
 
     def __init__(self, subsystem_labels, matrix) -> None:
+        labels = tuple(int(s) for s in subsystem_labels)
         mat = np.array(matrix, dtype=complex)
-        if mat.ndim == 3:
-            labels = tuple(tuple(int(s) for s in item) for item in subsystem_labels)
-            widths = {len(item) for item in labels}
-            if len(labels) != len(mat) or len(widths) != 1:
-                raise ValueError(
-                    f"a stack of {len(mat)} states needs one label tuple per state, all of one length"
-                )
-            qubits = widths.pop()
-        else:
-            labels = tuple(int(s) for s in subsystem_labels)
-            qubits = len(labels)
-        dim = 2**qubits
-        if mat.shape[-2:] != (dim, dim) or mat.ndim not in (2, 3):
-            raise ValueError(f"matrix shape {mat.shape} does not fit {qubits} qubits")
-        items = mat.reshape(-1, dim, dim)
-        if np.any(hermiticity_defect(items) > ROUNDING_TOL):
+        dim = 2 ** len(labels)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"matrix shape {mat.shape} does not fit {len(labels)} qubits")
+        if hermiticity_defect(mat) > ROUNDING_TOL:
             raise ValueError("density matrix is not Hermitian")
-        traces = np.trace(items, axis1=1, axis2=2)
-        off = np.abs(traces - 1.0) > ROUNDING_TOL
-        if off.any():
-            raise ValueError(f"density matrix trace {complex(traces[off][0])!r} deviates from 1")
-        if np.any(np.linalg.eigvalsh(items) < EIGENVALUE_FLOOR):
+        trace = complex(np.trace(mat))
+        if abs(trace - 1.0) > ROUNDING_TOL:
+            raise ValueError(f"density matrix trace {trace!r} deviates from 1")
+        if float(np.min(np.linalg.eigvalsh(mat))) < EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "subsystem_labels", labels)
         object.__setattr__(self, "matrix", mat)
 
-    def purity(self):
-        """Tr(rho^2): a float, or one value per state of a stack."""
-        values = np.real(np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1))
-        return float(values) if values.ndim == 0 else values
+    def purity(self) -> float:
+        """Tr(rho^2)."""
+        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 def _lookup(basis: Basis, state: BasisState, why: str) -> int:
@@ -153,10 +138,8 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     ----------
     psi : StateVector
         Pure state on a basis with n_max = 1 (every subsystem a qubit).
-    keep : iterable of int, or 2-D array of int
-        Subsystem indices to retain: 0 is the atom, 1..N the modes.  A
-        (P, k) array lists P keep sets of k distinct indices and gives the
-        stack of their P reductions; one keep set is the one-item case.
+    keep : iterable of int
+        Subsystem indices to retain: 0 is the atom, 1..N the modes.
 
     The complementary subsystems are summed out in the occupation basis:
     entries of the reduced matrix accumulate products of amplitudes whose
@@ -167,50 +150,32 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     basis = psi.basis
     if basis.n_max != 1:
         raise ValueError("partial trace requires n_max = 1 (qubit subsystems)")
-    stacked = np.ndim(keep) == 2
-    if stacked:
-        labels = np.sort(np.array(keep, dtype=int), axis=1)
-        if np.any(labels[:, 1:] == labels[:, :-1]):
-            raise ValueError("a keep set lists a subsystem twice")
-    else:
-        labels = np.array([sorted({int(s) for s in keep})], dtype=int)
-    if not labels.size:
+    labels = sorted({int(s) for s in keep})
+    if not labels:
         raise ValueError("keep set must not be empty")
-    n_sets, k = labels.shape
-    if labels.min() < 0 or labels.max() > basis.n_modes:
+    if labels[0] < 0 or labels[-1] > basis.n_modes:
         raise ValueError(f"subsystem indices must lie in 0..{basis.n_modes}")
 
-    # For each keep set, row g of M holds the amplitudes of the states whose
-    # discarded subsystems share configuration g, at their kept index; then
-    # rho[r, c] = sum_g M[g, r] M[g, c]^*.  Zero amplitudes add nothing, and
-    # W and GHZ states occupy only a few basis states.
+    # row g of M holds the amplitudes of the states whose discarded
+    # subsystems share configuration g, at their kept index; then
+    # rho[r, c] = sum_g M[g, r] M[g, c]^*.  Zero amplitudes add nothing,
+    # and W and GHZ states occupy only a few basis states.
     occupied = np.flatnonzero(psi.amplitudes)
     levels = basis.levels[occupied]
-    kept_index = levels[:, labels] @ (1 << np.arange(k - 1, -1, -1))  # (states, sets)
-    # One grouping for all keep sets.  A state's key is the number of the
-    # set followed by its packed bits with the kept ones cleared, so groups
-    # come numbered set by set, and packed bits stay exact however many
-    # subsystems are discarded, where an int64 key would overflow past 63.
-    discarded = np.ones((n_sets, basis.n_modes + 1), dtype=bool)
-    discarded[np.arange(n_sets)[:, None], labels] = False
-    bits = np.packbits(levels.astype(bool), axis=1)[None] & np.packbits(discarded, axis=1)[:, None]
-    number = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(n_sets, 1, 8)
-    keys = np.ascontiguousarray(
-        np.concatenate([np.broadcast_to(number, (n_sets, len(occupied), 8)), bits], axis=2)
+    kept_index = levels[:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
+    # packed bits keep the group key exact however many subsystems are
+    # discarded, where an int64 key would overflow past 63
+    packed = np.ascontiguousarray(
+        np.packbits(np.delete(levels, labels, axis=1).astype(bool), axis=1)
     )
-    _, group = np.unique(keys.view(np.dtype((np.void, keys.shape[2]))).ravel(), return_inverse=True)
-    group = group.reshape(n_sets, len(occupied))
-    M = np.zeros((int(group.max()) + 1, 2**k), dtype=complex)
-    M[group, kept_index.T] = psi.amplitudes[occupied]
-    # each reduction contracts only its own rows of M, so its value does not
-    # depend on the other keep sets of the stack
-    starts = group.min(axis=1).tolist()
-    rho = np.stack([
-        M[a:b].T @ M[a:b].conj() for a, b in zip(starts, starts[1:] + [len(M)])
-    ])
-    if stacked:
-        return DensityMatrix(labels.tolist(), rho)
-    return DensityMatrix(labels[0].tolist(), rho[0])
+    if packed.shape[1]:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, group = np.unique(keys, return_inverse=True)
+    else:
+        group = np.zeros(len(occupied), dtype=np.intp)
+    M = np.zeros((int(group.max()) + 1, 2 ** len(labels)), dtype=complex)
+    M[group, kept_index] = psi.amplitudes[occupied]
+    return DensityMatrix(labels, M.T @ M.conj())
 
 
 #: Eigenvalues below this fraction of the spectral radius are treated as
@@ -223,45 +188,41 @@ _FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]])
 _FLIP.flags.writeable = False
 
 
-def _floored_eigenvalues(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(matrices)
-    cut = _SPECTRAL_FLOOR * np.maximum(vals[..., -1:], 0.0)
+def _floored_eigenvalues(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = np.linalg.eigh(matrix)
+    cut = _SPECTRAL_FLOOR * max(float(vals[-1]), 0.0)
     return np.where(vals > cut, vals, 0.0), vecs
 
 
-def _psd_sqrt(matrices: np.ndarray) -> np.ndarray:
-    vals, vecs = _floored_eigenvalues(matrices)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    vals, vecs = _floored_eigenvalues(matrix)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def concurrence(rho: DensityMatrix):
+def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence: 0 for separable states, 1 for Bell states.
 
     Computed as max(0, l1 - l2 - l3 - l4) where the l_k are the descending
     square roots of the eigenvalues of rho * (sy x sy) rho^* (sy x sy).
     The eigenvalues are extracted from the Hermitian similarity form
     sqrt(rho) rho~ sqrt(rho), symmetrized before decomposition to suppress
-    rounding asymmetry.  A stack of states gives one value per state, all
-    from stacked decompositions; one state gives a float.
+    rounding asymmetry.
     """
-    if rho.matrix.shape[-2:] != (4, 4):
+    if rho.matrix.shape != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states (4x4 matrices)")
-    mats = rho.matrix.reshape(-1, 4, 4)
-    rho_tilde = _FLIP @ mats.conj() @ _FLIP
-    root = _psd_sqrt(mats)
+    rho_tilde = _FLIP @ rho.matrix.conj() @ _FLIP
+    root = _psd_sqrt(rho.matrix)
     core = root @ rho_tilde @ root
-    core = (core + core.conj().swapaxes(1, 2)) / 2.0
+    core = (core + core.conj().T) / 2.0
     vals, _ = _floored_eigenvalues(core)
-    lams = np.sqrt(vals)[:, ::-1]
-    values = np.clip(lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3], 0.0, 1.0)
-    return values if rho.matrix.ndim == 3 else float(values[0])
+    lams = np.sqrt(vals)[::-1]
+    return float(min(max(lams[0] - lams[1] - lams[2] - lams[3], 0.0), 1.0))
 
 
 def pairwise_concurrences(psi: StateVector) -> dict[tuple[int, int], float]:
     """Concurrence of every two-mode reduction of the given pure state,
-    keyed by mode pair (i, j), i < j, in lexicographic order.  All pairs
-    are reduced and scored as one stack."""
-    pairs = list(itertools.combinations(range(1, psi.basis.n_modes + 1), 2))
-    if not pairs:
-        return {}
-    return dict(zip(pairs, concurrence(partial_trace(psi, pairs)).tolist()))
+    keyed by mode pair (i, j), i < j, in lexicographic order."""
+    return {
+        (i, j): concurrence(partial_trace(psi, {i, j}))
+        for i, j in itertools.combinations(range(1, psi.basis.n_modes + 1), 2)
+    }

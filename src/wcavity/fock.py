@@ -15,9 +15,7 @@ import types
 
 import numpy as np
 
-# the output conventions and the value bases live in `sector`; they are
-# imported back here, where they have always been importable from
-from .sector import ROUNDING_TOL, SCHEMA_VERSION, Frozen, Value, fmt12, round12
+from .sector import ROUNDING_TOL, Frozen, Value
 
 #: Largest basis dimension accepted by default (dense matrices stay tractable).
 MAX_DIMENSION = 16384
@@ -64,8 +62,7 @@ class Basis(Value):
     change.
 
     A basis may also hold only some states of its truncation, such as the
-    support of a few target states (``entanglement.support_basis``);
-    :func:`state_to_dict` refuses states on such a basis.
+    support of a few target states (``entanglement.support_basis``).
     """
 
     # __dict__ holds the cached_property values, which bypass __setattr__
@@ -203,17 +200,6 @@ def _capped_occupations(n_modes: int, n_max: int, budget: int):
             return
 
 
-def require_full_dimension(n_modes: int, n_max: int) -> int:
-    """Dimension 2 (n_max + 1)^n_modes of the uncapped basis, computed
-    without enumerating it; raises ValueError above ``MAX_DIMENSION``."""
-    dim = 2 * (n_max + 1) ** n_modes
-    if dim > MAX_DIMENSION:
-        raise ValueError(
-            f"truncation too large: dimension {dim} exceeds safety limit {MAX_DIMENSION}"
-        )
-    return dim
-
-
 def build_basis(
     n_modes: int,
     n_max: int = 1,
@@ -251,8 +237,6 @@ def build_basis(
 
 @functools.lru_cache(maxsize=32)
 def _enumerate_basis(n_modes: int, n_max: int, excitation_cap: int | None) -> Basis:
-    if excitation_cap is None:
-        require_full_dimension(n_modes, n_max)
     states: list[BasisState] = []
     for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
         # without a cap, a budget of n_modes * n_max admits every occupation
@@ -313,28 +297,10 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
     return min(float(probs.sum()), 1.0)
 
 
-def state_to_dict(psi: StateVector) -> dict:
-    """JSON-ready form: basis parameters plus [re, im] amplitude pairs.
-
-    Only one state on a basis that :func:`build_basis` rebuilds from those
-    parameters is accepted.
-    """
-    require_one_state(psi)
-    basis = psi.basis
-    if basis != build_basis(basis.n_modes, basis.n_max, basis.excitation_cap):
-        raise ValueError("state_to_dict needs a basis that build_basis enumerates")
-    return {
-        "basis": {
-            "n_modes": psi.basis.n_modes,
-            "n_max": psi.basis.n_max,
-            "excitation_cap": psi.basis.excitation_cap,
-        },
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
-    }
-
-
 def state_from_dict(data: dict) -> StateVector:
-    """Inverse of :func:`state_to_dict`; rebuilds the basis deterministically."""
+    """The state of a JSON dict in the layout of ``simulate --dump-state``:
+    basis parameters plus [re, im] amplitude pairs.  The basis is rebuilt
+    deterministically."""
     spec = data["basis"]
     basis = build_basis(
         int(spec["n_modes"]),

@@ -14,16 +14,12 @@ from __future__ import annotations
 import datetime
 import enum
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 # The sweeps run on `sector`, and the disorder sweep draws from `normals`,
-# both on the standard library alone; numpy and its modules are imported
-# inside the functions that run them (run_protocol, n_scaling_table).
+# both on the standard library alone: no numpy module is imported here.
 from . import sector
 from .sector import SCHEMA_VERSION, SWEEP_PARAMETERS, Value, fmt12, optimal_time, round12
-
-if TYPE_CHECKING:
-    from .fock import StateVector
 
 
 class SweepParameter(enum.Enum):
@@ -96,35 +92,6 @@ class SweepResult(NamedTuple):
                 for row in self.rows
             ],
         }
-
-
-class ProtocolResult(NamedTuple):
-    state: StateVector
-    fidelity: float
-    success_prob: float
-    t_star: float
-
-
-class ScalingRow(NamedTuple):
-    n: int
-    t_star: float
-    fidelity_closed: float
-    fidelity_numeric: float
-    amplitude_gap: float
-
-
-def run_protocol(n: int, epsilon: float) -> ProtocolResult:
-    """Prepare, evolve to the optimal time, and score against the W target."""
-    from .dynamics import ModelParams, evolve_closed_form
-    from .entanglement import fidelity, w_state
-
-    t_star = optimal_time(n, epsilon)
-    params = ModelParams.resonant(n, epsilon)
-    state = evolve_closed_form(params, t_star)
-    # the W target has the atom in its ground state, so the overlap with it
-    # is also the success probability
-    f = fidelity(state, w_state(n, state.basis))
-    return ProtocolResult(state=state, fidelity=f, success_prob=f, t_star=t_star)
 
 
 def _metadata(spec: SweepSpec, **fields) -> dict:
@@ -279,34 +246,3 @@ def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
         f = sector.w_fidelity(psi)
         rows.append(SweepRow(float(n), f, f, f))
     return SweepResult(rows, _metadata(spec, epsilon=epsilon))
-
-
-def n_scaling_table(n_list, epsilon: float) -> list[ScalingRow]:
-    """Closed-form versus numeric scorecard across mode counts."""
-    import numpy as np
-
-    from .dynamics import ModelParams, build_hamiltonian, evolve_closed_form, propagate_numeric
-    from .entanglement import fidelity, w_state
-    from .fock import initial_state
-
-    rows = []
-    for n in n_list:
-        t_star = optimal_time(n, epsilon)
-        params = ModelParams.resonant(n, epsilon)
-        closed = evolve_closed_form(params, t_star)
-        basis = closed.basis
-        H = build_hamiltonian(params, basis)
-        numeric = propagate_numeric(H, initial_state(basis), t_star)
-        target = w_state(n, basis)
-        rows.append(
-            ScalingRow(
-                n=n,
-                t_star=t_star,
-                fidelity_closed=fidelity(closed, target),
-                fidelity_numeric=fidelity(numeric, target),
-                amplitude_gap=float(
-                    np.max(np.abs(closed.amplitudes - numeric.amplitudes))
-                ),
-            )
-        )
-    return rows

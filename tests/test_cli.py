@@ -24,11 +24,11 @@ from wcavity.dynamics import (
     ModelParams,
     PropagationError,
     build_hamiltonian,
+    evolve_closed_form,
     propagate_numeric,
 )
 from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
-from wcavity.protocol import run_protocol
 
 
 def run_cli(capsys, *argv):
@@ -726,16 +726,17 @@ GOLDEN_DIR = Path(__file__).parent / "data"
 def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
     """The files under tests/data were written at schema version 3; every
     value in them is the one the version that reduced one mode pair per
-    call wrote, so the stacked pass reproduces that version's numbers."""
+    call wrote, and the sector route reproduces that version's numbers."""
     code, out, err = run_cli(capsys, "entanglement", "--n", str(n), "--format", fmt, "--out", "-")
     assert code == 0, err
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_entanglement_admits_by_its_largest_array(capsys):
-    """entanglement is sized by partial_trace's grouping matrix, 64 bytes
-    per mode pair and support state: N = 80 runs, with the W law (pair
-    concurrence 2/N) and no GHZ pair entanglement, and N = 81 exits 2."""
+    """entanglement is charged a fixed 64 bytes per mode pair and support
+    state, the grouping matrix of a stacked reduction it no longer runs,
+    so that its bound stays: N = 80 runs, with the W law (pair concurrence
+    2/N) and no GHZ pair entanglement, and N = 81 exits 2."""
     code, out, err = run_cli(capsys, "entanglement", "--n", "80", "--out", "-")
     assert code == 0, err
     rows = json.loads(out)["rows"]
@@ -827,7 +828,7 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
 
     # no CLI route but validate builds a basis; a library route that builds
     # one through another module's binding shows that the fixture sees it
-    run_protocol(3, 1.0)
+    evolve_closed_form(ModelParams.resonant(3, 1.0), 1.0)
     assert basis_builds == ["build_basis"]
 
 
@@ -986,6 +987,55 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# each route but validate, by the golden file it writes (simulate has none)
+NO_NUMPY_ROUTES = {
+    "simulate": ["simulate", "--n", "3", "--dump-state"],
+    "entanglement_n4.csv": ["entanglement", "--n", "4", "--format", "csv", "--out", "-"],
+    "entanglement_n10.json": ["entanglement", "--n", "10", "--out", "-"],
+    "sweep_timing-error_n3.csv": ["sweep", "--n", "3", "--out", "-"],
+    "sweep_detuning_n3.csv": ["sweep", "--n", "3", "--parameter", "detuning", "--out", "-"],
+    "sweep_mode-count_n3.csv": ["sweep", "--parameter", "mode-count", "--out", "-"],
+    "sweep_coupling-disorder-seed0_n3.csv":
+        ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--out", "-"],
+    "sweep_coupling-disorder-seed42_n3.csv":
+        ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--seed", "42", "--out", "-"],
+    "validate": ["validate"],
+}
+
+
+def test_runtime_runs_without_numpy(capsys):
+    """With numpy blocked in a fresh process, every route but validate
+    exits 0 with the bytes it writes with numpy: those of its golden file
+    (for a sweep, the CSV body below the ``# `` lines), and for simulate
+    those of this process.  validate exits 2 before any work and names the
+    extra that installs numpy."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from wcavity.cli import main\n"
+        "results = {}\n"
+        f"for name, argv in {NO_NUMPY_ROUTES!r}.items():\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results[name] = [main(argv), out.getvalue(), err.getvalue()]\n"
+        "print(json.dumps(results))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results.pop("validate") == [
+        2, "", "error: validate needs numpy: install wcavity[oracle]\n"]
+    assert run_cli(capsys, *NO_NUMPY_ROUTES["simulate"]) == tuple(results.pop("simulate"))
+    for name, (status, out, err) in results.items():
+        assert (status, err) == (0, ""), name
+        expected = (GOLDEN_DIR / name).read_text()
+        if name.startswith("sweep_"):
+            out, expected = ([line for line in text.splitlines() if not line.startswith("# ")]
+                             for text in (out, expected))
+        assert out == expected, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -347,6 +347,9 @@ class TestConcurrence:
             rho = DensityMatrix((1, 2), mat)
             assert concurrence(rho) == pytest.approx(oracle_concurrence(mat), abs=5e-8)
 
+    def test_single_mode_has_no_pairs(self):
+        assert pairwise_concurrences(w_state(1, build_basis(1, 1, 1))) == {}
+
     def test_rejects_wrong_dimension(self):
         rho = partial_trace(w_state(3, build_basis(3, 1, 1)), {1})
         with pytest.raises(ValueError, match="two-qubit"):
@@ -371,148 +374,6 @@ class TestDensityMatrixValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             DensityMatrix((1, 2), np.eye(3) / 3.0)
-
-
-def loop_partial_trace(psi, keep):
-    """One keep set reduced on its own, as the partial trace did before it
-    took stacks: the stacked pass must reproduce it bit for bit."""
-    labels = sorted(keep)
-    occupied = np.flatnonzero(psi.amplitudes)
-    levels = psi.basis.levels[occupied]
-    kept_index = levels[:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
-    packed = np.ascontiguousarray(
-        np.packbits(np.delete(levels, labels, axis=1).astype(bool), axis=1)
-    )
-    if packed.shape[1]:
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, group = np.unique(keys, return_inverse=True)
-    else:
-        group = np.zeros(len(occupied), dtype=np.intp)
-    M = np.zeros((int(group.max()) + 1, 2 ** len(labels)), dtype=complex)
-    M[group, kept_index] = psi.amplitudes[occupied]
-    return M.T @ M.conj()
-
-
-def loop_concurrence(matrix):
-    """Concurrence of one 4x4 matrix, computed as before stacks."""
-    def floored(mat):
-        vals, vecs = np.linalg.eigh(mat)
-        cut = 1e-13 * max(float(vals[-1]), 0.0)
-        return np.where(vals > cut, vals, 0.0), vecs
-
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
-    flip = np.kron(sy, sy)
-    vals, vecs = floored(matrix)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    core = root @ (flip @ matrix.conj() @ flip) @ root
-    lams = np.sqrt(floored((core + core.conj().T) / 2.0)[0])[::-1]
-    return float(min(max(lams[0] - lams[1] - lams[2] - lams[3], 0.0), 1.0))
-
-
-def _draw_state(kind, n, cap, zero_share, seed):
-    if kind == "ghz":
-        return ghz_state(n, build_basis(n, 1, None))
-    basis = build_basis(n, 1, cap)
-    if kind == "w":
-        return w_state(n, basis)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    raw[rng.random(basis.dim) < zero_share] = 0.0
-    raw[rng.integers(basis.dim)] += 1.0
-    return StateVector(basis, raw / np.linalg.norm(raw))
-
-
-class TestStackedReductions:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(2, 8),
-        kind=st.sampled_from(["w", "ghz", "random"]),
-        cap=st.sampled_from([None, 1, 2]),
-        zero_share=st.sampled_from([0.0, 0.5, 0.9]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_pair_stack_equals_one_pair_calls(self, n, kind, cap, zero_share, seed):
-        psi = _draw_state(kind, n, cap, zero_share, seed)
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        stack = partial_trace(psi, pairs)
-        values = concurrence(stack)
-        table = pairwise_concurrences(psi)
-        assert list(table) == pairs
-        assert stack.subsystem_labels == tuple(pairs)
-        for p, (i, j) in enumerate(pairs):
-            one = partial_trace(psi, {i, j})
-            assert np.array_equal(stack.matrix[p], one.matrix)
-            assert np.array_equal(one.matrix, loop_partial_trace(psi, {i, j}))
-            c = concurrence(one)
-            assert values[p] == c == table[i, j] == loop_concurrence(one.matrix)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        k=st.integers(1, 3),
-        cap=st.sampled_from([None, 1, 2]),
-        zero_share=st.sampled_from([0.0, 0.5, 0.9]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_keep_stack_with_the_atom_equals_one_set_calls(self, n, k, cap, zero_share, seed):
-        psi = _draw_state("random", n, cap, zero_share, seed)
-        keeps = list(itertools.combinations(range(n + 1), min(k, n + 1)))
-        # rows in any order: each is sorted, and the stack keeps row order
-        stack = partial_trace(psi, [row[::-1] for row in keeps])
-        for p, keep in enumerate(keeps):
-            assert stack.subsystem_labels[p] == keep
-            assert np.array_equal(stack.matrix[p], partial_trace(psi, keep).matrix)
-            assert np.array_equal(stack.matrix[p], loop_partial_trace(psi, keep))
-
-    def test_single_mode_has_no_pairs(self):
-        assert pairwise_concurrences(w_state(1, build_basis(1, 1, 1))) == {}
-
-    def test_rejects_malformed_keep_stacks(self):
-        psi = w_state(3, build_basis(3, 1, 1))
-        with pytest.raises(ValueError, match="twice"):
-            partial_trace(psi, [[1, 2], [2, 2]])
-        with pytest.raises(ValueError, match="0..3"):
-            partial_trace(psi, [[1, 2], [1, 4]])
-        with pytest.raises(ValueError, match="must not be empty"):
-            partial_trace(psi, np.zeros((0, 2), dtype=int))
-        with pytest.raises(ValueError, match="must not be empty"):
-            partial_trace(psi, np.zeros((2, 0), dtype=int))
-
-    def test_stack_needs_one_label_tuple_per_state(self):
-        mats = np.stack([np.eye(4) / 4.0] * 2)
-        with pytest.raises(ValueError, match="one label tuple per state"):
-            DensityMatrix([(1, 2)], mats)
-        with pytest.raises(ValueError, match="one label tuple per state"):
-            DensityMatrix([(1, 2), (1,)], mats)
-        with pytest.raises(ValueError, match="one label tuple per state"):
-            DensityMatrix([], np.zeros((0, 4, 4)))
-        with pytest.raises(ValueError, match="does not fit"):
-            DensityMatrix([(1,), (2,)], mats)
-
-    @pytest.mark.parametrize("fault", ["hermiticity", "trace", "eigenvalue"])
-    def test_one_bad_state_in_a_stack_fails_as_it_would_alone(self, fault):
-        bad = {
-            "hermiticity": np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
-            "trace": np.diag([0.5, 0.5, 0.5, 0.0]).astype(complex),
-            "eigenvalue": np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex),
-        }[fault]
-        if fault == "hermiticity":
-            bad[0, 1] = 0.3
-        good = partial_trace(w_state(4, build_basis(4, 1, 1)),
-                             list(itertools.combinations(range(1, 5), 2)))
-        mats = np.array(good.matrix)
-        mats[3] = bad
-        with pytest.raises(ValueError) as alone:
-            DensityMatrix((1, 2), bad)
-        with pytest.raises(ValueError) as stacked:
-            DensityMatrix(good.subsystem_labels, mats)
-        assert str(stacked.value) == str(alone.value)
-        DensityMatrix(good.subsystem_labels, good.matrix)  # the rest is valid
-
-    def test_stack_purity_is_per_state(self):
-        stack = partial_trace(ghz_state(3, build_basis(3, 1, None)), [[1, 2], [0, 3]])
-        np.testing.assert_allclose(stack.purity(), [0.5, 0.5], atol=1e-14)
-        assert stack.purity()[0] == partial_trace(ghz_state(3, build_basis(3, 1, None)), {1, 2}).purity()
 
 
 class TestSupportBasis:

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from wcavity.cli import main
 from wcavity.fock import (
     AtomLevel,
     BasisState,
@@ -12,9 +14,7 @@ from wcavity.fock import (
     build_basis,
     initial_state,
     inner_product,
-    require_full_dimension,
     state_from_dict,
-    state_to_dict,
 )
 
 
@@ -112,12 +112,6 @@ class TestBuildBasis:
     def test_large_mode_count_with_cap(self):
         basis = build_basis(2000, n_max=1, excitation_cap=1)
         assert basis.dim == 2002
-
-    def test_full_dimension_without_enumeration(self):
-        assert require_full_dimension(13, 1) == 16384 == build_basis(13, n_max=1).dim
-        assert require_full_dimension(4, 2) == build_basis(4, n_max=2).dim
-        with pytest.raises(ValueError, match="truncation too large"):
-            require_full_dimension(14, 1)
 
     def test_levels_table_matches_states(self):
         for basis in (build_basis(3, 2), build_basis(4, 1, excitation_cap=2)):
@@ -226,26 +220,40 @@ class TestInnerProduct:
             inner_product(a, b)
 
 
+def state_dict(psi):
+    """The layout that ``simulate --dump-state`` writes, for any state."""
+    basis = psi.basis
+    return {
+        "basis": {"n_modes": basis.n_modes, "n_max": basis.n_max,
+                  "excitation_cap": basis.excitation_cap},
+        "amplitudes": [[a.real, a.imag] for a in psi.amplitudes.tolist()],
+    }
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         basis = build_basis(3, 1, 1)
         raw = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         psi = StateVector(basis, raw / np.linalg.norm(raw))
-        back = state_from_dict(state_to_dict(psi))
+        back = state_from_dict(state_dict(psi))
         assert back.basis == psi.basis
         np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
 
-    def test_schema_shape(self):
-        psi = initial_state(build_basis(2, 1, 1))
-        data = state_to_dict(psi)
+    def test_schema_shape(self, capsys):
+        """The layout as its one writer, ``simulate --dump-state``, writes
+        it: the excited-atom vacuum at t = 0 reads back as itself."""
+        assert main(["simulate", "--n", "2", "--time", "0", "--dump-state"]) == 0
+        data = json.loads(capsys.readouterr().out)["state"]
         assert data["basis"] == {"n_modes": 2, "n_max": 1, "excitation_cap": 1}
         assert all(len(pair) == 2 for pair in data["amplitudes"])
+        psi = initial_state(build_basis(2, 1, 1))
         assert data["amplitudes"][psi.basis.index[e(0, 0)]] == [1.0, 0.0]
+        np.testing.assert_array_equal(state_from_dict(data).amplitudes, psi.amplitudes)
 
     def test_uncapped_round_trip(self):
         psi = initial_state(build_basis(2, 1, None))
-        data = state_to_dict(psi)
+        data = state_dict(psi)
         assert data["basis"]["excitation_cap"] is None
         assert state_from_dict(data).basis == psi.basis
 
@@ -316,14 +324,7 @@ class TestStacks:
     def test_single_state_functions_refuse_a_stack(self):
         basis = build_basis(2, 1, 1)
         psi = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
-        for call in (lambda: inner_product(psi, psi), lambda: atom_population(psi, AtomLevel.GROUND),
-                     lambda: state_to_dict(psi)):
+        for call in (lambda: inner_product(psi, psi),
+                     lambda: atom_population(psi, AtomLevel.GROUND)):
             with pytest.raises(ValueError, match="one state"):
                 call()
-
-
-def test_state_to_dict_refuses_a_basis_of_some_states():
-    from wcavity.entanglement import support_basis, w_state
-
-    with pytest.raises(ValueError, match="build_basis"):
-        state_to_dict(w_state(3, support_basis(3)))

@@ -1,6 +1,7 @@
 """The package namespace resolves each public name from its home module
 on access."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -73,3 +74,58 @@ def test_name_follows_a_patched_home_binding(monkeypatch):
     assert wcavity.propagate_numeric is replacement
     monkeypatch.undo()
     assert wcavity.propagate_numeric is original
+
+
+# The runtime: the modules that every CLI route but validate runs on.
+RUNTIME = ("cli", "sector", "protocol", "normals")
+# What the runtime never imports: numpy and scipy, and the dense oracle.
+ORACLE = {"numpy", "scipy", "fock", "dynamics", "entanglement", "validation"}
+
+
+def imported_modules(source: str):
+    """(module, enclosing function or None) for each module that an import
+    statement anywhere in ``source`` names, function bodies included; a
+    module of this package by its name within it (``from . import fock``
+    and ``from .fock import x`` both name ``fock``)."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: the outermost function owns
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner.setdefault(node, func.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "wcavity":
+                names = [module]
+            else:
+                within = module.removeprefix("wcavity").lstrip(".")
+                names = [within] if within else [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield name.removeprefix("wcavity.").split(".")[0], owner.get(node)
+
+
+def test_runtime_modules_never_import_numpy_or_the_oracle():
+    """Only ``cmd_validate`` reaches the oracle, through one import."""
+    src = Path(wcavity.__file__).parent
+    found = [(module, name, func) for module in RUNTIME
+             for name, func in imported_modules((src / f"{module}.py").read_text())
+             if name in ORACLE]
+    assert found == [("cli", "validation", "cmd_validate")]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy.linalg as la", [("numpy", None)]),
+    ("from scipy import linalg", [("scipy", None)]),
+    ("def f():\n    def g():\n        from . import fock, sector", [("fock", "f"), ("sector", "f")]),
+    ("from .dynamics import evolve_closed_form", [("dynamics", None)]),
+    ("import wcavity.entanglement", [("entanglement", None)]),
+    ("from wcavity import validation", [("validation", None)]),
+    ("from wcavity.fock import build_basis", [("fock", None)]),
+])
+def test_imported_modules_sees_every_import_form(source, expected):
+    assert list(imported_modules(source)) == expected

@@ -17,7 +17,7 @@ from wcavity.dynamics import (
     propagate_times,
 )
 from wcavity.entanglement import fidelities, fidelity, w_state
-from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state
+from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
     SweepParameter,
@@ -29,9 +29,7 @@ from wcavity.protocol import (
     detuning_sweep,
     fmt12,
     mode_count_sweep,
-    n_scaling_table,
     optimal_time,
-    run_protocol,
     timing_error_sweep,
 )
 
@@ -73,27 +71,6 @@ class TestOptimalTime:
             optimal_time(3, 0.0)
         with pytest.raises(ValueError):
             optimal_time(3, -1.0)
-
-
-class TestRunProtocol:
-    def test_three_modes_succeeds_deterministically(self):
-        result = run_protocol(3, 1.0)
-        assert result.fidelity == pytest.approx(1.0, abs=1e-9)
-        assert result.success_prob == pytest.approx(1.0, abs=1e-9)
-        assert result.t_star == optimal_time(3, 1.0)
-
-    def test_eight_modes(self):
-        assert run_protocol(8, 1.0).fidelity == pytest.approx(1.0, abs=1e-9)
-
-    def test_atom_ends_in_ground_state(self):
-        result = run_protocol(5, 1.0)
-        assert atom_population(result.state, AtomLevel.GROUND) == pytest.approx(
-            1.0, abs=1e-10
-        )
-
-    def test_fidelity_independent_of_coupling_scale(self):
-        values = [run_protocol(3, eps).fidelity for eps in (0.5, 1.0, 2.0)]
-        assert max(values) - min(values) <= 1e-12
 
 
 class TestTimingErrorSweep:
@@ -370,17 +347,6 @@ def test_mode_count_rows_match_the_dense_propagator(epsilon, grid):
     result = mode_count_sweep(epsilon, SweepSpec(SweepParameter.MODE_COUNT, grid))
     assert_rows(result, grid, [dense_fidelity(n, epsilon, optimal_time(n, epsilon))
                                for n in grid])
-
-
-class TestNScalingTable:
-    def test_full_scorecard(self):
-        rows = n_scaling_table(range(1, 9), 1.0)
-        for row in rows:
-            assert row.fidelity_closed == pytest.approx(1.0, abs=1e-9)
-            assert row.fidelity_numeric == pytest.approx(1.0, abs=1e-9)
-            assert row.amplitude_gap <= 1e-8
-        t_stars = [row.t_star for row in rows]
-        assert all(a > b for a, b in zip(t_stars, t_stars[1:]))
 
 
 class TestSweepSpecValidation:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcavity import sector
@@ -94,19 +94,40 @@ def test_matvec_is_the_dense_operator(couplings, data):
 
 @settings(max_examples=40, deadline=None)
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
+# math.hypot's Omega and numpy's differ in the last bit here, and the angle
+# Omega t by |Omega t| 2^-52: the amplitudes by 1.24e-14
+@example(couplings=[1.0, 1.0, 2.0, 2.0, 3.0, 1.5, 1.5, 1.6875, 1.1328125, 2.2815350989761827,
+                    0.59375], t=10.0)
+# |Omega t| = 0.08: cos(Omega t) rounds to the next double below 1, 2^-53 apart
+@example(couplings=[0.49238269594934003, 0.7887660150954287, 0.7381126323108442,
+                    1.1995158180436216], t=-0.0446252711760419)
 def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     n = len(couplings)
-    closed = sector.closed_form(couplings, t)
     numpy_closed = closed_form_amplitudes([couplings], t, build_basis(n, excitation_cap=1))[0]
-    np.testing.assert_allclose(closed, numpy_closed, atol=1e-14, rtol=0)
+    # numpy's Omega, the square root of its sum of squares: the same angle
+    omega = float(np.sqrt(np.sum(np.square([couplings]), axis=1))[0])
+    np.testing.assert_allclose(sector.closed_form(couplings, t, omega), numpy_closed,
+                               atol=1e-14, rtol=0)
+    # the default Omega, math.hypot's, may round a few ulps apart: each
+    # amplitude moves by a few |Omega t| 2^-52, and by one rounding of its own
+    closed = sector.closed_form(couplings, t)
+    np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
+                               rtol=0)
     np.testing.assert_allclose(closed, sector.evolve(couplings, (t,))[0], atol=1e-13, rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
-    for n in (1, 2, 3, 9):
-        (amps,) = sector.evolve((1.3,) * n, (sector.optimal_time(n, 1.3),))
-        assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
-        assert abs(amps[n + 1]) <= 1e-15
+    """F(t*) = 1 with the atom in its ground state, whatever the coupling
+    scale, and t* falls with N."""
+    counts = (1, 2, 3, 5, 8, 9)
+    for eps in (0.5, 1.0, 1.3, 2.0):
+        t_stars = [sector.optimal_time(n, eps) for n in counts]
+        assert all(a > b for a, b in itertools.pairwise(t_stars))
+        for n, t in zip(counts, t_stars):
+            (amps,) = sector.evolve((eps,) * n, (t,))
+            assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
+            assert abs(amps[n + 1]) <= 1e-15
+            assert sum(abs(a) ** 2 for a in amps[:n + 1]) == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,8 +190,9 @@ def test_closed_form_checks_finite_unit_norm(monkeypatch):
 def numpy_pair_concurrences(amps):
     n = len(amps) - 2
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    rho = partial_trace(StateVector(support_basis(n), amps), pairs)
-    return pairs, rho.matrix, concurrence(rho)
+    psi = StateVector(support_basis(n), amps)
+    rhos = [partial_trace(psi, pair) for pair in pairs]
+    return pairs, [rho.matrix for rho in rhos], [concurrence(rho) for rho in rhos]
 
 
 @pytest.mark.parametrize("n", range(2, 11))

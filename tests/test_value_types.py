@@ -24,8 +24,6 @@ def _instances():
         "SweepSpec": protocol.SweepSpec(protocol.SweepParameter.TIMING_ERROR, (0.0,)),
         "SweepRow": row,
         "SweepResult": protocol.SweepResult([row], {}),
-        "ProtocolResult": protocol.run_protocol(2, 1.0),
-        "ScalingRow": protocol.n_scaling_table([2], 1.0)[0],
         "CheckResult": check,
         "ValidationReport": validation.ValidationReport((check,)),
     }

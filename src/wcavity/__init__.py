@@ -18,7 +18,6 @@ _HOMES = {
         "HermitianOperator",
         "ModelParams",
         "build_hamiltonian",
-        "closed_form_amplitudes",
         "evolve_closed_form",
         "excitation_operator",
         "propagate_numeric",
@@ -27,7 +26,6 @@ _HOMES = {
     "entanglement": (
         "DensityMatrix",
         "concurrence",
-        "fidelities",
         "fidelity",
         "ghz_state",
         "pairwise_concurrences",

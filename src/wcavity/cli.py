@@ -152,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    """Each key of a flat ``key = value`` file (``-`` spelled ``_``) and
+    its (line number, value); a key set on two lines is refused."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -161,7 +163,11 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is set again "
+                             f"(first on line {values[key][0]})")
+        values[key] = (lineno, value.strip())
     return values
 
 
@@ -202,9 +208,11 @@ def _largest_array_bytes(config: dict) -> int:
     state sector of N modes (for the mode-count sweep, the largest grid
     entry).  Every command but ``validate`` runs on ``sector``'s lists of
     N + 2 amplitudes and allocates far less: the bounds are fixed
-    formulas, the largest arrays of the dense routes these commands once
-    ran, kept so that the set of admitted inputs stays as it was until
-    each route is charged what it allocates."""
+    formulas, the largest arrays of the numpy routes these commands ran
+    before ``sector``, kept so that the set of admitted inputs stays as it
+    was until each route is charged what it allocates.  No command runs
+    those routes any more: the dense sector operator is ``validate``'s
+    oracle, and the disorder sweep's numpy closed form is the tests'."""
     parameter, n = config.get("parameter"), config.get("n")
     if config["command"] == "entanglement":
         # 64 bytes per mode pair and support state: one 4-entry complex row
@@ -214,9 +222,9 @@ def _largest_array_bytes(config: dict) -> int:
         n = int(max(config["grid"]))
     dim = n + 2
     if parameter == "coupling-disorder":
-        # the dense route's arrays, no operator: the basis, an N-tuple of
-        # 8-byte references per state, and one (trials, dim) complex
-        # amplitude array per grid point
+        # the retired numpy route's arrays, no operator: the basis, an
+        # N-tuple of 8-byte references per state, and one (trials, dim)
+        # complex amplitude array per grid point
         return max(8 * dim * n, 16 * config["trials"] * dim)
     # simulate and the other sweeps: the dense route's (dim, dim) complex
     # operator; the timing route also evolved all grid times as one
@@ -259,7 +267,8 @@ def resolve_config(args) -> dict:
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
     if unknown:
-        raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+        lineno = min(file_values[key][0] for key in unknown)
+        raise ValueError(f"{args.config}:{lineno}: unknown config file keys: {sorted(unknown)}")
 
     config = {"command": args.command}
     given = set()  # options set by a flag or the config file
@@ -268,7 +277,11 @@ def resolve_config(args) -> dict:
             continue
         value = getattr(args, key)
         if value is None and key in file_values:
-            value = option.parse(file_values[key])
+            lineno, text = file_values[key]
+            try:
+                value = option.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}:{lineno}: key {key!r}: {exc}") from None
         if value is not None:
             given.add(key)
         else:

@@ -2,16 +2,17 @@
 
 Two independent evolution routes are provided on purpose:
 
-* closed-form expressions for the resonant exchange dynamics that starts
-  from the excited-atom vacuum state, and
+* the closed form of the resonant exchange dynamics that starts from the
+  excited-atom vacuum state (``sector.closed_form``, as a state vector),
+  and
 * a dense numerical propagator built from the spectral decomposition of
   the (Hermitian) Hamiltonian.
 
 The two must agree to tight tolerance; the numerical route serves as the
-correctness oracle for the closed forms and vice versa.  Both evaluate
-many times (or many coupling draws) as one array: an operator keeps its
-decomposition after the first use, so one Hamiltonian evolved to any
-number of times costs one ``eigh``.
+correctness oracle for the closed form and vice versa.  The propagator
+evaluates many times (or a stack of operators) as one array: an operator
+keeps its decomposition after the first use, so one Hamiltonian evolved
+to any number of times costs one ``eigh``.
 """
 
 from __future__ import annotations
@@ -21,18 +22,8 @@ import math
 
 import numpy as np
 
-from .fock import (
-    ROUNDING_TOL,
-    AtomLevel,
-    Basis,
-    BasisState,
-    Frozen,
-    StateVector,
-    Value,
-    build_basis,
-    require_unit_rows,
-    vacuum_occupations,
-)
+from . import sector
+from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, build_basis
 from .sector import NORM_DRIFT_TOL, PropagationError
 
 #: Relative tolerance used when testing resonance.
@@ -223,69 +214,27 @@ def excitation_operator(basis: Basis) -> HermitianOperator:
     return HermitianOperator(basis, np.diag(basis.levels.sum(axis=1).astype(complex)))
 
 
-def evolve_closed_form(
-    params: ModelParams, t: float, basis: Basis | None = None
-) -> StateVector:
+def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
-    for any positive couplings.
+    for any positive couplings: ``sector.closed_form`` as a state on the
+    single-excitation sector, ``build_basis(N, excitation_cap=1)``, whose
+    order is the sector's.
 
     With Omega = sqrt(sum_i eps_i^2) the excited amplitude is cos(Omega t)
     and mode i carries -i (eps_i / Omega) sin(Omega t): only the coupling-
     weighted symmetric photon combination is ever populated.  Equal
     couplings give cos(sqrt(N) eps t) and -i sin(sqrt(N) eps t)/sqrt(N).
-    The state lives on the single-excitation sector unless ``basis`` (which
-    must contain that sector) is given.
     """
     if params.frame is not Frame.INTERACTION:
         raise ValueError("closed form is an interaction-frame expression")
     if not params.is_resonant():
         raise ValueError("detuned parameters: use propagate_numeric")
-    if basis is None:
-        basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
-    amps = closed_form_amplitudes(np.array([params.couplings]), t, basis)
-    return StateVector._from_checked(basis, amps[0])
+    basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
+    return StateVector._from_checked(basis, np.array(sector.closed_form(params.couplings, t)))
 
 
 # The benchmark's traced run (perfbench/spans.py) still looks this name up.
 evolve_closed_form_general = evolve_closed_form
-
-
-def closed_form_amplitudes(couplings, t, basis: Basis) -> np.ndarray:
-    """Resonant interaction-frame amplitudes at time t, one row per row of
-    the (draws, n_modes) coupling array: the array form of
-    :func:`evolve_closed_form`.  ``t`` is one time for every draw,
-    or a 1-D array of one time per draw.
-
-    Checks what ModelParams and StateVector check for a single draw: the
-    couplings must be finite and strictly positive, and every row finite
-    with unit norm within ``ROUNDING_TOL``.
-    """
-    eps = np.asarray(couplings, dtype=float)
-    if eps.ndim != 2 or eps.shape[1] != basis.n_modes:
-        raise ValueError("basis mode count does not match params")
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1 or t.size not in (1, len(eps)):
-        raise ValueError(f"expected one time or one per draw, got shape {t.shape}")
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("model parameters must be finite")
-    if np.any(eps <= 0):
-        raise ValueError("couplings must be strictly positive")
-    vacuum = vacuum_occupations(basis.n_modes)
-    try:
-        excited = basis.index[BasisState(AtomLevel.EXCITED, vacuum)]
-        photons = [
-            basis.index[BasisState(AtomLevel.GROUND, vacuum[:i] + (1,) + vacuum[i + 1:])]
-            for i in range(basis.n_modes)
-        ]
-    except KeyError as exc:
-        raise ValueError("basis does not contain the single-excitation sector") from exc
-    amps = np.zeros((len(eps), basis.dim), dtype=complex)
-    with np.errstate(all="ignore"):  # an overflow or a zero frequency fails the row check
-        omega = np.sqrt(np.sum(eps**2, axis=1))
-        amps[:, excited] = np.cos(omega * t)
-        amps[:, photons] = -1j * (eps / omega[:, None]) * np.sin(omega * t)[:, None]
-    require_unit_rows(amps)
-    return amps
 
 
 def propagate_numeric(H: HermitianOperator, psi0: StateVector, t) -> StateVector:

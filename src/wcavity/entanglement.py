@@ -117,13 +117,7 @@ def ghz_state(n: int, basis: Basis) -> StateVector:
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """|<psi|phi>|^2, clipped into [0, 1] against rounding."""
     _require_same_basis(psi, phi)
-    return float(fidelities(psi.amplitudes, phi))
-
-
-def fidelities(rows, target: StateVector) -> np.ndarray:
-    """|<row|target>|^2 for each amplitude row on target's basis (one row
-    per index of the leading axes), clipped into [0, 1] against rounding."""
-    return np.clip(np.abs(np.conj(rows) @ target.amplitudes) ** 2, 0.0, 1.0)
+    return float(np.clip(np.abs(np.conj(psi.amplitudes) @ phi.amplitudes) ** 2, 0.0, 1.0))
 
 
 def success_probability(psi: StateVector, n: int) -> float:

@@ -144,9 +144,9 @@ class StateVector(Frozen):
 
     @classmethod
     def _from_checked(cls, basis: Basis, amplitudes: np.ndarray) -> "StateVector":
-        """A StateVector over rows that an array route has just made and
-        checked as the constructor would (``require_unit_rows``); the array
-        is taken over, not copied or checked again."""
+        """A StateVector over rows that a route has just made and checked
+        for finite amplitudes and unit norm, as the constructor checks; the
+        array is taken over, not copied or checked again."""
         self = object.__new__(cls)
         self._set(basis, amplitudes)
         return self

@@ -248,10 +248,14 @@ def closed_form(couplings, t: float, omega: float | None = None) -> list[complex
 
 def w_fidelity(amps) -> float:
     """|<W_N, g|psi>|^2 of N + 2 sector amplitudes, clipped into [0, 1]
-    against rounding."""
+    against rounding.  The overlap is summed left to right, one rounding
+    per term, written out so that no interpreter's ``sum`` (which may
+    compensate its rounding) changes the bytes."""
     n = len(amps) - 2
     weight = 1.0 / math.sqrt(n)
-    overlap = sum(weight * a for a in amps[1:n + 1])
+    overlap = 0j
+    for a in amps[1:n + 1]:
+        overlap += weight * a
     return min(max(abs(overlap) ** 2, 0.0), 1.0)
 
 

@@ -2,8 +2,9 @@
 
 Each check measures a defect on randomized inputs and compares it to a
 fixed tolerance.  The dense numpy routes check each other, and they in
-turn check ``sector``, the route ``simulate`` runs; numpy's generator
-checks ``normals``, the stream the coupling-disorder sweep draws.
+turn check ``sector``'s closed form and propagator, the routes
+``simulate`` and the sweeps run; numpy's generator checks ``normals``,
+the stream the coupling-disorder sweep draws.
 ``inject_fault`` flips the sign of one off-diagonal Hamiltonian entry
 before the Hermiticity measurement, so the suite's ability to fail is
 itself testable.
@@ -20,7 +21,6 @@ from .dynamics import (
     Frame,
     ModelParams,
     build_hamiltonian,
-    closed_form_amplitudes,
     hermiticity_defect,
     propagate_numeric,
     propagate_times,
@@ -143,7 +143,7 @@ def check_excitation_conservation(rng, draws: int = 50) -> CheckResult:
 
 # The propagation checks draw every input first, in the order of one draw
 # after another, then evaluate the draws on one basis in stacks through
-# the production routes; each item evolves as it would alone.
+# the dense oracle; each item evolves as it would alone.
 
 
 def check_unitarity(rng, draws: int = 50) -> CheckResult:
@@ -185,29 +185,43 @@ def check_composition(rng, draws: int = 50) -> CheckResult:
     )
 
 
+def _sector_gap(inputs, route) -> float:
+    """The largest amplitude gap between ``route(params, t)``, the N + 2
+    amplitudes of a ``sector`` route, and the dense sector propagator, over
+    (basis, params, t) draws evaluated in stacks.  A draw on which the
+    route raises counts as an infinite gap."""
+    worst = 0.0
+    for basis, stack in _stacks(inputs):
+        params, t = zip(*stack)
+        dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+        for item, time, expected in zip(params, t, dense.amplitudes.tolist()):
+            try:
+                amps = route(item, time)
+            except (ValueError, sector.PropagationError):
+                worst = math.inf
+                continue
+            worst = max(worst, max(abs(a - b) for a, b in zip(amps, expected)))
+    return worst
+
+
 def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
-    """Closed form against the numeric propagator on random resonant draws."""
+    """``sector.closed_form``, the closed form that ``simulate`` and the
+    coupling-disorder sweep run, against the dense numeric propagator on
+    random resonant draws."""
     inputs = []
     for _ in range(draws):
         n = int(rng.integers(1, 7))
         eps = float(rng.uniform(0.1, 10.0))
         t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
         inputs.append((build_basis(n, n_max=1, excitation_cap=1), ModelParams.resonant(n, eps), t))
-    worst = 0.0
-    for basis, stack in _stacks(inputs):
-        params, t = zip(*stack)
-        closed = closed_form_amplitudes([p.couplings for p in params], t, basis)
-        H = build_hamiltonian(params, basis)
-        numeric = propagate_numeric(H, initial_state(basis), t)
-        worst = max(worst, float(np.max(np.abs(closed - numeric.amplitudes))))
+    worst = _sector_gap(inputs, lambda params, t: sector.closed_form(params.couplings, t))
     return CheckResult("closed-form-vs-numeric", worst <= ORACLE_TOL, worst, ORACLE_TOL, draws)
 
 
 def check_sector_route(rng, draws: int = 24) -> CheckResult:
-    """The standard-library sector route against the dense sector route on
-    random draws: unequal couplings and one common detuning, in the
-    interaction frame.  A draw on which the sector route raises counts as
-    an infinite defect."""
+    """``sector.evolve``, the route ``simulate`` and three sweeps run,
+    against the dense sector route on random draws: unequal couplings and
+    one common detuning, in the interaction frame."""
     inputs = []
     for _ in range(draws):
         n = int(rng.integers(1, 7))
@@ -216,17 +230,9 @@ def check_sector_route(rng, draws: int = 24) -> CheckResult:
         t = float(rng.uniform(-5.0, 5.0))
         params = ModelParams(n, 0.0, (detuning,) * n, couplings)
         inputs.append((build_basis(n, n_max=1, excitation_cap=1), params, t))
-    worst = 0.0
-    for basis, stack in _stacks(inputs):
-        params, t = zip(*stack)
-        dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
-        for item, time, expected in zip(params, t, dense.amplitudes.tolist()):
-            try:
-                amps = sector.evolve(item.couplings, (time,), item.omega_modes)[0]
-            except (ValueError, sector.PropagationError):
-                worst = math.inf
-                continue
-            worst = max(worst, max(abs(a - b) for a, b in zip(amps, expected)))
+    worst = _sector_gap(
+        inputs, lambda params, t: sector.evolve(params.couplings, (t,), params.omega_modes)[0]
+    )
     return CheckResult("sector-vs-dense", worst <= SECTOR_TOL, worst, SECTOR_TOL, draws)
 
 

@@ -382,10 +382,27 @@ class TestConfigHandling:
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
+        cfg.write_text("n = 4\nbogus = 1\nalso = 2\n")
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
-        assert "bogus" in err
+        assert err == f"error: {cfg}:2: unknown config file keys: ['also', 'bogus']\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("n=abc\n", 1, "key 'n': invalid literal for int() with base 10: 'abc'"),
+        ("# a comment\nepsilon = fast\n", 2, "key 'epsilon': could not convert"),
+        ("dump-state = maybe\n", 1, "key 'dump_state': expected a boolean, got 'maybe'"),
+        ("n = 4\nepsilon = 2\nn = 5\n", 3, "key 'n' is set again (first on line 1)"),
+        ("dump_state = true\ndump-state = false\n", 2, "key 'dump_state' is set again"),
+    ], ids=["int", "float", "bool", "twice", "twice-spelled-apart"])
+    def test_config_file_error_names_the_file_line_and_key(self, text, line, message,
+                                                           capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "s.json"
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {cfg}:{line}: {message}")
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))

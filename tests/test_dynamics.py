@@ -6,14 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcavity import dynamics, fock
+from wcavity import fock, sector
 from wcavity.dynamics import (
     Frame,
     HermitianOperator,
     ModelParams,
     PropagationError,
     build_hamiltonian,
-    closed_form_amplitudes,
     evolve_closed_form,
     excitation_operator,
     hermiticity_defect,
@@ -224,20 +223,13 @@ class TestClosedForm:
             -1.2j / omega * math.sin(0.1 * omega), abs=1e-15
         )
 
-    def test_embeds_into_larger_basis(self):
-        params = ModelParams.resonant(3, 1.0)
-        big = build_basis(3, 1, None)
-        psi_big = evolve_closed_form(params, 0.37, big)
-        psi_small = evolve_closed_form(params, 0.37)
-        for state in psi_small.basis.states:
-            assert psi_big.amplitude(state) == psi_small.amplitude(state)
-        assert abs(psi_big.amplitude(g(1, 1, 0))) == 0.0
-
-    def test_rejects_basis_without_sector(self):
-        params = ModelParams.resonant(2, 1.0)
-        basis = build_basis(2, 1, excitation_cap=0)
-        with pytest.raises(ValueError, match="single-excitation"):
-            evolve_closed_form(params, 0.1, basis)
+    def test_is_the_sector_closed_form_bit_for_bit(self):
+        params = ModelParams(3, 0.0, (0.0,) * 3, (0.7, 1.3, 2.2))
+        for t in (0.0, 0.37, -4.1, 250.0):
+            psi = evolve_closed_form(params, t)
+            assert psi.basis == build_basis(3, excitation_cap=1)
+            closed = np.array(sector.closed_form(params.couplings, t))
+            assert psi.amplitudes.tobytes() == closed.tobytes()
 
 
 class TestClosedFormGeneral:
@@ -292,40 +284,18 @@ class TestClosedFormGeneral:
 
 
 class TestClosedFormAmplitudes:
-    def test_rows_match_single_draws(self):
-        rng = np.random.default_rng(12)
-        basis = build_basis(4, 1, 1)
-        couplings = rng.uniform(0.1, 3.0, size=(20, 4))
-        rows = closed_form_amplitudes(couplings, 0.9, basis)
-        for draw, row in zip(couplings, rows):
-            params = ModelParams(4, 0.0, (0.0,) * 4, tuple(draw))
-            np.testing.assert_array_equal(
-                row, evolve_closed_form(params, 0.9, basis).amplitudes
-            )
-
-    @pytest.mark.parametrize("bad,message", [
-        (0.0, "positive"), (-1.0, "positive"), (math.inf, "finite"), (math.nan, "finite"),
-    ])
-    def test_rejects_any_bad_coupling(self, bad, message):
-        couplings = np.ones((5, 3))
-        couplings[3, 1] = bad
-        with pytest.raises(ValueError, match=message):
-            closed_form_amplitudes(couplings, 0.5, build_basis(3, 1, 1))
-
     def test_rejects_any_non_finite_row(self):
-        # squares overflow in one draw: Omega is inf and its row NaN
+        # Omega t overflows in one draw of four: its row would be NaN and is
+        # refused, while the other draws give unit-norm rows at the same time
         couplings = np.ones((4, 2))
         couplings[2] = 1e200
-        with pytest.raises(ValueError, match="finite"):
-            closed_form_amplitudes(couplings, 0.5, build_basis(2, 1, 1))
-
-    @pytest.mark.filterwarnings("error")
-    def test_underflowing_squares_raise_without_a_warning(self):
-        # squares underflow to 0 in one draw: Omega is 0 and eps / Omega 0 / 0
-        couplings = np.ones((4, 3))
-        couplings[1] = 1e-170
-        with pytest.raises(ValueError, match="finite"):
-            closed_form_amplitudes(couplings, 0.5, build_basis(3, 1, 1))
+        for k, draw in enumerate(couplings):
+            params = ModelParams(2, 0.0, (0.0, 0.0), tuple(float(c) for c in draw))
+            if k == 2:
+                with pytest.raises(ValueError, match="finite"):
+                    evolve_closed_form(params, 1e200)
+            else:
+                assert evolve_closed_form(params, 1e200).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPropagateNumeric:
@@ -735,12 +705,16 @@ class TestRowsAreCheckedOnce:
             return real(amplitudes)
 
         monkeypatch.setattr(fock, "require_unit_rows", counting)
-        monkeypatch.setattr(dynamics, "require_unit_rows", counting)
         return calls
 
-    def test_closed_form_checks_its_row_once(self, row_checks):
+    def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
+        # sector.closed_form checks the norm of the amplitudes it makes,
+        # and the state takes them over unchecked
+        norms = []
+        real = sector._norm
+        monkeypatch.setattr(sector, "_norm", lambda amps: norms.append(len(amps)) or real(amps))
         psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
-        assert row_checks == [(1, 5)]
+        assert (row_checks, norms) == ([], [5])
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_in_propagate_times_only(self, row_checks):
@@ -752,17 +726,8 @@ class TestRowsAreCheckedOnce:
         assert not psi.amplitudes.flags.writeable
 
     def test_a_bad_row_raises_as_before(self):
+        # math.hypot's Omega does not overflow, but the angle Omega t does
         overflowing = ModelParams(2, 0.0, (0.0, 0.0), (1e200, 1e200))
+        assert evolve_closed_form(overflowing, 1.0).norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            evolve_closed_form(overflowing, 1.0)
-
-
-def test_closed_form_amplitudes_take_one_time_per_draw():
-    basis = build_basis(3, 1, 1)
-    couplings = np.array([[1.0, 1.2, 0.8], [0.5, 0.5, 0.5]])
-    times = np.array([0.3, 2.0])
-    rows = closed_form_amplitudes(couplings, times, basis)
-    for k in range(2):
-        assert rows[k].tobytes() == closed_form_amplitudes(couplings[k:k + 1], times[k], basis)[0].tobytes()
-    with pytest.raises(ValueError, match="one time or one per draw"):
-        closed_form_amplitudes(couplings, [0.1, 0.2, 0.3], basis)
+            evolve_closed_form(overflowing, 1e200)

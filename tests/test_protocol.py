@@ -12,11 +12,10 @@ from wcavity.dynamics import (
     Frame,
     ModelParams,
     build_hamiltonian,
-    closed_form_amplitudes,
     propagate_numeric,
     propagate_times,
 )
-from wcavity.entanglement import fidelities, fidelity, w_state
+from wcavity.entanglement import fidelity, w_state
 from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
@@ -32,6 +31,8 @@ from wcavity.protocol import (
     optimal_time,
     timing_error_sweep,
 )
+
+from numpy_route import closed_form_rows, w_fidelities
 
 # regression pin computed from the first run of this exact configuration
 DISORDER_PIN_MEAN = 0.99672126307888109
@@ -168,11 +169,9 @@ class TestCouplingDisorderSweep:
 def numpy_disorder_rows(n: int, epsilon: float, spec: SweepSpec) -> list[SweepRow]:
     """The oracle of the disorder sweep: its numpy route, one
     ``default_rng([seed, grid index, trial])`` per trial, the (trials, n)
-    couplings evolved by ``closed_form_amplitudes``, scored by
-    ``fidelities`` against W and averaged by ``np.mean``."""
+    couplings evolved by ``closed_form_rows``, scored by ``w_fidelities``
+    and averaged by ``np.mean``."""
     t_star = optimal_time(n, epsilon)
-    basis = build_basis(n, n_max=1, excitation_cap=1)
-    target = w_state(n, basis)
     rows = []
     for gi, sigma in enumerate(spec.grid):
         couplings = np.empty((spec.trials, n))
@@ -183,7 +182,7 @@ def numpy_disorder_rows(n: int, epsilon: float, spec: SweepSpec) -> list[SweepRo
             while bad.any():
                 draw[bad] = epsilon * (1.0 + sigma * rng.standard_normal(int(bad.sum())))
                 bad = draw <= 0.0
-        fids = fidelities(closed_form_amplitudes(couplings, t_star, basis), target)
+        fids = w_fidelities(closed_form_rows(couplings, t_star))
         rows.append(SweepRow(sigma, float(np.mean(fids)), float(fids.min()), float(fids.max())))
     return rows
 
@@ -330,7 +329,7 @@ def test_timing_rows_match_the_dense_propagator(n, epsilon, grid):
     H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
     times = optimal_time(n, epsilon) + np.array(grid) / epsilon
     states = propagate_times(H, initial_state(basis), times)
-    assert_rows(result, grid, fidelities(states, w_state(n, basis)).tolist())
+    assert_rows(result, grid, w_fidelities(states).tolist())
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,6 @@ from wcavity.dynamics import (
     ModelParams,
     PropagationError,
     build_hamiltonian,
-    closed_form_amplitudes,
     propagate_times,
 )
 from wcavity.entanglement import (
@@ -29,6 +28,8 @@ from wcavity.entanglement import (
     w_state,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
+
+from numpy_route import closed_form_rows
 
 
 def dense_operator(couplings, detunings):
@@ -102,8 +103,7 @@ def test_matvec_is_the_dense_operator(couplings, data):
 @example(couplings=[0.49238269594934003, 0.7887660150954287, 0.7381126323108442,
                     1.1995158180436216], t=-0.0446252711760419)
 def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
-    n = len(couplings)
-    numpy_closed = closed_form_amplitudes([couplings], t, build_basis(n, excitation_cap=1))[0]
+    numpy_closed = closed_form_rows([couplings], t)[0]
     # numpy's Omega, the square root of its sum of squares: the same angle
     omega = float(np.sqrt(np.sum(np.square([couplings]), axis=1))[0])
     np.testing.assert_allclose(sector.closed_form(couplings, t, omega), numpy_closed,
@@ -138,6 +138,14 @@ def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     basis = build_basis(n, excitation_cap=1)
     want = fidelity(w_state(n, basis), StateVector(basis, amps))
     assert sector.w_fidelity(amps) == pytest.approx(want, abs=1e-14)
+
+
+def test_w_fidelity_sums_left_to_right():
+    """One rounding per term, whatever the interpreter's ``sum`` does: a
+    compensated sum of the same terms ends ...528 here."""
+    n = 1022
+    (amps,) = sector.evolve((1.0,) * n, (-3.1,))
+    assert sector.fmt12(sector.w_fidelity(amps)) == "0.979715654529"
 
 
 def test_per_mode_detunings_raise_instead_of_a_wrong_state():
@@ -177,6 +185,14 @@ def test_norm_drift_raises_and_small_drift_is_renormalized():
         sector._renormalized([*state[:-1], complex(math.nan, 0.0)])
     renormalized = sector._renormalized([a * (1.0 + 1e-11) for a in state])
     np.testing.assert_allclose(renormalized, state, atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (0.0, "positive"), (-1.0, "positive"), (math.inf, "finite"), (math.nan, "finite"),
+])
+def test_closed_form_rejects_any_bad_coupling(bad, message):
+    with pytest.raises(ValueError, match=message):
+        sector.closed_form((1.0, bad, 1.0), 0.5)
 
 
 def test_closed_form_checks_finite_unit_norm(monkeypatch):

@@ -11,6 +11,7 @@ from wcavity.validation import (
     _refine_roots,
     check_composition,
     check_excitation_conservation,
+    check_oracle_equivalence,
     check_sector_route,
     measure_rabi_period,
     run_validation,
@@ -179,5 +180,27 @@ def test_sector_check_fails_on_a_faulted_sector_matvec(fault, monkeypatch):
 
     monkeypatch.setattr(sector, "matvec", flipped)
     result = check_sector_route(np.random.default_rng(3))
+    assert not result.passed
+    assert result.measured > 1e-3
+
+
+@pytest.mark.parametrize("fault", ["photon sign", "omega scaled"])
+def test_closed_form_check_fails_on_a_faulted_sector_closed_form(fault, monkeypatch):
+    """``closed-form-vs-numeric`` runs ``sector.closed_form``, the closed
+    form of ``simulate`` and the disorder sweep.  A flipped sign on the
+    photon amplitudes gives a wrong state, and an Omega scaled by 1 + 1e-6
+    fails the closed form's own norm check; the check fails on both,
+    without raising."""
+    real = sector.closed_form
+
+    def faulted(couplings, t, omega=None):
+        if fault == "photon sign":
+            amps = real(couplings, t)
+            return [-a for a in amps[:-1]] + amps[-1:]
+        return real(couplings, t, math.hypot(*couplings) * (1.0 + 1e-6))
+
+    assert check_oracle_equivalence(np.random.default_rng(3)).passed
+    monkeypatch.setattr(sector, "closed_form", faulted)
+    result = check_oracle_equivalence(np.random.default_rng(3))
     assert not result.passed
     assert result.measured > 1e-3

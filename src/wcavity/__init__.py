@@ -45,10 +45,8 @@ _HOMES = {
         "state_from_dict",
     ),
     "protocol": (
-        "SweepParameter",
         "SweepResult",
         "SweepRow",
-        "SweepSpec",
         "coupling_disorder_sweep",
         "detuning_sweep",
         "mode_count_sweep",

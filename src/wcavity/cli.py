@@ -178,15 +178,13 @@ def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
     return (*(i * step + start for i in range(num - 1)), stop)
 
 
-def _default_grid(parameter, n: int | None) -> tuple[float, ...]:
-    from .protocol import SweepParameter
-
-    if parameter is SweepParameter.TIMING_ERROR:
+def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
+    if parameter == "timing-error":
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
         return _linspace(-span, span, 41)
-    if parameter is SweepParameter.COUPLING_DISORDER:
+    if parameter == "coupling-disorder":
         return _linspace(0.0, 0.1, 11)
-    if parameter is SweepParameter.DETUNING:
+    if parameter == "detuning":
         return _linspace(-2.0, 2.0, 41)
     return tuple(float(n) for n in range(1, 9))
 
@@ -256,11 +254,20 @@ def _require_finite_sweep_times(timing: bool, n: int, epsilon: float, grid, give
                              f"{what} is not finite")
 
 
+def _require_valid(key: str, option: Option, value) -> None:
+    if option.choices is not None and value not in option.choices:
+        raise ValueError(f"unknown {key} {value!r}")
+    if option.valid is not None and not option.valid(value):
+        raise ValueError(f"{_flag(key)} {option.requirement}")
+
+
 def resolve_config(args) -> dict:
     """The command and the value of each option it reads, in ``OPTIONS``
     order: the flag if given, else the config-file value, else the
-    command's default, else the option's; for a sweep, then its
-    ``SweepSpec`` under ``spec``.  Refuses, before any work, an input
+    command's default, else the option's; a sweep's grid is a tuple of
+    floats that ``protocol.require_grid`` has checked.  Every config-file
+    value is parsed and checked, a value a flag overrides too; a refused
+    one is named by its file line.  Refuses, before any work, an input
     whose largest array exceeds ``MAX_ARRAY_BYTES`` or whose times or
     couplings leave the doubles."""
     command = COMMANDS[args.command]
@@ -276,21 +283,22 @@ def resolve_config(args) -> dict:
         if key not in command.options:
             continue
         value = getattr(args, key)
-        if value is None and key in file_values:
+        if key in file_values:
             lineno, text = file_values[key]
             try:
-                value = option.parse(text)
+                file_value = option.parse(text)
+                if value is not None:  # the flag overrides it
+                    _require_valid(key, option, file_value)
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: key {key!r}: {exc}") from None
+            if value is None:
+                value = file_value
         if value is not None:
             given.add(key)
         else:
             value = command.defaults.get(key, option.default)
         if value is not None:
-            if option.choices is not None and value not in option.choices:
-                raise ValueError(f"unknown {key} {value!r}")
-            if option.valid is not None and not option.valid(value):
-                raise ValueError(f"{_flag(key)} {option.requirement}")
+            _require_valid(key, option, value)
         config[key] = value
 
     if config["out"] is None:
@@ -300,25 +308,25 @@ def resolve_config(args) -> dict:
     if args.command == "entanglement" and config["n"] < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
     if args.command == "sweep":
-        from .protocol import SweepParameter, SweepSpec
+        from .protocol import require_grid
 
-        parameter = SweepParameter(config["parameter"])
-        for key, reason in SWEEP_UNREAD[parameter.value].items():
+        parameter = config["parameter"]
+        for key, reason in SWEEP_UNREAD[parameter].items():
             if key in given:
-                raise ValueError(f"{_flag(key)} is not read by --parameter {parameter.value} "
+                raise ValueError(f"{_flag(key)} is not read by --parameter {parameter} "
                                  f"({reason})")
             del config[key]
-        grid_raw = config["grid"]
-        if grid_raw is None:
-            config["grid"] = _default_grid(parameter, config.get("n"))
+        grid = config["grid"]
+        if grid is None:
+            grid = _default_grid(parameter, config.get("n"))
         else:
             try:
-                config["grid"] = tuple(float(v) for v in grid_raw.split(",") if v.strip())
+                grid = tuple(float(v) for v in grid.split(",") if v.strip())
             except ValueError as exc:
-                raise ValueError(f"could not parse --grid {grid_raw!r}") from exc
-        # the spec refuses a bad grid or trial count before it is sized
-        spec = config["spec"] = SweepSpec(
-            parameter, config["grid"], **{k: config[k] for k in ("trials", "seed") if k in config}
+                raise ValueError(f"could not parse --grid {grid!r}") from exc
+        # a bad grid or trial count is refused before the sweep is sized
+        config["grid"] = require_grid(
+            parameter, grid, **{k: config[k] for k in ("trials", "seed") if k in config}
         )
     if args.command != "validate":
         _require_array_bytes(args.command, _largest_array_bytes(config))
@@ -328,14 +336,14 @@ def resolve_config(args) -> dict:
         if time is not None and not math.isfinite(time / config["epsilon"]):
             raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
     if args.command == "sweep":
-        if parameter in (SweepParameter.COUPLING_DISORDER, SweepParameter.MODE_COUNT):
+        if parameter in ("coupling-disorder", "mode-count"):
             # the disorder sweep evaluates the closed form at N; the mode-count
             # sweep keeps the range of its dense route, which evaluated it at
             # each grid entry
-            _require_closed_form_range(config["epsilon"], config.get("n") or int(max(spec.grid)))
+            _require_closed_form_range(config["epsilon"], config.get("n") or int(max(grid)))
         else:
-            _require_finite_sweep_times(parameter is SweepParameter.TIMING_ERROR, config["n"],
-                                        config["epsilon"], spec.grid, "grid" in given)
+            _require_finite_sweep_times(parameter == "timing-error", config["n"],
+                                        config["epsilon"], grid, "grid" in given)
     return config
 
 
@@ -345,7 +353,7 @@ def _echo(config: dict) -> dict:
     and nowhere else."""
     if config["command"] != "sweep":
         return dict(config)
-    grouped = ("parameter", "grid", "trials", "seed", "spec")
+    grouped = ("parameter", "grid", "trials", "seed")
     echo = {k: v for k, v in config.items() if k not in grouped}
     echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
     echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
@@ -449,23 +457,19 @@ def _sidecar_path(out: Path) -> Path:
 
 
 def cmd_sweep(config: dict) -> int:
-    from .protocol import (
-        SweepParameter,
-        coupling_disorder_sweep,
-        detuning_sweep,
-        mode_count_sweep,
-        timing_error_sweep,
-    )
+    # looked up on the module at the call, where a tracer may have wrapped it
+    from . import protocol
 
-    spec, eps = config["spec"], config["epsilon"]
-    if spec.parameter is SweepParameter.TIMING_ERROR:
-        result = timing_error_sweep(config["n"], eps, spec)
-    elif spec.parameter is SweepParameter.COUPLING_DISORDER:
-        result = coupling_disorder_sweep(config["n"], eps, spec)
-    elif spec.parameter is SweepParameter.DETUNING:
-        result = detuning_sweep(config["n"], eps, spec)
+    parameter, eps, grid = config["parameter"], config["epsilon"], config["grid"]
+    if parameter == "timing-error":
+        result = protocol.timing_error_sweep(config["n"], eps, grid)
+    elif parameter == "coupling-disorder":
+        result = protocol.coupling_disorder_sweep(config["n"], eps, grid, config["trials"],
+                                                  config["seed"])
+    elif parameter == "detuning":
+        result = protocol.detuning_sweep(config["n"], eps, grid)
     else:
-        result = mode_count_sweep(eps, spec)
+        result = protocol.mode_count_sweep(eps, grid)
     result.metadata["config"] = json.dumps(_echo(config), sort_keys=True)
 
     csv = config["format"] == "csv"

@@ -15,10 +15,47 @@ import types
 
 import numpy as np
 
-from .sector import ROUNDING_TOL, Frozen, Value
+from .sector import ROUNDING_TOL
 
 #: Largest basis dimension accepted by default (dense matrices stay tractable).
 MAX_DIMENSION = 16384
+
+
+class Frozen:
+    """Base of the immutable classes: every attribute is a slot, set once
+    in ``__init__`` through ``object.__setattr__``; setting or deleting one
+    afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Value(Frozen):
+    """A Frozen class whose instances are equal, and hash alike, when they
+    are of one class and their ``_key()`` (by default, the slot values) is
+    equal; never equal to a tuple of those values."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class AtomLevel(enum.IntEnum):

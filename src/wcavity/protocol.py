@@ -7,47 +7,41 @@ relative standard deviations.  All sweeps are deterministic functions of
 (seed, grid, trials); random streams are keyed by (seed, grid index,
 trial index) so grid points and trials can run in any order or in
 parallel without changing results.
+
+Each sweep takes plain values and checks them with ``require_grid``, as
+the CLI does before it sizes a sweep: both refuse with one message.
 """
 
 from __future__ import annotations
 
 import datetime
-import enum
 import math
 from typing import NamedTuple
 
 # The sweeps run on `sector`, and the disorder sweep draws from `normals`,
 # both on the standard library alone: no numpy module is imported here.
 from . import sector
-from .sector import SCHEMA_VERSION, SWEEP_PARAMETERS, Value, fmt12, optimal_time, round12
+from .sector import SCHEMA_VERSION, fmt12, optimal_time, round12
 
 
-class SweepParameter(enum.Enum):
-    # the values of SWEEP_PARAMETERS, in its order
-    TIMING_ERROR, COUPLING_DISORDER, DETUNING, MODE_COUNT = SWEEP_PARAMETERS
-
-
-class SweepSpec(Value):
-    """Grid, trial count, and seed for one robustness sweep."""
-
-    __slots__ = ("parameter", "grid", "trials", "seed")
-
-    def __init__(self, parameter: SweepParameter, grid, trials: int = 1, seed: int = 0) -> None:
-        grid = tuple(float(x) for x in grid)
-        if not grid:
-            raise ValueError("sweep grid must not be empty")
-        if not all(math.isfinite(x) for x in grid):
-            raise ValueError("sweep grid must be finite")
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if parameter is SweepParameter.COUPLING_DISORDER and any(x < 0 for x in grid):
-            raise ValueError("disorder grid entries must be >= 0")
-        if parameter is SweepParameter.MODE_COUNT and any(x != int(x) or x < 1 for x in grid):
-            raise ValueError("mode-count grid entries must be positive integers")
-        for name, value in zip(self.__slots__, (parameter, grid, trials, seed)):
-            object.__setattr__(self, name, value)
+def require_grid(parameter: str, grid, trials: int = 1, seed: int = 0) -> tuple[float, ...]:
+    """``grid`` as a tuple of floats, once it, ``trials`` and ``seed`` are
+    valid inputs of the sweep of ``parameter`` (one of
+    ``sector.SWEEP_PARAMETERS``)."""
+    grid = tuple(float(x) for x in grid)
+    if not grid:
+        raise ValueError("sweep grid must not be empty")
+    if not all(math.isfinite(x) for x in grid):
+        raise ValueError("sweep grid must be finite")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if parameter == "coupling-disorder" and any(x < 0 for x in grid):
+        raise ValueError("disorder grid entries must be >= 0")
+    if parameter == "mode-count" and any(x != int(x) or x < 1 for x in grid):
+        raise ValueError("mode-count grid entries must be positive integers")
+    return grid
 
 
 class SweepRow(NamedTuple):
@@ -94,24 +88,17 @@ class SweepResult(NamedTuple):
         }
 
 
-def _metadata(spec: SweepSpec, **fields) -> dict:
+def _metadata(parameter: str, **fields) -> dict:
     """The schema version and the parameter, then ``fields`` in order (the
     values the sweep used), then the timestamp."""
-    md = {"schema_version": SCHEMA_VERSION, "parameter": spec.parameter.value, **fields}
+    md = {"schema_version": SCHEMA_VERSION, "parameter": parameter, **fields}
     md["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )
     return md
 
 
-def _require_parameter(spec: SweepSpec, expected: SweepParameter) -> None:
-    if spec.parameter is not expected:
-        raise ValueError(
-            f"sweep spec targets {spec.parameter.value!r}, expected {expected.value!r}"
-        )
-
-
-def timing_error_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
+def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
     """Fidelity versus timing offset around the optimal time.
 
     Grid entries are offsets in units of 1/epsilon; the state is evolved
@@ -119,11 +106,11 @@ def timing_error_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
     the W target, so the rows check the analytic law cos^2(sqrt(n) x) with
     the propagator, not with the formula that predicts it.
     """
-    _require_parameter(spec, SweepParameter.TIMING_ERROR)
+    grid = require_grid("timing-error", grid)
     t_star = optimal_time(n, epsilon)
-    states = sector.evolve((epsilon,) * n, [t_star + x / epsilon for x in spec.grid])
-    rows = [SweepRow(x, f, f, f) for x, f in zip(spec.grid, map(sector.w_fidelity, states))]
-    return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
+    states = sector.evolve((epsilon,) * n, [t_star + x / epsilon for x in grid])
+    rows = [SweepRow(x, f, f, f) for x, f in zip(grid, map(sector.w_fidelity, states))]
+    return SweepResult(rows, _metadata("timing-error", n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
 def _disorder_couplings(normals, n: int, epsilon: float, sigma: float) -> list[float]:
@@ -185,7 +172,7 @@ def _numpy_omega(couplings) -> float:
     return math.sqrt(_pairwise_sum([c * c for c in couplings]))
 
 
-def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
+def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int) -> SweepResult:
     """Monte-Carlo fidelity under relative Gaussian coupling disorder.
 
     At grid value sigma every trial draws couplings eps_i = eps (1 + sigma
@@ -198,12 +185,12 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
     """
     from .normals import standard_normals
 
-    _require_parameter(spec, SweepParameter.COUPLING_DISORDER)
+    grid = require_grid("coupling-disorder", grid, trials, seed)
     t_star = optimal_time(n, epsilon)
     rows = []
-    for gi, sigma in enumerate(spec.grid):
-        draws = [_disorder_couplings(standard_normals((spec.seed, gi, trial)), n, epsilon, sigma)
-                 for trial in range(spec.trials)]
+    for gi, sigma in enumerate(grid):
+        draws = [_disorder_couplings(standard_normals((seed, gi, trial)), n, epsilon, sigma)
+                 for trial in range(trials)]
         # every coupling of the grid point is checked before any trial is
         # scored, as the numpy route checked its (trials, n) array
         if not all(math.isfinite(c) for draw in draws for c in draw):
@@ -212,37 +199,36 @@ def coupling_disorder_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepRes
                 for draw in draws]
         rows.append(SweepRow(sigma, _pairwise_sum(fids) / len(fids), min(fids), max(fids)))
     return SweepResult(rows, _metadata(
-        spec, n_modes=n, epsilon=epsilon, seed=spec.seed, trials=spec.trials,
+        "coupling-disorder", n_modes=n, epsilon=epsilon, seed=seed, trials=trials,
         rng="numpy PCG64, one stream per (seed, grid_index, trial_index)", t_star=t_star,
         disorder_model="gaussian relative std-dev, non-positive couplings redrawn",
     ))
 
 
-def detuning_sweep(n: int, epsilon: float, spec: SweepSpec) -> SweepResult:
+def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
     """Fidelity versus common-mode detuning, evolved numerically.
 
     Grid entries are detunings in units of epsilon; all modes are shifted
     together and the evolution runs in the frame rotating at the atomic
     frequency.
     """
-    _require_parameter(spec, SweepParameter.DETUNING)
+    grid = require_grid("detuning", grid)
     t_star = optimal_time(n, epsilon)
     couplings = (epsilon,) * n
     rows = []
-    for x in spec.grid:
+    for x in grid:
         (psi,) = sector.evolve(couplings, (t_star,), (x * epsilon,) * n)
         f = sector.w_fidelity(psi)
         rows.append(SweepRow(x, f, f, f))
-    return SweepResult(rows, _metadata(spec, n_modes=n, epsilon=epsilon, t_star=t_star))
+    return SweepResult(rows, _metadata("detuning", n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
-def mode_count_sweep(epsilon: float, spec: SweepSpec) -> SweepResult:
+def mode_count_sweep(epsilon: float, grid) -> SweepResult:
     """Numeric fidelity at the optimal time for each mode count in the grid."""
-    _require_parameter(spec, SweepParameter.MODE_COUNT)
     rows = []
-    for x in spec.grid:
+    for x in require_grid("mode-count", grid):
         n = int(x)
         (psi,) = sector.evolve((epsilon,) * n, (optimal_time(n, epsilon),))
         f = sector.w_fidelity(psi)
         rows.append(SweepRow(float(n), f, f, f))
-    return SweepResult(rows, _metadata(spec, epsilon=epsilon))
+    return SweepResult(rows, _metadata("mode-count", epsilon=epsilon))

@@ -15,9 +15,9 @@ has the same order, with |g;1...1> at index N + 1.
 
 This module imports only ``math``, so that a process running ``simulate``,
 ``entanglement`` or a sweep never loads numpy; the numpy modules are its
-oracle.  It also holds the conventions every output shares (the schema
-version and the 12-digit number format) and the immutable value bases
-``Frozen`` and ``Value``.
+oracle.  It also holds the conventions every output shares: the schema
+version, the 12-digit number format and the names of the sweep
+parameters.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ BREAKDOWN_RTOL = 1e-12
 #: diagonal and anti-diagonal for which the reduction counts as an X state.
 X_SHAPE_TOL = 1e-15
 
-#: The quantities a robustness sweep varies (``protocol.SweepParameter``):
-#: the evolution time, the couplings, the mode detuning and the mode count.
+#: The quantities a robustness sweep varies, each named by this string in
+#: the CLI, in ``protocol.require_grid`` and in every output: the evolution
+#: time, the couplings, the mode detuning and the mode count.
 SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count")
 
 #: Seed of the randomized self-checks (``validation.run_validation``).
@@ -52,43 +53,6 @@ DEFAULT_SEED = 20240201
 
 class PropagationError(RuntimeError):
     """Numerical failure during time evolution (norm drift, overflow)."""
-
-
-class Frozen:
-    """Base of the immutable classes: every attribute is a slot, set once
-    in ``__init__`` through ``object.__setattr__``; setting or deleting one
-    afterwards raises AttributeError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Value(Frozen):
-    """A Frozen class whose instances are equal, and hash alike, when they
-    are of one class and their ``_key()`` (by default, the slot values) is
-    equal; never equal to a tuple of those values."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 def fmt12(value) -> str:

@@ -25,13 +25,7 @@ from wcavity.entanglement import (
     w_state,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
-from wcavity.protocol import (
-    SweepParameter,
-    SweepSpec,
-    coupling_disorder_sweep,
-    optimal_time,
-    timing_error_sweep,
-)
+from wcavity.protocol import coupling_disorder_sweep, optimal_time, timing_error_sweep
 from wcavity.validation import measure_rabi_period
 
 
@@ -194,7 +188,7 @@ def test_criterion_7_timing_error_law():
     n, eps = 3, 1.0
     t_star = optimal_time(n, eps)
     grid = tuple(np.linspace(-t_star / 2.0, t_star / 2.0, 41) * eps)
-    result = timing_error_sweep(n, eps, SweepSpec(SweepParameter.TIMING_ERROR, grid))
+    result = timing_error_sweep(n, eps, grid)
     worst = max(
         abs(row.fidelity_mean - math.cos(math.sqrt(n) * row.x) ** 2)
         for row in result.rows
@@ -207,9 +201,9 @@ def test_criterion_7_timing_error_law():
 
 
 def test_criterion_8_sweep_determinism(tmp_path):
-    spec = SweepSpec(SweepParameter.COUPLING_DISORDER, (0.0, 0.03, 0.08), trials=50, seed=42)
-    direct = coupling_disorder_sweep(3, 1.0, spec).to_csv_text()
-    rerun = coupling_disorder_sweep(3, 1.0, spec).to_csv_text()
+    args = (3, 1.0, (0.0, 0.03, 0.08), 50, 42)
+    direct = coupling_disorder_sweep(*args).to_csv_text()
+    rerun = coupling_disorder_sweep(*args).to_csv_text()
 
     out = tmp_path / "sweep.csv"
     args = [

@@ -29,6 +29,7 @@ from wcavity.dynamics import (
 )
 from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
+from wcavity.sector import SWEEP_PARAMETERS
 
 
 def run_cli(capsys, *argv):
@@ -249,16 +250,15 @@ def test_default_grids_are_the_numpy_linspace_doubles():
     bit for bit the ``np.linspace`` grid it used to return, at every N the
     sweeps admit."""
     from wcavity.cli import _default_grid
-    from wcavity.protocol import SweepParameter
 
     fixed = {
-        SweepParameter.COUPLING_DISORDER: np.linspace(0.0, 0.1, 11),
-        SweepParameter.DETUNING: np.linspace(-2.0, 2.0, 41),
-        SweepParameter.MODE_COUNT: np.arange(1.0, 9.0),
+        "coupling-disorder": np.linspace(0.0, 0.1, 11),
+        "detuning": np.linspace(-2.0, 2.0, 41),
+        "mode-count": np.arange(1.0, 9.0),
     }
     for n in range(1, 1023):
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))
-        for parameter in SweepParameter:
+        for parameter in SWEEP_PARAMETERS:
             want = fixed.get(parameter)
             if want is None:
                 want = np.linspace(-span, span, 41)
@@ -293,6 +293,19 @@ def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path
         outputs.append((out.read_text(), sidecar))
     assert outputs[0] == outputs[1]
     assert any(line.startswith("# config=") for line in outputs[0][0].splitlines())
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_sweep_calls_the_function_bound_on_protocol_at_the_call(parameter, capsys, monkeypatch):
+    """A wrapper bound on ``protocol`` after import, as the benchmark's
+    tracer binds one, sees the sweep's one call, with the checked grid."""
+    import wcavity.protocol
+
+    name = parameter.replace("-", "_") + "_sweep"
+    real, calls = getattr(wcavity.protocol, name), []
+    monkeypatch.setattr(wcavity.protocol, name, lambda *args: calls.append(args) or real(*args))
+    assert run_cli(capsys, "sweep", "--parameter", parameter, "--grid", "1", "--out", "-")[0] == 0
+    assert len(calls) == 1 and (1.0,) in calls[0]
 
 
 def test_largest_detuning_sweep_follows_the_bright_mode_law(capsys):
@@ -403,6 +416,20 @@ class TestConfigHandling:
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: {cfg}:{line}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("n=abc\n", ["--n", "3"], "key 'n': invalid literal for int() with base 10: 'abc'"),
+        ("parameter=bogus\n", ["--parameter", "detuning"],
+         "key 'parameter': unknown parameter 'bogus'"),
+        ("trials=0\n", ["--parameter", "coupling-disorder", "--trials", "5"],
+         "key 'trials': --trials must be >= 1"),
+    ], ids=["parse", "choice", "validity"])
+    def test_config_value_a_flag_overrides_is_still_checked(self, text, argv, message,
+                                                            capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, stdout, err = run_cli(capsys, "sweep", *argv, "--config", str(cfg), "--out", "-")
+        assert (code, stdout, err) == (2, "", f"error: {cfg}:1: {message}\n")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))

@@ -110,12 +110,20 @@ def imported_modules(source: str):
 
 
 def test_runtime_modules_never_import_numpy_or_the_oracle():
-    """Only ``cmd_validate`` reaches the oracle, through one import."""
+    """Only ``cmd_validate`` reaches the oracle, through one import; the
+    oracle's immutable bases ``Frozen`` and ``Value`` are neither defined
+    nor imported by name in the runtime."""
     src = Path(wcavity.__file__).parent
     found = [(module, name, func) for module in RUNTIME
              for name, func in imported_modules((src / f"{module}.py").read_text())
              if name in ORACLE]
     assert found == [("cli", "validation", "cmd_validate")]
+    for module in RUNTIME:
+        tree = ast.parse((src / f"{module}.py").read_text())
+        named = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        named |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not named & {"Frozen", "Value"}, module
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import sector
-from wcavity.cli import _default_grid
+from wcavity.cli import _default_grid, main
 from wcavity.dynamics import (
     Frame,
     ModelParams,
@@ -19,16 +19,15 @@ from wcavity.entanglement import fidelity, w_state
 from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
-    SweepParameter,
     SweepResult,
     SweepRow,
-    SweepSpec,
     _pairwise_sum,
     coupling_disorder_sweep,
     detuning_sweep,
     fmt12,
     mode_count_sweep,
     optimal_time,
+    require_grid,
     timing_error_sweep,
 )
 
@@ -40,18 +39,6 @@ DISORDER_PIN_MEAN = 0.99672126307888109
 # regression pin for common detuning of 10 epsilon at n = 3; the
 # two-level reduction predicts (O^2 / (O^2 + D^2/4)) sin^2(sqrt(...) t*)
 DETUNING_10_PIN = 0.10634368162342059
-
-
-def timing_spec(grid, **kw):
-    return SweepSpec(SweepParameter.TIMING_ERROR, grid, **kw)
-
-
-def disorder_spec(grid, **kw):
-    return SweepSpec(SweepParameter.COUPLING_DISORDER, grid, **kw)
-
-
-def detuning_spec(grid, **kw):
-    return SweepSpec(SweepParameter.DETUNING, grid, **kw)
 
 
 class TestOptimalTime:
@@ -76,34 +63,34 @@ class TestOptimalTime:
 
 class TestTimingErrorSweep:
     def test_zero_offset_is_ideal(self):
-        res = timing_error_sweep(3, 1.0, timing_spec((0.0,)))
+        res = timing_error_sweep(3, 1.0, (0.0,))
         assert res.rows[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_period_overshoot_kills_fidelity(self):
         n = 3
         x = math.pi / (2.0 * math.sqrt(n))  # offset of t*/1, one quarter period
-        res = timing_error_sweep(n, 1.0, timing_spec((x,)))
+        res = timing_error_sweep(n, 1.0, (x,))
         assert res.rows[0].fidelity_mean == pytest.approx(0.0, abs=1e-8)
 
     def test_sixth_period_offset(self):
         n = 4
         x = math.pi / (6.0 * math.sqrt(n))
-        res = timing_error_sweep(n, 1.0, timing_spec((x,)))
+        res = timing_error_sweep(n, 1.0, (x,))
         assert res.rows[0].fidelity_mean == pytest.approx(0.75, abs=1e-8)
 
     def test_matches_cosine_squared_law(self):
         n, eps = 3, 1.0
         t_star = optimal_time(n, eps)
         grid = np.linspace(-t_star / 2.0, t_star / 2.0, 41) * eps
-        res = timing_error_sweep(n, eps, timing_spec(tuple(grid)))
+        res = timing_error_sweep(n, eps, grid)
         for row in res.rows:
             expected = math.cos(math.sqrt(n) * row.x) ** 2
             assert row.fidelity_mean == pytest.approx(expected, abs=1e-8)
 
     def test_epsilon_rescaling_leaves_dimensionless_grid_invariant(self):
         grid = (0.0, 0.2, 0.4)
-        a = timing_error_sweep(3, 0.5, timing_spec(grid))
-        b = timing_error_sweep(3, 2.0, timing_spec(grid))
+        a = timing_error_sweep(3, 0.5, grid)
+        b = timing_error_sweep(3, 2.0, grid)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.fidelity_mean == pytest.approx(rb.fidelity_mean, abs=1e-12)
 
@@ -113,45 +100,37 @@ class TestTimingErrorSweep:
         runs = []
         real = sector.lanczos
         monkeypatch.setattr(sector, "lanczos", lambda *args: runs.append(args) or real(*args))
-        spec = timing_spec(_default_grid(SweepParameter.TIMING_ERROR, 3))
-        timing_error_sweep(3, 1.0, spec)
+        timing_error_sweep(3, 1.0, _default_grid("timing-error", 3))
         assert len(runs) == 1
         assert eigh_calls == []
-
-    def test_rejects_wrong_parameter(self):
-        with pytest.raises(ValueError, match="timing-error"):
-            timing_error_sweep(3, 1.0, disorder_spec((0.0,)))
 
 
 class TestCouplingDisorderSweep:
     def test_zero_disorder_reduces_to_ideal(self):
-        res = coupling_disorder_sweep(3, 1.0, disorder_spec((0.0,), trials=10, seed=1))
+        res = coupling_disorder_sweep(3, 1.0, (0.0,), 10, 1)
         row = res.rows[0]
         assert row.fidelity_mean == pytest.approx(1.0, abs=1e-12)
         assert row.fidelity_min == pytest.approx(1.0, abs=1e-12)
         assert row.fidelity_max == pytest.approx(1.0, abs=1e-12)
 
     def test_row_bounds(self):
-        res = coupling_disorder_sweep(
-            3, 1.0, disorder_spec((0.0, 0.02, 0.1, 0.5), trials=25, seed=7)
-        )
+        res = coupling_disorder_sweep(3, 1.0, (0.0, 0.02, 0.1, 0.5), 25, 7)
         for row in res.rows:
             assert 0.0 <= row.fidelity_min <= row.fidelity_mean <= row.fidelity_max <= 1.0
 
     def test_regression_pin(self):
-        res = coupling_disorder_sweep(3, 1.0, disorder_spec((0.05,), trials=200, seed=42))
+        res = coupling_disorder_sweep(3, 1.0, (0.05,), 200, 42)
         assert res.rows[0].fidelity_mean == pytest.approx(DISORDER_PIN_MEAN, abs=1e-12)
 
     def test_deterministic_per_seed(self):
-        spec = disorder_spec((0.03, 0.06), trials=20, seed=9)
-        a = coupling_disorder_sweep(4, 1.0, spec)
-        b = coupling_disorder_sweep(4, 1.0, spec)
+        a = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
+        b = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
         assert a.to_csv_text() == b.to_csv_text()
-        c = coupling_disorder_sweep(4, 1.0, disorder_spec((0.03, 0.06), trials=20, seed=10))
+        c = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 10)
         assert a.rows != c.rows
 
     def test_large_disorder_survives_redraw_rule(self):
-        res = coupling_disorder_sweep(2, 1.0, disorder_spec((2.0,), trials=50, seed=3))
+        res = coupling_disorder_sweep(2, 1.0, (2.0,), 50, 3)
         row = res.rows[0]
         assert 0.0 <= row.fidelity_min and row.fidelity_max <= 1.0
 
@@ -159,24 +138,27 @@ class TestCouplingDisorderSweep:
     def test_non_finite_draws_are_refused(self):
         # draws near 1e308 overflow Omega or the couplings themselves
         with pytest.raises(ValueError, match="finite"):
-            coupling_disorder_sweep(3, 1.0, disorder_spec((1e308,), trials=20))
+            coupling_disorder_sweep(3, 1.0, (1e308,), 20, 0)
 
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            disorder_spec((-0.1,))
+    def test_rejects_negative_sigma(self, capsys):
+        with pytest.raises(ValueError, match=">= 0") as refused:
+            coupling_disorder_sweep(3, 1.0, (-0.1,), 1, 0)
+        assert_cli_refuses(capsys, refused.value, "--parameter", "coupling-disorder",
+                           "--grid", "-0.1")
 
 
-def numpy_disorder_rows(n: int, epsilon: float, spec: SweepSpec) -> list[SweepRow]:
+def numpy_disorder_rows(n: int, epsilon: float, grid, trials: int,
+                        seed: int) -> list[SweepRow]:
     """The oracle of the disorder sweep: its numpy route, one
     ``default_rng([seed, grid index, trial])`` per trial, the (trials, n)
     couplings evolved by ``closed_form_rows``, scored by ``w_fidelities``
     and averaged by ``np.mean``."""
     t_star = optimal_time(n, epsilon)
     rows = []
-    for gi, sigma in enumerate(spec.grid):
-        couplings = np.empty((spec.trials, n))
+    for gi, sigma in enumerate(grid):
+        couplings = np.empty((trials, n))
         for trial, draw in enumerate(couplings):
-            rng = np.random.default_rng([spec.seed, gi, trial])
+            rng = np.random.default_rng([seed, gi, trial])
             draw[:] = epsilon * (1.0 + sigma * rng.standard_normal(n))
             bad = draw <= 0.0
             while bad.any():
@@ -194,10 +176,9 @@ class TestDisorderOracle:
     @pytest.mark.parametrize("seed", [0, 7, 42, 123])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
     def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
-        spec = disorder_spec(_default_grid(SweepParameter.COUPLING_DISORDER, n), trials=100,
-                             seed=seed)
-        result = coupling_disorder_sweep(n, 1.0, spec)
-        oracle = SweepResult(numpy_disorder_rows(n, 1.0, spec), result.metadata)
+        args = (_default_grid("coupling-disorder", n), 100, seed)
+        result = coupling_disorder_sweep(n, 1.0, *args)
+        oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)
         assert result.to_csv_text() == oracle.to_csv_text()
 
     @pytest.mark.parametrize("n, seed", [(2, 3), (6, 0), (12, 123)])
@@ -205,28 +186,28 @@ class TestDisorderOracle:
         # at sigma >= 2 a draw is non-positive one time in three or more; at
         # sigma = 2 (N = 6, seed 0) and 5 (N = 12, seed 123) a fidelity near 0
         # turns on the last bit of Omega, which math.hypot rounds otherwise
-        spec = disorder_spec((0.5, 1.0, 2.0, 5.0, 10.0), trials=100, seed=seed)
-        result = coupling_disorder_sweep(n, 1.0, spec)
-        oracle = SweepResult(numpy_disorder_rows(n, 1.0, spec), result.metadata)
+        args = ((0.5, 1.0, 2.0, 5.0, 10.0), 100, seed)
+        result = coupling_disorder_sweep(n, 1.0, *args)
+        oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)
         assert result.to_csv_text() == oracle.to_csv_text()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("sigma", [1e308, 1e200, 1e155])
     def test_overflowing_draws_are_refused_as_by_the_numpy_route(self, sigma):
         # 1e308: some coupling is infinite; 1e200 and 1e155: sum eps_i^2 overflows
-        spec = disorder_spec((sigma,), trials=20)
+        args = ((sigma,), 20, 0)
         with pytest.raises(ValueError) as expected:
-            numpy_disorder_rows(3, 1.0, spec)
+            numpy_disorder_rows(3, 1.0, *args)
         with pytest.raises(ValueError) as refused:
-            coupling_disorder_sweep(3, 1.0, spec)
+            coupling_disorder_sweep(3, 1.0, *args)
         assert str(refused.value) == str(expected.value)
 
     def test_pinned_cell(self):
         """N = 40, seed 0, sigma = 0.03: Python's sum over the overlap gave
         a max of ...844; math.fsum, the numpy route and a 50-digit mpmath
         evaluation (0.99949734284450006) give ...845."""
-        grid = _default_grid(SweepParameter.COUPLING_DISORDER, 40)[:4]
-        row = coupling_disorder_sweep(40, 1.0, disorder_spec(grid, trials=100, seed=0)).rows[3]
+        grid = _default_grid("coupling-disorder", 40)[:4]
+        row = coupling_disorder_sweep(40, 1.0, grid, 100, 0).rows[3]
         assert fmt12(row.x) == "0.03"
         assert fmt12(row.fidelity_max) == "0.999497342845"
 
@@ -243,12 +224,12 @@ def test_pairwise_sum_is_numpy_sum(values):
 
 class TestDetuningSweep:
     def test_zero_detuning_is_ideal(self):
-        res = detuning_sweep(3, 1.0, detuning_spec((0.0,)))
+        res = detuning_sweep(3, 1.0, (0.0,))
         assert res.rows[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_in_detuning_sign(self):
         grid = (-3.0, -1.0, -0.2, 0.2, 1.0, 3.0)
-        res = detuning_sweep(3, 1.0, detuning_spec(grid))
+        res = detuning_sweep(3, 1.0, grid)
         by_x = {row.x: row.fidelity_mean for row in res.rows}
         for x in (0.2, 1.0, 3.0):
             assert by_x[x] == pytest.approx(by_x[-x], abs=1e-9)
@@ -257,7 +238,7 @@ class TestDetuningSweep:
         # two-level reduction: bright mode at splitting Delta against
         # collective coupling Omega = sqrt(n) eps
         n, eps, x = 3, 1.0, 10.0
-        res = detuning_sweep(n, eps, detuning_spec((x,)))
+        res = detuning_sweep(n, eps, (x,))
         got = res.rows[0].fidelity_mean
         omega_sq = n * eps**2
         rabi = math.sqrt(omega_sq + (x * eps) ** 2 / 4.0)
@@ -270,7 +251,7 @@ class TestDetuningSweep:
     def test_matches_two_level_reduction_across_grid(self):
         n, eps = 5, 1.3
         grid = (-4.0, -0.7, 0.3, 2.1, 8.0)
-        res = detuning_sweep(n, eps, detuning_spec(grid))
+        res = detuning_sweep(n, eps, grid)
         t_star = optimal_time(n, eps)
         for row in res.rows:
             omega_sq = n * eps**2
@@ -278,22 +259,18 @@ class TestDetuningSweep:
             analytic = (omega_sq / rabi**2) * math.sin(rabi * t_star) ** 2
             assert row.fidelity_mean == pytest.approx(analytic, abs=1e-9)
 
-    def test_rejects_wrong_parameter(self):
-        with pytest.raises(ValueError, match="detuning"):
-            detuning_sweep(3, 1.0, timing_spec((0.0,)))
-
 
 class TestModeCountSweep:
     def test_all_counts_succeed(self):
-        spec = SweepSpec(SweepParameter.MODE_COUNT, tuple(float(n) for n in range(1, 9)))
-        res = mode_count_sweep(1.0, spec)
+        res = mode_count_sweep(1.0, tuple(float(n) for n in range(1, 9)))
         assert [row.x for row in res.rows] == [float(n) for n in range(1, 9)]
         for row in res.rows:
             assert row.fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_fractional_counts(self):
-        with pytest.raises(ValueError, match="positive integers"):
-            SweepSpec(SweepParameter.MODE_COUNT, (2.5,))
+    def test_rejects_fractional_counts(self, capsys):
+        with pytest.raises(ValueError, match="positive integers") as refused:
+            mode_count_sweep(1.0, (2.5,))
+        assert_cli_refuses(capsys, refused.value, "--parameter", "mode-count", "--grid", "2.5")
 
 
 # The dense numpy routes these sweeps ran before the N + 2 sector route
@@ -324,7 +301,7 @@ def assert_rows(result, grid, fids):
 @settings(max_examples=40, deadline=None)
 @given(n=n_st, epsilon=epsilon_st, grid=grid_st)
 def test_timing_rows_match_the_dense_propagator(n, epsilon, grid):
-    result = timing_error_sweep(n, epsilon, timing_spec(grid))
+    result = timing_error_sweep(n, epsilon, grid)
     basis = build_basis(n, n_max=1, excitation_cap=1)
     H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
     times = optimal_time(n, epsilon) + np.array(grid) / epsilon
@@ -335,7 +312,7 @@ def test_timing_rows_match_the_dense_propagator(n, epsilon, grid):
 @settings(max_examples=40, deadline=None)
 @given(n=n_st, epsilon=epsilon_st, grid=grid_st)
 def test_detuning_rows_match_the_dense_propagator(n, epsilon, grid):
-    result = detuning_sweep(n, epsilon, detuning_spec(grid))
+    result = detuning_sweep(n, epsilon, grid)
     t_star = optimal_time(n, epsilon)
     assert_rows(result, grid, [dense_fidelity(n, epsilon, t_star, x * epsilon) for x in grid])
 
@@ -343,32 +320,43 @@ def test_detuning_rows_match_the_dense_propagator(n, epsilon, grid):
 @settings(max_examples=30, deadline=None)
 @given(epsilon=epsilon_st, grid=st.lists(n_st, min_size=1, max_size=6))
 def test_mode_count_rows_match_the_dense_propagator(epsilon, grid):
-    result = mode_count_sweep(epsilon, SweepSpec(SweepParameter.MODE_COUNT, grid))
+    result = mode_count_sweep(epsilon, grid)
     assert_rows(result, grid, [dense_fidelity(n, epsilon, optimal_time(n, epsilon))
                                for n in grid])
 
 
-class TestSweepSpecValidation:
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError, match="empty"):
-            timing_spec(())
+def assert_cli_refuses(capsys, message, *args):
+    """``wcavity sweep *args`` exits 2 with ``message`` and writes nothing."""
+    assert main(["sweep", *args, "--out", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_rejects_nonfinite_grid(self):
-        with pytest.raises(ValueError, match="finite"):
-            timing_spec((0.0, math.nan))
 
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="trials"):
-            timing_spec((0.0,), trials=0)
+@pytest.mark.parametrize("call, message, args, cli_message", [
+    (lambda: timing_error_sweep(3, 1.0, ()), "sweep grid must not be empty", ["--grid", ","],
+     None),
+    (lambda: detuning_sweep(3, 1.0, (0.0, math.nan)), "sweep grid must be finite",
+     ["--parameter", "detuning", "--grid", "0,nan"], None),
+    # the CLI checks --trials and --seed as options first, and names the flag
+    (lambda: coupling_disorder_sweep(3, 1.0, (0.0,), 0, 0), "trials must be >= 1",
+     ["--parameter", "coupling-disorder", "--trials", "0"], "--trials must be >= 1"),
+    (lambda: coupling_disorder_sweep(3, 1.0, (0.0,), 1, -1), "seed must be a non-negative integer",
+     ["--parameter", "coupling-disorder", "--seed", "-1"], "--seed must be >= 0"),
+], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed"])
+def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, capsys):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert_cli_refuses(capsys, cli_message or message, *args)
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            timing_spec((0.0,), seed=-1)
+
+def test_require_grid_returns_the_grid_as_floats():
+    grid = require_grid("mode-count", [1, 2.0])
+    assert grid == (1.0, 2.0) and all(type(x) is float for x in grid)
 
 
 class TestSweepResultSerialization:
     def test_csv_shape_and_determinism(self):
-        res = timing_error_sweep(3, 1.0, timing_spec((0.0, 0.1), seed=5))
+        res = timing_error_sweep(3, 1.0, (0.0, 0.1))
         text = res.to_csv_text()
         lines = text.strip().split("\n")
         comments = [l for l in lines if l.startswith("# ")]
@@ -377,14 +365,14 @@ class TestSweepResultSerialization:
         assert len(data) == 3
         assert data[1].split(",")[0] == "0"
         assert "# schema_version=3" in comments
-        # the timing sweep draws nothing, so the spec's seed is not reported
+        # the timing sweep draws nothing, so it reports no seed
         assert not any(l.startswith(("# seed=", "# trials=", "# rng=")) for l in comments)
         assert not any("timestamp" in l for l in comments)
         # metadata carries the timestamp; the CSV stays reproducible
         assert "timestamp" in res.metadata
 
     def test_combined_dict_form(self):
-        res = detuning_sweep(2, 1.0, detuning_spec((0.0,)))
+        res = detuning_sweep(2, 1.0, (0.0,))
         data = res.to_dict()
         assert data["metadata"]["parameter"] == "detuning"
         assert "timestamp" in data["metadata"]
@@ -398,12 +386,13 @@ class TestSweepResultSerialization:
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
+# each file's sweep, and its arguments before and after the default grid
 GOLDEN_SWEEPS = {
-    "timing-error": (SweepParameter.TIMING_ERROR, 1, 0),
-    "detuning": (SweepParameter.DETUNING, 1, 0),
-    "mode-count": (SweepParameter.MODE_COUNT, 1, 0),
-    "coupling-disorder-seed0": (SweepParameter.COUPLING_DISORDER, 100, 0),
-    "coupling-disorder-seed42": (SweepParameter.COUPLING_DISORDER, 100, 42),
+    "timing-error": (timing_error_sweep, (3, 1.0), ()),
+    "detuning": (detuning_sweep, (3, 1.0), ()),
+    "mode-count": (mode_count_sweep, (1.0,), ()),
+    "coupling-disorder-seed0": (coupling_disorder_sweep, (3, 1.0), (100, 0)),
+    "coupling-disorder-seed42": (coupling_disorder_sweep, (3, 1.0), (100, 42)),
 }
 
 
@@ -413,15 +402,7 @@ def test_sweep_csv_matches_golden_bytes(name):
     were written at N = 3, epsilon = 1 on the CLI's default grids, at
     schema version 3 with every number unchanged from schema version 1;
     every change must reproduce them exactly."""
-    parameter, trials, seed = GOLDEN_SWEEPS[name]
-    spec = SweepSpec(parameter, _default_grid(parameter, 3), trials=trials, seed=seed)
-    if parameter is SweepParameter.MODE_COUNT:
-        result = mode_count_sweep(1.0, spec)
-    elif parameter is SweepParameter.TIMING_ERROR:
-        result = timing_error_sweep(3, 1.0, spec)
-    elif parameter is SweepParameter.DETUNING:
-        result = detuning_sweep(3, 1.0, spec)
-    else:
-        result = coupling_disorder_sweep(3, 1.0, spec)
+    sweep, before, after = GOLDEN_SWEEPS[name]
+    result = sweep(*before, _default_grid(name.partition("-seed")[0], 3), *after)
     expected = (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_text()
     assert result.to_csv_text() == expected

@@ -21,7 +21,6 @@ def _instances():
         "BasisState": basis.states[0],
         "Basis": basis,
         "ModelParams": ModelParams.resonant(2, 1.0),
-        "SweepSpec": protocol.SweepSpec(protocol.SweepParameter.TIMING_ERROR, (0.0,)),
         "SweepRow": row,
         "SweepResult": protocol.SweepResult([row], {}),
         "CheckResult": check,
@@ -65,11 +64,6 @@ def test_value_classes_equal_their_own_class_only():
     assert params != ModelParams(2, 0.5, (0.5, 0.7), (1.0, 2.0))
     assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
     assert "couplings=(1.0, 2.0)" in repr(params)
-
-    spec = protocol.SweepSpec(protocol.SweepParameter.DETUNING, [0, 1], trials=2, seed=3)
-    assert spec == protocol.SweepSpec(protocol.SweepParameter.DETUNING, (0.0, 1.0), 2, 3)
-    assert spec.grid == (0.0, 1.0)
-    assert spec != (spec.parameter, spec.grid, spec.trials, spec.seed)
 
     basis = build_basis(2, 1, 1)
     assert basis == fock.Basis(2, 1, 1, basis.states)

@@ -1,7 +1,8 @@
 """Command-line interface: simulate, sweep, entanglement, validate.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
-3 numerical failure.  Times are given in units of 1/epsilon, and every
+Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
+input above the size or outside the range that ``resolve_config``
+admits), 3 numerical failure.  Times are given in units of 1/epsilon, and every
 evolution runs in the interaction frame on resonance.
 """
 
@@ -33,9 +34,20 @@ from .sector import (
     round12,
 )
 
-#: Largest array a command other than ``validate`` may allocate: one dense
-#: complex operator of dimension 1024, the sector of 1022 modes.
-MAX_ARRAY_BYTES = 16 * 2**20
+#: Most amplitudes a command other than ``validate`` may compute, N + 2
+#: per point of its run (``_require_size``).
+MAX_AMPLITUDES = 2**20
+
+#: Most modes a command may run, a sector of 1024 states: far below the
+#: N at which ``sector.lanczos`` takes rounding for a breakdown and
+#: refuses a Hamiltonian that does close (N = 65536 at epsilon = 0.3 and
+#: a common detuning of -1.7 epsilon; N = 82426 on resonance).
+MAX_MODES = 1022
+
+
+def float_list(text: str) -> tuple[float, ...]:
+    """The comma-separated floats of ``text``; blank entries are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _parse_bool(value: str) -> bool:
@@ -77,7 +89,7 @@ OPTIONS = {
                          "include the state vector, on the N + 2 state sector, in the report"),
     "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
                         choices=tuple(sorted(SWEEP_PARAMETERS))),
-    "grid": Option(str, None, "comma-separated grid values"),
+    "grid": Option(float_list, None, "comma-separated grid values"),
     "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)",
                      valid=lambda v: v >= 1, requirement="must be >= 1"),
 }
@@ -190,9 +202,9 @@ def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
 
 
 def _require_closed_form_range(epsilon: float, n: int) -> None:
-    """Refuse an epsilon the closed form cannot evaluate at up to n modes:
-    one whose square, or whose n-fold sum of squares, leaves the normal
-    doubles (a subnormal square keeps too few digits for the norm check)."""
+    """Refuse an epsilon whose square, or n-fold sum of squares, leaves the
+    normal doubles: the disorder sweep's Omega sums squares as numpy does,
+    and a subnormal square keeps too few digits for the norm check."""
     square = epsilon * epsilon
     if square < sys.float_info.min:
         raise ValueError(f"--epsilon {epsilon!r} is too small: "
@@ -201,57 +213,57 @@ def _require_closed_form_range(epsilon: float, n: int) -> None:
         raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
 
 
-def _largest_array_bytes(config: dict) -> int:
-    """Bytes charged to the command of a resolved config, on the N + 2
-    state sector of N modes (for the mode-count sweep, the largest grid
-    entry).  Every command but ``validate`` runs on ``sector``'s lists of
-    N + 2 amplitudes and allocates far less: the bounds are fixed
-    formulas, the largest arrays of the numpy routes these commands ran
-    before ``sector``, kept so that the set of admitted inputs stays as it
-    was until each route is charged what it allocates.  No command runs
-    those routes any more: the dense sector operator is ``validate``'s
-    oracle, and the disorder sweep's numpy closed form is the tests'."""
-    parameter, n = config.get("parameter"), config.get("n")
-    if config["command"] == "entanglement":
-        # 64 bytes per mode pair and support state: one 4-entry complex row
-        # of the stacked reduction's grouping matrix
-        return 64 * (n * (n - 1) // 2) * (n + 2)
-    if parameter == "mode-count":
-        n = int(max(config["grid"]))
-    dim = n + 2
+def _require_size(config: dict) -> None:
+    """Refuse a command of more than ``MAX_MODES`` modes, or one that
+    computes more than ``MAX_AMPLITUDES`` amplitudes: points x (N + 2),
+    with N the mode count (for the mode-count sweep, the largest grid
+    entry) and one point for ``simulate``, one per mode pair for
+    ``entanglement`` and one per grid entry and trial for a sweep."""
+    command, grid = config["command"], config.get("grid")
+    mode_count = config.get("parameter") == "mode-count"
+    n = int(max(grid)) if mode_count else config["n"]
+    if n > MAX_MODES:
+        source = f"--grid entry {max(grid)!r}" if mode_count else f"--n {n}"
+        raise ValueError(f"{source} is above the limit of {MAX_MODES} modes")
+    if command == "sweep":
+        points = len(grid) * config.get("trials", 1)
+    else:
+        points = n * (n - 1) // 2 if command == "entanglement" else 1
+    if points * (n + 2) > MAX_AMPLITUDES:
+        raise ValueError(f"{command} too large: it computes {points * (n + 2)} amplitudes, "
+                         f"above the limit of {MAX_AMPLITUDES}")
+
+
+def _require_range(config: dict, grid_given: bool) -> None:
+    """Refuse an --epsilon, --time or grid entry that ``sector`` cannot
+    evolve in doubles: t* must be positive and finite (then Omega is, and
+    Omega t* is about pi / 2), and so must each angle |(detuning / 2,
+    Omega)| t of ``sector.evolve``.  The coupling-disorder sweep, whose
+    Omega sums the squared couplings, keeps the range of epsilon^2."""
+    eps, n, parameter, grid = (config.get(k) for k in ("epsilon", "n", "parameter", "grid"))
     if parameter == "coupling-disorder":
-        # the retired numpy route's arrays, no operator: the basis, an
-        # N-tuple of 8-byte references per state, and one (trials, dim)
-        # complex amplitude array per grid point
-        return max(8 * dim * n, 16 * config["trials"] * dim)
-    # simulate and the other sweeps: the dense route's (dim, dim) complex
-    # operator; the timing route also evolved all grid times as one
-    # (grid points, dim) array
-    rows = len(config["grid"]) if parameter == "timing-error" else 1
-    return 16 * dim * max(dim, rows)
-
-
-def _require_array_bytes(command: str, size: int) -> None:
-    if size > MAX_ARRAY_BYTES:
-        raise ValueError(f"{command} too large: its largest array takes {size} bytes, "
-                         f"above the limit of {MAX_ARRAY_BYTES} bytes")
-
-
-def _require_finite_sweep_times(timing: bool, n: int, epsilon: float, grid, given: bool) -> None:
-    """Refuse a timing-error (``timing``) or detuning sweep whose optimal
-    time, or a grid entry's evolution time or detuning, is not a finite
-    double, each computed as the sweep computes it.  ``given`` tells
-    whether --grid set the grid."""
-    t_star = optimal_time(n, epsilon)
-    if not math.isfinite(t_star):
-        raise ValueError(f"--epsilon {epsilon!r} is too small: "
-                         "t* = pi / (2 sqrt(N) epsilon) is not finite")
-    for x in grid:
-        if not math.isfinite(t_star + x / epsilon if timing else x * epsilon):
-            what = "t* + x / epsilon" if timing else "the detuning x * epsilon"
-            entry = "--grid entry" if given else "default grid entry"
-            raise ValueError(f"{entry} {x!r} is too large for --epsilon {epsilon!r}: "
-                             f"{what} is not finite")
+        return _require_closed_form_range(eps, n)
+    # t* falls as N grows, so the ends of a mode-count grid bound it
+    for count in (int(min(grid)), int(max(grid))) if parameter == "mode-count" else (n,):
+        t_star = optimal_time(count, eps)
+        if not 0.0 < t_star < math.inf:
+            raise ValueError(f"--epsilon {eps!r} is too {'large' if t_star == 0.0 else 'small'}: "
+                             f"t* = pi / (2 sqrt(N) epsilon) is {t_star!r} at N = {count}")
+    if parameter == "mode-count":  # it evolves each count to its t* only
+        return None
+    if parameter == "timing-error":
+        points = ((x, t_star + x / eps, 0.0) for x in grid)
+    elif parameter == "detuning":
+        points = ((x, t_star, x * eps) for x in grid)
+    else:  # simulate evolves to t*, or to t = time / epsilon
+        time = config["time"]
+        points = [] if time is None else [(time, time / eps, 0.0)]
+    source = "--time" if parameter is None else "--grid entry" if grid_given else "default grid entry"
+    omega = math.hypot(*(eps,) * n)
+    for x, t, detuning in points:
+        if not math.isfinite(math.hypot(0.5 * detuning, omega) * t):
+            raise ValueError(f"{source} {x!r} is too large for --epsilon {eps!r}: "
+                             "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 
 
 def _require_valid(key: str, option: Option, value) -> None:
@@ -268,8 +280,8 @@ def resolve_config(args) -> dict:
     floats that ``protocol.require_grid`` has checked.  Every config-file
     value is parsed and checked, a value a flag overrides too; a refused
     one is named by its file line.  Refuses, before any work, an input
-    whose largest array exceeds ``MAX_ARRAY_BYTES`` or whose times or
-    couplings leave the doubles."""
+    outside the size rule (``_require_size``) or the range rule
+    (``_require_range``) of the route its command runs."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -319,31 +331,15 @@ def resolve_config(args) -> dict:
         grid = config["grid"]
         if grid is None:
             grid = _default_grid(parameter, config.get("n"))
-        else:
-            try:
-                grid = tuple(float(v) for v in grid.split(",") if v.strip())
-            except ValueError as exc:
-                raise ValueError(f"could not parse --grid {grid!r}") from exc
         # a bad grid or trial count is refused before the sweep is sized
         config["grid"] = require_grid(
             parameter, grid, **{k: config[k] for k in ("trials", "seed") if k in config}
         )
-    if args.command != "validate":
-        _require_array_bytes(args.command, _largest_array_bytes(config))
-    if args.command == "simulate":
-        _require_closed_form_range(config["epsilon"], config["n"])
-        time = config["time"]
-        if time is not None and not math.isfinite(time / config["epsilon"]):
-            raise ValueError(f"--time {time!r} is too large: t = time / epsilon is not finite")
-    if args.command == "sweep":
-        if parameter in ("coupling-disorder", "mode-count"):
-            # the disorder sweep evaluates the closed form at N; the mode-count
-            # sweep keeps the range of its dense route, which evaluated it at
-            # each grid entry
-            _require_closed_form_range(config["epsilon"], config.get("n") or int(max(grid)))
-        else:
-            _require_finite_sweep_times(parameter == "timing-error", config["n"],
-                                        config["epsilon"], grid, "grid" in given)
+    if args.command == "validate":
+        return config
+    _require_size(config)
+    if args.command != "entanglement":
+        _require_range(config, "grid" in given)
     return config
 
 

@@ -118,7 +118,10 @@ def lanczos(couplings, detunings) -> tuple[float, float, list]:
         raise PropagationError(f"coupling norm {beta1!r} is not a positive finite number")
     bright = [x / beta1 for x in w]
     w = matvec(couplings, detunings, bright)
-    alpha1 = math.fsum(b * x for b, x in zip(bright, w))
+    try:
+        alpha1 = math.fsum(b * x for b, x in zip(bright, w))
+    except OverflowError:  # a detuning within rounding of the largest double
+        raise PropagationError("the detuning overflows the Lanczos matrix") from None
     w[n + 1] -= beta1
     beta2 = _norm([x - alpha1 * b for x, b in zip(w, bright)])
     if not beta2 <= BREAKDOWN_RTOL * (beta1 + abs(alpha1)):

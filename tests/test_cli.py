@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import wcavity
 from wcavity.cli import main, run
-from wcavity.cli import _largest_array_bytes, build_parser, resolve_config
+from wcavity.cli import MAX_AMPLITUDES, MAX_MODES, build_parser, resolve_config
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -88,8 +88,8 @@ class TestSimulate:
         assert any(line.startswith("fidelity_W,1") for line in lines)
 
     def test_largest_admitted_truncation_runs(self, capsys):
-        # its dense sector operator, of dimension 1024, takes the 16 MiB limit
-        report = run_json(capsys, "simulate", "--n", "1022")
+        # MAX_MODES, the most modes any command runs
+        report = run_json(capsys, "simulate", "--n", str(MAX_MODES))
         assert report["fidelity_W"] == pytest.approx(1.0, abs=1e-9)
         assert report["closed_vs_numeric_gap"] <= 1e-9
 
@@ -423,7 +423,9 @@ class TestConfigHandling:
          "key 'parameter': unknown parameter 'bogus'"),
         ("trials=0\n", ["--parameter", "coupling-disorder", "--trials", "5"],
          "key 'trials': --trials must be >= 1"),
-    ], ids=["parse", "choice", "validity"])
+        ("grid = a,b\n", ["--n", "3", "--grid", "0"],
+         "key 'grid': could not convert string to float: 'a'"),
+    ], ids=["parse", "choice", "validity", "grid"])
     def test_config_value_a_flag_overrides_is_still_checked(self, text, argv, message,
                                                             capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -493,7 +495,7 @@ class TestConfigHandling:
     def test_oversized_basis_is_bad_input(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "1023")
         assert code == 2
-        assert "simulate too large" in err
+        assert "--n 1023 is above the limit of 1022 modes" in err
 
 
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
@@ -776,18 +778,18 @@ def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
-def test_entanglement_admits_by_its_largest_array(capsys):
-    """entanglement is charged a fixed 64 bytes per mode pair and support
-    state, the grouping matrix of a stacked reduction it no longer runs,
-    so that its bound stays: N = 80 runs, with the W law (pair concurrence
-    2/N) and no GHZ pair entanglement, and N = 81 exits 2."""
-    code, out, err = run_cli(capsys, "entanglement", "--n", "80", "--out", "-")
+def test_entanglement_admits_by_its_amplitude_count(capsys):
+    """entanglement computes N + 2 support amplitudes per mode pair, so
+    N = 127, 8001 pairs of 129 amplitudes, is the largest N within
+    MAX_AMPLITUDES: it runs, with the W law (pair concurrence 2/N) and no
+    GHZ pair entanglement, and N = 128 exits 2."""
+    code, out, err = run_cli(capsys, "entanglement", "--n", "127", "--out", "-")
     assert code == 0, err
     rows = json.loads(out)["rows"]
-    assert len(rows) == 80 * 79 // 2
-    assert all(abs(row["concurrence_w"] - 2 / 80) <= 1e-12 for row in rows)
+    assert len(rows) == 127 * 126 // 2
+    assert all(abs(row["concurrence_w"] - 2 / 127) <= 1e-12 for row in rows)
     assert all(row["concurrence_ghz"] == 0 for row in rows)
-    code, out, err = run_cli(capsys, "entanglement", "--n", "81")
+    code, out, err = run_cli(capsys, "entanglement", "--n", "128")
     assert (code, out) == (2, "")
     assert err == f"error: {ENTANGLEMENT_REFUSAL}\n"
 
@@ -813,53 +815,70 @@ def basis_builds(monkeypatch):
     return calls
 
 
-ENTANGLEMENT_REFUSAL = ("entanglement too large: its largest array takes 17210880 bytes, "
-                        "above the limit of 16777216 bytes")
-SIMULATE_REFUSAL = ("simulate too large: its largest array takes 16810000 bytes, "
-                    "above the limit of 16777216 bytes")
+ENTANGLEMENT_REFUSAL = ("entanglement too large: it computes 1056640 amplitudes, "
+                        "above the limit of 1048576")
 EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
 EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
+T_STAR_INFINITE = "--epsilon {} is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = {}"
+T_STAR_ZERO = "--epsilon {} is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = {}"
+ANGLE = "{} is too large for --epsilon {}: the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite"
+
+
+def zeros(k: int) -> str:
+    return ",".join(["0"] * k)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", "--n", "1023"], SIMULATE_REFUSAL),
-    (["entanglement", "--n", "81"], ENTANGLEMENT_REFUSAL),
+    (["simulate", "--n", "1023"], "--n 1023 is above the limit of 1022 modes"),
+    (["entanglement", "--n", "128"], ENTANGLEMENT_REFUSAL),
     (["entanglement", "--n", "1"], "entanglement comparison needs --n >= 2"),
     (["sweep", "--n", "16000", "--parameter", "detuning"],
-     "sweep too large: its largest array takes 4097024064 bytes, above the limit of 16777216 bytes"),
+     "--n 16000 is above the limit of 1022 modes"),
     (["sweep", "--parameter", "mode-count", "--grid", "1,20000"],
-     "sweep too large: its largest array takes 6401280064 bytes, above the limit of 16777216 bytes"),
+     "--grid entry 20000.0 is above the limit of 1022 modes"),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "300000"],
-     "sweep too large: its largest array takes 24000000 bytes, above the limit of 16777216 bytes"),
-    (["simulate", "--n", "3", "--epsilon", "1e-170"], EPSILON_UNDERFLOW.format("1e-170")),
-    (["simulate", "--n", "3", "--epsilon", "1e-160"], EPSILON_UNDERFLOW.format("1e-160")),
-    (["simulate", "--n", "3", "--epsilon", "1e160"], EPSILON_OVERFLOW.format("1e+160", 3)),
+     "sweep too large: it computes 16500000 amplitudes, above the limit of 1048576"),
+    (["sweep", "--n", "3", "--parameter", "detuning", "--grid", zeros(209716)],
+     "sweep too large: it computes 1048580 amplitudes, above the limit of 1048576"),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "19066"],
+     "sweep too large: it computes 1048630 amplitudes, above the limit of 1048576"),
+    (["sweep", "--n", "1023", "--parameter", "coupling-disorder", "--grid", "0", "--trials", "1"],
+     "--n 1023 is above the limit of 1022 modes"),
+    (["simulate", "--n", "3", "--epsilon", "1e-320"], T_STAR_INFINITE.format("1e-320", 3)),
+    (["simulate", "--n", "3", "--epsilon", "5e-309"], T_STAR_INFINITE.format("5e-309", 3)),
+    (["simulate", "--n", "3", "--epsilon", "1e308"], T_STAR_ZERO.format("1e+308", 3)),
     (["simulate", "--n", "3", "--time", "1e300", "--epsilon", "1e-10"],
-     "--time 1e+300 is too large: t = time / epsilon is not finite"),
+     ANGLE.format("--time 1e+300", "1e-10")),
+    (["simulate", "--n", "3", "--time", "1.7e308"], ANGLE.format("--time 1.7e+308", "1.0")),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e-170"],
      EPSILON_UNDERFLOW.format("1e-170")),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e160"],
      EPSILON_OVERFLOW.format("1e+160", 3)),
-    (["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"],
-     EPSILON_OVERFLOW.format("2.13e+153", 40)),
-    (["sweep", "--n", "3", "--epsilon", "1e-320"],
-     "--epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is not finite"),
+    (["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e307"],
+     T_STAR_ZERO.format("2.13e+307", 40)),
+    (["sweep", "--n", "3", "--epsilon", "1e-320"], T_STAR_INFINITE.format("1e-320", 3)),
     (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e-320"],
-     "--epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is not finite"),
+     T_STAR_INFINITE.format("1e-320", 3)),
+    (["sweep", "--n", "4", "--parameter", "timing-error", "--epsilon", "1e308", "--grid", "0"],
+     T_STAR_ZERO.format("1e+308", 4)),
+    (["sweep", "--n", "4", "--parameter", "detuning", "--epsilon", "1e308", "--grid", "0"],
+     T_STAR_ZERO.format("1e+308", 4)),
     (["sweep", "--n", "3", "--grid", "0,1e300", "--epsilon", "1e-10"],
-     "--grid entry 1e+300 is too large for --epsilon 1e-10: t* + x / epsilon is not finite"),
+     ANGLE.format("--grid entry 1e+300", "1e-10")),
+    (["sweep", "--n", "3", "--grid", "1.7e308"], ANGLE.format("--grid entry 1.7e+308", "1.0")),
     (["sweep", "--n", "3", "--epsilon", "5.1e-309"],
-     "default grid entry 0.01813799364234217 is too large for --epsilon 5.1e-309: "
-     "t* + x / epsilon is not finite"),
+     ANGLE.format("default grid entry 0.01813799364234217", "5.1e-309")),
     (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "1e300", "--epsilon", "1e10"],
-     "--grid entry 1e+300 is too large for --epsilon 10000000000.0: "
-     "the detuning x * epsilon is not finite"),
-], ids=["simulate", "entanglement", "entanglement-one-mode", "sweep-detuning", "sweep-mode-count", "sweep-trials",
-        "simulate-epsilon-underflow", "simulate-epsilon-subnormal", "simulate-epsilon-overflow",
-        "simulate-time-overflow", "sweep-disorder-epsilon-underflow",
-        "sweep-disorder-epsilon-overflow", "sweep-mode-count-epsilon-overflow",
-        "sweep-timing-epsilon-underflow", "sweep-detuning-epsilon-underflow",
-        "sweep-timing-grid-overflow", "sweep-timing-default-grid-overflow",
+     ANGLE.format("--grid entry 1e+300", "10000000000.0")),
+], ids=["simulate", "entanglement", "entanglement-one-mode", "sweep-detuning", "sweep-mode-count",
+        "sweep-trials", "sweep-detuning-long-grid", "sweep-disorder-trials-grid",
+        "sweep-disorder-modes", "simulate-epsilon-underflow", "simulate-epsilon-subnormal",
+        "simulate-epsilon-overflow", "simulate-time-overflow", "simulate-time-angle",
+        "sweep-disorder-epsilon-underflow", "sweep-disorder-epsilon-overflow",
+        "sweep-mode-count-epsilon-overflow", "sweep-timing-epsilon-underflow",
+        "sweep-detuning-epsilon-underflow", "sweep-timing-epsilon-overflow",
+        "sweep-detuning-epsilon-overflow", "sweep-timing-grid-overflow",
+        "sweep-timing-grid-angle", "sweep-timing-default-grid-overflow",
         "sweep-detuning-grid-overflow"])
 @pytest.mark.filterwarnings("error")  # a refused input leaks no numpy warning either
 def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_builds,
@@ -877,79 +896,87 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
 
 
 @pytest.mark.parametrize("largest, args", [
-    # a dense H of dimension 1024 takes 16 MiB
-    (1022, lambda k: ["--parameter", "detuning", "--n", str(k), "--grid", "0"]),
-    (1022, lambda k: ["--parameter", "timing-error", "--n", str(k), "--grid", "0"]),
-    (1022, lambda k: ["--parameter", "mode-count", "--grid", f"1,{k}"]),
-    # its oracle's basis: 1449 tuples of 1447 references
-    (1447, lambda k: ["--parameter", "coupling-disorder", "--n", str(k), "--grid", "0"]),
-    # the evolved rows, 5 amplitudes each
-    (209715, lambda k: ["--parameter", "timing-error", "--n", "3", "--grid", ",".join(["0"] * k)]),
-], ids=["detuning", "timing-error", "mode-count", "coupling-disorder", "timing-error-grid"])
+    (MAX_MODES, lambda k: ["simulate", "--n", str(k)]),
+    # 8001 mode pairs of 129 amplitudes
+    (127, lambda k: ["entanglement", "--n", str(k)]),
+    (MAX_MODES, lambda k: ["sweep", "--parameter", "timing-error", "--n", str(k), "--grid", "0"]),
+    # the amplitudes of N = 3, 5 per grid entry, trial and mode count of 1
+    (209715, lambda k: ["sweep", "--parameter", "timing-error", "--n", "3", "--grid", zeros(k)]),
+    (209715, lambda k: ["sweep", "--parameter", "detuning", "--n", "3", "--grid", zeros(k)]),
+    (349525, lambda k: ["sweep", "--parameter", "mode-count", "--grid", ",".join(["1"] * k)]),
+    # on the 11-entry default grid
+    (19065, lambda k: ["sweep", "--parameter", "coupling-disorder", "--n", "3", "--trials", str(k)]),
+], ids=["simulate", "entanglement", "timing-error", "timing-error-grid", "detuning", "mode-count",
+        "coupling-disorder"])
 def test_sweep_admission_bound(largest, args, tmp_path):
-    """The largest sweep admitted, and the next one refused."""
+    """The largest input of each route that the size rule admits, and the
+    next one refused: at most MAX_MODES modes and MAX_AMPLITUDES
+    amplitudes."""
     parser = build_parser()
-    out = ["sweep", "--out", str(tmp_path / "x.csv")]
-    resolve_config(parser.parse_args([*out, *args(largest)]))
-    with pytest.raises(ValueError, match="sweep too large"):
-        resolve_config(parser.parse_args([*out, *args(largest + 1)]))
+    out = ["--out", str(tmp_path / "x.csv")]
+    resolve_config(parser.parse_args([*args(largest), *out]))
+    with pytest.raises(ValueError, match="above the limit of"):
+        resolve_config(parser.parse_args([*args(largest + 1), *out]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--n", "254"],
-    ["entanglement", "--n", "32"],
-    # one mode count per route, so that no route reuses a basis another memoized
-    ["sweep", "--parameter", "timing-error", "--n", "255"],
-    ["sweep", "--parameter", "detuning", "--n", "256", "--grid", "0"],
-    ["sweep", "--parameter", "mode-count", "--grid", "257"],
-    ["sweep", "--parameter", "coupling-disorder", "--n", "362", "--grid", "0", "--trials", "1"],
+@pytest.mark.parametrize("argv, amplitudes", [
+    (["simulate", "--n", "1022"], 1024),
+    (["entanglement", "--n", "32"], 496 * 34),
+    (["sweep", "--parameter", "timing-error", "--n", "254", "--grid", zeros(64)], 64 * 256),
+    (["sweep", "--parameter", "detuning", "--n", "254", "--grid", zeros(64)], 64 * 256),
+    (["sweep", "--parameter", "mode-count", "--grid", ",".join(["254"] * 64)], 64 * 256),
+    (["sweep", "--parameter", "coupling-disorder", "--n", "254", "--grid", "0", "--trials", "64"],
+     64 * 256),
 ], ids=["simulate", "entanglement", "timing-error", "detuning", "mode-count",
         "coupling-disorder"])
-def test_peak_memory_is_a_few_times_the_largest_array(argv, capsys):
-    """At a size whose largest array takes at least 1 MiB, the traced peak
-    of main, basis included, stays within 5 times that array."""
-    argv = [*argv, "--out", "-"]
-    largest = _largest_array_bytes(resolve_config(build_parser().parse_args(argv)))
-    assert largest >= 2**20
+def test_peak_memory_is_a_few_times_the_largest_array(argv, amplitudes, capsys):
+    """The traced peak of main stays within 512 bytes per amplitude the
+    size rule charges: a CPython complex amplitude in a list takes 40
+    bytes, and ``simulate`` holds about seven lists of N + 2 numbers at
+    its peak (the closed form, the Lanczos vectors and the parts that
+    ``sector._norm`` hands to ``math.hypot``).  Each size charges at least
+    1024 amplitudes, so that the fixed cost of a call stays a small
+    part."""
     tracemalloc.start()
     try:
-        code = main(argv)
+        code = main([*argv, "--out", "-"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak <= 5 * largest
+    assert 1024 <= amplitudes <= MAX_AMPLITUDES
+    assert peak <= 512 * amplitudes
 
 
 @pytest.mark.parametrize("admitted, refused", [
+    # t* = pi / (2 sqrt(N) epsilon) against the largest double
+    (["simulate", "--epsilon", "5.05e-309"], ["simulate", "--epsilon", "5.04e-309"]),
     # epsilon^2 against the smallest normal double, 2.2250738585072014e-308
-    (["simulate", "--epsilon", "1.5e-154"], ["simulate", "--epsilon", "1.4e-154"]),
     (["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.5e-154"],
      ["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.4e-154"]),
-    # N epsilon^2 against the largest double, 1.7976931348623157e+308
-    (["simulate", "--n", "3", "--epsilon", "7.7e153"], ["simulate", "--n", "3", "--epsilon", "7.8e153"]),
-    (["simulate", "--n", "13", "--epsilon", "3.7e153"], ["simulate", "--n", "13", "--epsilon", "3.8e153"]),
-    (["sweep", "--parameter", "mode-count", "--grid", "1,39", "--epsilon", "2.13e153"],
-     ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e153"]),
-    # t = time / epsilon
-    (["simulate", "--time", "1e300", "--epsilon", "1e-8"], ["simulate", "--time", "1e300", "--epsilon", "1e-9"]),
+    # 2 sqrt(N) epsilon, the denominator of t*, against the largest double
+    (["simulate", "--n", "3", "--epsilon", "5.18e307"], ["simulate", "--n", "3", "--epsilon", "5.19e307"]),
+    (["simulate", "--n", "13", "--epsilon", "2.49e307"], ["simulate", "--n", "13", "--epsilon", "2.5e307"]),
+    (["sweep", "--parameter", "mode-count", "--grid", "1,39", "--epsilon", "1.43e307"],
+     ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "1.43e307"]),
+    # the angle Omega t = sqrt(3) time
+    (["simulate", "--time", "1.03e308"], ["simulate", "--time", "1.04e308"]),
     # the timing-error and detuning sweeps: t* = pi / (2 sqrt(3) epsilon),
-    # t* + x / epsilon and the detuning x * epsilon against the largest double
+    # the angle Omega (t* + x / epsilon) and the detuning x * epsilon
     (["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.05e-309"],
      ["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.04e-309"]),
     (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.05e-309"],
      ["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.04e-309"]),
-    (["sweep", "--n", "3", "--epsilon", "0.5", "--grid", "8.9e307"],
-     ["sweep", "--n", "3", "--epsilon", "0.5", "--grid", "9e307"]),
+    (["sweep", "--n", "3", "--grid", "1.03e308"], ["sweep", "--n", "3", "--grid", "1.04e308"]),
     (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.79e298"],
      ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.8e298"]),
 ], ids=["simulate-small", "disorder-small", "simulate-large", "simulate-13-large",
         "mode-count-large", "time", "timing-epsilon", "detuning-epsilon", "timing-grid",
         "detuning-grid"])
 def test_closed_form_range_bound(admitted, refused, tmp_path):
-    """The range of doubles that the closed form, or a sweep's evolution
-    time or detuning, can represent admits the first input and refuses
-    the second."""
+    """The range rule admits the first input and refuses the second: t*,
+    each angle and detuning of the sector routes, and epsilon^2 for the
+    coupling-disorder sweep, as finite or normal doubles."""
     parser = build_parser()
     out = ["--out", str(tmp_path / "x.csv")]
     resolve_config(parser.parse_args([*admitted, *out]))
@@ -957,15 +984,22 @@ def test_closed_form_range_bound(admitted, refused, tmp_path):
         resolve_config(parser.parse_args([*refused, *out]))
 
 
-@pytest.mark.parametrize("parameter", ["timing-error", "detuning"])
+@pytest.mark.parametrize("parameter", ["timing-error", "detuning", "mode-count", "simulate"])
 @pytest.mark.parametrize("epsilon", ["1e-170", "1e160"])
 def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys):
-    """Only simulate and the coupling-disorder and mode-count sweeps
-    evaluate the closed form; the other two sweeps run at any finite epsilon."""
-    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--parameter", parameter,
-                             "--epsilon", epsilon, "--grid", "0", "--out", "-")
+    """Only the coupling-disorder sweep keeps the range of epsilon^2;
+    simulate and the other sweeps run on sector, whose Omega is
+    ``math.hypot`` of the couplings, at an epsilon whose square leaves
+    the doubles, and reach the W state."""
+    if parameter == "simulate":
+        report = run_json(capsys, "simulate", "--n", "3", "--epsilon", epsilon)
+        assert report["fidelity_W"] == 1.0
+        return
+    grid = ["--grid", "3"] if parameter == "mode-count" else ["--n", "3", "--grid", "0"]
+    code, out, err = run_cli(capsys, "sweep", "--parameter", parameter, *grid,
+                             "--epsilon", epsilon, "--out", "-")
     assert code == 0, err
-    assert out.splitlines()[-1] == "0,1,1,1"
+    assert out.splitlines()[-1] == f"{grid[-1]},1,1,1"
 
 
 @pytest.mark.parametrize("dump", [False, True], ids=["report", "dump-state"])
@@ -1119,7 +1153,7 @@ def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, mo
     ["sweep", "--n", "3", "--config", "long-grid.cfg", "--out", "-"],
     ["validate", "--inject-fault"],
     ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"],
-    ["simulate", "--epsilon", "1e-170"],
+    ["simulate", "--epsilon", "1e-320"],
 ], ids=["simulate-dump", "sweep-long-grid", "validate-fault", "sweep-refused",
         "simulate-refused-epsilon"])
 def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path, monkeypatch):

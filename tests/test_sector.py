@@ -177,6 +177,15 @@ def test_evolve_refuses_bad_input(couplings, t, error, match):
         sector.evolve(couplings, (0.5, t))
 
 
+def test_a_detuning_at_the_largest_double_is_a_numerical_failure():
+    """The Lanczos diagonal sums the detuning over the bright mode, which
+    rounds above the largest double: a PropagationError, not fsum's
+    OverflowError."""
+    detunings = (1.7976931348623157e308,) * 3
+    with pytest.raises(PropagationError, match="detuning overflows"):
+        sector.evolve((1.0,) * 3, (0.9,), detunings)
+
+
 def test_norm_drift_raises_and_small_drift_is_renormalized():
     (state,) = sector.evolve((1.0, 0.5), (0.3,))
     with pytest.raises(PropagationError, match="norm drift"):

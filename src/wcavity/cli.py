@@ -38,10 +38,11 @@ from .sector import (
 #: per point of its run (``_require_size``).
 MAX_AMPLITUDES = 2**20
 
-#: Most modes a command may run, a sector of 1024 states: far below the
-#: N at which ``sector.lanczos`` takes rounding for a breakdown and
-#: refuses a Hamiltonian that does close (N = 65536 at epsilon = 0.3 and
-#: a common detuning of -1.7 epsilon; N = 82426 on resonance).
+#: Most modes a command may run, a sector of 1024 states.  The error of
+#: ``sector.w_fidelity``'s left-to-right overlap grows with N: against a
+#: correctly rounded ``math.fsum`` overlap it measured at most 5.7e-14
+#: relative at N = 1022, well below the 12th printed digit, and 3.4e-12
+#: at N = 65536.
 MAX_MODES = 1022
 
 

@@ -102,9 +102,10 @@ def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
     """Fidelity versus timing offset around the optimal time.
 
     Grid entries are offsets in units of 1/epsilon; the state is evolved
-    to t* + x/epsilon (all times from one Lanczos run) and scored against
-    the W target, so the rows check the analytic law cos^2(sqrt(n) x) with
-    the propagator, not with the formula that predicts it.
+    to t* + x/epsilon (all times from one ``sector.evolve`` call) and
+    scored against the W target, so the rows check the analytic law
+    cos^2(sqrt(n) x) with the propagator, not with the formula that
+    predicts it.
     """
     grid = require_grid("timing-error", grid)
     t_star = optimal_time(n, epsilon)
@@ -217,7 +218,7 @@ def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
     couplings = (epsilon,) * n
     rows = []
     for x in grid:
-        (psi,) = sector.evolve(couplings, (t_star,), (x * epsilon,) * n)
+        (psi,) = sector.evolve(couplings, (t_star,), x * epsilon)
         f = sector.w_fidelity(psi)
         rows.append(SweepRow(x, f, f, f))
     return SweepResult(rows, _metadata("detuning", n_modes=n, epsilon=epsilon, t_star=t_star))

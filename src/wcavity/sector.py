@@ -1,11 +1,12 @@
 """The N + 2 state sector, on the standard library alone.
 
 One excited atom and N empty modes stay in the sector of the vacuum and
-the states with one excitation.  There the Hamiltonian takes |e;0> into a
-2-dimensional invariant subspace: |e;0> and the bright mode
-sum_i eps_i |g;1_i> / Omega, Omega = sqrt(sum_i eps_i^2) (the Morris-Shore
-reduction).  So a Lanczos run from |e;0> breaks down after two steps, and
-the exact exponential of its 2x2 tridiagonal matrix gives the state at any
+the states with one excitation.  With every mode detuned by one common
+delta from the atom, the Hamiltonian takes |e;0> into a 2-dimensional
+invariant subspace: |e;0> and the bright mode sum_i eps_i |g;1_i> / Omega,
+Omega = sqrt(sum_i eps_i^2), coupled by Omega, the bright mode at energy
+delta (the Morris-Shore reduction; Morris and Shore, Phys. Rev. A 27, 906
+(1983)).  The exact exponential of that 2x2 matrix gives the state at any
 time, with O(N) work and no dense linear algebra.
 
 Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: index 0
@@ -33,10 +34,6 @@ ROUNDING_TOL = 1e-12
 
 #: Norm drift above this signals a propagator defect rather than rounding.
 NORM_DRIFT_TOL = 1e-10
-
-#: The Lanczos residual, relative to the size of the 2x2 matrix, above which
-#: the Hamiltonian does not close on |e;0> and the bright mode.
-BREAKDOWN_RTOL = 1e-12
 
 #: Largest modulus of an entry of a two-mode reduction outside its
 #: diagonal and anti-diagonal for which the reduction counts as an X state.
@@ -86,76 +83,30 @@ def _require_couplings(couplings) -> None:
         raise ValueError("couplings must be strictly positive")
 
 
-def matvec(couplings, detunings, amps) -> list:
-    """H amps in the interaction frame, in O(N): mode i (1-based) has
-    coupling ``couplings[i - 1]`` and detuning ``detunings[i - 1]`` from
-    the atom, and ``amps`` lists N + 2 amplitudes in sector order."""
-    n = len(couplings)
-    excited = amps[n + 1]
-    out = [0.0] * (n + 2)
-    bright = 0.0
-    for j in range(1, n + 1):
-        eps = couplings[n - j]
-        out[j] = detunings[n - j] * amps[j] + eps * excited
-        bright += eps * amps[j]
-    out[n + 1] = bright
-    return out
-
-
-def lanczos(couplings, detunings) -> tuple[float, float, list]:
-    """Two Lanczos steps from |e;0>: (beta1, alpha1, bright), the entries
-    of the tridiagonal matrix [[0, beta1], [beta1, alpha1]] (|e;0> has no
-    diagonal entry in the interaction frame) and the second Lanczos
-    vector, whose amplitude is eps_i / Omega on mode i.  Raises ValueError
-    unless the third vector vanishes to ``BREAKDOWN_RTOL`` of the matrix,
-    as it does for one common detuning and not for per-mode ones."""
-    n = len(couplings)
-    start = [0.0] * (n + 2)
-    start[n + 1] = 1.0
-    w = matvec(couplings, detunings, start)
-    beta1 = _norm(w)
-    if not (math.isfinite(beta1) and beta1 > 0.0):
-        raise PropagationError(f"coupling norm {beta1!r} is not a positive finite number")
-    bright = [x / beta1 for x in w]
-    w = matvec(couplings, detunings, bright)
-    try:
-        alpha1 = math.fsum(b * x for b, x in zip(bright, w))
-    except OverflowError:  # a detuning within rounding of the largest double
-        raise PropagationError("the detuning overflows the Lanczos matrix") from None
-    w[n + 1] -= beta1
-    beta2 = _norm([x - alpha1 * b for x, b in zip(w, bright)])
-    if not beta2 <= BREAKDOWN_RTOL * (beta1 + abs(alpha1)):
-        raise ValueError(f"the Hamiltonian does not close on |e;0> and one bright mode "
-                         f"(Lanczos residual {beta2:.3e}): per-mode detunings need the "
-                         "dense route")
-    return beta1, alpha1, bright
-
-
-def evolve(couplings, times, detunings=None) -> list[list[complex]]:
+def evolve(couplings, times, detuning: float = 0.0) -> list[list[complex]]:
     """exp(-i H t) |e;0> in the interaction frame at each time t of
     ``times``: one list of N + 2 amplitudes in sector order per time.
-    ``detunings`` lists each mode's detuning from the atom (default: all
-    on resonance); they must be one common value.
+    Mode i (1-based) has coupling ``couplings[i - 1]``, and every mode the
+    detuning ``detuning`` from the atom (default: on resonance).
 
-    One Lanczos run gives the 2x2 matrix, and each state is its exact
-    exponential.  Non-finite amplitudes raise :class:`PropagationError`,
-    and so does a norm drift above ``NORM_DRIFT_TOL``; a smaller one is
-    renormalized.
+    Each state is the exact exponential of the Morris-Shore 2x2 matrix
+    [[0, Omega], [Omega, delta]] on |e;0> and the bright mode.  Non-finite
+    amplitudes raise :class:`PropagationError`, and so does a norm drift
+    above ``NORM_DRIFT_TOL``; a smaller one is renormalized.
     """
     _require_couplings(couplings)
-    n = len(couplings)
-    if detunings is None:
-        detunings = (0.0,) * n
-    elif len(detunings) != n:
-        raise ValueError(f"expected {n} detunings, got {len(detunings)}")
-    elif not all(math.isfinite(d) for d in detunings):
+    if not math.isfinite(detuning):
         raise ValueError("model parameters must be finite")
-    beta1, alpha1, bright = lanczos(couplings, detunings)
-    # exp(-i T t) (1, 0) for T = [[0, beta1], [beta1, alpha1]] is
-    # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) beta1 / g), with
-    # m the mean and d the half difference of the diagonal, g = |(d, beta1)|
-    mean, half = 0.5 * alpha1, -0.5 * alpha1
-    g = math.hypot(half, beta1)
+    n = len(couplings)
+    omega = _norm(couplings)
+    if not math.isfinite(omega):
+        raise PropagationError(f"coupling norm {omega!r} is not finite")
+    bright = [0.0, *(c / omega for c in reversed(couplings)), 0.0]
+    # exp(-i T t) (1, 0) for T = [[0, omega], [omega, detuning]] is
+    # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) omega / g), with
+    # m the mean and d the half difference of the diagonal, g = |(d, omega)|
+    mean, half = 0.5 * detuning, -0.5 * detuning
+    g = math.hypot(half, omega)
     states = []
     for t in times:
         if not math.isfinite(t):
@@ -166,7 +117,7 @@ def evolve(couplings, times, detunings=None) -> list[list[complex]]:
                                    "(parameter overflow)")
         c, s = math.cos(angle), math.sin(angle)
         phase = complex(math.cos(turn), -math.sin(turn))
-        lower = phase * complex(0.0, -s * (beta1 / g))
+        lower = phase * complex(0.0, -s * (omega / g))
         amps = [lower * b for b in bright]
         amps[n + 1] = phase * complex(c, -s * (half / g))
         states.append(_renormalized(amps))

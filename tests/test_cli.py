@@ -933,7 +933,7 @@ def test_peak_memory_is_a_few_times_the_largest_array(argv, amplitudes, capsys):
     """The traced peak of main stays within 512 bytes per amplitude the
     size rule charges: a CPython complex amplitude in a list takes 40
     bytes, and ``simulate`` holds about seven lists of N + 2 numbers at
-    its peak (the closed form, the Lanczos vectors and the parts that
+    its peak (the closed form, the bright vector and the parts that
     ``sector._norm`` hands to ``math.hypot``).  Each size charges at least
     1024 amplitudes, so that the fixed cost of a call stays a small
     part."""

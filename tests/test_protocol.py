@@ -94,12 +94,12 @@ class TestTimingErrorSweep:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.fidelity_mean == pytest.approx(rb.fidelity_mean, abs=1e-12)
 
-    def test_runs_lanczos_once(self, eigh_calls, monkeypatch):
-        """All grid times come from one 2x2 Lanczos matrix, with no dense
-        diagonalization."""
+    def test_evolves_once(self, eigh_calls, monkeypatch):
+        """All grid times come from one ``sector.evolve`` call, with no
+        dense diagonalization."""
         runs = []
-        real = sector.lanczos
-        monkeypatch.setattr(sector, "lanczos", lambda *args: runs.append(args) or real(*args))
+        real = sector.evolve
+        monkeypatch.setattr(sector, "evolve", lambda *args: runs.append(args) or real(*args))
         timing_error_sweep(3, 1.0, _default_grid("timing-error", 3))
         assert len(runs) == 1
         assert eigh_calls == []

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcavity import sector
+from wcavity.cli import MAX_MODES
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -32,10 +33,11 @@ from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initia
 from numpy_route import closed_form_rows
 
 
-def dense_operator(couplings, detunings):
-    """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0."""
+def dense_operator(couplings, detuning):
+    """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0 and
+    every mode at ``detuning``."""
     n = len(couplings)
-    params = ModelParams(n, 0.0, tuple(detunings), tuple(couplings))
+    params = ModelParams(n, 0.0, (detuning,) * n, tuple(couplings))
     return build_hamiltonian(params, build_basis(n, excitation_cap=1))
 
 
@@ -65,10 +67,8 @@ couplings_st = st.integers(1, 13).flatmap(
 def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times):
     """Every time of one call against the dense sector propagator and
     ``expm``; the one-time call is the one-item case."""
-    n = len(couplings)
-    detunings = (detuning,) * n
-    states = sector.evolve(couplings, times, detunings)
-    H = dense_operator(couplings, detunings)
+    states = sector.evolve(couplings, times, detuning)
+    H = dense_operator(couplings, detuning)
     psi0 = initial_state(H.basis)
     dense = propagate_times(H, psi0, np.array(times))
     assert len(states) == len(times)
@@ -76,21 +76,7 @@ def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times)
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
         np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
         np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
-        assert sector.evolve(couplings, (t,), detunings) == [amps]
-
-
-@settings(max_examples=40, deadline=None)
-@given(couplings=couplings_st, data=st.data())
-def test_matvec_is_the_dense_operator(couplings, data):
-    """Any detunings, any complex vector: the O(N) product is H @ v."""
-    n = len(couplings)
-    real = st.floats(-5.0, 5.0)
-    detunings = data.draw(st.lists(real, min_size=n, max_size=n))
-    parts = data.draw(st.lists(real, min_size=2 * (n + 2), max_size=2 * (n + 2)))
-    vector = [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
-    got = sector.matvec(couplings, detunings, vector)
-    want = dense_operator(couplings, detunings).matrix @ np.array(vector)
-    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+        assert sector.evolve(couplings, (t,), detuning) == [amps]
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,21 +134,56 @@ def test_w_fidelity_sums_left_to_right():
     assert sector.fmt12(sector.w_fidelity(amps)) == "0.979715654529"
 
 
-def test_per_mode_detunings_raise_instead_of_a_wrong_state():
-    couplings, detunings = (1.0, 0.7, 1.4), (0.0, 0.5, -0.3)
-    with pytest.raises(ValueError, match="does not close on"):
-        sector.evolve(couplings, (0.9,), detunings)
-    # the dense route evolves the same Hamiltonian out of the 2-state subspace
-    assert np.linalg.matrix_rank(
-        np.array([np.linalg.matrix_power(dense_operator(couplings, detunings).matrix, k)[:, -1]
-                  for k in range(4)]), tol=1e-9) > 2
+@pytest.mark.parametrize("detuning", [0.0, -1.7, 7.3])
+def test_w_fidelity_sum_error_at_the_largest_admitted_n(detuning):
+    """``cli.MAX_MODES`` keeps the error of the left-to-right overlap far
+    below the 12th printed digit: within 1e-13 relative of an overlap
+    summed by ``math.fsum``, at t* and at later times."""
+    n, eps = MAX_MODES, 0.3
+    t_star = sector.optimal_time(n, eps)
+    weight = 1.0 / math.sqrt(n)
+    for amps in sector.evolve((eps,) * n, [k * t_star for k in (1.0, 1.37, 2.9)], detuning * eps):
+        terms = [weight * a for a in amps[1:n + 1]]
+        exact = abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
+        assert sector.w_fidelity(amps) == pytest.approx(exact ** 2, rel=1e-13)
 
 
-def test_common_detuning_breaks_down_in_two_steps():
-    beta1, alpha1, bright = sector.lanczos((1.0, 2.0, 2.0), (0.4,) * 3)
-    assert beta1 == 3.0
-    assert alpha1 == pytest.approx(0.4, abs=1e-15)
-    assert bright == pytest.approx([0.0, 2 / 3, 2 / 3, 1 / 3, 0.0], abs=1e-15)
+def two_level_excited_population(omega, detuning, t):
+    """P_e = 1 - (Omega / g)^2 sin^2(g t), g = sqrt(Omega^2 + detuning^2 / 4):
+    the atom's population under the Morris-Shore 2x2 matrix."""
+    g = math.hypot(omega, 0.5 * detuning)
+    return 1.0 - (omega / g) ** 2 * math.sin(g * t) ** 2
+
+
+def test_common_detuning_keeps_the_bright_mode_shape():
+    """Under one common detuning every photon amplitude stays eps_i / Omega
+    times one factor, and the atom follows the two-level law."""
+    couplings, detuning, t = (1.0, 2.0, 2.0), 0.4, 0.7
+    (amps,) = sector.evolve(couplings, (t,), detuning)
+    assert amps[0] == 0
+    photon = math.sqrt(1.0 - abs(amps[4]) ** 2)
+    np.testing.assert_allclose(np.abs(amps[1:4]), [photon * 2 / 3, photon * 2 / 3, photon / 3],
+                               atol=1e-15, rtol=0)
+    assert np.ptp(np.angle(amps[1:4])) <= 1e-15
+    assert abs(amps[4]) ** 2 == pytest.approx(two_level_excited_population(3.0, detuning, t),
+                                              abs=1e-15)
+
+
+@pytest.mark.parametrize("n, detuning", [(65536, -1.7 * 0.3), (82426, 0.0)])
+def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
+    """At N = 65536 with a detuning of -1.7 epsilon and at N = 82426 on
+    resonance, far above ``cli.MAX_MODES``, the atom's population at t*
+    and at a later time is the two-level P_e, and every mode holds an
+    equal share of the rest."""
+    eps = 0.3
+    omega = eps * math.sqrt(n)
+    t_star = sector.optimal_time(n, eps)
+    for (amps, t) in zip(sector.evolve((eps,) * n, (t_star, 3.7 * t_star), detuning),
+                         (t_star, 3.7 * t_star)):
+        p_excited = two_level_excited_population(omega, detuning, t)
+        assert abs(amps[n + 1]) ** 2 == pytest.approx(p_excited, abs=1e-12)
+        assert abs(amps[1]) ** 2 == pytest.approx((1.0 - p_excited) / n, abs=1e-15)
+        assert abs(amps[n]) == abs(amps[1])
 
 
 @pytest.mark.parametrize("couplings, t, error, match", [
@@ -177,13 +198,11 @@ def test_evolve_refuses_bad_input(couplings, t, error, match):
         sector.evolve(couplings, (0.5, t))
 
 
-def test_a_detuning_at_the_largest_double_is_a_numerical_failure():
-    """The Lanczos diagonal sums the detuning over the bright mode, which
-    rounds above the largest double: a PropagationError, not fsum's
-    OverflowError."""
-    detunings = (1.7976931348623157e308,) * 3
-    with pytest.raises(PropagationError, match="detuning overflows"):
-        sector.evolve((1.0,) * 3, (0.9,), detunings)
+def test_a_coupling_norm_that_overflows_is_a_numerical_failure():
+    """Finite couplings whose Omega leaves the doubles raise
+    PropagationError, not a wrong state."""
+    with pytest.raises(PropagationError, match="coupling norm inf is not finite"):
+        sector.evolve((1.5e308,) * 2, (0.9,))
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized():

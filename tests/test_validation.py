@@ -164,21 +164,21 @@ def test_sector_check_passes_on_the_sector_route():
     assert result.measured <= 1e-13
 
 
-@pytest.mark.parametrize("fault", ["detuning sign", "coupling sign"])
-def test_sector_check_fails_on_a_faulted_sector_matvec(fault, monkeypatch):
-    """A sign flip in the matvec either evolves a wrong state (detuning) or
-    stops the Lanczos run from closing (coupling); the check fails on both,
-    without raising."""
-    real = sector.matvec
+@pytest.mark.parametrize("fault", ["conjugated state", "photon sign"])
+def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
+    """``sector-vs-dense`` runs ``sector.evolve``, the route of ``simulate``
+    and three sweeps.  A conjugated state (the evolution run backwards)
+    and a flipped sign on the photon amplitudes are wrong states; the
+    check fails on both, without raising."""
+    real = sector.evolve
 
-    def flipped(couplings, detunings, amps):
-        if fault == "detuning sign":
-            return real(couplings, [-d for d in detunings], amps)
-        out = real(couplings, detunings, amps)
-        out[-1] = -out[-1]
-        return out
+    def faulted(couplings, times, detuning=0.0):
+        states = real(couplings, times, detuning)
+        if fault == "conjugated state":
+            return [[a.conjugate() for a in amps] for amps in states]
+        return [[-a for a in amps[:-1]] + amps[-1:] for amps in states]
 
-    monkeypatch.setattr(sector, "matvec", flipped)
+    monkeypatch.setattr(sector, "evolve", faulted)
     result = check_sector_route(np.random.default_rng(3))
     assert not result.passed
     assert result.measured > 1e-3

@@ -237,21 +237,22 @@ def _require_size(config: dict) -> None:
 
 def _require_range(config: dict, grid_given: bool) -> None:
     """Refuse an --epsilon, --time or grid entry that ``sector`` cannot
-    evolve in doubles: t* must be positive and finite (then Omega is, and
-    Omega t* is about pi / 2), and so must each angle |(detuning / 2,
-    Omega)| t of ``sector.evolve``.  The coupling-disorder sweep, whose
-    Omega sums the squared couplings, keeps the range of epsilon^2."""
+    evolve in doubles: t* must be positive and finite, which
+    ``sector.optimal_time`` checks for the library and the CLI alike
+    (then Omega is finite, and Omega t* is about pi / 2), and so must each
+    angle |(detuning / 2, Omega)| t of ``sector.evolve``.  The
+    coupling-disorder sweep, whose Omega sums the squared couplings, keeps
+    the range of epsilon^2."""
     eps, n, parameter, grid = (config.get(k) for k in ("epsilon", "n", "parameter", "grid"))
     if parameter == "coupling-disorder":
         return _require_closed_form_range(eps, n)
-    # t* falls as N grows, so the ends of a mode-count grid bound it
-    for count in (int(min(grid)), int(max(grid))) if parameter == "mode-count" else (n,):
-        t_star = optimal_time(count, eps)
-        if not 0.0 < t_star < math.inf:
-            raise ValueError(f"--epsilon {eps!r} is too {'large' if t_star == 0.0 else 'small'}: "
-                             f"t* = pi / (2 sqrt(N) epsilon) is {t_star!r} at N = {count}")
-    if parameter == "mode-count":  # it evolves each count to its t* only
+    if parameter == "mode-count":
+        # t* falls as N grows, so the ends of the grid bound it, and each
+        # count evolves to its t* only
+        for count in (int(min(grid)), int(max(grid))):
+            optimal_time(count, eps)
         return None
+    t_star = optimal_time(n, eps)
     if parameter == "timing-error":
         points = ((x, t_star + x / eps, 0.0) for x in grid)
     elif parameter == "detuning":

@@ -225,11 +225,12 @@ def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
 
 
 def mode_count_sweep(epsilon: float, grid) -> SweepResult:
-    """Numeric fidelity at the optimal time for each mode count in the grid."""
-    rows = []
-    for x in require_grid("mode-count", grid):
-        n = int(x)
+    """Numeric fidelity at the optimal time for each mode count in the
+    grid; a count that repeats is evolved once."""
+    counts = [int(x) for x in require_grid("mode-count", grid)]
+    fidelities = {}
+    for n in dict.fromkeys(counts):
         (psi,) = sector.evolve((epsilon,) * n, (optimal_time(n, epsilon),))
-        f = sector.w_fidelity(psi)
-        rows.append(SweepRow(float(n), f, f, f))
+        fidelities[n] = sector.w_fidelity(psi)
+    rows = [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]
     return SweepResult(rows, _metadata("mode-count", epsilon=epsilon))

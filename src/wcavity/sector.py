@@ -62,12 +62,17 @@ def round12(value: float) -> float:
 
 
 def optimal_time(n: int, epsilon: float) -> float:
-    """Interaction time pi / (2 sqrt(n) epsilon) that completes the transfer."""
+    """Interaction time pi / (2 sqrt(n) epsilon) that completes the
+    transfer; ValueError unless it is positive and finite in doubles."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    return math.pi / (2.0 * math.sqrt(n) * epsilon)
+    t_star = math.pi / (2.0 * math.sqrt(n) * epsilon)
+    if not 0.0 < t_star < math.inf:
+        raise ValueError(f"epsilon {epsilon!r} is too {'large' if t_star == 0.0 else 'small'}: "
+                         f"t* = pi / (2 sqrt(N) epsilon) is {t_star!r} at N = {n}")
+    return t_star
 
 
 def _norm(amps) -> float:

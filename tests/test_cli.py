@@ -819,8 +819,8 @@ ENTANGLEMENT_REFUSAL = ("entanglement too large: it computes 1056640 amplitudes,
                         "above the limit of 1048576")
 EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
 EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
-T_STAR_INFINITE = "--epsilon {} is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = {}"
-T_STAR_ZERO = "--epsilon {} is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = {}"
+T_STAR_INFINITE = "epsilon {} is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = {}"
+T_STAR_ZERO = "epsilon {} is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = {}"
 ANGLE = "{} is too large for --epsilon {}: the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite"
 
 
@@ -980,7 +980,8 @@ def test_closed_form_range_bound(admitted, refused, tmp_path):
     parser = build_parser()
     out = ["--out", str(tmp_path / "x.csv")]
     resolve_config(parser.parse_args([*admitted, *out]))
-    with pytest.raises(ValueError, match="^--(epsilon|time|grid) .* is too (small|large)"):
+    with pytest.raises(ValueError,
+                       match="^(epsilon|--epsilon|--time|--grid) .* is too (small|large)"):
         resolve_config(parser.parse_args([*refused, *out]))
 
 

@@ -59,6 +59,18 @@ class TestOptimalTime:
             optimal_time(3, 0.0)
         with pytest.raises(ValueError):
             optimal_time(3, -1.0)
+        with pytest.raises(ValueError):
+            optimal_time(3, math.nan)
+
+    @pytest.mark.parametrize("epsilon, message", [
+        (6e307, "epsilon 6e+307 is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = 3"),
+        (1e-320, "epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = 3"),
+    ], ids=["too-large", "too-small"])
+    def test_refuses_a_time_outside_the_doubles(self, epsilon, message):
+        """2 sqrt(N) epsilon overflows to a t* of 0, or t* itself does."""
+        with pytest.raises(ValueError) as refused:
+            optimal_time(3, epsilon)
+        assert str(refused.value) == message
 
 
 class TestTimingErrorSweep:
@@ -267,6 +279,20 @@ class TestModeCountSweep:
         for row in res.rows:
             assert row.fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
+    def test_evolves_each_distinct_count_once(self, monkeypatch):
+        """A row depends on its count alone, so a repeated count is evolved
+        once and its rows equal those of a sweep over that count alone."""
+        grid = (4.0, 4.0, 1.0, 4.0)
+        alone = {n: mode_count_sweep(1.3, (n,)).rows[0] for n in (1.0, 4.0)}
+        counts = []
+        real = sector.evolve
+        monkeypatch.setattr(sector, "evolve",
+                            lambda couplings, *args: counts.append(len(couplings))
+                            or real(couplings, *args))
+        res = mode_count_sweep(1.3, grid)
+        assert counts == [4, 1]
+        assert res.rows == [alone[n] for n in grid]
+
     def test_rejects_fractional_counts(self, capsys):
         with pytest.raises(ValueError, match="positive integers") as refused:
             mode_count_sweep(1.0, (2.5,))
@@ -341,7 +367,18 @@ def assert_cli_refuses(capsys, message, *args):
      ["--parameter", "coupling-disorder", "--trials", "0"], "--trials must be >= 1"),
     (lambda: coupling_disorder_sweep(3, 1.0, (0.0,), 1, -1), "seed must be a non-negative integer",
      ["--parameter", "coupling-disorder", "--seed", "-1"], "--seed must be >= 0"),
-], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed"])
+    # t* = pi / (2 sqrt(N) epsilon) leaves the doubles (sector.optimal_time)
+    (lambda: timing_error_sweep(3, 6e307, (0.0,)),
+     "epsilon 6e+307 is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = 3",
+     ["--n", "3", "--epsilon", "6e307", "--grid", "0"], None),
+    (lambda: detuning_sweep(3, 6e307, (0.0,)),
+     "epsilon 6e+307 is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = 3",
+     ["--n", "3", "--parameter", "detuning", "--epsilon", "6e307", "--grid", "0"], None),
+    (lambda: mode_count_sweep(1e-320, (3.0,)),
+     "epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = 3",
+     ["--parameter", "mode-count", "--epsilon", "1e-320", "--grid", "3"], None),
+], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed", "timing-t-star",
+        "detuning-t-star", "mode-count-t-star"])
 def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, capsys):
     with pytest.raises(ValueError) as refused:
         call()

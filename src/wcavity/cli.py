@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
 input above the size or outside the range that ``resolve_config``
 admits), 3 numerical failure.  Times are given in units of 1/epsilon, and every
-evolution runs in the interaction frame on resonance.
+evolution runs in the interaction frame, on resonance but in the detuning
+sweep.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ _HOMES = {
         "atom_population",
         "build_basis",
         "initial_state",
-        "inner_product",
         "state_from_dict",
     ),
     "protocol": (

@@ -185,48 +185,23 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
-    """``num`` evenly spaced points from ``start`` to ``stop``, computed
-    as numpy.linspace computes them, so that each is the same double."""
-    step = (stop - start) / (num - 1)
-    return (*(i * step + start for i in range(num - 1)), stop)
-
-
-def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
-    if parameter == "timing-error":
-        span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
-        return _linspace(-span, span, 41)
-    if parameter == "coupling-disorder":
-        return _linspace(0.0, 0.1, 11)
-    if parameter == "detuning":
-        return _linspace(-2.0, 2.0, 41)
-    return tuple(float(n) for n in range(1, 9))
-
-
-def _require_closed_form_range(epsilon: float, n: int) -> None:
-    """Refuse an epsilon whose square, or n-fold sum of squares, leaves the
-    normal doubles: the disorder sweep's Omega sums squares as numpy does,
-    and a subnormal square keeps too few digits for the norm check."""
-    square = epsilon * epsilon
-    if square < sys.float_info.min:
-        raise ValueError(f"--epsilon {epsilon!r} is too small: "
-                         "its square is below the smallest normal double")
-    if not math.isfinite(n * square):
-        raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
+def _require_modes(n: int, source: str) -> None:
+    if n > MAX_MODES:
+        raise ValueError(f"{source} is above the limit of {MAX_MODES} modes")
 
 
 def _require_size(config: dict) -> None:
-    """Refuse a command of more than ``MAX_MODES`` modes, or one that
-    computes more than ``MAX_AMPLITUDES`` amplitudes: points x (N + 2),
-    with N the mode count (for the mode-count sweep, the largest grid
-    entry) and one point for ``simulate``, one per mode pair for
-    ``entanglement`` and one per grid entry and trial for a sweep."""
+    """Refuse a command that computes more than ``MAX_AMPLITUDES``
+    amplitudes: points x (N + 2), with N the mode count (for the mode-count
+    sweep, the largest grid entry, itself at most ``MAX_MODES``) and one
+    point for ``simulate``, one per mode pair for ``entanglement`` and one
+    per grid entry and trial for a sweep."""
     command, grid = config["command"], config.get("grid")
-    mode_count = config.get("parameter") == "mode-count"
-    n = int(max(grid)) if mode_count else config["n"]
-    if n > MAX_MODES:
-        source = f"--grid entry {max(grid)!r}" if mode_count else f"--n {n}"
-        raise ValueError(f"{source} is above the limit of {MAX_MODES} modes")
+    if config.get("parameter") == "mode-count":
+        n = int(max(grid))
+        _require_modes(n, f"--grid entry {max(grid)!r}")
+    else:
+        n = config["n"]
     if command == "sweep":
         points = len(grid) * config.get("trials", 1)
     else:
@@ -234,39 +209,6 @@ def _require_size(config: dict) -> None:
     if points * (n + 2) > MAX_AMPLITUDES:
         raise ValueError(f"{command} too large: it computes {points * (n + 2)} amplitudes, "
                          f"above the limit of {MAX_AMPLITUDES}")
-
-
-def _require_range(config: dict, grid_given: bool) -> None:
-    """Refuse an --epsilon, --time or grid entry that ``sector`` cannot
-    evolve in doubles: t* must be positive and finite, which
-    ``sector.optimal_time`` checks for the library and the CLI alike
-    (then Omega is finite, and Omega t* is about pi / 2), and so must each
-    angle |(detuning / 2, Omega)| t of ``sector.evolve``.  The
-    coupling-disorder sweep, whose Omega sums the squared couplings, keeps
-    the range of epsilon^2."""
-    eps, n, parameter, grid = (config.get(k) for k in ("epsilon", "n", "parameter", "grid"))
-    if parameter == "coupling-disorder":
-        return _require_closed_form_range(eps, n)
-    if parameter == "mode-count":
-        # t* falls as N grows, so the ends of the grid bound it, and each
-        # count evolves to its t* only
-        for count in (int(min(grid)), int(max(grid))):
-            optimal_time(count, eps)
-        return None
-    t_star = optimal_time(n, eps)
-    if parameter == "timing-error":
-        points = ((x, t_star + x / eps, 0.0) for x in grid)
-    elif parameter == "detuning":
-        points = ((x, t_star, x * eps) for x in grid)
-    else:  # simulate evolves to t*, or to t = time / epsilon
-        time = config["time"]
-        points = [] if time is None else [(time, time / eps, 0.0)]
-    source = "--time" if parameter is None else "--grid entry" if grid_given else "default grid entry"
-    omega = math.hypot(*(eps,) * n)
-    for x, t, detuning in points:
-        if not math.isfinite(math.hypot(0.5 * detuning, omega) * t):
-            raise ValueError(f"{source} {x!r} is too large for --epsilon {eps!r}: "
-                             "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 
 
 def _require_valid(key: str, option: Option, value) -> None:
@@ -283,8 +225,10 @@ def resolve_config(args) -> dict:
     floats that ``protocol.require_grid`` has checked.  Every config-file
     value is parsed and checked, a value a flag overrides too; a refused
     one is named by its file line.  Refuses, before any work, an input
-    outside the size rule (``_require_size``) or the range rule
-    (``_require_range``) of the route its command runs."""
+    above ``MAX_MODES`` modes or outside the size rule (``_require_size``),
+    and one outside the range rule of the route its command runs: a
+    sweep's, which ``protocol.require_grid`` applies for the library too,
+    or that of ``simulate``, whose t* and --time angle ``sector`` checks."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -322,27 +266,30 @@ def resolve_config(args) -> dict:
         config["out"] = "-"
     if args.command == "entanglement" and config["n"] < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
+    if args.command == "validate":
+        return config
     if args.command == "sweep":
-        from .protocol import require_grid
-
         parameter = config["parameter"]
         for key, reason in SWEEP_UNREAD[parameter].items():
             if key in given:
                 raise ValueError(f"{_flag(key)} is not read by --parameter {parameter} "
                                  f"({reason})")
             del config[key]
-        grid = config["grid"]
-        if grid is None:
-            grid = _default_grid(parameter, config.get("n"))
-        # a bad grid or trial count is refused before the sweep is sized
+    if "n" in config:  # first: a sweep's range rule sums N squared couplings
+        _require_modes(config["n"], f"--n {config['n']}")
+    if args.command == "sweep":
+        from .protocol import require_grid
+
         config["grid"] = require_grid(
-            parameter, grid, **{k: config[k] for k in ("trials", "seed") if k in config}
+            parameter, config["grid"], config.get("n"), config["epsilon"],
+            **{k: config[k] for k in ("trials", "seed") if k in config},
         )
-    if args.command == "validate":
-        return config
     _require_size(config)
-    if args.command != "entanglement":
-        _require_range(config, "grid" in given)
+    if args.command == "simulate":
+        n, eps, time = config["n"], config["epsilon"], config["time"]
+        optimal_time(n, eps)
+        if time is not None:  # simulate evolves to t = time / epsilon
+            sector.require_angles(n, eps, [(time, time / eps, 0.0)], "--time")
     return config
 
 

@@ -55,10 +55,6 @@ class DensityMatrix(Frozen):
         object.__setattr__(self, "subsystem_labels", labels)
         object.__setattr__(self, "matrix", mat)
 
-    def purity(self) -> float:
-        """Tr(rho^2)."""
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def _lookup(basis: Basis, state: BasisState, why: str) -> int:
     pos = basis.index.get(state)

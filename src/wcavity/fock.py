@@ -77,10 +77,6 @@ class BasisState(Value):
     def _key(self) -> tuple:  # the slot values, without the generic loop: bases hash many states
         return (self.atom, self.occupations)
 
-    @property
-    def total_excitation(self) -> int:
-        return int(self.atom) + sum(self.occupations)
-
     def label(self) -> str:
         atom = "e" if self.atom is AtomLevel.EXCITED else "g"
         if any(n > 9 for n in self.occupations):
@@ -316,14 +312,6 @@ def require_one_state(psi: StateVector) -> None:
     """Raise ValueError if psi is a stack of states."""
     if psi.amplitudes.ndim != 1:
         raise ValueError(f"expected one state, got a stack of {len(psi.amplitudes)}")
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    _require_same_basis(a, b)
-    require_one_state(a)
-    require_one_state(b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def atom_population(psi: StateVector, level: AtomLevel) -> float:

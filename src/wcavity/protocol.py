@@ -8,14 +8,17 @@ relative standard deviations.  All sweeps are deterministic functions of
 trial index) so grid points and trials can run in any order or in
 parallel without changing results.
 
-Each sweep takes plain values and checks them with ``require_grid``, as
-the CLI does before it sizes a sweep: both refuse with one message.
+Each sweep takes plain values, a grid of None for its default grid, and
+checks them with ``require_grid`` before any work, as the CLI does: both
+refuse a bad grid, or an input the sweep cannot run in doubles, with one
+message.
 """
 
 from __future__ import annotations
 
-import datetime
 import math
+import sys
+import time
 from typing import NamedTuple
 
 # The sweeps run on `sector`, and the disorder sweep draws from `normals`,
@@ -24,10 +27,37 @@ from . import sector
 from .sector import SCHEMA_VERSION, fmt12, optimal_time, round12
 
 
-def require_grid(parameter: str, grid, trials: int = 1, seed: int = 0) -> tuple[float, ...]:
-    """``grid`` as a tuple of floats, once it, ``trials`` and ``seed`` are
-    valid inputs of the sweep of ``parameter`` (one of
-    ``sector.SWEEP_PARAMETERS``)."""
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, computed
+    as numpy.linspace computes them, so that each is the same double."""
+    step = (stop - start) / (num - 1)
+    return (*(i * step + start for i in range(num - 1)), stop)
+
+
+def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
+    if parameter == "timing-error":
+        span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
+        return _linspace(-span, span, 41)
+    if parameter == "coupling-disorder":
+        return _linspace(0.0, 0.1, 11)
+    if parameter == "detuning":
+        return _linspace(-2.0, 2.0, 41)
+    return tuple(float(n) for n in range(1, 9))
+
+
+def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: int = 1,
+                 seed: int = 0) -> tuple[float, ...]:
+    """``grid``, or the default grid if it is None, as a tuple of floats,
+    once it and N, epsilon, ``trials`` and ``seed`` are inputs that the
+    sweep of ``parameter`` (one of ``sector.SWEEP_PARAMETERS``) runs in
+    doubles; ``n`` is None for the mode-count sweep, whose grid lists the
+    counts.  The range rule is the route's: t* and each angle of
+    ``sector.evolve`` must be finite (``sector.require_angles``), and the
+    disorder sweep's epsilon^2 normal (``_require_normal_squares``).  The
+    CLI refuses with the same messages, after the same call."""
+    source = "--grid entry"
+    if grid is None:
+        grid, source = _default_grid(parameter, n), "default grid entry"
     grid = tuple(float(x) for x in grid)
     if not grid:
         raise ValueError("sweep grid must not be empty")
@@ -41,6 +71,21 @@ def require_grid(parameter: str, grid, trials: int = 1, seed: int = 0) -> tuple[
         raise ValueError("disorder grid entries must be >= 0")
     if parameter == "mode-count" and any(x != int(x) or x < 1 for x in grid):
         raise ValueError("mode-count grid entries must be positive integers")
+
+    if parameter == "coupling-disorder":
+        if epsilon > 0:  # else optimal_time refuses it
+            _require_normal_squares(n, epsilon)
+    elif parameter == "mode-count":
+        # t* falls as N grows, so the ends of the grid bound it, and each
+        # count evolves to its t* only
+        for count in (int(min(grid)), int(max(grid))):
+            optimal_time(count, epsilon)
+    elif parameter == "timing-error":
+        t_star = optimal_time(n, epsilon)
+        sector.require_angles(n, epsilon, ((x, t_star + x / epsilon, 0.0) for x in grid), source)
+    elif parameter == "detuning":
+        t_star = optimal_time(n, epsilon)
+        sector.require_angles(n, epsilon, ((x, t_star, x * epsilon) for x in grid), source)
     return grid
 
 
@@ -92,9 +137,7 @@ def _metadata(parameter: str, **fields) -> dict:
     """The schema version and the parameter, then ``fields`` in order (the
     values the sweep used), then the timestamp."""
     md = {"schema_version": SCHEMA_VERSION, "parameter": parameter, **fields}
-    md["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds"
-    )
+    md["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return md
 
 
@@ -107,7 +150,7 @@ def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
     cos^2(sqrt(n) x) with the propagator, not with the formula that
     predicts it.
     """
-    grid = require_grid("timing-error", grid)
+    grid = require_grid("timing-error", grid, n, epsilon)
     t_star = optimal_time(n, epsilon)
     states = sector.evolve((epsilon,) * n, [t_star + x / epsilon for x in grid])
     rows = [SweepRow(x, f, f, f) for x, f in zip(grid, map(sector.w_fidelity, states))]
@@ -173,6 +216,18 @@ def _numpy_omega(couplings) -> float:
     return math.sqrt(_pairwise_sum([c * c for c in couplings]))
 
 
+def _require_normal_squares(n: int, epsilon: float) -> None:
+    """Refuse an epsilon whose square, or N-fold sum of squares, leaves the
+    normal doubles: ``_numpy_omega`` sums the squared couplings, and a
+    subnormal square keeps too few digits for the norm check."""
+    square = epsilon * epsilon
+    if square < sys.float_info.min:
+        raise ValueError(f"--epsilon {epsilon!r} is too small: "
+                         "its square is below the smallest normal double")
+    if not math.isfinite(n * square):
+        raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
+
+
 def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int) -> SweepResult:
     """Monte-Carlo fidelity under relative Gaussian coupling disorder.
 
@@ -186,7 +241,7 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     """
     from .normals import standard_normals
 
-    grid = require_grid("coupling-disorder", grid, trials, seed)
+    grid = require_grid("coupling-disorder", grid, n, epsilon, trials, seed)
     t_star = optimal_time(n, epsilon)
     rows = []
     for gi, sigma in enumerate(grid):
@@ -213,7 +268,7 @@ def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
     together and the evolution runs in the frame rotating at the atomic
     frequency.
     """
-    grid = require_grid("detuning", grid)
+    grid = require_grid("detuning", grid, n, epsilon)
     t_star = optimal_time(n, epsilon)
     couplings = (epsilon,) * n
     rows = []
@@ -227,7 +282,7 @@ def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
 def mode_count_sweep(epsilon: float, grid) -> SweepResult:
     """Numeric fidelity at the optimal time for each mode count in the
     grid; a count that repeats is evolved once."""
-    counts = [int(x) for x in require_grid("mode-count", grid)]
+    counts = [int(x) for x in require_grid("mode-count", grid, None, epsilon)]
     fidelities = {}
     for n in dict.fromkeys(counts):
         (psi,) = sector.evolve((epsilon,) * n, (optimal_time(n, epsilon),))

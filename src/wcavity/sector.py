@@ -129,6 +129,19 @@ def evolve(couplings, times, detuning: float = 0.0) -> list[list[complex]]:
     return states
 
 
+def require_angles(n: int, epsilon: float, points, source: str) -> None:
+    """Refuse (ValueError) the first (x, t, detuning) of ``points`` at which
+    ``evolve`` of n couplings ``epsilon`` turns by an angle
+    |(detuning / 2, Omega)| t that is not a finite double; the message
+    names the input ``source`` x and the coupling ``--epsilon``, as the CLI
+    reads them."""
+    omega = _norm((epsilon,) * n)
+    for x, t, detuning in points:
+        if not math.isfinite(math.hypot(0.5 * detuning, omega) * t):
+            raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "
+                             "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
+
+
 def _renormalized(amps) -> list[complex]:
     """An evolved state divided by its norm.  Non-finite amplitudes raise
     :class:`PropagationError`, and so does a norm drift above

@@ -246,10 +246,10 @@ def sweep_rows(text: str) -> list[tuple[float, ...]]:
 
 
 def test_default_grids_are_the_numpy_linspace_doubles():
-    """``_default_grid`` builds each default grid with the standard library,
-    bit for bit the ``np.linspace`` grid it used to return, at every N the
-    sweeps admit."""
-    from wcavity.cli import _default_grid
+    """``protocol._default_grid`` builds each default grid with the standard
+    library, bit for bit the ``np.linspace`` grid it used to return, at
+    every N the sweeps admit."""
+    from wcavity.protocol import _default_grid
 
     fixed = {
         "coupling-disorder": np.linspace(0.0, 0.1, 11),
@@ -272,7 +272,7 @@ def test_default_grids_are_the_numpy_linspace_doubles():
 def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path, monkeypatch):
     """The ``# config=`` line and the sidecar echo the default grid with
     the bytes they had when its values were ``np.float64``."""
-    import wcavity.cli
+    import wcavity.protocol
 
     args = ["sweep", "--parameter", parameter]
     if parameter != "mode-count":
@@ -280,8 +280,8 @@ def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path
     outputs = []
     for numpy_grid in (False, True):
         if numpy_grid:
-            stdlib = wcavity.cli._default_grid
-            monkeypatch.setattr(wcavity.cli, "_default_grid",
+            stdlib = wcavity.protocol._default_grid
+            monkeypatch.setattr(wcavity.protocol, "_default_grid",
                                 lambda *a: tuple(np.array(stdlib(*a))))
         # the echoed config names --out: both runs write s.csv in a directory of their own
         (tmp_path / str(numpy_grid)).mkdir()

@@ -13,7 +13,6 @@ from wcavity.fock import (
     atom_population,
     build_basis,
     initial_state,
-    inner_product,
     state_from_dict,
 )
 
@@ -69,7 +68,7 @@ class TestBuildBasis:
 
     def test_cap_filters_total_excitation(self):
         basis = build_basis(3, n_max=2, excitation_cap=2)
-        assert all(s.total_excitation <= 2 for s in basis.states)
+        assert all(int(s.atom) + sum(s.occupations) <= 2 for s in basis.states)
         # brute-force count over the full product space
         expected = sum(
             1
@@ -167,57 +166,6 @@ class TestStateVector:
             raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             psi = StateVector(basis, raw / np.linalg.norm(raw))
             assert abs(psi.norm() - 1.0) <= 1e-12
-
-
-class TestInnerProduct:
-    def test_self_overlap_is_one(self):
-        rng = np.random.default_rng(3)
-        basis = build_basis(2, 1, None)
-        raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = StateVector(basis, raw / np.linalg.norm(raw))
-        assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        basis = build_basis(3, 1, 1)
-        a = np.zeros(5, complex)
-        a[basis.index[e(0, 0, 0)]] = 1.0
-        b = np.zeros(5, complex)
-        b[basis.index[g(1, 0, 0)]] = 1.0
-        assert inner_product(StateVector(basis, a), StateVector(basis, b)) == 0.0
-
-    def test_w3_overlap_against_brute_force(self):
-        # <W_3 | phi> with phi = (|100> + |010>)/sqrt(2), atom ground in both
-        basis = build_basis(3, 1, 1)
-        w = np.zeros(5, complex)
-        for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
-            w[basis.index[s]] = 1 / math.sqrt(3)
-        phi = np.zeros(5, complex)
-        for s in (g(1, 0, 0), g(0, 1, 0)):
-            phi[basis.index[s]] = 1 / math.sqrt(2)
-        # independent oracle: explicit summation over basis positions
-        brute = sum(w[k].conjugate() * phi[k] for k in range(5))
-        expected = math.sqrt(2.0 / 3.0)
-        assert brute == pytest.approx(expected, abs=1e-15)
-        got = inner_product(StateVector(basis, w), StateVector(basis, phi))
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        basis = build_basis(2, 2, None)
-        for _ in range(20):
-            ra = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-            rb = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-            a = StateVector(basis, ra / np.linalg.norm(ra))
-            b = StateVector(basis, rb / np.linalg.norm(rb))
-            assert inner_product(a, b) == pytest.approx(
-                inner_product(b, a).conjugate(), abs=1e-12
-            )
-
-    def test_basis_mismatch(self):
-        a = initial_state(build_basis(2, 1, 1))
-        b = initial_state(build_basis(3, 1, 1))
-        with pytest.raises(ValueError, match="different bases"):
-            inner_product(a, b)
 
 
 def state_dict(psi):
@@ -324,7 +272,5 @@ class TestStacks:
     def test_single_state_functions_refuse_a_stack(self):
         basis = build_basis(2, 1, 1)
         psi = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
-        for call in (lambda: inner_product(psi, psi),
-                     lambda: atom_population(psi, AtomLevel.GROUND)):
-            with pytest.raises(ValueError, match="one state"):
-                call()
+        with pytest.raises(ValueError, match="one state"):
+            atom_population(psi, AtomLevel.GROUND)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import sector
-from wcavity.cli import _default_grid, main
+from wcavity.cli import build_parser, main
 from wcavity.dynamics import (
     Frame,
     ModelParams,
@@ -21,6 +22,7 @@ from wcavity.protocol import (
     CSV_HEADER,
     SweepResult,
     SweepRow,
+    _default_grid,
     _pairwise_sum,
     coupling_disorder_sweep,
     detuning_sweep,
@@ -367,6 +369,9 @@ def assert_cli_refuses(capsys, message, *args):
      ["--parameter", "coupling-disorder", "--trials", "0"], "--trials must be >= 1"),
     (lambda: coupling_disorder_sweep(3, 1.0, (0.0,), 1, -1), "seed must be a non-negative integer",
      ["--parameter", "coupling-disorder", "--seed", "-1"], "--seed must be >= 0"),
+    # a NaN epsilon is not positive, not an epsilon^2 that overflows
+    (lambda: coupling_disorder_sweep(3, math.nan, (0.0,), 1, 0), "epsilon must be > 0",
+     ["--parameter", "coupling-disorder", "--epsilon", "nan"], "--epsilon must be finite and > 0"),
     # t* = pi / (2 sqrt(N) epsilon) leaves the doubles (sector.optimal_time)
     (lambda: timing_error_sweep(3, 6e307, (0.0,)),
      "epsilon 6e+307 is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = 3",
@@ -377,8 +382,8 @@ def assert_cli_refuses(capsys, message, *args):
     (lambda: mode_count_sweep(1e-320, (3.0,)),
      "epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = 3",
      ["--parameter", "mode-count", "--epsilon", "1e-320", "--grid", "3"], None),
-], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed", "timing-t-star",
-        "detuning-t-star", "mode-count-t-star"])
+], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed", "disorder-nan-epsilon",
+        "timing-t-star", "detuning-t-star", "mode-count-t-star"])
 def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, capsys):
     with pytest.raises(ValueError) as refused:
         call()
@@ -387,8 +392,58 @@ def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, caps
 
 
 def test_require_grid_returns_the_grid_as_floats():
-    grid = require_grid("mode-count", [1, 2.0])
+    grid = require_grid("mode-count", [1, 2.0], None, 1.0)
     assert grid == (1.0, 2.0) and all(type(x) is float for x in grid)
+
+
+def corpus_range_refusals():
+    """(argv, message) of each sweep in the output corpus that the range
+    rule refuses: its stderr without the CLI's ``error: `` prefix."""
+    corpus = json.loads((Path(__file__).parent / "data" / "corpus.json").read_text())
+    for entry in corpus:
+        if entry["argv"][:1] == ["sweep"] and " is too " in entry["stderr"]:
+            yield entry["argv"], entry["stderr"].removeprefix("error: ").rstrip("\n")
+
+
+RANGE_REFUSALS = list(corpus_range_refusals())
+
+
+def test_the_corpus_pins_the_range_refusals():
+    # the angle of five grid entries, the disorder sweep's epsilon^2 twice,
+    # and t* five times
+    assert len(RANGE_REFUSALS) == 12
+
+
+@pytest.mark.parametrize("argv, message", RANGE_REFUSALS, ids=[" ".join(a) for a, _ in RANGE_REFUSALS])
+def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message):
+    """Each sweep the CLI refuses by range raises ValueError from the library
+    too, with the CLI's message: the same N, epsilon and grid (None for the
+    default grid) and the CLI's defaults for the rest."""
+    args = vars(build_parser().parse_args(argv))
+    defaults = {"n": 3, "epsilon": 1.0, "parameter": "timing-error", "trials": 100, "seed": 0}
+    n, eps, parameter, trials, seed = (defaults[k] if args[k] is None else args[k]
+                                       for k in defaults)
+    grid = args["grid"]
+    call = {
+        "timing-error": lambda: timing_error_sweep(n, eps, grid),
+        "coupling-disorder": lambda: coupling_disorder_sweep(n, eps, grid, trials, seed),
+        "detuning": lambda: detuning_sweep(n, eps, grid),
+        "mode-count": lambda: mode_count_sweep(eps, grid),
+    }[parameter]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_mode_count_sweep_refuses_before_it_evolves(monkeypatch):
+    """A grid whose largest count has no finite t* is refused before the
+    smaller counts are evolved."""
+    runs = []
+    real = sector.evolve
+    monkeypatch.setattr(sector, "evolve", lambda *args: runs.append(args) or real(*args))
+    with pytest.raises(ValueError, match=r"^epsilon 1\.43e\+307 is too large: .* at N = 40$"):
+        mode_count_sweep(1.43e307, (1, 40))
+    assert runs == []
 
 
 class TestSweepResultSerialization:

@@ -5,6 +5,7 @@ pair reductions and X-state concurrences against ``partial_trace`` and
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +204,31 @@ def test_a_coupling_norm_that_overflows_is_a_numerical_failure():
     PropagationError, not a wrong state."""
     with pytest.raises(PropagationError, match="coupling norm inf is not finite"):
         sector.evolve((1.5e308,) * 2, (0.9,))
+
+
+@pytest.mark.parametrize("n, detuning", [(3, 0.0), (5, 1e300)])
+def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning):
+    """At the last double t at which ``evolve`` of n unit couplings turns
+    without overflow, the angle rule admits t and refuses the next double,
+    at which ``evolve`` raises."""
+    couplings = (1.0,) * n
+
+    def turns(t):
+        try:
+            sector.evolve(couplings, (t,), detuning)
+        except PropagationError:
+            return False
+        return True
+
+    t = sys.float_info.max / math.hypot(0.5 * detuning, math.sqrt(n))
+    while turns(t):
+        t = math.nextafter(t, math.inf)
+    while not turns(t):
+        t = math.nextafter(t, 0.0)
+    sector.require_angles(n, 1.0, [(t, t, detuning)], "--time")
+    beyond = math.nextafter(t, math.inf)
+    with pytest.raises(ValueError, match=r"^--time .* is too large for --epsilon 1\.0: the angle"):
+        sector.require_angles(n, 1.0, [(beyond, beyond, detuning)], "--time")
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized():

@@ -19,7 +19,6 @@ _HOMES = {
         "ModelParams",
         "build_hamiltonian",
         "evolve_closed_form",
-        "excitation_operator",
         "propagate_numeric",
         "propagate_times",
     ),

@@ -1,8 +1,9 @@
 """Command-line interface: simulate, sweep, entanglement, validate.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
-input above the size or outside the range that ``resolve_config``
-admits), 3 numerical failure.  Times are given in units of 1/epsilon, and every
+input outside the size or range rule of the route its command runs,
+which the library keeps in ``sector`` and ``protocol.require_grid``), 3
+numerical failure.  Times are given in units of 1/epsilon, and every
 evolution runs in the interaction frame, on resonance but in the detuning
 sweep.
 """
@@ -34,18 +35,6 @@ from .sector import (
     optimal_time,
     round12,
 )
-
-#: Most amplitudes a command other than ``validate`` may compute, N + 2
-#: per point of its run (``_require_size``).
-MAX_AMPLITUDES = 2**20
-
-#: Most modes a command may run, a sector of 1024 states.  The error of
-#: ``sector.w_fidelity``'s left-to-right overlap grows with N: against a
-#: correctly rounded ``math.fsum`` overlap it measured at most 5.7e-14
-#: relative at N = 1022, well below the 12th printed digit, and 3.4e-12
-#: at N = 65536.
-MAX_MODES = 1022
-
 
 def float_list(text: str) -> tuple[float, ...]:
     """The comma-separated floats of ``text``; blank entries are skipped."""
@@ -185,32 +174,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _require_modes(n: int, source: str) -> None:
-    if n > MAX_MODES:
-        raise ValueError(f"{source} is above the limit of {MAX_MODES} modes")
-
-
-def _require_size(config: dict) -> None:
-    """Refuse a command that computes more than ``MAX_AMPLITUDES``
-    amplitudes: points x (N + 2), with N the mode count (for the mode-count
-    sweep, the largest grid entry, itself at most ``MAX_MODES``) and one
-    point for ``simulate``, one per mode pair for ``entanglement`` and one
-    per grid entry and trial for a sweep."""
-    command, grid = config["command"], config.get("grid")
-    if config.get("parameter") == "mode-count":
-        n = int(max(grid))
-        _require_modes(n, f"--grid entry {max(grid)!r}")
-    else:
-        n = config["n"]
-    if command == "sweep":
-        points = len(grid) * config.get("trials", 1)
-    else:
-        points = n * (n - 1) // 2 if command == "entanglement" else 1
-    if points * (n + 2) > MAX_AMPLITUDES:
-        raise ValueError(f"{command} too large: it computes {points * (n + 2)} amplitudes, "
-                         f"above the limit of {MAX_AMPLITUDES}")
-
-
 def _require_valid(key: str, option: Option, value) -> None:
     if option.choices is not None and value not in option.choices:
         raise ValueError(f"unknown {key} {value!r}")
@@ -225,10 +188,10 @@ def resolve_config(args) -> dict:
     floats that ``protocol.require_grid`` has checked.  Every config-file
     value is parsed and checked, a value a flag overrides too; a refused
     one is named by its file line.  Refuses, before any work, an input
-    above ``MAX_MODES`` modes or outside the size rule (``_require_size``),
-    and one outside the range rule of the route its command runs: a
-    sweep's, which ``protocol.require_grid`` applies for the library too,
-    or that of ``simulate``, whose t* and --time angle ``sector`` checks."""
+    outside the size or range rule of the route its command runs, as the
+    library does: a sweep's by ``protocol.require_grid``, that of
+    ``simulate`` and ``entanglement`` by ``sector``'s checks of N, the
+    amplitude count, t* and the --time angle."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -275,18 +238,20 @@ def resolve_config(args) -> dict:
                 raise ValueError(f"{_flag(key)} is not read by --parameter {parameter} "
                                  f"({reason})")
             del config[key]
-    if "n" in config:  # first: a sweep's range rule sums N squared couplings
-        _require_modes(config["n"], f"--n {config['n']}")
-    if args.command == "sweep":
         from .protocol import require_grid
 
         config["grid"] = require_grid(
             parameter, config["grid"], config.get("n"), config["epsilon"],
             **{k: config[k] for k in ("trials", "seed") if k in config},
         )
-    _require_size(config)
+        return config
+    n = config["n"]
+    sector.require_modes(n, f"--n {n}")
+    # simulate evolves one point, entanglement scores one per mode pair
+    points = n * (n - 1) // 2 if args.command == "entanglement" else 1
+    sector.require_amplitudes(args.command, n, points)
     if args.command == "simulate":
-        n, eps, time = config["n"], config["epsilon"], config["time"]
+        eps, time = config["epsilon"], config["time"]
         optimal_time(n, eps)
         if time is not None:  # simulate evolves to t = time / epsilon
             sector.require_angles(n, eps, [(time, time / eps, 0.0)], "--time")

@@ -209,11 +209,6 @@ def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
     return HermitianOperator._from_owned(basis, owned)
 
 
-def excitation_operator(basis: Basis) -> HermitianOperator:
-    """Total excitation number |e><e| + sum_i n_i (diagonal, conserved)."""
-    return HermitianOperator(basis, np.diag(basis.levels.sum(axis=1).astype(complex)))
-
-
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
     for any positive couplings: ``sector.closed_form`` as a state on the

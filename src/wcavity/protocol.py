@@ -10,8 +10,8 @@ parallel without changing results.
 
 Each sweep takes plain values, a grid of None for its default grid, and
 checks them with ``require_grid`` before any work, as the CLI does: both
-refuse a bad grid, or an input the sweep cannot run in doubles, with one
-message.
+refuse a bad grid, an input above the size rule, or one the sweep cannot
+run in doubles, with one message.
 """
 
 from __future__ import annotations
@@ -51,10 +51,15 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     once it and N, epsilon, ``trials`` and ``seed`` are inputs that the
     sweep of ``parameter`` (one of ``sector.SWEEP_PARAMETERS``) runs in
     doubles; ``n`` is None for the mode-count sweep, whose grid lists the
-    counts.  The range rule is the route's: t* and each angle of
-    ``sector.evolve`` must be finite (``sector.require_angles``), and the
-    disorder sweep's epsilon^2 normal (``_require_normal_squares``).  The
-    CLI refuses with the same messages, after the same call."""
+    counts.  The size rule is ``sector``'s: N (for the mode-count sweep,
+    the largest grid entry) at most ``sector.MAX_MODES``, and grid length
+    x ``trials`` points of N + 2 amplitudes.  The range rule is the
+    route's: t* and each angle of ``sector.evolve`` must be finite
+    (``sector.require_angles``), and the disorder sweep's epsilon^2 normal
+    (``_require_normal_squares``).  The CLI refuses with the same
+    messages, after the same call."""
+    if n is not None:  # first: the range rule sums N squared couplings
+        sector.require_modes(n, f"--n {n}")
     source = "--grid entry"
     if grid is None:
         grid, source = _default_grid(parameter, n), "default grid entry"
@@ -80,12 +85,15 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
         # count evolves to its t* only
         for count in (int(min(grid)), int(max(grid))):
             optimal_time(count, epsilon)
+        n = int(max(grid))
+        sector.require_modes(n, f"--grid entry {max(grid)!r}")
     elif parameter == "timing-error":
         t_star = optimal_time(n, epsilon)
         sector.require_angles(n, epsilon, ((x, t_star + x / epsilon, 0.0) for x in grid), source)
     elif parameter == "detuning":
         t_star = optimal_time(n, epsilon)
         sector.require_angles(n, epsilon, ((x, t_star, x * epsilon) for x in grid), source)
+    sector.require_amplitudes("sweep", n, len(grid) * trials)
     return grid
 
 

@@ -5,9 +5,9 @@ fixed tolerance.  The dense numpy routes check each other, and they in
 turn check ``sector``'s closed form and propagator, the routes
 ``simulate`` and the sweeps run; numpy's generator checks ``normals``,
 the stream the coupling-disorder sweep draws.
-``inject_fault`` flips the sign of one off-diagonal Hamiltonian entry
-before the Hermiticity measurement, so the suite's ability to fail is
-itself testable.
+``inject_fault`` runs ``sector.evolve`` backwards in time in the
+sector-route check, the sign error a bug in its 2x2 phase makes, so the
+suite's ability to fail on a route the CLI runs is itself testable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .dynamics import (
     Frame,
     ModelParams,
     build_hamiltonian,
-    hermiticity_defect,
     propagate_numeric,
     propagate_times,
 )
@@ -106,24 +105,13 @@ def _stacks(draws):
     return stacks
 
 
-def check_hermiticity(rng, draws: int = 50, inject_fault: bool = False) -> CheckResult:
-    """The defect each built operator measured on construction; with
-    ``inject_fault``, draw 0 is measured after the sign of its first
-    off-diagonal nonzero entry is flipped."""
+def check_hermiticity(rng, draws: int = 50) -> CheckResult:
+    """The defect each built operator measured on construction."""
     worst = 0.0
-    for k in range(draws):
+    for _ in range(draws):
         params = _random_params(rng)
         basis = build_basis(params.n_modes, n_max=int(rng.integers(1, 3)))
-        H = build_hamiltonian(params, basis)
-        defect = H.defect
-        if inject_fault and k == 0:
-            matrix = np.array(H.matrix)
-            rows, cols = np.nonzero(matrix)
-            off = [(r, c) for r, c in zip(rows, cols) if r != c]
-            r, c = off[0] if off else (0, 1)
-            matrix[r, c] = -matrix[r, c]
-            defect = float(hermiticity_defect(matrix))
-        worst = max(worst, defect)
+        worst = max(worst, build_hamiltonian(params, basis).defect)
     return CheckResult("hermiticity", worst <= ROUNDING_TOL, worst, ROUNDING_TOL, draws)
 
 
@@ -218,10 +206,12 @@ def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
     return CheckResult("closed-form-vs-numeric", worst <= ORACLE_TOL, worst, ORACLE_TOL, draws)
 
 
-def check_sector_route(rng, draws: int = 24) -> CheckResult:
+def check_sector_route(rng, draws: int = 24, inject_fault: bool = False) -> CheckResult:
     """``sector.evolve``, the route ``simulate`` and three sweeps run,
     against the dense sector route on random draws: unequal couplings and
-    one common detuning, in the interaction frame."""
+    one common detuning, in the interaction frame.  With ``inject_fault``,
+    ``sector.evolve`` runs to -t instead of t."""
+    sign = -1.0 if inject_fault else 1.0
     inputs = []
     for _ in range(draws):
         n = int(rng.integers(1, 7))
@@ -231,7 +221,8 @@ def check_sector_route(rng, draws: int = 24) -> CheckResult:
         params = ModelParams(n, 0.0, (detuning,) * n, couplings)
         inputs.append((build_basis(n, n_max=1, excitation_cap=1), params, t))
     worst = _sector_gap(
-        inputs, lambda params, t: sector.evolve(params.couplings, (t,), params.omega_modes[0])[0]
+        inputs,
+        lambda params, t: sector.evolve(params.couplings, (sign * t,), params.omega_modes[0])[0],
     )
     return CheckResult("sector-vs-dense", worst <= SECTOR_TOL, worst, SECTOR_TOL, draws)
 
@@ -341,13 +332,13 @@ def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> Vali
     """Run every check on fresh seeded streams; deterministic per seed."""
     streams = np.random.SeedSequence(seed).spawn(7)
     checks = (
-        check_hermiticity(np.random.default_rng(streams[0]), inject_fault=inject_fault),
+        check_hermiticity(np.random.default_rng(streams[0])),
         check_excitation_conservation(np.random.default_rng(streams[1])),
         check_unitarity(np.random.default_rng(streams[2])),
         check_composition(np.random.default_rng(streams[3])),
         check_oracle_equivalence(np.random.default_rng(streams[4])),
         check_rabi_period(),
-        check_sector_route(np.random.default_rng(streams[5])),
+        check_sector_route(np.random.default_rng(streams[5]), inject_fault=inject_fault),
         check_rng_stream(np.random.default_rng(streams[6])),
     )
     return ValidationReport(checks)

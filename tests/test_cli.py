@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity.cli import main, run
-from wcavity.cli import MAX_AMPLITUDES, MAX_MODES, build_parser, resolve_config
+from wcavity.cli import build_parser, main, resolve_config, run
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -29,7 +28,7 @@ from wcavity.dynamics import (
 )
 from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
-from wcavity.sector import SWEEP_PARAMETERS
+from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, SWEEP_PARAMETERS
 
 
 def run_cli(capsys, *argv):
@@ -362,10 +361,10 @@ class TestValidate:
         assert sum(1 for l in lines if l.startswith("PASS ")) == 8
         assert lines[-1] == "summary: checks_run=8 passed=8 failed=0"
 
-    def test_injected_fault_fails_hermiticity(self, capsys):
+    def test_injected_fault_fails_the_sector_route(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--inject-fault")
         assert code == 1
-        assert "FAIL hermiticity" in out
+        assert "FAIL sector-vs-dense" in out
         assert "failed=1" in out
 
     def test_report_file(self, capsys, tmp_path):

@@ -382,8 +382,18 @@ def assert_cli_refuses(capsys, message, *args):
     (lambda: mode_count_sweep(1e-320, (3.0,)),
      "epsilon 1e-320 is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = 3",
      ["--parameter", "mode-count", "--epsilon", "1e-320", "--grid", "3"], None),
+    # the size rule: a count too large to build couplings for, and an N
+    # whose 12th digit the left-to-right overlap no longer keeps
+    (lambda: mode_count_sweep(1.0, (1e19,)), "--grid entry 1e+19 is above the limit of 1022 modes",
+     ["--parameter", "mode-count", "--grid", "1e19"], None),
+    (lambda: timing_error_sweep(10**19, 1.0, (0.0,)),
+     "--n 10000000000000000000 is above the limit of 1022 modes",
+     ["--n", "10000000000000000000", "--grid", "0"], None),
+    (lambda: detuning_sweep(2000, 1.0, (0.0,)), "--n 2000 is above the limit of 1022 modes",
+     ["--n", "2000", "--parameter", "detuning", "--grid", "0"], None),
 ], ids=["empty-grid", "nonfinite-grid", "zero-trials", "negative-seed", "disorder-nan-epsilon",
-        "timing-t-star", "detuning-t-star", "mode-count-t-star"])
+        "timing-t-star", "detuning-t-star", "mode-count-t-star", "mode-count-size",
+        "timing-size", "detuning-size"])
 def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, capsys):
     with pytest.raises(ValueError) as refused:
         call()
@@ -396,29 +406,34 @@ def test_require_grid_returns_the_grid_as_floats():
     assert grid == (1.0, 2.0) and all(type(x) is float for x in grid)
 
 
-def corpus_range_refusals():
+def corpus_sweep_refusals():
     """(argv, message) of each sweep in the output corpus that the range
-    rule refuses: its stderr without the CLI's ``error: `` prefix."""
+    or the size rule refuses: its stderr without the CLI's ``error: ``
+    prefix."""
     corpus = json.loads((Path(__file__).parent / "data" / "corpus.json").read_text())
     for entry in corpus:
-        if entry["argv"][:1] == ["sweep"] and " is too " in entry["stderr"]:
-            yield entry["argv"], entry["stderr"].removeprefix("error: ").rstrip("\n")
+        stderr = entry["stderr"]
+        if entry["argv"][:1] == ["sweep"] and (" is too " in stderr or " above the limit" in stderr):
+            yield entry["argv"], stderr.removeprefix("error: ").rstrip("\n")
 
 
-RANGE_REFUSALS = list(corpus_range_refusals())
+SWEEP_REFUSALS = list(corpus_sweep_refusals())
 
 
-def test_the_corpus_pins_the_range_refusals():
-    # the angle of five grid entries, the disorder sweep's epsilon^2 twice,
-    # and t* five times
-    assert len(RANGE_REFUSALS) == 12
+def test_the_corpus_pins_the_sweep_refusals():
+    # by range: the angle of five grid entries, the disorder sweep's
+    # epsilon^2 twice, and t* five times; by size: N three times, the
+    # largest mode count and the amplitude count once each
+    assert len(SWEEP_REFUSALS) == 17
+    assert sum(" above the limit" in message for _, message in SWEEP_REFUSALS) == 5
 
 
-@pytest.mark.parametrize("argv, message", RANGE_REFUSALS, ids=[" ".join(a) for a, _ in RANGE_REFUSALS])
-def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message):
-    """Each sweep the CLI refuses by range raises ValueError from the library
-    too, with the CLI's message: the same N, epsilon and grid (None for the
-    default grid) and the CLI's defaults for the rest."""
+@pytest.mark.parametrize("argv, message", SWEEP_REFUSALS, ids=[" ".join(a) for a, _ in SWEEP_REFUSALS])
+def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message, monkeypatch):
+    """Each sweep the CLI refuses by range or size raises ValueError from
+    the library too, with the CLI's message: the same N, epsilon and grid
+    (None for the default grid) and the CLI's defaults for the rest.  A
+    size refusal comes before the route builds any coupling tuple."""
     args = vars(build_parser().parse_args(argv))
     defaults = {"n": 3, "epsilon": 1.0, "parameter": "timing-error", "trials": 100, "seed": 0}
     n, eps, parameter, trials, seed = (defaults[k] if args[k] is None else args[k]
@@ -430,9 +445,14 @@ def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message):
         "detuning": lambda: detuning_sweep(n, eps, grid),
         "mode-count": lambda: mode_count_sweep(eps, grid),
     }[parameter]
+    routes = []
+    for name in ("require_angles", "evolve", "closed_form"):
+        real = getattr(sector, name)
+        monkeypatch.setattr(sector, name, lambda *a, real=real: routes.append(a) or real(*a))
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+    assert routes == [] or " is too " in message
 
 
 def test_mode_count_sweep_refuses_before_it_evolves(monkeypatch):

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcavity import sector
-from wcavity.cli import MAX_MODES
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -137,10 +136,10 @@ def test_w_fidelity_sums_left_to_right():
 
 @pytest.mark.parametrize("detuning", [0.0, -1.7, 7.3])
 def test_w_fidelity_sum_error_at_the_largest_admitted_n(detuning):
-    """``cli.MAX_MODES`` keeps the error of the left-to-right overlap far
+    """``sector.MAX_MODES`` keeps the error of the left-to-right overlap far
     below the 12th printed digit: within 1e-13 relative of an overlap
     summed by ``math.fsum``, at t* and at later times."""
-    n, eps = MAX_MODES, 0.3
+    n, eps = sector.MAX_MODES, 0.3
     t_star = sector.optimal_time(n, eps)
     weight = 1.0 / math.sqrt(n)
     for amps in sector.evolve((eps,) * n, [k * t_star for k in (1.0, 1.37, 2.9)], detuning * eps):
@@ -173,7 +172,7 @@ def test_common_detuning_keeps_the_bright_mode_shape():
 @pytest.mark.parametrize("n, detuning", [(65536, -1.7 * 0.3), (82426, 0.0)])
 def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
     """At N = 65536 with a detuning of -1.7 epsilon and at N = 82426 on
-    resonance, far above ``cli.MAX_MODES``, the atom's population at t*
+    resonance, far above ``sector.MAX_MODES``, the atom's population at t*
     and at a later time is the two-level P_e, and every mode holds an
     equal share of the rest."""
     eps = 0.3

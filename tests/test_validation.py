@@ -34,11 +34,11 @@ def test_deterministic_per_seed():
     ]
 
 
-def test_fault_injection_fails_only_hermiticity():
+def test_fault_injection_fails_only_the_sector_route():
     report = run_validation(inject_fault=True)
     outcomes = {c.name: c.passed for c in report.checks}
-    assert outcomes["hermiticity"] is False
-    assert all(ok for name, ok in outcomes.items() if name != "hermiticity")
+    assert outcomes["sector-vs-dense"] is False
+    assert all(ok for name, ok in outcomes.items() if name != "sector-vs-dense")
     assert report.failed == 1
 
 
@@ -101,18 +101,31 @@ def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
 
 
 def test_hermiticity_check_reads_the_stored_defect(monkeypatch):
-    measured = []
-    real = validation.hermiticity_defect
+    defects = []
+    real = validation.build_hamiltonian
 
-    def counting(matrix):
-        measured.append(np.shape(matrix))
-        return real(matrix)
+    def recording(params, basis):
+        H = real(params, basis)
+        defects.append(H.defect)
+        return H
 
-    monkeypatch.setattr(validation, "hermiticity_defect", counting)
-    assert validation.check_hermiticity(np.random.default_rng(3)).passed
-    assert measured == []
-    faulty = validation.check_hermiticity(np.random.default_rng(3), inject_fault=True)
-    assert len(measured) == 1 and not faulty.passed
+    monkeypatch.setattr(validation, "build_hamiltonian", recording)
+    result = validation.check_hermiticity(np.random.default_rng(3))
+    assert result.passed and result.measured == max(defects) and len(defects) == 50
+
+
+def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
+    """The fault is a sign error of the time that ``sector.evolve`` gets,
+    which the dense route does not share."""
+    times = []
+    real = sector.evolve
+    monkeypatch.setattr(sector, "evolve", lambda c, ts, d: times.extend(ts) or real(c, ts, d))
+    clean = check_sector_route(np.random.default_rng(3))
+    forward = list(times)
+    times.clear()
+    faulty = check_sector_route(np.random.default_rng(3), inject_fault=True)
+    assert clean.passed and not faulty.passed
+    assert times == [-t for t in forward]
 
 
 def _params_one_draw_at_a_time(check, rng):

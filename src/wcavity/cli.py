@@ -254,7 +254,7 @@ def resolve_config(args) -> dict:
         eps, time = config["epsilon"], config["time"]
         optimal_time(n, eps)
         if time is not None:  # simulate evolves to t = time / epsilon
-            sector.require_angles(n, eps, [(time, time / eps, 0.0)], "--time")
+            sector.require_angles(n, eps, [(time, (time / eps, 0.0))], "--time")
     return config
 
 
@@ -340,7 +340,7 @@ def cmd_simulate(config: dict) -> int:
 
     couplings = (eps,) * n
     closed = sector.closed_form(couplings, t)
-    numeric = sector.evolve(couplings, (t,))[0]
+    numeric = sector.evolve(couplings, ((t, 0.0),))[0]
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population

@@ -45,6 +45,13 @@ def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
     return tuple(float(n) for n in range(1, 9))
 
 
+def _points(parameter: str, grid, t_star: float, epsilon: float):
+    """The (t, detuning) of each entry x of a timing-error or detuning grid."""
+    if parameter == "timing-error":
+        return ((t_star + x / epsilon, 0.0) for x in grid)
+    return ((t_star, x * epsilon) for x in grid)
+
+
 def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: int = 1,
                  seed: int = 0) -> tuple[float, ...]:
     """``grid``, or the default grid if it is None, as a tuple of floats,
@@ -52,13 +59,13 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     sweep of ``parameter`` (one of ``sector.SWEEP_PARAMETERS``) runs in
     doubles; ``n`` is None for the mode-count sweep, whose grid lists the
     counts.  The size rule is ``sector``'s: N (for the mode-count sweep,
-    the largest grid entry) at most ``sector.MAX_MODES``, and grid length
+    the largest grid entry) from 1 to ``sector.MAX_MODES``, and grid length
     x ``trials`` points of N + 2 amplitudes.  The range rule is the
     route's: t* and each angle of ``sector.evolve`` must be finite
     (``sector.require_angles``), and the disorder sweep's epsilon^2 normal
     (``_require_normal_squares``).  The CLI refuses with the same
     messages, after the same call."""
-    if n is not None:  # first: the range rule sums N squared couplings
+    if n is not None:  # first: the default grid and the range rule need 1 <= N
         sector.require_modes(n, f"--n {n}")
     source = "--grid entry"
     if grid is None:
@@ -72,27 +79,23 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if parameter == "coupling-disorder" and any(x < 0 for x in grid):
-        raise ValueError("disorder grid entries must be >= 0")
-    if parameter == "mode-count" and any(x != int(x) or x < 1 for x in grid):
-        raise ValueError("mode-count grid entries must be positive integers")
-
     if parameter == "coupling-disorder":
+        if any(x < 0 for x in grid):
+            raise ValueError("disorder grid entries must be >= 0")
         if epsilon > 0:  # else optimal_time refuses it
             _require_normal_squares(n, epsilon)
     elif parameter == "mode-count":
+        if any(x != int(x) or x < 1 for x in grid):
+            raise ValueError("mode-count grid entries must be positive integers")
         # t* falls as N grows, so the ends of the grid bound it, and each
         # count evolves to its t* only
         for count in (int(min(grid)), int(max(grid))):
             optimal_time(count, epsilon)
         n = int(max(grid))
         sector.require_modes(n, f"--grid entry {max(grid)!r}")
-    elif parameter == "timing-error":
-        t_star = optimal_time(n, epsilon)
-        sector.require_angles(n, epsilon, ((x, t_star + x / epsilon, 0.0) for x in grid), source)
-    elif parameter == "detuning":
-        t_star = optimal_time(n, epsilon)
-        sector.require_angles(n, epsilon, ((x, t_star, x * epsilon) for x in grid), source)
+    else:
+        points = _points(parameter, grid, optimal_time(n, epsilon), epsilon)
+        sector.require_angles(n, epsilon, zip(grid, points), source)
     sector.require_amplitudes("sweep", n, len(grid) * trials)
     return grid
 
@@ -149,20 +152,24 @@ def _metadata(parameter: str, **fields) -> dict:
     return md
 
 
+def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> SweepResult:
+    """A timing-error or detuning sweep: one ``sector.evolve`` call, scored."""
+    grid = require_grid(parameter, grid, n, epsilon)
+    t_star = optimal_time(n, epsilon)
+    states = sector.evolve((epsilon,) * n, _points(parameter, grid, t_star, epsilon))
+    rows = [SweepRow(x, f, f, f) for x, f in zip(grid, map(sector.w_fidelity, states))]
+    return SweepResult(rows, _metadata(parameter, n_modes=n, epsilon=epsilon, t_star=t_star))
+
+
 def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
     """Fidelity versus timing offset around the optimal time.
 
     Grid entries are offsets in units of 1/epsilon; the state is evolved
-    to t* + x/epsilon (all times from one ``sector.evolve`` call) and
-    scored against the W target, so the rows check the analytic law
-    cos^2(sqrt(n) x) with the propagator, not with the formula that
-    predicts it.
+    to t* + x/epsilon and scored against the W target, so the rows check
+    the analytic law cos^2(sqrt(n) x) with the propagator, not with the
+    formula that predicts it.
     """
-    grid = require_grid("timing-error", grid, n, epsilon)
-    t_star = optimal_time(n, epsilon)
-    states = sector.evolve((epsilon,) * n, [t_star + x / epsilon for x in grid])
-    rows = [SweepRow(x, f, f, f) for x, f in zip(grid, map(sector.w_fidelity, states))]
-    return SweepResult(rows, _metadata("timing-error", n_modes=n, epsilon=epsilon, t_star=t_star))
+    return _evolved_sweep("timing-error", n, epsilon, grid)
 
 
 def _disorder_couplings(normals, n: int, epsilon: float, sigma: float) -> list[float]:
@@ -270,21 +277,13 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
 
 
 def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
-    """Fidelity versus common-mode detuning, evolved numerically.
+    """Fidelity versus common-mode detuning at the optimal time.
 
     Grid entries are detunings in units of epsilon; all modes are shifted
     together and the evolution runs in the frame rotating at the atomic
     frequency.
     """
-    grid = require_grid("detuning", grid, n, epsilon)
-    t_star = optimal_time(n, epsilon)
-    couplings = (epsilon,) * n
-    rows = []
-    for x in grid:
-        (psi,) = sector.evolve(couplings, (t_star,), x * epsilon)
-        f = sector.w_fidelity(psi)
-        rows.append(SweepRow(x, f, f, f))
-    return SweepResult(rows, _metadata("detuning", n_modes=n, epsilon=epsilon, t_star=t_star))
+    return _evolved_sweep("detuning", n, epsilon, grid)
 
 
 def mode_count_sweep(epsilon: float, grid) -> SweepResult:
@@ -293,7 +292,7 @@ def mode_count_sweep(epsilon: float, grid) -> SweepResult:
     counts = [int(x) for x in require_grid("mode-count", grid, None, epsilon)]
     fidelities = {}
     for n in dict.fromkeys(counts):
-        (psi,) = sector.evolve((epsilon,) * n, (optimal_time(n, epsilon),))
+        (psi,) = sector.evolve((epsilon,) * n, ((optimal_time(n, epsilon), 0.0),))
         fidelities[n] = sector.w_fidelity(psi)
     rows = [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]
     return SweepResult(rows, _metadata("mode-count", epsilon=epsilon))

@@ -88,8 +88,10 @@ def optimal_time(n: int, epsilon: float) -> float:
 
 
 def require_modes(n: int, source: str) -> None:
-    """Refuse (ValueError) more than ``MAX_MODES`` modes; the message names
-    the input ``source`` that set N, as the CLI reads it."""
+    """Refuse (ValueError) fewer than 1 or more than ``MAX_MODES`` modes; the
+    second message names the input ``source`` that set N, as the CLI reads it."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > MAX_MODES:
         raise ValueError(f"{source} is above the limit of {MAX_MODES} modes")
 
@@ -115,11 +117,11 @@ def _require_couplings(couplings) -> None:
         raise ValueError("couplings must be strictly positive")
 
 
-def evolve(couplings, times, detuning: float = 0.0) -> list[list[complex]]:
-    """exp(-i H t) |e;0> in the interaction frame at each time t of
-    ``times``: one list of N + 2 amplitudes in sector order per time.
+def evolve(couplings, points) -> list[list[complex]]:
+    """exp(-i H t) |e;0> in the interaction frame at each (t, detuning) of
+    ``points``: one list of N + 2 amplitudes in sector order per point.
     Mode i (1-based) has coupling ``couplings[i - 1]``, and every mode the
-    detuning ``detuning`` from the atom (default: on resonance).
+    point's detuning from the atom (0.0: on resonance).
 
     Each state is the exact exponential of the Morris-Shore 2x2 matrix
     [[0, Omega], [Omega, delta]] on |e;0> and the bright mode.  Non-finite
@@ -127,22 +129,21 @@ def evolve(couplings, times, detuning: float = 0.0) -> list[list[complex]]:
     above ``NORM_DRIFT_TOL``; a smaller one is renormalized.
     """
     _require_couplings(couplings)
-    if not math.isfinite(detuning):
-        raise ValueError("model parameters must be finite")
-    n = len(couplings)
     omega = _norm(couplings)
     if not math.isfinite(omega):
         raise PropagationError(f"coupling norm {omega!r} is not finite")
-    bright = [0.0, *(c / omega for c in reversed(couplings)), 0.0]
-    # exp(-i T t) (1, 0) for T = [[0, omega], [omega, detuning]] is
-    # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) omega / g), with
-    # m the mean and d the half difference of the diagonal, g = |(d, omega)|
-    mean, half = 0.5 * detuning, -0.5 * detuning
-    g = math.hypot(half, omega)
+    bright = [0.0, *(c / omega for c in reversed(couplings)), 0.0]  # once per call
     states = []
-    for t in times:
+    for t, detuning in points:
+        if not math.isfinite(detuning):
+            raise ValueError("model parameters must be finite")
         if not math.isfinite(t):
             raise ValueError(f"evolution time must be finite, got {t!r}")
+        # exp(-i T t) (1, 0) for T = [[0, omega], [omega, detuning]] is
+        # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) omega / g), with
+        # m the mean and d the half difference of the diagonal, g = |(d, omega)|
+        mean, half = 0.5 * detuning, -0.5 * detuning
+        g = math.hypot(half, omega)
         angle, turn = g * t, mean * t
         if not (math.isfinite(angle) and math.isfinite(turn)):
             raise PropagationError("propagation produced non-finite amplitudes "
@@ -151,19 +152,19 @@ def evolve(couplings, times, detuning: float = 0.0) -> list[list[complex]]:
         phase = complex(math.cos(turn), -math.sin(turn))
         lower = phase * complex(0.0, -s * (omega / g))
         amps = [lower * b for b in bright]
-        amps[n + 1] = phase * complex(c, -s * (half / g))
+        amps[-1] = phase * complex(c, -s * (half / g))
         states.append(_renormalized(amps))
     return states
 
 
 def require_angles(n: int, epsilon: float, points, source: str) -> None:
-    """Refuse (ValueError) the first (x, t, detuning) of ``points`` at which
-    ``evolve`` of n couplings ``epsilon`` turns by an angle
+    """Refuse (ValueError) the first (x, (t, detuning)) of ``points`` at
+    which ``evolve`` of n couplings ``epsilon`` turns by an angle
     |(detuning / 2, Omega)| t that is not a finite double; the message
     names the input ``source`` x and the coupling ``--epsilon``, as the CLI
     reads them."""
     omega = _norm((epsilon,) * n)
-    for x, t, detuning in points:
+    for x, (t, detuning) in points:
         if not math.isfinite(math.hypot(0.5 * detuning, omega) * t):
             raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "
                              "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
@@ -192,17 +193,14 @@ def closed_form(couplings, t: float, omega: float | None = None) -> list[complex
     ``math.hypot`` of the couplings).  Every amplitude must be finite and
     the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
     _require_couplings(couplings)
-    n = len(couplings)
     if omega is None:
         omega = math.hypot(*couplings)
     angle = omega * t
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")
     s = math.sin(angle)
-    amps = [0j] * (n + 2)
-    for j in range(1, n + 1):
-        amps[j] = complex(0.0, -(couplings[n - j] / omega) * s)
-    amps[n + 1] = complex(math.cos(angle), 0.0)
+    amps = [0j, *(complex(0.0, -(c / omega) * s) for c in reversed(couplings)),
+            complex(math.cos(angle), 0.0)]
     norm = _norm(amps)
     if not abs(norm - 1.0) <= ROUNDING_TOL:
         raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")

@@ -222,7 +222,7 @@ def check_sector_route(rng, draws: int = 24, inject_fault: bool = False) -> Chec
         inputs.append((build_basis(n, n_max=1, excitation_cap=1), params, t))
     worst = _sector_gap(
         inputs,
-        lambda params, t: sector.evolve(params.couplings, (sign * t,), params.omega_modes[0])[0],
+        lambda params, t: sector.evolve(params.couplings, ((sign * t, params.omega_modes[0]),))[0],
     )
     return CheckResult("sector-vs-dense", worst <= SECTOR_TOL, worst, SECTOR_TOL, draws)
 

@@ -273,6 +273,22 @@ class TestDetuningSweep:
             analytic = (omega_sq / rabi**2) * math.sin(rabi * t_star) ** 2
             assert row.fidelity_mean == pytest.approx(analytic, abs=1e-9)
 
+    def test_evolves_once(self, monkeypatch):
+        """All grid points come from one ``sector.evolve`` call: t* at the
+        detuning x epsilon of each entry x."""
+        runs = []
+        real = sector.evolve
+
+        def recording(couplings, points):
+            runs.append(list(points))
+            return real(couplings, runs[-1])
+
+        monkeypatch.setattr(sector, "evolve", recording)
+        grid = (-2.0, 0.0, 0.7)
+        detuning_sweep(4, 1.3, grid)
+        t_star = optimal_time(4, 1.3)
+        assert runs == [[(t_star, x * 1.3) for x in grid]]
+
 
 class TestModeCountSweep:
     def test_all_counts_succeed(self):
@@ -399,6 +415,22 @@ def test_sweep_and_cli_refuse_a_bad_input(call, message, args, cli_message, caps
         call()
     assert str(refused.value) == message
     assert_cli_refuses(capsys, cli_message or message, *args)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("sweep", [
+    lambda n: timing_error_sweep(n, 1.0, None),
+    lambda n: detuning_sweep(n, 1.0, None),
+    lambda n: coupling_disorder_sweep(n, 1.0, None, 1, 0),
+], ids=["timing-error", "detuning", "coupling-disorder"])
+def test_a_sweep_refuses_n_below_one_before_its_default_grid(sweep, n):
+    """N is checked first, with ``optimal_time``'s message, so that the
+    timing-error default grid never takes sqrt(N) of N < 1."""
+    with pytest.raises(ValueError) as refused:
+        sweep(n)
+    with pytest.raises(ValueError) as by_optimal_time:
+        optimal_time(n, 1.0)
+    assert str(refused.value) == str(by_optimal_time.value) == "n must be >= 1"
 
 
 def test_require_grid_returns_the_grid_as_floats():

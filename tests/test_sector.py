@@ -67,7 +67,7 @@ couplings_st = st.integers(1, 13).flatmap(
 def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times):
     """Every time of one call against the dense sector propagator and
     ``expm``; the one-time call is the one-item case."""
-    states = sector.evolve(couplings, times, detuning)
+    states = sector.evolve(couplings, [(t, detuning) for t in times])
     H = dense_operator(couplings, detuning)
     psi0 = initial_state(H.basis)
     dense = propagate_times(H, psi0, np.array(times))
@@ -76,7 +76,18 @@ def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times)
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
         np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
         np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
-        assert sector.evolve(couplings, (t,), detuning) == [amps]
+        assert sector.evolve(couplings, ((t, detuning),)) == [amps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(couplings=couplings_st, points=st.lists(
+    st.tuples(st.floats(-10.0, 10.0), st.just(0.0) | st.floats(-5.0, 5.0)), min_size=1, max_size=6))
+def test_one_call_evolves_each_point_as_a_call_of_its_own(couplings, points):
+    """Mixed (t, detuning) points, from an iterator as the sweeps pass
+    them, give the states of one call per point bit for bit (signed zeros
+    too): the detuning sweep's bytes rest on this."""
+    alone = [state for point in points for state in sector.evolve(couplings, [point])]
+    assert repr(sector.evolve(couplings, iter(points))) == repr(alone)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +110,8 @@ def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     closed = sector.closed_form(couplings, t)
     np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
                                rtol=0)
-    np.testing.assert_allclose(closed, sector.evolve(couplings, (t,))[0], atol=1e-13, rtol=0)
+    np.testing.assert_allclose(closed, sector.evolve(couplings, ((t, 0.0),))[0], atol=1e-13,
+                               rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
@@ -110,7 +122,7 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
         t_stars = [sector.optimal_time(n, eps) for n in counts]
         assert all(a > b for a, b in itertools.pairwise(t_stars))
         for n, t in zip(counts, t_stars):
-            (amps,) = sector.evolve((eps,) * n, (t,))
+            (amps,) = sector.evolve((eps,) * n, ((t, 0.0),))
             assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
             assert abs(amps[n + 1]) <= 1e-15
             assert sum(abs(a) ** 2 for a in amps[:n + 1]) == pytest.approx(1.0, abs=1e-14)
@@ -120,7 +132,7 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
 def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     n = len(couplings)
-    (amps,) = sector.evolve(couplings, (t,))
+    (amps,) = sector.evolve(couplings, ((t, 0.0),))
     basis = build_basis(n, excitation_cap=1)
     want = fidelity(w_state(n, basis), StateVector(basis, amps))
     assert sector.w_fidelity(amps) == pytest.approx(want, abs=1e-14)
@@ -130,7 +142,7 @@ def test_w_fidelity_sums_left_to_right():
     """One rounding per term, whatever the interpreter's ``sum`` does: a
     compensated sum of the same terms ends ...528 here."""
     n = 1022
-    (amps,) = sector.evolve((1.0,) * n, (-3.1,))
+    (amps,) = sector.evolve((1.0,) * n, ((-3.1, 0.0),))
     assert sector.fmt12(sector.w_fidelity(amps)) == "0.979715654529"
 
 
@@ -142,7 +154,8 @@ def test_w_fidelity_sum_error_at_the_largest_admitted_n(detuning):
     n, eps = sector.MAX_MODES, 0.3
     t_star = sector.optimal_time(n, eps)
     weight = 1.0 / math.sqrt(n)
-    for amps in sector.evolve((eps,) * n, [k * t_star for k in (1.0, 1.37, 2.9)], detuning * eps):
+    points = [(k * t_star, detuning * eps) for k in (1.0, 1.37, 2.9)]
+    for amps in sector.evolve((eps,) * n, points):
         terms = [weight * a for a in amps[1:n + 1]]
         exact = abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
         assert sector.w_fidelity(amps) == pytest.approx(exact ** 2, rel=1e-13)
@@ -159,7 +172,7 @@ def test_common_detuning_keeps_the_bright_mode_shape():
     """Under one common detuning every photon amplitude stays eps_i / Omega
     times one factor, and the atom follows the two-level law."""
     couplings, detuning, t = (1.0, 2.0, 2.0), 0.4, 0.7
-    (amps,) = sector.evolve(couplings, (t,), detuning)
+    (amps,) = sector.evolve(couplings, ((t, detuning),))
     assert amps[0] == 0
     photon = math.sqrt(1.0 - abs(amps[4]) ** 2)
     np.testing.assert_allclose(np.abs(amps[1:4]), [photon * 2 / 3, photon * 2 / 3, photon / 3],
@@ -178,8 +191,8 @@ def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
     eps = 0.3
     omega = eps * math.sqrt(n)
     t_star = sector.optimal_time(n, eps)
-    for (amps, t) in zip(sector.evolve((eps,) * n, (t_star, 3.7 * t_star), detuning),
-                         (t_star, 3.7 * t_star)):
+    times = (t_star, 3.7 * t_star)
+    for (amps, t) in zip(sector.evolve((eps,) * n, [(t, detuning) for t in times]), times):
         p_excited = two_level_excited_population(omega, detuning, t)
         assert abs(amps[n + 1]) ** 2 == pytest.approx(p_excited, abs=1e-12)
         assert abs(amps[1]) ** 2 == pytest.approx((1.0 - p_excited) / n, abs=1e-15)
@@ -195,14 +208,14 @@ def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
 ])
 def test_evolve_refuses_bad_input(couplings, t, error, match):
     with pytest.raises(error, match=match):
-        sector.evolve(couplings, (0.5, t))
+        sector.evolve(couplings, ((0.5, 0.0), (t, 0.0)))
 
 
 def test_a_coupling_norm_that_overflows_is_a_numerical_failure():
     """Finite couplings whose Omega leaves the doubles raise
     PropagationError, not a wrong state."""
     with pytest.raises(PropagationError, match="coupling norm inf is not finite"):
-        sector.evolve((1.5e308,) * 2, (0.9,))
+        sector.evolve((1.5e308,) * 2, ((0.9, 0.0),))
 
 
 @pytest.mark.parametrize("n, detuning", [(3, 0.0), (5, 1e300)])
@@ -214,7 +227,7 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
 
     def turns(t):
         try:
-            sector.evolve(couplings, (t,), detuning)
+            sector.evolve(couplings, ((t, detuning),))
         except PropagationError:
             return False
         return True
@@ -224,14 +237,14 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
         t = math.nextafter(t, math.inf)
     while not turns(t):
         t = math.nextafter(t, 0.0)
-    sector.require_angles(n, 1.0, [(t, t, detuning)], "--time")
+    sector.require_angles(n, 1.0, [(t, (t, detuning))], "--time")
     beyond = math.nextafter(t, math.inf)
     with pytest.raises(ValueError, match=r"^--time .* is too large for --epsilon 1\.0: the angle"):
-        sector.require_angles(n, 1.0, [(beyond, beyond, detuning)], "--time")
+        sector.require_angles(n, 1.0, [(beyond, (beyond, detuning))], "--time")
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized():
-    (state,) = sector.evolve((1.0, 0.5), (0.3,))
+    (state,) = sector.evolve((1.0, 0.5), ((0.3, 0.0),))
     with pytest.raises(PropagationError, match="norm drift"):
         sector._renormalized([a * (1.0 + 1e-9) for a in state])
     with pytest.raises(PropagationError, match="non-finite"):

@@ -119,7 +119,8 @@ def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
     which the dense route does not share."""
     times = []
     real = sector.evolve
-    monkeypatch.setattr(sector, "evolve", lambda c, ts, d: times.extend(ts) or real(c, ts, d))
+    monkeypatch.setattr(sector, "evolve",
+                        lambda c, points: times.extend(t for t, _ in points) or real(c, points))
     clean = check_sector_route(np.random.default_rng(3))
     forward = list(times)
     times.clear()
@@ -185,8 +186,8 @@ def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
     check fails on both, without raising."""
     real = sector.evolve
 
-    def faulted(couplings, times, detuning=0.0):
-        states = real(couplings, times, detuning)
+    def faulted(couplings, points):
+        states = real(couplings, points)
         if fault == "conjugated state":
             return [[a.conjugate() for a in amps] for amps in states]
         return [[-a for a in amps[:-1]] + amps[-1:] for amps in states]

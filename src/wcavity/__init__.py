@@ -14,7 +14,6 @@ import importlib
 # submodule and a name always reads its home module's current binding.
 _HOMES = {
     "dynamics": (
-        "Frame",
         "HermitianOperator",
         "ModelParams",
         "build_hamiltonian",

@@ -340,7 +340,7 @@ def cmd_simulate(config: dict) -> int:
 
     couplings = (eps,) * n
     closed = sector.closed_form(couplings, t)
-    numeric = sector.evolve(couplings, ((t, 0.0),))[0]
+    (numeric,) = sector.evolve(couplings, ((t, 0.0),))
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population

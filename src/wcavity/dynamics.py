@@ -17,7 +17,6 @@ to any number of times costs one ``eigh``.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -26,72 +25,38 @@ from . import sector
 from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, build_basis
 from .sector import NORM_DRIFT_TOL, PropagationError
 
-#: Relative tolerance used when testing resonance.
-PARAM_RTOL = 1e-12
-
-
-class Frame(enum.Enum):
-    """Reference frame for the Hamiltonian.
-
-    LAB keeps the free atomic and photonic energies.  INTERACTION is the
-    frame co-rotating at the atomic frequency; at resonance only the
-    exchange coupling survives, off resonance the modes keep their
-    residual detuning (omega_i - omega_atom).
-    """
-
-    LAB = "lab"
-    INTERACTION = "interaction"
-
-
 class ModelParams(Value):
-    """Physical parameters of the atom + N-mode model.
+    """Physical parameters of the atom + N-mode model, in the interaction
+    frame that rotates at the atomic frequency.
 
-    omega_atom is the atomic transition frequency, omega_modes the mode
-    frequencies and couplings the exchange strengths, all in rad per unit
-    time.  Couplings must be strictly positive.
+    detunings holds each mode's detuning omega_i - omega_a from the atom
+    and couplings the exchange strengths, all in rad per unit time.
+    Couplings must be strictly positive.
     """
 
-    __slots__ = ("n_modes", "omega_atom", "omega_modes", "couplings", "frame")
+    __slots__ = ("n_modes", "detunings", "couplings")
 
-    def __init__(
-        self,
-        n_modes: int,
-        omega_atom: float,
-        omega_modes: tuple[float, ...],
-        couplings: tuple[float, ...],
-        frame: Frame = Frame.INTERACTION,
-    ) -> None:
+    def __init__(self, n_modes: int, detunings: tuple[float, ...],
+                 couplings: tuple[float, ...]) -> None:
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        omega_modes = tuple(float(w) for w in omega_modes)
+        detunings = tuple(float(d) for d in detunings)
         couplings = tuple(float(c) for c in couplings)
-        if len(omega_modes) != n_modes:
-            raise ValueError(f"expected {n_modes} mode frequencies, got {len(omega_modes)}")
+        if len(detunings) != n_modes:
+            raise ValueError(f"expected {n_modes} mode detunings, got {len(detunings)}")
         if len(couplings) != n_modes:
             raise ValueError(f"expected {n_modes} couplings, got {len(couplings)}")
-        if not all(math.isfinite(v) for v in (omega_atom, *omega_modes, *couplings)):
+        if not all(math.isfinite(v) for v in (*detunings, *couplings)):
             raise ValueError("model parameters must be finite")
         if any(c <= 0 for c in couplings):
             raise ValueError("couplings must be strictly positive")
-        for name, value in zip(self.__slots__, (n_modes, omega_atom, omega_modes, couplings, frame)):
+        for name, value in zip(self.__slots__, (n_modes, detunings, couplings)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def resonant(
-        cls,
-        n_modes: int,
-        coupling: float,
-        omega: float = 0.0,
-        frame: Frame = Frame.INTERACTION,
-    ) -> "ModelParams":
+    def resonant(cls, n_modes: int, coupling: float) -> "ModelParams":
         """All modes on resonance with the atom, identical couplings."""
-        return cls(n_modes, omega, (omega,) * n_modes, (coupling,) * n_modes, frame)
-
-    def is_resonant(self) -> bool:
-        """True iff every mode frequency equals the atomic frequency."""
-        atom = self.omega_atom
-        return all(abs(w - atom) <= PARAM_RTOL * max(abs(w), abs(atom), 1.0)
-                   for w in self.omega_modes)
+        return cls(n_modes, (0.0,) * n_modes, (coupling,) * n_modes)
 
 
 def hermiticity_defect(matrix) -> np.ndarray:
@@ -155,23 +120,18 @@ class HermitianOperator(Frozen):
 
 
 def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
-    """Assemble the atom-field Hamiltonian on the given truncated basis.
+    """Assemble the atom-field Hamiltonian on the given truncated basis,
+    in the interaction frame::
 
-    Lab frame::
+        H = sum_i delta_i * n_i + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
 
-        H = omega_atom * s_z + sum_i omega_i * n_i
-            + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
+    with delta_i the mode detunings; at resonance only the exchange term
+    survives.  Photon transitions carry the bosonic sqrt(n) factors;
+    transitions leaving the truncated space are dropped.
 
-    with s_z = (|e><e| - |g><g|)/2.  Interaction frame (rotating at the
-    atomic frequency) keeps the exchange term and the residual mode
-    detunings sum_i (omega_i - omega_atom) * n_i; at resonance only the
-    exchange term survives.  Photon transitions carry the bosonic
-    sqrt(n) factors; transitions leaving the truncated space are dropped.
-
-    ``params`` is one ModelParams, or a non-empty sequence of them (each
-    item with its own frame) for a stacked operator; one ModelParams is
-    built as the one-item stack, and each item of a stack equals its own
-    single build bit for bit.
+    ``params`` is one ModelParams, or a non-empty sequence of them for a
+    stacked operator; one ModelParams is built as the one-item stack, and
+    each item of a stack equals its own single build bit for bit.
     """
     stack = [params] if isinstance(params, ModelParams) else list(params)
     if not stack:
@@ -182,22 +142,14 @@ def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
                 f"params describe {item.n_modes} modes but basis has {basis.n_modes}"
             )
     occupations = basis.levels[:, 1:]
-    # per item: the s_z coefficient, then the frequency of each mode in
-    # the frame (an interaction-frame item's 0.0 * s_z adds +-0.0, which
-    # leaves every entry as the detunings alone would make it)
-    coefficients = np.array([
-        (item.omega_atom, *item.omega_modes) if item.frame is Frame.LAB
-        else (0.0, *(w - item.omega_atom for w in item.omega_modes))
-        for item in stack
-    ])
-    diagonal = coefficients[:, :1] * (basis.levels[:, 0] - 0.5)  # s_z = +-1/2
-    # one mode at a time, so that each entry rounds like sum_i w_i n_i
+    detunings = np.array([item.detunings for item in stack])
+    # one mode at a time, so that each entry rounds like sum_i delta_i n_i
     # taken in mode order
-    photon = np.zeros((len(stack), basis.dim))
+    diagonal = np.zeros((len(stack), basis.dim))
     for i in range(basis.n_modes):
-        photon = photon + coefficients[:, i + 1, None] * occupations[:, i]
+        diagonal = diagonal + detunings[:, i, None] * occupations[:, i]
     matrix = np.zeros((len(stack), basis.dim, basis.dim), dtype=complex)
-    matrix.reshape(len(stack), -1)[:, :: basis.dim + 1] = diagonal + photon
+    matrix.reshape(len(stack), -1)[:, :: basis.dim + 1] = diagonal
 
     # exchange term: <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i)
     ground, excited, mode = basis.exchange_pairs
@@ -220,9 +172,7 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     weighted symmetric photon combination is ever populated.  Equal
     couplings give cos(sqrt(N) eps t) and -i sin(sqrt(N) eps t)/sqrt(N).
     """
-    if params.frame is not Frame.INTERACTION:
-        raise ValueError("closed form is an interaction-frame expression")
-    if not params.is_resonant():
+    if any(params.detunings):
         raise ValueError("detuned parameters: use propagate_numeric")
     basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
     return StateVector._from_checked(basis, np.array(sector.closed_form(params.couplings, t)))

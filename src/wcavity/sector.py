@@ -14,17 +14,18 @@ is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
 index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
 has the same order, with |g;1...1> at index N + 1.
 
-This module imports only ``math``, so that a process running ``simulate``,
-``entanglement`` or a sweep never loads numpy; the numpy modules are its
-oracle.  It also holds the conventions every output shares: the schema
-version, the 12-digit number format and the names of the sweep
-parameters; and the size rule that admits every command but
-``validate``.
+This module imports only ``math`` (and ``collections.abc``, for one
+annotation), so that a process running ``simulate``, ``entanglement`` or
+a sweep never loads numpy; the numpy modules are its oracle.  It also
+holds the conventions every output shares: the schema version, the
+12-digit number format and the names of the sweep parameters; and the
+size rule that admits every command but ``validate``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 #: Version of the report and sweep-file layout.
 SCHEMA_VERSION = "3"
@@ -117,11 +118,13 @@ def _require_couplings(couplings) -> None:
         raise ValueError("couplings must be strictly positive")
 
 
-def evolve(couplings, points) -> list[list[complex]]:
+def evolve(couplings, points) -> Iterator[list[complex]]:
     """exp(-i H t) |e;0> in the interaction frame at each (t, detuning) of
-    ``points``: one list of N + 2 amplitudes in sector order per point.
-    Mode i (1-based) has coupling ``couplings[i - 1]``, and every mode the
-    point's detuning from the atom (0.0: on resonance).
+    ``points``: yields one list of N + 2 amplitudes in sector order per
+    point, so that a caller holds only the states it keeps.  Mode i
+    (1-based) has coupling ``couplings[i - 1]``, and every mode the point's
+    detuning from the atom (0.0: on resonance).  The inputs are checked
+    when the first state is taken.
 
     Each state is the exact exponential of the Morris-Shore 2x2 matrix
     [[0, Omega], [Omega, delta]] on |e;0> and the bright mode.  Non-finite
@@ -133,7 +136,6 @@ def evolve(couplings, points) -> list[list[complex]]:
     if not math.isfinite(omega):
         raise PropagationError(f"coupling norm {omega!r} is not finite")
     bright = [0.0, *(c / omega for c in reversed(couplings)), 0.0]  # once per call
-    states = []
     for t, detuning in points:
         if not math.isfinite(detuning):
             raise ValueError("model parameters must be finite")
@@ -153,8 +155,7 @@ def evolve(couplings, points) -> list[list[complex]]:
         lower = phase * complex(0.0, -s * (omega / g))
         amps = [lower * b for b in bright]
         amps[-1] = phase * complex(c, -s * (half / g))
-        states.append(_renormalized(amps))
-    return states
+        yield _renormalized(amps)
 
 
 def require_angles(n: int, epsilon: float, points, source: str) -> None:
@@ -189,12 +190,12 @@ def closed_form(couplings, t: float, omega: float | None = None) -> list[complex
     """Resonant interaction-frame amplitudes of the excited-atom vacuum at
     time t, in sector order: cos(Omega t) on |e;0> and
     -i (eps_i / Omega) sin(Omega t) on mode i.  ``omega`` is
-    Omega = sqrt(sum_i eps_i^2) as the caller rounded it (default:
-    ``math.hypot`` of the couplings).  Every amplitude must be finite and
-    the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
+    Omega = sqrt(sum_i eps_i^2) as the caller rounded it (default: the
+    couplings' norm, as ``evolve`` takes it).  Every amplitude must be
+    finite and the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
     _require_couplings(couplings)
     if omega is None:
-        omega = math.hypot(*couplings)
+        omega = _norm(couplings)
     angle = omega * t
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")

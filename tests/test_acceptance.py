@@ -134,8 +134,7 @@ def test_criterion_5_conservation_unitarity_suite():
         n = int(rng.integers(1, 5))
         params = ModelParams(
             n,
-            float(rng.uniform(-5.0, 5.0)),
-            tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n)),
+            tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
             tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
         )
         basis = build_basis(n, n_max=int(rng.integers(1, 3)))

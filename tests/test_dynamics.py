@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wcavity import fock, sector
 from wcavity.dynamics import (
-    Frame,
     HermitianOperator,
     ModelParams,
     PropagationError,
@@ -29,20 +28,10 @@ def e(*occ):
     return BasisState(AtomLevel.EXCITED, tuple(occ))
 
 
-def random_params(rng, frame=None, resonant=False, identical=False, n_modes=None):
+def random_params(rng, n_modes=None):
     n = int(n_modes or rng.integers(1, 5))
-    omega_atom = float(rng.uniform(-5.0, 5.0))
-    if resonant:
-        omegas = (omega_atom,) * n
-    else:
-        omegas = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
-    if identical:
-        eps = (float(rng.uniform(0.1, 3.0)),) * n
-    else:
-        eps = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
-    if frame is None:
-        frame = Frame.LAB if rng.integers(2) else Frame.INTERACTION
-    return ModelParams(n, omega_atom, omegas, eps, frame)
+    detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
+    return ModelParams(n, detunings, tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)))
 
 
 def random_state(rng, basis):
@@ -50,22 +39,21 @@ def random_state(rng, basis):
     return StateVector(basis, raw / np.linalg.norm(raw))
 
 
-def reference_hamiltonian(params, basis):
+def reference_hamiltonian(params, basis, lab=None):
     """The per-state loop that assembled H before the array version; kept
-    as the reference it must match bit for bit."""
+    as the reference it must match bit for bit.  With ``lab`` =
+    (omega_a, omega_modes), the lab-frame H of those frequencies and
+    params' couplings instead: omega_a s_z + sum_i omega_i n_i, with
+    s_z = +-1/2, on the diagonal."""
     dim = basis.dim
     matrix = np.zeros((dim, dim), dtype=complex)
     for k, state in enumerate(basis.states):
-        if params.frame is Frame.LAB:
-            s_z = 0.5 if state.atom is AtomLevel.EXCITED else -0.5
-            diag = params.omega_atom * s_z + sum(
-                w * n for w, n in zip(params.omega_modes, state.occupations)
-            )
+        if lab is None:
+            diag = sum(d * n for d, n in zip(params.detunings, state.occupations))
         else:
-            diag = sum(
-                (w - params.omega_atom) * n
-                for w, n in zip(params.omega_modes, state.occupations)
-            )
+            omega_a, omega_modes = lab
+            s_z = 0.5 if state.atom is AtomLevel.EXCITED else -0.5
+            diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, state.occupations))
         matrix[k, k] = diag
     for k, state in enumerate(basis.states):
         if state.atom is not AtomLevel.GROUND:
@@ -84,19 +72,21 @@ def reference_hamiltonian(params, basis):
 
 class TestModelParams:
     def test_validates_lengths(self):
-        with pytest.raises(ValueError):
-            ModelParams(2, 1.0, (1.0,), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            ModelParams(2, 1.0, (1.0, 1.0), (1.0,))
+        with pytest.raises(ValueError, match="2 mode detunings, got 1"):
+            ModelParams(2, (0.0,), (1.0, 1.0))
+        with pytest.raises(ValueError, match="2 couplings, got 1"):
+            ModelParams(2, (0.0, 0.0), (1.0,))
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError, match="positive"):
-            ModelParams(1, 1.0, (1.0,), (0.0,))
+            ModelParams(1, (0.0,), (0.0,))
 
-    def test_tolerates_rounding_level_spread(self):
-        omegas = (1.0, 1.0 * (1 + 1e-15), 1.0)
-        assert ModelParams(3, 1.0, omegas, (0.7,) * 3).is_resonant()
-        assert not ModelParams(3, 1.0, (1.0, 1.0, 1.5), (0.7,) * 3).is_resonant()
+    def test_rejects_a_non_finite_detuning(self):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(2, (0.0, math.inf), (1.0, 1.0))
+
+    def test_resonant_has_zero_detunings(self):
+        assert ModelParams.resonant(3, 0.7) == ModelParams(3, (0.0,) * 3, (0.7,) * 3)
 
 
 class TestBuildHamiltonian:
@@ -117,20 +107,13 @@ class TestBuildHamiltonian:
         assert H[row, basis.index[g(0, 0, 0)]] == 0.0
         assert H[row, row] == 0.0
 
-    def test_lab_frame_diagonal(self):
+    def test_diagonal_holds_the_mode_detunings(self):
         basis = build_basis(2, 1, None)
-        params = ModelParams(2, 3.0, (2.0, 2.5), (0.5, 0.5), Frame.LAB)
-        H = build_hamiltonian(params, basis).matrix
-        assert H[basis.index[g(0, 0)], basis.index[g(0, 0)]] == -1.5  # -omega_atom/2
-        assert H[basis.index[e(0, 0)], basis.index[e(0, 0)]] == 1.5
-        assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == -1.5 + 2.0 + 2.5
-
-    def test_interaction_frame_keeps_residual_detuning(self):
-        basis = build_basis(1, 1, None)
-        params = ModelParams(1, 2.0, (2.7,), (0.5,), Frame.INTERACTION)
-        H = build_hamiltonian(params, basis).matrix
-        assert H[basis.index[g(1)], basis.index[g(1)]] == pytest.approx(0.7)
-        assert H[basis.index[e(0)], basis.index[e(0)]] == 0.0
+        H = build_hamiltonian(ModelParams(2, (0.7, -0.25), (0.5, 0.5)), basis).matrix
+        assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
+        assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
+        assert H[basis.index[e(0, 1)], basis.index[e(0, 1)]] == -0.25
+        assert H[basis.index[e(0, 0)], basis.index[e(0, 0)]] == 0.0
 
     def test_bosonic_sqrt_factors(self):
         basis = build_basis(1, 2, None)
@@ -208,13 +191,8 @@ class TestClosedForm:
         assert psi.amplitude(e(0)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert psi.amplitude(g(1)) == pytest.approx(-1j / math.sqrt(2.0), abs=1e-12)
 
-    def test_rejects_lab_frame(self):
-        params = ModelParams.resonant(2, 1.0, frame=Frame.LAB)
-        with pytest.raises(ValueError, match="interaction-frame"):
-            evolve_closed_form(params, 0.1)
-
     def test_takes_unequal_couplings(self):
-        params = ModelParams(2, 0.0, (0.0, 0.0), (1.0, 1.2))
+        params = ModelParams(2, (0.0, 0.0), (1.0, 1.2))
         psi = evolve_closed_form(params, 0.1)
         omega = math.sqrt(1.0 + 1.2**2)
         assert psi.amplitude(e(0, 0)) == pytest.approx(math.cos(0.1 * omega), abs=1e-15)
@@ -223,7 +201,7 @@ class TestClosedForm:
         )
 
     def test_is_the_sector_closed_form_bit_for_bit(self):
-        params = ModelParams(3, 0.0, (0.0,) * 3, (0.7, 1.3, 2.2))
+        params = ModelParams(3, (0.0,) * 3, (0.7, 1.3, 2.2))
         for t in (0.0, 0.37, -4.1, 250.0):
             psi = evolve_closed_form(params, t)
             assert psi.basis == build_basis(3, excitation_cap=1)
@@ -249,7 +227,7 @@ class TestClosedFormGeneral:
 
     def test_three_four_coupling_case(self):
         # Omega = 5, t = pi/10: full transfer weighted by eps_i / Omega
-        params = ModelParams(2, 0.0, (0.0, 0.0), (3.0, 4.0))
+        params = ModelParams(2, (0.0, 0.0), (3.0, 4.0))
         t = math.pi / 10.0
         psi = evolve_closed_form(params, t)
         assert abs(psi.amplitude(e(0, 0))) <= 1e-12
@@ -262,7 +240,7 @@ class TestClosedFormGeneral:
         assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) <= 1e-10
 
     def test_rejects_detuning(self):
-        params = ModelParams(2, 0.0, (0.0, 0.3), (1.0, 1.0))
+        params = ModelParams(2, (0.0, 0.3), (1.0, 1.0))
         with pytest.raises(ValueError, match="detuned"):
             evolve_closed_form(params, 0.1)
 
@@ -274,7 +252,7 @@ class TestClosedFormGeneral:
             n = int(rng.integers(1, 7))
             eps = tuple(float(c) for c in rng.uniform(0.1, 10.0, size=n))
             t = float(rng.uniform(0.0, 4.0 * math.pi / max(eps)))
-            params = ModelParams(n, 0.0, (0.0,) * n, eps)
+            params = ModelParams(n, (0.0,) * n, eps)
             closed = evolve_closed_form(params, t)
             H = build_hamiltonian(params, closed.basis)
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
@@ -289,7 +267,7 @@ class TestClosedFormAmplitudes:
         couplings = np.ones((4, 2))
         couplings[2] = 1e200
         for k, draw in enumerate(couplings):
-            params = ModelParams(2, 0.0, (0.0, 0.0), tuple(float(c) for c in draw))
+            params = ModelParams(2, (0.0, 0.0), tuple(float(c) for c in draw))
             if k == 2:
                 with pytest.raises(ValueError, match="finite"):
                     evolve_closed_form(params, 1e200)
@@ -365,18 +343,26 @@ class TestPropagateNumeric:
             assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) <= 1e-9
 
     def test_lab_and_interaction_frames_agree_on_moduli(self):
+        """The lab-frame H of atomic frequency omega_a and mode frequencies
+        omega_i exceeds the interaction-frame H of the detunings
+        delta_i = omega_i - omega_a by omega_a (s_z + sum_i n_i), which
+        commutes with both: the two evolve every state to the same moduli.
+        This anchors the sign of the detunings."""
         rng = np.random.default_rng(77)
         for _ in range(30):
-            base = random_params(rng, frame=Frame.LAB)
-            inter = ModelParams(
-                base.n_modes, base.omega_atom, base.omega_modes, base.couplings,
-                Frame.INTERACTION,
+            n = int(rng.integers(1, 5))
+            omega_a = float(rng.uniform(-5.0, 5.0))
+            omega_modes = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
+            couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
+            params = ModelParams(n, tuple(w - omega_a for w in omega_modes), couplings)
+            basis = build_basis(n, n_max=1)
+            lab = HermitianOperator(
+                basis, reference_hamiltonian(params, basis, lab=(omega_a, omega_modes))
             )
-            basis = build_basis(base.n_modes, n_max=1)
             psi = random_state(rng, basis)
             t = float(rng.uniform(0.0, 8.0))
-            lab_out = propagate_numeric(build_hamiltonian(base, basis), psi, t)
-            int_out = propagate_numeric(build_hamiltonian(inter, basis), psi, t)
+            lab_out = propagate_numeric(lab, psi, t)
+            int_out = propagate_numeric(build_hamiltonian(params, basis), psi, t)
             gap = np.max(np.abs(np.abs(lab_out.amplitudes) - np.abs(int_out.amplitudes)))
             assert gap <= 1e-10
 
@@ -411,8 +397,7 @@ class TestPropagateNumeric:
 
     def test_overflow_raises_propagation_error(self):
         basis = build_basis(1, 1, None)
-        params = ModelParams(1, 1e308, (1e308,), (1.0,), Frame.LAB)
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(ModelParams(1, (1e308,), (1.0,)), basis)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_numeric(H, initial_state(basis), 1e10)
 
@@ -438,14 +423,13 @@ class TestPropagateNumeric:
         st.tuples(st.integers(1, 3), st.just(2), st.none()),
         st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 3)),
     ),
-    frame=st.sampled_from(list(Frame)),
     seed=st.integers(0, 2**32 - 1),
     times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
 )
-def test_propagate_times_rows_match_scipy_expm(basis_spec, frame, seed, times):
+def test_propagate_times_rows_match_scipy_expm(basis_spec, seed, times):
     n, n_max, cap = basis_spec
     rng = np.random.default_rng(seed)
-    params = random_params(rng, frame=frame, n_modes=n)
+    params = random_params(rng, n_modes=n)
     basis = build_basis(n, n_max, cap)
     H = build_hamiltonian(params, basis)
     psi = random_state(rng, basis)
@@ -461,17 +445,17 @@ def test_propagate_times_rows_match_scipy_expm(basis_spec, frame, seed, times):
     size=st.one_of(
         st.tuples(st.integers(1, 4), st.just(2)), st.tuples(st.integers(1, 3), st.just(3))
     ),
-    frame=st.sampled_from(list(Frame)),
+    detuning=st.floats(-2.0, 2.0),
     epsilon=st.floats(0.25, 4.0),
     time=st.floats(0.0, 6.0),
 )
-def test_sector_evolution_equals_the_dense_full_space(size, frame, epsilon, time):
+def test_sector_evolution_equals_the_dense_full_space(size, detuning, epsilon, time):
     """H conserves the excitation number, so |e; 0...0> evolved on the
     excitation <= 1 sector equals its evolution on the whole truncated
     space 2 (n_max + 1)^N of a larger n_max, where every other amplitude
     stays 0."""
     n, n_max = size
-    params = ModelParams.resonant(n, epsilon, omega=1.0, frame=frame)
+    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
     sector, full = build_basis(n, excitation_cap=1), build_basis(n, n_max)
     small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
     dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
@@ -507,7 +491,7 @@ class TestPropagateTimes:
 
     def test_any_non_finite_row_raises(self):
         basis = build_basis(1, 1, None)
-        H = build_hamiltonian(ModelParams(1, 1e308, (1e308,), (1.0,), Frame.LAB), basis)
+        H = build_hamiltonian(ModelParams(1, (1e308,), (1.0,)), basis)
         # the row at t = 0 is finite, the one at 1e10 overflows
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_times(H, initial_state(basis), [0.0, 1e10])
@@ -607,7 +591,7 @@ BASIS_SPECS = st.one_of(
 def test_stacked_hamiltonian_items_equal_single_builds_bit_for_bit(basis_spec, seed, items):
     n, n_max, cap = basis_spec
     rng = np.random.default_rng(seed)
-    params = [random_params(rng, n_modes=n) for _ in range(items)]  # frames mixed
+    params = [random_params(rng, n_modes=n) for _ in range(items)]
     basis = build_basis(n, n_max, cap)
     H = build_hamiltonian(params, basis)
     assert H.matrix.shape == (items, basis.dim, basis.dim)
@@ -686,7 +670,7 @@ class TestStackedPropagation:
     def test_any_bad_item_raises(self):
         basis = build_basis(1, 1, None)
         H = build_hamiltonian(
-            [ModelParams.resonant(1, 1.0), ModelParams(1, 1e308, (1e308,), (1.0,), Frame.LAB)],
+            [ModelParams.resonant(1, 1.0), ModelParams(1, (1e308,), (1.0,))],
             basis,
         )
         with pytest.raises(PropagationError, match="non-finite"):
@@ -707,13 +691,14 @@ class TestRowsAreCheckedOnce:
         return calls
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
-        # sector.closed_form checks the norm of the amplitudes it makes,
-        # and the state takes them over unchecked
+        # sector.closed_form takes Omega as the norm of the couplings and
+        # checks the norm of the amplitudes it makes, and the state takes
+        # them over unchecked
         norms = []
         real = sector._norm
         monkeypatch.setattr(sector, "_norm", lambda amps: norms.append(len(amps)) or real(amps))
         psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
-        assert (row_checks, norms) == ([], [5])
+        assert (row_checks, norms) == ([], [3, 5])
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_in_propagate_times_only(self, row_checks):
@@ -726,7 +711,7 @@ class TestRowsAreCheckedOnce:
 
     def test_a_bad_row_raises_as_before(self):
         # math.hypot's Omega does not overflow, but the angle Omega t does
-        overflowing = ModelParams(2, 0.0, (0.0, 0.0), (1e200, 1e200))
+        overflowing = ModelParams(2, (0.0, 0.0), (1e200, 1e200))
         assert evolve_closed_form(overflowing, 1.0).norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             evolve_closed_form(overflowing, 1e200)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wcavity import sector
 from wcavity.cli import build_parser, main
 from wcavity.dynamics import (
-    Frame,
     ModelParams,
     build_hamiltonian,
     propagate_numeric,
@@ -330,7 +329,7 @@ def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
     basis = build_basis(n, n_max=1, excitation_cap=1)
-    params = ModelParams(n, 0.0, (detuning,) * n, (epsilon,) * n, Frame.INTERACTION)
+    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
     psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
     return fidelity(psi, w_state(n, basis))
 

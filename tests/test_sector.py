@@ -37,7 +37,7 @@ def dense_operator(couplings, detuning):
     """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0 and
     every mode at ``detuning``."""
     n = len(couplings)
-    params = ModelParams(n, 0.0, (detuning,) * n, tuple(couplings))
+    params = ModelParams(n, (detuning,) * n, tuple(couplings))
     return build_hamiltonian(params, build_basis(n, excitation_cap=1))
 
 
@@ -67,7 +67,7 @@ couplings_st = st.integers(1, 13).flatmap(
 def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times):
     """Every time of one call against the dense sector propagator and
     ``expm``; the one-time call is the one-item case."""
-    states = sector.evolve(couplings, [(t, detuning) for t in times])
+    states = list(sector.evolve(couplings, [(t, detuning) for t in times]))
     H = dense_operator(couplings, detuning)
     psi0 = initial_state(H.basis)
     dense = propagate_times(H, psi0, np.array(times))
@@ -76,7 +76,7 @@ def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times)
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
         np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
         np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
-        assert sector.evolve(couplings, ((t, detuning),)) == [amps]
+        assert list(sector.evolve(couplings, ((t, detuning),))) == [amps]
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +87,30 @@ def test_one_call_evolves_each_point_as_a_call_of_its_own(couplings, points):
     them, give the states of one call per point bit for bit (signed zeros
     too): the detuning sweep's bytes rest on this."""
     alone = [state for point in points for state in sector.evolve(couplings, [point])]
-    assert repr(sector.evolve(couplings, iter(points))) == repr(alone)
+    assert repr(list(sector.evolve(couplings, iter(points)))) == repr(alone)
+
+
+def test_evolve_yields_each_state_when_it_is_taken():
+    """An endless stream of points gives its first states, and a bad point
+    raises only when its state is taken."""
+    points = itertools.chain([(0.3, 0.0)], itertools.repeat((math.nan, 0.0)))
+    states = sector.evolve((1.0, 0.5), points)
+    assert next(states) == next(sector.evolve((1.0, 0.5), ((0.3, 0.0),)))
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        next(states)
+
+
+def test_closed_form_takes_omega_as_math_hypot_of_the_couplings():
+    """The default Omega, ``_norm`` of the couplings, is ``math.hypot`` of
+    them: equal and unequal couplings, N up to ``MAX_MODES``."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, sector.MAX_MODES + 1))
+        draws = rng.uniform(0.1, 3.0, size=n) if rng.integers(2) else [rng.uniform(0.1, 3.0)] * n
+        couplings = [float(c) for c in draws]
+        t = float(rng.uniform(-10.0, 10.0))
+        assert repr(sector.closed_form(couplings, t)) == repr(
+            sector.closed_form(couplings, t, math.hypot(*couplings)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,8 +133,8 @@ def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     closed = sector.closed_form(couplings, t)
     np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
                                rtol=0)
-    np.testing.assert_allclose(closed, sector.evolve(couplings, ((t, 0.0),))[0], atol=1e-13,
-                               rtol=0)
+    (evolved,) = sector.evolve(couplings, ((t, 0.0),))
+    np.testing.assert_allclose(closed, evolved, atol=1e-13, rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
@@ -208,14 +231,14 @@ def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
 ])
 def test_evolve_refuses_bad_input(couplings, t, error, match):
     with pytest.raises(error, match=match):
-        sector.evolve(couplings, ((0.5, 0.0), (t, 0.0)))
+        list(sector.evolve(couplings, ((0.5, 0.0), (t, 0.0))))
 
 
 def test_a_coupling_norm_that_overflows_is_a_numerical_failure():
     """Finite couplings whose Omega leaves the doubles raise
     PropagationError, not a wrong state."""
     with pytest.raises(PropagationError, match="coupling norm inf is not finite"):
-        sector.evolve((1.5e308,) * 2, ((0.9, 0.0),))
+        list(sector.evolve((1.5e308,) * 2, ((0.9, 0.0),)))
 
 
 @pytest.mark.parametrize("n, detuning", [(3, 0.0), (5, 1e300)])
@@ -227,7 +250,7 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
 
     def turns(t):
         try:
-            sector.evolve(couplings, ((t, detuning),))
+            list(sector.evolve(couplings, ((t, detuning),)))
         except PropagationError:
             return False
         return True

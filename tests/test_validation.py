@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wcavity import sector, validation
+from wcavity.cli import main
 from wcavity.dynamics import HermitianOperator, ModelParams
 from wcavity.fock import AtomLevel, BasisState, vacuum_occupations
 from wcavity.validation import (
@@ -82,6 +83,27 @@ def test_conservation_check_sees_an_excitation_changing_element(monkeypatch):
     result = check_excitation_conservation(np.random.default_rng(1), draws=3)
     assert not result.passed
     assert result.measured == 0.25
+
+
+def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
+    """A build whose exchange elements lose their Hermitian partner by a
+    relative 1e-9 is refused by ``HermitianOperator``: every check that
+    builds an operator reads FAIL with an infinite defect, and validate
+    exits 1, a failed check, not 2, bad input."""
+    real_build = validation.build_hamiltonian
+
+    def skewed(params, basis):
+        matrix = np.array(real_build(params, basis).matrix)
+        ground, excited, _ = basis.exchange_pairs
+        matrix[..., ground, excited] *= 1 + 1e-9
+        return HermitianOperator(basis, matrix)
+
+    monkeypatch.setattr(validation, "build_hamiltonian", skewed)
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL hermiticity: measured=inf ")
+    assert any(line.startswith("PASS rng-stream: ") for line in lines)
+    assert lines[-1] == "summary: checks_run=8 passed=1 failed=7"
 
 
 def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():

@@ -7,7 +7,7 @@ import pytest
 
 import wcavity
 from wcavity import cli, fock, protocol, validation
-from wcavity.dynamics import Frame, ModelParams
+from wcavity.dynamics import ModelParams
 from wcavity.fock import AtomLevel, BasisState, build_basis
 
 
@@ -58,10 +58,11 @@ def test_value_classes_equal_their_own_class_only():
     assert state != BasisState(AtomLevel.EXCITED, (1, 0))
     assert build_basis(2, 1, None).index.get((AtomLevel.GROUND, (1, 0))) is None
 
-    params = ModelParams(2, 0.5, (0.5, 0.7), (1, 2), Frame.LAB)
-    same = ModelParams(2, 0.5, (0.5, 0.7), (1.0, 2.0), Frame.LAB)
+    params = ModelParams(2, (0, 0.2), (1, 2))
+    same = ModelParams(2, (0.0, 0.2), (1.0, 2.0))
     assert params == same and hash(params) == hash(same)
-    assert params != ModelParams(2, 0.5, (0.5, 0.7), (1.0, 2.0))
+    assert params != ModelParams(2, (0.0, 0.7), (1.0, 2.0))
+    assert params.detunings == (0.0, 0.2) and all(type(d) is float for d in params.detunings)
     assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
     assert "couplings=(1.0, 2.0)" in repr(params)
 

@@ -385,18 +385,19 @@ def cmd_sweep(config: dict) -> int:
 
     csv = config["format"] == "csv"
     if csv:
-        body = result.to_csv_text()
+        lines = result.csv_lines()
     else:
-        body = json.dumps(_rounded(result.to_dict()), indent=2) + "\n"
+        lines = [json.dumps(_rounded(result.to_dict()), indent=2) + "\n"]
     if config["out"] == "-":
         # no sidecar: the CSV comment lines already carry the metadata
-        sys.stdout.write(body)
+        sys.stdout.writelines(lines)
         return 0
     out = Path(config["out"])
     written: list[Path] = []
     try:
-        out.write_text(body)
-        written.append(out)
+        with out.open("w") as handle:
+            written.append(out)
+            handle.writelines(lines)
         if csv:
             sidecar = _sidecar_path(out)
             sidecar.write_text(json.dumps(_rounded(result.metadata), indent=2) + "\n")

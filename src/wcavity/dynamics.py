@@ -9,10 +9,10 @@ Two independent evolution routes are provided on purpose:
   the (Hermitian) Hamiltonian.
 
 The two must agree to tight tolerance; the numerical route serves as the
-correctness oracle for the closed form and vice versa.  The propagator
-evaluates many times (or a stack of operators) as one array: an operator
-keeps its decomposition after the first use, so one Hamiltonian evolved
-to any number of times costs one ``eigh``.
+correctness oracle for the closed form and vice versa.  Every route
+takes one operator and one state; the propagator evaluates many times as
+one array, and an operator keeps its decomposition after the first use,
+so one Hamiltonian evolved to any number of times costs one ``eigh``.
 """
 
 from __future__ import annotations
@@ -59,22 +59,20 @@ class ModelParams(Value):
         return cls(n_modes, (0.0,) * n_modes, (coupling,) * n_modes)
 
 
-def hermiticity_defect(matrix) -> np.ndarray:
-    """max |H - H^dag| of a square matrix, or one value per item of a
-    (P, dim, dim) stack."""
-    gap = np.conj(np.swapaxes(matrix, -1, -2))
+def hermiticity_defect(matrix) -> float:
+    """max |H - H^dag| of a square matrix."""
+    gap = np.conj(matrix.T)
     gap -= matrix  # in place: one temporary matrix, and |H^dag - H| = |H - H^dag|
-    return np.abs(gap).max(axis=(-2, -1), initial=0.0)
+    return float(np.abs(gap).max(initial=0.0))
 
 
 class HermitianOperator(Frozen):
-    """Dense matrix observable on a truncated basis; validated Hermitian.
+    """Dense (dim, dim) matrix observable on a truncated basis; validated
+    Hermitian.
 
-    ``matrix`` is one (dim, dim) operator or a stack of P of them,
-    (P, dim, dim), on one basis; every item is checked.  ``defect`` keeps
-    the measured max |H - H^dag|: a float, or one value per item of a
-    stack.  The matrix is read-only, so its spectral decomposition is
-    computed on first use and kept (:meth:`eigh`).
+    ``defect`` keeps the measured max |H - H^dag|.  The matrix is
+    read-only, so its spectral decomposition is computed on first use and
+    kept (:meth:`eigh`).
     """
 
     __slots__ = ("basis", "matrix", "defect", "_eigh")
@@ -91,26 +89,20 @@ class HermitianOperator(Frozen):
         return self
 
     def _take(self, basis: Basis, mat: np.ndarray) -> None:
-        if mat.shape[-2:] != (basis.dim, basis.dim) or mat.ndim not in (2, 3):
+        if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {basis.dim}")
         if not np.isfinite(mat.view(float)).all():
             raise ValueError("operator entries must be finite")
         defect = hermiticity_defect(mat)
-        worst = float(defect.max(initial=0.0))
-        if worst > ROUNDING_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {worst:.3e}")
-        if mat.ndim == 2:
-            defect = float(defect)
-        else:
-            defect.flags.writeable = False
+        if defect > ROUNDING_TOL:
+            raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
         mat.flags.writeable = False
         for name, value in (("basis", basis), ("matrix", mat), ("defect", defect), ("_eigh", None)):
             object.__setattr__(self, name, value)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (eigenvalues, eigenvectors) from ``numpy.linalg.eigh``,
-        computed once per operator; for a stack, one decomposition per
-        item, from one call."""
+        computed once per operator."""
         if self._eigh is None:
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
             eigvals.flags.writeable = False
@@ -119,7 +111,7 @@ class HermitianOperator(Frozen):
         return self._eigh
 
 
-def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
+def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     """Assemble the atom-field Hamiltonian on the given truncated basis,
     in the interaction frame::
 
@@ -128,37 +120,26 @@ def build_hamiltonian(params, basis: Basis) -> HermitianOperator:
     with delta_i the mode detunings; at resonance only the exchange term
     survives.  Photon transitions carry the bosonic sqrt(n) factors;
     transitions leaving the truncated space are dropped.
-
-    ``params`` is one ModelParams, or a non-empty sequence of them for a
-    stacked operator; one ModelParams is built as the one-item stack, and
-    each item of a stack equals its own single build bit for bit.
     """
-    stack = [params] if isinstance(params, ModelParams) else list(params)
-    if not stack:
-        raise ValueError("build_hamiltonian needs at least one ModelParams")
-    for item in stack:
-        if item.n_modes != basis.n_modes:
-            raise ValueError(
-                f"params describe {item.n_modes} modes but basis has {basis.n_modes}"
-            )
+    if params.n_modes != basis.n_modes:
+        raise ValueError(
+            f"params describe {params.n_modes} modes but basis has {basis.n_modes}"
+        )
     occupations = basis.levels[:, 1:]
-    detunings = np.array([item.detunings for item in stack])
     # one mode at a time, so that each entry rounds like sum_i delta_i n_i
     # taken in mode order
-    diagonal = np.zeros((len(stack), basis.dim))
-    for i in range(basis.n_modes):
-        diagonal = diagonal + detunings[:, i, None] * occupations[:, i]
-    matrix = np.zeros((len(stack), basis.dim, basis.dim), dtype=complex)
-    matrix.reshape(len(stack), -1)[:, :: basis.dim + 1] = diagonal
+    diagonal = np.zeros(basis.dim)
+    for i, detuning in enumerate(params.detunings):
+        diagonal = diagonal + detuning * occupations[:, i]
+    matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
+    np.fill_diagonal(matrix, diagonal)
 
     # exchange term: <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i)
     ground, excited, mode = basis.exchange_pairs
-    couplings = np.array([item.couplings for item in stack])
-    elements = couplings[:, mode] * np.sqrt(occupations[ground, mode])
-    matrix[:, excited, ground] = elements
-    matrix[:, ground, excited] = elements
-    owned = matrix[0] if isinstance(params, ModelParams) else matrix
-    return HermitianOperator._from_owned(basis, owned)
+    elements = np.array(params.couplings)[mode] * np.sqrt(occupations[ground, mode])
+    matrix[excited, ground] = elements
+    matrix[ground, excited] = elements
+    return HermitianOperator._from_owned(basis, matrix)
 
 
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
@@ -182,17 +163,15 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
 evolve_closed_form_general = evolve_closed_form
 
 
-def propagate_numeric(H: HermitianOperator, psi0: StateVector, t) -> StateVector:
-    """Evolve psi0 by exp(-i H t): the one-time case of
-    :func:`propagate_times`, with the same checks.  For a stacked H, t is
-    one time for every item or a 1-D array of one time per item, and the
-    result is the stack of evolved states."""
-    times = np.asarray(t, dtype=float)[..., None]
-    return StateVector._from_checked(psi0.basis, propagate_times(H, psi0, times)[..., 0, :])
+def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
+    """Evolve psi0 by exp(-i H t) for one time t: the one-time case of
+    :func:`propagate_times`, with the same checks."""
+    (row,) = propagate_times(H, psi0, [float(t)])
+    return StateVector._from_checked(psi0.basis, row)
 
 
 def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarray:
-    """Evolve psi0 by exp(-i H t) for each t in an array of times.
+    """Evolve psi0 by exp(-i H t) for each t in a 1-D array of times.
 
     The eigenphases of the operator's cached spectral decomposition
     (:meth:`HermitianOperator.eigh`) are applied exactly, for all times in
@@ -201,49 +180,33 @@ def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarra
     ``NORM_DRIFT_TOL``; a larger drift in any row raises
     :class:`PropagationError`, as do non-finite amplitudes.
 
-    A single operator is evolved as the one-item stack of a stacked one,
-    so every item of a stack evolves as it would alone.
-
     Parameters
     ----------
     H : HermitianOperator
-        Generator of the evolution, sharing psi0's basis: one operator or
-        a stack of P.
+        Generator of the evolution, sharing psi0's basis.
     psi0 : StateVector
-        Initial state; for a stacked H, one state for every item or a
-        stack of P, one per item.
-    times : array of float
-        Evolution times (may be negative): a 1-D array of T times, or for
-        a stacked H a (P, T) array of T times per item.
+        Initial state.
+    times : 1-D array of float
+        Evolution times (may be negative).
 
     Returns
     -------
-    ndarray, shape (T, dim), or (P, T, dim) for a stacked H
+    ndarray, shape (T, dim)
         The evolved amplitudes, one row per time.
     """
     if H.basis is not psi0.basis and H.basis != psi0.basis:
         raise ValueError("operator and state live on different bases")
-    stacked = H.matrix.ndim == 3
-    items = len(H.matrix) if stacked else 1
     times = np.asarray(times, dtype=float)
-    if not (times.ndim == 1 or (stacked and times.ndim == 2 and len(times) in (1, items))):
-        shape = "1-D" if not stacked else f"1-D or ({items}, T)"
-        raise ValueError(f"times must be a {shape} array, got shape {times.shape}")
-    if psi0.amplitudes.ndim == 2 and len(psi0.amplitudes) not in ((1, items) if stacked else ()):
-        operators = f"a stack of {items} operators" if stacked else "one operator"
-        raise ValueError(f"a stack of {len(psi0.amplitudes)} states does not fit {operators}")
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         bad = float(times[~np.isfinite(times)][0])
         raise ValueError(f"evolution time must be finite, got {bad!r}")
     eigvals, eigvecs = H.eigh()
-    if not stacked:
-        eigvals, eigvecs = eigvals[None], eigvecs[None]
-    times = times.reshape(-1, times.shape[-1])  # (1 or P, T)
-    amps = psi0.amplitudes.reshape(-1, H.basis.dim, 1)  # (1 or P, dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        phases = np.exp(-1j * eigvals[:, None, :] * times[:, :, None])
-        coeffs = (eigvecs.conj().swapaxes(-1, -2) @ amps).swapaxes(-1, -2)  # eigvecs^dag psi0, as rows
-        out = (phases * coeffs) @ eigvecs.swapaxes(-1, -2)
+        phases = np.exp(-1j * eigvals * times[:, None])
+        coeffs = eigvecs.conj().T @ psi0.amplitudes  # eigvecs^dag psi0
+        out = (phases * coeffs) @ eigvecs.T
     if not np.isfinite(out).all():
         raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
     norms = np.linalg.norm(out, axis=-1)
@@ -252,5 +215,5 @@ def propagate_times(H: HermitianOperator, psi0: StateVector, times) -> np.ndarra
         raise PropagationError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
         )
-    out /= norms[..., None]
-    return out if stacked else out[0]
+    out /= norms[:, None]
+    return out

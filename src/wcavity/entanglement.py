@@ -20,7 +20,6 @@ from .fock import (
     Frozen,
     StateVector,
     _require_same_basis,
-    require_one_state,
     vacuum_occupations,
 )
 from .sector import ROUNDING_TOL
@@ -136,7 +135,6 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     discarded configurations coincide.  Basis states absent from a capped
     basis carry zero amplitude.
     """
-    require_one_state(psi)
     basis = psi.basis
     if basis.n_max != 1:
         raise ValueError("partial trace requires n_max = 1 (qubit subsystems)")

@@ -154,21 +154,18 @@ class Basis(Value):
 
 
 class StateVector(Frozen):
-    """Normalized complex amplitude vector over an ordered basis, or a
-    stack of P such vectors, (P, dim).
+    """Normalized complex amplitude vector over an ordered basis.
 
     Immutable: the amplitude array is copied and marked read-only.  The
     constructor rejects vectors whose 2-norm deviates from 1 by more than
-    ``ROUNDING_TOL`` so that propagator defects surface immediately.  Stacks
-    are what the propagation routes of ``dynamics`` take and return; the
-    scores and reductions take one state.
+    ``ROUNDING_TOL`` so that propagator defects surface immediately.
     """
 
     __slots__ = ("basis", "amplitudes")
 
     def __init__(self, basis: Basis, amplitudes) -> None:
         arr = np.array(amplitudes, dtype=complex)
-        if arr.shape[-1:] != (basis.dim,) or arr.ndim > 2:
+        if arr.shape != (basis.dim,):
             raise ValueError(
                 f"amplitude vector has shape {arr.shape}, basis has dimension {basis.dim}"
             )
@@ -177,9 +174,9 @@ class StateVector(Frozen):
 
     @classmethod
     def _from_checked(cls, basis: Basis, amplitudes: np.ndarray) -> "StateVector":
-        """A StateVector over rows that a route has just made and checked
-        for finite amplitudes and unit norm, as the constructor checks; the
-        array is taken over, not copied or checked again."""
+        """A StateVector over amplitudes that a route has just made and
+        checked for finite values and unit norm, as the constructor checks;
+        the array is taken over, not copied or checked again."""
         self = object.__new__(cls)
         self._set(basis, amplitudes)
         return self
@@ -193,10 +190,9 @@ class StateVector(Frozen):
         """Amplitude on a single basis state."""
         return complex(self.amplitudes[self.basis.index[state]])
 
-    def norm(self):
-        """2-norm: a float, or one value per state of a stack."""
-        norms = np.linalg.norm(self.amplitudes, axis=-1)
-        return float(norms) if norms.ndim == 0 else norms
+    def norm(self) -> float:
+        """2-norm of the amplitudes."""
+        return float(np.linalg.norm(self.amplitudes))
 
 
 def require_unit_rows(amplitudes: np.ndarray) -> None:
@@ -308,16 +304,9 @@ def _require_same_basis(a: StateVector, b: StateVector) -> None:
         raise ValueError("state vectors live on different bases")
 
 
-def require_one_state(psi: StateVector) -> None:
-    """Raise ValueError if psi is a stack of states."""
-    if psi.amplitudes.ndim != 1:
-        raise ValueError(f"expected one state, got a stack of {len(psi.amplitudes)}")
-
-
 def atom_population(psi: StateVector, level: AtomLevel) -> float:
     """Total probability of finding the atom in the given level: the
     states with that level are a mask on ``levels[:, 0]``."""
-    require_one_state(psi)
     probs = np.abs(psi.amplitudes[psi.basis.levels[:, 0] == level]) ** 2
     return min(float(probs.sum()), 1.0)
 

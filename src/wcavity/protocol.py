@@ -120,18 +120,16 @@ class SweepResult(NamedTuple):
     rows: list[SweepRow]
     metadata: dict
 
-    def to_csv_text(self) -> str:
-        """CSV form; metadata rides along as # comments, timestamp excluded
-        so reruns with the same configuration are byte-identical."""
-        lines = [
-            f"# {key}={value}"
-            for key, value in sorted(self.metadata.items())
-            if key != "timestamp"
-        ]
-        lines.append(CSV_HEADER)
+    def csv_lines(self):
+        """CSV form, one newline-terminated line at a time; metadata rides
+        along as # comments, timestamp excluded so reruns with the same
+        configuration are byte-identical."""
+        for key, value in sorted(self.metadata.items()):
+            if key != "timestamp":
+                yield f"# {key}={value}\n"
+        yield CSV_HEADER + "\n"
         for row in self.rows:
-            lines.append(",".join(fmt12(value) for value in row))
-        return "\n".join(lines) + "\n"
+            yield ",".join(fmt12(value) for value in row) + "\n"
 
     def to_dict(self) -> dict:
         """Combined JSON form: metadata plus the full row table."""

@@ -358,8 +358,8 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         lines = out.strip().split("\n")
-        assert sum(1 for l in lines if l.startswith("PASS ")) == 8
-        assert lines[-1] == "summary: checks_run=8 passed=8 failed=0"
+        assert sum(1 for l in lines if l.startswith("PASS ")) == 6
+        assert lines[-1] == "summary: checks_run=6 passed=6 failed=0"
 
     def test_injected_fault_fails_the_sector_route(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--inject-fault")
@@ -372,7 +372,7 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", "--out", str(out))
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["summary"] == {"checks_run": 8, "passed": 8, "failed": 0}
+        assert data["summary"] == {"checks_run": 6, "passed": 6, "failed": 0}
         assert all(c["passed"] for c in data["checks"])
 
 
@@ -616,10 +616,10 @@ def test_validate_csv_reads_back_as_two_tables(capsys, tmp_path):
     with out.open(newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
     assert rows[0] == ["name", "passed", "measured", "tolerance", "cases"]
-    checks, summary = rows[1:9], rows[9:]
+    checks, summary = rows[1:7], rows[7:]
     assert all(len(r) == 5 and r[1] == "True" for r in checks)
     assert summary == [
-        ["summary.checks_run", "8"], ["summary.passed", "8"], ["summary.failed", "0"]
+        ["summary.checks_run", "6"], ["summary.passed", "6"], ["summary.failed", "0"]
     ]
 
 
@@ -644,6 +644,46 @@ def test_sweep_leaves_no_partial_output_when_the_sidecar_fails(capsys, tmp_path)
     assert err.startswith("error: ")
     assert not out.exists()
     assert (tmp_path / "x.meta.json").is_dir()
+
+
+def test_sweep_leaves_no_partial_output_when_a_line_fails(capsys, tmp_path, monkeypatch):
+    """The CSV is written as its lines are made: a failure after the first
+    line removes the file that line went to."""
+    from wcavity import protocol
+
+    def failing_lines(self):
+        yield "# first\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(protocol.SweepResult, "csv_lines", failing_lines)
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
+    assert (code, err) == (2, "error: disk full\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, monkeypatch):
+    from wcavity import protocol
+
+    results = []
+    real = protocol.SweepResult.csv_lines
+
+    def recording(self):
+        results.append(self)
+        return real(self)
+
+    monkeypatch.setattr(protocol.SweepResult, "csv_lines", recording)
+    args = ["sweep", "--parameter", parameter, "--grid", "1,2"]
+    args += ["--trials", "3"] if parameter == "coupling-disorder" else []
+    args += [] if parameter == "mode-count" else ["--n", "2"]
+    code, stdout, err = run_cli(capsys, *args, "--out", "-")
+    assert code == 0, err
+    (result,) = results
+    lines = list(real(result))
+    assert stdout == "".join(lines)
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert lines[-3:-2] == [protocol.CSV_HEADER + "\n"] and len(result.rows) == 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

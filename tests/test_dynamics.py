@@ -523,8 +523,15 @@ class TestPropagateTimes:
     def test_rejects_non_vector_times(self):
         basis = build_basis(1, 1, 1)
         H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
-        with pytest.raises(ValueError, match="1-D"):
-            propagate_times(H, initial_state(basis), [[0.0, 1.0]])
+        for times in ([[0.0, 1.0]], np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="1-D"):
+                propagate_times(H, initial_state(basis), times)
+
+    def test_propagate_numeric_takes_one_time(self):
+        basis = build_basis(2, 1)
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        with pytest.raises(TypeError):
+            propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
 
 
 class TestHermitianOperator:
@@ -563,118 +570,10 @@ class TestHermitianOperator:
         assert isinstance(H.defect, float)
         assert build_hamiltonian(ModelParams.resonant(1, 1.0), basis).defect == 0.0
 
-    def test_stack_checks_every_item(self):
+    def test_refuses_a_stack(self):
         basis = build_basis(1, 1, 1)
-        good = np.zeros((3, 3), dtype=complex)
-        bad = good.copy()
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError) as alone:
-            HermitianOperator(basis, bad)
-        with pytest.raises(ValueError) as stacked:
-            HermitianOperator(basis, [good, bad, good])
-        assert str(stacked.value) == str(alone.value)
-        H = HermitianOperator(basis, [good, good])
-        assert H.defect.shape == (2,) and not H.defect.flags.writeable
-        with pytest.raises(ValueError, match="does not match"):
-            HermitianOperator(basis, np.zeros((2, 2, 3, 3)))
-
-
-BASIS_SPECS = st.one_of(
-    st.tuples(st.integers(1, 4), st.just(1), st.none()),
-    st.tuples(st.integers(1, 3), st.just(2), st.none()),
-    st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 3)),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(basis_spec=BASIS_SPECS, seed=st.integers(0, 2**32 - 1), items=st.integers(1, 5))
-def test_stacked_hamiltonian_items_equal_single_builds_bit_for_bit(basis_spec, seed, items):
-    n, n_max, cap = basis_spec
-    rng = np.random.default_rng(seed)
-    params = [random_params(rng, n_modes=n) for _ in range(items)]
-    basis = build_basis(n, n_max, cap)
-    H = build_hamiltonian(params, basis)
-    assert H.matrix.shape == (items, basis.dim, basis.dim)
-    for item, defect, p in zip(H.matrix, H.defect, params):
-        single = build_hamiltonian(p, basis)
-        assert item.tobytes() == single.matrix.tobytes()  # signed zeros included
-        assert defect == single.defect
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    basis_spec=BASIS_SPECS,
-    seed=st.integers(0, 2**32 - 1),
-    items=st.integers(1, 5),
-    n_times=st.integers(1, 4),
-    one_state=st.booleans(),
-    shared_times=st.booleans(),
-)
-def test_stacked_propagation_matches_per_item_propagate_times(
-    basis_spec, seed, items, n_times, one_state, shared_times
-):
-    n, n_max, cap = basis_spec
-    rng = np.random.default_rng(seed)
-    params = [random_params(rng, n_modes=n) for _ in range(items)]
-    basis = build_basis(n, n_max, cap)
-    states = [random_state(rng, basis) for _ in range(1 if one_state else items)]
-    times = rng.uniform(-5.0, 5.0, size=n_times if shared_times else (items, n_times))
-    psi = states[0] if one_state else StateVector(basis, [s.amplitudes for s in states])
-    rows = propagate_times(build_hamiltonian(params, basis), psi, times)
-    assert rows.shape == (items, n_times, basis.dim)
-    for k, p in enumerate(params):
-        alone = propagate_times(
-            build_hamiltonian(p, basis), states[0 if one_state else k],
-            times if shared_times else times[k],
-        )
-        np.testing.assert_allclose(rows[k], alone, atol=1e-13, rtol=0)
-
-
-class TestStackedPropagation:
-    def setup_method(self):
-        rng = np.random.default_rng(12)
-        self.basis = build_basis(2, 1)
-        self.params = [random_params(rng, n_modes=2) for _ in range(3)]
-        self.H = build_hamiltonian(self.params, self.basis)
-        self.psi = StateVector(self.basis, [random_state(rng, self.basis).amplitudes
-                                            for _ in range(3)])
-
-    def test_propagate_numeric_takes_one_time_per_item(self):
-        t = np.array([0.3, -1.2, 2.5])
-        out = propagate_numeric(self.H, self.psi, t)
-        assert out.amplitudes.shape == (3, self.basis.dim)
-        assert not out.amplitudes.flags.writeable
-        np.testing.assert_allclose(out.norm(), 1.0, atol=1e-14)
-        for k in range(3):
-            alone = propagate_numeric(build_hamiltonian(self.params[k], self.basis),
-                                      StateVector(self.basis, self.psi.amplitudes[k]), t[k])
-            np.testing.assert_allclose(out.amplitudes[k], alone.amplitudes, atol=1e-13, rtol=0)
-
-    def test_diagonalizes_every_item_in_one_call(self, eigh_calls):
-        propagate_numeric(self.H, propagate_numeric(self.H, self.psi, 0.5), [0.1, 0.2, 0.3])
-        assert eigh_calls == [(3, self.basis.dim, self.basis.dim)]
-
-    def test_rejects_mismatched_stacks(self):
-        two = StateVector(self.basis, self.psi.amplitudes[:2])
-        with pytest.raises(ValueError, match="stack of 2 states"):
-            propagate_times(self.H, two, [0.1])
-        with pytest.raises(ValueError, match="stack of 3 states does not fit one operator"):
-            propagate_times(build_hamiltonian(self.params[0], self.basis), self.psi, [0.1])
-        with pytest.raises(ValueError, match=r"1-D or \(3, T\)"):
-            propagate_times(self.H, self.psi, np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="at least one"):
-            build_hamiltonian([], self.basis)
-        with pytest.raises(ValueError, match="modes"):
-            build_hamiltonian([self.params[0], ModelParams.resonant(3, 1.0)], self.basis)
-
-    def test_any_bad_item_raises(self):
-        basis = build_basis(1, 1, None)
-        H = build_hamiltonian(
-            [ModelParams.resonant(1, 1.0), ModelParams(1, (1e308,), (1.0,))],
-            basis,
-        )
-        with pytest.raises(PropagationError, match="non-finite"):
-            propagate_numeric(H, initial_state(basis), [0.5, 1e10])
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 3\) does not match"):
+            HermitianOperator(basis, np.zeros((2, 3, 3)))
 
 
 class TestRowsAreCheckedOnce:

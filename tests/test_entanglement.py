@@ -406,9 +406,3 @@ class TestSupportBasis:
     def test_refuses_one_mode(self):
         with pytest.raises(ValueError, match="n >= 2"):
             support_basis(1)
-
-    def test_partial_trace_refuses_a_stack(self):
-        basis = support_basis(2)
-        stack = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
-        with pytest.raises(ValueError, match="one state"):
-            partial_trace(stack, [1, 2])

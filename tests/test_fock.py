@@ -250,27 +250,7 @@ def test_atom_population_equals_the_per_state_loop(spec):
             )
 
 
-class TestStacks:
-    def test_stack_of_states(self):
-        basis = build_basis(2, 1, 1)
-        rows = np.eye(basis.dim, dtype=complex)[:3]
-        psi = StateVector(basis, rows)
-        assert psi.amplitudes.shape == (3, basis.dim)
-        np.testing.assert_array_equal(psi.norm(), [1.0, 1.0, 1.0])
-        rows[0] = 0.0  # the stack holds a copy
-        assert psi.amplitudes[0].any()
-
-    def test_every_row_is_checked(self):
-        basis = build_basis(2, 1, 1)
-        rows = np.eye(basis.dim, dtype=complex)[:3]
-        rows[2] *= 2.0
-        with pytest.raises(ValueError, match="norm 2.0"):
-            StateVector(basis, rows)
-        with pytest.raises(ValueError, match="shape"):
-            StateVector(basis, np.ones((2, 2, basis.dim)))
-
-    def test_single_state_functions_refuse_a_stack(self):
-        basis = build_basis(2, 1, 1)
-        psi = StateVector(basis, np.eye(basis.dim, dtype=complex)[:2])
-        with pytest.raises(ValueError, match="one state"):
-            atom_population(psi, AtomLevel.GROUND)
+def test_state_vector_holds_one_state():
+    basis = build_basis(2, 1, 1)
+    with pytest.raises(ValueError, match=r"shape \(3, 4\), basis has dimension 4"):
+        StateVector(basis, np.eye(basis.dim, dtype=complex)[:3])

@@ -138,7 +138,7 @@ class TestCouplingDisorderSweep:
     def test_deterministic_per_seed(self):
         a = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
         b = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
-        assert a.to_csv_text() == b.to_csv_text()
+        assert "".join(a.csv_lines()) == "".join(b.csv_lines())
         c = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 10)
         assert a.rows != c.rows
 
@@ -192,7 +192,7 @@ class TestDisorderOracle:
         args = (_default_grid("coupling-disorder", n), 100, seed)
         result = coupling_disorder_sweep(n, 1.0, *args)
         oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)
-        assert result.to_csv_text() == oracle.to_csv_text()
+        assert "".join(result.csv_lines()) == "".join(oracle.csv_lines())
 
     @pytest.mark.parametrize("n, seed", [(2, 3), (6, 0), (12, 123)])
     def test_redrawn_couplings_csv_equals_the_numpy_route(self, n, seed):
@@ -202,7 +202,7 @@ class TestDisorderOracle:
         args = ((0.5, 1.0, 2.0, 5.0, 10.0), 100, seed)
         result = coupling_disorder_sweep(n, 1.0, *args)
         oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)
-        assert result.to_csv_text() == oracle.to_csv_text()
+        assert "".join(result.csv_lines()) == "".join(oracle.csv_lines())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("sigma", [1e308, 1e200, 1e155])
@@ -500,7 +500,7 @@ def test_mode_count_sweep_refuses_before_it_evolves(monkeypatch):
 class TestSweepResultSerialization:
     def test_csv_shape_and_determinism(self):
         res = timing_error_sweep(3, 1.0, (0.0, 0.1))
-        text = res.to_csv_text()
+        text = "".join(res.csv_lines())
         lines = text.strip().split("\n")
         comments = [l for l in lines if l.startswith("# ")]
         data = [l for l in lines if not l.startswith("# ")]
@@ -548,4 +548,4 @@ def test_sweep_csv_matches_golden_bytes(name):
     sweep, before, after = GOLDEN_SWEEPS[name]
     result = sweep(*before, _default_grid(name.partition("-seed")[0], 3), *after)
     expected = (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_text()
-    assert result.to_csv_text() == expected
+    assert "".join(result.csv_lines()) == expected

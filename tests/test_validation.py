@@ -1,19 +1,19 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from wcavity import sector, validation
+from wcavity import dynamics, normals, sector, validation
 from wcavity.cli import main
-from wcavity.dynamics import HermitianOperator, ModelParams
-from wcavity.fock import AtomLevel, BasisState, vacuum_occupations
+from wcavity.dynamics import HermitianOperator
 from wcavity.validation import (
     _refine_roots,
     check_composition,
-    check_excitation_conservation,
     check_oracle_equivalence,
+    check_rabi_period,
+    check_rng_stream,
     check_sector_route,
+    check_unitarity,
     measure_rabi_period,
     run_validation,
 )
@@ -22,8 +22,11 @@ from wcavity.validation import (
 def test_all_checks_pass_by_default():
     report = run_validation()
     assert report.all_passed
-    assert report.checks_run == 8
-    assert report.passed == 8
+    assert [c.name for c in report.checks] == [
+        "propagator-unitarity", "propagator-composition", "closed-form-vs-numeric",
+        "rabi-period", "sector-vs-dense", "rng-stream",
+    ]
+    assert report.passed == 6
     assert report.failed == 0
 
 
@@ -57,32 +60,77 @@ def test_rabi_period_diagonalizes_once(eigh_calls):
 
 def test_composition_diagonalizes_once_per_draw(eigh_calls):
     check_composition(np.random.default_rng(0))
-    # one eigh call per stack; each stack diagonalizes one matrix per draw
-    assert sum(math.prod(shape[:-2]) for shape in eigh_calls) == 50
+    assert len(eigh_calls) == 50 and all(len(shape) == 2 for shape in eigh_calls)
 
 
-def test_stacks_hold_at_most_stack_bytes_of_matrices(eigh_calls):
-    check_composition(np.random.default_rng(0))
-    assert all(math.prod(shape) * 16 <= validation.STACK_BYTES for shape in eigh_calls)
-    assert any(shape[0] > 1 for shape in eigh_calls)  # and draws are stacked
+def test_unitarity_check_sees_a_drift_the_propagator_renormalizes(monkeypatch):
+    """Eigenvectors scaled by 1 + 1e-11 make every evolved norm drift by
+    about 1e-11, below ``NORM_DRIFT_TOL``, so ``propagate_times`` divides
+    it out; the check reads the cached eigenvectors themselves and fails."""
+    assert check_unitarity(np.random.default_rng(3)).measured <= 1e-14
+    real_eigh = np.linalg.eigh
+
+    def scaled_eigh(matrix):
+        vals, vecs = real_eigh(matrix)
+        return vals, vecs * (1.0 + 1e-11)
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    result = check_unitarity(np.random.default_rng(3))
+    assert not result.passed
+    assert 1e-11 < result.measured < sector.NORM_DRIFT_TOL
 
 
-def test_conservation_check_sees_an_excitation_changing_element(monkeypatch):
-    real_build = validation.build_hamiltonian
+def test_unitarity_check_draws_only_the_parameters():
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    assert check_unitarity(rng).cases == 50
+    for _ in range(50):
+        validation._random_params(reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
-    def leaky(params, basis):
-        # couple |g; 0...0> to |e; 0...0>, whose excitation numbers differ by 1
-        matrix = np.array(real_build(params, basis).matrix)
-        vacuum = vacuum_occupations(basis.n_modes)
-        g0 = basis.index[BasisState(AtomLevel.GROUND, vacuum)]
-        e0 = basis.index[BasisState(AtomLevel.EXCITED, vacuum)]
-        matrix[g0, e0] = matrix[e0, g0] = 0.25
+
+def test_composition_check_fails_on_a_time_offset_in_the_propagator(monkeypatch):
+    """A propagator that evolves every state 0.01 too far, a fixed delay,
+    breaks U(t2) U(t1) = U(t1 + t2), which no single evolution shows."""
+    real = dynamics.propagate_times
+    monkeypatch.setattr(dynamics, "propagate_times",
+                        lambda H, psi, times: real(H, psi, np.asarray(times) + 0.01))
+    result = check_composition(np.random.default_rng(3))
+    assert not result.passed
+    assert result.measured > 1e-4
+
+
+def test_rabi_check_fails_on_a_scaled_exchange_element(monkeypatch):
+    """An exchange element written as eps (1 + 1e-4) is still Hermitian
+    and still composes, but shortens the period by a relative 1e-4."""
+    real = validation.build_hamiltonian
+
+    def scaled(params, basis):
+        matrix = np.array(real(params, basis).matrix)
+        ground, excited, _ = basis.exchange_pairs
+        matrix[ground, excited] *= 1.0 + 1e-4
+        matrix[excited, ground] *= 1.0 + 1e-4
         return HermitianOperator(basis, matrix)
 
-    monkeypatch.setattr(validation, "build_hamiltonian", leaky)
-    result = check_excitation_conservation(np.random.default_rng(1), draws=3)
+    assert check_rabi_period().passed
+    monkeypatch.setattr(validation, "build_hamiltonian", scaled)
+    result = check_rabi_period()
     assert not result.passed
-    assert result.measured == 0.25
+    assert result.measured == pytest.approx(1e-4, rel=1e-3)
+
+
+def test_rng_stream_check_fails_on_one_flipped_draw(monkeypatch):
+    """A stream whose 100th normal has its sign flipped differs from
+    numpy's in one draw per key."""
+    real = normals.standard_normals
+
+    def flipped(key):
+        for k, x in enumerate(real(key)):
+            yield -x if k == 99 else x
+
+    monkeypatch.setattr(normals, "standard_normals", flipped)
+    result = check_rng_stream(np.random.default_rng(3))
+    assert not result.passed
+    assert result.measured == 8.0
 
 
 def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
@@ -101,9 +149,9 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     monkeypatch.setattr(validation, "build_hamiltonian", skewed)
     assert main(["validate"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("FAIL hermiticity: measured=inf ")
+    assert lines[0].startswith("FAIL propagator-unitarity: measured=inf ")
     assert any(line.startswith("PASS rng-stream: ") for line in lines)
-    assert lines[-1] == "summary: checks_run=8 passed=1 failed=7"
+    assert lines[-1] == "summary: checks_run=6 passed=1 failed=5"
 
 
 def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
@@ -122,20 +170,6 @@ def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
     assert _refine_roots(step, [(0.0, 2.0, -1.0)], xtol=0.0)[0] in (1.0, after_one)
 
 
-def test_hermiticity_check_reads_the_stored_defect(monkeypatch):
-    defects = []
-    real = validation.build_hamiltonian
-
-    def recording(params, basis):
-        H = real(params, basis)
-        defects.append(H.defect)
-        return H
-
-    monkeypatch.setattr(validation, "build_hamiltonian", recording)
-    result = validation.check_hermiticity(np.random.default_rng(3))
-    assert result.passed and result.measured == max(defects) and len(defects) == 50
-
-
 def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
     """The fault is a sign error of the time that ``sector.evolve`` gets,
     which the dense route does not share."""
@@ -149,49 +183,6 @@ def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
     faulty = check_sector_route(np.random.default_rng(3), inject_fault=True)
     assert clean.passed and not faulty.passed
     assert times == [-t for t in forward]
-
-
-def _params_one_draw_at_a_time(check, rng):
-    """The ModelParams of each draw, with every input taken from rng as the
-    per-draw checks took it before the draws were stacked."""
-    params = []
-    for _ in range(100 if check == "oracle" else 50):
-        if check == "oracle":
-            n = int(rng.integers(1, 7))
-            eps = float(rng.uniform(0.1, 10.0))
-            rng.uniform(0.0, 4.0 * math.pi / eps)  # the time
-            params.append(ModelParams.resonant(n, eps))
-            continue
-        params.append(validation._random_params(rng))
-        dim = validation.build_basis(params[-1].n_modes, n_max=1).dim
-        rng.standard_normal(dim), rng.standard_normal(dim)  # the state
-        if check == "unitarity":
-            rng.uniform(-20.0, 20.0)
-        else:
-            rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
-    return params
-
-
-@pytest.mark.parametrize("check, run", [
-    ("unitarity", validation.check_unitarity),
-    ("composition", validation.check_composition),
-    ("oracle", validation.check_oracle_equivalence),
-])
-def test_stacked_checks_take_the_per_draw_inputs(check, run, monkeypatch):
-    seen = []
-    real = validation.build_hamiltonian
-
-    def recording(params, basis):
-        seen.extend(params)
-        return real(params, basis)
-
-    monkeypatch.setattr(validation, "build_hamiltonian", recording)
-    stacked_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
-    result = run(stacked_rng)
-    reference = _params_one_draw_at_a_time(check, reference_rng)
-    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
-    assert Counter(seen) == Counter(reference)
-    assert result.passed and result.cases == len(reference)
 
 
 def test_sector_check_passes_on_the_sector_route():

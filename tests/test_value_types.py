@@ -75,7 +75,7 @@ def test_value_classes_equal_their_own_class_only():
 def test_sweep_row_fields_are_the_csv_columns():
     assert protocol.CSV_HEADER == "x,fidelity_mean,fidelity_min,fidelity_max"
     result = protocol.SweepResult([protocol.SweepRow(0.5, 0.25, 0.125, 1.0)], {"b": 1})
-    assert result.to_csv_text().splitlines()[-1] == "0.5,0.25,0.125,1"
+    assert "".join(result.csv_lines()).splitlines()[-1] == "0.5,0.25,0.125,1"
     assert result.to_dict()["rows"] == [
         {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0}
     ]

@@ -5,7 +5,7 @@ import pytest
 
 from wcavity import dynamics, normals, sector, validation
 from wcavity.cli import main
-from wcavity.dynamics import HermitianOperator
+from wcavity.dynamics import HermitianOperator, ModelParams
 from wcavity.validation import (
     _refine_roots,
     check_composition,
@@ -183,6 +183,84 @@ def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
     faulty = check_sector_route(np.random.default_rng(3), inject_fault=True)
     assert clean.passed and not faulty.passed
     assert times == [-t for t in forward]
+
+
+def _params_one_draw_at_a_time(check, rng):
+    """The ModelParams of each draw, with every input taken from rng in the
+    order in which the check has always drawn it."""
+    params = []
+    for _ in range(100 if check == "oracle" else 50 if check == "composition" else 24):
+        if check == "composition":
+            params.append(validation._random_params(rng))
+            dim = validation.build_basis(params[-1].n_modes, n_max=1).dim
+            rng.standard_normal(dim), rng.standard_normal(dim)  # the state
+            rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)  # t1, t2
+            continue
+        n = int(rng.integers(1, 7))
+        if check == "oracle":
+            eps = float(rng.uniform(0.1, 10.0))
+            rng.uniform(0.0, 4.0 * math.pi / eps)  # the time
+            params.append(ModelParams.resonant(n, eps))
+        else:
+            couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
+            detuning = float(rng.uniform(-5.0, 5.0))
+            rng.uniform(-5.0, 5.0)  # the time
+            params.append(ModelParams(n, (detuning,) * n, couplings))
+    return params
+
+
+@pytest.mark.parametrize("check, run", [
+    ("composition", check_composition),
+    ("oracle", check_oracle_equivalence),
+    ("sector", check_sector_route),
+])
+def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
+    """Each check builds one operator per draw, in the order of its draws,
+    from inputs read off its stream in a fixed order: the draws, and so the
+    measured values, do not depend on how the draws are evaluated."""
+    seen = []
+    real = validation.build_hamiltonian
+
+    def recording(params, basis):
+        seen.append(params)
+        return real(params, basis)
+
+    monkeypatch.setattr(validation, "build_hamiltonian", recording)
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    result = run(rng)
+    reference = _params_one_draw_at_a_time(check, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert seen == reference
+    assert result.passed and result.cases == len(reference)
+
+
+# The lines of the checks that survived the move from stacked to per-draw
+# evaluation, as stacked evaluation printed them; seed 7 and
+# --inject-fault are pinned in tests/data/corpus.json.
+STACKED_LINES = {
+    "default": [
+        "PASS propagator-composition: measured=2.140e-15 tolerance=1e-09 cases=50",
+        "PASS closed-form-vs-numeric: measured=6.943e-15 tolerance=1e-08 cases=100",
+        "PASS rabi-period: measured=7.068e-16 tolerance=1e-06 cases=6",
+        "PASS sector-vs-dense: measured=6.492e-15 tolerance=1e-10 cases=24",
+        "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
+    ],
+    "123": [
+        "PASS propagator-composition: measured=2.880e-15 tolerance=1e-09 cases=50",
+        "PASS closed-form-vs-numeric: measured=7.220e-15 tolerance=1e-08 cases=100",
+        "PASS rabi-period: measured=7.068e-16 tolerance=1e-06 cases=6",
+        "PASS sector-vs-dense: measured=3.278e-15 tolerance=1e-10 cases=24",
+        "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STACKED_LINES))
+def test_validate_prints_what_stacked_evaluation_printed(seed, capsys):
+    args = ["validate"] if seed == "default" else ["validate", "--seed", seed]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:6] == STACKED_LINES[seed]
 
 
 def test_sector_check_passes_on_the_sector_route():

@@ -3,13 +3,14 @@
 Each check measures a defect on randomized inputs, evaluating each draw
 through one operator and one state as it draws it, and compares the
 largest defect to a fixed tolerance.  The dense numpy routes check each
-other, and they in turn check ``sector``'s closed form and propagator,
-the routes ``simulate`` and the sweeps run; numpy's generator checks
-``normals``, the stream the coupling-disorder sweep draws.
-``inject_fault`` runs ``sector.evolve`` backwards in time in the
-sector-route check, the sign error a bug in its 2x2 phase makes, so the
-suite's ability to fail on a route the CLI runs is itself testable.  A
-route that raises in a check fails that check (:func:`_check`).
+other and ``sector``'s closed form and propagator, the routes
+``simulate`` and the sweeps run; ``rabi-period`` times the Rabi period,
+four times t*, on ``sector.evolve``; numpy's generator checks
+``normals``, the disorder sweep's stream.  ``inject_fault`` runs
+``sector.evolve`` backwards in the sector-route check, the sign error a
+bug in its 2x2 phase makes, so that the suite's ability to fail on a
+route the CLI runs is itself testable.  A route that raises in a check
+fails that check (:func:`_check`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ModelParams, build_hamiltonian, propagate_numeric, propagate_times
+from .dynamics import ModelParams, build_hamiltonian, propagate_numeric
 from . import normals, sector
 from .fock import StateVector, build_basis, initial_state
 from .sector import DEFAULT_SEED, ROUNDING_TOL
@@ -27,7 +28,6 @@ from .sector import DEFAULT_SEED, ROUNDING_TOL
 COMPOSITION_TOL = 1e-9
 ORACLE_TOL = 1e-8
 SECTOR_TOL = 1e-10
-RABI_PERIOD_RTOL = 1e-6
 
 
 class CheckResult(NamedTuple):
@@ -87,23 +87,23 @@ def _check(name: str, defects, tolerance: float, cases: int) -> CheckResult:
     return CheckResult(name, worst <= tolerance, worst, tolerance, cases)
 
 
-def check_unitarity(rng, draws: int = 50) -> CheckResult:
+def check_unitarity(rng) -> CheckResult:
     """max |V^dag V - I| of the eigenvectors V that ``H.eigh()`` caches and
     ``propagate_times`` evolves in: a drift that its renormalization would
     hide shows here."""
     def defects():
-        for _ in range(draws):
+        for _ in range(50):
             params = _random_params(rng)
             H = build_hamiltonian(params, build_basis(params.n_modes, n_max=1))
             _, eigvecs = H.eigh()
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
-    return _check("propagator-unitarity", defects(), ROUNDING_TOL, draws)
+    return _check("propagator-unitarity", defects(), ROUNDING_TOL, 50)
 
 
-def check_composition(rng, draws: int = 50) -> CheckResult:
+def check_composition(rng) -> CheckResult:
     def defects():
-        for _ in range(draws):
+        for _ in range(50):
             params = _random_params(rng)
             basis = build_basis(params.n_modes, n_max=1)
             psi = StateVector(basis, _random_amplitudes(rng, basis))
@@ -113,7 +113,7 @@ def check_composition(rng, draws: int = 50) -> CheckResult:
             two = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
             one = propagate_numeric(H, psi, t1 + t2)
             yield float(np.max(np.abs(two.amplitudes - one.amplitudes)))
-    return _check("propagator-composition", defects(), COMPOSITION_TOL, draws)
+    return _check("propagator-composition", defects(), COMPOSITION_TOL, 50)
 
 
 def _sector_gap(params: ModelParams, t: float, amps) -> float:
@@ -124,21 +124,21 @@ def _sector_gap(params: ModelParams, t: float, amps) -> float:
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 
 
-def check_oracle_equivalence(rng, draws: int = 100) -> CheckResult:
+def check_oracle_equivalence(rng) -> CheckResult:
     """``sector.closed_form``, the closed form that ``simulate`` and the
     coupling-disorder sweep run, against the dense numeric propagator on
     random resonant draws."""
     def gaps():
-        for _ in range(draws):
+        for _ in range(100):
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
             params = ModelParams.resonant(n, eps)
             yield _sector_gap(params, t, sector.closed_form(params.couplings, t))
-    return _check("closed-form-vs-numeric", gaps(), ORACLE_TOL, draws)
+    return _check("closed-form-vs-numeric", gaps(), ORACLE_TOL, 100)
 
 
-def check_sector_route(rng, draws: int = 24, inject_fault: bool = False) -> CheckResult:
+def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
     """``sector.evolve``, the route ``simulate`` and three sweeps run,
     against the dense sector route on random draws: unequal couplings and
     one common detuning.  With ``inject_fault``, ``sector.evolve`` runs to
@@ -146,22 +146,22 @@ def check_sector_route(rng, draws: int = 24, inject_fault: bool = False) -> Chec
     sign = -1.0 if inject_fault else 1.0
 
     def gaps():
-        for _ in range(draws):
+        for _ in range(24):
             n = int(rng.integers(1, 7))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
             t = float(rng.uniform(-5.0, 5.0))
             (amps,) = sector.evolve(couplings, ((sign * t, detuning),))
             yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, amps)
-    return _check("sector-vs-dense", gaps(), SECTOR_TOL, draws)
+    return _check("sector-vs-dense", gaps(), SECTOR_TOL, 24)
 
 
-def check_rng_stream(rng, keys: int = 8, draws: int = 256) -> CheckResult:
+def check_rng_stream(rng) -> CheckResult:
     """The standard-library normal stream of the coupling-disorder sweep
     against ``numpy.random.default_rng(key).standard_normal`` on random
     keys of one to four entries, each of 1, 32 or 64 random bits: the
     number of draws whose bits differ, of ``keys * draws``."""
-    differ = 0
+    keys, draws, differ = 8, 256, 0
     for _ in range(keys):
         key = [int(rng.integers(0, 2**int(rng.choice([1, 32, 64])), dtype=np.uint64))
                for _ in range(int(rng.integers(1, 5)))]
@@ -171,87 +171,68 @@ def check_rng_stream(rng, keys: int = 8, draws: int = 256) -> CheckResult:
     return CheckResult("rng-stream", differ == 0, float(differ), 0.0, keys * draws)
 
 
-#: Sub-intervals per bracket and round of :func:`_refine_roots`: about seven
-#: rounds narrow a bracket of the Rabi scan's spacing to 1e-14.
-REFINE_POINTS = 64
-
-
-def _refine_roots(f, brackets, xtol: float = 1e-14) -> list[float]:
-    """One root of f in each bracket (a, b, f(a)), where f(a) is zero or
-    differs in sign from f(b).  ``f`` maps a 1-D array of points to their
-    values.
-
-    All brackets are narrowed together: each round evaluates the interior
-    nodes of ``REFINE_POINTS`` equal sub-intervals of every open bracket in
-    one call of f and keeps the sub-interval where the sign changes, until
-    the bracket is at most xtol wide or has no float left inside.
-    """
-    brackets = [tuple(map(float, bracket)) for bracket in brackets]
-    roots = [a if fa == 0.0 else None for a, _, fa in brackets]
-    fractions = np.linspace(0.0, 1.0, REFINE_POINTS + 1)[1:-1]
-    while None in roots:
-        live = [i for i, root in enumerate(roots) if root is None]
-        inner = np.array([brackets[i][0] + (brackets[i][1] - brackets[i][0]) * fractions
-                          for i in live])
-        values = f(inner.ravel()).reshape(inner.shape)
-        for i, xs, vs in zip(live, inner.tolist(), values.tolist()):
-            a, b, fa = brackets[i]
-            nodes, vals = [a, *xs, b], [fa, *vs]
-            # the first interior node that is a root or past the sign
-            # change; with none, the change lies in the last sub-interval
-            k = next((j for j, v in enumerate(vs, 1) if v == 0.0 or (v < 0.0) != (fa < 0.0)),
-                     REFINE_POINTS)
-            if k < REFINE_POINTS and vals[k] == 0.0:
-                roots[i] = nodes[k]
-                continue
-            lo, hi = nodes[k - 1], nodes[k]
-            if hi - lo <= xtol or (lo, hi) == (a, b):
-                roots[i] = 0.5 * (lo + hi)
-            brackets[i] = (lo, hi, vals[k - 1])
-    return roots
+def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f between a and b, where fa = f(a) and fb = f(b) differ in
+    sign or one is zero, by regula falsi with the Illinois step: a point
+    where f is exactly zero or, once no float is left between the ends, the
+    end that the chord of the ends rounds onto."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    while True:
+        x = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < x < max(a, b):  # x rounds onto an end: step inside
+            end, other = (a, b) if abs(x - a) < abs(x - b) else (b, a)
+            x = math.nextafter(end, other)
+            if x == other:
+                return end
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fb < 0.0):
+            fa *= 0.5  # a is kept twice in a row
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
 
 
 def measure_rabi_period(n: int, epsilon: float) -> float:
-    """Full oscillation period of the excited-state population, measured
-    from numerically propagated states.
+    """Full oscillation period of the excited-state population of
+    ``sector.evolve`` at n resonant modes of coupling ``epsilon``.
 
-    The population dips to zero twice per cycle; those minima are located
-    as sign changes of the (real) excited-state amplitude on a 241-point
-    scan and refined together by :func:`_refine_roots`.  The period is the
-    distance between the first and third minima.  The analytic estimate
-    only sets the sampling density of the scan.  Every evaluation goes
-    through one array propagation of a single Hamiltonian, so the call
-    diagonalizes once.
+    The excited amplitude, cos(sqrt(n) epsilon t), changes sign twice per
+    cycle.  One ``evolve`` call scans 121 times up to the third change, and
+    :func:`_find_root` refines each; the period is the distance between the
+    first and third zeros.  The analytic estimate only sets the span, and
+    fewer than three changes in it raise ValueError.
     """
-    basis = build_basis(n, n_max=1, excitation_cap=1)
-    H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
-    psi0 = initial_state(basis)
-    excited = basis.index[basis.states[-1]]  # |e; 0...0> sorts last
+    couplings = (epsilon,) * n
 
-    def excited_amplitude(ts) -> np.ndarray:
-        return propagate_times(H, psi0, ts)[:, excited].real
+    def excited_amplitude(t: float) -> float:
+        (amps,) = sector.evolve(couplings, ((t, 0.0),))
+        return amps[-1].real  # |e;0> is last in sector order
 
     estimate = 2.0 * math.pi / (math.sqrt(n) * epsilon)
-    ts = np.linspace(0.0, 1.45 * estimate, 241)
-    values = excited_amplitude(ts)
-    brackets = []
-    for a, b, fa, fb in zip(ts, ts[1:], values, values[1:]):
+    ts = np.linspace(0.0, 1.45 * estimate, 121).tolist()
+    states = sector.evolve(couplings, [(t, 0.0) for t in ts])
+    zeros, fa = [], next(states)[-1].real
+    for a, b, amps in zip(ts, ts[1:], states):
+        fb = amps[-1].real
         if fa == 0.0 or fa * fb < 0.0:
-            brackets.append((a, b, fa))
-        if len(brackets) == 3:
-            break
-    if len(brackets) < 3:
-        raise RuntimeError("failed to bracket three population minima")
-    zeros = _refine_roots(excited_amplitude, brackets)
-    return zeros[2] - zeros[0]
+            zeros.append(_find_root(excited_amplitude, a, b, fa, fb))
+            if len(zeros) == 3:
+                return zeros[2] - zeros[0]
+        fa = fb
+    raise ValueError("fewer than three sign changes in 1.45 estimated periods")
 
 
-def check_rabi_period(n_values=range(1, 7), epsilon: float = 1.0) -> CheckResult:
+def check_rabi_period() -> CheckResult:
+    """The period of :func:`measure_rabi_period` against 2 pi / sqrt(N) at
+    N = 1..6 and epsilon = 1: the relative error."""
     def errors():
-        for n in n_values:
-            expected = 2.0 * math.pi / (math.sqrt(n) * epsilon)
-            yield abs(measure_rabi_period(n, epsilon) - expected) / expected
-    return _check("rabi-period", errors(), RABI_PERIOD_RTOL, len(n_values))
+        for n in range(1, 7):
+            expected = 2.0 * math.pi / math.sqrt(n)
+            yield abs(measure_rabi_period(n, 1.0) - expected) / expected
+    return _check("rabi-period", errors(), ROUNDING_TOL, 6)
 
 
 def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> ValidationReport:

@@ -55,6 +55,10 @@ def _random_detuning_grids(count: int):
 
 SWEEP_CFG = "# a sweep read from a file\nn = 4\nparameter = detuning\ngrid = -1, 0, 0.5\n"
 
+#: A mode-count grid of 10000 ones: its CSV of 130 kB spans two writes of
+#: ``cli.CSV_CHUNK_CHARS`` = 64 KiB, so the corpus holds a seam.
+CHUNKS_CFG = "parameter = mode-count\ngrid = " + ",".join(["1"] * 10000) + "\n"
+
 #: (argv, input files) of each entry, and whether its stdout depends on the
 #: interpreter version (``math.hypot`` rounds otherwise from Python 3.12 on).
 COMMANDS = [
@@ -118,6 +122,7 @@ COMMANDS = [
     *(([*argv], {}) for argv in _random_detuning_grids(8)),
     (["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/cfg.csv"], {"sweep.cfg": SWEEP_CFG}),
     (["sweep", "--config", "{tmp}/sweep.cfg", "--grid", "2", "--out", "-"], {"sweep.cfg": SWEEP_CFG}),
+    (["sweep", "--config", "{tmp}/chunks.cfg", "--out", "-"], {"chunks.cfg": CHUNKS_CFG}),
     # refusals: bad input, the size rule and the range rule
     *((argv, {}) for argv in (
         [], ["simulate", "--nmax", "2"], ["simulate", "--n", "0"], ["simulate", "--epsilon", "-1"],

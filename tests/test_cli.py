@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -647,8 +648,8 @@ def test_sweep_leaves_no_partial_output_when_the_sidecar_fails(capsys, tmp_path)
 
 
 def test_sweep_leaves_no_partial_output_when_a_line_fails(capsys, tmp_path, monkeypatch):
-    """The CSV is written as its lines are made: a failure after the first
-    line removes the file that line went to."""
+    """The CSV is written as its lines are made: a line that fails after
+    the file is opened removes the file."""
     from wcavity import protocol
 
     def failing_lines(self):
@@ -684,6 +685,28 @@ def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, m
     assert stdout == "".join(lines)
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
     assert lines[-3:-2] == [protocol.CSV_HEADER + "\n"] and len(result.rows) == 2
+
+
+def test_sweep_writes_its_csv_in_chunks_of_joined_lines(capsys, monkeypatch):
+    """Each write joins whole lines until it holds ``CSV_CHUNK_CHARS``
+    characters, and the writes add up to the lines of the result; a line
+    that fills a chunk by itself is written alone."""
+    from wcavity import cli, protocol
+
+    results, writes = [], []
+    real = protocol.SweepResult.csv_lines
+    monkeypatch.setattr(protocol.SweepResult, "csv_lines",
+                        lambda self: results.append(self) or real(self))
+    monkeypatch.setattr(cli, "CSV_CHUNK_CHARS", 100)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    assert main(["sweep", "--parameter", "mode-count", "--grid", ",".join(["1"] * 40),
+                 "--out", "-"]) == 0
+    (result,) = results
+    lines = list(real(result))
+    assert "".join(writes) == "".join(lines)
+    assert len(lines[0]) > 100 and writes[0] == lines[0]  # the config echo
+    assert all(100 <= len(w) < 100 + len(protocol.CSV_HEADER) for w in writes[1:-1])
+    assert len(writes) >= 4 and 0 < len(writes[-1]) and writes[-1].endswith("\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -7,7 +7,7 @@ from wcavity import dynamics, normals, sector, validation
 from wcavity.cli import main
 from wcavity.dynamics import HermitianOperator, ModelParams
 from wcavity.validation import (
-    _refine_roots,
+    _find_root,
     check_composition,
     check_oracle_equivalence,
     check_rabi_period,
@@ -53,9 +53,17 @@ def test_rabi_period_measurement(n, epsilon):
     assert abs(measured - expected) / expected <= 1e-9
 
 
-def test_rabi_period_diagonalizes_once(eigh_calls):
+def test_rabi_period_evolves_only_on_the_sector_route(eigh_calls, monkeypatch):
+    """One ``sector.evolve`` call scans 121 times, then each refinement
+    step evolves one time; no dense operator is diagonalized."""
+    points = []
+    real = sector.evolve
+    monkeypatch.setattr(sector, "evolve",
+                        lambda c, pts: points.append(list(pts)) or real(c, pts))
     measure_rabi_period(4, 1.3)
-    assert eigh_calls == [(6, 6)]
+    assert eigh_calls == []
+    assert len(points[0]) == 121 and all(len(p) == 1 for p in points[1:])
+    assert all(detuning == 0.0 for p in points for _, detuning in p)
 
 
 def test_composition_diagonalizes_once_per_draw(eigh_calls):
@@ -99,23 +107,29 @@ def test_composition_check_fails_on_a_time_offset_in_the_propagator(monkeypatch)
     assert result.measured > 1e-4
 
 
-def test_rabi_check_fails_on_a_scaled_exchange_element(monkeypatch):
-    """An exchange element written as eps (1 + 1e-4) is still Hermitian
-    and still composes, but shortens the period by a relative 1e-4."""
-    real = validation.build_hamiltonian
-
-    def scaled(params, basis):
-        matrix = np.array(real(params, basis).matrix)
-        ground, excited, _ = basis.exchange_pairs
-        matrix[ground, excited] *= 1.0 + 1e-4
-        matrix[excited, ground] *= 1.0 + 1e-4
-        return HermitianOperator(basis, matrix)
-
+@pytest.mark.parametrize("scale", [1e-4, 1e-9])
+def test_rabi_check_fails_on_scaled_couplings_in_the_sector_route(scale, monkeypatch):
+    """Couplings scaled by 1 + scale inside ``sector.evolve`` still give
+    unit-norm states, but shorten the period by a relative ``scale``; at
+    1e-9 that is below the old tolerance of 1e-6 and above 1e-12."""
+    real = sector.evolve
     assert check_rabi_period().passed
-    monkeypatch.setattr(validation, "build_hamiltonian", scaled)
+    monkeypatch.setattr(sector, "evolve", lambda couplings, points: real(
+        tuple(c * (1.0 + scale) for c in couplings), points))
     result = check_rabi_period()
     assert not result.passed
-    assert result.measured == pytest.approx(1e-4, rel=1e-3)
+    assert result.measured == pytest.approx(scale, rel=1e-3)
+
+
+def test_rabi_check_fails_on_a_period_beyond_its_scan(monkeypatch):
+    """Couplings scaled by 0.8 lengthen the period by 1.25, which puts the
+    third sign change past the scan: the check reads FAIL with an infinite
+    defect instead of stopping the suite."""
+    real = sector.evolve
+    monkeypatch.setattr(sector, "evolve", lambda couplings, points: real(
+        tuple(c * 0.8 for c in couplings), points))
+    result = check_rabi_period()
+    assert not result.passed and result.measured == math.inf
 
 
 def test_rng_stream_check_fails_on_one_flipped_draw(monkeypatch):
@@ -137,7 +151,8 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     """A build whose exchange elements lose their Hermitian partner by a
     relative 1e-9 is refused by ``HermitianOperator``: every check that
     builds an operator reads FAIL with an infinite defect, and validate
-    exits 1, a failed check, not 2, bad input."""
+    exits 1, a failed check, not 2, bad input.  ``rabi-period`` and
+    ``rng-stream`` build none and pass."""
     real_build = validation.build_hamiltonian
 
     def skewed(params, basis):
@@ -150,24 +165,31 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     assert main(["validate"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL propagator-unitarity: measured=inf ")
-    assert any(line.startswith("PASS rng-stream: ") for line in lines)
-    assert lines[-1] == "summary: checks_run=6 passed=1 failed=5"
+    assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
+        "PASS rabi-period", "PASS rng-stream"]
+    assert lines[-1] == "summary: checks_run=6 passed=2 failed=4"
 
 
-def test_refine_roots_takes_exact_zeros_and_stops_between_adjacent_floats():
-    def line(xs):
-        return np.asarray(xs) - 0.5
+def test_find_root_takes_exact_zeros_and_stops_between_adjacent_floats():
+    def line(x):
+        return x - 0.5
 
-    # 0.5 is an interior node of the first bracket and the left end of the second
-    assert _refine_roots(line, [(0.0, 1.0, -0.5), (0.5, 0.75, 0.0)]) == [0.5, 0.5]
+    # 0.5 is the first chord's point inside a bracket, and either end of another
+    assert _find_root(line, 0.0, 1.0, -0.5, 0.5) == 0.5
+    assert _find_root(line, 0.5, 0.75, 0.0, 0.25) == 0.5
+    assert _find_root(line, 0.25, 0.5, -0.25, 0.0) == 0.5
 
-    after_one = float(np.nextafter(1.0, 2.0))
+    # f is never zero, so only running out of floats inside the bracket ends
+    # the search; near 1e3 the floats are 1.1e-13 apart
+    after = math.nextafter(1000.0, math.inf)
+    calls = []
 
-    def step(xs):
-        return np.where(np.asarray(xs) <= 1.0, -1.0, 1.0)
+    def step(x):
+        calls.append(x)
+        return -1.0 if x <= 1000.0 else 1.0
 
-    # no tolerance: only running out of floats inside the bracket ends it
-    assert _refine_roots(step, [(0.0, 2.0, -1.0)], xtol=0.0)[0] in (1.0, after_one)
+    assert _find_root(step, 0.0, 2048.0, -1.0, 1.0) in (1000.0, after)
+    assert 1000.0 in calls and after in calls and len(calls) < 100
 
 
 def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
@@ -235,20 +257,21 @@ def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
 
 
 # The lines of the checks that survived the move from stacked to per-draw
-# evaluation, as stacked evaluation printed them; seed 7 and
-# --inject-fault are pinned in tests/data/corpus.json.
+# evaluation, as stacked evaluation printed them, and the rabi-period line
+# of the sector-route measurement; seed 7 and --inject-fault are pinned in
+# tests/data/corpus.json.
 STACKED_LINES = {
     "default": [
         "PASS propagator-composition: measured=2.140e-15 tolerance=1e-09 cases=50",
         "PASS closed-form-vs-numeric: measured=6.943e-15 tolerance=1e-08 cases=100",
-        "PASS rabi-period: measured=7.068e-16 tolerance=1e-06 cases=6",
+        "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
         "PASS sector-vs-dense: measured=6.492e-15 tolerance=1e-10 cases=24",
         "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
     ],
     "123": [
         "PASS propagator-composition: measured=2.880e-15 tolerance=1e-09 cases=50",
         "PASS closed-form-vs-numeric: measured=7.220e-15 tolerance=1e-08 cases=100",
-        "PASS rabi-period: measured=7.068e-16 tolerance=1e-06 cases=6",
+        "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
         "PASS sector-vs-dense: measured=3.278e-15 tolerance=1e-10 cases=24",
         "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
     ],

@@ -367,24 +367,6 @@ def _sidecar_path(out: Path) -> Path:
     return Path(str(out) + ".meta.json")
 
 
-#: Characters per ``write`` of a sweep CSV: its lines are joined a chunk
-#: at a time as they are made, so that no copy of a large grid's text is
-#: held, and a line that fills a chunk (a large grid's config) is not copied.
-CSV_CHUNK_CHARS = 2**16
-
-
-def _write_chunks(handle, lines) -> None:
-    chunk, size = [], 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= CSV_CHUNK_CHARS:
-            handle.write("".join(chunk))
-            chunk, size = [], 0
-    if chunk:
-        handle.write("".join(chunk))
-
-
 def cmd_sweep(config: dict) -> int:
     # looked up on the module at the call, where a tracer may have wrapped it
     from . import protocol
@@ -408,14 +390,14 @@ def cmd_sweep(config: dict) -> int:
         lines = [json.dumps(_rounded(result.to_dict()), indent=2) + "\n"]
     if config["out"] == "-":
         # no sidecar: the CSV comment lines already carry the metadata
-        _write_chunks(sys.stdout, lines)
+        sys.stdout.writelines(lines)
         return 0
     out = Path(config["out"])
     written: list[Path] = []
     try:
         with out.open("w") as handle:
             written.append(out)
-            _write_chunks(handle, lines)
+            handle.writelines(lines)
         if csv:
             sidecar = _sidecar_path(out)
             sidecar.write_text(json.dumps(_rounded(result.metadata), indent=2) + "\n")

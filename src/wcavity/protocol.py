@@ -209,21 +209,9 @@ def _pairwise_sum(values) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def _w_fidelity_fsum(amps) -> float:
-    """``sector.w_fidelity`` with each part of the overlap summed by
-    ``math.fsum``, so correctly rounded: the numpy route's BLAS dot agreed
-    with it to 12 digits on every disorder row compared, Python's ``sum``
-    did not (N = 40, seed 0, sigma = 0.03)."""
-    n = len(amps) - 2
-    weight = 1.0 / math.sqrt(n)
-    terms = [weight * a for a in amps[1:n + 1]]
-    overlap = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return min(max(abs(overlap) ** 2, 0.0), 1.0)
-
-
 def _numpy_omega(couplings) -> float:
     """Omega = sqrt(sum_i eps_i^2) rounded as numpy rounds it, not as
-    ``math.hypot`` does: where sin(Omega t*) nearly vanishes, one ulp of
+    ``sector._norm`` does: where sin(Omega t*) nearly vanishes, one ulp of
     Omega moves a fidelity's 12th digit (N = 6, seed 0, sigma = 2).  An
     Omega^2 that overflows is infinite, and ``closed_form`` refuses it."""
     return math.sqrt(_pairwise_sum([c * c for c in couplings]))
@@ -248,9 +236,13 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     xi_i) with xi_i standard normal (non-positive draws are redrawn) and
     evolves in closed form to the nominal optimal time.  The draws are
     those of ``numpy.random.default_rng([seed, grid index, trial
-    index]).standard_normal``, reproduced by :mod:`wcavity.normals`, and a
-    row's mean sums its trials in numpy's order, so the rows are those of
-    the numpy route that the tests keep as the oracle.
+    index]).standard_normal``, reproduced by :mod:`wcavity.normals`.  Omega
+    is rounded as numpy rounds it (``_numpy_omega``), and each trial is
+    scored by ``sector.w_fidelity``, whose correctly rounded overlap the
+    numpy route's BLAS dot matched to 12 digits on every row compared (a
+    left-to-right sum did not: N = 40, seed 0, sigma = 0.03).  A row's
+    mean sums its trials in numpy's order, so the rows are those of the
+    numpy route that the tests keep as the oracle.
     """
     from .normals import standard_normals
 
@@ -264,7 +256,7 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
         # scored, as the numpy route checked its (trials, n) array
         if not all(math.isfinite(c) for draw in draws for c in draw):
             raise ValueError("model parameters must be finite")
-        fids = [_w_fidelity_fsum(sector.closed_form(draw, t_star, _numpy_omega(draw)))
+        fids = [sector.w_fidelity(sector.closed_form(draw, t_star, _numpy_omega(draw)))
                 for draw in draws]
         rows.append(SweepRow(sigma, _pairwise_sum(fids) / len(fids), min(fids), max(fids)))
     return SweepResult(rows, _metadata(

@@ -49,11 +49,9 @@ SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count
 #: Seed of the randomized self-checks (``validation.run_validation``).
 DEFAULT_SEED = 20240201
 
-#: Most modes a run may have, a sector of 1024 states.  The error of
-#: ``w_fidelity``'s left-to-right overlap grows with N: against a
-#: correctly rounded ``math.fsum`` overlap it measured at most 5.7e-14
-#: relative at N = 1022, well below the 12th printed digit, and 3.4e-12
-#: at N = 65536.
+#: Most modes a run may have, a sector of 1024 states.  It bounds the time
+#: and memory of a run, not its rounding: each sum over the modes in this
+#: module is rounded once, by ``math.fsum``, at any N.
 MAX_MODES = 1022
 
 #: Most amplitudes a run may compute, N + 2 per point it evolves or
@@ -105,8 +103,30 @@ def require_amplitudes(command: str, n: int, points: int) -> None:
                          f"above the limit of {MAX_AMPLITUDES}")
 
 
+#: Smallest sum of squares that ``_norm`` takes as it is, 2^53 times the
+#: smallest normal double: below it, squares that count may be subnormal.
+_SQUARES_MIN = 2.0**-969
+
+
 def _norm(amps) -> float:
-    return math.hypot(*[part for a in amps for part in (a.real, a.imag)])
+    """sqrt(sum |a|^2) of complex or real ``amps``: IEEE products, one
+    ``math.fsum`` and one ``math.sqrt``, so that no interpreter changes its
+    double.  A sum of squares that overflows or falls toward the
+    subnormals is taken of the parts scaled by a power of two, which is
+    exact, and the norm scaled back; a norm beyond the doubles is inf."""
+    try:
+        total = math.fsum([a.real * a.real for a in amps] + [a.imag * a.imag for a in amps])
+    except OverflowError:  # a partial sum left the doubles
+        total = math.inf
+    if _SQUARES_MIN <= total < math.inf or math.isnan(total):
+        return math.sqrt(total)
+    parts = [a.real for a in amps] + [a.imag for a in amps]
+    exponent = math.frexp(max(map(abs, parts), default=0.0))[1]
+    scaled = [math.ldexp(x, -exponent) for x in parts]
+    try:
+        return math.ldexp(math.sqrt(math.fsum([x * x for x in scaled])), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _require_couplings(couplings) -> None:
@@ -145,7 +165,7 @@ def evolve(couplings, points) -> Iterator[list[complex]]:
         # e^{-i m t} (cos(g t) - i sin(g t) d / g, -i sin(g t) omega / g), with
         # m the mean and d the half difference of the diagonal, g = |(d, omega)|
         mean, half = 0.5 * detuning, -0.5 * detuning
-        g = math.hypot(half, omega)
+        g = _norm((half, omega))
         angle, turn = g * t, mean * t
         if not (math.isfinite(angle) and math.isfinite(turn)):
             raise PropagationError("propagation produced non-finite amplitudes "
@@ -166,7 +186,7 @@ def require_angles(n: int, epsilon: float, points, source: str) -> None:
     reads them."""
     omega = _norm((epsilon,) * n)
     for x, (t, detuning) in points:
-        if not math.isfinite(math.hypot(0.5 * detuning, omega) * t):
+        if not math.isfinite(_norm((0.5 * detuning, omega)) * t):
             raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "
                              "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 
@@ -210,14 +230,14 @@ def closed_form(couplings, t: float, omega: float | None = None) -> list[complex
 
 def w_fidelity(amps) -> float:
     """|<W_N, g|psi>|^2 of N + 2 sector amplitudes, clipped into [0, 1]
-    against rounding.  The overlap is summed left to right, one rounding
-    per term, written out so that no interpreter's ``sum`` (which may
-    compensate its rounding) changes the bytes."""
+    against rounding.  The real and the imaginary part of the overlap are
+    each summed by ``math.fsum``, so correctly rounded, whatever the
+    interpreter."""
     n = len(amps) - 2
     weight = 1.0 / math.sqrt(n)
-    overlap = 0j
-    for a in amps[1:n + 1]:
-        overlap += weight * a
+    photons = amps[1:n + 1]
+    overlap = complex(math.fsum([weight * a.real for a in photons]),
+                      math.fsum([weight * a.imag for a in photons]))
     return min(max(abs(overlap) ** 2, 0.0), 1.0)
 
 

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -687,28 +686,6 @@ def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, m
     assert lines[-3:-2] == [protocol.CSV_HEADER + "\n"] and len(result.rows) == 2
 
 
-def test_sweep_writes_its_csv_in_chunks_of_joined_lines(capsys, monkeypatch):
-    """Each write joins whole lines until it holds ``CSV_CHUNK_CHARS``
-    characters, and the writes add up to the lines of the result; a line
-    that fills a chunk by itself is written alone."""
-    from wcavity import cli, protocol
-
-    results, writes = [], []
-    real = protocol.SweepResult.csv_lines
-    monkeypatch.setattr(protocol.SweepResult, "csv_lines",
-                        lambda self: results.append(self) or real(self))
-    monkeypatch.setattr(cli, "CSV_CHUNK_CHARS", 100)
-    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
-    assert main(["sweep", "--parameter", "mode-count", "--grid", ",".join(["1"] * 40),
-                 "--out", "-"]) == 0
-    (result,) = results
-    lines = list(real(result))
-    assert "".join(writes) == "".join(lines)
-    assert len(lines[0]) > 100 and writes[0] == lines[0]  # the config echo
-    assert all(100 <= len(w) < 100 + len(protocol.CSV_HEADER) for w in writes[1:-1])
-    assert len(writes) >= 4 and 0 < len(writes[-1]) and writes[-1].endswith("\n")
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_out_dash_writes_the_body_to_stdout_and_no_file(fmt, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -995,8 +972,8 @@ def test_peak_memory_is_a_few_times_the_largest_array(argv, amplitudes, capsys):
     """The traced peak of main stays within 512 bytes per amplitude the
     size rule charges: a CPython complex amplitude in a list takes 40
     bytes, and ``simulate`` holds about seven lists of N + 2 numbers at
-    its peak (the closed form, the bright vector and the parts that
-    ``sector._norm`` hands to ``math.hypot``).  Each size charges at least
+    its peak (the closed form, the bright vector, and the parts and their
+    squares that ``sector._norm`` sums).  Each size charges at least
     1024 amplitudes, so that the fixed cost of a call stays a small
     part."""
     tracemalloc.start()
@@ -1051,9 +1028,9 @@ def test_closed_form_range_bound(admitted, refused, tmp_path):
 @pytest.mark.parametrize("epsilon", ["1e-170", "1e160"])
 def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys):
     """Only the coupling-disorder sweep keeps the range of epsilon^2;
-    simulate and the other sweeps run on sector, whose Omega is
-    ``math.hypot`` of the couplings, at an epsilon whose square leaves
-    the doubles, and reach the W state."""
+    simulate and the other sweeps run on sector, whose Omega, ``_norm`` of
+    the couplings, scales them by a power of two where their squares leave
+    the normal doubles, and reach the W state."""
     if parameter == "simulate":
         report = run_json(capsys, "simulate", "--n", "3", "--epsilon", epsilon)
         assert report["fidelity_W"] == 1.0
@@ -1063,6 +1040,33 @@ def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys
                              "--epsilon", epsilon, "--out", "-")
     assert code == 0, err
     assert out.splitlines()[-1] == f"{grid[-1]},1,1,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "9", "--dump-state"],
+    ["simulate", "--n", "3", "--epsilon", "1e160", "--format", "csv"],
+    ["simulate", "--epsilon", "5.05e-309", "--time", "0.7"],
+    ["entanglement", "--n", "5"],
+    ["sweep", "--n", "3", "--out", "-"],
+    ["sweep", "--n", "3", "--parameter", "detuning", "--grid=-0.5,1e300,1.7976931348623157e308",
+     "--out", "-"],
+    ["sweep", "--parameter", "mode-count", "--grid", "1,2,3,1022", "--out", "-"],
+    ["sweep", "--parameter", "coupling-disorder", "--n", "3", "--trials", "20", "--out", "-"],
+], ids=["simulate", "simulate-large", "simulate-small", "entanglement", "timing-error",
+        "detuning", "mode-count", "coupling-disorder"])
+def test_outputs_do_not_depend_on_math_hypot(argv, capsys, monkeypatch):
+    """``sector`` rounds by IEEE operations and ``math.fsum`` alone, so
+    ``math.hypot``, whose rounding changed in Python 3.12, moves no byte:
+    simulate, entanglement and the four sweeps write the same bytes with
+    it raising."""
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0, want[2]
+
+    def hypot(*args):
+        raise AssertionError(f"math.hypot{args} called")
+
+    monkeypatch.setattr(math, "hypot", hypot)
+    assert run_cli(capsys, *argv) == want
 
 
 @pytest.mark.parametrize("dump", [False, True], ids=["report", "dump-state"])

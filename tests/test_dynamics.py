@@ -609,7 +609,7 @@ class TestRowsAreCheckedOnce:
         assert not psi.amplitudes.flags.writeable
 
     def test_a_bad_row_raises_as_before(self):
-        # math.hypot's Omega does not overflow, but the angle Omega t does
+        # Omega does not overflow, but the angle Omega t does
         overflowing = ModelParams(2, (0.0, 0.0), (1e200, 1e200))
         assert evolve_closed_form(overflowing, 1.0).norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="amplitudes must be finite"):

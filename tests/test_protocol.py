@@ -198,7 +198,7 @@ class TestDisorderOracle:
     def test_redrawn_couplings_csv_equals_the_numpy_route(self, n, seed):
         # at sigma >= 2 a draw is non-positive one time in three or more; at
         # sigma = 2 (N = 6, seed 0) and 5 (N = 12, seed 123) a fidelity near 0
-        # turns on the last bit of Omega, which math.hypot rounds otherwise
+        # turns on the last bit of Omega, which sector._norm rounds otherwise
         args = ((0.5, 1.0, 2.0, 5.0, 10.0), 100, seed)
         result = coupling_disorder_sweep(n, 1.0, *args)
         oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)

@@ -19,7 +19,6 @@ _HOMES = {
         "build_hamiltonian",
         "evolve_closed_form",
         "propagate_numeric",
-        "propagate_times",
     ),
     "entanglement": (
         "DensityMatrix",

@@ -1,6 +1,6 @@
 """Target states, overlap scores, partial trace, and pairwise concurrence.
 
-Field modes are treated as qubits (n_max = 1); the atom counts as
+Field modes are qubits (at most one photon each); the atom counts as
 subsystem 0 so that partial-trace indexing is uniform across atom and
 modes.  Everything here is a pure function.
 """
@@ -72,7 +72,7 @@ def support_basis(n: int) -> Basis:
     vacuum = vacuum_occupations(n)
     singles = [vacuum[:i] + (1,) + vacuum[i + 1:] for i in reversed(range(n))]
     states = [BasisState(AtomLevel.GROUND, occ) for occ in (vacuum, *singles, (1,) * n)]
-    return Basis(n, 1, n, tuple(states))
+    return Basis(n, n, tuple(states))
 
 
 def w_state(n: int, basis: Basis) -> StateVector:
@@ -126,7 +126,7 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     Parameters
     ----------
     psi : StateVector
-        Pure state on a basis with n_max = 1 (every subsystem a qubit).
+        Pure state (every subsystem a qubit).
     keep : iterable of int
         Subsystem indices to retain: 0 is the atom, 1..N the modes.
 
@@ -136,8 +136,6 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     basis carry zero amplitude.
     """
     basis = psi.basis
-    if basis.n_max != 1:
-        raise ValueError("partial trace requires n_max = 1 (qubit subsystems)")
     labels = sorted({int(s) for s in keep})
     if not labels:
         raise ValueError("keep set must not be empty")

@@ -1,7 +1,8 @@
-"""Truncated Hilbert space of one two-level atom coupled to N bosonic modes.
+"""Hilbert space of one two-level atom coupled to N modes, each a qubit.
 
 The basis is the set of occupation-number states |atom; n_1 ... n_N> with
-0 <= n_i <= n_max, optionally filtered by a cap on the total excitation
+each n_i 0 or 1, as in the paper's protocol, where one excitation spreads
+over empty modes; optionally filtered by a cap on the total excitation
 number (atomic excitation plus total photon count).  Ordering is
 deterministic: ground-state block before excited-state block, occupations
 ascending lexicographically within each block.
@@ -79,40 +80,35 @@ class BasisState(Value):
 
     def label(self) -> str:
         atom = "e" if self.atom is AtomLevel.EXCITED else "g"
-        if any(n > 9 for n in self.occupations):
-            occ = ",".join(str(n) for n in self.occupations)
-        else:
-            occ = "".join(str(n) for n in self.occupations)
-        return f"|{atom};{occ}>"
+        return f"|{atom};{''.join(str(n) for n in self.occupations)}>"
 
 
 class Basis(Value):
-    """Ordered basis of the truncated atom + N-mode space.
+    """Ordered basis of the atom + N-qubit-mode space.
 
     Use :func:`build_basis` to construct one; the read-only ``index``
     attribute maps each :class:`BasisState` back to its position in
     ``states``.  Bases are shared between callers, so nothing in one may
     change.
 
-    A basis may also hold only some states of its truncation, such as the
+    A basis may also hold only some states of its space, such as the
     support of a few target states (``entanglement.support_basis``).
     """
 
     # __dict__ holds the cached_property values, which bypass __setattr__
-    __slots__ = ("n_modes", "n_max", "excitation_cap", "states", "index", "__dict__")
+    __slots__ = ("n_modes", "excitation_cap", "states", "index", "__dict__")
 
-    def __init__(self, n_modes: int, n_max: int, excitation_cap: int | None,
+    def __init__(self, n_modes: int, excitation_cap: int | None,
                  states: tuple[BasisState, ...]) -> None:
         index = types.MappingProxyType({state: k for k, state in enumerate(states)})
-        for name, value in zip(self.__slots__, (n_modes, n_max, excitation_cap, states, index)):
+        for name, value in zip(self.__slots__, (n_modes, excitation_cap, states, index)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return (self.n_modes, self.n_max, self.excitation_cap, self.states)
+        return (self.n_modes, self.excitation_cap, self.states)
 
     def __repr__(self):
-        return (f"Basis(n_modes={self.n_modes!r}, n_max={self.n_max!r}, "
-                f"excitation_cap={self.excitation_cap!r})")
+        return f"Basis(n_modes={self.n_modes!r}, excitation_cap={self.excitation_cap!r})"
 
     @property
     def dim(self) -> int:
@@ -131,7 +127,7 @@ class Basis(Value):
     @functools.cached_property
     def exchange_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only index arrays (ground, excited, mode), one entry per
-        nonzero element <e, n - 1_i| a_i s_+ |g, n> = sqrt(n_i): the state
+        nonzero element <e, n - 1_i| a_i s_+ |g, n> = 1: the state
         |g, n> sits at ``ground``, its partner |e, n - 1_i> at ``excited``,
         and i is ``mode``.  Ascending by ground state, then by mode.  Built
         once per basis."""
@@ -143,7 +139,7 @@ class Basis(Value):
                 if n_i == 0:
                     continue
                 occ = list(state.occupations)
-                occ[i] = n_i - 1
+                occ[i] = 0
                 ground.append(k)
                 excited.append(self.index[BasisState(AtomLevel.EXCITED, tuple(occ))])
                 mode.append(i)
@@ -208,8 +204,8 @@ def require_unit_rows(amplitudes: np.ndarray) -> None:
         raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
 
 
-def _capped_occupations(n_modes: int, n_max: int, budget: int):
-    """Yield occupation tuples with sum <= budget, ascending lexicographic."""
+def _capped_occupations(n_modes: int, budget: int):
+    """Yield 0/1 occupation tuples with sum <= budget, ascending lexicographic."""
     occ = [0] * n_modes
     total = 0
     while True:
@@ -218,8 +214,8 @@ def _capped_occupations(n_modes: int, n_max: int, budget: int):
         # already zeroed by the leftward scan
         i = n_modes - 1
         while i >= 0:
-            if occ[i] < n_max and total + 1 <= budget:
-                occ[i] += 1
+            if occ[i] == 0 and total < budget:
+                occ[i] = 1
                 total += 1
                 break
             total -= occ[i]
@@ -229,56 +225,48 @@ def _capped_occupations(n_modes: int, n_max: int, budget: int):
             return
 
 
-def build_basis(
-    n_modes: int,
-    n_max: int = 1,
-    excitation_cap: int | None = None,
-) -> Basis:
-    """Enumerate the complete truncated basis.
+def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
+    """Enumerate the basis: every atom level and 0/1 occupation of each mode.
 
     Parameters
     ----------
     n_modes : int
-        Number of bosonic modes, >= 1.
-    n_max : int
-        Per-mode photon-number truncation, >= 1.
+        Number of modes, >= 1.
     excitation_cap : int or None
         If given, keep only states with total excitation <= cap.  The cap
-        counts the atomic excitation, so ``excitation_cap=1`` with
-        ``n_max=1`` yields the single-excitation sector of dimension
-        ``n_modes + 2``.
+        counts the atomic excitation, so ``excitation_cap=1`` yields the
+        single-excitation sector of dimension ``n_modes + 2``; without a
+        cap the space has dimension 2 * 2^N.
 
     A dimension above ``MAX_DIMENSION`` raises ValueError.  Bases are
-    memoized per (n_modes, n_max, excitation_cap): a repeated call returns
+    memoized per (n_modes, excitation_cap): a repeated call returns
     the same read-only object.  The arguments are checked before the cache
     is consulted, so a float that equals an int is refused like any other.
     """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     if excitation_cap is not None and (
         not isinstance(excitation_cap, int) or excitation_cap < 0
     ):
         raise ValueError(f"excitation_cap must be a non-negative integer, got {excitation_cap!r}")
-    return _enumerate_basis(n_modes, n_max, excitation_cap)
+    return _enumerate_basis(n_modes, excitation_cap)
 
 
 @functools.lru_cache(maxsize=32)
-def _enumerate_basis(n_modes: int, n_max: int, excitation_cap: int | None) -> Basis:
+def _enumerate_basis(n_modes: int, excitation_cap: int | None) -> Basis:
     states: list[BasisState] = []
     for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
-        # without a cap, a budget of n_modes * n_max admits every occupation
-        budget = n_modes * n_max if excitation_cap is None else excitation_cap - int(atom)
+        # without a cap, a budget of n_modes admits every occupation
+        budget = n_modes if excitation_cap is None else excitation_cap - int(atom)
         if budget < 0:
             continue
-        for occ in _capped_occupations(n_modes, n_max, budget):
+        for occ in _capped_occupations(n_modes, budget):
             states.append(BasisState(atom, occ))
             if len(states) > MAX_DIMENSION:
                 raise ValueError(
                     f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
                 )
-    return Basis(n_modes, n_max, excitation_cap, tuple(states))
+    return Basis(n_modes, excitation_cap, tuple(states))
 
 
 def vacuum_occupations(n_modes: int) -> tuple[int, ...]:
@@ -314,11 +302,13 @@ def atom_population(psi: StateVector, level: AtomLevel) -> float:
 def state_from_dict(data: dict) -> StateVector:
     """The state of a JSON dict in the layout of ``simulate --dump-state``:
     basis parameters plus [re, im] amplitude pairs.  The basis is rebuilt
-    deterministically."""
+    deterministically.  Every mode is a qubit, so a dump that allows more
+    than one photon per mode is refused."""
     spec = data["basis"]
+    if int(spec["n_max"]) != 1:
+        raise ValueError(f"every mode is a qubit: n_max must be 1, got {spec['n_max']!r}")
     basis = build_basis(
         int(spec["n_modes"]),
-        int(spec["n_max"]),
         None if spec.get("excitation_cap") is None else int(spec["excitation_cap"]),
     )
     amps = np.array([complex(re, im) for re, im in data["amplitudes"]])

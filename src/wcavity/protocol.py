@@ -63,6 +63,7 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     x ``trials`` points of N + 2 amplitudes.  The range rule is the
     route's: t* and each angle of ``sector.evolve`` must be finite
     (``sector.require_angles``), and the disorder sweep's epsilon^2 normal
+    and its drawn couplings' sum of squares finite
     (``_require_normal_squares``).  The CLI refuses with the same
     messages, after the same call."""
     if n is not None:  # first: the default grid and the range rule need 1 <= N
@@ -83,7 +84,7 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
         if any(x < 0 for x in grid):
             raise ValueError("disorder grid entries must be >= 0")
         if epsilon > 0:  # else optimal_time refuses it
-            _require_normal_squares(n, epsilon)
+            _require_normal_squares(n, epsilon, grid, source)
     elif parameter == "mode-count":
         if any(x != int(x) or x < 1 for x in grid):
             raise ValueError("mode-count grid entries must be positive integers")
@@ -217,16 +218,30 @@ def _numpy_omega(couplings) -> float:
     return math.sqrt(_pairwise_sum([c * c for c in couplings]))
 
 
-def _require_normal_squares(n: int, epsilon: float) -> None:
+#: A bound on |xi| of every draw of ``normals.standard_normals``: its
+#: ziggurat tail returns at most R + 53 ln 2 / R, about 13.71.
+_NORMAL_BOUND = 14.0
+
+
+def _require_normal_squares(n: int, epsilon: float, grid, source: str) -> None:
     """Refuse an epsilon whose square, or N-fold sum of squares, leaves the
     normal doubles: ``_numpy_omega`` sums the squared couplings, and a
-    subnormal square keeps too few digits for the norm check."""
+    subnormal square keeps too few digits for the norm check.  Then refuse
+    the first sigma of ``grid`` at which a drawn coupling
+    epsilon (1 + xi sigma), |xi| <= ``_NORMAL_BOUND``, may make that sum
+    overflow; the message names the input ``source`` sigma and the
+    coupling ``--epsilon``, as the CLI reads them."""
     square = epsilon * epsilon
     if square < sys.float_info.min:
         raise ValueError(f"--epsilon {epsilon!r} is too small: "
                          "its square is below the smallest normal double")
     if not math.isfinite(n * square):
         raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
+    for sigma in grid:
+        largest = epsilon * (1.0 + _NORMAL_BOUND * sigma)
+        if not math.isfinite(n * (largest * largest)):
+            raise ValueError(f"{source} {sigma!r} is too large for --epsilon {epsilon!r}: "
+                             f"N * (epsilon (1 + {_NORMAL_BOUND:g} sigma))^2 overflows at N = {n}")
 
 
 def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int) -> SweepResult:
@@ -250,12 +265,9 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     t_star = optimal_time(n, epsilon)
     rows = []
     for gi, sigma in enumerate(grid):
+        # require_grid bounds every coupling, and the sum of their squares
         draws = [_disorder_couplings(standard_normals((seed, gi, trial)), n, epsilon, sigma)
                  for trial in range(trials)]
-        # every coupling of the grid point is checked before any trial is
-        # scored, as the numpy route checked its (trials, n) array
-        if not all(math.isfinite(c) for draw in draws for c in draw):
-            raise ValueError("model parameters must be finite")
         fids = [sector.w_fidelity(sector.closed_form(draw, t_star, _numpy_omega(draw)))
                 for draw in draws]
         rows.append(SweepRow(sigma, _pairwise_sum(fids) / len(fids), min(fids), max(fids)))

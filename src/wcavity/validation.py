@@ -89,12 +89,12 @@ def _check(name: str, defects, tolerance: float, cases: int) -> CheckResult:
 
 def check_unitarity(rng) -> CheckResult:
     """max |V^dag V - I| of the eigenvectors V that ``H.eigh()`` caches and
-    ``propagate_times`` evolves in: a drift that its renormalization would
+    ``propagate_numeric`` evolves in: a drift that its renormalization would
     hide shows here."""
     def defects():
         for _ in range(50):
             params = _random_params(rng)
-            H = build_hamiltonian(params, build_basis(params.n_modes, n_max=1))
+            H = build_hamiltonian(params, build_basis(params.n_modes))
             _, eigvecs = H.eigh()
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
@@ -105,7 +105,7 @@ def check_composition(rng) -> CheckResult:
     def defects():
         for _ in range(50):
             params = _random_params(rng)
-            basis = build_basis(params.n_modes, n_max=1)
+            basis = build_basis(params.n_modes)
             psi = StateVector(basis, _random_amplitudes(rng, basis))
             t1 = float(rng.uniform(-5.0, 5.0))
             t2 = float(rng.uniform(-5.0, 5.0))
@@ -119,7 +119,7 @@ def check_composition(rng) -> CheckResult:
 def _sector_gap(params: ModelParams, t: float, amps) -> float:
     """The amplitude gap between ``amps``, the N + 2 amplitudes of a
     ``sector`` route at time t, and the dense sector propagator."""
-    basis = build_basis(params.n_modes, n_max=1, excitation_cap=1)
+    basis = build_basis(params.n_modes, excitation_cap=1)
     dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 

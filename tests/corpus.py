@@ -148,6 +148,11 @@ COMMANDS = [
         ["simulate", "--time", "1.04e308"],
         ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e-170", "--out", "-"],
         ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e160", "--out", "-"],
+        # a disorder sigma whose largest draw may overflow the sum of squares
+        ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "1e200", "--trials",
+         "1", "--out", "-"],
+        ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "0,1e308", "--trials",
+         "1", "--out", "-"],
         ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "1.43e307", "--out", "-"],
         ["sweep", "--n", "3", "--epsilon", "1e-320", "--out", "-"],
         ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e-320", "--out", "-"],

@@ -137,7 +137,7 @@ def test_criterion_5_conservation_unitarity_suite():
             tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
             tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
         )
-        basis = build_basis(n, n_max=int(rng.integers(1, 3)))
+        basis = build_basis(n)
         H = build_hamiltonian(params, basis)
         herm = max(herm, float(np.max(np.abs(H.matrix - H.matrix.conj().T))))
         N = np.diag(basis.levels.sum(axis=1))
@@ -166,7 +166,7 @@ def test_criterion_6_robustness_claim_quantitative():
     worst_w = 0.0
     worst_ghz = 0.0
     for n in range(3, 9):
-        basis = build_basis(n, n_max=1)
+        basis = build_basis(n)
         w = w_state(n, basis)
         ghz = ghz_state(n, basis)
         for i, j in itertools.combinations(range(1, n + 1), 2):

@@ -1009,13 +1009,18 @@ def test_peak_memory_is_a_few_times_the_largest_array(argv, amplitudes, capsys):
     (["sweep", "--n", "3", "--grid", "1.03e308"], ["sweep", "--n", "3", "--grid", "1.04e308"]),
     (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.79e298"],
      ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.8e298"]),
+    # the disorder sweep's largest coupling, epsilon (1 + 14 sigma), in
+    # N (epsilon (1 + 14 sigma))^2 against the largest double
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "5.52e152"],
+     ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "5.53e152"]),
 ], ids=["simulate-small", "disorder-small", "simulate-large", "simulate-13-large",
         "mode-count-large", "time", "timing-epsilon", "detuning-epsilon", "timing-grid",
-        "detuning-grid"])
+        "detuning-grid", "disorder-grid"])
 def test_closed_form_range_bound(admitted, refused, tmp_path):
     """The range rule admits the first input and refuses the second: t*,
-    each angle and detuning of the sector routes, and epsilon^2 for the
-    coupling-disorder sweep, as finite or normal doubles."""
+    each angle and detuning of the sector routes, and epsilon^2 and the
+    largest drawn coupling's sum of squares for the coupling-disorder
+    sweep, as finite or normal doubles."""
     parser = build_parser()
     out = ["--out", str(tmp_path / "x.csv")]
     resolve_config(parser.parse_args([*admitted, *out]))

@@ -15,7 +15,6 @@ from wcavity.dynamics import (
     evolve_closed_form,
     hermiticity_defect,
     propagate_numeric,
-    propagate_times,
 )
 from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
 
@@ -62,11 +61,10 @@ def reference_hamiltonian(params, basis, lab=None):
             if n_i == 0:
                 continue
             occ = list(state.occupations)
-            occ[i] = n_i - 1
+            occ[i] = 0
             partner = basis.index[BasisState(AtomLevel.EXCITED, tuple(occ))]
-            element = params.couplings[i] * math.sqrt(n_i)
-            matrix[partner, k] += element
-            matrix[k, partner] += element
+            matrix[partner, k] += params.couplings[i]
+            matrix[k, partner] += params.couplings[i]
     return matrix
 
 
@@ -92,14 +90,14 @@ class TestModelParams:
 class TestBuildHamiltonian:
     def test_single_mode_interaction_matrix(self):
         # hand evaluation on the basis (|g;0>, |g;1>, |e;0>)
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(1, 0.8), basis).matrix
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.8
         np.testing.assert_array_equal(H, expected)
 
     def test_three_mode_excited_row(self):
-        basis = build_basis(3, 1, 1)
+        basis = build_basis(3, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(3, 1.3), basis).matrix
         row = basis.index[e(0, 0, 0)]
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
@@ -108,22 +106,16 @@ class TestBuildHamiltonian:
         assert H[row, row] == 0.0
 
     def test_diagonal_holds_the_mode_detunings(self):
-        basis = build_basis(2, 1, None)
+        basis = build_basis(2)
         H = build_hamiltonian(ModelParams(2, (0.7, -0.25), (0.5, 0.5)), basis).matrix
         assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
         assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
         assert H[basis.index[e(0, 1)], basis.index[e(0, 1)]] == -0.25
         assert H[basis.index[e(0, 0)], basis.index[e(0, 0)]] == 0.0
 
-    def test_bosonic_sqrt_factors(self):
-        basis = build_basis(1, 2, None)
-        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis).matrix
-        assert H[basis.index[e(1)], basis.index[g(2)]] == pytest.approx(math.sqrt(2.0))
-        assert H[basis.index[e(0)], basis.index[g(1)]] == pytest.approx(1.0)
-
     def test_truncation_drops_out_of_range_transitions(self):
-        # |e;1> would couple to |g;2>, which n_max = 1 excludes
-        basis = build_basis(1, 1, None)
+        # |e;1> would couple to |g;2>, which a qubit mode cannot hold
+        basis = build_basis(1)
         H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis).matrix
         row = basis.index[e(1)]
         off_diag = np.delete(H[row], row)
@@ -133,14 +125,14 @@ class TestBuildHamiltonian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3, 1, 1))
+            build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3, excitation_cap=1))
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
-        for n_max, cap in [(1, None), (2, None), (1, 1), (2, 2), (3, 3), (2, 0)]:
+        for cap in [None, 1, 2, 3, 4, 0]:
             for _ in range(15):
-                params = random_params(rng, n_modes=int(rng.integers(1, 5 if cap else 4)))
-                basis = build_basis(params.n_modes, n_max, cap)
+                params = random_params(rng, n_modes=int(rng.integers(1, 6 if cap else 5)))
+                basis = build_basis(params.n_modes, excitation_cap=cap)
                 H = build_hamiltonian(params, basis).matrix
                 np.testing.assert_array_equal(H, reference_hamiltonian(params, basis))
 
@@ -148,14 +140,14 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(42)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes, n_max=int(rng.integers(1, 3)))
+            basis = build_basis(params.n_modes)
             H = build_hamiltonian(params, basis).matrix
             assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
 class TestExcitationOperator:
     def test_diagonal_eigenvalues(self):
-        basis = build_basis(3, 1, None)
+        basis = build_basis(3)
         N = np.diag(basis.levels.sum(axis=1))
         assert N[basis.index[e(0, 0, 0)], basis.index[e(0, 0, 0)]] == 1.0
         assert N[basis.index[g(1, 1, 0)], basis.index[g(1, 1, 0)]] == 2.0
@@ -165,7 +157,7 @@ class TestExcitationOperator:
         rng = np.random.default_rng(1234)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes, n_max=int(rng.integers(1, 3)))
+            basis = build_basis(params.n_modes)
             H = build_hamiltonian(params, basis).matrix
             N = np.diag(basis.levels.sum(axis=1))
             comm = H @ N - N @ H
@@ -277,7 +269,7 @@ class TestClosedFormAmplitudes:
 
 class TestPropagateNumeric:
     def test_time_zero_identity(self):
-        basis = build_basis(3, 1, 1)
+        basis = build_basis(3, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         psi0 = initial_state(basis)
         out = propagate_numeric(H, psi0, 0.0)
@@ -311,7 +303,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(99)
         for _ in range(10):
             params = random_params(rng)
-            basis = build_basis(params.n_modes, n_max=1)
+            basis = build_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-5.0, 5.0))
@@ -323,7 +315,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes, n_max=int(rng.integers(1, 3)))
+            basis = build_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-20.0, 20.0))
@@ -333,7 +325,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(555)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes, n_max=1)
+            basis = build_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t1 = float(rng.uniform(-5.0, 5.0))
@@ -355,7 +347,7 @@ class TestPropagateNumeric:
             omega_modes = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             params = ModelParams(n, tuple(w - omega_a for w in omega_modes), couplings)
-            basis = build_basis(n, n_max=1)
+            basis = build_basis(n)
             lab = HermitianOperator(
                 basis, reference_hamiltonian(params, basis, lab=(omega_a, omega_modes))
             )
@@ -372,7 +364,7 @@ class TestPropagateNumeric:
         for n in range(1, 7):
             eps = float(rng.uniform(0.2, 4.0))
             params = ModelParams.resonant(n, eps)
-            basis = build_basis(n, 1, 1)
+            basis = build_basis(n, excitation_cap=1)
             H = build_hamiltonian(params, basis)
             psi0 = initial_state(basis)
             excited = basis.index[e(*([0] * n))]
@@ -385,24 +377,31 @@ class TestPropagateNumeric:
                 assert p_shift == pytest.approx(p_t, abs=1e-10)
 
     def test_rejects_basis_mismatch(self):
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(2, 1, 1))
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(2, excitation_cap=1))
         with pytest.raises(ValueError, match="different bases"):
-            propagate_numeric(H, initial_state(build_basis(3, 1, 1)), 1.0)
+            propagate_numeric(H, initial_state(build_basis(3, excitation_cap=1)), 1.0)
 
-    def test_rejects_nonfinite_time(self):
-        basis = build_basis(1, 1, 1)
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        basis = build_basis(1, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
         with pytest.raises(ValueError, match="finite"):
-            propagate_numeric(H, initial_state(basis), math.inf)
+            propagate_numeric(H, initial_state(basis), t)
+
+    def test_takes_one_time(self):
+        basis = build_basis(2)
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        with pytest.raises(TypeError):
+            propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
 
     def test_overflow_raises_propagation_error(self):
-        basis = build_basis(1, 1, None)
+        basis = build_basis(1)
         H = build_hamiltonian(ModelParams(1, (1e308,), (1.0,)), basis)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_numeric(H, initial_state(basis), 1e10)
 
     def test_norm_drift_guard(self, monkeypatch):
-        basis = build_basis(2, 1, 1)
+        basis = build_basis(2, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         psi = initial_state(basis)
         real_eigh = np.linalg.eigh
@@ -415,89 +414,8 @@ class TestPropagateNumeric:
         with pytest.raises(PropagationError, match="norm drift"):
             propagate_numeric(H, psi, 0.5)
 
-
-@settings(max_examples=60, deadline=None)
-@given(
-    basis_spec=st.one_of(
-        st.tuples(st.integers(1, 4), st.just(1), st.none()),
-        st.tuples(st.integers(1, 3), st.just(2), st.none()),
-        st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 3)),
-    ),
-    seed=st.integers(0, 2**32 - 1),
-    times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
-)
-def test_propagate_times_rows_match_scipy_expm(basis_spec, seed, times):
-    n, n_max, cap = basis_spec
-    rng = np.random.default_rng(seed)
-    params = random_params(rng, n_modes=n)
-    basis = build_basis(n, n_max, cap)
-    H = build_hamiltonian(params, basis)
-    psi = random_state(rng, basis)
-    rows = propagate_times(H, psi, times)
-    assert rows.shape == (len(times), basis.dim)
-    for t, row in zip(times, rows):
-        ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
-        np.testing.assert_allclose(row, ref, atol=1e-12, rtol=0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    size=st.one_of(
-        st.tuples(st.integers(1, 4), st.just(2)), st.tuples(st.integers(1, 3), st.just(3))
-    ),
-    detuning=st.floats(-2.0, 2.0),
-    epsilon=st.floats(0.25, 4.0),
-    time=st.floats(0.0, 6.0),
-)
-def test_sector_evolution_equals_the_dense_full_space(size, detuning, epsilon, time):
-    """H conserves the excitation number, so |e; 0...0> evolved on the
-    excitation <= 1 sector equals its evolution on the whole truncated
-    space 2 (n_max + 1)^N of a larger n_max, where every other amplitude
-    stays 0."""
-    n, n_max = size
-    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
-    sector, full = build_basis(n, excitation_cap=1), build_basis(n, n_max)
-    small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
-    dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
-    embedded = np.zeros(full.dim, dtype=complex)
-    embedded[[full.index[state] for state in sector.states]] = small.amplitudes
-    np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
-
-
-class TestPropagateTimes:
-    def test_one_time_is_propagate_numeric(self):
-        rng = np.random.default_rng(4)
-        params = random_params(rng, n_modes=3)
-        basis = build_basis(3, 1)
-        H = build_hamiltonian(params, basis)
-        psi = random_state(rng, basis)
-        times = [-1.5, 0.0, 0.25, 3.0]
-        rows = propagate_times(H, psi, times)
-        # one row or many take different BLAS kernels: rounding-level gaps
-        for t, row in zip(times, rows):
-            np.testing.assert_allclose(
-                row, propagate_numeric(H, psi, t).amplitudes, atol=1e-14, rtol=0
-            )
-
-    def test_diagonalizes_once_per_operator(self, eigh_calls):
-        basis = build_basis(3, 1, 1)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
-        psi0 = initial_state(basis)
-        propagate_times(H, psi0, np.linspace(0.0, 2.0, 50))
-        propagate_numeric(H, propagate_numeric(H, psi0, 0.3), 0.4)
-        assert eigh_calls == [(basis.dim, basis.dim)]
-        vals, vecs = H.eigh()
-        assert not vals.flags.writeable and not vecs.flags.writeable
-
-    def test_any_non_finite_row_raises(self):
-        basis = build_basis(1, 1, None)
-        H = build_hamiltonian(ModelParams(1, (1e308,), (1.0,)), basis)
-        # the row at t = 0 is finite, the one at 1e10 overflows
-        with pytest.raises(PropagationError, match="non-finite"):
-            propagate_times(H, initial_state(basis), [0.0, 1e10])
-
-    def test_drift_in_any_row_raises(self, monkeypatch):
-        basis = build_basis(2, 1, 1)
+    def test_drift_that_grows_with_time_raises(self, monkeypatch):
+        basis = build_basis(2, excitation_cap=1)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         real_eigh = np.linalg.eigh
 
@@ -509,46 +427,81 @@ class TestPropagateTimes:
 
         monkeypatch.setattr(np.linalg, "eigh", decaying_eigh)
         psi = StateVector(basis, np.full(basis.dim, 1.0 / math.sqrt(basis.dim)))
-        np.testing.assert_allclose(propagate_times(H, psi, [0.0])[0], psi.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(propagate_numeric(H, psi, 0.0).amplitudes, psi.amplitudes,
+                                   atol=1e-15)
         with pytest.raises(PropagationError, match="norm drift"):
-            propagate_times(H, psi, [0.0, 0.0, 2.0])
+            propagate_numeric(H, psi, 2.0)
 
-    @pytest.mark.parametrize("times", [[0.0, math.inf], [math.nan], [-math.inf, 1.0]])
-    def test_rejects_any_non_finite_time(self, times):
-        basis = build_basis(1, 1, 1)
-        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
-        with pytest.raises(ValueError, match="finite"):
-            propagate_times(H, initial_state(basis), times)
+    def test_diagonalizes_once_per_operator(self, eigh_calls):
+        basis = build_basis(3, excitation_cap=1)
+        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        psi0 = initial_state(basis)
+        for t in np.linspace(0.0, 2.0, 50).tolist():
+            propagate_numeric(H, psi0, t)
+        propagate_numeric(H, propagate_numeric(H, psi0, 0.3), 0.4)
+        assert eigh_calls == [(basis.dim, basis.dim)]
+        vals, vecs = H.eigh()
+        assert not vals.flags.writeable and not vecs.flags.writeable
 
-    def test_rejects_non_vector_times(self):
-        basis = build_basis(1, 1, 1)
-        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
-        for times in ([[0.0, 1.0]], np.zeros((2, 4))):
-            with pytest.raises(ValueError, match="1-D"):
-                propagate_times(H, initial_state(basis), times)
 
-    def test_propagate_numeric_takes_one_time(self):
-        basis = build_basis(2, 1)
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
-        with pytest.raises(TypeError):
-            propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
+@settings(max_examples=60, deadline=None)
+@given(
+    basis_spec=st.one_of(
+        st.tuples(st.integers(1, 4), st.none()),
+        st.tuples(st.integers(1, 5), st.integers(0, 3)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+)
+def test_propagate_numeric_matches_scipy_expm(basis_spec, seed, times):
+    n, cap = basis_spec
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, n_modes=n)
+    basis = build_basis(n, excitation_cap=cap)
+    H = build_hamiltonian(params, basis)
+    psi = random_state(rng, basis)
+    for t in times:
+        ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
+        np.testing.assert_allclose(propagate_numeric(H, psi, t).amplitudes, ref,
+                                   atol=1e-12, rtol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    detuning=st.floats(-2.0, 2.0),
+    epsilon=st.floats(0.25, 4.0),
+    time=st.floats(0.0, 6.0),
+)
+def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time):
+    """H conserves the excitation number, so |e; 0...0> evolved on the
+    excitation <= 1 sector equals its evolution on the whole qubit space
+    of dimension 2 * 2^N, where every other amplitude stays 0."""
+    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
+    sector, full = build_basis(n, excitation_cap=1), build_basis(n)
+    assert full.dim == 2 * 2**n
+    small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
+    dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
+    embedded = np.zeros(full.dim, dtype=complex)
+    embedded[[full.index[state] for state in sector.states]] = small.amplitudes
+    np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
 
 
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator(basis, mat)
 
     def test_rejects_wrong_shape(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         with pytest.raises(ValueError):
             HermitianOperator(basis, np.eye(2))
 
     def test_constructor_copies_and_the_owning_path_takes_over(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[1, 2] = mat[2, 1] = 0.5
         copied = HermitianOperator(basis, mat)
@@ -562,7 +515,7 @@ class TestHermitianOperator:
             HermitianOperator._from_owned(basis, bad)
 
     def test_keeps_its_defect(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1], mat[1, 0] = 0.5, 0.5 + 4e-13
         H = HermitianOperator(basis, mat)
@@ -571,7 +524,7 @@ class TestHermitianOperator:
         assert build_hamiltonian(ModelParams.resonant(1, 1.0), basis).defect == 0.0
 
     def test_refuses_a_stack(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         with pytest.raises(ValueError, match=r"shape \(2, 3, 3\) does not match"):
             HermitianOperator(basis, np.zeros((2, 3, 3)))
 
@@ -600,8 +553,8 @@ class TestRowsAreCheckedOnce:
         assert (row_checks, norms) == ([], [3, 5])
         assert not psi.amplitudes.flags.writeable
 
-    def test_numeric_route_checks_in_propagate_times_only(self, row_checks):
-        basis = build_basis(3, 1, 1)
+    def test_numeric_route_checks_in_propagate_numeric_only(self, row_checks):
+        basis = build_basis(3, excitation_cap=1)
         psi0 = initial_state(basis)
         row_checks.clear()
         psi = propagate_numeric(build_hamiltonian(ModelParams.resonant(3, 1.0), basis), psi0, 0.4)

@@ -27,11 +27,11 @@ def e(*occ):
 
 class TestBuildBasis:
     def test_single_mode_single_excitation(self):
-        basis = build_basis(n_modes=1, n_max=1, excitation_cap=1)
+        basis = build_basis(n_modes=1, excitation_cap=1)
         assert basis.states == (g(0), g(1), e(0))
 
     def test_three_modes_single_excitation(self):
-        basis = build_basis(n_modes=3, n_max=1, excitation_cap=1)
+        basis = build_basis(n_modes=3, excitation_cap=1)
         assert basis.dim == 5
         assert set(basis.states) == {g(0, 0, 0), g(1, 0, 0), g(0, 1, 0), g(0, 0, 1), e(0, 0, 0)}
         # ground block first, then the excited block
@@ -39,81 +39,89 @@ class TestBuildBasis:
         assert basis.states[-1] == e(0, 0, 0)
 
     def test_two_modes_uncapped(self):
-        basis = build_basis(n_modes=2, n_max=1)
+        basis = build_basis(n_modes=2)
         assert basis.dim == 8  # 2 atom levels x 2^2 occupations
 
-    @pytest.mark.parametrize("n_modes, n_max", [(1, 1), (3, 1), (4, 2), (2, 5), (6, 3)])
-    def test_uncapped_order_is_ground_block_then_lexicographic(self, n_modes, n_max):
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 6])
+    def test_uncapped_order_is_ground_block_then_lexicographic(self, n_modes):
         """The documented order of an uncapped basis: the ground block, then
-        the excited block, each in ascending lexicographic order of the
+        the excited block, each in ascending lexicographic order of the 0/1
         occupations, which is the order of itertools.product."""
-        occupations = list(itertools.product(range(n_max + 1), repeat=n_modes))
-        assert build_basis(n_modes, n_max).states == tuple(
+        occupations = list(itertools.product(range(2), repeat=n_modes))
+        assert build_basis(n_modes).states == tuple(
             BasisState(atom, occ) for atom in AtomLevel for occ in occupations
         )
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_single_excitation_dimension(self, n):
-        assert build_basis(n, n_max=1, excitation_cap=1).dim == n + 2
+        assert build_basis(n, excitation_cap=1).dim == n + 2
 
     def test_index_round_trip(self):
         for basis in (
-            build_basis(3, 1, 1),
-            build_basis(2, 2, None),
-            build_basis(4, 1, 2),
-            build_basis(2, 3, 3),
+            build_basis(3, excitation_cap=1),
+            build_basis(2),
+            build_basis(4, excitation_cap=2),
+            build_basis(5, excitation_cap=3),
         ):
             for k, state in enumerate(basis.states):
                 assert basis.index[state] == k
 
     def test_cap_filters_total_excitation(self):
-        basis = build_basis(3, n_max=2, excitation_cap=2)
+        basis = build_basis(4, excitation_cap=2)
         assert all(int(s.atom) + sum(s.occupations) <= 2 for s in basis.states)
         # brute-force count over the full product space
         expected = sum(
             1
             for atom in (0, 1)
-            for occ in np.ndindex(3, 3, 3)
+            for occ in np.ndindex(2, 2, 2, 2)
             if atom + sum(occ) <= 2
         )
         assert basis.dim == expected
 
     def test_deterministic_ordering(self):
-        assert build_basis(3, 2, 2).states == build_basis(3, 2, 2).states
+        assert build_basis(4, excitation_cap=2).states == build_basis(4, excitation_cap=2).states
 
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
-            build_basis(0, 1, 1)
+            build_basis(0, excitation_cap=1)
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(14, n_max=1)  # 2^15 > 16384
+            build_basis(14)  # 2^15 > 16384
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(9, n_max=2, excitation_cap=18)  # 2 * 3^9 > 16384
+            build_basis(14, excitation_cap=14)  # a cap that cuts nothing: 2^15 > 16384
+
+    def test_has_no_photon_number_truncation(self):
+        """Every mode is a qubit: there is no n_max to pass, and no alias
+        of it is taken in silence."""
+        with pytest.raises(TypeError):
+            build_basis(3, n_max=1)
+        with pytest.raises(TypeError):
+            build_basis(3, 1, 1)
 
     def test_memoized_per_arguments(self):
-        basis = build_basis(3, 1)
-        assert build_basis(3, n_max=1, excitation_cap=None) is basis
-        assert build_basis(3, 1, 1) is not basis
+        basis = build_basis(3)
+        assert build_basis(3, excitation_cap=None) is basis
+        assert build_basis(3, excitation_cap=1) is not basis
         with pytest.raises(TypeError):  # shared between callers, so read-only
             basis.index[basis.states[0]] = 1
 
-    @pytest.mark.parametrize("args", [(3.0, 1), (3, 1.0), (3, 1, 1.0), (3, 1, -1)])
+    @pytest.mark.parametrize("args", [(3.0,), (3.0, 1), (3, 1.0), (3, -1)])
     def test_checks_arguments_before_the_cache(self, args):
-        build_basis(3, 1)
-        build_basis(3, 1, 1)
+        build_basis(3)
+        build_basis(3, excitation_cap=1)
         with pytest.raises(ValueError, match="integer"):
             build_basis(*args)
 
     def test_dimension_limit_is_inclusive(self):
-        assert build_basis(13, n_max=1).dim == 16384
+        assert build_basis(13).dim == 16384
 
     def test_large_mode_count_with_cap(self):
-        basis = build_basis(2000, n_max=1, excitation_cap=1)
+        basis = build_basis(2000, excitation_cap=1)
         assert basis.dim == 2002
 
     def test_levels_table_matches_states(self):
-        for basis in (build_basis(3, 2), build_basis(4, 1, excitation_cap=2)):
+        for basis in (build_basis(3), build_basis(4, excitation_cap=2)):
             levels = basis.levels
             assert levels.shape == (basis.dim, basis.n_modes + 1)
             assert [tuple(row) for row in levels.tolist()] == [
@@ -125,43 +133,43 @@ class TestBuildBasis:
 
 class TestStateVector:
     def test_initial_state_three_modes(self):
-        basis = build_basis(3, 1, 1)
+        basis = build_basis(3, excitation_cap=1)
         psi = initial_state(basis)
         assert psi.amplitude(e(0, 0, 0)) == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
 
     def test_initial_state_one_mode(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         psi = initial_state(basis)
         assert psi.amplitude(e(0)) == 1.0
 
     def test_initial_state_is_normalized(self):
-        psi = initial_state(build_basis(4, 1, 1))
+        psi = initial_state(build_basis(4, excitation_cap=1))
         assert psi.norm() == pytest.approx(1.0, abs=1e-15)
 
     def test_initial_state_requires_excited_atom(self):
-        basis = build_basis(2, 1, excitation_cap=0)
+        basis = build_basis(2, excitation_cap=0)
         with pytest.raises(ValueError):
             initial_state(basis)
 
     def test_rejects_unnormalized(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         with pytest.raises(ValueError, match="norm"):
             StateVector(basis, [0.5, 0.0, 0.0])
 
     def test_rejects_wrong_length(self):
-        basis = build_basis(1, 1, 1)
+        basis = build_basis(1, excitation_cap=1)
         with pytest.raises(ValueError):
             StateVector(basis, [1.0, 0.0])
 
     def test_immutable(self):
-        psi = initial_state(build_basis(1, 1, 1))
+        psi = initial_state(build_basis(1, excitation_cap=1))
         with pytest.raises((ValueError, AttributeError)):
             psi.amplitudes[0] = 0.0
 
     def test_randomized_constructor_norm_invariant(self):
         rng = np.random.default_rng(7)
-        basis = build_basis(3, 1, None)
+        basis = build_basis(3)
         for _ in range(25):
             raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             psi = StateVector(basis, raw / np.linalg.norm(raw))
@@ -172,8 +180,7 @@ def state_dict(psi):
     """The layout that ``simulate --dump-state`` writes, for any state."""
     basis = psi.basis
     return {
-        "basis": {"n_modes": basis.n_modes, "n_max": basis.n_max,
-                  "excitation_cap": basis.excitation_cap},
+        "basis": {"n_modes": basis.n_modes, "n_max": 1, "excitation_cap": basis.excitation_cap},
         "amplitudes": [[a.real, a.imag] for a in psi.amplitudes.tolist()],
     }
 
@@ -181,7 +188,7 @@ def state_dict(psi):
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
-        basis = build_basis(3, 1, 1)
+        basis = build_basis(3, excitation_cap=1)
         raw = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         psi = StateVector(basis, raw / np.linalg.norm(raw))
         back = state_from_dict(state_dict(psi))
@@ -195,19 +202,27 @@ class TestSerialization:
         data = json.loads(capsys.readouterr().out)["state"]
         assert data["basis"] == {"n_modes": 2, "n_max": 1, "excitation_cap": 1}
         assert all(len(pair) == 2 for pair in data["amplitudes"])
-        psi = initial_state(build_basis(2, 1, 1))
+        psi = initial_state(build_basis(2, excitation_cap=1))
         assert data["amplitudes"][psi.basis.index[e(0, 0)]] == [1.0, 0.0]
         np.testing.assert_array_equal(state_from_dict(data).amplitudes, psi.amplitudes)
 
     def test_uncapped_round_trip(self):
-        psi = initial_state(build_basis(2, 1, None))
+        psi = initial_state(build_basis(2))
         data = state_dict(psi)
         assert data["basis"]["excitation_cap"] is None
         assert state_from_dict(data).basis == psi.basis
 
+    def test_refuses_a_dump_with_two_photons_per_mode(self):
+        """A dump that allows two photons per mode describes a space this
+        package does not model, so it is refused, not read as qubits."""
+        data = state_dict(initial_state(build_basis(2, excitation_cap=1)))
+        data["basis"]["n_max"] = 2
+        with pytest.raises(ValueError, match="n_max must be 1"):
+            state_from_dict(data)
+
 
 def test_atom_population_splits_by_level():
-    basis = build_basis(2, 1, 1)
+    basis = build_basis(2, excitation_cap=1)
     amps = np.zeros(4, complex)
     amps[basis.index[e(0, 0)]] = math.sqrt(0.25)
     amps[basis.index[g(1, 0)]] = math.sqrt(0.5)
@@ -220,7 +235,6 @@ def test_atom_population_splits_by_level():
 def test_basis_state_labels():
     assert g(1, 0, 0).label() == "|g;100>"
     assert e(0).label() == "|e;0>"
-    assert g(0, 12).label() == "|g;0,12>"
 
 
 def _atom_population_by_state(psi, level):
@@ -232,11 +246,10 @@ def _atom_population_by_state(psi, level):
     return min(float(total), 1.0)
 
 
-@pytest.mark.parametrize("spec", [(3, 1, None), (2, 2, None), (4, 1, 2), (9, 1, 1), (3, 2, 3),
-                                  (7, 1, None), (2, 1, 0)])
+@pytest.mark.parametrize("spec", [(3, None), (2, None), (4, 2), (9, 1), (3, 3), (7, None), (2, 0)])
 def test_atom_population_equals_the_per_state_loop(spec):
     basis = build_basis(*spec)
-    rng = np.random.default_rng(spec[0] * 100 + spec[1])
+    rng = np.random.default_rng(spec[0] * 100 + 1)
     for _ in range(20):
         raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         raw[rng.random(basis.dim) < 0.3] = 0.0  # some sparse amplitudes too
@@ -251,6 +264,6 @@ def test_atom_population_equals_the_per_state_loop(spec):
 
 
 def test_state_vector_holds_one_state():
-    basis = build_basis(2, 1, 1)
+    basis = build_basis(2, excitation_cap=1)
     with pytest.raises(ValueError, match=r"shape \(3, 4\), basis has dimension 4"):
         StateVector(basis, np.eye(basis.dim, dtype=complex)[:3])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcavity import sector
+from wcavity import normals, sector
 from wcavity.cli import build_parser, main
 from wcavity.dynamics import (
     ModelParams,
     build_hamiltonian,
     propagate_numeric,
-    propagate_times,
 )
 from wcavity.entanglement import fidelity, w_state
 from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
     CSV_HEADER,
+    _NORMAL_BOUND,
     SweepResult,
     SweepRow,
     _default_grid,
@@ -147,11 +148,35 @@ class TestCouplingDisorderSweep:
         row = res.rows[0]
         assert 0.0 <= row.fidelity_min and row.fidelity_max <= 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_draws_are_refused(self):
-        # draws near 1e308 overflow Omega or the couplings themselves
-        with pytest.raises(ValueError, match="finite"):
-            coupling_disorder_sweep(3, 1.0, (1e308,), 20, 0)
+    @pytest.mark.parametrize("grid", [(0.0, 1e200), (1e154,)])
+    def test_a_sigma_whose_draws_may_overflow_is_refused_before_drawing(
+            self, grid, capsys, monkeypatch):
+        """Every draw is at most ``_NORMAL_BOUND`` in size, so a sigma at
+        which N (epsilon (1 + 14 sigma))^2 overflows is refused up front,
+        by name, as the CLI refuses it; 1e154 ran before this rule, with
+        draws that happened to stay small."""
+        monkeypatch.setattr(normals, "standard_normals", None)  # no draw is made
+        message = f"^--grid entry {re.escape(repr(max(grid)))} is too large for --epsilon 1.0: "
+        with pytest.raises(ValueError, match=message + r".* overflows at N = 3$") as refused:
+            coupling_disorder_sweep(3, 1.0, grid, 20, 0)
+        assert_cli_refuses(capsys, refused.value, "--n", "3", "--parameter", "coupling-disorder",
+                           "--grid", ",".join(map(repr, grid)), "--trials", "20")
+
+    def test_a_default_grid_entry_is_named_as_such(self, capsys):
+        # sigma = 0.04 is the first entry of 0, 0.01, ..., 0.1 at which
+        # 3 (5e153 (1 + 14 sigma))^2 overflows
+        with pytest.raises(ValueError, match=r"^default grid entry 0\.04 is too large "
+                                             r"for --epsilon 5e\+153: ") as refused:
+            coupling_disorder_sweep(3, 5e153, None, 1, 0)
+        assert_cli_refuses(capsys, refused.value, "--n", "3", "--parameter", "coupling-disorder",
+                           "--epsilon", "5e153")
+
+    def test_the_normal_bound_holds_every_draw(self):
+        """The largest |draw| of ``normals.standard_normals`` comes from its
+        ziggurat tail at the largest uniform double below 1:
+        R + ln(2^53) / R."""
+        tail = normals.ZIGGURAT_R + 53.0 * math.log(2.0) * normals.ZIGGURAT_INV_R
+        assert 13.7 < tail < _NORMAL_BOUND == 14.0
 
     def test_rejects_negative_sigma(self, capsys):
         with pytest.raises(ValueError, match=">= 0") as refused:
@@ -206,14 +231,14 @@ class TestDisorderOracle:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("sigma", [1e308, 1e200, 1e155])
-    def test_overflowing_draws_are_refused_as_by_the_numpy_route(self, sigma):
-        # 1e308: some coupling is infinite; 1e200 and 1e155: sum eps_i^2 overflows
+    def test_what_the_numpy_route_overflows_on_is_refused_up_front(self, sigma):
+        # 1e308: some coupling is infinite; 1e200 and 1e155: sum eps_i^2
+        # overflows.  The sweep refuses each sigma before it draws.
         args = ((sigma,), 20, 0)
-        with pytest.raises(ValueError) as expected:
+        with pytest.raises(ValueError, match="finite"):
             numpy_disorder_rows(3, 1.0, *args)
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(ValueError, match=r"^--grid entry .* \(1 \+ 14 sigma\)\)\^2 overflows"):
             coupling_disorder_sweep(3, 1.0, *args)
-        assert str(refused.value) == str(expected.value)
 
     def test_pinned_cell(self):
         """N = 40, seed 0, sigma = 0.03: Python's sum over the overlap gave
@@ -328,7 +353,7 @@ grid_st = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)
 def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
-    basis = build_basis(n, n_max=1, excitation_cap=1)
+    basis = build_basis(n, excitation_cap=1)
     params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
     psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
     return fidelity(psi, w_state(n, basis))
@@ -345,11 +370,8 @@ def assert_rows(result, grid, fids):
 @given(n=n_st, epsilon=epsilon_st, grid=grid_st)
 def test_timing_rows_match_the_dense_propagator(n, epsilon, grid):
     result = timing_error_sweep(n, epsilon, grid)
-    basis = build_basis(n, n_max=1, excitation_cap=1)
-    H = build_hamiltonian(ModelParams.resonant(n, epsilon), basis)
-    times = optimal_time(n, epsilon) + np.array(grid) / epsilon
-    states = propagate_times(H, initial_state(basis), times)
-    assert_rows(result, grid, w_fidelities(states).tolist())
+    t_star = optimal_time(n, epsilon)
+    assert_rows(result, grid, [dense_fidelity(n, epsilon, t_star + x / epsilon) for x in grid])
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,9 +475,9 @@ SWEEP_REFUSALS = list(corpus_sweep_refusals())
 
 def test_the_corpus_pins_the_sweep_refusals():
     # by range: the angle of five grid entries, the disorder sweep's
-    # epsilon^2 twice, and t* five times; by size: N three times, the
-    # largest mode count and the amplitude count once each
-    assert len(SWEEP_REFUSALS) == 17
+    # epsilon^2 twice and its sigma twice, and t* five times; by size: N
+    # three times, the largest mode count and the amplitude count once each
+    assert len(SWEEP_REFUSALS) == 19
     assert sum(" above the limit" in message for _, message in SWEEP_REFUSALS) == 5
 
 

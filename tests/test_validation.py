@@ -73,7 +73,7 @@ def test_composition_diagonalizes_once_per_draw(eigh_calls):
 
 def test_unitarity_check_sees_a_drift_the_propagator_renormalizes(monkeypatch):
     """Eigenvectors scaled by 1 + 1e-11 make every evolved norm drift by
-    about 1e-11, below ``NORM_DRIFT_TOL``, so ``propagate_times`` divides
+    about 1e-11, below ``NORM_DRIFT_TOL``, so ``propagate_numeric`` divides
     it out; the check reads the cached eigenvectors themselves and fails."""
     assert check_unitarity(np.random.default_rng(3)).measured <= 1e-14
     real_eigh = np.linalg.eigh
@@ -99,9 +99,8 @@ def test_unitarity_check_draws_only_the_parameters():
 def test_composition_check_fails_on_a_time_offset_in_the_propagator(monkeypatch):
     """A propagator that evolves every state 0.01 too far, a fixed delay,
     breaks U(t2) U(t1) = U(t1 + t2), which no single evolution shows."""
-    real = dynamics.propagate_times
-    monkeypatch.setattr(dynamics, "propagate_times",
-                        lambda H, psi, times: real(H, psi, np.asarray(times) + 0.01))
+    real = dynamics.propagate_numeric
+    monkeypatch.setattr(validation, "propagate_numeric", lambda H, psi, t: real(H, psi, t + 0.01))
     result = check_composition(np.random.default_rng(3))
     assert not result.passed
     assert result.measured > 1e-4
@@ -214,7 +213,7 @@ def _params_one_draw_at_a_time(check, rng):
     for _ in range(100 if check == "oracle" else 50 if check == "composition" else 24):
         if check == "composition":
             params.append(validation._random_params(rng))
-            dim = validation.build_basis(params[-1].n_modes, n_max=1).dim
+            dim = validation.build_basis(params[-1].n_modes).dim
             rng.standard_normal(dim), rng.standard_normal(dim)  # the state
             rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)  # t1, t2
             continue

@@ -12,7 +12,7 @@ from wcavity.fock import AtomLevel, BasisState, build_basis
 
 
 def _instances():
-    basis = build_basis(2, 1, 1)
+    basis = build_basis(2, excitation_cap=1)
     check = validation.CheckResult("hermiticity", True, 0.0, 1e-12, 1)
     row = protocol.SweepRow(0.0, 1.0, 1.0, 1.0)
     return {
@@ -56,7 +56,7 @@ def test_value_classes_equal_their_own_class_only():
     assert hash(state) == hash(BasisState(AtomLevel.GROUND, (1, 0)))
     assert state != (AtomLevel.GROUND, (1, 0))
     assert state != BasisState(AtomLevel.EXCITED, (1, 0))
-    assert build_basis(2, 1, None).index.get((AtomLevel.GROUND, (1, 0))) is None
+    assert build_basis(2).index.get((AtomLevel.GROUND, (1, 0))) is None
 
     params = ModelParams(2, (0, 0.2), (1, 2))
     same = ModelParams(2, (0.0, 0.2), (1.0, 2.0))
@@ -66,10 +66,10 @@ def test_value_classes_equal_their_own_class_only():
     assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
     assert "couplings=(1.0, 2.0)" in repr(params)
 
-    basis = build_basis(2, 1, 1)
-    assert basis == fock.Basis(2, 1, 1, basis.states)
-    assert basis != build_basis(2, 1, None)
-    assert repr(basis) == "Basis(n_modes=2, n_max=1, excitation_cap=1)"
+    basis = build_basis(2, excitation_cap=1)
+    assert basis == fock.Basis(2, 1, basis.states)
+    assert basis != build_basis(2)
+    assert repr(basis) == "Basis(n_modes=2, excitation_cap=1)"
 
 
 def test_sweep_row_fields_are_the_csv_columns():

@@ -1,11 +1,11 @@
 """Command-line interface: simulate, sweep, entanglement, validate.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
-input outside the size or range rule of the route its command runs,
-which the library keeps in ``sector`` and ``protocol.require_grid``), 3
-numerical failure.  Times are given in units of 1/epsilon, and every
-evolution runs in the interaction frame, on resonance but in the detuning
-sweep.
+input outside the size or range rule of its route, kept by the library
+in ``sector`` and, run by the sweep alone, ``protocol.require_grid``), 3
+numerical failure.  Times are in units of 1/epsilon; every evolution runs
+in the interaction frame, on resonance but in the detuning sweep.  Every
+output goes through ``_write``.
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ def _require_valid(key: str, option: Option, value) -> None:
 def resolve_config(args) -> dict:
     """The command and the value of each option it reads, in ``OPTIONS``
     order: the flag if given, else the config-file value, else the
-    command's default, else the option's; a sweep's grid is a tuple of
-    floats that ``protocol.require_grid`` has checked.  Every config-file
-    value is parsed and checked, a value a flag overrides too; a refused
-    one is named by its file line.  Refuses, before any work, an input
-    outside the size or range rule of the route its command runs, as the
-    library does: a sweep's by ``protocol.require_grid``, that of
-    ``simulate`` and ``entanglement`` by ``sector``'s checks of N, the
-    amplitude count, t* and the --time angle."""
+    command's default, else the option's; a sweep's grid is the tuple of
+    floats given, or None for the default grid.  Every config-file value
+    is parsed and checked, a value a flag overrides too; a refused one is
+    named by its file line.  Refuses, before any work, an input of
+    ``simulate`` or ``entanglement`` outside the size or range rule of its
+    route, by ``sector``'s checks of N, the amplitude count, t* and the
+    --time angle.  A sweep's grid and sizes are left to the sweep, whose
+    ``protocol.require_grid`` refuses them before any work."""
     command = COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - command.options
@@ -238,12 +238,6 @@ def resolve_config(args) -> dict:
                 raise ValueError(f"{_flag(key)} is not read by --parameter {parameter} "
                                  f"({reason})")
             del config[key]
-        from .protocol import require_grid
-
-        config["grid"] = require_grid(
-            parameter, config["grid"], config.get("n"), config["epsilon"],
-            **{k: config[k] for k in ("trials", "seed") if k in config},
-        )
         return config
     n = config["n"]
     sector.require_modes(n, f"--n {n}")
@@ -319,15 +313,38 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _write(outputs) -> None:
+    """Write each (target, lines) of ``outputs`` by one ``writelines``; a
+    target of ``-`` is stdout.  If a write fails, remove the files this
+    call created, and only those: a path that existed before is kept."""
+    created = []
+    try:
+        for target, lines in outputs:
+            if target == "-":
+                sys.stdout.writelines(lines)
+                continue
+            try:
+                handle = open(target, "x")
+                created.append(target)
+            except FileExistsError:
+                handle = open(target, "w")
+            with handle:
+                handle.writelines(lines)
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _json_lines(value):
+    # lazy, so that a sidecar's text is made only after its CSV is written
+    yield json.dumps(_rounded(value), indent=2) + "\n"
+
+
 def _emit(report: dict, config: dict) -> None:
-    if config["format"] == "json":
-        text = json.dumps(_rounded(report), indent=2) + "\n"
-    else:
-        text = _report_to_csv(_rounded(report))
-    if config["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        Path(config["out"]).write_text(text)
+    csv = config["format"] == "csv"
+    lines = [_report_to_csv(_rounded(report))] if csv else _json_lines(report)
+    _write([(config["out"], lines)])
 
 
 def cmd_simulate(config: dict) -> int:
@@ -361,51 +378,33 @@ def cmd_simulate(config: dict) -> int:
     return 0
 
 
-def _sidecar_path(out: Path) -> Path:
-    if out.suffix == ".csv":
-        return out.with_suffix(".meta.json")
-    return Path(str(out) + ".meta.json")
-
-
 def cmd_sweep(config: dict) -> int:
     # looked up on the module at the call, where a tracer may have wrapped it
     from . import protocol
 
-    parameter, eps, grid = config["parameter"], config["epsilon"], config["grid"]
+    parameter, eps, n = config["parameter"], config["epsilon"], config.get("n")
     if parameter == "timing-error":
-        result = protocol.timing_error_sweep(config["n"], eps, grid)
+        result = protocol.timing_error_sweep(n, eps, config["grid"])
     elif parameter == "coupling-disorder":
-        result = protocol.coupling_disorder_sweep(config["n"], eps, grid, config["trials"],
+        result = protocol.coupling_disorder_sweep(n, eps, config["grid"], config["trials"],
                                                   config["seed"])
     elif parameter == "detuning":
-        result = protocol.detuning_sweep(config["n"], eps, grid)
+        result = protocol.detuning_sweep(n, eps, config["grid"])
     else:
-        result = protocol.mode_count_sweep(eps, grid)
+        result = protocol.mode_count_sweep(eps, config["grid"])
+    # the admitted grid (the default for None) from the rows; no local keeps the given one
+    config["grid"] = tuple(row.x for row in result.rows)
     result.metadata["config"] = json.dumps(_echo(config), sort_keys=True)
 
-    csv = config["format"] == "csv"
-    if csv:
-        lines = result.csv_lines()
-    else:
-        lines = [json.dumps(_rounded(result.to_dict()), indent=2) + "\n"]
-    if config["out"] == "-":
+    if config["format"] == "json":
+        _emit(result.to_dict(), config)
+    elif config["out"] == "-":
         # no sidecar: the CSV comment lines already carry the metadata
-        sys.stdout.writelines(lines)
-        return 0
-    out = Path(config["out"])
-    written: list[Path] = []
-    try:
-        with out.open("w") as handle:
-            written.append(out)
-            handle.writelines(lines)
-        if csv:
-            sidecar = _sidecar_path(out)
-            sidecar.write_text(json.dumps(_rounded(result.metadata), indent=2) + "\n")
-            written.append(sidecar)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        _write([("-", result.csv_lines())])
+    else:
+        out = Path(config["out"])
+        sidecar = out.with_suffix(".meta.json") if out.suffix == ".csv" else f"{out}.meta.json"
+        _write([(out, result.csv_lines()), (sidecar, _json_lines(result.metadata))])
     return 0
 
 

@@ -259,9 +259,9 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     mean sums its trials in numpy's order, so the rows are those of the
     numpy route that the tests keep as the oracle.
     """
-    from .normals import standard_normals
-
     grid = require_grid("coupling-disorder", grid, n, epsilon, trials, seed)
+    from .normals import standard_normals  # after the refusal: a refused sweep compiles nothing
+
     t_star = optimal_time(n, epsilon)
     rows = []
     for gi, sigma in enumerate(grid):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import inspect
 import io
@@ -28,6 +29,7 @@ from wcavity.dynamics import (
 )
 from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
+from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, SWEEP_PARAMETERS
 
 
@@ -662,6 +664,79 @@ def test_sweep_leaves_no_partial_output_when_a_line_fails(capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_keeps_an_out_file_that_existed_when_the_sidecar_fails(capsys, tmp_path):
+    """A failed write removes only the files its run created: an --out
+    file that existed before holds the run's CSV and is left in place."""
+    out = tmp_path / "x.csv"
+    out.write_text("earlier\n")
+    (tmp_path / "x.meta.json").mkdir()  # the sidecar path cannot be written
+    code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out.read_text().startswith("# config=")
+    assert (tmp_path / "x.meta.json").is_dir()
+
+
+def run_with_file_size_limit(argv, limit, cwd):
+    """``main(argv)`` in a fresh process whose files may grow to ``limit``
+    bytes: a write past it stops part-way and raises EFBIG."""
+    code = (
+        "import resource, signal, sys\n"
+        "from wcavity.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_simulate_leaves_no_file_when_a_write_fails_part_way(tmp_path):
+    proc = run_with_file_size_limit(["simulate", "--out", "report.json"], 10, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: [Errno {errno.EFBIG}]")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_removes_the_csv_and_sidecar_it_created_when_the_sidecar_fails(tmp_path):
+    """The file size limit admits the CSV and cuts the sidecar part-way:
+    both files, created by the run, are removed."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    assert main(["sweep", "--grid", "0", "--out", str(first / "x.csv")]) == 0
+    # the two runs differ only in the directory name, of the same length
+    csv_size = (first / "x.csv").stat().st_size
+    assert (first / "x.meta.json").stat().st_size > csv_size
+    proc = run_with_file_size_limit(["sweep", "--grid", "0", "--out", str(second / "x.csv")],
+                                    csv_size, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: [Errno {errno.EFBIG}]")
+    assert list(second.iterdir()) == []
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_a_sweep_is_admitted_by_one_require_grid_call(parameter, capsys, monkeypatch):
+    """The CLI leaves the admission of a sweep to the sweep, which calls
+    ``protocol.require_grid`` once."""
+    from wcavity import protocol
+
+    calls = []
+    real = protocol.require_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "require_grid", counting)
+    args = ["sweep", "--parameter", parameter, "--out", "-"]
+    args += [] if parameter == "mode-count" else ["--n", "2"]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert calls == [parameter]
+
+
 @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
 def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, monkeypatch):
     from wcavity import protocol
@@ -934,28 +1009,35 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
     assert basis_builds == ["build_basis"]
 
 
+def admit(case):
+    """Admit ``case``: a ``simulate`` or ``entanglement`` argv by
+    ``resolve_config``, and a sweep, given as the arguments of
+    ``protocol.require_grid``, by that call, the only one that admits it."""
+    if isinstance(case, tuple):
+        return require_grid(*case)
+    return resolve_config(build_parser().parse_args([*case, "--out", "-"]))
+
+
 @pytest.mark.parametrize("largest, args", [
     (MAX_MODES, lambda k: ["simulate", "--n", str(k)]),
     # 8001 mode pairs of 129 amplitudes
     (127, lambda k: ["entanglement", "--n", str(k)]),
-    (MAX_MODES, lambda k: ["sweep", "--parameter", "timing-error", "--n", str(k), "--grid", "0"]),
+    (MAX_MODES, lambda k: ("timing-error", (0.0,), k, 1.0)),
     # the amplitudes of N = 3, 5 per grid entry, trial and mode count of 1
-    (209715, lambda k: ["sweep", "--parameter", "timing-error", "--n", "3", "--grid", zeros(k)]),
-    (209715, lambda k: ["sweep", "--parameter", "detuning", "--n", "3", "--grid", zeros(k)]),
-    (349525, lambda k: ["sweep", "--parameter", "mode-count", "--grid", ",".join(["1"] * k)]),
+    (209715, lambda k: ("timing-error", (0.0,) * k, 3, 1.0)),
+    (209715, lambda k: ("detuning", (0.0,) * k, 3, 1.0)),
+    (349525, lambda k: ("mode-count", (1.0,) * k, None, 1.0)),
     # on the 11-entry default grid
-    (19065, lambda k: ["sweep", "--parameter", "coupling-disorder", "--n", "3", "--trials", str(k)]),
+    (19065, lambda k: ("coupling-disorder", None, 3, 1.0, k)),
 ], ids=["simulate", "entanglement", "timing-error", "timing-error-grid", "detuning", "mode-count",
         "coupling-disorder"])
-def test_sweep_admission_bound(largest, args, tmp_path):
+def test_sweep_admission_bound(largest, args):
     """The largest input of each route that the size rule admits, and the
     next one refused: at most MAX_MODES modes and MAX_AMPLITUDES
     amplitudes."""
-    parser = build_parser()
-    out = ["--out", str(tmp_path / "x.csv")]
-    resolve_config(parser.parse_args([*args(largest), *out]))
+    admit(args(largest))
     with pytest.raises(ValueError, match="above the limit of"):
-        resolve_config(parser.parse_args([*args(largest + 1), *out]))
+        admit(args(largest + 1))
 
 
 @pytest.mark.parametrize("argv, amplitudes", [
@@ -987,46 +1069,44 @@ def test_peak_memory_is_a_few_times_the_largest_array(argv, amplitudes, capsys):
     assert peak <= 512 * amplitudes
 
 
+# a disorder sweep's trials: the CLI's default
+DISORDER_TRIALS = 100
+
+
 @pytest.mark.parametrize("admitted, refused", [
     # t* = pi / (2 sqrt(N) epsilon) against the largest double
     (["simulate", "--epsilon", "5.05e-309"], ["simulate", "--epsilon", "5.04e-309"]),
     # epsilon^2 against the smallest normal double, 2.2250738585072014e-308
-    (["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.5e-154"],
-     ["sweep", "--parameter", "coupling-disorder", "--epsilon", "1.4e-154"]),
+    (("coupling-disorder", None, 3, 1.5e-154, DISORDER_TRIALS),
+     ("coupling-disorder", None, 3, 1.4e-154, DISORDER_TRIALS)),
     # 2 sqrt(N) epsilon, the denominator of t*, against the largest double
     (["simulate", "--n", "3", "--epsilon", "5.18e307"], ["simulate", "--n", "3", "--epsilon", "5.19e307"]),
     (["simulate", "--n", "13", "--epsilon", "2.49e307"], ["simulate", "--n", "13", "--epsilon", "2.5e307"]),
-    (["sweep", "--parameter", "mode-count", "--grid", "1,39", "--epsilon", "1.43e307"],
-     ["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "1.43e307"]),
+    (("mode-count", (1.0, 39.0), None, 1.43e307), ("mode-count", (1.0, 40.0), None, 1.43e307)),
     # the angle Omega t = sqrt(3) time
     (["simulate", "--time", "1.03e308"], ["simulate", "--time", "1.04e308"]),
     # the timing-error and detuning sweeps: t* = pi / (2 sqrt(3) epsilon),
     # the angle Omega (t* + x / epsilon) and the detuning x * epsilon
-    (["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.05e-309"],
-     ["sweep", "--n", "3", "--grid", "0", "--epsilon", "5.04e-309"]),
-    (["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.05e-309"],
-     ["sweep", "--n", "3", "--parameter", "detuning", "--grid", "0", "--epsilon", "5.04e-309"]),
-    (["sweep", "--n", "3", "--grid", "1.03e308"], ["sweep", "--n", "3", "--grid", "1.04e308"]),
-    (["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.79e298"],
-     ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.8e298"]),
+    (("timing-error", (0.0,), 3, 5.05e-309), ("timing-error", (0.0,), 3, 5.04e-309)),
+    (("detuning", (0.0,), 3, 5.05e-309), ("detuning", (0.0,), 3, 5.04e-309)),
+    (("timing-error", (1.03e308,), 3, 1.0), ("timing-error", (1.04e308,), 3, 1.0)),
+    (("detuning", (1.79e298,), 3, 1e10), ("detuning", (1.8e298,), 3, 1e10)),
     # the disorder sweep's largest coupling, epsilon (1 + 14 sigma), in
     # N (epsilon (1 + 14 sigma))^2 against the largest double
-    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "5.52e152"],
-     ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--grid", "5.53e152"]),
+    (("coupling-disorder", (5.52e152,), 3, 1.0, DISORDER_TRIALS),
+     ("coupling-disorder", (5.53e152,), 3, 1.0, DISORDER_TRIALS)),
 ], ids=["simulate-small", "disorder-small", "simulate-large", "simulate-13-large",
         "mode-count-large", "time", "timing-epsilon", "detuning-epsilon", "timing-grid",
         "detuning-grid", "disorder-grid"])
-def test_closed_form_range_bound(admitted, refused, tmp_path):
+def test_closed_form_range_bound(admitted, refused):
     """The range rule admits the first input and refuses the second: t*,
     each angle and detuning of the sector routes, and epsilon^2 and the
     largest drawn coupling's sum of squares for the coupling-disorder
     sweep, as finite or normal doubles."""
-    parser = build_parser()
-    out = ["--out", str(tmp_path / "x.csv")]
-    resolve_config(parser.parse_args([*admitted, *out]))
+    admit(admitted)
     with pytest.raises(ValueError,
                        match="^(epsilon|--epsilon|--time|--grid) .* is too (small|large)"):
-        resolve_config(parser.parse_args([*refused, *out]))
+        admit(refused)
 
 
 @pytest.mark.parametrize("parameter", ["timing-error", "detuning", "mode-count", "simulate"])

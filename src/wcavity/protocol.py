@@ -9,9 +9,10 @@ trial index) so grid points and trials can run in any order or in
 parallel without changing results.
 
 Each sweep takes plain values, a grid of None for its default grid, and
-checks them with ``require_grid`` before any work, as the CLI does: both
-refuse a bad grid, an input above the size rule, or one the sweep cannot
-run in doubles, with one message.
+checks them with ``require_grid`` before any work.  The CLI admits a sweep
+by that call alone, so the library and the CLI refuse a bad grid, an
+input above the size rule, or one the sweep cannot run in doubles, with
+one message.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     route's: t* and each angle of ``sector.evolve`` must be finite
     (``sector.require_angles``), and the disorder sweep's epsilon^2 normal
     and its drawn couplings' sum of squares finite
-    (``_require_normal_squares``).  The CLI refuses with the same
-    messages, after the same call."""
+    (``_require_normal_squares``).  The CLI makes no admission call of its
+    own: a sweep it runs refuses here, and the CLI prints this message."""
     if n is not None:  # first: the default grid and the range rule need 1 <= N
         sector.require_modes(n, f"--n {n}")
     source = "--grid entry"
@@ -184,40 +185,6 @@ def _disorder_couplings(normals, n: int, epsilon: float, sigma: float) -> list[f
             couplings[i] = epsilon * (1.0 + sigma * next(normals))
 
 
-def _pairwise_sum(values) -> float:
-    """The sum of ``values`` in numpy's pairwise order (``np.add.reduce`` of
-    a float64 array): one running sum below 8 values, eight interleaved
-    sums up to 128, and above that the two halves, split at a multiple of
-    8, summed apart."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        acc = list(values[:8])
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for value in values[stop:]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def _numpy_omega(couplings) -> float:
-    """Omega = sqrt(sum_i eps_i^2) rounded as numpy rounds it, not as
-    ``sector._norm`` does: where sin(Omega t*) nearly vanishes, one ulp of
-    Omega moves a fidelity's 12th digit (N = 6, seed 0, sigma = 2).  An
-    Omega^2 that overflows is infinite, and ``closed_form`` refuses it."""
-    return math.sqrt(_pairwise_sum([c * c for c in couplings]))
-
-
 #: A bound on |xi| of every draw of ``normals.standard_normals``: its
 #: ziggurat tail returns at most R + 53 ln 2 / R, about 13.71.
 _NORMAL_BOUND = 14.0
@@ -225,12 +192,13 @@ _NORMAL_BOUND = 14.0
 
 def _require_normal_squares(n: int, epsilon: float, grid, source: str) -> None:
     """Refuse an epsilon whose square, or N-fold sum of squares, leaves the
-    normal doubles: ``_numpy_omega`` sums the squared couplings, and a
-    subnormal square keeps too few digits for the norm check.  Then refuse
-    the first sigma of ``grid`` at which a drawn coupling
-    epsilon (1 + xi sigma), |xi| <= ``_NORMAL_BOUND``, may make that sum
-    overflow; the message names the input ``source`` sigma and the
-    coupling ``--epsilon``, as the CLI reads them."""
+    normal doubles.  Then refuse the first sigma of ``grid`` at which a
+    drawn coupling epsilon (1 + xi sigma), |xi| <= ``_NORMAL_BOUND``, may
+    make that sum overflow; the message names the input ``source`` sigma
+    and the coupling ``--epsilon``, as the CLI reads them.  It is the range
+    of the numpy route, which summed the squared couplings in doubles;
+    ``sector._norm`` needs no such range, but the sweep keeps it, so that
+    the same inputs run and the same are refused."""
     square = epsilon * epsilon
     if square < sys.float_info.min:
         raise ValueError(f"--epsilon {epsilon!r} is too small: "
@@ -251,13 +219,12 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     xi_i) with xi_i standard normal (non-positive draws are redrawn) and
     evolves in closed form to the nominal optimal time.  The draws are
     those of ``numpy.random.default_rng([seed, grid index, trial
-    index]).standard_normal``, reproduced by :mod:`wcavity.normals`.  Omega
-    is rounded as numpy rounds it (``_numpy_omega``), and each trial is
-    scored by ``sector.w_fidelity``, whose correctly rounded overlap the
-    numpy route's BLAS dot matched to 12 digits on every row compared (a
-    left-to-right sum did not: N = 40, seed 0, sigma = 0.03).  A row's
-    mean sums its trials in numpy's order, so the rows are those of the
-    numpy route that the tests keep as the oracle.
+    index]).standard_normal``, reproduced by :mod:`wcavity.normals`.  Each
+    trial is ``sector.closed_form`` of its draw at t*, scored by
+    ``sector.w_fidelity``, and a row's mean is the ``math.fsum`` of its
+    trials over their count: the sweep rounds as every other route does.
+    The tests compare the rows with the numpy route this sweep replaced,
+    and decide a cell where the two differ by a 50-digit reference.
     """
     grid = require_grid("coupling-disorder", grid, n, epsilon, trials, seed)
     from .normals import standard_normals  # after the refusal: a refused sweep compiles nothing
@@ -268,9 +235,8 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
         # require_grid bounds every coupling, and the sum of their squares
         draws = [_disorder_couplings(standard_normals((seed, gi, trial)), n, epsilon, sigma)
                  for trial in range(trials)]
-        fids = [sector.w_fidelity(sector.closed_form(draw, t_star, _numpy_omega(draw)))
-                for draw in draws]
-        rows.append(SweepRow(sigma, _pairwise_sum(fids) / len(fids), min(fids), max(fids)))
+        fids = [sector.w_fidelity(sector.closed_form(draw, t_star)) for draw in draws]
+        rows.append(SweepRow(sigma, math.fsum(fids) / len(fids), min(fids), max(fids)))
     return SweepResult(rows, _metadata(
         "coupling-disorder", n_modes=n, epsilon=epsilon, seed=seed, trials=trials,
         rng="numpy PCG64, one stream per (seed, grid_index, trial_index)", t_star=t_star,

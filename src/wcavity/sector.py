@@ -206,16 +206,15 @@ def _renormalized(amps) -> list[complex]:
     return [a / norm for a in amps]
 
 
-def closed_form(couplings, t: float, omega: float | None = None) -> list[complex]:
+def closed_form(couplings, t: float) -> list[complex]:
     """Resonant interaction-frame amplitudes of the excited-atom vacuum at
     time t, in sector order: cos(Omega t) on |e;0> and
-    -i (eps_i / Omega) sin(Omega t) on mode i.  ``omega`` is
-    Omega = sqrt(sum_i eps_i^2) as the caller rounded it (default: the
-    couplings' norm, as ``evolve`` takes it).  Every amplitude must be
-    finite and the norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
+    -i (eps_i / Omega) sin(Omega t) on mode i, with
+    Omega = sqrt(sum_i eps_i^2) the couplings' norm, as ``evolve`` takes
+    it.  Every amplitude must be finite and the norm within
+    ``ROUNDING_TOL`` of 1 (ValueError)."""
     _require_couplings(couplings)
-    if omega is None:
-        omega = _norm(couplings)
+    omega = _norm(couplings)
     angle = omega * t
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")

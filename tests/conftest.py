@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 
@@ -6,6 +5,9 @@ import pytest
 def eigh_calls(monkeypatch):
     """The shape of every matrix passed to ``numpy.linalg.eigh`` while the
     test runs."""
+    # imported here, so that a test module that needs no numpy runs without it
+    import numpy as np
+
     calls = []
     real_eigh = np.linalg.eigh
 

@@ -1,6 +1,8 @@
 """The numpy closed form and W score that the coupling-disorder sweep ran
 before it moved to ``sector``, kept here as the tests' oracle: of
-``sector.closed_form``, and of the sweep's bytes."""
+``sector.closed_form``, and of the sweep's rows, which equal its rows byte
+for byte except where the two round Omega apart and the 50-digit
+``reference`` decides the cell."""
 
 import math
 

@@ -101,8 +101,9 @@ def test_evolve_yields_each_state_when_it_is_taken():
 
 
 def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
-    """The default Omega is ``_norm`` of the couplings, the square root of
-    their ``math.fsum`` sum of squares: equal and unequal couplings, N up
+    """Omega is ``_norm`` of the couplings, the square root of their
+    ``math.fsum`` sum of squares, and the amplitudes are those of the
+    formula at that Omega, bit for bit: equal and unequal couplings, N up
     to ``MAX_MODES``."""
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -112,8 +113,10 @@ def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
         t = float(rng.uniform(-10.0, 10.0))
         omega = sector._norm(couplings)
         assert omega == math.sqrt(math.fsum(c * c for c in couplings))
-        assert repr(sector.closed_form(couplings, t)) == repr(
-            sector.closed_form(couplings, t, omega))
+        s = math.sin(omega * t)
+        formula = [0j, *(complex(0.0, -(c / omega) * s) for c in reversed(couplings)),
+                   complex(math.cos(omega * t), 0.0)]
+        assert repr(sector.closed_form(couplings, t)) == repr(formula)
 
 
 @pytest.mark.parametrize("epsilon", [5.05e-309, 1e-170, 1e160, 5.18e307])
@@ -136,23 +139,25 @@ def test_norm_scales_by_a_power_of_two_bit_for_bit(epsilon):
 
 @settings(max_examples=40, deadline=None)
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
-# the default Omega is 2 ulps from numpy's here, and the angle Omega t
-# 2 |Omega t| 2^-52 apart: the amplitudes by 1.52e-14
+# Omega is 2 ulps from numpy's here, and the angle Omega t 2 |Omega t| 2^-52
+# apart: the amplitudes by 1.52e-14
 @example(couplings=[2.348, 2.814, 2.519, 2.048, 2.814, 1.31, 0.38, 0.406, 2.977, 0.802, 0.788,
                     0.482], t=10.0)
 # |Omega t| = 0.08: cos(Omega t) rounds to the next double below 1, 2^-53 apart
 @example(couplings=[0.49238269594934003, 0.7887660150954287, 0.7381126323108442,
                     1.1995158180436216], t=-0.0446252711760419)
 def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
-    numpy_closed = closed_form_rows([couplings], t)[0]
-    # numpy's Omega, the square root of its sum of squares: the same angle
-    omega = float(np.sqrt(np.sum(np.square([couplings]), axis=1))[0])
-    np.testing.assert_allclose(sector.closed_form(couplings, t, omega), numpy_closed,
-                               atol=1e-14, rtol=0)
-    # the default Omega, whose sum of squares ``math.fsum`` rounds once, may
-    # round a few ulps from numpy's pairwise sum: each amplitude moves by a
-    # few |Omega t| 2^-52, and by one rounding of its own
     closed = sector.closed_form(couplings, t)
+    # numpy's amplitudes at ``_norm``'s Omega: the same angle
+    omega, eps, n = sector._norm(couplings), np.array(couplings), len(couplings)
+    at_omega = np.zeros(n + 2, dtype=complex)
+    at_omega[n + 1] = np.cos(omega * t)
+    at_omega[n:0:-1] = -1j * (eps / omega) * np.sin(omega * t)
+    np.testing.assert_allclose(closed, at_omega, atol=1e-14, rtol=0)
+    # numpy's own Omega, its pairwise sum of squares, may round a few ulps
+    # from the ``math.fsum`` one: each amplitude moves by a few
+    # |Omega t| 2^-52, and by one rounding of its own
+    numpy_closed = closed_form_rows([couplings], t)[0]
     np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
                                rtol=0)
     (evolved,) = sector.evolve(couplings, ((t, 0.0),))

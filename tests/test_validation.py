@@ -319,13 +319,17 @@ def test_closed_form_check_fails_on_a_faulted_sector_closed_form(fault, monkeypa
     photon amplitudes gives a wrong state, and an Omega scaled by 1 + 1e-6
     fails the closed form's own norm check; the check fails on both,
     without raising."""
-    real = sector.closed_form
+    real, norm = sector.closed_form, sector._norm
 
-    def faulted(couplings, t, omega=None):
+    def faulted(couplings, t):
         if fault == "photon sign":
             amps = real(couplings, t)
             return [-a for a in amps[:-1]] + amps[-1:]
-        return real(couplings, t, sector._norm(couplings) * (1.0 + 1e-6))
+        # Omega, the norm of the couplings, is scaled; the norm of the state is not
+        with monkeypatch.context() as patch:
+            patch.setattr(sector, "_norm",
+                          lambda v: norm(v) * (1.0 + 1e-6) if v is couplings else norm(v))
+            return real(couplings, t)
 
     assert check_oracle_equivalence(np.random.default_rng(3)).passed
     monkeypatch.setattr(sector, "closed_form", faulted)

@@ -350,14 +350,15 @@ def _emit(report: dict, config: dict) -> None:
 def cmd_simulate(config: dict) -> int:
     # The evolution runs in the excitation <= 1 sector (N + 2 states): H
     # conserves the excitation number, so the sector holding the initial
-    # state is closed under it.  --dump-state reports the state there too.
+    # state is closed under it.  The gap and --dump-state read its amplitudes.
     n, eps = config["n"], config["epsilon"]
     t_star = optimal_time(n, eps)
     t = t_star if config["time"] is None else config["time"] / eps
 
     couplings = (eps,) * n
-    closed = sector.closed_form(couplings, t)
-    (numeric,) = sector.evolve(couplings, ((t, 0.0),))
+    closed = sector.amplitudes(couplings, sector.closed_form(couplings, t))
+    (pair,) = sector.evolve(couplings, ((t, 0.0),))
+    numeric = sector.amplitudes(couplings, pair)
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population
@@ -366,7 +367,7 @@ def cmd_simulate(config: dict) -> int:
         "config": _echo(config),
         "t": t,
         "t_star": t_star,
-        "fidelity_W": sector.w_fidelity(numeric),
+        "fidelity_W": sector.w_fidelity(pair, sector.w_overlap(couplings)),
         "closed_vs_numeric_gap": max(abs(a - b) for a, b in zip(closed, numeric)),
     }
     if config["dump_state"]:

@@ -146,9 +146,9 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
 
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
-    for any positive couplings: ``sector.closed_form`` as a state on the
-    single-excitation sector, ``build_basis(N, excitation_cap=1)``, whose
-    order is the sector's.
+    for any positive couplings: the ``sector.closed_form`` pair spread by
+    ``sector.amplitudes`` onto the single-excitation sector,
+    ``build_basis(N, excitation_cap=1)``, whose order is the sector's.
 
     With Omega = sqrt(sum_i eps_i^2) the excited amplitude is cos(Omega t)
     and mode i carries -i (eps_i / Omega) sin(Omega t): only the coupling-
@@ -157,8 +157,8 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """
     if any(params.detunings):
         raise ValueError("detuned parameters: use propagate_numeric")
-    basis = build_basis(params.n_modes, excitation_cap=1)
-    return StateVector._from_checked(basis, np.array(sector.closed_form(params.couplings, t)))
+    amps = sector.amplitudes(params.couplings, sector.closed_form(params.couplings, t))
+    return StateVector._from_checked(build_basis(params.n_modes, excitation_cap=1), np.array(amps))
 
 
 # The benchmark's traced run (perfbench/spans.py) still looks this name up.

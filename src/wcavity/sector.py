@@ -6,8 +6,9 @@ delta from the atom, the Hamiltonian takes |e;0> into a 2-dimensional
 invariant subspace: |e;0> and the bright mode sum_i eps_i |g;1_i> / Omega,
 Omega = sqrt(sum_i eps_i^2), coupled by Omega, the bright mode at energy
 delta (the Morris-Shore reduction; Morris and Shore, Phys. Rev. A 27, 906
-(1983)).  The exact exponential of that 2x2 matrix gives the state at any
-time, with O(N) work and no dense linear algebra.
+(1983)).  A state is the pair (excited, bright) of its amplitudes on those
+two; the exact 2x2 exponential gives it at any time in O(1) work, and
+``amplitudes`` spreads it onto the N + 2 states where they are output.
 
 Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: index 0
 is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
@@ -54,8 +55,8 @@ DEFAULT_SEED = 20240201
 #: module is rounded once, by ``math.fsum``, at any N.
 MAX_MODES = 1022
 
-#: Most amplitudes a run may compute, N + 2 per point it evolves or
-#: scores (``require_amplitudes``).
+#: Most amplitudes a run may charge for, N + 2 per point it evolves or
+#: scores as one pair (``require_amplitudes``): the size, not the cost.
 MAX_AMPLITUDES = 2**20
 
 
@@ -96,7 +97,7 @@ def require_modes(n: int, source: str) -> None:
 
 
 def require_amplitudes(command: str, n: int, points: int) -> None:
-    """Refuse (ValueError) a run of ``command`` that computes more than
+    """Refuse (ValueError) a run of ``command`` that charges more than
     ``MAX_AMPLITUDES`` amplitudes: ``points`` x (N + 2)."""
     if points * (n + 2) > MAX_AMPLITUDES:
         raise ValueError(f"{command} too large: it computes {points * (n + 2)} amplitudes, "
@@ -108,19 +109,18 @@ def require_amplitudes(command: str, n: int, points: int) -> None:
 _SQUARES_MIN = 2.0**-969
 
 
-def _norm(amps) -> float:
-    """sqrt(sum |a|^2) of complex or real ``amps``: IEEE products, one
-    ``math.fsum`` and one ``math.sqrt``, so that no interpreter changes its
-    double.  A sum of squares that overflows or falls toward the
-    subnormals is taken of the parts scaled by a power of two, which is
-    exact, and the norm scaled back; a norm beyond the doubles is inf."""
+def _norm(parts) -> float:
+    """sqrt(sum x^2) of real ``parts`` (pass a complex's .real and .imag):
+    IEEE products, one ``math.fsum`` and one ``math.sqrt``, so that no
+    interpreter changes its double.  A sum of squares that overflows or
+    falls toward the subnormals is taken of the parts scaled by a power of
+    two, which is exact, and the norm scaled back; beyond the doubles, inf."""
     try:
-        total = math.fsum([a.real * a.real for a in amps] + [a.imag * a.imag for a in amps])
+        total = math.fsum([x * x for x in parts])
     except OverflowError:  # a partial sum left the doubles
         total = math.inf
     if _SQUARES_MIN <= total < math.inf or math.isnan(total):
         return math.sqrt(total)
-    parts = [a.real for a in amps] + [a.imag for a in amps]
     exponent = math.frexp(max(map(abs, parts), default=0.0))[1]
     scaled = [math.ldexp(x, -exponent) for x in parts]
     try:
@@ -138,24 +138,24 @@ def _require_couplings(couplings) -> None:
         raise ValueError("couplings must be strictly positive")
 
 
-def evolve(couplings, points) -> Iterator[list[complex]]:
+def evolve(couplings, points) -> Iterator[tuple[complex, complex]]:
     """exp(-i H t) |e;0> in the interaction frame at each (t, detuning) of
-    ``points``: yields one list of N + 2 amplitudes in sector order per
-    point, so that a caller holds only the states it keeps.  Mode i
-    (1-based) has coupling ``couplings[i - 1]``, and every mode the point's
-    detuning from the atom (0.0: on resonance).  The inputs are checked
-    when the first state is taken.
+    ``points``: yields one pair (excited, bright) of amplitudes on |e;0>
+    and the bright mode per point, so that a caller holds only the states
+    it keeps.  Mode i (1-based) has coupling ``couplings[i - 1]``, and
+    every mode the point's detuning from the atom (0.0: on resonance).
+    The inputs are checked when the first state is taken.
 
-    Each state is the exact exponential of the Morris-Shore 2x2 matrix
-    [[0, Omega], [Omega, delta]] on |e;0> and the bright mode.  Non-finite
-    amplitudes raise :class:`PropagationError`, and so does a norm drift
-    above ``NORM_DRIFT_TOL``; a smaller one is renormalized.
-    """
+    Each pair is the exact exponential of the Morris-Shore 2x2 matrix
+    [[0, Omega], [Omega, delta]] on (1, 0), divided by the norm of its
+    state, sqrt(|excited|^2 + |bright|^2 ||beta||^2); a drift of that norm
+    above ``NORM_DRIFT_TOL``, or non-finite amplitudes, raise
+    :class:`PropagationError`."""
     _require_couplings(couplings)
     omega = _norm(couplings)
     if not math.isfinite(omega):
         raise PropagationError(f"coupling norm {omega!r} is not finite")
-    bright = [0.0, *(c / omega for c in reversed(couplings)), 0.0]  # once per call
+    squares = math.fsum([(c / omega) * (c / omega) for c in couplings])  # ||beta||^2, once
     for t, detuning in points:
         if not math.isfinite(detuning):
             raise ValueError("model parameters must be finite")
@@ -172,10 +172,16 @@ def evolve(couplings, points) -> Iterator[list[complex]]:
                                    "(parameter overflow)")
         c, s = math.cos(angle), math.sin(angle)
         phase = complex(math.cos(turn), -math.sin(turn))
-        lower = phase * complex(0.0, -s * (omega / g))
-        amps = [lower * b for b in bright]
-        amps[-1] = phase * complex(c, -s * (half / g))
-        yield _renormalized(amps)
+        excited = phase * complex(c, -s * (half / g))
+        bright = phase * complex(0.0, -s * (omega / g))
+        norm = math.sqrt(math.fsum([excited.real * excited.real, excited.imag * excited.imag,
+                                    bright.real * bright.real * squares,
+                                    bright.imag * bright.imag * squares]))
+        drift = abs(norm - 1.0)
+        if not drift <= NORM_DRIFT_TOL:
+            raise PropagationError(
+                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect")
+        yield excited / norm, bright / norm
 
 
 def require_angles(n: int, epsilon: float, points, source: str) -> None:
@@ -191,53 +197,42 @@ def require_angles(n: int, epsilon: float, points, source: str) -> None:
                              "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 
 
-def _renormalized(amps) -> list[complex]:
-    """An evolved state divided by its norm.  Non-finite amplitudes raise
-    :class:`PropagationError`, and so does a norm drift above
-    ``NORM_DRIFT_TOL``."""
-    norm = _norm(amps)
-    if not math.isfinite(norm):
-        raise PropagationError("propagation produced non-finite amplitudes (parameter overflow)")
-    drift = abs(norm - 1.0)
-    if drift > NORM_DRIFT_TOL:
-        raise PropagationError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
-        )
-    return [a / norm for a in amps]
-
-
-def closed_form(couplings, t: float) -> list[complex]:
-    """Resonant interaction-frame amplitudes of the excited-atom vacuum at
-    time t, in sector order: cos(Omega t) on |e;0> and
-    -i (eps_i / Omega) sin(Omega t) on mode i, with
-    Omega = sqrt(sum_i eps_i^2) the couplings' norm, as ``evolve`` takes
-    it.  Every amplitude must be finite and the norm within
-    ``ROUNDING_TOL`` of 1 (ValueError)."""
+def closed_form(couplings, t: float) -> tuple[complex, complex]:
+    """The resonant pair (excited, bright) = (cos(Omega t), -i sin(Omega t))
+    of the excited-atom vacuum at time t, interaction frame, with Omega the
+    couplings' norm, as ``evolve`` takes it.  The angle must be finite and
+    the bright mode's squared norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
     _require_couplings(couplings)
     omega = _norm(couplings)
     angle = omega * t
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")
-    s = math.sin(angle)
-    amps = [0j, *(complex(0.0, -(c / omega) * s) for c in reversed(couplings)),
-            complex(math.cos(angle), 0.0)]
-    norm = _norm(amps)
-    if not abs(norm - 1.0) <= ROUNDING_TOL:
-        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
-    return amps
+    squares = math.fsum([(c / omega) * (c / omega) for c in couplings])
+    if not abs(squares - 1.0) <= ROUNDING_TOL:
+        raise ValueError(f"bright mode norm^2 {squares!r} deviates from 1 beyond {ROUNDING_TOL}")
+    return complex(math.cos(angle), 0.0), complex(0.0, -math.sin(angle))
 
 
-def w_fidelity(amps) -> float:
-    """|<W_N, g|psi>|^2 of N + 2 sector amplitudes, clipped into [0, 1]
-    against rounding.  The real and the imaginary part of the overlap are
-    each summed by ``math.fsum``, so correctly rounded, whatever the
-    interpreter."""
-    n = len(amps) - 2
-    weight = 1.0 / math.sqrt(n)
-    photons = amps[1:n + 1]
-    overlap = complex(math.fsum([weight * a.real for a in photons]),
-                      math.fsum([weight * a.imag for a in photons]))
-    return min(max(abs(overlap) ** 2, 0.0), 1.0)
+def amplitudes(couplings, pair) -> list[complex]:
+    """The N + 2 sector amplitudes of the state that ``pair`` of ``couplings``
+    stands for: 0 on |g;0>, bright eps_i / Omega on mode i, excited on |e;0>."""
+    excited, bright = pair
+    omega = _norm(couplings)
+    return [bright * r for r in (0.0, *(c / omega for c in reversed(couplings)))] + [excited]
+
+
+def w_overlap(couplings) -> float:
+    """<W_N|beta> = sum_i (1 / sqrt(N)) (eps_i / Omega), the W state's overlap
+    with the bright mode of ``couplings``, correctly rounded by ``math.fsum``."""
+    weight = 1.0 / math.sqrt(len(couplings))
+    omega = _norm(couplings)
+    return math.fsum([weight * (c / omega) for c in couplings])
+
+
+def w_fidelity(pair, overlap: float) -> float:
+    """|<W_N, g|psi>|^2 = |bright <W_N|beta>|^2 of a pair, ``overlap`` the
+    ``w_overlap`` of its couplings, clipped to 1 against rounding."""
+    return min(abs(pair[1] * overlap) ** 2, 1.0)
 
 
 def w_support(n: int) -> list[float]:

@@ -116,11 +116,12 @@ def check_composition(rng) -> CheckResult:
     return _check("propagator-composition", defects(), COMPOSITION_TOL, 50)
 
 
-def _sector_gap(params: ModelParams, t: float, amps) -> float:
-    """The amplitude gap between ``amps``, the N + 2 amplitudes of a
-    ``sector`` route at time t, and the dense sector propagator."""
+def _sector_gap(params: ModelParams, t: float, pair) -> float:
+    """The amplitude gap between the N + 2 amplitudes that ``pair``, of a
+    ``sector`` route at time t, stands for and the dense sector propagator."""
     basis = build_basis(params.n_modes, excitation_cap=1)
     dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    amps = sector.amplitudes(params.couplings, pair)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 
 
@@ -151,8 +152,8 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
             t = float(rng.uniform(-5.0, 5.0))
-            (amps,) = sector.evolve(couplings, ((sign * t, detuning),))
-            yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, amps)
+            (pair,) = sector.evolve(couplings, ((sign * t, detuning),))
+            yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, pair)
     return _check("sector-vs-dense", gaps(), SECTOR_TOL, 24)
 
 
@@ -208,15 +209,15 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
     couplings = (epsilon,) * n
 
     def excited_amplitude(t: float) -> float:
-        (amps,) = sector.evolve(couplings, ((t, 0.0),))
-        return amps[-1].real  # |e;0> is last in sector order
+        ((excited, _),) = sector.evolve(couplings, ((t, 0.0),))
+        return excited.real
 
     estimate = 2.0 * math.pi / (math.sqrt(n) * epsilon)
     ts = np.linspace(0.0, 1.45 * estimate, 121).tolist()
     states = sector.evolve(couplings, [(t, 0.0) for t in ts])
-    zeros, fa = [], next(states)[-1].real
-    for a, b, amps in zip(ts, ts[1:], states):
-        fb = amps[-1].real
+    zeros, fa = [], next(states)[0].real
+    for a, b, (excited, _) in zip(ts, ts[1:], states):
+        fb = excited.real
         if fa == 0.0 or fa * fb < 0.0:
             zeros.append(_find_root(excited_amplitude, a, b, fa, fb))
             if len(zeros) == 3:

@@ -197,7 +197,8 @@ class TestClosedForm:
         for t in (0.0, 0.37, -4.1, 250.0):
             psi = evolve_closed_form(params, t)
             assert psi.basis == build_basis(3, excitation_cap=1)
-            closed = np.array(sector.closed_form(params.couplings, t))
+            pair = sector.closed_form(params.couplings, t)
+            closed = np.array(sector.amplitudes(params.couplings, pair))
             assert psi.amplitudes.tobytes() == closed.tobytes()
 
 
@@ -544,13 +545,14 @@ class TestRowsAreCheckedOnce:
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
         # sector.closed_form takes Omega as the norm of the couplings and
-        # checks the norm of the amplitudes it makes, and the state takes
-        # them over unchecked
+        # checks the squared norm of the bright mode, sector.amplitudes
+        # takes Omega again to spread the pair, and the state takes the
+        # amplitudes over unchecked
         norms = []
         real = sector._norm
-        monkeypatch.setattr(sector, "_norm", lambda amps: norms.append(len(amps)) or real(amps))
+        monkeypatch.setattr(sector, "_norm", lambda parts: norms.append(len(parts)) or real(parts))
         psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
-        assert (row_checks, norms) == ([], [3, 5])
+        assert (row_checks, norms) == ([], [3, 3])
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_in_propagate_numeric_only(self, row_checks):

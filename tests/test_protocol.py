@@ -274,8 +274,8 @@ class TestDisorderOracle:
                 if field == "fidelity_mean":
                     cell, bound = reference.mean(exact), math.fsum(bounds) / trials
                 else:
-                    fids = [sector.w_fidelity(sector.closed_form(draw, t_star))
-                            for draw in draws]
+                    fids = [sector.w_fidelity(sector.closed_form(draw, t_star),
+                                              sector.w_overlap(draw)) for draw in draws]
                     cell = (min if field == "fidelity_min" else max)(exact)
                     bound = bounds[fids.index(got)]
                 assert reference.round12(cell) != fmt12(numpy_cell)

@@ -72,11 +72,12 @@ def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times)
     psi0 = initial_state(H.basis)
     dense = [propagate_numeric(H, psi0, t).amplitudes for t in times]
     assert len(states) == len(times)
-    for amps, row, t in zip(states, dense, times):
+    for pair, row, t in zip(states, dense, times):
+        amps = sector.amplitudes(couplings, pair)
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
         np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
         np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
-        assert list(sector.evolve(couplings, ((t, detuning),))) == [amps]
+        assert list(sector.evolve(couplings, ((t, detuning),))) == [pair]
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,9 +103,9 @@ def test_evolve_yields_each_state_when_it_is_taken():
 
 def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
     """Omega is ``_norm`` of the couplings, the square root of their
-    ``math.fsum`` sum of squares, and the amplitudes are those of the
-    formula at that Omega, bit for bit: equal and unequal couplings, N up
-    to ``MAX_MODES``."""
+    ``math.fsum`` sum of squares, and the pair and the amplitudes it
+    stands for are those of the formula at that Omega, bit for bit: equal
+    and unequal couplings, N up to ``MAX_MODES``."""
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, sector.MAX_MODES + 1))
@@ -116,7 +117,9 @@ def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
         s = math.sin(omega * t)
         formula = [0j, *(complex(0.0, -(c / omega) * s) for c in reversed(couplings)),
                    complex(math.cos(omega * t), 0.0)]
-        assert repr(sector.closed_form(couplings, t)) == repr(formula)
+        pair = sector.closed_form(couplings, t)
+        assert repr(pair) == repr((formula[-1], complex(0.0, -s)))
+        assert repr(sector.amplitudes(couplings, pair)) == repr(formula)
 
 
 @pytest.mark.parametrize("epsilon", [5.05e-309, 1e-170, 1e160, 5.18e307])
@@ -125,7 +128,10 @@ def test_norm_scales_by_a_power_of_two_bit_for_bit(epsilon):
     where their squares leave the normal doubles, have ``_norm`` times 2^k
     as their norm, bit for bit: the power of two that ``_norm`` scales by
     where the sum of squares overflows or nears the subnormals is exact,
-    and one rounding of the same real number is taken either way."""
+    and one rounding of the same real number is taken either way.  Real
+    parts, and the .real and .imag of complex values, give the norm of
+    the former formula, which squared both parts of every input as
+    complex, bit for bit in both branches."""
     k = math.frexp(epsilon)[1] - 1
     rng = np.random.default_rng(28)
     for n in (1, 2, 3, 13, sector.MAX_MODES):
@@ -135,6 +141,29 @@ def test_norm_scales_by_a_power_of_two_bit_for_bit(epsilon):
         scaled = [c * 2.0**k for c in couplings]
         assert scaled == [math.ldexp(c, k) for c in couplings]
         assert repr(sector._norm(scaled)) == repr(sector._norm(couplings) * 2.0**k)
+        assert repr(sector._norm(scaled)) == repr(complex_parts_norm(scaled))
+        amps = [complex(a, -b) for a, b in zip(scaled, reversed(scaled))]
+        parts = [x for a in amps for x in (a.real, a.imag)]
+        assert repr(sector._norm(parts)) == repr(complex_parts_norm(amps))
+
+
+def complex_parts_norm(amps) -> float:
+    """The norm that ``sector._norm`` took of complex or real ``amps``
+    before it took real parts alone: a sum of squares of every .real and
+    every .imag, the zero ones of a real input too."""
+    try:
+        total = math.fsum([a.real * a.real for a in amps] + [a.imag * a.imag for a in amps])
+    except OverflowError:
+        total = math.inf
+    if sector._SQUARES_MIN <= total < math.inf or math.isnan(total):
+        return math.sqrt(total)
+    parts = [a.real for a in amps] + [a.imag for a in amps]
+    exponent = math.frexp(max(map(abs, parts), default=0.0))[1]
+    scaled = [math.ldexp(x, -exponent) for x in parts]
+    try:
+        return math.ldexp(math.sqrt(math.fsum([x * x for x in scaled])), exponent)
+    except OverflowError:
+        return math.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +176,7 @@ def test_norm_scales_by_a_power_of_two_bit_for_bit(epsilon):
 @example(couplings=[0.49238269594934003, 0.7887660150954287, 0.7381126323108442,
                     1.1995158180436216], t=-0.0446252711760419)
 def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
-    closed = sector.closed_form(couplings, t)
+    closed = sector.amplitudes(couplings, sector.closed_form(couplings, t))
     # numpy's amplitudes at ``_norm``'s Omega: the same angle
     omega, eps, n = sector._norm(couplings), np.array(couplings), len(couplings)
     at_omega = np.zeros(n + 2, dtype=complex)
@@ -161,7 +190,7 @@ def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
                                rtol=0)
     (evolved,) = sector.evolve(couplings, ((t, 0.0),))
-    np.testing.assert_allclose(closed, evolved, atol=1e-13, rtol=0)
+    np.testing.assert_allclose(closed, sector.amplitudes(couplings, evolved), atol=1e-13, rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
@@ -172,8 +201,11 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
         t_stars = [sector.optimal_time(n, eps) for n in counts]
         assert all(a > b for a, b in itertools.pairwise(t_stars))
         for n, t in zip(counts, t_stars):
-            (amps,) = sector.evolve((eps,) * n, ((t, 0.0),))
-            assert sector.w_fidelity(amps) == pytest.approx(1.0, abs=1e-14)
+            couplings = (eps,) * n
+            (pair,) = sector.evolve(couplings, ((t, 0.0),))
+            assert sector.w_fidelity(pair, sector.w_overlap(couplings)) == pytest.approx(
+                1.0, abs=1e-14)
+            amps = sector.amplitudes(couplings, pair)
             assert abs(amps[n + 1]) <= 1e-15
             assert sum(abs(a) ** 2 for a in amps[:n + 1]) == pytest.approx(1.0, abs=1e-14)
 
@@ -182,25 +214,33 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
 def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     n = len(couplings)
-    (amps,) = sector.evolve(couplings, ((t, 0.0),))
+    (pair,) = sector.evolve(couplings, ((t, 0.0),))
     basis = build_basis(n, excitation_cap=1)
-    want = fidelity(w_state(n, basis), StateVector(basis, amps))
-    assert sector.w_fidelity(amps) == pytest.approx(want, abs=1e-14)
+    want = fidelity(w_state(n, basis), StateVector(basis, sector.amplitudes(couplings, pair)))
+    assert sector.w_fidelity(pair, sector.w_overlap(couplings)) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("detuning", [0.0, -1.7, 7.3])
 def test_w_fidelity_is_the_fsum_overlap_at_the_largest_admitted_n(detuning):
-    """At N = ``sector.MAX_MODES``, at t* and at later times, ``w_fidelity``
-    is the squared modulus of an overlap whose real and imaginary parts
-    ``math.fsum`` sums, bit for bit, whatever the interpreter's ``sum``."""
+    """At N = ``sector.MAX_MODES``, at t* and at later times, ``w_overlap``
+    is the ``math.fsum`` of 1/sqrt(N) times each eps_i / Omega, bit for bit
+    whatever the interpreter's ``sum``, and ``w_fidelity`` of a pair, the
+    squared modulus of its bright amplitude times that overlap, is the
+    squared modulus of the ``math.fsum`` overlap of the W state with the
+    N + 2 amplitudes the pair stands for, within 2 ulps."""
     n, eps = sector.MAX_MODES, 0.3
+    couplings = [eps] * n
     t_star = sector.optimal_time(n, eps)
-    weight = 1.0 / math.sqrt(n)
+    weight, omega = 1.0 / math.sqrt(n), sector._norm(couplings)
+    overlap = sector.w_overlap(couplings)
+    assert repr(overlap) == repr(math.fsum([weight * (c / omega) for c in couplings]))
     points = [(k * t_star, detuning * eps) for k in (1.0, 1.37, 2.9)]
-    for amps in sector.evolve((eps,) * n, points):
-        terms = [weight * a for a in amps[1:n + 1]]
+    for pair in sector.evolve(couplings, points):
+        terms = [weight * a for a in sector.amplitudes(couplings, pair)[1:n + 1]]
         exact = abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
-        assert repr(sector.w_fidelity(amps)) == repr(min(exact ** 2, 1.0))
+        fid = sector.w_fidelity(pair, overlap)
+        assert repr(fid) == repr(min(abs(pair[1] * overlap) ** 2, 1.0))
+        assert fid == pytest.approx(min(exact ** 2, 1.0), rel=0, abs=2 * math.ulp(1.0))
 
 
 def two_level_excited_population(omega, detuning, t):
@@ -214,7 +254,8 @@ def test_common_detuning_keeps_the_bright_mode_shape():
     """Under one common detuning every photon amplitude stays eps_i / Omega
     times one factor, and the atom follows the two-level law."""
     couplings, detuning, t = (1.0, 2.0, 2.0), 0.4, 0.7
-    (amps,) = sector.evolve(couplings, ((t, detuning),))
+    (pair,) = sector.evolve(couplings, ((t, detuning),))
+    amps = sector.amplitudes(couplings, pair)
     assert amps[0] == 0
     photon = math.sqrt(1.0 - abs(amps[4]) ** 2)
     np.testing.assert_allclose(np.abs(amps[1:4]), [photon * 2 / 3, photon * 2 / 3, photon / 3],
@@ -231,10 +272,12 @@ def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
     and at a later time is the two-level P_e, and every mode holds an
     equal share of the rest."""
     eps = 0.3
+    couplings = (eps,) * n
     omega = eps * math.sqrt(n)
     t_star = sector.optimal_time(n, eps)
     times = (t_star, 3.7 * t_star)
-    for (amps, t) in zip(sector.evolve((eps,) * n, [(t, detuning) for t in times]), times):
+    for (pair, t) in zip(sector.evolve(couplings, [(t, detuning) for t in times]), times):
+        amps = sector.amplitudes(couplings, pair)
         p_excited = two_level_excited_population(omega, detuning, t)
         assert abs(amps[n + 1]) ** 2 == pytest.approx(p_excited, abs=1e-12)
         assert abs(amps[1]) ** 2 == pytest.approx((1.0 - p_excited) / n, abs=1e-15)
@@ -285,14 +328,70 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
         sector.require_angles(n, 1.0, [(beyond, (beyond, detuning))], "--time")
 
 
-def test_norm_drift_raises_and_small_drift_is_renormalized():
-    (state,) = sector.evolve((1.0, 0.5), ((0.3, 0.0),))
+def test_norm_drift_raises_and_small_drift_is_renormalized(monkeypatch):
+    """An Omega off the couplings' norm by a factor 1 / (1 + d) moves
+    ||beta||^2 to (1 + d)^2, and the norm of the state that each pair
+    stands for with it: at d = 1e-9 that raises, and at d = 1e-11 the pair
+    is divided by that norm.  At t = 1.2, |bright|^2 is about 0.9."""
+    couplings = (1.0, 0.5)
+    real = sector._norm
+
+    def drifted(d):
+        monkeypatch.setattr(sector, "_norm",
+                            lambda v: real(v) / (1.0 + d) if v is couplings else real(v))
+        return sector.evolve(couplings, ((1.2, 0.0),))
+
     with pytest.raises(PropagationError, match="norm drift"):
-        sector._renormalized([a * (1.0 + 1e-9) for a in state])
-    with pytest.raises(PropagationError, match="non-finite"):
-        sector._renormalized([*state[:-1], complex(math.nan, 0.0)])
-    renormalized = sector._renormalized([a * (1.0 + 1e-11) for a in state])
-    np.testing.assert_allclose(renormalized, state, atol=1e-15, rtol=0)
+        list(drifted(1e-9))
+    ((excited, bright),) = drifted(1e-11)
+    squares = math.fsum([(c / (real(couplings) / (1.0 + 1e-11))) ** 2 for c in couplings])
+    assert abs(squares - 1.0) > 1e-11
+    assert abs(excited) ** 2 + abs(bright) ** 2 * squares == pytest.approx(1.0, abs=1e-15)
+    assert abs(abs(excited) ** 2 + abs(bright) ** 2 - 1.0) > 1e-12
+
+
+class FsumCounter:
+    """``math`` for ``sector``, with an ``fsum`` that counts the parts it
+    receives."""
+
+    def __init__(self):
+        self.parts = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, parts):
+        parts = list(parts)
+        self.parts += len(parts)
+        return math.fsum(parts)
+
+
+@pytest.mark.parametrize("route", ["evolve", "timing-error sweep", "detuning sweep"])
+def test_the_work_per_point_does_not_grow_with_n(route, monkeypatch):
+    """The parts that ``math.fsum`` receives in ``sector`` to evolve and
+    score 101 points, less those for 1 point, are the same at N = 1 and at
+    N = 1000, and at most 8 a point: the O(N) sums are taken once per call,
+    and each point is one Morris-Shore pair."""
+    from wcavity import protocol
+
+    def parts(n, points):
+        counter = FsumCounter()
+        monkeypatch.setattr(sector, "math", counter)
+        if route == "evolve":
+            couplings = (0.7,) * n
+            overlap = sector.w_overlap(couplings)
+            times = [(0.01 * k, 0.1 * k) for k in range(points)]
+            for pair in sector.evolve(couplings, times):
+                sector.w_fidelity(pair, overlap)
+        else:
+            sweep = (protocol.timing_error_sweep if route == "timing-error sweep"
+                     else protocol.detuning_sweep)
+            assert len(sweep(n, 0.7, [0.001 * k for k in range(points)]).rows) == points
+        monkeypatch.setattr(sector, "math", math)
+        return counter.parts
+
+    per_point = [(parts(n, 101) - parts(n, 1)) / 100 for n in (1, 1000)]
+    assert per_point[0] == per_point[1] <= 8
 
 
 @pytest.mark.parametrize("bad,message", [

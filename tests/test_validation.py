@@ -295,16 +295,16 @@ def test_sector_check_passes_on_the_sector_route():
 @pytest.mark.parametrize("fault", ["conjugated state", "photon sign"])
 def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
     """``sector-vs-dense`` runs ``sector.evolve``, the route of ``simulate``
-    and three sweeps.  A conjugated state (the evolution run backwards)
-    and a flipped sign on the photon amplitudes are wrong states; the
-    check fails on both, without raising."""
+    and three sweeps.  A conjugated pair (the evolution run backwards)
+    and a flipped sign on the bright amplitude, which carries every
+    photon, are wrong states; the check fails on both, without raising."""
     real = sector.evolve
 
     def faulted(couplings, points):
         states = real(couplings, points)
         if fault == "conjugated state":
-            return [[a.conjugate() for a in amps] for amps in states]
-        return [[-a for a in amps[:-1]] + amps[-1:] for amps in states]
+            return [(excited.conjugate(), bright.conjugate()) for excited, bright in states]
+        return [(excited, -bright) for excited, bright in states]
 
     monkeypatch.setattr(sector, "evolve", faulted)
     result = check_sector_route(np.random.default_rng(3))
@@ -316,16 +316,16 @@ def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
 def test_closed_form_check_fails_on_a_faulted_sector_closed_form(fault, monkeypatch):
     """``closed-form-vs-numeric`` runs ``sector.closed_form``, the closed
     form of ``simulate`` and the disorder sweep.  A flipped sign on the
-    photon amplitudes gives a wrong state, and an Omega scaled by 1 + 1e-6
-    fails the closed form's own norm check; the check fails on both,
-    without raising."""
+    bright amplitude of the pair gives a wrong state, and an Omega scaled
+    by 1 + 1e-6 moves ||beta||^2 off 1 and fails the closed form's own
+    norm check; the check fails on both, without raising."""
     real, norm = sector.closed_form, sector._norm
 
     def faulted(couplings, t):
         if fault == "photon sign":
-            amps = real(couplings, t)
-            return [-a for a in amps[:-1]] + amps[-1:]
-        # Omega, the norm of the couplings, is scaled; the norm of the state is not
+            excited, bright = real(couplings, t)
+            return excited, -bright
+        # Omega, the norm of the couplings, is scaled in the closed form only
         with monkeypatch.context() as patch:
             patch.setattr(sector, "_norm",
                           lambda v: norm(v) * (1.0 + 1e-6) if v is couplings else norm(v))

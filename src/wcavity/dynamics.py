@@ -146,8 +146,8 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
 
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
-    for any positive couplings: the ``sector.closed_form`` pair spread by
-    ``sector.amplitudes`` onto the single-excitation sector,
+    for any positive couplings: the ``sector.closed_form`` pair of their
+    ``sector.bright_mode``, spread by ``sector.amplitudes`` onto the sector
     ``build_basis(N, excitation_cap=1)``, whose order is the sector's.
 
     With Omega = sqrt(sum_i eps_i^2) the excited amplitude is cos(Omega t)
@@ -157,7 +157,8 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """
     if any(params.detunings):
         raise ValueError("detuned parameters: use propagate_numeric")
-    amps = sector.amplitudes(params.couplings, sector.closed_form(params.couplings, t))
+    mode = sector.bright_mode(params.couplings)
+    amps = sector.amplitudes(mode, sector.closed_form(mode, t))
     return StateVector._from_checked(build_basis(params.n_modes, excitation_cap=1), np.array(amps))
 
 

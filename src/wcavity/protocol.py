@@ -155,10 +155,9 @@ def _metadata(parameter: str, **fields) -> dict:
 def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> SweepResult:
     """A timing-error or detuning sweep: one ``sector.evolve`` call, scored."""
     grid = require_grid(parameter, grid, n, epsilon)
-    t_star, couplings = optimal_time(n, epsilon), (epsilon,) * n
-    states = sector.evolve(couplings, _points(parameter, grid, t_star, epsilon))
-    overlap = sector.w_overlap(couplings)
-    rows = [SweepRow(x, *[sector.w_fidelity(pair, overlap)] * 3) for x, pair in zip(grid, states)]
+    t_star, mode = optimal_time(n, epsilon), sector.bright_mode((epsilon,) * n)
+    states = sector.evolve(mode, _points(parameter, grid, t_star, epsilon))
+    rows = [SweepRow(x, *[sector.w_fidelity(pair, mode)] * 3) for x, pair in zip(grid, states)]
     return SweepResult(rows, _metadata(parameter, n_modes=n, epsilon=epsilon, t_star=t_star))
 
 
@@ -221,9 +220,9 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     evolves in closed form to the nominal optimal time.  The draws are
     those of ``numpy.random.default_rng([seed, grid index, trial
     index]).standard_normal``, reproduced by :mod:`wcavity.normals`.  Each
-    trial is the ``sector.closed_form`` pair of its draw at t*, scored by
-    ``sector.w_fidelity``, and a row's mean is the ``math.fsum`` of its
-    trials over their count: the sweep rounds as every other route does.
+    trial is scored as it is drawn, by ``sector.w_fidelity`` of the
+    ``sector.closed_form`` pair of its ``sector.bright_mode`` at t*; a row's
+    mean, the ``math.fsum`` of its trials over their count, rounds once.
     The tests compare the rows with the numpy route this sweep replaced,
     and decide a cell where the two differ by a 50-digit reference.
     """
@@ -234,10 +233,10 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
     rows = []
     for gi, sigma in enumerate(grid):
         # require_grid bounds every coupling, and the sum of their squares
-        draws = [_disorder_couplings(standard_normals((seed, gi, trial)), n, epsilon, sigma)
-                 for trial in range(trials)]
-        fids = [sector.w_fidelity(sector.closed_form(draw, t_star), sector.w_overlap(draw))
-                for draw in draws]
+        draws = (_disorder_couplings(standard_normals((seed, gi, trial)), n, epsilon, sigma)
+                 for trial in range(trials))
+        fids = [sector.w_fidelity(sector.closed_form(mode, t_star), mode)
+                for mode in map(sector.bright_mode, draws)]
         rows.append(SweepRow(sigma, math.fsum(fids) / len(fids), min(fids), max(fids)))
     return SweepResult(rows, _metadata(
         "coupling-disorder", n_modes=n, epsilon=epsilon, seed=seed, trials=trials,
@@ -262,8 +261,8 @@ def mode_count_sweep(epsilon: float, grid) -> SweepResult:
     counts = [int(x) for x in require_grid("mode-count", grid, None, epsilon)]
     fidelities = {}
     for n in dict.fromkeys(counts):
-        couplings = (epsilon,) * n
-        (pair,) = sector.evolve(couplings, ((optimal_time(n, epsilon), 0.0),))
-        fidelities[n] = sector.w_fidelity(pair, sector.w_overlap(couplings))
+        mode = sector.bright_mode((epsilon,) * n)
+        (pair,) = sector.evolve(mode, ((optimal_time(n, epsilon), 0.0),))
+        fidelities[n] = sector.w_fidelity(pair, mode)
     rows = [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]
     return SweepResult(rows, _metadata("mode-count", epsilon=epsilon))

@@ -15,18 +15,19 @@ is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
 index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
 has the same order, with |g;1...1> at index N + 1.
 
-This module imports only ``math`` (and ``collections.abc``, for one
-annotation), so that a process running ``simulate``, ``entanglement`` or
-a sweep never loads numpy; the numpy modules are its oracle.  It also
-holds the conventions every output shares: the schema version, the
-12-digit number format and the names of the sweep parameters; and the
-size rule that admits every command but ``validate``.
+This module imports only ``math`` (and ``collections.abc`` and ``typing``,
+for annotations and one record), so that a process running ``simulate``,
+``entanglement`` or a sweep never loads numpy; the numpy modules are its
+oracle.  It also holds the conventions every output shares: the schema
+version, the 12-digit number format and the names of the sweep
+parameters; and the size rule that admits every command but ``validate``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 #: Version of the report and sweep-file layout.
 SCHEMA_VERSION = "3"
@@ -129,33 +130,46 @@ def _norm(parts) -> float:
         return math.inf
 
 
-def _require_couplings(couplings) -> None:
+class BrightMode(NamedTuple):
+    """Omega, beta_i = eps_i / Omega, ||beta||^2 and <W_N|beta> of couplings."""
+
+    omega: float
+    beta: tuple[float, ...]
+    squares: float
+    overlap: float
+
+
+def bright_mode(couplings) -> BrightMode:
+    """The reduction of ``couplings``, mode i's at index i - 1, positive and
+    finite (ValueError); an Omega that overflows is inf, for a route to refuse."""
     if not couplings:
         raise ValueError("n_modes must be >= 1")
     if not all(math.isfinite(c) for c in couplings):
         raise ValueError("model parameters must be finite")
     if any(c <= 0 for c in couplings):
         raise ValueError("couplings must be strictly positive")
+    omega, weight = _norm(couplings), 1.0 / math.sqrt(len(couplings))
+    beta = tuple(c / omega for c in couplings)
+    return BrightMode(omega, beta, math.fsum([b * b for b in beta]),
+                      math.fsum([weight * b for b in beta]))
 
 
-def evolve(couplings, points) -> Iterator[tuple[complex, complex]]:
+def evolve(mode: BrightMode, points) -> Iterator[tuple[complex, complex]]:
     """exp(-i H t) |e;0> in the interaction frame at each (t, detuning) of
     ``points``: yields one pair (excited, bright) of amplitudes on |e;0>
     and the bright mode per point, so that a caller holds only the states
-    it keeps.  Mode i (1-based) has coupling ``couplings[i - 1]``, and
-    every mode the point's detuning from the atom (0.0: on resonance).
-    The inputs are checked when the first state is taken.
+    it keeps.  The couplings are those of ``mode``, a :func:`bright_mode`,
+    and every mode has the point's detuning from the atom (0.0: on
+    resonance).  Each point is checked when its state is taken.
 
     Each pair is the exact exponential of the Morris-Shore 2x2 matrix
     [[0, Omega], [Omega, delta]] on (1, 0), divided by the norm of its
-    state, sqrt(|excited|^2 + |bright|^2 ||beta||^2); a drift of that norm
-    above ``NORM_DRIFT_TOL``, or non-finite amplitudes, raise
-    :class:`PropagationError`."""
-    _require_couplings(couplings)
-    omega = _norm(couplings)
+    state, sqrt(|excited|^2 + |bright|^2 ||beta||^2); an Omega that is not
+    finite, a drift of that norm above ``NORM_DRIFT_TOL``, or non-finite
+    amplitudes, raise :class:`PropagationError`."""
+    omega, squares = mode.omega, mode.squares
     if not math.isfinite(omega):
         raise PropagationError(f"coupling norm {omega!r} is not finite")
-    squares = math.fsum([(c / omega) * (c / omega) for c in couplings])  # ||beta||^2, once
     for t, detuning in points:
         if not math.isfinite(detuning):
             raise ValueError("model parameters must be finite")
@@ -190,49 +204,37 @@ def require_angles(n: int, epsilon: float, points, source: str) -> None:
     |(detuning / 2, Omega)| t that is not a finite double; the message
     names the input ``source`` x and the coupling ``--epsilon``, as the CLI
     reads them."""
-    omega = _norm((epsilon,) * n)
+    omega = bright_mode((epsilon,) * n).omega
     for x, (t, detuning) in points:
         if not math.isfinite(_norm((0.5 * detuning, omega)) * t):
             raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "
                              "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 
 
-def closed_form(couplings, t: float) -> tuple[complex, complex]:
+def closed_form(mode: BrightMode, t: float) -> tuple[complex, complex]:
     """The resonant pair (excited, bright) = (cos(Omega t), -i sin(Omega t))
-    of the excited-atom vacuum at time t, interaction frame, with Omega the
-    couplings' norm, as ``evolve`` takes it.  The angle must be finite and
-    the bright mode's squared norm within ``ROUNDING_TOL`` of 1 (ValueError)."""
-    _require_couplings(couplings)
-    omega = _norm(couplings)
-    angle = omega * t
+    of the excited-atom vacuum at time t, interaction frame, with the Omega
+    of ``mode`` as ``evolve`` takes it.  The angle must be finite and
+    ||beta||^2 within ``ROUNDING_TOL`` of 1 (ValueError)."""
+    angle, squares = mode.omega * t, mode.squares
     if not math.isfinite(angle):
         raise ValueError("amplitudes must be finite")
-    squares = math.fsum([(c / omega) * (c / omega) for c in couplings])
     if not abs(squares - 1.0) <= ROUNDING_TOL:
         raise ValueError(f"bright mode norm^2 {squares!r} deviates from 1 beyond {ROUNDING_TOL}")
     return complex(math.cos(angle), 0.0), complex(0.0, -math.sin(angle))
 
 
-def amplitudes(couplings, pair) -> list[complex]:
-    """The N + 2 sector amplitudes of the state that ``pair`` of ``couplings``
-    stands for: 0 on |g;0>, bright eps_i / Omega on mode i, excited on |e;0>."""
+def amplitudes(mode: BrightMode, pair) -> list[complex]:
+    """The N + 2 sector amplitudes of the state that ``pair`` of ``mode``
+    stands for: 0 on |g;0>, bright beta_i on mode i, excited on |e;0>."""
     excited, bright = pair
-    omega = _norm(couplings)
-    return [bright * r for r in (0.0, *(c / omega for c in reversed(couplings)))] + [excited]
+    return [bright * r for r in (0.0, *reversed(mode.beta))] + [excited]
 
 
-def w_overlap(couplings) -> float:
-    """<W_N|beta> = sum_i (1 / sqrt(N)) (eps_i / Omega), the W state's overlap
-    with the bright mode of ``couplings``, correctly rounded by ``math.fsum``."""
-    weight = 1.0 / math.sqrt(len(couplings))
-    omega = _norm(couplings)
-    return math.fsum([weight * (c / omega) for c in couplings])
-
-
-def w_fidelity(pair, overlap: float) -> float:
-    """|<W_N, g|psi>|^2 = |bright <W_N|beta>|^2 of a pair, ``overlap`` the
-    ``w_overlap`` of its couplings, clipped to 1 against rounding."""
-    return min(abs(pair[1] * overlap) ** 2, 1.0)
+def w_fidelity(pair, mode: BrightMode) -> float:
+    """|<W_N, g|psi>|^2 = |bright <W_N|beta>|^2 of a pair of ``mode``,
+    clipped to 1 against rounding."""
+    return min(abs(pair[1] * mode.overlap) ** 2, 1.0)
 
 
 def w_support(n: int) -> list[float]:

@@ -116,12 +116,12 @@ def check_composition(rng) -> CheckResult:
     return _check("propagator-composition", defects(), COMPOSITION_TOL, 50)
 
 
-def _sector_gap(params: ModelParams, t: float, pair) -> float:
-    """The amplitude gap between the N + 2 amplitudes that ``pair``, of a
-    ``sector`` route at time t, stands for and the dense sector propagator."""
+def _sector_gap(params: ModelParams, t: float, mode: sector.BrightMode, pair) -> float:
+    """The amplitude gap between the N + 2 amplitudes that ``pair`` of
+    ``mode``, at time t, stands for and the dense sector propagator."""
     basis = build_basis(params.n_modes, excitation_cap=1)
     dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
-    amps = sector.amplitudes(params.couplings, pair)
+    amps = sector.amplitudes(mode, pair)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 
 
@@ -135,7 +135,8 @@ def check_oracle_equivalence(rng) -> CheckResult:
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
             params = ModelParams.resonant(n, eps)
-            yield _sector_gap(params, t, sector.closed_form(params.couplings, t))
+            mode = sector.bright_mode(params.couplings)
+            yield _sector_gap(params, t, mode, sector.closed_form(mode, t))
     return _check("closed-form-vs-numeric", gaps(), ORACLE_TOL, 100)
 
 
@@ -152,8 +153,9 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
             t = float(rng.uniform(-5.0, 5.0))
-            (pair,) = sector.evolve(couplings, ((sign * t, detuning),))
-            yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, pair)
+            mode = sector.bright_mode(couplings)
+            (pair,) = sector.evolve(mode, ((sign * t, detuning),))
+            yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, mode, pair)
     return _check("sector-vs-dense", gaps(), SECTOR_TOL, 24)
 
 
@@ -206,15 +208,15 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
     first and third zeros.  The analytic estimate only sets the span, and
     fewer than three changes in it raise ValueError.
     """
-    couplings = (epsilon,) * n
+    mode = sector.bright_mode((epsilon,) * n)
 
     def excited_amplitude(t: float) -> float:
-        ((excited, _),) = sector.evolve(couplings, ((t, 0.0),))
+        ((excited, _),) = sector.evolve(mode, ((t, 0.0),))
         return excited.real
 
     estimate = 2.0 * math.pi / (math.sqrt(n) * epsilon)
     ts = np.linspace(0.0, 1.45 * estimate, 121).tolist()
-    states = sector.evolve(couplings, [(t, 0.0) for t in ts])
+    states = sector.evolve(mode, [(t, 0.0) for t in ts])
     zeros, fa = [], next(states)[0].real
     for a, b, (excited, _) in zip(ts, ts[1:], states):
         fb = excited.real

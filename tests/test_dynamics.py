@@ -197,8 +197,8 @@ class TestClosedForm:
         for t in (0.0, 0.37, -4.1, 250.0):
             psi = evolve_closed_form(params, t)
             assert psi.basis == build_basis(3, excitation_cap=1)
-            pair = sector.closed_form(params.couplings, t)
-            closed = np.array(sector.amplitudes(params.couplings, pair))
+            mode = sector.bright_mode(params.couplings)
+            closed = np.array(sector.amplitudes(mode, sector.closed_form(mode, t)))
             assert psi.amplitudes.tobytes() == closed.tobytes()
 
 
@@ -544,15 +544,15 @@ class TestRowsAreCheckedOnce:
         return calls
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
-        # sector.closed_form takes Omega as the norm of the couplings and
-        # checks the squared norm of the bright mode, sector.amplitudes
-        # takes Omega again to spread the pair, and the state takes the
+        # sector.bright_mode takes Omega as the norm of the couplings once,
+        # sector.closed_form checks the squared norm of that bright mode,
+        # sector.amplitudes spreads the pair by it, and the state takes the
         # amplitudes over unchecked
         norms = []
         real = sector._norm
         monkeypatch.setattr(sector, "_norm", lambda parts: norms.append(len(parts)) or real(parts))
         psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
-        assert (row_checks, norms) == ([], [3, 3])
+        assert (row_checks, norms) == ([], [3])
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_in_propagate_numeric_only(self, row_checks):

@@ -16,11 +16,16 @@ import wcavity.dynamics
 PUBLIC = [name for name in wcavity.__all__ if name != "__version__"]
 
 
-def test_import_loads_no_submodule():
+def source_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
     src = str(Path(wcavity.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_import_loads_no_submodule():
+    env = source_env()
     code = (
         "import sys, wcavity\n"
         "print(sorted(m for m in sys.modules if m.startswith('wcavity')))\n"
@@ -33,6 +38,21 @@ def test_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["['wcavity']", "['wcavity', 'wcavity.sector']"]
+
+
+def test_readme_library_example_runs():
+    """The python block under ``## Library`` in README.md runs in a fresh
+    interpreter and prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    code = library[start:library.index("```", start)]
+    proc = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1.0", "5", "[SweepRow(x=0.0, fidelity_mean=1.0, fidelity_min=1.0, fidelity_max=1.0)]",
+        "1.0"]
 
 
 @pytest.mark.parametrize("name", PUBLIC)

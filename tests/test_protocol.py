@@ -274,8 +274,8 @@ class TestDisorderOracle:
                 if field == "fidelity_mean":
                     cell, bound = reference.mean(exact), math.fsum(bounds) / trials
                 else:
-                    fids = [sector.w_fidelity(sector.closed_form(draw, t_star),
-                                              sector.w_overlap(draw)) for draw in draws]
+                    fids = [sector.w_fidelity(sector.closed_form(mode, t_star), mode)
+                            for mode in map(sector.bright_mode, draws)]
                     cell = (min if field == "fidelity_min" else max)(exact)
                     bound = bounds[fids.index(got)]
                 assert reference.round12(cell) != fmt12(numpy_cell)
@@ -349,9 +349,9 @@ class TestDetuningSweep:
         runs = []
         real = sector.evolve
 
-        def recording(couplings, points):
+        def recording(mode, points):
             runs.append(list(points))
-            return real(couplings, runs[-1])
+            return real(mode, runs[-1])
 
         monkeypatch.setattr(sector, "evolve", recording)
         grid = (-2.0, 0.0, 0.7)
@@ -375,8 +375,8 @@ class TestModeCountSweep:
         counts = []
         real = sector.evolve
         monkeypatch.setattr(sector, "evolve",
-                            lambda couplings, *args: counts.append(len(couplings))
-                            or real(couplings, *args))
+                            lambda mode, *args: counts.append(len(mode.beta))
+                            or real(mode, *args))
         res = mode_count_sweep(1.3, grid)
         assert counts == [4, 1]
         assert res.rows == [alone[n] for n in grid]
@@ -545,7 +545,7 @@ def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message, mo
         "mode-count": lambda: mode_count_sweep(eps, grid),
     }[parameter]
     routes = []
-    for name in ("require_angles", "evolve", "closed_form"):
+    for name in ("require_angles", "bright_mode", "evolve", "closed_form"):
         real = getattr(sector, name)
         monkeypatch.setattr(sector, name, lambda *a, real=real: routes.append(a) or real(*a))
     with pytest.raises(ValueError) as refused:

@@ -67,17 +67,18 @@ couplings_st = st.integers(1, 13).flatmap(
 def test_evolution_matches_dense_propagator_and_expm(couplings, detuning, times):
     """Every time of one call against the dense sector propagator and
     ``expm``; the one-time call is the one-item case."""
-    states = list(sector.evolve(couplings, [(t, detuning) for t in times]))
+    mode = sector.bright_mode(couplings)
+    states = list(sector.evolve(mode, [(t, detuning) for t in times]))
     H = dense_operator(couplings, detuning)
     psi0 = initial_state(H.basis)
     dense = [propagate_numeric(H, psi0, t).amplitudes for t in times]
     assert len(states) == len(times)
     for pair, row, t in zip(states, dense, times):
-        amps = sector.amplitudes(couplings, pair)
+        amps = sector.amplitudes(mode, pair)
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi0.amplitudes
         np.testing.assert_allclose(amps, row, atol=1e-12, rtol=0)
         np.testing.assert_allclose(amps, ref, atol=1e-12, rtol=0)
-        assert list(sector.evolve(couplings, ((t, detuning),))) == [pair]
+        assert list(sector.evolve(mode, ((t, detuning),))) == [pair]
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,39 +88,42 @@ def test_one_call_evolves_each_point_as_a_call_of_its_own(couplings, points):
     """Mixed (t, detuning) points, from an iterator as the sweeps pass
     them, give the states of one call per point bit for bit (signed zeros
     too): the detuning sweep's bytes rest on this."""
-    alone = [state for point in points for state in sector.evolve(couplings, [point])]
-    assert repr(list(sector.evolve(couplings, iter(points)))) == repr(alone)
+    mode = sector.bright_mode(couplings)
+    alone = [state for point in points for state in sector.evolve(mode, [point])]
+    assert repr(list(sector.evolve(mode, iter(points)))) == repr(alone)
 
 
 def test_evolve_yields_each_state_when_it_is_taken():
     """An endless stream of points gives its first states, and a bad point
     raises only when its state is taken."""
     points = itertools.chain([(0.3, 0.0)], itertools.repeat((math.nan, 0.0)))
-    states = sector.evolve((1.0, 0.5), points)
-    assert next(states) == next(sector.evolve((1.0, 0.5), ((0.3, 0.0),)))
+    mode = sector.bright_mode((1.0, 0.5))
+    states = sector.evolve(mode, points)
+    assert next(states) == next(sector.evolve(mode, ((0.3, 0.0),)))
     with pytest.raises(ValueError, match="evolution time must be finite"):
         next(states)
 
 
 def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
-    """Omega is ``_norm`` of the couplings, the square root of their
-    ``math.fsum`` sum of squares, and the pair and the amplitudes it
-    stands for are those of the formula at that Omega, bit for bit: equal
-    and unequal couplings, N up to ``MAX_MODES``."""
+    """The Omega of ``bright_mode`` is ``_norm`` of the couplings, the
+    square root of their ``math.fsum`` sum of squares, and the pair and
+    the amplitudes it stands for are those of the formula at that Omega,
+    bit for bit: equal and unequal couplings, N up to ``MAX_MODES``."""
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, sector.MAX_MODES + 1))
         draws = rng.uniform(0.1, 3.0, size=n) if rng.integers(2) else [rng.uniform(0.1, 3.0)] * n
         couplings = [float(c) for c in draws]
         t = float(rng.uniform(-10.0, 10.0))
-        omega = sector._norm(couplings)
-        assert omega == math.sqrt(math.fsum(c * c for c in couplings))
+        mode = sector.bright_mode(couplings)
+        omega = mode.omega
+        assert omega == sector._norm(couplings) == math.sqrt(math.fsum(c * c for c in couplings))
         s = math.sin(omega * t)
         formula = [0j, *(complex(0.0, -(c / omega) * s) for c in reversed(couplings)),
                    complex(math.cos(omega * t), 0.0)]
-        pair = sector.closed_form(couplings, t)
+        pair = sector.closed_form(mode, t)
         assert repr(pair) == repr((formula[-1], complex(0.0, -s)))
-        assert repr(sector.amplitudes(couplings, pair)) == repr(formula)
+        assert repr(sector.amplitudes(mode, pair)) == repr(formula)
 
 
 @pytest.mark.parametrize("epsilon", [5.05e-309, 1e-170, 1e160, 5.18e307])
@@ -176,9 +180,10 @@ def complex_parts_norm(amps) -> float:
 @example(couplings=[0.49238269594934003, 0.7887660150954287, 0.7381126323108442,
                     1.1995158180436216], t=-0.0446252711760419)
 def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
-    closed = sector.amplitudes(couplings, sector.closed_form(couplings, t))
+    mode = sector.bright_mode(couplings)
+    closed = sector.amplitudes(mode, sector.closed_form(mode, t))
     # numpy's amplitudes at ``_norm``'s Omega: the same angle
-    omega, eps, n = sector._norm(couplings), np.array(couplings), len(couplings)
+    omega, eps, n = mode.omega, np.array(couplings), len(couplings)
     at_omega = np.zeros(n + 2, dtype=complex)
     at_omega[n + 1] = np.cos(omega * t)
     at_omega[n:0:-1] = -1j * (eps / omega) * np.sin(omega * t)
@@ -189,8 +194,8 @@ def test_closed_form_matches_the_numpy_closed_form_and_the_route(couplings, t):
     numpy_closed = closed_form_rows([couplings], t)[0]
     np.testing.assert_allclose(closed, numpy_closed, atol=(4 * abs(omega * t) + 1) * 2**-52,
                                rtol=0)
-    (evolved,) = sector.evolve(couplings, ((t, 0.0),))
-    np.testing.assert_allclose(closed, sector.amplitudes(couplings, evolved), atol=1e-13, rtol=0)
+    (evolved,) = sector.evolve(mode, ((t, 0.0),))
+    np.testing.assert_allclose(closed, sector.amplitudes(mode, evolved), atol=1e-13, rtol=0)
 
 
 def test_resonant_transfer_reaches_w_at_optimal_time():
@@ -201,11 +206,10 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
         t_stars = [sector.optimal_time(n, eps) for n in counts]
         assert all(a > b for a, b in itertools.pairwise(t_stars))
         for n, t in zip(counts, t_stars):
-            couplings = (eps,) * n
-            (pair,) = sector.evolve(couplings, ((t, 0.0),))
-            assert sector.w_fidelity(pair, sector.w_overlap(couplings)) == pytest.approx(
-                1.0, abs=1e-14)
-            amps = sector.amplitudes(couplings, pair)
+            mode = sector.bright_mode((eps,) * n)
+            (pair,) = sector.evolve(mode, ((t, 0.0),))
+            assert sector.w_fidelity(pair, mode) == pytest.approx(1.0, abs=1e-14)
+            amps = sector.amplitudes(mode, pair)
             assert abs(amps[n + 1]) <= 1e-15
             assert sum(abs(a) ** 2 for a in amps[:n + 1]) == pytest.approx(1.0, abs=1e-14)
 
@@ -214,17 +218,19 @@ def test_resonant_transfer_reaches_w_at_optimal_time():
 @given(couplings=couplings_st, t=st.floats(-10.0, 10.0))
 def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     n = len(couplings)
-    (pair,) = sector.evolve(couplings, ((t, 0.0),))
+    mode = sector.bright_mode(couplings)
+    (pair,) = sector.evolve(mode, ((t, 0.0),))
     basis = build_basis(n, excitation_cap=1)
-    want = fidelity(w_state(n, basis), StateVector(basis, sector.amplitudes(couplings, pair)))
-    assert sector.w_fidelity(pair, sector.w_overlap(couplings)) == pytest.approx(want, abs=1e-14)
+    want = fidelity(w_state(n, basis), StateVector(basis, sector.amplitudes(mode, pair)))
+    assert sector.w_fidelity(pair, mode) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("detuning", [0.0, -1.7, 7.3])
 def test_w_fidelity_is_the_fsum_overlap_at_the_largest_admitted_n(detuning):
-    """At N = ``sector.MAX_MODES``, at t* and at later times, ``w_overlap``
-    is the ``math.fsum`` of 1/sqrt(N) times each eps_i / Omega, bit for bit
-    whatever the interpreter's ``sum``, and ``w_fidelity`` of a pair, the
+    """At N = ``sector.MAX_MODES``, at t* and at later times, the overlap
+    of ``bright_mode`` is the ``math.fsum`` of 1/sqrt(N) times each
+    eps_i / Omega, bit for bit whatever the interpreter's ``sum``, and
+    ``w_fidelity`` of a pair, the
     squared modulus of its bright amplitude times that overlap, is the
     squared modulus of the ``math.fsum`` overlap of the W state with the
     N + 2 amplitudes the pair stands for, within 2 ulps."""
@@ -232,13 +238,14 @@ def test_w_fidelity_is_the_fsum_overlap_at_the_largest_admitted_n(detuning):
     couplings = [eps] * n
     t_star = sector.optimal_time(n, eps)
     weight, omega = 1.0 / math.sqrt(n), sector._norm(couplings)
-    overlap = sector.w_overlap(couplings)
+    mode = sector.bright_mode(couplings)
+    overlap = mode.overlap
     assert repr(overlap) == repr(math.fsum([weight * (c / omega) for c in couplings]))
     points = [(k * t_star, detuning * eps) for k in (1.0, 1.37, 2.9)]
-    for pair in sector.evolve(couplings, points):
-        terms = [weight * a for a in sector.amplitudes(couplings, pair)[1:n + 1]]
+    for pair in sector.evolve(mode, points):
+        terms = [weight * a for a in sector.amplitudes(mode, pair)[1:n + 1]]
         exact = abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
-        fid = sector.w_fidelity(pair, overlap)
+        fid = sector.w_fidelity(pair, mode)
         assert repr(fid) == repr(min(abs(pair[1] * overlap) ** 2, 1.0))
         assert fid == pytest.approx(min(exact ** 2, 1.0), rel=0, abs=2 * math.ulp(1.0))
 
@@ -254,8 +261,9 @@ def test_common_detuning_keeps_the_bright_mode_shape():
     """Under one common detuning every photon amplitude stays eps_i / Omega
     times one factor, and the atom follows the two-level law."""
     couplings, detuning, t = (1.0, 2.0, 2.0), 0.4, 0.7
-    (pair,) = sector.evolve(couplings, ((t, detuning),))
-    amps = sector.amplitudes(couplings, pair)
+    mode = sector.bright_mode(couplings)
+    (pair,) = sector.evolve(mode, ((t, detuning),))
+    amps = sector.amplitudes(mode, pair)
     assert amps[0] == 0
     photon = math.sqrt(1.0 - abs(amps[4]) ** 2)
     np.testing.assert_allclose(np.abs(amps[1:4]), [photon * 2 / 3, photon * 2 / 3, photon / 3],
@@ -272,35 +280,40 @@ def test_evolution_at_large_n_follows_the_two_level_law(n, detuning):
     and at a later time is the two-level P_e, and every mode holds an
     equal share of the rest."""
     eps = 0.3
-    couplings = (eps,) * n
+    mode = sector.bright_mode((eps,) * n)
     omega = eps * math.sqrt(n)
     t_star = sector.optimal_time(n, eps)
     times = (t_star, 3.7 * t_star)
-    for (pair, t) in zip(sector.evolve(couplings, [(t, detuning) for t in times]), times):
-        amps = sector.amplitudes(couplings, pair)
+    for (pair, t) in zip(sector.evolve(mode, [(t, detuning) for t in times]), times):
+        amps = sector.amplitudes(mode, pair)
         p_excited = two_level_excited_population(omega, detuning, t)
         assert abs(amps[n + 1]) ** 2 == pytest.approx(p_excited, abs=1e-12)
         assert abs(amps[1]) ** 2 == pytest.approx((1.0 - p_excited) / n, abs=1e-15)
         assert abs(amps[n]) == abs(amps[1])
 
 
-@pytest.mark.parametrize("couplings, t, error, match", [
-    ((), 1.0, ValueError, "n_modes"),
-    ((1.0, 0.0), 1.0, ValueError, "strictly positive"),
-    ((1.0, math.inf), 1.0, ValueError, "finite"),
-    ((1.0, 1.0), math.nan, ValueError, "evolution time must be finite"),
-    ((1e200, 1e200), 1e200, PropagationError, "non-finite"),
+@pytest.mark.parametrize("couplings, t, detuning, error, match", [
+    ((1.0, 1.0), math.nan, 0.0, ValueError, "evolution time must be finite"),
+    ((1.0, 1.0), 1.0, math.inf, ValueError, "model parameters must be finite"),
+    ((1e200, 1e200), 1e200, 0.0, PropagationError, "non-finite"),
 ])
-def test_evolve_refuses_bad_input(couplings, t, error, match):
+def test_evolve_refuses_bad_input(couplings, t, detuning, error, match):
+    """The points are ``evolve``'s to check, each when its state is taken;
+    the couplings are checked by ``bright_mode``."""
+    states = sector.evolve(sector.bright_mode(couplings), ((0.5, 0.0), (t, detuning)))
+    next(states)
     with pytest.raises(error, match=match):
-        list(sector.evolve(couplings, ((0.5, 0.0), (t, 0.0))))
+        next(states)
 
 
 def test_a_coupling_norm_that_overflows_is_a_numerical_failure():
-    """Finite couplings whose Omega leaves the doubles raise
-    PropagationError, not a wrong state."""
+    """Finite couplings whose Omega leaves the doubles have a record with
+    Omega = inf, and ``evolve`` of it raises PropagationError, not a wrong
+    state."""
+    mode = sector.bright_mode((1.5e308,) * 2)
+    assert mode.omega == math.inf
     with pytest.raises(PropagationError, match="coupling norm inf is not finite"):
-        list(sector.evolve((1.5e308,) * 2, ((0.9, 0.0),)))
+        list(sector.evolve(mode, ((0.9, 0.0),)))
 
 
 @pytest.mark.parametrize("n, detuning", [(3, 0.0), (5, 1e300)])
@@ -308,11 +321,11 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
     """At the last double t at which ``evolve`` of n unit couplings turns
     without overflow, the angle rule admits t and refuses the next double,
     at which ``evolve`` raises."""
-    couplings = (1.0,) * n
+    mode = sector.bright_mode((1.0,) * n)
 
     def turns(t):
         try:
-            list(sector.evolve(couplings, ((t, detuning),)))
+            list(sector.evolve(mode, ((t, detuning),)))
         except PropagationError:
             return False
         return True
@@ -329,17 +342,21 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized(monkeypatch):
-    """An Omega off the couplings' norm by a factor 1 / (1 + d) moves
-    ||beta||^2 to (1 + d)^2, and the norm of the state that each pair
-    stands for with it: at d = 1e-9 that raises, and at d = 1e-11 the pair
-    is divided by that norm.  At t = 1.2, |bright|^2 is about 0.9."""
+    """A record built at an Omega off the couplings' norm by a factor
+    1 / (1 + d) has ||beta||^2 = (1 + d)^2, and so moves the norm of the
+    state that each pair stands for: at d = 1e-9 that raises, and at
+    d = 1e-11 the pair is divided by that norm.  At t = 1.2, |bright|^2 is
+    about 0.9."""
     couplings = (1.0, 0.5)
     real = sector._norm
 
     def drifted(d):
-        monkeypatch.setattr(sector, "_norm",
-                            lambda v: real(v) / (1.0 + d) if v is couplings else real(v))
-        return sector.evolve(couplings, ((1.2, 0.0),))
+        with monkeypatch.context() as patch:
+            patch.setattr(sector, "_norm", lambda v: real(v) / (1.0 + d))
+            mode = sector.bright_mode(couplings)
+        assert mode.squares == math.fsum([(c / (real(couplings) / (1.0 + d))) ** 2
+                                          for c in couplings])
+        return sector.evolve(mode, ((1.2, 0.0),))
 
     with pytest.raises(PropagationError, match="norm drift"):
         list(drifted(1e-9))
@@ -378,11 +395,10 @@ def test_the_work_per_point_does_not_grow_with_n(route, monkeypatch):
         counter = FsumCounter()
         monkeypatch.setattr(sector, "math", counter)
         if route == "evolve":
-            couplings = (0.7,) * n
-            overlap = sector.w_overlap(couplings)
+            mode = sector.bright_mode((0.7,) * n)
             times = [(0.01 * k, 0.1 * k) for k in range(points)]
-            for pair in sector.evolve(couplings, times):
-                sector.w_fidelity(pair, overlap)
+            for pair in sector.evolve(mode, times):
+                sector.w_fidelity(pair, mode)
         else:
             sweep = (protocol.timing_error_sweep if route == "timing-error sweep"
                      else protocol.detuning_sweep)
@@ -394,20 +410,26 @@ def test_the_work_per_point_does_not_grow_with_n(route, monkeypatch):
     assert per_point[0] == per_point[1] <= 8
 
 
-@pytest.mark.parametrize("bad,message", [
-    (0.0, "positive"), (-1.0, "positive"), (math.inf, "finite"), (math.nan, "finite"),
+@pytest.mark.parametrize("couplings, message", [
+    ((), "n_modes must be >= 1"),
+    ((1.0, 0.0, 1.0), "strictly positive"),
+    ((1.0, -1.0, 1.0), "strictly positive"),
+    ((1.0, math.inf, 1.0), "model parameters must be finite"),
+    ((1.0, math.nan, 1.0), "model parameters must be finite"),
 ])
-def test_closed_form_rejects_any_bad_coupling(bad, message):
+def test_bright_mode_rejects_any_bad_coupling(couplings, message):
+    """A coupling set is checked once, when its record is built, so that
+    no route gets the record of a bad one."""
     with pytest.raises(ValueError, match=message):
-        sector.closed_form((1.0, bad, 1.0), 0.5)
+        sector.bright_mode(couplings)
 
 
 def test_closed_form_checks_finite_unit_norm(monkeypatch):
     with pytest.raises(ValueError, match="finite"):
-        sector.closed_form((1e200, 1e200), 1e200)
+        sector.closed_form(sector.bright_mode((1e200, 1e200)), 1e200)
     monkeypatch.setattr(sector, "_norm", lambda amps: 1.0 + 1e-11)
     with pytest.raises(ValueError, match="deviates from 1"):
-        sector.closed_form((1.0, 1.0), 0.3)
+        sector.closed_form(sector.bright_mode((1.0, 1.0)), 0.3)
 
 
 def numpy_pair_concurrences(amps):

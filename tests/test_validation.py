@@ -108,25 +108,27 @@ def test_composition_check_fails_on_a_time_offset_in_the_propagator(monkeypatch)
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-9])
 def test_rabi_check_fails_on_scaled_couplings_in_the_sector_route(scale, monkeypatch):
-    """Couplings scaled by 1 + scale inside ``sector.evolve`` still give
-    unit-norm states, but shorten the period by a relative ``scale``; at
-    1e-9 that is below the old tolerance of 1e-6 and above 1e-12."""
+    """An Omega scaled by 1 + scale in the record that ``sector.evolve``
+    gets still gives unit-norm states, but shortens the period by a
+    relative ``scale``; at 1e-9 that is below the old tolerance of 1e-6
+    and above 1e-12."""
     real = sector.evolve
     assert check_rabi_period().passed
-    monkeypatch.setattr(sector, "evolve", lambda couplings, points: real(
-        tuple(c * (1.0 + scale) for c in couplings), points))
+    monkeypatch.setattr(sector, "evolve", lambda mode, points: real(
+        mode._replace(omega=mode.omega * (1.0 + scale)), points))
     result = check_rabi_period()
     assert not result.passed
     assert result.measured == pytest.approx(scale, rel=1e-3)
 
 
 def test_rabi_check_fails_on_a_period_beyond_its_scan(monkeypatch):
-    """Couplings scaled by 0.8 lengthen the period by 1.25, which puts the
-    third sign change past the scan: the check reads FAIL with an infinite
-    defect instead of stopping the suite."""
+    """An Omega scaled by 0.8 in the record that ``sector.evolve`` gets
+    lengthens the period by 1.25, which puts the third sign change past
+    the scan: the check reads FAIL with an infinite defect instead of
+    stopping the suite."""
     real = sector.evolve
-    monkeypatch.setattr(sector, "evolve", lambda couplings, points: real(
-        tuple(c * 0.8 for c in couplings), points))
+    monkeypatch.setattr(sector, "evolve", lambda mode, points: real(
+        mode._replace(omega=mode.omega * 0.8), points))
     result = check_rabi_period()
     assert not result.passed and result.measured == math.inf
 
@@ -300,8 +302,8 @@ def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
     photon, are wrong states; the check fails on both, without raising."""
     real = sector.evolve
 
-    def faulted(couplings, points):
-        states = real(couplings, points)
+    def faulted(mode, points):
+        states = real(mode, points)
         if fault == "conjugated state":
             return [(excited.conjugate(), bright.conjugate()) for excited, bright in states]
         return [(excited, -bright) for excited, bright in states]
@@ -316,23 +318,24 @@ def test_sector_check_fails_on_a_faulted_sector_evolve(fault, monkeypatch):
 def test_closed_form_check_fails_on_a_faulted_sector_closed_form(fault, monkeypatch):
     """``closed-form-vs-numeric`` runs ``sector.closed_form``, the closed
     form of ``simulate`` and the disorder sweep.  A flipped sign on the
-    bright amplitude of the pair gives a wrong state, and an Omega scaled
-    by 1 + 1e-6 moves ||beta||^2 off 1 and fails the closed form's own
-    norm check; the check fails on both, without raising."""
-    real, norm = sector.closed_form, sector._norm
+    bright amplitude of the pair gives a wrong state, and a record whose
+    Omega is scaled by 1 + 1e-6, with beta and ||beta||^2 taken at it,
+    fails the closed form's own norm check; the check fails on both,
+    without raising."""
+    real = sector.closed_form
 
-    def faulted(couplings, t):
+    def faulted(mode, t):
         if fault == "photon sign":
-            excited, bright = real(couplings, t)
+            excited, bright = real(mode, t)
             return excited, -bright
-        # Omega, the norm of the couplings, is scaled in the closed form only
-        with monkeypatch.context() as patch:
-            patch.setattr(sector, "_norm",
-                          lambda v: norm(v) * (1.0 + 1e-6) if v is couplings else norm(v))
-            return real(couplings, t)
+        omega = mode.omega * (1.0 + 1e-6)
+        beta = tuple(b * (mode.omega / omega) for b in mode.beta)
+        return real(mode._replace(omega=omega, beta=beta,
+                                  squares=math.fsum([b * b for b in beta])), t)
 
     assert check_oracle_equivalence(np.random.default_rng(3)).passed
     monkeypatch.setattr(sector, "closed_form", faulted)
     result = check_oracle_equivalence(np.random.default_rng(3))
     assert not result.passed
     assert result.measured > 1e-3
+    assert (result.measured == math.inf) == (fault == "omega scaled")

@@ -31,9 +31,7 @@ _HOMES = {
         "w_state",
     ),
     "fock": (
-        "AtomLevel",
         "Basis",
-        "BasisState",
         "StateVector",
         "atom_population",
         "build_basis",

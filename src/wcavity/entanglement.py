@@ -2,7 +2,9 @@
 
 Field modes are qubits (at most one photon each); the atom counts as
 subsystem 0 so that partial-trace indexing is uniform across atom and
-modes.  Everything here is a pure function.
+modes.  States are placed and grouped by their codes, the rule of the
+``fock`` module docstring, in which subsystem s is bit N - s.  Everything
+here is a pure function.
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ import math
 import numpy as np
 
 from .dynamics import hermiticity_defect
-from .fock import (
-    AtomLevel,
-    Basis,
-    BasisState,
-    Frozen,
-    StateVector,
-    _require_same_basis,
-    vacuum_occupations,
-)
+from .fock import Basis, Frozen, StateVector, _require_same_basis
 from .sector import ROUNDING_TOL
 
 EIGENVALUE_FLOOR = -1e-10
@@ -55,58 +49,50 @@ class DensityMatrix(Frozen):
         object.__setattr__(self, "matrix", mat)
 
 
-def _lookup(basis: Basis, state: BasisState, why: str) -> int:
-    pos = basis.index.get(state)
-    if pos is None:
-        raise ValueError(f"basis too small: missing {state.label()} ({why})")
-    return pos
-
-
 def support_basis(n: int) -> Basis:
     """The N + 2 states that W_n and GHZ_n occupy, atom in the ground
-    state: the vacuum, each |g; 1_i>, and |g; 1...1>, in the order of the
-    full basis.  Both states and their reductions are exact on it, with
-    N + 2 states where the full space has 2 * 2^N."""
+    state: the vacuum, each |g; 1_i>, and |g; 1...1>, which are the codes
+    0, 1, 2, 4, ..., 2^(N - 1) and 2^N - 1 of ``fock``'s rule, ascending as
+    in the full basis.  Both states and their reductions are exact on it,
+    with N + 2 states where the full space has 2 * 2^N."""
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
-    vacuum = vacuum_occupations(n)
-    singles = [vacuum[:i] + (1,) + vacuum[i + 1:] for i in reversed(range(n))]
-    states = [BasisState(AtomLevel.GROUND, occ) for occ in (vacuum, *singles, (1,) * n)]
-    return Basis(n, n, tuple(states))
+    return Basis(n, n, (0, *(1 << i for i in range(n)), (1 << n) - 1))
+
+
+def _superposition(basis: Basis, codes: tuple[int, ...], why: str) -> StateVector:
+    """Equal real amplitudes 1/sqrt(len(codes)) on the states of ``codes``;
+    ValueError naming the first that ``basis`` lacks."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    for code in codes:
+        if code not in basis.index:
+            raise ValueError(f"basis too small: missing {basis.label(code)} ({why})")
+        amps[basis.index[code]] = 1.0 / math.sqrt(len(codes))
+    return StateVector(basis, amps)
 
 
 def w_state(n: int, basis: Basis) -> StateVector:
     """|W_n> on the field with the atom in the ground state.
 
-    Equal real amplitudes 1/sqrt(n) on each |g; 1_i>; the single shared
-    excitation survives the loss of any one mode.
+    Equal real amplitudes 1/sqrt(n) on each |g; 1_i>, of code 2^(n - i);
+    the single shared excitation survives the loss of any one mode.
     """
     if n != basis.n_modes:
         raise ValueError(f"requested W state over {n} modes on a {basis.n_modes}-mode basis")
-    amps = np.zeros(basis.dim, dtype=complex)
-    vacuum = vacuum_occupations(n)
-    for i in range(n):
-        occ = list(vacuum)
-        occ[i] = 1
-        state = BasisState(AtomLevel.GROUND, tuple(occ))
-        amps[_lookup(basis, state, "single-photon component")] = 1.0 / math.sqrt(n)
-    return StateVector(basis, amps)
+    return _superposition(basis, tuple(1 << n - i for i in range(1, n + 1)),
+                          "single-photon component")
 
 
 def ghz_state(n: int, basis: Basis) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2) on the field, atom in the ground state."""
+    """(|0...0> + |1...1>)/sqrt(2) on the field, atom in the ground state:
+    the codes 0 and 2^n - 1."""
     if n != basis.n_modes:
         raise ValueError(f"requested GHZ state over {n} modes on a {basis.n_modes}-mode basis")
     if basis.excitation_cap is not None and basis.excitation_cap < n:
         raise ValueError(
             f"basis excitation cap {basis.excitation_cap} below {n}: cannot hold |1...1>"
         )
-    amps = np.zeros(basis.dim, dtype=complex)
-    zeros = BasisState(AtomLevel.GROUND, vacuum_occupations(n))
-    ones = BasisState(AtomLevel.GROUND, (1,) * n)
-    amps[_lookup(basis, zeros, "all-vacuum component")] = 1.0 / math.sqrt(2.0)
-    amps[_lookup(basis, ones, "all-ones component")] = 1.0 / math.sqrt(2.0)
-    return StateVector(basis, amps)
+    return _superposition(basis, (0, (1 << n) - 1), "GHZ component")
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
@@ -145,22 +131,16 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     # row g of M holds the amplitudes of the states whose discarded
     # subsystems share configuration g, at their kept index; then
     # rho[r, c] = sum_g M[g, r] M[g, c]^*.  Zero amplitudes add nothing,
-    # and W and GHZ states occupy only a few basis states.
+    # and W and GHZ states occupy only a few basis states.  Subsystem s is
+    # bit N - s of a code, so a configuration g is the code with the kept
+    # bits cleared, an exact int at any N; groups are numbered ascending.
     occupied = np.flatnonzero(psi.amplitudes)
-    levels = basis.levels[occupied]
-    kept_index = levels[:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
-    # packed bits keep the group key exact however many subsystems are
-    # discarded, where an int64 key would overflow past 63
-    packed = np.ascontiguousarray(
-        np.packbits(np.delete(levels, labels, axis=1).astype(bool), axis=1)
-    )
-    if packed.shape[1]:
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, group = np.unique(keys, return_inverse=True)
-    else:
-        group = np.zeros(len(occupied), dtype=np.intp)
-    M = np.zeros((int(group.max()) + 1, 2 ** len(labels)), dtype=complex)
-    M[group, kept_index] = psi.amplitudes[occupied]
+    kept_index = basis.levels[occupied][:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
+    kept_mask = sum(1 << basis.n_modes - s for s in labels)
+    keys = [basis.codes[k] & ~kept_mask for k in occupied.tolist()]
+    group = {key: g for g, key in enumerate(sorted(set(keys)))}
+    M = np.zeros((len(group), 2 ** len(labels)), dtype=complex)
+    M[[group[key] for key in keys], kept_index] = psi.amplitudes[occupied]
     return DensityMatrix(labels, M.T @ M.conj())
 
 

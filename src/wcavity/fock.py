@@ -1,17 +1,24 @@
 """Hilbert space of one two-level atom coupled to N modes, each a qubit.
 
-The basis is the set of occupation-number states |atom; n_1 ... n_N> with
-each n_i 0 or 1, as in the paper's protocol, where one excitation spreads
-over empty modes; optionally filtered by a cap on the total excitation
-number (atomic excitation plus total photon count).  Ordering is
-deterministic: ground-state block before excited-state block, occupations
-ascending lexicographically within each block.
+The states are the occupation-number states |atom; n_1 ... n_N>, each
+n_i 0 or 1, as in the paper's protocol, where one excitation spreads over
+empty modes.  A state is its code, the integer whose binary digits, most
+significant first, are the atom level (0 ground, 1 excited) and the
+photon numbers of modes 1..N::
+
+    code = atom * 2^N + sum_i n_i * 2^(N - i)
+
+so |g;0...0> is 0, |g;1_i> is 2^(N - i) and |e;0...0> is 2^N.  A basis
+lists its codes in ascending order: the whole space is 0 .. 2 * 2^N - 1,
+and a cap on the total excitation number (atomic excitation plus photon
+count) keeps the codes with at most that many set bits.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
+import itertools
+import math
 import types
 
 import numpy as np
@@ -59,68 +66,50 @@ class Value(Frozen):
         return f"{type(self).__name__}({fields})"
 
 
-class AtomLevel(enum.IntEnum):
-    """Two-level atom: integer value doubles as the excitation count."""
-
-    GROUND = 0
-    EXCITED = 1
-
-
-class BasisState(Value):
-    """One occupation-number label: atom level plus photon count per mode."""
-
-    __slots__ = ("atom", "occupations")
-
-    def __init__(self, atom: AtomLevel, occupations: tuple[int, ...]) -> None:
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "occupations", occupations)
-
-    def _key(self) -> tuple:  # the slot values, without the generic loop: bases hash many states
-        return (self.atom, self.occupations)
-
-    def label(self) -> str:
-        atom = "e" if self.atom is AtomLevel.EXCITED else "g"
-        return f"|{atom};{''.join(str(n) for n in self.occupations)}>"
-
-
 class Basis(Value):
-    """Ordered basis of the atom + N-qubit-mode space.
+    """Ordered basis of the atom + N-qubit-mode space: the ascending tuple
+    ``codes`` of its states (the module docstring gives the code rule).
 
     Use :func:`build_basis` to construct one; the read-only ``index``
-    attribute maps each :class:`BasisState` back to its position in
-    ``states``.  Bases are shared between callers, so nothing in one may
-    change.
+    attribute maps each code back to its position in ``codes``.  Bases
+    are shared between callers, so nothing in one may change.
 
     A basis may also hold only some states of its space, such as the
     support of a few target states (``entanglement.support_basis``).
     """
 
     # __dict__ holds the cached_property values, which bypass __setattr__
-    __slots__ = ("n_modes", "excitation_cap", "states", "index", "__dict__")
+    __slots__ = ("n_modes", "excitation_cap", "codes", "index", "__dict__")
 
-    def __init__(self, n_modes: int, excitation_cap: int | None,
-                 states: tuple[BasisState, ...]) -> None:
-        index = types.MappingProxyType({state: k for k, state in enumerate(states)})
-        for name, value in zip(self.__slots__, (n_modes, excitation_cap, states, index)):
+    def __init__(self, n_modes: int, excitation_cap: int | None, codes: tuple[int, ...]) -> None:
+        index = types.MappingProxyType({code: k for k, code in enumerate(codes)})
+        for name, value in zip(self.__slots__, (n_modes, excitation_cap, codes, index)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return (self.n_modes, self.excitation_cap, self.states)
+        return (self.n_modes, self.excitation_cap, self.codes)
 
     def __repr__(self):
         return f"Basis(n_modes={self.n_modes!r}, excitation_cap={self.excitation_cap!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    def label(self, code: int) -> str:
+        """The ket of a code, atom then modes 1..N: ``|g;010>``."""
+        digits = format(code, f"0{self.n_modes + 1}b")
+        return f"|{'ge'[int(digits[0])]};{digits[1:]}>"
 
     @functools.cached_property
     def levels(self) -> np.ndarray:
         """Read-only (dim, n_modes + 1) integer array, one row per state:
-        the atom level in column 0, the photon count of mode i in column i.
-        Built once per basis."""
-        rows = [(int(s.atom), *s.occupations) for s in self.states]
-        arr = np.array(rows, dtype=np.int64).reshape(self.dim, self.n_modes + 1)
+        the binary digits of its code, so the atom level in column 0 and
+        the photon count of mode i in column i.  Built once per basis."""
+        width = self.n_modes + 1
+        digits = "".join(format(code, f"0{width}b") for code in self.codes).encode()
+        arr = np.frombuffer(digits, dtype=np.uint8).reshape(self.dim, width) - ord("0")
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
         return arr
 
@@ -128,22 +117,14 @@ class Basis(Value):
     def exchange_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only index arrays (ground, excited, mode), one entry per
         nonzero element <e, n - 1_i| a_i s_+ |g, n> = 1: the state
-        |g, n> sits at ``ground``, its partner |e, n - 1_i> at ``excited``,
-        and i is ``mode``.  Ascending by ground state, then by mode.  Built
-        once per basis."""
-        ground, excited, mode = [], [], []
-        for k, state in enumerate(self.states):
-            if state.atom is not AtomLevel.GROUND:
-                continue
-            for i, n_i in enumerate(state.occupations):
-                if n_i == 0:
-                    continue
-                occ = list(state.occupations)
-                occ[i] = 0
-                ground.append(k)
-                excited.append(self.index[BasisState(AtomLevel.EXCITED, tuple(occ))])
-                mode.append(i)
-        arrays = tuple(np.array(v, dtype=np.intp) for v in (ground, excited, mode))
+        |g, n> sits at ``ground``, its partner |e, n - 1_i>, of code
+        ``code ^ 2^N ^ 2^(N - i)``, at ``excited``, and i - 1 is ``mode``.
+        Ascending by ground state, then by mode.  Built once per basis."""
+        levels, top = self.levels, 1 << self.n_modes
+        ground, mode = np.nonzero(levels[:, 1:] * (levels[:, :1] == 0))
+        excited = np.array([self.index[self.codes[k] ^ top ^ (top >> 1 + i)]
+                            for k, i in zip(ground.tolist(), mode.tolist())], dtype=np.intp)
+        arrays = (ground, excited, mode)
         for arr in arrays:
             arr.flags.writeable = False
         return arrays
@@ -182,9 +163,9 @@ class StateVector(Frozen):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", arr)
 
-    def amplitude(self, state: BasisState) -> complex:
-        """Amplitude on a single basis state."""
-        return complex(self.amplitudes[self.basis.index[state]])
+    def amplitude(self, code: int) -> complex:
+        """Amplitude on the basis state of one code."""
+        return complex(self.amplitudes[self.basis.index[code]])
 
     def norm(self) -> float:
         """2-norm of the amplitudes."""
@@ -204,29 +185,9 @@ def require_unit_rows(amplitudes: np.ndarray) -> None:
         raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
 
 
-def _capped_occupations(n_modes: int, budget: int):
-    """Yield 0/1 occupation tuples with sum <= budget, ascending lexicographic."""
-    occ = [0] * n_modes
-    total = 0
-    while True:
-        yield tuple(occ)
-        # lexicographic successor: positions right of the bumped one are
-        # already zeroed by the leftward scan
-        i = n_modes - 1
-        while i >= 0:
-            if occ[i] == 0 and total < budget:
-                occ[i] = 1
-                total += 1
-                break
-            total -= occ[i]
-            occ[i] = 0
-            i -= 1
-        else:
-            return
-
-
 def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
-    """Enumerate the basis: every atom level and 0/1 occupation of each mode.
+    """Enumerate the basis: the codes of every atom level and 0/1
+    occupation of each mode, ascending.
 
     Parameters
     ----------
@@ -238,7 +199,8 @@ def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
         single-excitation sector of dimension ``n_modes + 2``; without a
         cap the space has dimension 2 * 2^N.
 
-    A dimension above ``MAX_DIMENSION`` raises ValueError.  Bases are
+    A dimension above ``MAX_DIMENSION`` raises ValueError, counted by
+    ``math.comb`` before any code is built.  Bases are
     memoized per (n_modes, excitation_cap): a repeated call returns
     the same read-only object.  The arguments are checked before the cache
     is consulted, so a float that equals an int is refused like any other.
@@ -254,29 +216,26 @@ def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
 
 @functools.lru_cache(maxsize=32)
 def _enumerate_basis(n_modes: int, excitation_cap: int | None) -> Basis:
-    states: list[BasisState] = []
-    for atom in (AtomLevel.GROUND, AtomLevel.EXCITED):
-        # without a cap, a budget of n_modes admits every occupation
-        budget = n_modes if excitation_cap is None else excitation_cap - int(atom)
-        if budget < 0:
-            continue
-        for occ in _capped_occupations(n_modes, budget):
-            states.append(BasisState(atom, occ))
-            if len(states) > MAX_DIMENSION:
-                raise ValueError(
-                    f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
-                )
-    return Basis(n_modes, excitation_cap, tuple(states))
-
-
-def vacuum_occupations(n_modes: int) -> tuple[int, ...]:
-    return (0,) * n_modes
+    bits = n_modes + 1
+    cap = bits if excitation_cap is None else min(excitation_cap, bits)
+    dim = 0
+    for count in range(cap + 1):
+        dim += math.comb(bits, count)
+        if dim > MAX_DIMENSION:
+            raise ValueError(
+                f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
+            )
+    if cap == bits:
+        return Basis(n_modes, excitation_cap, tuple(range(dim)))
+    codes = sorted(sum(1 << bit for bit in chosen)
+                   for count in range(cap + 1)
+                   for chosen in itertools.combinations(range(bits), count))
+    return Basis(n_modes, excitation_cap, tuple(codes))
 
 
 def initial_state(basis: Basis) -> StateVector:
     """Excited atom, all modes in vacuum: unit amplitude on |e; 0...0>."""
-    target = BasisState(AtomLevel.EXCITED, vacuum_occupations(basis.n_modes))
-    pos = basis.index.get(target)
+    pos = basis.index.get(1 << basis.n_modes)
     if pos is None:
         raise ValueError(
             "basis does not contain the excited-atom vacuum state "
@@ -292,9 +251,9 @@ def _require_same_basis(a: StateVector, b: StateVector) -> None:
         raise ValueError("state vectors live on different bases")
 
 
-def atom_population(psi: StateVector, level: AtomLevel) -> float:
-    """Total probability of finding the atom in the given level: the
-    states with that level are a mask on ``levels[:, 0]``."""
+def atom_population(psi: StateVector, level: int) -> float:
+    """Total probability of finding the atom in the given level, 0 or 1:
+    the states with that level are a mask on ``levels[:, 0]``."""
     probs = np.abs(psi.amplitudes[psi.basis.levels[:, 0] == level]) ** 2
     return min(float(probs.sum()), 1.0)
 

@@ -10,10 +10,12 @@ delta (the Morris-Shore reduction; Morris and Shore, Phys. Rev. A 27, 906
 two; the exact 2x2 exponential gives it at any time in O(1) work, and
 ``amplitudes`` spreads it onto the N + 2 states where they are output.
 
-Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: index 0
-is |g;0>, index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>, and
-index N + 1 is |e;0>.  The W and GHZ support (``entanglement.support_basis``)
-has the same order, with |g;1...1> at index N + 1.
+Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: the
+ascending codes of the ``fock`` module docstring, so index 0 is |g;0>
+(code 0), index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>
+(code 2^(j - 1)), and index N + 1 is |e;0> (code 2^N).  The W and GHZ
+support (``entanglement.support_basis``) has the same order, with
+|g;1...1> (code 2^N - 1) at index N + 1.
 
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
 for annotations and one record), so that a process running ``simulate``,
@@ -203,8 +205,10 @@ def require_angles(n: int, epsilon: float, points, source: str) -> None:
     which ``evolve`` of n couplings ``epsilon`` turns by an angle
     |(detuning / 2, Omega)| t that is not a finite double; the message
     names the input ``source`` x and the coupling ``--epsilon``, as the CLI
-    reads them."""
-    omega = bright_mode((epsilon,) * n).omega
+    reads them.  Omega is ``_norm`` of the n couplings, the call
+    ``bright_mode`` makes, so the same double; epsilon is checked by the
+    caller, and an Omega that overflows is inf, whose angles are refused."""
+    omega = _norm((epsilon,) * n)
     for x, (t, detuning) in points:
         if not math.isfinite(_norm((0.5 * detuning, omega)) * t):
             raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "

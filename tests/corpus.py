@@ -175,7 +175,9 @@ COMMANDS = [
     (["sweep", "--parameter", "detuning", "--config", "{tmp}/run.cfg", "--out", "-"],
      {"run.cfg": "trials = 5\n"}),
     # the self-checks, on numpy
+    (["validate"], {}, "numpy"),
     (["validate", "--seed", "7"], {}, "numpy"),
+    (["validate", "--seed", "123"], {}, "numpy"),
     (["validate", "--seed", "7", "--format", "csv", "--out", "{tmp}/v.csv"], {}, "numpy"),
     (["validate", "--seed", "7", "--inject-fault"], {}, "numpy"),
 ]

@@ -28,7 +28,7 @@ from wcavity.dynamics import (
     propagate_numeric,
 )
 from wcavity.entanglement import fidelity, success_probability, w_state
-from wcavity.fock import AtomLevel, atom_population, build_basis, initial_state, state_from_dict
+from wcavity.fock import atom_population, build_basis, initial_state, state_from_dict
 from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, SWEEP_PARAMETERS
 
@@ -126,7 +126,7 @@ def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
     # success probability and the atom's ground population
     assert report["fidelity_W"] == pytest.approx(success_probability(dense, n), abs=1e-12)
     assert report["fidelity_W"] == pytest.approx(
-        atom_population(dense, AtomLevel.GROUND), abs=1e-12
+        atom_population(dense, 0), abs=1e-12
     )
     assert report["closed_vs_numeric_gap"] <= 1e-9
     if dump:
@@ -136,7 +136,7 @@ def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
         amps = np.array([complex(re, im) for re, im in state["amplitudes"]])
         assert len(amps) == sector.dim == n + 2
         # the dense route's amplitudes at the sector states, which hold all its norm
-        at_sector = dense.amplitudes[[dense.basis.index[s] for s in sector.states]]
+        at_sector = dense.amplitudes[[dense.basis.index[code] for code in sector.codes]]
         np.testing.assert_allclose(amps, at_sector, atol=1e-12, rtol=0)
         assert np.linalg.norm(at_sector) == pytest.approx(1.0, abs=1e-12)
 

@@ -16,15 +16,9 @@ from wcavity.dynamics import (
     hermiticity_defect,
     propagate_numeric,
 )
-from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, build_basis, initial_state
 
-
-def g(*occ):
-    return BasisState(AtomLevel.GROUND, tuple(occ))
-
-
-def e(*occ):
-    return BasisState(AtomLevel.EXCITED, tuple(occ))
+from codes import digits, e, g
 
 
 def random_params(rng, n_modes=None):
@@ -46,23 +40,24 @@ def reference_hamiltonian(params, basis, lab=None):
     s_z = +-1/2, on the diagonal."""
     dim = basis.dim
     matrix = np.zeros((dim, dim), dtype=complex)
-    for k, state in enumerate(basis.states):
+    states = [digits(code, basis.n_modes) for code in basis.codes]
+    for k, (atom, *occupations) in enumerate(states):
         if lab is None:
-            diag = sum(d * n for d, n in zip(params.detunings, state.occupations))
+            diag = sum(d * n for d, n in zip(params.detunings, occupations))
         else:
             omega_a, omega_modes = lab
-            s_z = 0.5 if state.atom is AtomLevel.EXCITED else -0.5
-            diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, state.occupations))
+            s_z = 0.5 if atom == 1 else -0.5
+            diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, occupations))
         matrix[k, k] = diag
-    for k, state in enumerate(basis.states):
-        if state.atom is not AtomLevel.GROUND:
+    for k, (atom, *occupations) in enumerate(states):
+        if atom != 0:
             continue
-        for i, n_i in enumerate(state.occupations):
+        for i, n_i in enumerate(occupations):
             if n_i == 0:
                 continue
-            occ = list(state.occupations)
+            occ = list(occupations)
             occ[i] = 0
-            partner = basis.index[BasisState(AtomLevel.EXCITED, tuple(occ))]
+            partner = basis.index[e(*occ)]
             matrix[partner, k] += params.couplings[i]
             matrix[k, partner] += params.couplings[i]
     return matrix
@@ -484,7 +479,7 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
     dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
     embedded = np.zeros(full.dim, dtype=complex)
-    embedded[[full.index[state] for state in sector.states]] = small.amplitudes
+    embedded[[full.index[code] for code in sector.codes]] = small.amplitudes
     np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
 
 

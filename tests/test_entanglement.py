@@ -18,15 +18,9 @@ from wcavity.entanglement import (
     support_basis,
     w_state,
 )
-from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, build_basis, initial_state
 
-
-def g(*occ):
-    return BasisState(AtomLevel.GROUND, tuple(occ))
-
-
-def e(*occ):
-    return BasisState(AtomLevel.EXCITED, tuple(occ))
+from codes import e, g
 
 
 def oracle_partial_trace(psi, keep):
@@ -38,8 +32,7 @@ def oracle_partial_trace(psi, keep):
     discard = [s for s in range(n_subsystems) if s not in labels]
 
     def amplitude(bits):
-        state = BasisState(AtomLevel(bits[0]), tuple(bits[1:]))
-        pos = basis.index.get(state)
+        pos = basis.index.get(int("".join(map(str, bits)), 2))
         return 0j if pos is None else complex(psi.amplitudes[pos])
 
     dim = 2 ** len(labels)
@@ -108,7 +101,7 @@ class TestTargetStates:
             w_state(2, build_basis(3, excitation_cap=1))
 
     def test_w_requires_single_photon_states(self):
-        with pytest.raises(ValueError, match="basis too small"):
+        with pytest.raises(ValueError, match=r"basis too small: missing \|g;10>"):
             w_state(2, build_basis(2, excitation_cap=0))
 
     def test_ghz3(self):
@@ -380,7 +373,7 @@ class TestSupportBasis:
         basis = support_basis(n)
         full = build_basis(n)
         assert basis.dim == n + 2
-        positions = [full.index[s] for s in basis.states]
+        positions = [full.index[code] for code in basis.codes]
         assert positions == sorted(positions)
         for make in (w_state, ghz_state):
             on_full = make(n, full)

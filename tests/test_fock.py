@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -7,8 +6,6 @@ import pytest
 
 from wcavity.cli import main
 from wcavity.fock import (
-    AtomLevel,
-    BasisState,
     StateVector,
     atom_population,
     build_basis,
@@ -16,40 +13,31 @@ from wcavity.fock import (
     state_from_dict,
 )
 
-
-def g(*occ):
-    return BasisState(AtomLevel.GROUND, tuple(occ))
-
-
-def e(*occ):
-    return BasisState(AtomLevel.EXCITED, tuple(occ))
+from codes import digits, e, g
 
 
 class TestBuildBasis:
     def test_single_mode_single_excitation(self):
         basis = build_basis(n_modes=1, excitation_cap=1)
-        assert basis.states == (g(0), g(1), e(0))
+        assert basis.codes == (g(0), g(1), e(0)) == (0, 1, 2)
 
     def test_three_modes_single_excitation(self):
         basis = build_basis(n_modes=3, excitation_cap=1)
         assert basis.dim == 5
-        assert set(basis.states) == {g(0, 0, 0), g(1, 0, 0), g(0, 1, 0), g(0, 0, 1), e(0, 0, 0)}
-        # ground block first, then the excited block
-        assert basis.states[0] == g(0, 0, 0)
-        assert basis.states[-1] == e(0, 0, 0)
+        assert basis.codes == (g(0, 0, 0), g(0, 0, 1), g(0, 1, 0), g(1, 0, 0), e(0, 0, 0))
 
     def test_two_modes_uncapped(self):
         basis = build_basis(n_modes=2)
         assert basis.dim == 8  # 2 atom levels x 2^2 occupations
 
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 6])
-    def test_uncapped_order_is_ground_block_then_lexicographic(self, n_modes):
-        """The documented order of an uncapped basis: the ground block, then
-        the excited block, each in ascending lexicographic order of the 0/1
-        occupations, which is the order of itertools.product."""
-        occupations = list(itertools.product(range(2), repeat=n_modes))
-        assert build_basis(n_modes).states == tuple(
-            BasisState(atom, occ) for atom in AtomLevel for occ in occupations
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("n_modes", range(1, 8))
+    def test_codes_are_the_ascending_codes_within_the_cap(self, n_modes, cap):
+        """A basis is the ascending codes of its space, 0 .. 2 * 2^N - 1,
+        with at most ``cap`` set bits."""
+        assert build_basis(n_modes, cap).codes == tuple(
+            code for code in range(2 * 2**n_modes)
+            if cap is None or bin(code).count("1") <= cap
         )
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -63,12 +51,12 @@ class TestBuildBasis:
             build_basis(4, excitation_cap=2),
             build_basis(5, excitation_cap=3),
         ):
-            for k, state in enumerate(basis.states):
-                assert basis.index[state] == k
+            for k, code in enumerate(basis.codes):
+                assert basis.index[code] == k
 
     def test_cap_filters_total_excitation(self):
         basis = build_basis(4, excitation_cap=2)
-        assert all(int(s.atom) + sum(s.occupations) <= 2 for s in basis.states)
+        assert all(sum(digits(code, 4)) <= 2 for code in basis.codes)
         # brute-force count over the full product space
         expected = sum(
             1
@@ -79,7 +67,7 @@ class TestBuildBasis:
         assert basis.dim == expected
 
     def test_deterministic_ordering(self):
-        assert build_basis(4, excitation_cap=2).states == build_basis(4, excitation_cap=2).states
+        assert build_basis(4, excitation_cap=2).codes == build_basis(4, excitation_cap=2).codes
 
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
@@ -104,7 +92,7 @@ class TestBuildBasis:
         assert build_basis(3, excitation_cap=None) is basis
         assert build_basis(3, excitation_cap=1) is not basis
         with pytest.raises(TypeError):  # shared between callers, so read-only
-            basis.index[basis.states[0]] = 1
+            basis.index[basis.codes[0]] = 1
 
     @pytest.mark.parametrize("args", [(3.0,), (3.0, 1), (3, 1.0), (3, -1)])
     def test_checks_arguments_before_the_cache(self, args):
@@ -120,15 +108,28 @@ class TestBuildBasis:
         basis = build_basis(2000, excitation_cap=1)
         assert basis.dim == 2002
 
-    def test_levels_table_matches_states(self):
-        for basis in (build_basis(3), build_basis(4, excitation_cap=2)):
-            levels = basis.levels
-            assert levels.shape == (basis.dim, basis.n_modes + 1)
-            assert [tuple(row) for row in levels.tolist()] == [
-                (int(s.atom), *s.occupations) for s in basis.states
-            ]
-            assert basis.levels is levels  # built once per basis
-            assert not levels.flags.writeable
+    @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, 2), (5, 1), (6, 3), (7, 0)])
+    def test_levels_and_exchange_pairs_equal_a_per_state_loop(self, spec):
+        """The rows of ``levels`` are the digits of the codes, and the
+        exchange pairs are |g, n> -> |e, n - 1_i>, found state by state."""
+        basis = build_basis(*spec)
+        n = basis.n_modes
+        levels = basis.levels
+        assert levels.shape == (basis.dim, n + 1)
+        assert levels.tolist() == [digits(code, n) for code in basis.codes]
+        assert basis.levels is levels  # built once per basis
+        assert not levels.flags.writeable
+        pairs = []
+        for k, code in enumerate(basis.codes):
+            atom, *occupations = digits(code, n)
+            for i, n_i in enumerate(occupations):
+                if atom == 0 and n_i == 1:
+                    partner = occupations[:i] + [0] + occupations[i + 1:]
+                    pairs.append((k, basis.index[e(*partner)], i))
+        arrays = basis.exchange_pairs
+        assert list(zip(*(arr.tolist() for arr in arrays))) == pairs
+        assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
+        assert basis.exchange_pairs is arrays
 
 
 class TestStateVector:
@@ -228,20 +229,21 @@ def test_atom_population_splits_by_level():
     amps[basis.index[g(1, 0)]] = math.sqrt(0.5)
     amps[basis.index[g(0, 1)]] = math.sqrt(0.25)
     psi = StateVector(basis, amps)
-    assert atom_population(psi, AtomLevel.GROUND) == pytest.approx(0.75, abs=1e-12)
-    assert atom_population(psi, AtomLevel.EXCITED) == pytest.approx(0.25, abs=1e-12)
+    assert atom_population(psi, 0) == pytest.approx(0.75, abs=1e-12)
+    assert atom_population(psi, 1) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_basis_state_labels():
-    assert g(1, 0, 0).label() == "|g;100>"
-    assert e(0).label() == "|e;0>"
+def test_basis_labels_its_codes():
+    assert build_basis(3).label(g(1, 0, 0)) == "|g;100>"
+    assert build_basis(3).label(0b0010) == "|g;010>"
+    assert build_basis(1).label(e(0)) == "|e;0>"
 
 
 def _atom_population_by_state(psi, level):
     """The per-state loop that ``atom_population`` replaced."""
     total = 0.0
-    for state, amp in zip(psi.basis.states, psi.amplitudes):
-        if state.atom is level:
+    for code, amp in zip(psi.basis.codes, psi.amplitudes):
+        if digits(code, psi.basis.n_modes)[0] == level:
             total += abs(amp) ** 2
     return min(float(total), 1.0)
 
@@ -256,7 +258,7 @@ def test_atom_population_equals_the_per_state_loop(spec):
         if not raw.any():
             raw[0] = 1.0
         psi = StateVector(basis, raw / np.linalg.norm(raw))
-        for level in AtomLevel:
+        for level in (0, 1):
             # numpy's array modulus and sum may round the last bits differently
             assert atom_population(psi, level) == pytest.approx(
                 _atom_population_by_state(psi, level), rel=0, abs=2e-15

@@ -28,7 +28,7 @@ from wcavity.entanglement import (
     support_basis,
     w_state,
 )
-from wcavity.fock import AtomLevel, BasisState, StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, build_basis, initial_state
 
 from numpy_route import closed_form_rows
 
@@ -41,19 +41,15 @@ def dense_operator(couplings, detuning):
     return build_hamiltonian(params, build_basis(n, excitation_cap=1))
 
 
-def test_sector_order_is_that_of_the_capped_basis_and_the_support():
-    for n in (1, 2, 5):
-        states = build_basis(n, excitation_cap=1).states
-        assert len(states) == n + 2
-        assert states[0] == BasisState(AtomLevel.GROUND, (0,) * n)
-        assert states[n + 1] == BasisState(AtomLevel.EXCITED, (0,) * n)
-        for j in range(1, n + 1):
-            mode = n + 1 - j  # 1-based
-            assert states[j].occupations == tuple(int(i == mode - 1) for i in range(n))
-        if n >= 2:
-            support = support_basis(n).states
-            assert support[:n + 1] == states[:n + 1]
-            assert support[n + 1] == BasisState(AtomLevel.GROUND, (1,) * n)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sector_index_is_the_code_of_the_capped_basis_and_the_support(n):
+    """Sector index 0 is code 0 (|g;0>), index j is code 2^(j - 1), |g; one
+    photon in mode N + 1 - j>, and index N + 1 is code 2^N (|e;0>); the
+    support has |g;1...1>, code 2^N - 1, at index N + 1."""
+    codes = build_basis(n, excitation_cap=1).codes
+    assert codes == (0, *(2 ** (j - 1) for j in range(1, n + 1)), 2**n)
+    if n >= 2:
+        assert support_basis(n).codes == (*codes[:n + 1], 2**n - 1)
 
 
 couplings_st = st.integers(1, 13).flatmap(

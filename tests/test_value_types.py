@@ -8,7 +8,7 @@ import pytest
 import wcavity
 from wcavity import cli, fock, protocol, validation
 from wcavity.dynamics import ModelParams
-from wcavity.fock import AtomLevel, BasisState, build_basis
+from wcavity.fock import build_basis
 
 
 def _instances():
@@ -18,7 +18,6 @@ def _instances():
     return {
         "Option": cli.OPTIONS["n"],
         "Command": cli.COMMANDS["sweep"],
-        "BasisState": basis.states[0],
         "Basis": basis,
         "ModelParams": ModelParams.resonant(2, 1.0),
         "SweepRow": row,
@@ -51,13 +50,6 @@ def test_no_module_imports_dataclasses():
 
 
 def test_value_classes_equal_their_own_class_only():
-    state = BasisState(AtomLevel.GROUND, (1, 0))
-    assert state == BasisState(AtomLevel.GROUND, (1, 0))
-    assert hash(state) == hash(BasisState(AtomLevel.GROUND, (1, 0)))
-    assert state != (AtomLevel.GROUND, (1, 0))
-    assert state != BasisState(AtomLevel.EXCITED, (1, 0))
-    assert build_basis(2).index.get((AtomLevel.GROUND, (1, 0))) is None
-
     params = ModelParams(2, (0, 0.2), (1, 2))
     same = ModelParams(2, (0.0, 0.2), (1.0, 2.0))
     assert params == same and hash(params) == hash(same)
@@ -67,7 +59,9 @@ def test_value_classes_equal_their_own_class_only():
     assert "couplings=(1.0, 2.0)" in repr(params)
 
     basis = build_basis(2, excitation_cap=1)
-    assert basis == fock.Basis(2, 1, basis.states)
+    assert basis == fock.Basis(2, 1, basis.codes)
+    assert hash(basis) == hash(fock.Basis(2, 1, basis.codes))
+    assert basis != (2, 1, basis.codes)
     assert basis != build_basis(2)
     assert repr(basis) == "Basis(n_modes=2, excitation_cap=1)"
 

@@ -145,7 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
             if option.parse is _parse_bool:
                 cmd.add_argument(_flag(key), action="store_true", default=None, help=option.help)
             else:
-                cmd.add_argument(_flag(key), type=option.parse, choices=option.choices,
+                # the choices are checked by _require_valid, in the same
+                # words for a flag and a config-file value on every Python
+                metavar = option.choices and "{" + ",".join(option.choices) + "}"
+                cmd.add_argument(_flag(key), type=option.parse, metavar=metavar,
                                  default=None, help=option.help)
         cmd.add_argument("--config", default=None,
                          help="flat key=value config file; flags override")

@@ -31,22 +31,22 @@ class ModelParams(Value):
     frame that rotates at the atomic frequency.
 
     detunings holds each mode's detuning omega_i - omega_a from the atom
-    and couplings the exchange strengths, all in rad per unit time.
-    Couplings must be strictly positive.
+    and couplings the exchange strengths, all in rad per unit time, one
+    of each per mode: ``n_modes`` is the number of couplings.  Couplings
+    must be strictly positive.
     """
 
     __slots__ = ("n_modes", "detunings", "couplings")
 
-    def __init__(self, n_modes: int, detunings: tuple[float, ...],
-                 couplings: tuple[float, ...]) -> None:
-        if n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+    def __init__(self, detunings: tuple[float, ...], couplings: tuple[float, ...]) -> None:
         detunings = tuple(float(d) for d in detunings)
         couplings = tuple(float(c) for c in couplings)
+        n_modes = len(couplings)
+        if n_modes < 1:
+            raise ValueError("n_modes must be >= 1")
         if len(detunings) != n_modes:
-            raise ValueError(f"expected {n_modes} mode detunings, got {len(detunings)}")
-        if len(couplings) != n_modes:
-            raise ValueError(f"expected {n_modes} couplings, got {len(couplings)}")
+            raise ValueError(f"expected one detuning per coupling: {len(detunings)} detunings, "
+                             f"{n_modes} couplings")
         if not all(math.isfinite(v) for v in (*detunings, *couplings)):
             raise ValueError("model parameters must be finite")
         if any(c <= 0 for c in couplings):
@@ -57,7 +57,7 @@ class ModelParams(Value):
     @classmethod
     def resonant(cls, n_modes: int, coupling: float) -> "ModelParams":
         """All modes on resonance with the atom, identical couplings."""
-        return cls(n_modes, (0.0,) * n_modes, (coupling,) * n_modes)
+        return cls((0.0,) * n_modes, (coupling,) * n_modes)
 
 
 def hermiticity_defect(matrix) -> float:
@@ -71,25 +71,16 @@ class HermitianOperator(Frozen):
     """Dense (dim, dim) matrix observable on a truncated basis; validated
     Hermitian.
 
-    ``defect`` keeps the measured max |H - H^dag|.  The matrix is
-    read-only, so its spectral decomposition is computed on first use and
-    kept (:meth:`eigh`).
+    The constructor copies the matrix, checks its shape, finiteness and
+    Hermiticity, and marks the copy read-only, so its spectral
+    decomposition is computed on first use and kept (:meth:`eigh`).
+    ``defect`` keeps the measured max |H - H^dag|.
     """
 
     __slots__ = ("basis", "matrix", "defect", "_eigh")
 
     def __init__(self, basis: Basis, matrix) -> None:
-        self._take(basis, np.array(matrix, dtype=complex))
-
-    @classmethod
-    def _from_owned(cls, basis: Basis, matrix: np.ndarray) -> "HermitianOperator":
-        """An operator over a complex array that its caller has just made
-        and hands over: checked as the constructor checks, but not copied."""
-        self = object.__new__(cls)
-        self._take(basis, matrix)
-        return self
-
-    def _take(self, basis: Basis, mat: np.ndarray) -> None:
+        mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {basis.dim}")
         if not np.isfinite(mat.view(float)).all():
@@ -121,7 +112,9 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     with delta_i the mode detunings; at resonance only the exchange term
     survives.  Each mode holds at most one photon, so each exchange
     element is its coupling; a transition that would put a second photon
-    in a mode, or that leaves a capped basis, is dropped.
+    in a mode, or that leaves a capped basis, is dropped.  A basis that
+    holds a state but not its exchange partner, such as
+    ``entanglement.support_basis``, raises ValueError.
     """
     if params.n_modes != basis.n_modes:
         raise ValueError(
@@ -141,7 +134,7 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     elements = np.array(params.couplings)[mode]
     matrix[excited, ground] = elements
     matrix[ground, excited] = elements
-    return HermitianOperator._from_owned(basis, matrix)
+    return HermitianOperator(basis, matrix)
 
 
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
@@ -159,7 +152,7 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
         raise ValueError("detuned parameters: use propagate_numeric")
     mode = sector.bright_mode(params.couplings)
     amps = sector.amplitudes(mode, sector.closed_form(mode, t))
-    return StateVector._from_checked(build_basis(params.n_modes, excitation_cap=1), np.array(amps))
+    return StateVector(build_basis(params.n_modes, excitation_cap=1), amps)
 
 
 # The benchmark's traced run (perfbench/spans.py) still looks this name up.
@@ -197,4 +190,4 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
         )
     out /= norm
-    return StateVector._from_checked(psi0.basis, out)
+    return StateVector(psi0.basis, out)

@@ -71,23 +71,22 @@ def _superposition(basis: Basis, codes: tuple[int, ...], why: str) -> StateVecto
     return StateVector(basis, amps)
 
 
-def w_state(n: int, basis: Basis) -> StateVector:
-    """|W_n> on the field with the atom in the ground state.
+def w_state(basis: Basis) -> StateVector:
+    """|W_n> on the field with the atom in the ground state, n the
+    basis's ``n_modes``.
 
     Equal real amplitudes 1/sqrt(n) on each |g; 1_i>, of code 2^(n - i);
     the single shared excitation survives the loss of any one mode.
     """
-    if n != basis.n_modes:
-        raise ValueError(f"requested W state over {n} modes on a {basis.n_modes}-mode basis")
+    n = basis.n_modes
     return _superposition(basis, tuple(1 << n - i for i in range(1, n + 1)),
                           "single-photon component")
 
 
-def ghz_state(n: int, basis: Basis) -> StateVector:
+def ghz_state(basis: Basis) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on the field, atom in the ground state:
-    the codes 0 and 2^n - 1."""
-    if n != basis.n_modes:
-        raise ValueError(f"requested GHZ state over {n} modes on a {basis.n_modes}-mode basis")
+    the codes 0 and 2^n - 1, n the basis's ``n_modes``."""
+    n = basis.n_modes
     if basis.excitation_cap is not None and basis.excitation_cap < n:
         raise ValueError(
             f"basis excitation cap {basis.excitation_cap} below {n}: cannot hold |1...1>"
@@ -101,9 +100,10 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     return float(np.clip(np.abs(np.conj(psi.amplitudes) @ phi.amplitudes) ** 2, 0.0, 1.0))
 
 
-def success_probability(psi: StateVector, n: int) -> float:
-    """Probability of the atom-ground, field-W outcome: |<W_n, g|psi>|^2."""
-    return fidelity(w_state(n, psi.basis), psi)
+def success_probability(psi: StateVector) -> float:
+    """Probability of the atom-ground, field-W outcome: |<W_n, g|psi>|^2,
+    n the number of modes of psi's basis."""
+    return fidelity(w_state(psi.basis), psi)
 
 
 def partial_trace(psi: StateVector, keep) -> DensityMatrix:

@@ -119,11 +119,16 @@ class Basis(Value):
         nonzero element <e, n - 1_i| a_i s_+ |g, n> = 1: the state
         |g, n> sits at ``ground``, its partner |e, n - 1_i>, of code
         ``code ^ 2^N ^ 2^(N - i)``, at ``excited``, and i - 1 is ``mode``.
-        Ascending by ground state, then by mode.  Built once per basis."""
+        Ascending by ground state, then by mode.  Built once per basis; a
+        basis that holds a state but not its partner raises ValueError."""
         levels, top = self.levels, 1 << self.n_modes
         ground, mode = np.nonzero(levels[:, 1:] * (levels[:, :1] == 0))
-        excited = np.array([self.index[self.codes[k] ^ top ^ (top >> 1 + i)]
-                            for k, i in zip(ground.tolist(), mode.tolist())], dtype=np.intp)
+        try:
+            excited = np.array([self.index[self.codes[k] ^ top ^ (top >> 1 + i)]
+                                for k, i in zip(ground.tolist(), mode.tolist())], dtype=np.intp)
+        except KeyError as missing:
+            raise ValueError(f"basis lacks {self.label(missing.args[0])}, "
+                             "the exchange partner of a state it holds") from None
         arrays = (ground, excited, mode)
         for arr in arrays:
             arr.flags.writeable = False
@@ -147,18 +152,6 @@ class StateVector(Frozen):
                 f"amplitude vector has shape {arr.shape}, basis has dimension {basis.dim}"
             )
         require_unit_rows(arr)
-        self._set(basis, arr)
-
-    @classmethod
-    def _from_checked(cls, basis: Basis, amplitudes: np.ndarray) -> "StateVector":
-        """A StateVector over amplitudes that a route has just made and
-        checked for finite values and unit norm, as the constructor checks;
-        the array is taken over, not copied or checked again."""
-        self = object.__new__(cls)
-        self._set(basis, amplitudes)
-        return self
-
-    def _set(self, basis: Basis, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", arr)

@@ -61,7 +61,6 @@ class ValidationReport(NamedTuple):
 def _random_params(rng) -> ModelParams:
     n = int(rng.integers(1, 5))
     return ModelParams(
-        n,
         tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
         tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
     )
@@ -155,7 +154,7 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             t = float(rng.uniform(-5.0, 5.0))
             mode = sector.bright_mode(couplings)
             (pair,) = sector.evolve(mode, ((sign * t, detuning),))
-            yield _sector_gap(ModelParams(n, (detuning,) * n, couplings), t, mode, pair)
+            yield _sector_gap(ModelParams((detuning,) * n, couplings), t, mode, pair)
     return _check("sector-vs-dense", gaps(), SECTOR_TOL, 24)
 
 

@@ -47,7 +47,7 @@ def test_criterion_1_deterministic_w_generation():
     closed_ok = (
         abs(excited_amp) <= 1e-12
         and all(abs(m - 1.0 / math.sqrt(3.0)) <= 1e-12 for m in photon_moduli)
-        and abs(success_probability(closed, n) - 1.0) <= 1e-12
+        and abs(success_probability(closed) - 1.0) <= 1e-12
     )
     numeric = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t_star)
     gap = float(np.max(np.abs(closed.amplitudes - numeric.amplitudes)))
@@ -70,7 +70,7 @@ def test_criterion_2_general_n_claim():
         params = ModelParams.resonant(n, eps)
         closed = evolve_closed_form(params, t_star)
         basis = closed.basis
-        target = w_state(n, basis)
+        target = w_state(basis)
         numeric = propagate_numeric(
             build_hamiltonian(params, basis), initial_state(basis), t_star
         )
@@ -129,7 +129,6 @@ def test_criterion_5_conservation_unitarity_suite():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         params = ModelParams(
-            n,
             tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
             tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
         )
@@ -163,8 +162,8 @@ def test_criterion_6_robustness_claim_quantitative():
     worst_ghz = 0.0
     for n in range(3, 9):
         basis = build_basis(n)
-        w = w_state(n, basis)
-        ghz = ghz_state(n, basis)
+        w = w_state(basis)
+        ghz = ghz_state(basis)
         for i, j in itertools.combinations(range(1, n + 1), 2):
             c_w = concurrence(partial_trace(w, {i, j}))
             c_ghz = concurrence(partial_trace(ghz, {i, j}))

@@ -120,11 +120,11 @@ def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
 
     dense = dense_route(n, epsilon, time / epsilon)
     assert report["fidelity_W"] == pytest.approx(
-        fidelity(w_state(n, dense.basis), dense), abs=1e-12
+        fidelity(w_state(dense.basis), dense), abs=1e-12
     )
     # the W target has the atom in its ground state: the fidelity is the
     # success probability and the atom's ground population
-    assert report["fidelity_W"] == pytest.approx(success_probability(dense, n), abs=1e-12)
+    assert report["fidelity_W"] == pytest.approx(success_probability(dense), abs=1e-12)
     assert report["fidelity_W"] == pytest.approx(
         atom_population(dense, 0), abs=1e-12
     )

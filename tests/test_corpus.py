@@ -41,6 +41,12 @@ def test_corpus_records_every_command():
     assert recorded == [[argv, inputs] for argv, inputs, *_ in corpus.COMMANDS]
 
 
+def test_no_refusal_is_worded_by_argparse_choices():
+    # argparse quotes its choices list on some interpreters and not on
+    # others; the CLI checks choices itself, in one wording everywhere
+    assert not [e["argv"] for e in ENTRIES if "invalid choice" in e["stderr"]]
+
+
 def run_fresh(argv, inputs) -> dict:
     """``corpus.run_entry`` of one command, run as ``python -m wcavity`` on
     this tree's ``src`` in a fresh process."""

@@ -24,7 +24,7 @@ from codes import digits, e, g
 def random_params(rng, n_modes=None):
     n = int(n_modes or rng.integers(1, 5))
     detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
-    return ModelParams(n, detunings, tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)))
+    return ModelParams(detunings, tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)))
 
 
 def random_state(rng, basis):
@@ -64,22 +64,31 @@ def reference_hamiltonian(params, basis, lab=None):
 
 
 class TestModelParams:
-    def test_validates_lengths(self):
-        with pytest.raises(ValueError, match="2 mode detunings, got 1"):
-            ModelParams(2, (0.0,), (1.0, 1.0))
-        with pytest.raises(ValueError, match="2 couplings, got 1"):
-            ModelParams(2, (0.0, 0.0), (1.0,))
+    def test_reads_the_mode_count_from_the_couplings(self):
+        assert ModelParams((0.0, 0.5, 1.0), (1.0, 2.0, 3.0)).n_modes == 3
+
+    @pytest.mark.parametrize("detunings, couplings, counts", [
+        ((0.0,), (1.0, 1.0), "1 detunings, 2 couplings"),
+        ((0.0, 0.0), (1.0,), "2 detunings, 1 couplings"),
+    ])
+    def test_refuses_lengths_that_differ(self, detunings, couplings, counts):
+        with pytest.raises(ValueError, match=f"one detuning per coupling: {counts}"):
+            ModelParams(detunings, couplings)
+
+    def test_refuses_no_couplings(self):
+        with pytest.raises(ValueError, match="n_modes must be >= 1"):
+            ModelParams((), ())
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError, match="positive"):
-            ModelParams(1, (0.0,), (0.0,))
+            ModelParams((0.0,), (0.0,))
 
     def test_rejects_a_non_finite_detuning(self):
         with pytest.raises(ValueError, match="finite"):
-            ModelParams(2, (0.0, math.inf), (1.0, 1.0))
+            ModelParams((0.0, math.inf), (1.0, 1.0))
 
     def test_resonant_has_zero_detunings(self):
-        assert ModelParams.resonant(3, 0.7) == ModelParams(3, (0.0,) * 3, (0.7,) * 3)
+        assert ModelParams.resonant(3, 0.7) == ModelParams((0.0,) * 3, (0.7,) * 3)
 
 
 class TestBuildHamiltonian:
@@ -102,7 +111,7 @@ class TestBuildHamiltonian:
 
     def test_diagonal_holds_the_mode_detunings(self):
         basis = build_basis(2)
-        H = build_hamiltonian(ModelParams(2, (0.7, -0.25), (0.5, 0.5)), basis).matrix
+        H = build_hamiltonian(ModelParams((0.7, -0.25), (0.5, 0.5)), basis).matrix
         assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
         assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
         assert H[basis.index[e(0, 1)], basis.index[e(0, 1)]] == -0.25
@@ -179,7 +188,7 @@ class TestClosedForm:
         assert psi.amplitude(g(1)) == pytest.approx(-1j / math.sqrt(2.0), abs=1e-12)
 
     def test_takes_unequal_couplings(self):
-        params = ModelParams(2, (0.0, 0.0), (1.0, 1.2))
+        params = ModelParams((0.0, 0.0), (1.0, 1.2))
         psi = evolve_closed_form(params, 0.1)
         omega = math.sqrt(1.0 + 1.2**2)
         assert psi.amplitude(e(0, 0)) == pytest.approx(math.cos(0.1 * omega), abs=1e-15)
@@ -188,7 +197,7 @@ class TestClosedForm:
         )
 
     def test_is_the_sector_closed_form_bit_for_bit(self):
-        params = ModelParams(3, (0.0,) * 3, (0.7, 1.3, 2.2))
+        params = ModelParams((0.0,) * 3, (0.7, 1.3, 2.2))
         for t in (0.0, 0.37, -4.1, 250.0):
             psi = evolve_closed_form(params, t)
             assert psi.basis == build_basis(3, excitation_cap=1)
@@ -215,7 +224,7 @@ class TestClosedFormGeneral:
 
     def test_three_four_coupling_case(self):
         # Omega = 5, t = pi/10: full transfer weighted by eps_i / Omega
-        params = ModelParams(2, (0.0, 0.0), (3.0, 4.0))
+        params = ModelParams((0.0, 0.0), (3.0, 4.0))
         t = math.pi / 10.0
         psi = evolve_closed_form(params, t)
         assert abs(psi.amplitude(e(0, 0))) <= 1e-12
@@ -228,7 +237,7 @@ class TestClosedFormGeneral:
         assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) <= 1e-10
 
     def test_rejects_detuning(self):
-        params = ModelParams(2, (0.0, 0.3), (1.0, 1.0))
+        params = ModelParams((0.0, 0.3), (1.0, 1.0))
         with pytest.raises(ValueError, match="detuned"):
             evolve_closed_form(params, 0.1)
 
@@ -240,7 +249,7 @@ class TestClosedFormGeneral:
             n = int(rng.integers(1, 7))
             eps = tuple(float(c) for c in rng.uniform(0.1, 10.0, size=n))
             t = float(rng.uniform(0.0, 4.0 * math.pi / max(eps)))
-            params = ModelParams(n, (0.0,) * n, eps)
+            params = ModelParams((0.0,) * n, eps)
             closed = evolve_closed_form(params, t)
             H = build_hamiltonian(params, closed.basis)
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
@@ -255,7 +264,7 @@ class TestClosedFormAmplitudes:
         couplings = np.ones((4, 2))
         couplings[2] = 1e200
         for k, draw in enumerate(couplings):
-            params = ModelParams(2, (0.0, 0.0), tuple(float(c) for c in draw))
+            params = ModelParams((0.0, 0.0), tuple(float(c) for c in draw))
             if k == 2:
                 with pytest.raises(ValueError, match="finite"):
                     evolve_closed_form(params, 1e200)
@@ -342,7 +351,7 @@ class TestPropagateNumeric:
             omega_a = float(rng.uniform(-5.0, 5.0))
             omega_modes = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
-            params = ModelParams(n, tuple(w - omega_a for w in omega_modes), couplings)
+            params = ModelParams(tuple(w - omega_a for w in omega_modes), couplings)
             basis = build_basis(n)
             lab = HermitianOperator(
                 basis, reference_hamiltonian(params, basis, lab=(omega_a, omega_modes))
@@ -392,7 +401,7 @@ class TestPropagateNumeric:
 
     def test_overflow_raises_propagation_error(self):
         basis = build_basis(1)
-        H = build_hamiltonian(ModelParams(1, (1e308,), (1.0,)), basis)
+        H = build_hamiltonian(ModelParams((1e308,), (1.0,)), basis)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_numeric(H, initial_state(basis), 1e10)
 
@@ -473,7 +482,7 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     """H conserves the excitation number, so |e; 0...0> evolved on the
     excitation <= 1 sector equals its evolution on the whole qubit space
     of dimension 2 * 2^N, where every other amplitude stays 0."""
-    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
+    params = ModelParams((detuning,) * n, (epsilon,) * n)
     sector, full = build_basis(n, excitation_cap=1), build_basis(n)
     assert full.dim == 2 * 2**n
     small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
@@ -496,19 +505,14 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             HermitianOperator(basis, np.eye(2))
 
-    def test_constructor_copies_and_the_owning_path_takes_over(self):
+    def test_constructor_copies(self):
         basis = build_basis(1, excitation_cap=1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[1, 2] = mat[2, 1] = 0.5
-        copied = HermitianOperator(basis, mat)
-        assert copied.matrix is not mat and mat.flags.writeable
-        owned = HermitianOperator._from_owned(basis, mat)
-        assert owned.matrix is mat and not mat.flags.writeable
-        assert owned.defect == copied.defect == 0.0
-        bad = mat.copy()
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianOperator._from_owned(basis, bad)
+        H = HermitianOperator(basis, mat)
+        assert mat.flags.writeable and not H.matrix.flags.writeable
+        mat[1, 2] = 7.0  # a later write to the input leaves the operator as it was
+        assert H.matrix[1, 2] == 0.5 and H.defect == 0.0
 
     def test_keeps_its_defect(self):
         basis = build_basis(1, excitation_cap=1)
@@ -525,7 +529,7 @@ class TestHermitianOperator:
             HermitianOperator(basis, np.zeros((2, 3, 3)))
 
 
-class TestRowsAreCheckedOnce:
+class TestEachResultIsACheckedCopy:
     @pytest.fixture
     def row_checks(self, monkeypatch):
         calls = []
@@ -538,29 +542,36 @@ class TestRowsAreCheckedOnce:
         monkeypatch.setattr(fock, "require_unit_rows", counting)
         return calls
 
+    def test_build_hamiltonian_owns_a_read_only_matrix(self):
+        basis = build_basis(3, excitation_cap=1)
+        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        assert not H.matrix.flags.writeable
+        assert not np.shares_memory(H.matrix, basis.levels)
+
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
         # sector.bright_mode takes Omega as the norm of the couplings once,
         # sector.closed_form checks the squared norm of that bright mode,
-        # sector.amplitudes spreads the pair by it, and the state takes the
-        # amplitudes over unchecked
+        # and the StateVector constructor checks the amplitudes it copies
         norms = []
         real = sector._norm
         monkeypatch.setattr(sector, "_norm", lambda parts: norms.append(len(parts)) or real(parts))
         psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
-        assert (row_checks, norms) == ([], [3])
+        assert (row_checks, norms) == ([(5,)], [3])
         assert not psi.amplitudes.flags.writeable
 
-    def test_numeric_route_checks_in_propagate_numeric_only(self, row_checks):
+    def test_numeric_route_checks_its_row_once(self, row_checks):
         basis = build_basis(3, excitation_cap=1)
         psi0 = initial_state(basis)
+        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         row_checks.clear()
-        psi = propagate_numeric(build_hamiltonian(ModelParams.resonant(3, 1.0), basis), psi0, 0.4)
-        assert row_checks == []
+        psi = propagate_numeric(H, psi0, 0.4)
+        assert row_checks == [(5,)]
         assert not psi.amplitudes.flags.writeable
+        assert not any(np.shares_memory(psi.amplitudes, arr) for arr in (psi0.amplitudes, *H.eigh()))
 
     def test_a_bad_row_raises_as_before(self):
         # Omega does not overflow, but the angle Omega t does
-        overflowing = ModelParams(2, (0.0, 0.0), (1e200, 1e200))
+        overflowing = ModelParams((0.0, 0.0), (1e200, 1e200))
         assert evolve_closed_form(overflowing, 1.0).norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             evolve_closed_form(overflowing, 1e200)

@@ -82,43 +82,45 @@ PSI_PLUS[1] = PSI_PLUS[2] = 1.0 / math.sqrt(2.0)
 class TestTargetStates:
     def test_w3_amplitudes(self):
         basis = build_basis(3, excitation_cap=1)
-        psi = w_state(3, basis)
+        psi = w_state(basis)
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
             assert psi.amplitude(s) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
         assert psi.amplitude(e(0, 0, 0)) == 0.0
         assert psi.amplitude(g(0, 0, 0)) == 0.0
 
     def test_w1_is_single_photon(self):
-        psi = w_state(1, build_basis(1, excitation_cap=1))
+        psi = w_state(build_basis(1, excitation_cap=1))
         assert psi.amplitude(g(1)) == 1.0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_w_norm(self, n):
-        assert w_state(n, build_basis(n, excitation_cap=1)).norm() == pytest.approx(1.0, abs=1e-14)
+        assert w_state(build_basis(n, excitation_cap=1)).norm() == pytest.approx(1.0, abs=1e-14)
 
-    def test_w_requires_matching_mode_count(self):
-        with pytest.raises(ValueError):
-            w_state(2, build_basis(3, excitation_cap=1))
+    @pytest.mark.parametrize("n", (2, 5))
+    def test_w_reads_the_mode_count_from_the_basis(self, n):
+        psi = w_state(build_basis(n))
+        assert psi.basis.n_modes == n
+        assert np.count_nonzero(psi.amplitudes) == n
 
     def test_w_requires_single_photon_states(self):
         with pytest.raises(ValueError, match=r"basis too small: missing \|g;10>"):
-            w_state(2, build_basis(2, excitation_cap=0))
+            w_state(build_basis(2, excitation_cap=0))
 
     def test_ghz3(self):
         basis = build_basis(3)
-        psi = ghz_state(3, basis)
+        psi = ghz_state(basis)
         assert psi.amplitude(g(0, 0, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.amplitude(g(1, 1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_ghz2_is_bell_pair(self):
-        psi = ghz_state(2, build_basis(2))
+        psi = ghz_state(build_basis(2))
         assert psi.amplitude(g(0, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.amplitude(g(1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_ghz_rejects_low_excitation_cap(self):
         with pytest.raises(ValueError, match="excitation cap"):
-            ghz_state(3, build_basis(3, excitation_cap=2))
+            ghz_state(build_basis(3, excitation_cap=2))
 
 
 class TestFidelity:
@@ -142,7 +144,7 @@ class TestFidelity:
         for s in (g(1, 0, 0), g(0, 1, 0)):
             amps[basis.index[s]] = 1.0 / math.sqrt(2.0)
         phi = StateVector(basis, amps)
-        assert fidelity(w_state(3, basis), phi) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert fidelity(w_state(basis), phi) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_basis_mismatch(self):
         with pytest.raises(ValueError):
@@ -155,10 +157,10 @@ class TestSuccessProbability:
         eps = 1.0
         t_star = math.pi / (2.0 * math.sqrt(3.0) * eps)
         psi = evolve_closed_form(ModelParams.resonant(3, eps), t_star)
-        assert success_probability(psi, 3) == pytest.approx(1.0, abs=1e-12)
+        assert success_probability(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_for_initial_state(self):
-        assert success_probability(initial_state(build_basis(3, excitation_cap=1)), 3) == 0.0
+        assert success_probability(initial_state(build_basis(3, excitation_cap=1))) == 0.0
 
     def test_half_at_half_rotation(self):
         eps = 1.0
@@ -166,10 +168,10 @@ class TestSuccessProbability:
         t = math.pi / (4.0 * math.sqrt(n) * eps)
         params = ModelParams.resonant(n, eps)
         closed = evolve_closed_form(params, t)
-        assert success_probability(closed, n) == pytest.approx(0.5, abs=1e-12)
+        assert success_probability(closed) == pytest.approx(0.5, abs=1e-12)
         H = build_hamiltonian(params, closed.basis)
         numeric = propagate_numeric(H, initial_state(closed.basis), t)
-        assert success_probability(numeric, n) == pytest.approx(0.5, abs=1e-9)
+        assert success_probability(numeric) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestPartialTrace:
@@ -182,18 +184,18 @@ class TestPartialTrace:
 
     def test_w3_pair_reduction(self):
         basis = build_basis(3, excitation_cap=1)
-        rho = partial_trace(w_state(3, basis), {1, 2})
+        rho = partial_trace(w_state(basis), {1, 2})
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0 / 3.0
         expected += (2.0 / 3.0) * np.outer(PSI_PLUS, PSI_PLUS.conj())
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
         np.testing.assert_allclose(
-            rho.matrix, oracle_partial_trace(w_state(3, basis), {1, 2}), atol=1e-14
+            rho.matrix, oracle_partial_trace(w_state(basis), {1, 2}), atol=1e-14
         )
 
     def test_ghz3_pair_reduction_is_separable_mixture(self):
         basis = build_basis(3)
-        psi = ghz_state(3, basis)
+        psi = ghz_state(basis)
         rho = partial_trace(psi, {1, 2})
         expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
@@ -238,7 +240,7 @@ class TestPartialTrace:
         # atom plus 98 modes are traced out: more discarded qubits than an
         # int64 group key can hold
         basis = build_basis(100, excitation_cap=1)
-        rho = partial_trace(w_state(100, basis), {17, 83})
+        rho = partial_trace(w_state(basis), {17, 83})
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 0.98
         expected[1:3, 1:3] = 0.01
@@ -271,11 +273,11 @@ class TestPartialTrace:
 
     def test_rejects_empty_keep(self):
         with pytest.raises(ValueError, match="empty"):
-            partial_trace(w_state(2, build_basis(2, excitation_cap=1)), set())
+            partial_trace(w_state(build_basis(2, excitation_cap=1)), set())
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="indices"):
-            partial_trace(w_state(2, build_basis(2, excitation_cap=1)), {3})
+            partial_trace(w_state(build_basis(2, excitation_cap=1)), {3})
 
 
 class TestConcurrence:
@@ -292,31 +294,31 @@ class TestConcurrence:
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_w3_reduced_pair(self):
-        rho = partial_trace(w_state(3, build_basis(3, excitation_cap=1)), {1, 2})
+        rho = partial_trace(w_state(build_basis(3, excitation_cap=1)), {1, 2})
         assert concurrence(rho) == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert oracle_concurrence(rho.matrix) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_ghz3_reduced_pair(self):
-        rho = partial_trace(ghz_state(3, build_basis(3)), {1, 2})
+        rho = partial_trace(ghz_state(build_basis(3)), {1, 2})
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_w_pairs_carry_two_over_n(self, n):
         basis = build_basis(n)
-        psi = w_state(n, basis)
+        psi = w_state(basis)
         for pair, value in pairwise_concurrences(psi).items():
             assert value == pytest.approx(2.0 / n, abs=1e-9), pair
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_ghz_pairs_carry_nothing(self, n):
         basis = build_basis(n)
-        psi = ghz_state(n, basis)
+        psi = ghz_state(basis)
         for pair, value in pairwise_concurrences(psi).items():
             assert value == pytest.approx(0.0, abs=1e-12), pair
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(404)
-        rho = partial_trace(w_state(4, build_basis(4, excitation_cap=1)), {2, 3})
+        rho = partial_trace(w_state(build_basis(4, excitation_cap=1)), {2, 3})
         base = concurrence(rho)
         for _ in range(10):
             u = np.kron(random_unitary(rng), random_unitary(rng))
@@ -339,10 +341,10 @@ class TestConcurrence:
             assert concurrence(rho) == pytest.approx(oracle_concurrence(mat), abs=5e-8)
 
     def test_single_mode_has_no_pairs(self):
-        assert pairwise_concurrences(w_state(1, build_basis(1, excitation_cap=1))) == {}
+        assert pairwise_concurrences(w_state(build_basis(1, excitation_cap=1))) == {}
 
     def test_rejects_wrong_dimension(self):
-        rho = partial_trace(w_state(3, build_basis(3, excitation_cap=1)), {1})
+        rho = partial_trace(w_state(build_basis(3, excitation_cap=1)), {1})
         with pytest.raises(ValueError, match="two-qubit"):
             concurrence(rho)
 
@@ -376,23 +378,28 @@ class TestSupportBasis:
         positions = [full.index[code] for code in basis.codes]
         assert positions == sorted(positions)
         for make in (w_state, ghz_state):
-            on_full = make(n, full)
+            on_full = make(full)
             assert set(np.flatnonzero(on_full.amplitudes)) <= set(positions)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_concurrences_equal_the_full_basis_ones_bit_for_bit(self, n):
         for make in (w_state, ghz_state):
-            assert pairwise_concurrences(make(n, support_basis(n))) == pairwise_concurrences(
-                make(n, build_basis(n))
+            assert pairwise_concurrences(make(support_basis(n))) == pairwise_concurrences(
+                make(build_basis(n))
             )
 
     def test_reaches_beyond_the_full_space_limit(self):
         n = 20  # the full space would hold 2 * 2^20 states
-        c = pairwise_concurrences(w_state(n, support_basis(n)))
+        c = pairwise_concurrences(w_state(support_basis(n)))
         assert len(c) == n * (n - 1) // 2
         assert all(v == pytest.approx(2.0 / n, abs=1e-12) for v in c.values())
-        assert all(v == 0.0 for v in pairwise_concurrences(ghz_state(n, support_basis(n))).values())
+        assert all(v == 0.0 for v in pairwise_concurrences(ghz_state(support_basis(n))).values())
 
     def test_refuses_one_mode(self):
         with pytest.raises(ValueError, match="n >= 2"):
             support_basis(1)
+
+    def test_hamiltonian_is_refused_by_the_missing_partner(self):
+        # |g;001> is held, and its exchange partner |e;000> is not
+        with pytest.raises(ValueError, match=r"basis lacks \|e;000>, the exchange partner"):
+            build_hamiltonian(ModelParams.resonant(3, 1.0), support_basis(3))

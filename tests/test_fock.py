@@ -168,6 +168,14 @@ class TestStateVector:
         with pytest.raises((ValueError, AttributeError)):
             psi.amplitudes[0] = 0.0
 
+    def test_constructor_copies(self):
+        basis = build_basis(1, excitation_cap=1)
+        amps = np.array([0.0, 1.0, 0.0], dtype=complex)
+        psi = StateVector(basis, amps)
+        assert amps.flags.writeable and not psi.amplitudes.flags.writeable
+        amps[1] = 0.0  # a later write to the input leaves the state as it was
+        assert psi.amplitude(g(1)) == 1.0
+
     def test_randomized_constructor_norm_invariant(self):
         rng = np.random.default_rng(7)
         basis = build_basis(3)

@@ -400,9 +400,9 @@ def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
     basis = build_basis(n, excitation_cap=1)
-    params = ModelParams(n, (detuning,) * n, (epsilon,) * n)
+    params = ModelParams((detuning,) * n, (epsilon,) * n)
     psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
-    return fidelity(psi, w_state(n, basis))
+    return fidelity(psi, w_state(basis))
 
 
 def assert_rows(result, grid, fids):

@@ -37,7 +37,7 @@ def dense_operator(couplings, detuning):
     """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0 and
     every mode at ``detuning``."""
     n = len(couplings)
-    params = ModelParams(n, (detuning,) * n, tuple(couplings))
+    params = ModelParams((detuning,) * n, tuple(couplings))
     return build_hamiltonian(params, build_basis(n, excitation_cap=1))
 
 
@@ -217,7 +217,7 @@ def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     mode = sector.bright_mode(couplings)
     (pair,) = sector.evolve(mode, ((t, 0.0),))
     basis = build_basis(n, excitation_cap=1)
-    want = fidelity(w_state(n, basis), StateVector(basis, sector.amplitudes(mode, pair)))
+    want = fidelity(w_state(basis), StateVector(basis, sector.amplitudes(mode, pair)))
     assert sector.w_fidelity(pair, mode) == pytest.approx(want, abs=1e-14)
 
 
@@ -441,7 +441,7 @@ def numpy_pair_concurrences(amps):
 def test_x_concurrence_equals_numpy_concurrence(n, state):
     support = sector.w_support(n) if state == "W" else sector.ghz_support(n)
     basis = support_basis(n)
-    target = w_state(n, basis) if state == "W" else ghz_state(n, basis)
+    target = w_state(basis) if state == "W" else ghz_state(basis)
     np.testing.assert_array_equal(support, target.amplitudes)
     pairs, matrices, expected = numpy_pair_concurrences(support)
     reductions = dict(sector.pair_reductions(support))

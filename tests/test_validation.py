@@ -228,7 +228,7 @@ def _params_one_draw_at_a_time(check, rng):
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
             rng.uniform(-5.0, 5.0)  # the time
-            params.append(ModelParams(n, (detuning,) * n, couplings))
+            params.append(ModelParams((detuning,) * n, couplings))
     return params
 
 

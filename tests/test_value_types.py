@@ -50,10 +50,10 @@ def test_no_module_imports_dataclasses():
 
 
 def test_value_classes_equal_their_own_class_only():
-    params = ModelParams(2, (0, 0.2), (1, 2))
-    same = ModelParams(2, (0.0, 0.2), (1.0, 2.0))
+    params = ModelParams((0, 0.2), (1, 2))
+    same = ModelParams((0.0, 0.2), (1.0, 2.0))
     assert params == same and hash(params) == hash(same)
-    assert params != ModelParams(2, (0.0, 0.7), (1.0, 2.0))
+    assert params != ModelParams((0.0, 0.7), (1.0, 2.0))
     assert params.detunings == (0.0, 0.2) and all(type(d) is float for d in params.detunings)
     assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
     assert "couplings=(1.0, 2.0)" in repr(params)

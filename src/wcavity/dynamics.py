@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sector
 from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, build_basis
-from .sector import NORM_DRIFT_TOL, PropagationError
+from .sector import PropagationError
 
 class ModelParams(Value):
     """Physical parameters of the atom + N-mode model, in the interaction
@@ -71,8 +71,8 @@ class HermitianOperator(Frozen):
     """Dense (dim, dim) matrix observable on a truncated basis; validated
     Hermitian.
 
-    The constructor copies the matrix, checks its shape, finiteness and
-    Hermiticity, and marks the copy read-only, so its spectral
+    The constructor checks the matrix's shape, finiteness and Hermiticity,
+    then copies it and marks the copy read-only, so its spectral
     decomposition is computed on first use and kept (:meth:`eigh`).
     ``defect`` keeps the measured max |H - H^dag|.
     """
@@ -80,14 +80,16 @@ class HermitianOperator(Frozen):
     __slots__ = ("basis", "matrix", "defect", "_eigh")
 
     def __init__(self, basis: Basis, matrix) -> None:
-        mat = np.array(matrix, dtype=complex)
+        # checked before the copy: the input, the copy and the Hermiticity gap never coexist
+        mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {basis.dim}")
-        if not np.isfinite(mat.view(float)).all():
+        if not np.isfinite(mat).all():
             raise ValueError("operator entries must be finite")
         defect = hermiticity_defect(mat)
         if defect > ROUNDING_TOL:
             raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
+        mat = mat.copy()
         mat.flags.writeable = False
         for name, value in (("basis", basis), ("matrix", mat), ("defect", defect), ("_eigh", None)):
             object.__setattr__(self, name, value)
@@ -165,8 +167,9 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
     The eigenphases of the operator's cached spectral decomposition
     (:meth:`HermitianOperator.eigh`) are applied exactly, so the
     propagator is unitary up to rounding.  The state is renormalized only
-    when its norm drift stays below ``NORM_DRIFT_TOL``; a larger drift
-    raises :class:`PropagationError`, as do non-finite amplitudes.  H
+    when its norm drift is at most ``ROUNDING_TOL``, the drift that
+    ``StateVector`` admits; a larger drift raises
+    :class:`PropagationError`, as do non-finite amplitudes.  H
     must share psi0's basis, and t must be finite (ValueError).
     """
     if H.basis is not psi0.basis and H.basis != psi0.basis:
@@ -185,9 +188,9 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
     # which rounds otherwise and moves the gaps that validate prints
     norm = np.linalg.norm(out, axis=-1)
     drift = float(abs(norm - 1.0))
-    if drift > NORM_DRIFT_TOL:
+    if drift > ROUNDING_TOL:
         raise PropagationError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect"
+            f"norm drift {drift:.3e} exceeds {ROUNDING_TOL}: propagator defect"
         )
     out /= norm
     return StateVector(psi0.basis, out)

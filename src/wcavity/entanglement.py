@@ -18,7 +18,6 @@ from .dynamics import hermiticity_defect
 from .fock import Basis, Frozen, StateVector, _require_same_basis
 from .sector import ROUNDING_TOL
 
-EIGENVALUE_FLOOR = -1e-10
 
 class DensityMatrix(Frozen):
     """Reduced state over a subset of subsystems (each a qubit).
@@ -42,7 +41,7 @@ class DensityMatrix(Frozen):
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > ROUNDING_TOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < EIGENVALUE_FLOOR:
+        if float(np.min(np.linalg.eigvalsh(mat))) < -ROUNDING_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "subsystem_labels", labels)

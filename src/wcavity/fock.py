@@ -25,8 +25,9 @@ import numpy as np
 
 from .sector import ROUNDING_TOL
 
-#: Largest basis dimension accepted by default (dense matrices stay tractable).
-MAX_DIMENSION = 16384
+#: Largest basis dimension accepted (the full space at N = 10): one dense
+#: complex matrix on it takes 64 MiB.
+MAX_DIMENSION = 2048
 
 
 class Frozen:

@@ -34,16 +34,11 @@ from typing import NamedTuple
 #: Version of the report and sweep-file layout.
 SCHEMA_VERSION = "3"
 
-#: The rounding tolerance of every constructor check: | ||psi|| - 1 | of a
-#: state, | H - H^dag | of an operator, | tr rho - 1 | of a density matrix.
+#: The one rounding tolerance: | ||psi|| - 1 | of a state, | H - H^dag | of
+#: an operator, | tr rho - 1 | and minus the least eigenvalue of a density
+#: matrix, | ||beta||^2 - 1 | of a closed form, the norm drift of either
+#: propagator, and each defect and gap that ``validate`` checks.
 ROUNDING_TOL = 1e-12
-
-#: Norm drift above this signals a propagator defect rather than rounding.
-NORM_DRIFT_TOL = 1e-10
-
-#: Largest modulus of an entry of a two-mode reduction outside its
-#: diagonal and anti-diagonal for which the reduction counts as an X state.
-X_SHAPE_TOL = 1e-15
 
 #: The quantities a robustness sweep varies, each named by this string in
 #: the CLI, in ``protocol.require_grid`` and in every output: the evolution
@@ -167,7 +162,7 @@ def evolve(mode: BrightMode, points) -> Iterator[tuple[complex, complex]]:
     Each pair is the exact exponential of the Morris-Shore 2x2 matrix
     [[0, Omega], [Omega, delta]] on (1, 0), divided by the norm of its
     state, sqrt(|excited|^2 + |bright|^2 ||beta||^2); an Omega that is not
-    finite, a drift of that norm above ``NORM_DRIFT_TOL``, or non-finite
+    finite, a drift of that norm above ``ROUNDING_TOL``, or non-finite
     amplitudes, raise :class:`PropagationError`."""
     omega, squares = mode.omega, mode.squares
     if not math.isfinite(omega):
@@ -194,9 +189,9 @@ def evolve(mode: BrightMode, points) -> Iterator[tuple[complex, complex]]:
                                     bright.real * bright.real * squares,
                                     bright.imag * bright.imag * squares]))
         drift = abs(norm - 1.0)
-        if not drift <= NORM_DRIFT_TOL:
+        if not drift <= ROUNDING_TOL:
             raise PropagationError(
-                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}: propagator defect")
+                f"norm drift {drift:.3e} exceeds {ROUNDING_TOL}: propagator defect")
         yield excited / norm, bright / norm
 
 
@@ -298,9 +293,10 @@ def x_concurrence(rho) -> float:
     """Concurrence of a two-qubit X state (Wootters; Yu and Eberly):
     2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
     clipped into [0, 1].  Raises ValueError unless every entry off the
-    diagonal and the anti-diagonal is at most ``X_SHAPE_TOL`` in modulus."""
+    diagonal and the anti-diagonal is exactly zero, as each is in the
+    reduction of an X-shaped support state (``pair_reductions``)."""
     off = max(abs(rho[r][c]) for r, c in ((0, 1), (0, 2), (1, 3), (2, 3)))
-    if not off <= X_SHAPE_TOL:
+    if off != 0.0:
         raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
     d = [rho[k][k].real for k in range(4)]
     coherent = abs(rho[1][2]) - math.sqrt(max(d[0] * d[3], 0.0))

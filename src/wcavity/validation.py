@@ -2,7 +2,8 @@
 
 Each check measures a defect on randomized inputs, evaluating each draw
 through one operator and one state as it draws it, and compares the
-largest defect to a fixed tolerance.  The dense numpy routes check each
+largest defect to ``sector.ROUNDING_TOL`` (``rng-stream`` counts the
+draws that differ, and admits none).  The dense numpy routes check each
 other and ``sector``'s closed form and propagator, the routes
 ``simulate`` and the sweeps run; ``rabi-period`` times the Rabi period,
 four times t*, on ``sector.evolve``; numpy's generator checks
@@ -24,10 +25,6 @@ from .dynamics import ModelParams, build_hamiltonian, propagate_numeric
 from . import normals, sector
 from .fock import StateVector, build_basis, initial_state
 from .sector import DEFAULT_SEED, ROUNDING_TOL
-
-COMPOSITION_TOL = 1e-9
-ORACLE_TOL = 1e-8
-SECTOR_TOL = 1e-10
 
 
 class CheckResult(NamedTuple):
@@ -112,7 +109,7 @@ def check_composition(rng) -> CheckResult:
             two = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
             one = propagate_numeric(H, psi, t1 + t2)
             yield float(np.max(np.abs(two.amplitudes - one.amplitudes)))
-    return _check("propagator-composition", defects(), COMPOSITION_TOL, 50)
+    return _check("propagator-composition", defects(), ROUNDING_TOL, 50)
 
 
 def _sector_gap(params: ModelParams, t: float, mode: sector.BrightMode, pair) -> float:
@@ -136,7 +133,7 @@ def check_oracle_equivalence(rng) -> CheckResult:
             params = ModelParams.resonant(n, eps)
             mode = sector.bright_mode(params.couplings)
             yield _sector_gap(params, t, mode, sector.closed_form(mode, t))
-    return _check("closed-form-vs-numeric", gaps(), ORACLE_TOL, 100)
+    return _check("closed-form-vs-numeric", gaps(), ROUNDING_TOL, 100)
 
 
 def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
@@ -155,7 +152,7 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             mode = sector.bright_mode(couplings)
             (pair,) = sector.evolve(mode, ((sign * t, detuning),))
             yield _sector_gap(ModelParams((detuning,) * n, couplings), t, mode, pair)
-    return _check("sector-vs-dense", gaps(), SECTOR_TOL, 24)
+    return _check("sector-vs-dense", gaps(), ROUNDING_TOL, 24)
 
 
 def check_rng_stream(rng) -> CheckResult:

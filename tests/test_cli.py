@@ -394,6 +394,14 @@ class TestConfigHandling:
         assert report["config"]["n"] == 3
         assert "state" in report  # dump-state taken from the file
 
+    @pytest.mark.parametrize("spelling", ["off", "No", "0", "FALSE"])
+    def test_config_file_turns_a_flag_off(self, spelling, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\ndump-state = {spelling}\n")
+        report = run_json(capsys, "simulate", "--config", str(cfg))
+        assert report["config"]["dump_state"] is False
+        assert "state" not in report
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 4\nbogus = 1\nalso = 2\n")

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +494,39 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("drift", [2e-12, 5e-11])
+@pytest.mark.parametrize("route", ["sector.evolve", "propagate_numeric"])
+def test_a_drift_above_the_rounding_tolerance_raises(route, drift, monkeypatch):
+    """A norm drift above ``ROUNDING_TOL`` and at most 1e-10, which both
+    propagators once divided out, raises from each, as ``StateVector``
+    refuses such a norm from any other source.  The sector's record
+    carries ||beta||^2 = 1 + 2 drift, evolved to where |bright| = 1; the
+    dense route's eigenvectors are scaled by 1 + drift / 2."""
+    if route == "sector.evolve":
+        mode = sector.bright_mode((1.0,))._replace(squares=1.0 + 2.0 * drift)
+
+        def run():
+            return list(sector.evolve(mode, ((0.5 * math.pi, 0.0),)))
+    else:
+        basis = build_basis(2, excitation_cap=1)
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        real_eigh = np.linalg.eigh
+
+        def scaled_eigh(matrix):
+            vals, vecs = real_eigh(matrix)
+            return vals, vecs * (1.0 + 0.5 * drift)
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+
+        def run():
+            return propagate_numeric(H, initial_state(basis), 0.5)
+    with pytest.raises(PropagationError, match="norm drift") as raised:
+        run()
+    measured = float(re.search(r"norm drift (\S+) exceeds", str(raised.value)).group(1))
+    assert sector.ROUNDING_TOL < measured <= 1e-10
+    assert measured == pytest.approx(drift, rel=0.01)
+
+
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         basis = build_basis(1, excitation_cap=1)
@@ -527,6 +562,42 @@ class TestHermitianOperator:
         basis = build_basis(1, excitation_cap=1)
         with pytest.raises(ValueError, match=r"shape \(2, 3, 3\) does not match"):
             HermitianOperator(basis, np.zeros((2, 3, 3)))
+
+    @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.inf)])
+    def test_rejects_a_non_finite_entry(self, entry):
+        basis = build_basis(1, excitation_cap=1)
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[1, 1] = entry
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            HermitianOperator(basis, mat)
+
+    def test_accepts_a_transposed_view(self):
+        """A view whose last axis is not contiguous is checked and copied
+        like any other matrix."""
+        basis = build_basis(1, excitation_cap=1)
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[0, 1], mat[1, 0] = 0.5j, -0.5j
+        view = mat.T
+        assert not view.flags.c_contiguous
+        H = HermitianOperator(basis, view)
+        np.testing.assert_array_equal(H.matrix, view)
+        assert not np.shares_memory(H.matrix, mat) and not H.matrix.flags.writeable
+
+    def test_build_hamiltonian_peaks_below_three_dense_matrices(self):
+        """The constructor checks the assembled matrix before it copies it,
+        so the assembled matrix, its copy and the Hermiticity gap are never
+        all alive: at dim 512 the peak stays within 2.6 matrices."""
+        basis = build_basis(8)
+        assert basis.dim == 512
+        basis.levels, basis.exchange_pairs  # built and cached before the trace
+        params = ModelParams.resonant(8, 1.0)
+        tracemalloc.start()
+        try:
+            build_hamiltonian(params, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * basis.dim**2 * np.dtype(complex).itemsize
 
 
 class TestEachResultIsACheckedCopy:

@@ -6,6 +6,7 @@ import pytest
 
 from wcavity.cli import main
 from wcavity.fock import (
+    MAX_DIMENSION,
     StateVector,
     atom_population,
     build_basis,
@@ -75,9 +76,9 @@ class TestBuildBasis:
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(14)  # 2^15 > 16384
+            build_basis(11)  # 2^12 > 2048
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(14, excitation_cap=14)  # a cap that cuts nothing: 2^15 > 16384
+            build_basis(11, excitation_cap=11)  # a cap that cuts nothing: 2^12 > 2048
 
     def test_has_no_photon_number_truncation(self):
         """Every mode is a qubit: there is no n_max to pass, and no alias
@@ -102,7 +103,9 @@ class TestBuildBasis:
             build_basis(*args)
 
     def test_dimension_limit_is_inclusive(self):
-        assert build_basis(13).dim == 16384
+        assert build_basis(10).dim == MAX_DIMENSION == 2048
+        with pytest.raises(ValueError, match="truncation too large"):
+            build_basis(11)
 
     def test_large_mode_count_with_cap(self):
         basis = build_basis(2000, excitation_cap=1)

@@ -32,6 +32,7 @@ from wcavity.protocol import (
     require_grid,
     timing_error_sweep,
 )
+from wcavity.sector import ROUNDING_TOL
 
 import reference
 from numpy_route import closed_form_rows, w_fidelities
@@ -388,8 +389,7 @@ class TestModeCountSweep:
 
 
 # The dense numpy routes these sweeps ran before the N + 2 sector route
-# replaced them are its oracle: every row agrees with them to 1e-12.
-ORACLE_TOL = 1e-12
+# replaced them are its oracle: every row agrees with them to ROUNDING_TOL.
 
 n_st = st.integers(1, 13)
 epsilon_st = st.floats(0.1, 10.0)
@@ -409,7 +409,7 @@ def assert_rows(result, grid, fids):
     assert [row.x for row in result.rows] == [float(x) for x in grid]
     for row, f in zip(result.rows, fids):
         for value in row[1:]:
-            assert abs(value - f) <= ORACLE_TOL
+            assert abs(value - f) <= ROUNDING_TOL
 
 
 @settings(max_examples=40, deadline=None)

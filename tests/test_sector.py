@@ -122,10 +122,11 @@ def test_closed_form_takes_omega_as_the_norm_of_the_couplings():
         assert repr(sector.amplitudes(mode, pair)) == repr(formula)
 
 
-@pytest.mark.parametrize("epsilon", [5.05e-309, 1e-170, 1e160, 5.18e307])
+@pytest.mark.parametrize("epsilon", [5.05e-309, 1e-170, 1e154, 1e160, 5.18e307])
 def test_norm_scales_by_a_power_of_two_bit_for_bit(epsilon):
-    """Couplings scaled by 2^k, near each end of the admitted epsilon and
-    where their squares leave the normal doubles, have ``_norm`` times 2^k
+    """Couplings scaled by 2^k, near each end of the admitted epsilon, where
+    their squares leave the normal doubles, and where the squares are
+    finite but their sum overflows, have ``_norm`` times 2^k
     as their norm, bit for bit: the power of two that ``_norm`` scales by
     where the sum of squares overflows or nears the subnormals is exact,
     and one rounding of the same real number is taken either way.  Real
@@ -340,8 +341,9 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
 def test_norm_drift_raises_and_small_drift_is_renormalized(monkeypatch):
     """A record built at an Omega off the couplings' norm by a factor
     1 / (1 + d) has ||beta||^2 = (1 + d)^2, and so moves the norm of the
-    state that each pair stands for: at d = 1e-9 that raises, and at
-    d = 1e-11 the pair is divided by that norm.  At t = 1.2, |bright|^2 is
+    state that each pair stands for by about 0.9 d: at d = 1e-9 and at
+    d = 1e-11, a drift above ``ROUNDING_TOL``, that raises, and at
+    d = 4e-13 the pair is divided by that norm.  At t = 1.2, |bright|^2 is
     about 0.9."""
     couplings = (1.0, 0.5)
     real = sector._norm
@@ -354,13 +356,14 @@ def test_norm_drift_raises_and_small_drift_is_renormalized(monkeypatch):
                                           for c in couplings])
         return sector.evolve(mode, ((1.2, 0.0),))
 
-    with pytest.raises(PropagationError, match="norm drift"):
-        list(drifted(1e-9))
-    ((excited, bright),) = drifted(1e-11)
-    squares = math.fsum([(c / (real(couplings) / (1.0 + 1e-11))) ** 2 for c in couplings])
-    assert abs(squares - 1.0) > 1e-11
+    for d in (1e-9, 1e-11):
+        with pytest.raises(PropagationError, match="norm drift"):
+            list(drifted(d))
+    ((excited, bright),) = drifted(4e-13)
+    squares = math.fsum([(c / (real(couplings) / (1.0 + 4e-13))) ** 2 for c in couplings])
+    assert abs(squares - 1.0) > 4e-13
     assert abs(excited) ** 2 + abs(bright) ** 2 * squares == pytest.approx(1.0, abs=1e-15)
-    assert abs(abs(excited) ** 2 + abs(bright) ** 2 - 1.0) > 1e-12
+    assert abs(abs(excited) ** 2 + abs(bright) ** 2 - 1.0) > 4e-13
 
 
 class FsumCounter:
@@ -509,3 +512,20 @@ def test_a_reduction_that_is_not_x_shaped_is_refused():
     amps = [math.sqrt(0.5)] + [math.sqrt(0.5 / n)] * n + [0.0]
     with pytest.raises(ValueError, match="not an X state"):
         sector.pairwise_concurrences(amps)
+
+
+def test_an_off_x_entry_of_any_size_is_refused():
+    """Every off-X entry of a support state's reduction is a product with
+    a support amplitude, or 0.0, so it is exactly zero when the state is
+    X-shaped: W with a vacuum amplitude of 2e-20 has <00|rho|01> = 1e-20,
+    and is refused."""
+    amps = [2e-20] + [0.5] * 4 + [0.0]
+    reductions = dict(sector.pair_reductions(amps))
+    assert abs(reductions[1, 2][0][1]) == 1e-20
+    with pytest.raises(ValueError, match=r"not an X state: off-X entry 1\.000e-20"):
+        sector.pairwise_concurrences(amps)
+
+
+def test_pair_reductions_need_two_modes():
+    with pytest.raises(ValueError, match="needs n >= 2, got 1"):
+        sector.pairwise_concurrences([0.0, 1.0, 0.0])

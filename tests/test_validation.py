@@ -6,6 +6,7 @@ import pytest
 from wcavity import dynamics, normals, sector, validation
 from wcavity.cli import main
 from wcavity.dynamics import HermitianOperator, ModelParams
+from wcavity.fock import build_basis, initial_state
 from wcavity.validation import (
     _find_root,
     check_composition,
@@ -71,10 +72,11 @@ def test_composition_diagonalizes_once_per_draw(eigh_calls):
     assert len(eigh_calls) == 50 and all(len(shape) == 2 for shape in eigh_calls)
 
 
-def test_unitarity_check_sees_a_drift_the_propagator_renormalizes(monkeypatch):
+def test_unitarity_check_and_the_propagator_both_refuse_a_drift(monkeypatch):
     """Eigenvectors scaled by 1 + 1e-11 make every evolved norm drift by
-    about 1e-11, below ``NORM_DRIFT_TOL``, so ``propagate_numeric`` divides
-    it out; the check reads the cached eigenvectors themselves and fails."""
+    about 2e-11, above ``ROUNDING_TOL``: the check reads the cached
+    eigenvectors themselves and fails, and ``propagate_numeric`` raises
+    rather than dividing the drift out."""
     assert check_unitarity(np.random.default_rng(3)).measured <= 1e-14
     real_eigh = np.linalg.eigh
 
@@ -85,7 +87,11 @@ def test_unitarity_check_sees_a_drift_the_propagator_renormalizes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
     result = check_unitarity(np.random.default_rng(3))
     assert not result.passed
-    assert 1e-11 < result.measured < sector.NORM_DRIFT_TOL
+    assert 1e-11 < result.measured < 1e-10
+    basis = build_basis(2)
+    H = dynamics.build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+    with pytest.raises(sector.PropagationError, match="norm drift"):
+        dynamics.propagate_numeric(H, initial_state(basis), 0.7)
 
 
 def test_unitarity_check_draws_only_the_parameters():
@@ -264,17 +270,17 @@ def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
 # --inject-fault are pinned in tests/data/corpus.json.
 STACKED_LINES = {
     "default": [
-        "PASS propagator-composition: measured=2.140e-15 tolerance=1e-09 cases=50",
-        "PASS closed-form-vs-numeric: measured=6.943e-15 tolerance=1e-08 cases=100",
+        "PASS propagator-composition: measured=2.140e-15 tolerance=1e-12 cases=50",
+        "PASS closed-form-vs-numeric: measured=6.943e-15 tolerance=1e-12 cases=100",
         "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
-        "PASS sector-vs-dense: measured=6.492e-15 tolerance=1e-10 cases=24",
+        "PASS sector-vs-dense: measured=6.492e-15 tolerance=1e-12 cases=24",
         "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
     ],
     "123": [
-        "PASS propagator-composition: measured=2.880e-15 tolerance=1e-09 cases=50",
-        "PASS closed-form-vs-numeric: measured=5.276e-15 tolerance=1e-08 cases=100",
+        "PASS propagator-composition: measured=2.880e-15 tolerance=1e-12 cases=50",
+        "PASS closed-form-vs-numeric: measured=5.276e-15 tolerance=1e-12 cases=100",
         "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
-        "PASS sector-vs-dense: measured=2.982e-15 tolerance=1e-10 cases=24",
+        "PASS sector-vs-dense: measured=2.982e-15 tolerance=1e-12 cases=24",
         "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
     ],
 }

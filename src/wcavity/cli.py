@@ -158,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    """Each key of a flat ``key = value`` file (``-`` spelled ``_``) and
-    its (line number, value); a key set on two lines is refused."""
+    """Each key of a flat ``key = value`` UTF-8 file (``-`` spelled ``_``)
+    and its (line number, value); a key set on two lines is refused."""
     values = {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -233,6 +233,9 @@ def resolve_config(args) -> dict:
     if args.command == "entanglement" and config["n"] < 2:
         raise ValueError("entanglement comparison needs --n >= 2")
     if args.command == "validate":
+        if "format" in given and config["out"] == "-":
+            raise ValueError("--format sets the format of validate's --out file, and there is "
+                             "none: validate prints its text lines")
         return config
     if args.command == "sweep":
         parameter = config["parameter"]
@@ -318,8 +321,9 @@ def _csv_cell(value) -> str:
 
 def _write(outputs) -> None:
     """Write each (target, lines) of ``outputs`` by one ``writelines``; a
-    target of ``-`` is stdout.  If a write fails, remove the files this
-    call created, and only those: a path that existed before is kept."""
+    target of ``-`` is stdout, any other a UTF-8 file.  If a write fails,
+    remove the files this call created, and only those: a path that
+    existed before is kept."""
     created = []
     try:
         for target, lines in outputs:
@@ -327,10 +331,10 @@ def _write(outputs) -> None:
                 sys.stdout.writelines(lines)
                 continue
             try:
-                handle = open(target, "x")
+                handle = open(target, "x", encoding="utf-8")
                 created.append(target)
             except FileExistsError:
-                handle = open(target, "w")
+                handle = open(target, "w", encoding="utf-8")
             with handle:
                 handle.writelines(lines)
     except BaseException:

@@ -248,64 +248,49 @@ def ghz_support(n: int) -> list[float]:
     return [half] + [0.0] * n + [half]
 
 
-def pair_reductions(support):
-    """Yield ((i, j), rho) for every mode pair i < j, in lexicographic
-    order: the reduced density matrix of modes i and j, a 4x4 nested list
-    in the order |n_i n_j> = 00, 01, 10, 11, of the pure state with the
-    N + 2 support amplitudes ``support`` (the atom in its ground state).
+def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
+    """Concurrence of every two-mode reduction rho of the pure state with
+    the N + 2 support amplitudes ``support`` (the atom in its ground
+    state), keyed by mode pair (i, j), i < j, in lexicographic order.
 
     Tracing out the atom and the other modes groups the support states by
     what they leave there: |g;0>, |g;1_i> and |g;1_j> leave nothing;
     |g;1_k> leaves one photon in mode k; |g;1...1> leaves N - 2 photons,
-    which is nothing at N = 2 and the photon of |g;1_k> at N = 3.
-    """
+    which is nothing at N = 2 and the photon of |g;1_k> at N = 3.  Each
+    entry of rho (order |n_i n_j> = 00, 01, 10, 11) is read off the
+    amplitudes, and rho is scored as an X state (Wootters; Yu and Eberly):
+    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
+    clipped into [0, 1].  Raises ValueError unless every entry off the
+    diagonal and the anti-diagonal is exactly zero, as each (0.0 or a
+    product with a support amplitude) is of an X-shaped support state."""
     n = len(support) - 2
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
     vac, ones = support[0], support[n + 1]
     singles = [abs(a) ** 2 for a in support[1:n + 1]]
+    rho_33 = abs(ones) ** 2
+    concurrences = {}
     for i in range(1, n):
         x = support[n + 1 - i]
         for j in range(i + 1, n + 1):
             y = support[n + 1 - j]
-            # summed, not subtracted from the total: rho_00 multiplies
-            # rho_33 under a square root, which would turn a rounding
-            # residue of 1e-17 into a concurrence error of 1e-8
-            lo, hi = n - j, n - i
-            rest = math.fsum(singles[:lo] + singles[lo + 1:hi] + singles[hi + 1:])
+            # rho_00 is summed, not subtracted from the total: it multiplies
+            # rho_33 under a square root, which would turn a rounding residue
+            # of 1e-17 into a concurrence error of 1e-8
+            lo, hi = n - j, n - i  # rho_11 and rho_22 are singles[lo], singles[hi]
+            rho_00 = abs(vac) ** 2 + math.fsum(singles[:lo] + singles[lo + 1:hi] + singles[hi + 1:])
+            # rho_01, rho_02, rho_13 and rho_23; |g;1...1> meets |g;1_j> and
+            # |g;1_i> in the last two only at N = 2, where it leaves nothing
+            off = max(abs(vac * y.conjugate()), abs(vac * x.conjugate()),
+                      abs(y * ones.conjugate()) if n == 2 else 0.0,
+                      abs(x * ones.conjugate()) if n == 2 else 0.0)
+            if off != 0.0:
+                raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
             # the state that leaves what |g;1...1> leaves: |g;0> at N = 2,
             # |g;1_k> for the third mode k at N = 3, none beyond
             partner = vac if n == 2 else support[i + j - 2] if n == 3 else 0.0
-            rho = [
-                [abs(vac) ** 2 + rest, vac * y.conjugate(), vac * x.conjugate(),
-                 partner * ones.conjugate()],
-                [0.0, abs(y) ** 2, y * x.conjugate(), y * ones.conjugate() if n == 2 else 0.0],
-                [0.0, 0.0, abs(x) ** 2, x * ones.conjugate() if n == 2 else 0.0],
-                [0.0, 0.0, 0.0, abs(ones) ** 2],
-            ]
-            for r in range(1, 4):
-                for c in range(r):
-                    rho[r][c] = rho[c][r].conjugate()
-            yield (i, j), rho
-
-
-def x_concurrence(rho) -> float:
-    """Concurrence of a two-qubit X state (Wootters; Yu and Eberly):
-    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
-    clipped into [0, 1].  Raises ValueError unless every entry off the
-    diagonal and the anti-diagonal is exactly zero, as each is in the
-    reduction of an X-shaped support state (``pair_reductions``)."""
-    off = max(abs(rho[r][c]) for r, c in ((0, 1), (0, 2), (1, 3), (2, 3)))
-    if off != 0.0:
-        raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
-    d = [rho[k][k].real for k in range(4)]
-    coherent = abs(rho[1][2]) - math.sqrt(max(d[0] * d[3], 0.0))
-    paired = abs(rho[0][3]) - math.sqrt(max(d[1] * d[2], 0.0))
-    return min(max(2.0 * coherent, 2.0 * paired, 0.0), 1.0)
-
-
-def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
-    """Concurrence of every two-mode reduction of the state with N + 2
-    support amplitudes ``support``, keyed by mode pair (i, j), i < j, in
-    lexicographic order."""
-    return {pair: x_concurrence(rho) for pair, rho in pair_reductions(support)}
+            coherent = abs(y * x.conjugate()) - math.sqrt(max(rho_00 * rho_33, 0.0))
+            paired = (abs(partner * ones.conjugate())
+                      - math.sqrt(max(singles[lo] * singles[hi], 0.0)))
+            concurrences[i, j] = min(max(2.0 * coherent, 2.0 * paired, 0.0), 1.0)
+    return concurrences

@@ -377,6 +377,19 @@ class TestValidate:
         assert data["summary"] == {"checks_run": 6, "passed": 6, "failed": 0}
         assert all(c["passed"] for c in data["checks"])
 
+    @pytest.mark.parametrize("source", ["flag", "config", "out-dash"])
+    def test_format_without_an_out_file_is_refused(self, source, capsys, tmp_path):
+        """validate prints text lines; --format sets only its --out file's."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        argv = {"flag": ["--format", "csv"], "config": ["--config", str(cfg)],
+                "out-dash": ["--format", "json", "--out", "-"]}[source]
+        code, stdout, err = run_cli(capsys, "validate", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err == ("error: --format sets the format of validate's --out file, "
+                       "and there is none: validate prints its text lines\n")
+
 
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -441,6 +454,21 @@ class TestConfigHandling:
         cfg.write_text(text)
         code, stdout, err = run_cli(capsys, "sweep", *argv, "--config", str(cfg), "--out", "-")
         assert (code, stdout, err) == (2, "", f"error: {cfg}:1: {message}\n")
+
+    def test_config_file_is_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        """Under the C locale, with neither locale coercion nor UTF-8 mode,
+        the locale's encoding is ASCII; a config file is read as UTF-8 all the same."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# r\u00e9glage\nn = 4\n".encode("utf-8"))
+        env = dict(package_env(), PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        env.pop("PYTHONUTF8", None)
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "wcavity", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "report.json")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 4
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
@@ -554,9 +582,10 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
         a.dest for a in sub.choices[command]._actions if a.option_strings
     } - {"help", "config", "inject_fault"}
 
-    # the disorder sweep is the one that reads every sweep key
-    required = (["--out", str(tmp_path / "x.csv"), "--parameter", "coupling-disorder"]
-                if command == "sweep" else [])
+    # the disorder sweep is the one that reads every sweep key, and
+    # validate reads --format only for an --out file
+    required = {"sweep": ["--out", str(tmp_path / "x.csv"), "--parameter", "coupling-disorder"],
+                "validate": ["--out", str(tmp_path / "v.json")]}.get(command, [])
     file_keys = set()
     for key, value in SAMPLE.items():
         cfg = tmp_path / f"{key}.cfg"

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from wcavity import normals
 
-# 0 is one 32-bit word; entries from 2**32 take two, as the sweep's seed can
+# 0 is one 32-bit word; entries from 2**32 take two and from 2**64 three or
+# more, as the sweep's seed can
 KEY_ENTRIES = st.one_of(
     st.just(0),
     st.integers(1, 2**32 - 1),
     st.integers(2**32, 2**63 - 2),
     st.just(2**63 - 1),
+    st.integers(2**64, 2**200),
 )
 KEYS = st.lists(KEY_ENTRIES, min_size=1, max_size=4)
 

@@ -238,7 +238,7 @@ class TestDisorderOracle:
     route, but for the cells where the 50-digit reference shows that
     neither is correctly rounded."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 42, 123])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 123, 2**64])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
     def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
         args = (_default_grid("coupling-disorder", n), 100, seed)

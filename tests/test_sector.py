@@ -1,7 +1,6 @@
 """The standard-library sector route against the numpy routes: the
 evolution against the dense sector propagator and scipy's ``expm``, the
-pair reductions and X-state concurrences against ``partial_trace`` and
-``concurrence``."""
+pairwise concurrences against ``concurrence`` of ``partial_trace``."""
 
 import itertools
 import math
@@ -435,38 +434,34 @@ def numpy_pair_concurrences(amps):
     n = len(amps) - 2
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     psi = StateVector(support_basis(n), amps)
-    rhos = [partial_trace(psi, pair) for pair in pairs]
-    return pairs, [rho.matrix for rho in rhos], [concurrence(rho) for rho in rhos]
+    return pairs, [concurrence(partial_trace(psi, pair)) for pair in pairs]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("state", ["W", "GHZ"])
-def test_x_concurrence_equals_numpy_concurrence(n, state):
+def test_pairwise_concurrences_equal_numpy_concurrence(n, state):
     support = sector.w_support(n) if state == "W" else sector.ghz_support(n)
     basis = support_basis(n)
     target = w_state(basis) if state == "W" else ghz_state(basis)
     np.testing.assert_array_equal(support, target.amplitudes)
-    pairs, matrices, expected = numpy_pair_concurrences(support)
-    reductions = dict(sector.pair_reductions(support))
+    pairs, expected = numpy_pair_concurrences(support)
     got = sector.pairwise_concurrences(support)
-    assert list(got) == pairs == list(reductions)
-    for pair, matrix, want in zip(pairs, matrices, expected):
-        np.testing.assert_allclose(reductions[pair], matrix, atol=1e-15, rtol=0)
+    assert list(got) == pairs
+    for pair, want in zip(pairs, expected):
         assert got[pair] == pytest.approx(want, abs=1e-12)
         assert got[pair] == pytest.approx(2 / n if state == "W" else float(n == 2), abs=1e-12)
 
 
 def test_three_modes_trace_all_ones_with_the_photon_of_the_third_mode():
     """At N = 3 the environment of |1,1,1> for pair (i, j) is one photon in
-    the third mode, as for |1_k>: the two are coherent in the reduction."""
+    the third mode, as for |1_k>: the two are coherent in the reduction,
+    |rho_03| = 0.48, and the concurrence of pair (1, 2) is 2 |rho_03|."""
     amps = [0.0, 0.6, 0.0, 0.0, 0.8]  # 0.6 |g;0,0,1> + 0.8 |g;1,1,1>
-    reductions = dict(sector.pair_reductions(amps))
-    pairs, matrices, expected = numpy_pair_concurrences(amps)
-    assert reductions[1, 2][0][3] == pytest.approx(0.48)
-    for pair, matrix, want in zip(pairs, matrices, expected):
-        np.testing.assert_allclose(reductions[pair], matrix, atol=1e-15, rtol=0)
-        assert sector.x_concurrence(reductions[pair]) == pytest.approx(want, abs=1e-12)
-    assert sector.x_concurrence(reductions[1, 2]) == pytest.approx(0.96, abs=1e-12)
+    pairs, expected = numpy_pair_concurrences(amps)
+    got = sector.pairwise_concurrences(amps)
+    for pair, want in zip(pairs, expected):
+        assert got[pair] == pytest.approx(want, abs=1e-12)
+    assert got[1, 2] == pytest.approx(0.96, abs=1e-12)
 
 
 # zero, or of modulus at least 0.05: numpy's concurrence floors eigenvalues
@@ -492,7 +487,7 @@ def test_x_shaped_support_states_match_numpy(n, data):
     if norm == 0.0:
         parts, norm = [1.0] + [0.0] * (n + 1), 1.0
     amps = [a / norm for a in parts]
-    pairs, _, expected = numpy_pair_concurrences(amps)
+    pairs, expected = numpy_pair_concurrences(amps)
     got = sector.pairwise_concurrences(amps)
     for pair, want in zip(pairs, expected):
         assert got[pair] == pytest.approx(want, abs=1e-12)
@@ -500,10 +495,10 @@ def test_x_shaped_support_states_match_numpy(n, data):
 
 def test_an_empty_environment_leaves_rho_00_exactly_zero():
     """2/3 |1_2> + 1/3 |1_1> + 2/3 |1,1,1>: the pair (1, 2) leaves no
-    |00> weight, and its concurrence is 2 |rho_12| = 4/9 to rounding."""
-    reductions = dict(sector.pair_reductions([0.0, 0.0, 2 / 3, 1 / 3, 2 / 3]))
-    assert reductions[1, 2][0][0] == 0.0
-    assert sector.x_concurrence(reductions[1, 2]) == pytest.approx(4 / 9, abs=1e-15)
+    |00> weight, and its concurrence is 2 |rho_12| = 4/9 to rounding; a
+    rho_00 left as a residue of the total would subtract sqrt(rho_00 rho_33)."""
+    got = sector.pairwise_concurrences([0.0, 0.0, 2 / 3, 1 / 3, 2 / 3])
+    assert got[1, 2] == pytest.approx(4 / 9, abs=1e-15)
 
 
 def test_a_reduction_that_is_not_x_shaped_is_refused():
@@ -520,12 +515,10 @@ def test_an_off_x_entry_of_any_size_is_refused():
     X-shaped: W with a vacuum amplitude of 2e-20 has <00|rho|01> = 1e-20,
     and is refused."""
     amps = [2e-20] + [0.5] * 4 + [0.0]
-    reductions = dict(sector.pair_reductions(amps))
-    assert abs(reductions[1, 2][0][1]) == 1e-20
     with pytest.raises(ValueError, match=r"not an X state: off-X entry 1\.000e-20"):
         sector.pairwise_concurrences(amps)
 
 
-def test_pair_reductions_need_two_modes():
+def test_pairwise_concurrences_need_two_modes():
     with pytest.raises(ValueError, match="needs n >= 2, got 1"):
         sector.pairwise_concurrences([0.0, 1.0, 0.0])

@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import types
 from collections.abc import Callable, Mapping
@@ -158,10 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    """Each key of a flat ``key = value`` UTF-8 file (``-`` spelled ``_``)
-    and its (line number, value); a key set on two lines is refused."""
+    """Each key of a flat ``key = value`` UTF-8 file, with or without a
+    byte-order mark (``-`` spelled ``_``), and its (line number, value); a
+    key set on two lines is refused."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -321,14 +323,23 @@ def _csv_cell(value) -> str:
 
 def _write(outputs) -> None:
     """Write each (target, lines) of ``outputs`` by one ``writelines``; a
-    target of ``-`` is stdout, any other a UTF-8 file.  If a write fails,
-    remove the files this call created, and only those: a path that
-    existed before is kept."""
+    target of ``-`` is stdout, flushed here, any other a UTF-8 file.  If a
+    write fails, remove the files this call created, and only those: a
+    path that existed before is kept.  After a failed write to stdout, fd 1
+    points at the null device, so that the interpreter's own flush at exit
+    cannot fail again on the text still buffered."""
     created = []
     try:
         for target, lines in outputs:
             if target == "-":
-                sys.stdout.writelines(lines)
+                try:
+                    sys.stdout.writelines(lines)
+                    sys.stdout.flush()
+                except OSError:
+                    null = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(null, sys.stdout.fileno())
+                    os.close(null)
+                    raise
                 continue
             try:
                 handle = open(target, "x", encoding="utf-8")
@@ -443,16 +454,12 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
         raise ValueError("validate needs numpy: install wcavity[oracle]") from None
 
     report = run_validation(seed=config["seed"], inject_fault=inject_fault)
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(
-            f"{status} {check.name}: measured={check.measured:.3e} "
-            f"tolerance={check.tolerance:g} cases={check.cases}"
-        )
-    print(
-        f"summary: checks_run={report.checks_run} passed={report.passed} "
-        f"failed={report.failed}"
-    )
+    lines = [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
+             f"measured={check.measured:.3e} tolerance={check.tolerance:g} "
+             f"cases={check.cases}\n" for check in report.checks]
+    lines.append(f"summary: checks_run={report.checks_run} passed={report.passed} "
+                 f"failed={report.failed}\n")
+    _write([("-", lines)])
     if config["out"] != "-":
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -10,15 +10,12 @@ photon numbers of modes 1..N::
 
 so |g;0...0> is 0, |g;1_i> is 2^(N - i) and |e;0...0> is 2^N.  A basis
 lists its codes in ascending order: the whole space is 0 .. 2 * 2^N - 1,
-and a cap on the total excitation number (atomic excitation plus photon
-count) keeps the codes with at most that many set bits.
+and the one-excitation sector is 0, 1, 2, 4, ..., 2^N.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import types
 
 import numpy as np
@@ -180,61 +177,48 @@ def require_unit_rows(amplitudes: np.ndarray) -> None:
 
 
 def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
-    """Enumerate the basis: the codes of every atom level and 0/1
-    occupation of each mode, ascending.
+    """The basis of one of the two spaces the package uses, its codes
+    ascending.
 
     Parameters
     ----------
     n_modes : int
         Number of modes, >= 1.
-    excitation_cap : int or None
-        If given, keep only states with total excitation <= cap.  The cap
-        counts the atomic excitation, so ``excitation_cap=1`` yields the
-        single-excitation sector of dimension ``n_modes + 2``; without a
-        cap the space has dimension 2 * 2^N.
+    excitation_cap : None or 1
+        ``None`` gives the whole qubit space, of dimension 2 * 2^N;
+        ``1`` gives the one-excitation sector (the atomic excitation
+        counts), of dimension N + 2.  Any other cap is refused.
 
-    A dimension above ``MAX_DIMENSION`` raises ValueError, counted by
-    ``math.comb`` before any code is built.  Bases are
-    memoized per (n_modes, excitation_cap): a repeated call returns
-    the same read-only object.  The arguments are checked before the cache
-    is consulted, so a float that equals an int is refused like any other.
+    A dimension above ``MAX_DIMENSION`` raises ValueError before any code
+    is built.  Bases are memoized per (n_modes, excitation_cap): a
+    repeated call returns the same read-only object.  The arguments are
+    checked before the cache is consulted, so a float that equals an int
+    is refused like any other.
     """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    if excitation_cap is not None and (
-        not isinstance(excitation_cap, int) or excitation_cap < 0
-    ):
-        raise ValueError(f"excitation_cap must be a non-negative integer, got {excitation_cap!r}")
+    if excitation_cap is not None and (not isinstance(excitation_cap, int) or excitation_cap != 1):
+        raise ValueError("excitation_cap must be None (the qubit space) or the integer 1 "
+                         f"(the one-excitation sector), got {excitation_cap!r}")
     return _enumerate_basis(n_modes, excitation_cap)
 
 
 @functools.lru_cache(maxsize=32)
 def _enumerate_basis(n_modes: int, excitation_cap: int | None) -> Basis:
-    bits = n_modes + 1
-    cap = bits if excitation_cap is None else min(excitation_cap, bits)
-    dim = 0
-    for count in range(cap + 1):
-        dim += math.comb(bits, count)
-        if dim > MAX_DIMENSION:
-            raise ValueError(
-                f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}"
-            )
-    if cap == bits:
-        return Basis(n_modes, excitation_cap, tuple(range(dim)))
-    codes = sorted(sum(1 << bit for bit in chosen)
-                   for count in range(cap + 1)
-                   for chosen in itertools.combinations(range(bits), count))
-    return Basis(n_modes, excitation_cap, tuple(codes))
+    # past MAX_DIMENSION modes 2 << N is over the limit anyway: min builds no huge int
+    dim = 2 << min(n_modes, MAX_DIMENSION) if excitation_cap is None else n_modes + 2
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}")
+    if excitation_cap is None:
+        return Basis(n_modes, None, tuple(range(dim)))
+    return Basis(n_modes, excitation_cap, (0, *(1 << bit for bit in range(n_modes + 1))))
 
 
 def initial_state(basis: Basis) -> StateVector:
     """Excited atom, all modes in vacuum: unit amplitude on |e; 0...0>."""
     pos = basis.index.get(1 << basis.n_modes)
     if pos is None:
-        raise ValueError(
-            "basis does not contain the excited-atom vacuum state "
-            "(excitation cap excludes the atom?)"
-        )
+        raise ValueError("basis does not contain the excited-atom vacuum state")
     amps = np.zeros(basis.dim, dtype=complex)
     amps[pos] = 1.0
     return StateVector(basis, amps)

@@ -68,38 +68,39 @@ def _random_amplitudes(rng, basis) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def _check(name: str, defects, tolerance: float, cases: int) -> CheckResult:
-    """The check ``name``: the largest of ``defects``, an iterable that runs
-    the routes under check, against ``tolerance``.  A ValueError or
-    PropagationError raised on the way is a fault of a route (say, a built
-    operator that ``HermitianOperator`` refuses): the check reads FAIL with
-    an infinite defect, rather than stopping the suite as bad input."""
+def _check(name: str, defects, cases: int) -> CheckResult:
+    """The check ``name``: the largest defect of ``defects(cases)``, an
+    iterable that runs the routes under check on ``cases`` draws, against
+    ``ROUNDING_TOL``.  A ValueError or PropagationError raised on the way is
+    a fault of a route (say, a built operator that ``HermitianOperator``
+    refuses): the check reads FAIL with an infinite defect, rather than
+    stopping the suite as bad input."""
     worst = 0.0
     try:
-        for defect in defects:
+        for defect in defects(cases):
             worst = max(worst, defect)
     except (ValueError, sector.PropagationError):
         worst = math.inf
-    return CheckResult(name, worst <= tolerance, worst, tolerance, cases)
+    return CheckResult(name, worst <= ROUNDING_TOL, worst, ROUNDING_TOL, cases)
 
 
 def check_unitarity(rng) -> CheckResult:
     """max |V^dag V - I| of the eigenvectors V that ``H.eigh()`` caches and
     ``propagate_numeric`` evolves in: a drift that its renormalization would
     hide shows here."""
-    def defects():
-        for _ in range(50):
+    def defects(draws):
+        for _ in range(draws):
             params = _random_params(rng)
             H = build_hamiltonian(params, build_basis(params.n_modes))
             _, eigvecs = H.eigh()
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
-    return _check("propagator-unitarity", defects(), ROUNDING_TOL, 50)
+    return _check("propagator-unitarity", defects, 50)
 
 
 def check_composition(rng) -> CheckResult:
-    def defects():
-        for _ in range(50):
+    def defects(draws):
+        for _ in range(draws):
             params = _random_params(rng)
             basis = build_basis(params.n_modes)
             psi = StateVector(basis, _random_amplitudes(rng, basis))
@@ -109,7 +110,7 @@ def check_composition(rng) -> CheckResult:
             two = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
             one = propagate_numeric(H, psi, t1 + t2)
             yield float(np.max(np.abs(two.amplitudes - one.amplitudes)))
-    return _check("propagator-composition", defects(), ROUNDING_TOL, 50)
+    return _check("propagator-composition", defects, 50)
 
 
 def _sector_gap(params: ModelParams, t: float, mode: sector.BrightMode, pair) -> float:
@@ -125,15 +126,15 @@ def check_oracle_equivalence(rng) -> CheckResult:
     """``sector.closed_form``, the closed form that ``simulate`` and the
     coupling-disorder sweep run, against the dense numeric propagator on
     random resonant draws."""
-    def gaps():
-        for _ in range(100):
+    def gaps(draws):
+        for _ in range(draws):
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
             params = ModelParams.resonant(n, eps)
             mode = sector.bright_mode(params.couplings)
             yield _sector_gap(params, t, mode, sector.closed_form(mode, t))
-    return _check("closed-form-vs-numeric", gaps(), ROUNDING_TOL, 100)
+    return _check("closed-form-vs-numeric", gaps, 100)
 
 
 def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
@@ -143,8 +144,8 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
     -t instead of t."""
     sign = -1.0 if inject_fault else 1.0
 
-    def gaps():
-        for _ in range(24):
+    def gaps(draws):
+        for _ in range(draws):
             n = int(rng.integers(1, 7))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
@@ -152,7 +153,7 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             mode = sector.bright_mode(couplings)
             (pair,) = sector.evolve(mode, ((sign * t, detuning),))
             yield _sector_gap(ModelParams((detuning,) * n, couplings), t, mode, pair)
-    return _check("sector-vs-dense", gaps(), ROUNDING_TOL, 24)
+    return _check("sector-vs-dense", gaps, 24)
 
 
 def check_rng_stream(rng) -> CheckResult:
@@ -227,11 +228,11 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
 def check_rabi_period() -> CheckResult:
     """The period of :func:`measure_rabi_period` against 2 pi / sqrt(N) at
     N = 1..6 and epsilon = 1: the relative error."""
-    def errors():
-        for n in range(1, 7):
+    def errors(modes):
+        for n in range(1, modes + 1):
             expected = 2.0 * math.pi / math.sqrt(n)
             yield abs(measure_rabi_period(n, 1.0) - expected) / expected
-    return _check("rabi-period", errors(), ROUNDING_TOL, 6)
+    return _check("rabi-period", errors, 6)
 
 
 def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> ValidationReport:

@@ -470,6 +470,14 @@ class TestConfigHandling:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 4
 
+    def test_config_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        """An editor may save UTF-8 with a byte-order mark; it is not read
+        as part of the first key."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 4\n")
+        report = run_json(capsys, "simulate", "--config", str(cfg))
+        assert report["config"]["n"] == 4
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -1362,3 +1370,26 @@ def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path, monkeyp
     assert proc.returncode == code
     assert proc.stderr == err.encode()
     assert proc.stdout == out.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["entanglement", "--n", "4"],
+    ["validate"],
+    ["sweep", "--n", "3", "--out", "-"],
+    # about 290 KB of CSV: writelines itself fails, before the last flush
+    ["sweep", "--parameter", "detuning", "--config", "long-grid.cfg", "--out", "-"],
+], ids=["simulate", "entanglement", "validate", "sweep", "sweep-long-grid"])
+def test_a_failed_write_to_stdout_exits_2(argv, tmp_path):
+    """With stdout block-buffered on /dev/full, a failed write exits 2 with
+    the error line, as a failed write to an --out file does; the
+    interpreter's own flush at exit does not fail a second time."""
+    grid = ",".join(repr(k / 1000) for k in range(5000))
+    (tmp_path / "long-grid.cfg").write_text(f"grid = {grid}\n")
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "wcavity", *argv], env=env, cwd=tmp_path,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")

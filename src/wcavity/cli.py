@@ -10,7 +10,6 @@ output goes through ``_write``.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -74,7 +73,8 @@ OPTIONS = {
                       requirement="must be finite and > 0"),
     "time": Option(float, None, "interaction time in 1/epsilon units (default: optimal)",
                    valid=math.isfinite, requirement="must be finite"),
-    "out": Option(str, None, "output path, '-' for stdout"),
+    "out": Option(str, None, "output path, '-' for stdout", valid=bool,
+                  requirement="must not be empty"),
     "format": Option(str, "json", choices=("csv", "json")),
     "seed": Option(int, 0, valid=lambda v: v >= 0, requirement="must be >= 0"),
     "dump_state": Option(_parse_bool, False,
@@ -132,7 +132,10 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser; ``parse_args`` builds it only for an argv it does not read."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wcavity",
         description="Single-atom multi-cavity W-state preparation simulator.",
@@ -156,6 +159,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["validate"].add_argument("--inject-fault", action="store_true",
                                          default=False, help=argparse.SUPPRESS)
     return parser
+
+
+def parse_args(argv=None):
+    """``build_parser().parse_args(argv)``, argv ``sys.argv[1:]`` by default.
+    An argv ``<command> (--flag value | --flag=value | --bool-flag)*`` of
+    exact flags, whose values ``Option.parse`` reads and none starts with
+    ``-`` but ``-``, is read from ``OPTIONS`` and ``COMMANDS``; argparse
+    reads any other, and words every usage error and help text."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        flags = {_flag(k): (k, OPTIONS[k].parse) for k in OPTIONS if k in command.options}
+        flags["--config"] = ("config", str)
+        values = {key: None for key, _ in flags.values()} | {"command": argv[0]}
+        if argv[0] == "validate":
+            flags["--inject-fault"] = ("inject_fault", _parse_bool)
+            values["inject_fault"] = False
+        tokens = iter(argv[1:])
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            key, parse = flags.get(flag, (None, None))
+            if key is None or (eq and parse is _parse_bool):
+                break
+            if parse is _parse_bool:  # a bare flag
+                values[key] = True
+                continue
+            value = value if eq else next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                break
+            try:
+                values[key] = parse(value)
+            except ValueError:
+                break
+        else:
+            return types.SimpleNamespace(**values)
+    return build_parser().parse_args(argv)
 
 
 def _load_config_file(path: str) -> dict:
@@ -198,7 +237,9 @@ def resolve_config(args) -> dict:
     --time angle.  A sweep's grid and sizes are left to the sweep, whose
     ``protocol.require_grid`` refuses them before any work."""
     command = COMMANDS[args.command]
-    file_values = _load_config_file(args.config) if args.config else {}
+    if args.config in ("", []):  # argparse before 3.13 reads --<flag>=-- as []
+        raise ValueError("--config must not be empty")
+    file_values = {} if args.config is None else _load_config_file(args.config)
     unknown = set(file_values) - command.options
     if unknown:
         lineno = min(file_values[key][0] for key in unknown)
@@ -210,6 +251,8 @@ def resolve_config(args) -> dict:
         if key not in command.options:
             continue
         value = getattr(args, key)
+        if value == []:  # as --config above
+            raise ValueError(f"{_flag(key)} must not be empty")
         if key in file_values:
             lineno, text = file_values[key]
             try:
@@ -472,9 +515,8 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:

@@ -166,10 +166,14 @@ COMMANDS = [
          "--out", "-"],
         ["sweep", "--n", "3", "--parameter", "detuning", "--epsilon", "1e10", "--grid", "1.8e298",
          "--out", "-"],
+        # an empty path, refused before any work
+        ["simulate", "--out", ""], ["simulate", "--out="], ["sweep", "--n", "3", "--out", ""],
+        ["simulate", "--config", ""],
     )),
     *((["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/s.json"], {"run.cfg": text})
       for text in ("n=abc\n", "n = 4\nepsilon = 2\nn = 5\n", "bogus = 1\n", "format = xml\n",
                    "dump-state = maybe\n", "just a line\n")),
+    (["sweep", "--n", "3", "--config", "{tmp}/run.cfg"], {"run.cfg": "out =\n"}),
     (["sweep", "--n", "3", "--grid", "0", "--config", "{tmp}/run.cfg", "--out", "-"],
      {"run.cfg": "grid = a,b\n"}),
     (["sweep", "--parameter", "detuning", "--config", "{tmp}/run.cfg", "--out", "-"],

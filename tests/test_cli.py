@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity.cli import build_parser, main, resolve_config, run
+from wcavity import cli
+from wcavity.cli import build_parser, main, parse_args, resolve_config, run
 from wcavity.dynamics import (
     ModelParams,
     PropagationError,
@@ -599,7 +601,7 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"{key} = {'true' if value is None else value}\n")
         try:
-            resolve_config(parser.parse_args([command, "--config", str(cfg), *required]))
+            resolve_config(parse_args([command, "--config", str(cfg), *required]))
         except ValueError as exc:
             assert "unknown config file keys" in str(exc)
         else:
@@ -1060,7 +1062,7 @@ def admit(case):
     ``protocol.require_grid``, by that call, the only one that admits it."""
     if isinstance(case, tuple):
         return require_grid(*case)
-    return resolve_config(build_parser().parse_args([*case, "--out", "-"]))
+    return resolve_config(parse_args([*case, "--out", "-"]))
 
 
 @pytest.mark.parametrize("largest, args", [
@@ -1234,8 +1236,9 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
     """``python -m wcavity <subcommand>`` in a fresh process: after ``main``
     returns, the package modules loaded are exactly those the subcommand
     runs, ``dataclasses`` is not loaded (it costs milliseconds of import
-    and class generation per process), and numpy is loaded only by the
-    subcommands that run a numpy module."""
+    and class generation per process), nor argparse and the gettext and
+    locale it loads (the command line is well formed), and numpy is loaded
+    only by the subcommands that run a numpy module."""
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = ['wcavity', *{argv!r}]\n"
@@ -1244,15 +1247,18 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
         "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'wcavity'),\n"
-        "                  'dataclasses' in sys.modules, 'numpy' in sys.modules]))\n"
+        "                  'dataclasses' in sys.modules, 'numpy' in sys.modules,\n"
+        "                  [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, loaded, dataclasses_loaded, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    status, loaded, dataclasses_loaded, numpy_loaded, parser_modules = json.loads(
+        proc.stdout.splitlines()[-1])
     assert status == 0
     assert set(loaded) == modules
     assert not dataclasses_loaded
+    assert parser_modules == []
     assert numpy_loaded == ("wcavity.dynamics" in modules)
 
 
@@ -1393,3 +1399,114 @@ def test_a_failed_write_to_stdout_exits_2(argv, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "wcavity", *argv], env=env, cwd=tmp_path,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+# The reader of well-formed command lines, against argparse.  Its tokens:
+# every flag of the tables, abbreviations and other flags argparse reads
+# or refuses, values each option reads and values it refuses, and the
+# tokens argparse treats apart (``-``, ``""``, ``--``, ``-h``, negative
+# numbers, command names out of place).
+FLAGS = [*(flag(key) for key in cli.OPTIONS), "--config", "--inject-fault"]
+ODD_FLAGS = ["--ep", "--eps", "--dump", "--inj", "--con", "--para", "--for", "--tri", "--se",
+             "--o", "--nmax", "--N", "-n", "---n", "--=3", "--n=3=4", "-h", "--help", "--h",
+             "--", "-", "", "-5", "junk", *cli.COMMANDS]
+GOOD_VALUES = {
+    "n": ["1", "3", "4"], "epsilon": ["0.5", "1", "2"], "time": ["0", "1.3", "-2.5"],
+    "out": ["-", "o.json", "o.csv"], "format": ["csv", "json"], "seed": ["0", "7"],
+    "parameter": sorted(SWEEP_PARAMETERS), "grid": ["0", "0,0.1", "-0.3,0", " 0.2"],
+    "trials": ["1", "3"], "config": ["run.cfg", "missing.cfg"],
+}
+VALUES = ["-1", "-2.5", "-0", "1e-3", "nan", "inf", "-inf", "x", "-", "", "xml", "true",
+          "a,b", ",", "2.5", " 3", "3 ", "-x", "--", "-h", "--help", "--n", "--n=3",
+          *cli.COMMANDS, *(v for values in GOOD_VALUES.values() for v in values)]
+
+
+def random_argvs(count):
+    """``count`` argvs of a seeded stream: mostly a command and its own
+    flags with values it reads, some with any flag, value or odd token."""
+    rng = random.Random(20261020)
+    for _ in range(count):
+        argv = [rng.choice([*cli.COMMANDS] * 9 + ODD_FLAGS)]
+        command = cli.COMMANDS.get(argv[0])
+        own = [f for f in FLAGS if command and f[2:].replace("-", "_") in command.options]
+        for _ in range(rng.randrange(5)):
+            name = rng.choice(own + ["--config"] if own and rng.random() < 0.85 else FLAGS)
+            key = name[2:].replace("-", "_")
+            good = rng.random() < 0.75 and key in GOOD_VALUES
+            value = rng.choice(GOOD_VALUES[key] if good else VALUES)
+            form = rng.random()
+            if form < 0.05:
+                argv.append(rng.choice(ODD_FLAGS))
+            elif form < 0.2 or key in ("dump_state", "inject_fault"):
+                argv.append(name)
+            elif form < 0.4:
+                argv.append(f"{name}={value}")
+            else:
+                argv += [name, value]
+        yield argv
+
+
+class Deferred(Exception):
+    """Raised by a stand-in ``build_parser``: the reader handed its argv to
+    argparse."""
+
+
+def deferred():
+    raise Deferred
+
+
+def quietly(read, argv):
+    """``read(argv)``, or None where argparse exits; its output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return read(argv)
+        except SystemExit:
+            return None
+
+
+def test_the_reader_agrees_with_argparse(monkeypatch, tmp_path):
+    """Wherever ``parse_args`` reads an argv without argparse, it gives the
+    namespace argparse gives, value types included; wherever argparse
+    exits, the reader has handed the argv to it.  ``main`` writes the same
+    exit code, stdout and stderr with the reader and with argparse alone,
+    on the first 20 argvs of each command that the reader reads (where
+    the two ways can differ)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = csv\n")
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", deferred)
+    read, refused, compared = 0, 0, dict.fromkeys(cli.COMMANDS, 0)
+    for argv in random_argvs(20000):
+        want = quietly(parser.parse_args, argv)
+        refused += want is None
+        try:
+            got = quietly(cli.parse_args, argv)
+        except Deferred:
+            continue
+        read += 1
+        assert want is not None, argv
+        assert repr(sorted(vars(got).items())) == repr(sorted(vars(want).items())), argv
+        if compared[argv[0]] < 20:
+            compared[argv[0]] += 1
+            runs = []
+            for reader in (cli.parse_args, parser.parse_args):
+                with monkeypatch.context() as patched:
+                    patched.setattr(cli, "parse_args", reader)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        runs.append((main(argv), out.getvalue(), err.getvalue()))
+            assert runs[0] == runs[1], argv
+    # the stream holds both kinds in number
+    assert read > 5000 and refused > 5000, (read, refused)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--n", "3"], ["simulate", "-h"], ["simulate", "--help"], ["sweep", "--ep", "2"],
+    ["simulate", "--bogus"], ["simulate", "--n"], ["simulate", "--time", "-2.5"],
+    ["simulate", "--out", "-x"], ["simulate", "--dump-state=true"], ["simulate", "--n", "x"],
+    ["simulate", "--", "--n", "3"], ["simulate", "3"], ["simulate", "simulate"],
+], ids=repr)
+def test_the_reader_hands_argparse_what_it_does_not_read(argv, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", deferred)
+    with pytest.raises(Deferred):
+        cli.parse_args(argv)

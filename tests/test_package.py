@@ -146,6 +146,17 @@ def test_runtime_modules_never_import_numpy_or_the_oracle():
         assert not named & {"Frozen", "Value"}, module
 
 
+def test_runtime_imports_argparse_only_to_build_the_parser():
+    """``cli.parse_args`` reads a well-formed command line from the option
+    tables; argparse, which words every usage error and help text, is
+    imported by ``build_parser`` alone."""
+    src = Path(wcavity.__file__).parent
+    found = [(module, func) for module in RUNTIME
+             for name, func in imported_modules((src / f"{module}.py").read_text())
+             if name == "argparse"]
+    assert found == [("cli", "build_parser")]
+
+
 @pytest.mark.parametrize("source, expected", [
     ("import numpy.linalg as la", [("numpy", None)]),
     ("from scipy import linalg", [("scipy", None)]),

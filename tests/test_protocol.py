@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import normals, sector
-from wcavity.cli import build_parser, main
+from wcavity.cli import main, parse_args
 from wcavity.dynamics import (
     ModelParams,
     build_hamiltonian,
@@ -533,7 +533,7 @@ def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message, mo
     the library too, with the CLI's message: the same N, epsilon and grid
     (None for the default grid) and the CLI's defaults for the rest.  A
     size refusal comes before the route builds any coupling tuple."""
-    args = vars(build_parser().parse_args(argv))
+    args = vars(parse_args(argv))
     defaults = {"n": 3, "epsilon": 1.0, "parameter": "timing-error", "trials": 100, "seed": 0}
     n, eps, parameter, trials, seed = (defaults[k] if args[k] is None else args[k]
                                        for k in defaults)

@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
 input outside the size or range rule of its route, kept by the library
 in ``sector`` and, run by the sweep alone, ``protocol.require_grid``), 3
 numerical failure.  Times are in units of 1/epsilon; every evolution runs
-in the interaction frame, on resonance but in the detuning sweep.  Every
-output goes through ``_write``.
+in the interaction frame, on resonance but in the detuning sweep.  This
+module alone writes bytes, all through ``_write``: it holds the schema
+version, the 12-digit number format and the layout of every report and
+sweep file, while the library returns plain values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 import types
 from collections.abc import Callable, Mapping
 from pathlib import Path
@@ -26,15 +29,7 @@ from typing import NamedTuple, NoReturn
 # `normals`), which need the standard library alone, so numpy, an optional
 # extra, is imported on the `validate` path only.
 from . import sector
-from .sector import (
-    DEFAULT_SEED,
-    SCHEMA_VERSION,
-    SWEEP_PARAMETERS,
-    PropagationError,
-    fmt12,
-    optimal_time,
-    round12,
-)
+from .sector import DEFAULT_SEED, SWEEP_PARAMETERS, PropagationError, optimal_time
 
 def float_list(text: str) -> tuple[float, ...]:
     """The comma-separated floats of ``text``; blank entries are skipped."""
@@ -202,7 +197,10 @@ def _load_config_file(path: str) -> dict:
     byte-order mark (``-`` spelled ``_``), and its (line number, value); a
     key set on two lines is refused."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -246,7 +244,9 @@ def resolve_config(args) -> dict:
         raise ValueError(f"{args.config}:{lineno}: unknown config file keys: {sorted(unknown)}")
 
     config = {"command": args.command}
-    given = set()  # options set by a flag or the config file
+    # each option given, and how a refusal of it begins: "" for a flag, its
+    # file line for a config-file value
+    given = {}
     for key, option in OPTIONS.items():
         if key not in command.options:
             continue
@@ -255,21 +255,18 @@ def resolve_config(args) -> dict:
             raise ValueError(f"{_flag(key)} must not be empty")
         if key in file_values:
             lineno, text = file_values[key]
+            where = f"{args.config}:{lineno}: key {key!r}: "
             try:
                 file_value = option.parse(text)
-                if value is not None:  # the flag overrides it
-                    _require_valid(key, option, file_value)
+                _require_valid(key, option, file_value)
             except ValueError as exc:
-                raise ValueError(f"{args.config}:{lineno}: key {key!r}: {exc}") from None
+                raise ValueError(f"{where}{exc}") from None
             if value is None:
-                value = file_value
-        if value is not None:
-            given.add(key)
-        else:
-            value = command.defaults.get(key, option.default)
-        if value is not None:
+                value, given[key] = file_value, where
+        if value is not None and key not in given:
             _require_valid(key, option, value)
-        config[key] = value
+            given[key] = ""
+        config[key] = command.defaults.get(key, option.default) if value is None else value
 
     if config["out"] is None:
         if args.command == "sweep":
@@ -279,15 +276,15 @@ def resolve_config(args) -> dict:
         raise ValueError("entanglement comparison needs --n >= 2")
     if args.command == "validate":
         if "format" in given and config["out"] == "-":
-            raise ValueError("--format sets the format of validate's --out file, and there is "
-                             "none: validate prints its text lines")
+            raise ValueError(f"{given['format']}--format sets the format of validate's --out "
+                             "file, and there is none: validate prints its text lines")
         return config
     if args.command == "sweep":
         parameter = config["parameter"]
         for key, reason in SWEEP_UNREAD[parameter].items():
             if key in given:
-                raise ValueError(f"{_flag(key)} is not read by --parameter {parameter} "
-                                 f"({reason})")
+                raise ValueError(f"{given[key]}{_flag(key)} is not read by --parameter "
+                                 f"{parameter} ({reason})")
             del config[key]
         return config
     n = config["n"]
@@ -314,6 +311,19 @@ def _echo(config: dict) -> dict:
     echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
     echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
     return echo
+
+
+#: Version of the report and sweep-file layout.
+SCHEMA_VERSION = "3"
+
+
+def fmt12(value) -> str:
+    """Fixed 12-significant-digit decimal rendering for stable diffs."""
+    return f"{float(value):.12g}"
+
+
+def round12(value: float) -> float:
+    return float(fmt12(value))
 
 
 def _rounded(value):
@@ -397,6 +407,19 @@ def _write(outputs) -> None:
         raise
 
 
+def sweep_csv_lines(rows, metadata: dict):
+    """A sweep's CSV, one newline-terminated line at a time: each entry of
+    ``metadata`` but the timestamp as a ``# key=value`` line, in key order,
+    so that a rerun writes the same bytes; then the header, the field names
+    of ``rows``, and each row."""
+    for key, value in sorted(metadata.items()):
+        if key != "timestamp":
+            yield f"# {key}={value}\n"
+    yield ",".join(rows[0]._fields) + "\n"
+    for row in rows:
+        yield ",".join(map(fmt12, row)) + "\n"
+
+
 def _json_lines(value):
     # lazy, so that a sidecar's text is made only after its CSV is written
     yield json.dumps(_rounded(value), indent=2) + "\n"
@@ -456,17 +479,20 @@ def cmd_sweep(config: dict) -> int:
         result = protocol.mode_count_sweep(eps, config["grid"])
     # the admitted grid (the default for None) from the rows; no local keeps the given one
     config["grid"] = tuple(row.x for row in result.rows)
-    result.metadata["config"] = json.dumps(_echo(config), sort_keys=True)
+    metadata = {"schema_version": SCHEMA_VERSION, **result.metadata,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+                "config": json.dumps(_echo(config), sort_keys=True)}
 
+    out = Path(config["out"])
     if config["format"] == "json":
-        _emit(result.to_dict(), config)
-    elif config["out"] == "-":
-        # no sidecar: the CSV comment lines already carry the metadata
-        _write([("-", result.csv_lines())])
+        _emit({"metadata": metadata, "rows": [row._asdict() for row in result.rows]}, config)
+    elif config["out"] == "-" or (out.exists() and not out.is_file()):
+        # stdout, a device or a FIFO gets no sidecar: the CSV comment lines
+        # already carry the metadata
+        _write([(config["out"], sweep_csv_lines(result.rows, metadata))])
     else:
-        out = Path(config["out"])
         sidecar = out.with_suffix(".meta.json") if out.suffix == ".csv" else f"{out}.meta.json"
-        _write([(out, result.csv_lines()), (sidecar, _json_lines(result.metadata))])
+        _write([(out, sweep_csv_lines(result.rows, metadata)), (sidecar, _json_lines(metadata))])
     return 0
 
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from typing import NamedTuple
 
 # The sweeps run on `sector`, and the disorder sweep draws from `normals`,
 # both on the standard library alone: no numpy module is imported here.
 from . import sector
-from .sector import SCHEMA_VERSION, fmt12, optimal_time, round12
+from .sector import optimal_time
 
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
@@ -103,9 +102,9 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
 
 
 class SweepRow(NamedTuple):
-    """One CSV row; the field order is the column order.  A sweep that
-    draws nothing repeats its one fidelity as mean, min and max, so that
-    every sweep writes the same table."""
+    """One row of a sweep; the CLI writes the fields in this order.  A
+    sweep that draws nothing repeats its one fidelity as mean, min and
+    max, so that every sweep writes the same table."""
 
     x: float
     fidelity_mean: float
@@ -113,43 +112,12 @@ class SweepRow(NamedTuple):
     fidelity_max: float
 
 
-CSV_HEADER = ",".join(SweepRow._fields)
-
-
 class SweepResult(NamedTuple):
-    """Rows aligned one-to-one with the grid, plus run metadata."""
+    """Rows aligned one-to-one with the grid, and the values the sweep
+    used: ``parameter`` first, then the sweep's own, in order."""
 
     rows: list[SweepRow]
     metadata: dict
-
-    def csv_lines(self):
-        """CSV form, one newline-terminated line at a time; metadata rides
-        along as # comments, timestamp excluded so reruns with the same
-        configuration are byte-identical."""
-        for key, value in sorted(self.metadata.items()):
-            if key != "timestamp":
-                yield f"# {key}={value}\n"
-        yield CSV_HEADER + "\n"
-        for row in self.rows:
-            yield ",".join(fmt12(value) for value in row) + "\n"
-
-    def to_dict(self) -> dict:
-        """Combined JSON form: metadata plus the full row table."""
-        return {
-            "metadata": dict(self.metadata),
-            "rows": [
-                {name: round12(value) for name, value in zip(SweepRow._fields, row)}
-                for row in self.rows
-            ],
-        }
-
-
-def _metadata(parameter: str, **fields) -> dict:
-    """The schema version and the parameter, then ``fields`` in order (the
-    values the sweep used), then the timestamp."""
-    md = {"schema_version": SCHEMA_VERSION, "parameter": parameter, **fields}
-    md["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-    return md
 
 
 def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> SweepResult:
@@ -158,7 +126,8 @@ def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> SweepResult:
     t_star, mode = optimal_time(n, epsilon), sector.bright_mode((epsilon,) * n)
     states = sector.evolve(mode, _points(parameter, grid, t_star, epsilon))
     rows = [SweepRow(x, *[sector.w_fidelity(pair, mode)] * 3) for x, pair in zip(grid, states)]
-    return SweepResult(rows, _metadata(parameter, n_modes=n, epsilon=epsilon, t_star=t_star))
+    return SweepResult(rows, {"parameter": parameter, "n_modes": n, "epsilon": epsilon,
+                              "t_star": t_star})
 
 
 def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
@@ -238,11 +207,12 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
         fids = [sector.w_fidelity(sector.closed_form(mode, t_star), mode)
                 for mode in map(sector.bright_mode, draws)]
         rows.append(SweepRow(sigma, math.fsum(fids) / len(fids), min(fids), max(fids)))
-    return SweepResult(rows, _metadata(
-        "coupling-disorder", n_modes=n, epsilon=epsilon, seed=seed, trials=trials,
-        rng="numpy PCG64, one stream per (seed, grid_index, trial_index)", t_star=t_star,
-        disorder_model="gaussian relative std-dev, non-positive couplings redrawn",
-    ))
+    return SweepResult(rows, {
+        "parameter": "coupling-disorder", "n_modes": n, "epsilon": epsilon, "seed": seed,
+        "trials": trials, "rng": "numpy PCG64, one stream per (seed, grid_index, trial_index)",
+        "t_star": t_star,
+        "disorder_model": "gaussian relative std-dev, non-positive couplings redrawn",
+    })
 
 
 def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
@@ -265,4 +235,4 @@ def mode_count_sweep(epsilon: float, grid) -> SweepResult:
         (pair,) = sector.evolve(mode, ((optimal_time(n, epsilon), 0.0),))
         fidelities[n] = sector.w_fidelity(pair, mode)
     rows = [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]
-    return SweepResult(rows, _metadata("mode-count", epsilon=epsilon))
+    return SweepResult(rows, {"parameter": "mode-count", "epsilon": epsilon})

@@ -20,9 +20,9 @@ support (``entanglement.support_basis``) has the same order, with
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
 for annotations and one record), so that a process running ``simulate``,
 ``entanglement`` or a sweep never loads numpy; the numpy modules are its
-oracle.  It also holds the conventions every output shares: the schema
-version, the 12-digit number format and the names of the sweep
-parameters; and the size rule that admits every command but ``validate``.
+oracle.  It also holds the names of the sweep parameters and the size
+rule that admits every command but ``validate``; how a number is written
+is ``cli``'s alone.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from typing import NamedTuple
-
-#: Version of the report and sweep-file layout.
-SCHEMA_VERSION = "3"
 
 #: The one rounding tolerance: | ||psi|| - 1 | of a state, | H - H^dag | of
 #: an operator, | tr rho - 1 | and minus the least eigenvalue of a density
@@ -60,15 +57,6 @@ MAX_AMPLITUDES = 2**20
 
 class PropagationError(RuntimeError):
     """Numerical failure during time evolution (norm drift, overflow)."""
-
-
-def fmt12(value) -> str:
-    """Fixed 12-significant-digit decimal rendering for stable diffs."""
-    return f"{float(value):.12g}"
-
-
-def round12(value: float) -> float:
-    return float(fmt12(value))
 
 
 def optimal_time(n: int, epsilon: float) -> float:

@@ -115,7 +115,7 @@ def mean(values) -> Decimal:
 
 def round12(value: Decimal) -> str:
     """``value`` correctly rounded to 12 significant digits, written as
-    ``sector.fmt12`` writes a double: the digits every route should write."""
+    ``cli.fmt12`` writes a double: the digits every route should write."""
     with localcontext() as ctx:
         ctx.prec = 12
         rounded = +value

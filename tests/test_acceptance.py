@@ -195,8 +195,8 @@ def test_criterion_7_timing_error_law():
 
 def test_criterion_8_sweep_determinism(tmp_path):
     args = (3, 1.0, (0.0, 0.03, 0.08), 50, 42)
-    direct = "".join(coupling_disorder_sweep(*args).csv_lines())
-    rerun = "".join(coupling_disorder_sweep(*args).csv_lines())
+    direct = coupling_disorder_sweep(*args)
+    rerun = coupling_disorder_sweep(*args)
 
     out = tmp_path / "sweep.csv"
     args = [

@@ -15,7 +15,7 @@ def test_bench_cli_writes_every_row_and_the_environment(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench_cli.py"), "--rounds", "1",
                     "--out", str(out)], check=True, timeout=300)
     report = json.loads(out.read_text())
-    assert set(report) == {"environment", "rows"}
+    assert set(report) == {"environment", "rows", "imports"}
     assert set(report["environment"]) == {"nproc", "python", "numpy", "machine", "commit",
                                           "tree_modified", "rounds", "pythondontwritebytecode"}
     assert report["environment"]["rounds"] == 1
@@ -29,3 +29,17 @@ def test_bench_cli_writes_every_row_and_the_environment(tmp_path):
         assert row["wall_ms"]["iqr"] == 0 and row["wall_ms"]["median"] > 0
         assert row["peak_rss_mib"] > 0
         assert row["exit"] == [0 if name != "validate" or numpy else 2], name
+
+    # the import rows of each subcommand: the modules it loads, however
+    # imported, and json; validate's oracle modules only where numpy is
+    assert list(report["imports"]) == ["simulate --n 9", "entanglement --n 10", "sweep --n 3",
+                                       "validate"]
+    runtime = {"wcavity", "wcavity.sector", "wcavity.cli", "json"}
+    expected = {"sweep --n 3": runtime | {"wcavity.protocol"},
+                "validate": runtime | ({"wcavity.normals", "wcavity.fock", "wcavity.dynamics",
+                                       "wcavity.validation"} if numpy else set())}
+    for name, modules in report["imports"].items():
+        assert set(modules) == expected.get(name, runtime), name
+        for module, times in modules.items():
+            assert set(times) == {"self_us", "cumulative_us"}
+            assert 0 <= times["self_us"] <= times["cumulative_us"], (name, module)

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -389,7 +390,9 @@ class TestValidate:
         code, stdout, err = run_cli(capsys, "validate", *argv)
         assert code == 2
         assert stdout == ""
-        assert err == ("error: --format sets the format of validate's --out file, "
+        # a value read from the file is named by its file line
+        where = f"{cfg}:1: key 'format': " if source == "config" else ""
+        assert err == (f"error: {where}--format sets the format of validate's --out file, "
                        "and there is none: validate prints its text lines\n")
 
 
@@ -480,6 +483,14 @@ class TestConfigHandling:
         report = run_json(capsys, "simulate", "--config", str(cfg))
         assert report["config"]["n"] == 4
 
+    def test_a_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xffn = 4\n")
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -499,30 +510,28 @@ class TestConfigHandling:
     ], ids=["validate", "sweep"])
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_negative_seed_names_the_flag(self, argv, source, capsys, tmp_path):
-        out = tmp_path / "x.out"
+        out, cfg = tmp_path / "x.out", tmp_path / "run.cfg"
         if source == "flag":
-            given = ["--seed", "-1"]
+            given, where = ["--seed", "-1"], ""
         else:
-            cfg = tmp_path / "run.cfg"
             cfg.write_text("seed = -1\n")
-            given = ["--config", str(cfg)]
+            given, where = ["--config", str(cfg)], f"{cfg}:1: key 'seed': "
         code, stdout, err = run_cli(capsys, *argv, *given, "--out", str(out))
-        assert (code, stdout, err) == (2, "", "error: --seed must be >= 0\n")
+        assert (code, stdout, err) == (2, "", f"error: {where}--seed must be >= 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_too_few_trials_names_the_flag(self, value, source, capsys, tmp_path):
-        out = tmp_path / "x.csv"
+        out, cfg = tmp_path / "x.csv", tmp_path / "run.cfg"
         if source == "flag":
-            given = ["--trials", value]
+            given, where = ["--trials", value], ""
         else:
-            cfg = tmp_path / "run.cfg"
             cfg.write_text(f"trials = {value}\n")
-            given = ["--config", str(cfg)]
+            given, where = ["--config", str(cfg)], f"{cfg}:1: key 'trials': "
         code, stdout, err = run_cli(capsys, "sweep", "--parameter", "coupling-disorder",
                                     *given, "--out", str(out))
-        assert (code, stdout, err) == (2, "", "error: --trials must be >= 1\n")
+        assert (code, stdout, err) == (2, "", f"error: {where}--trials must be >= 1\n")
         assert not out.exists()
 
     def test_unknown_flag_exits_two(self, capsys):
@@ -644,17 +653,16 @@ def test_unread_option_is_refused(command, key, capsys, tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_non_finite_epsilon_and_time_are_refused(command, key, value, source, capsys, tmp_path):
-    out = tmp_path / "x.out"
+    out, cfg = tmp_path / "x.out", tmp_path / "run.cfg"
     if source == "flag":
-        argv = [f"{flag(key)}={value}"]
+        argv, where = [f"{flag(key)}={value}"], ""
     else:
-        cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        argv = ["--config", str(cfg)]
+        argv, where = ["--config", str(cfg)], f"{cfg}:1: key '{key}': "
     code, stdout, err = run_cli(capsys, command, *argv, "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert err.startswith(f"error: {flag(key)} must be finite")
+    assert err.startswith(f"error: {where}{flag(key)} must be finite")
     assert not out.exists()
 
 
@@ -698,13 +706,12 @@ def test_sweep_leaves_no_partial_output_when_the_sidecar_fails(capsys, tmp_path)
 def test_sweep_leaves_no_partial_output_when_a_line_fails(capsys, tmp_path, monkeypatch):
     """The CSV is written as its lines are made: a line that fails after
     the file is opened removes the file."""
-    from wcavity import protocol
 
-    def failing_lines(self):
+    def failing_lines(rows, metadata):
         yield "# first\n"
         raise OSError("disk full")
 
-    monkeypatch.setattr(protocol.SweepResult, "csv_lines", failing_lines)
+    monkeypatch.setattr(cli, "sweep_csv_lines", failing_lines)
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
     assert (code, err) == (2, "error: disk full\n")
@@ -786,26 +793,53 @@ def test_a_sweep_is_admitted_by_one_require_grid_call(parameter, capsys, monkeyp
 
 @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
 def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, monkeypatch):
+    """The CSV is ``cli.sweep_csv_lines`` of the sweep's rows and of the
+    metadata the CLI writes: the schema version, the values the sweep
+    used, the timestamp and the config, in that order."""
     from wcavity import protocol
 
-    results = []
-    real = protocol.SweepResult.csv_lines
+    calls = []
+    real = cli.sweep_csv_lines
 
-    def recording(self):
-        results.append(self)
-        return real(self)
+    def recording(rows, metadata):
+        calls.append((rows, metadata))
+        return real(rows, metadata)
 
-    monkeypatch.setattr(protocol.SweepResult, "csv_lines", recording)
+    monkeypatch.setattr(cli, "sweep_csv_lines", recording)
     args = ["sweep", "--parameter", parameter, "--grid", "1,2"]
     args += ["--trials", "3"] if parameter == "coupling-disorder" else []
     args += [] if parameter == "mode-count" else ["--n", "2"]
     code, stdout, err = run_cli(capsys, *args, "--out", "-")
     assert code == 0, err
-    (result,) = results
-    lines = list(real(result))
+    ((rows, metadata),) = calls
+    lines = list(real(rows, metadata))
     assert stdout == "".join(lines)
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-    assert lines[-3:-2] == [protocol.CSV_HEADER + "\n"] and len(result.rows) == 2
+    assert lines[-3:-2] == [",".join(protocol.SweepRow._fields) + "\n"] and len(rows) == 2
+    keys = list(metadata)
+    assert (keys[:2], keys[-2:]) == (["schema_version", "parameter"], ["timestamp", "config"])
+    assert metadata["parameter"] == parameter
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_sweep_to_a_fifo_writes_no_sidecar(capsys, tmp_path):
+    """An --out that exists and is no regular file (a FIFO, a device) is
+    written as stdout is: the CSV alone, whose comment lines carry the
+    metadata, and no sidecar beside it."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    args = ["sweep", "--parameter", "mode-count", "--grid", "1,2"]
+    code, stdout, err = run_cli(capsys, *args, "--out", str(fifo))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert (code, stdout, err) == (0, "", "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe"]
+    code, stdout, _ = run_cli(capsys, *args, "--out", "-")
+    assert code == 0
+    assert received == [stdout.replace('"out": "-"', f'"out": "{fifo}"')]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -859,17 +893,16 @@ def test_mode_count_sweep_refuses_n(capsys, tmp_path):
 def test_sweep_refuses_trials_and_seed_it_never_reads(parameter, key, source, capsys, tmp_path):
     """Only the disorder sweep draws random trials; elsewhere a given
     --trials or --seed would be echoed into the CSV without being used."""
-    out = tmp_path / "x.csv"
+    out, cfg = tmp_path / "x.csv", tmp_path / "run.cfg"
     args = ["sweep", "--parameter", parameter, "--grid", "1", "--out", str(out)]
     if source == "flag":
-        given = [flag(key), "7"]
+        given, where = [flag(key), "7"], ""
     else:
-        cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 7\n")
-        given = ["--config", str(cfg)]
+        given, where = ["--config", str(cfg)], f"{cfg}:1: key '{key}': "
     code, stdout, err = run_cli(capsys, *args, *given)
     assert (code, stdout) == (2, "")
-    assert err == (f"error: {flag(key)} is not read by --parameter {parameter} "
+    assert err == (f"error: {where}{flag(key)} is not read by --parameter {parameter} "
                    "(only coupling-disorder draws random trials)\n")
     assert not out.exists()
 

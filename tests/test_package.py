@@ -146,6 +146,33 @@ def test_runtime_modules_never_import_numpy_or_the_oracle():
         assert not named & {"Frozen", "Value"}, module
 
 
+def test_cli_alone_holds_the_output_rules():
+    """``cli`` writes every byte: ``protocol`` and ``sector`` import neither
+    ``json`` nor ``time``, only ``cli`` defines the number format and the
+    schema version, and the sweep's records are plain, with no method."""
+    src = Path(wcavity.__file__).parent
+    for module in ("protocol", "sector"):
+        imported = {name for name, _ in imported_modules((src / f"{module}.py").read_text())}
+        assert not imported & {"json", "time"}, module
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+            else:
+                continue
+            for name in names & {"fmt12", "round12", "SCHEMA_VERSION"}:
+                defined.setdefault(name, []).append(path.stem)
+    assert defined == {"fmt12": ["cli"], "round12": ["cli"], "SCHEMA_VERSION": ["cli"]}
+    tree = ast.parse((src / "protocol.py").read_text())
+    records = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("SweepResult", "SweepRow"):
+        assert not [node for node in records[name].body if isinstance(node, ast.FunctionDef)]
+
+
 def test_runtime_imports_argparse_only_to_build_the_parser():
     """``cli.parse_args`` reads a well-formed command line from the option
     tables; argparse, which words every usage error and help text, is

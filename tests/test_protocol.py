@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import normals, sector
-from wcavity.cli import main, parse_args
+from wcavity.cli import SCHEMA_VERSION, fmt12, main, parse_args, sweep_csv_lines
 from wcavity.dynamics import (
     ModelParams,
     build_hamiltonian,
@@ -19,14 +19,11 @@ from wcavity.dynamics import (
 from wcavity.entanglement import fidelity, w_state
 from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
-    CSV_HEADER,
     _NORMAL_BOUND,
-    SweepResult,
     SweepRow,
     _default_grid,
     coupling_disorder_sweep,
     detuning_sweep,
-    fmt12,
     mode_count_sweep,
     optimal_time,
     require_grid,
@@ -141,7 +138,7 @@ class TestCouplingDisorderSweep:
     def test_deterministic_per_seed(self):
         a = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
         b = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
-        assert "".join(a.csv_lines()) == "".join(b.csv_lines())
+        assert a == b
         c = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 10)
         assert a.rows != c.rows
 
@@ -243,8 +240,9 @@ class TestDisorderOracle:
     def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
         args = (_default_grid("coupling-disorder", n), 100, seed)
         result = coupling_disorder_sweep(n, 1.0, *args)
-        oracle = SweepResult(numpy_disorder_rows(n, 1.0, *args), result.metadata)
-        assert "".join(result.csv_lines()) == "".join(oracle.csv_lines())
+        oracle = numpy_disorder_rows(n, 1.0, *args)
+        assert ("".join(sweep_csv_lines(result.rows, result.metadata))
+                == "".join(sweep_csv_lines(oracle, result.metadata)))
 
     @pytest.mark.parametrize("n, seed", [(2, 3), (6, 0), (12, 123)])
     def test_redrawn_couplings_csv_equals_the_numpy_route(self, n, seed):
@@ -565,28 +563,37 @@ def test_mode_count_sweep_refuses_before_it_evolves(monkeypatch):
     assert runs == []
 
 
-class TestSweepResultSerialization:
-    def test_csv_shape_and_determinism(self):
+class TestSweepOutput:
+    def test_a_sweep_returns_the_values_it_used(self):
+        """The result is a plain record: no schema version, timestamp or
+        config, which the CLI adds as it writes the files."""
         res = timing_error_sweep(3, 1.0, (0.0, 0.1))
-        text = "".join(res.csv_lines())
-        lines = text.strip().split("\n")
+        # the timing sweep draws nothing, so it reports no seed
+        assert res.metadata == {"parameter": "timing-error", "n_modes": 3, "epsilon": 1.0,
+                                "t_star": optimal_time(3, 1.0)}
+        assert [row.x for row in res.rows] == [0.0, 0.1]
+
+    def test_csv_shape(self, capsys):
+        assert main(["sweep", "--n", "3", "--grid", "0,0.1", "--out", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         comments = [l for l in lines if l.startswith("# ")]
         data = [l for l in lines if not l.startswith("# ")]
-        assert data[0] == CSV_HEADER
+        assert data[0] == ",".join(SweepRow._fields)
         assert len(data) == 3
         assert data[1].split(",")[0] == "0"
         assert "# schema_version=3" in comments
-        # the timing sweep draws nothing, so it reports no seed
         assert not any(l.startswith(("# seed=", "# trials=", "# rng=")) for l in comments)
+        # the CSV stays reproducible: the timestamp is in the JSON forms only
         assert not any("timestamp" in l for l in comments)
-        # metadata carries the timestamp; the CSV stays reproducible
-        assert "timestamp" in res.metadata
 
-    def test_combined_dict_form(self):
-        res = detuning_sweep(2, 1.0, (0.0,))
-        data = res.to_dict()
+    def test_combined_dict_form(self, capsys):
+        argv = ["sweep", "--n", "2", "--parameter", "detuning", "--grid", "0", "--format",
+                "json", "--out", "-"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data["metadata"]) == ["schema_version", "parameter", "n_modes", "epsilon",
+                                          "t_star", "timestamp", "config"]
         assert data["metadata"]["parameter"] == "detuning"
-        assert "timestamp" in data["metadata"]
         assert data["rows"][0]["fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
 
     def test_fixed_precision_formatting(self):
@@ -616,4 +623,5 @@ def test_sweep_csv_matches_golden_bytes(name):
     sweep, before, after = GOLDEN_SWEEPS[name]
     result = sweep(*before, _default_grid(name.partition("-seed")[0], 3), *after)
     expected = (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_text()
-    assert "".join(result.csv_lines()) == expected
+    written = {"schema_version": SCHEMA_VERSION, **result.metadata}
+    assert "".join(sweep_csv_lines(result.rows, written)) == expected

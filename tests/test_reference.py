@@ -17,8 +17,8 @@ import pytest
 import reference
 from corpus import COMMANDS
 from wcavity import normals, protocol
-from wcavity.cli import parse_args, resolve_config
-from wcavity.sector import MAX_MODES, fmt12, optimal_time
+from wcavity.cli import fmt12, parse_args, resolve_config
+from wcavity.sector import MAX_MODES, optimal_time
 
 #: The most cells, of the corpus's sweep rows and of the seeded rows, that
 #: may differ from the reference's 12-digit value, per route.

@@ -67,12 +67,12 @@ def test_value_classes_equal_their_own_class_only():
 
 
 def test_sweep_row_fields_are_the_csv_columns():
-    assert protocol.CSV_HEADER == "x,fidelity_mean,fidelity_min,fidelity_max"
-    result = protocol.SweepResult([protocol.SweepRow(0.5, 0.25, 0.125, 1.0)], {"b": 1})
-    assert "".join(result.csv_lines()).splitlines()[-1] == "0.5,0.25,0.125,1"
-    assert result.to_dict()["rows"] == [
-        {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0}
-    ]
+    row = protocol.SweepRow(0.5, 0.25, 0.125, 1.0)
+    assert "".join(cli.sweep_csv_lines([row], {"b": 1})).splitlines() == [
+        "# b=1", "x,fidelity_mean,fidelity_min,fidelity_max", "0.5,0.25,0.125,1"]
+    # and the keys of a JSON row
+    assert row._asdict() == {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125,
+                             "fidelity_max": 1.0}
 
 
 def test_command_defaults_are_read_only():

@@ -1,4 +1,5 @@
-"""Fresh-process timings of the CLI, written to ``BENCH_cli.json``.
+"""Fresh-process timings of the CLI and of its imports, written to
+``BENCH_cli.json``.
 
     python tools/bench_cli.py                        # 40 rounds
     python tools/bench_cli.py --rounds 5 --out b.json
@@ -13,6 +14,15 @@ interpreter started with ``-S`` (about 10 MiB, below every row).  Each
 row gives the median and interquartile range of its wall times and the
 largest peak RSS.
 
+The import rows give, for each row that runs a subcommand, the median
+self and cumulative ``-X importtime`` microseconds of each ``wcavity``
+module that the subcommand loads and of ``json``.  ``-X importtime``
+lists no module loaded by ``from . import x``, whose cost would fall into
+its importer's self time, so each round's child imports the package and
+then each module by its own ``import wcavity.<m>`` statement, every
+module after those it imports; which modules a subcommand loads is read
+once, from a run of it.
+
 The rows import the package from a copy of this tree's ``src`` that holds
 no cached bytecode, with ``PYTHONDONTWRITEBYTECODE=1``: every call
 compiles the package from source, as a fresh checkout run that way does.
@@ -22,6 +32,8 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
+import graphlib
 import importlib.metadata
 import json
 import os
@@ -63,6 +75,16 @@ for _ in range(job["rounds"]):
 """
 
 
+#: Prints the ``wcavity`` modules that a run of the subcommand in argv loads.
+PROBE = """
+import contextlib, io, sys
+import wcavity.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    wcavity.cli.main(sys.argv[1:])
+print(*(name for name in sys.modules if name.startswith("wcavity.")))
+"""
+
+
 def summary(walls) -> dict:
     q1, median, q3 = (statistics.quantiles(walls, n=4, method="inclusive")
                       if len(walls) > 1 else walls * 3)
@@ -96,6 +118,54 @@ def environment(rounds: int) -> dict:
     }
 
 
+def dependency_order(package: Path) -> list[str]:
+    """The package's modules, each after every module of the package that
+    it imports, at its top or in a function."""
+    graph = {}
+    for path in package.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = imported
+    return list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def import_times(log: str) -> dict:
+    """(self, cumulative) microseconds of each ``wcavity`` module and of
+    ``json`` in an ``-X importtime`` log, in the order it lists them."""
+    times = {}
+    for line in log.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        name = fields[-1].strip()
+        if len(fields) == 3 and (name in ("json", "wcavity") or name.startswith("wcavity.")):
+            times[name] = (int(fields[0]), int(fields[1]))
+    return times
+
+
+def import_rows(rounds: int, env: dict, cwd: str) -> dict:
+    """The median self and cumulative import microseconds of each module,
+    per row that runs a subcommand."""
+    order = dependency_order(Path(env["PYTHONPATH"], "wcavity"))
+    codes = {}
+    for name, args in ROWS.items():
+        if args[:2] == ["-m", "wcavity"]:
+            loaded = subprocess.run([sys.executable, "-c", PROBE, *args[2:]], env=env, cwd=cwd,
+                                    capture_output=True, text=True, check=True).stdout.split()
+            codes[name] = "import wcavity\n" + "".join(
+                f"import wcavity.{m}\n" for m in order if f"wcavity.{m}" in loaded)
+    logs = {name: [] for name in codes}
+    for _ in range(rounds):
+        for name, code in codes.items():
+            logs[name].append(import_times(subprocess.run(
+                [sys.executable, "-X", "importtime", "-c", code], env=env, cwd=cwd,
+                capture_output=True, text=True, check=True).stderr))
+    return {name: {module: {"self_us": statistics.median(t[module][0] for t in times),
+                            "cumulative_us": statistics.median(t[module][1] for t in times)}
+                   for module in times[0]}
+            for name, times in logs.items()}
+
+
 def bench(rounds: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp, "src")
@@ -105,6 +175,7 @@ def bench(rounds: int) -> dict:
         job = {"rounds": rounds, "rows": list(ROWS.values()), "env": env}
         out = subprocess.run([sys.executable, "-S", "-c", SPAWNER], input=json.dumps(job),
                              cwd=tmp, capture_output=True, text=True, check=True).stdout
+        imports = import_rows(rounds, env, tmp)
     runs = [line.split() for line in out.splitlines()]
     rows = {}
     for k, (name, args) in enumerate(ROWS.items()):
@@ -113,7 +184,7 @@ def bench(rounds: int) -> dict:
                       "wall_ms": summary([float(wall) for wall, _, _ in samples]),
                       "peak_rss_mib": round(max(int(rss) for _, rss, _ in samples) / 1024, 1),
                       "exit": sorted({int(code) for _, _, code in samples})}
-    return {"environment": environment(rounds), "rows": rows}
+    return {"environment": environment(rounds), "rows": rows, "imports": imports}
 
 
 def main(argv=None) -> int:

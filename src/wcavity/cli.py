@@ -29,7 +29,7 @@ from typing import NamedTuple, NoReturn
 # `normals`), which need the standard library alone, so numpy, an optional
 # extra, is imported on the `validate` path only.
 from . import sector
-from .sector import DEFAULT_SEED, SWEEP_PARAMETERS, PropagationError, optimal_time
+from .sector import DEFAULT_SEED, PropagationError, optimal_time
 
 def float_list(text: str) -> tuple[float, ...]:
     """The comma-separated floats of ``text``; blank entries are skipped."""
@@ -59,6 +59,19 @@ class Option(NamedTuple):
     requirement: str = ""
 
 
+# Every sweep parameter, and the sweep options it never reads, each with
+# the reason, in ``OPTIONS`` order: refused if given and absent otherwise,
+# so that no output tells of a value the sweep did not use.  Parameter
+# ``p`` runs ``protocol.<p with - as _>_sweep``, whose parameters are the
+# sweep options that ``p`` reads.
+_DRAWS_NOTHING = dict.fromkeys(("seed", "trials"), "only coupling-disorder draws random trials")
+SWEEP_UNREAD = {
+    "timing-error": _DRAWS_NOTHING,
+    "coupling-disorder": {},
+    "detuning": _DRAWS_NOTHING,
+    "mode-count": {"n": "its grid lists the mode counts", **_DRAWS_NOTHING},
+}
+
 # every option, in the order the resolved config is echoed
 OPTIONS = {
     "n": Option(int, 3, "number of modes (default 3)", valid=lambda v: v >= 1,
@@ -75,7 +88,7 @@ OPTIONS = {
     "dump_state": Option(_parse_bool, False,
                          "include the state vector, on the N + 2 state sector, in the report"),
     "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
-                        choices=tuple(sorted(SWEEP_PARAMETERS))),
+                        choices=tuple(sorted(SWEEP_UNREAD))),
     "grid": Option(float_list, None, "comma-separated grid values"),
     "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)",
                      valid=lambda v: v >= 1, requirement="must be >= 1"),
@@ -109,17 +122,6 @@ COMMANDS = {
         frozenset({"out", "format", "seed"}),
         {"seed": DEFAULT_SEED},
     ),
-}
-
-# The sweep options a --parameter never reads, each with the reason, in
-# ``OPTIONS`` order: refused if given and absent otherwise, so that no
-# output tells of a value the sweep did not use.
-_DRAWS_NOTHING = dict.fromkeys(("seed", "trials"), "only coupling-disorder draws random trials")
-SWEEP_UNREAD = {
-    "timing-error": _DRAWS_NOTHING,
-    "coupling-disorder": {},
-    "detuning": _DRAWS_NOTHING,
-    "mode-count": {"n": "its grid lists the mode counts", **_DRAWS_NOTHING},
 }
 
 
@@ -464,19 +466,13 @@ def cmd_simulate(config: dict) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    # looked up on the module at the call, where a tracer may have wrapped it
     from . import protocol
 
-    parameter, eps, n = config["parameter"], config["epsilon"], config.get("n")
-    if parameter == "timing-error":
-        result = protocol.timing_error_sweep(n, eps, config["grid"])
-    elif parameter == "coupling-disorder":
-        result = protocol.coupling_disorder_sweep(n, eps, config["grid"], config["trials"],
-                                                  config["seed"])
-    elif parameter == "detuning":
-        result = protocol.detuning_sweep(n, eps, config["grid"])
-    else:
-        result = protocol.mode_count_sweep(eps, config["grid"])
+    # looked up on the module at the call, where a tracer may have wrapped
+    # it; resolve_config left of these options exactly the ones it reads
+    sweep = getattr(protocol, config["parameter"].replace("-", "_") + "_sweep")
+    result = sweep(**{k: config[k] for k in ("n", "epsilon", "grid", "trials", "seed")
+                      if k in config})
     # the admitted grid (the default for None) from the rows; no local keeps the given one
     config["grid"] = tuple(row.x for row in result.rows)
     metadata = {"schema_version": SCHEMA_VERSION, **result.metadata,

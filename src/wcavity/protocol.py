@@ -56,7 +56,7 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
                  seed: int = 0) -> tuple[float, ...]:
     """``grid``, or the default grid if it is None, as a tuple of floats,
     once it and N, epsilon, ``trials`` and ``seed`` are inputs that the
-    sweep of ``parameter`` (one of ``sector.SWEEP_PARAMETERS``) runs in
+    sweep of ``parameter`` (a key of ``cli.SWEEP_UNREAD``) runs in
     doubles; ``n`` is None for the mode-count sweep, whose grid lists the
     counts.  The size rule is ``sector``'s: N (for the mode-count sweep,
     the largest grid entry) from 1 to ``sector.MAX_MODES``, and grid length

@@ -20,9 +20,8 @@ support (``entanglement.support_basis``) has the same order, with
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
 for annotations and one record), so that a process running ``simulate``,
 ``entanglement`` or a sweep never loads numpy; the numpy modules are its
-oracle.  It also holds the names of the sweep parameters and the size
-rule that admits every command but ``validate``; how a number is written
-is ``cli``'s alone.
+oracle.  It also holds the size rule that admits every command but
+``validate``; how a number is written is ``cli``'s alone.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ from typing import NamedTuple
 #: matrix, | ||beta||^2 - 1 | of a closed form, the norm drift of either
 #: propagator, and each defect and gap that ``validate`` checks.
 ROUNDING_TOL = 1e-12
-
-#: The quantities a robustness sweep varies, each named by this string in
-#: the CLI, in ``protocol.require_grid`` and in every output: the evolution
-#: time, the couplings, the mode detuning and the mode count.
-SWEEP_PARAMETERS = ("timing-error", "coupling-disorder", "detuning", "mode-count")
 
 #: Seed of the randomized self-checks (``validation.run_validation``).
 DEFAULT_SEED = 20240201

@@ -21,6 +21,9 @@ def test_bench_cli_writes_every_row_and_the_environment(tmp_path):
     assert report["environment"]["rounds"] == 1
     assert list(report["rows"]) == ["python -c pass", "import wcavity.cli", "simulate --n 9",
                                     "entanglement --n 10", "sweep --n 3", "validate"]
+    # the import row exits as cli.run does, after gc.freeze()
+    assert report["rows"]["import wcavity.cli"]["argv"] == [
+        "-c", "import gc, wcavity.cli; gc.freeze()"]
     # validate refuses with 2 where numpy is missing
     numpy = importlib.util.find_spec("numpy") is not None
     for name, row in report["rows"].items():

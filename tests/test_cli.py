@@ -33,7 +33,10 @@ from wcavity.dynamics import (
 from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import atom_population, build_basis, initial_state, state_from_dict
 from wcavity.protocol import require_grid
-from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, SWEEP_PARAMETERS
+from wcavity.sector import MAX_AMPLITUDES, MAX_MODES
+
+# the sweep parameters, in the order of cli.SWEEP_UNREAD
+PARAMETERS = list(cli.SWEEP_UNREAD)
 
 
 def run_cli(capsys, *argv):
@@ -262,7 +265,7 @@ def test_default_grids_are_the_numpy_linspace_doubles():
     }
     for n in range(1, 1023):
         span = 0.2 * math.pi / (2.0 * math.sqrt(n))
-        for parameter in SWEEP_PARAMETERS:
+        for parameter in PARAMETERS:
             want = fixed.get(parameter)
             if want is None:
                 want = np.linspace(-span, span, 41)
@@ -299,17 +302,18 @@ def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path
     assert any(line.startswith("# config=") for line in outputs[0][0].splitlines())
 
 
-@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+@pytest.mark.parametrize("parameter", PARAMETERS)
 def test_sweep_calls_the_function_bound_on_protocol_at_the_call(parameter, capsys, monkeypatch):
     """A wrapper bound on ``protocol`` after import, as the benchmark's
-    tracer binds one, sees the sweep's one call, with the checked grid."""
+    tracer binds one, sees the sweep's one call, with the given grid."""
     import wcavity.protocol
 
     name = parameter.replace("-", "_") + "_sweep"
     real, calls = getattr(wcavity.protocol, name), []
-    monkeypatch.setattr(wcavity.protocol, name, lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(wcavity.protocol, name,
+                        lambda **kwargs: calls.append(kwargs) or real(**kwargs))
     assert run_cli(capsys, "sweep", "--parameter", parameter, "--grid", "1", "--out", "-")[0] == 0
-    assert len(calls) == 1 and (1.0,) in calls[0]
+    assert len(calls) == 1 and calls[0]["grid"] == (1.0,)
 
 
 def test_largest_detuning_sweep_follows_the_bright_mode_law(capsys):
@@ -647,6 +651,31 @@ def test_unread_option_is_refused(command, key, capsys, tmp_path):
     assert not out.exists()
 
 
+# each flag that takes a value, by subcommand; on 3.13 ``--out=--``
+# names a file ``--``, which the run writes
+DOUBLE_DASH = [
+    pytest.param(command, name, marks=pytest.mark.skipif(
+        name == "--out" and sys.version_info >= (3, 13), reason="3.13 writes a file named --"))
+    for command in sorted(READS)
+    for name in [*(flag(key) for key in sorted(READS[command]) if SAMPLE[key] is not None),
+                 "--config"]
+]
+
+
+@pytest.mark.parametrize("command,name", DOUBLE_DASH)
+def test_a_double_dash_flag_value_exits_2(command, name, capsys, tmp_path, monkeypatch):
+    """Before 3.13 argparse stores [] for ``--<flag>=--``, and
+    ``resolve_config`` refuses it as empty; 3.13 passes ``--`` on as the
+    value, which the option's type or check refuses."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, f"{name}=--")
+    if sys.version_info < (3, 13):
+        assert (code, out, err) == (2, "", f"error: {name} must not be empty\n")
+    else:
+        assert (code, out) == (2, "") and "error: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,key", [
     ("simulate", "epsilon"), ("simulate", "time"), ("sweep", "epsilon"),
 ])
@@ -770,7 +799,7 @@ def test_sweep_removes_the_csv_and_sidecar_it_created_when_the_sidecar_fails(tmp
     assert list(second.iterdir()) == []
 
 
-@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+@pytest.mark.parametrize("parameter", PARAMETERS)
 def test_a_sweep_is_admitted_by_one_require_grid_call(parameter, capsys, monkeypatch):
     """The CLI leaves the admission of a sweep to the sweep, which calls
     ``protocol.require_grid`` once."""
@@ -791,7 +820,7 @@ def test_a_sweep_is_admitted_by_one_require_grid_call(parameter, capsys, monkeyp
     assert calls == [parameter]
 
 
-@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+@pytest.mark.parametrize("parameter", PARAMETERS)
 def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, monkeypatch):
     """The CSV is ``cli.sweep_csv_lines`` of the sweep's rows and of the
     metadata the CLI writes: the schema version, the values the sweep
@@ -973,9 +1002,10 @@ def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
 
 
 def test_entanglement_admits_by_its_amplitude_count(capsys):
-    """entanglement computes N + 2 support amplitudes per mode pair, so
-    N = 127, 8001 pairs of 129 amplitudes, is the largest N within
-    MAX_AMPLITUDES: it runs, with the W law (pair concurrence 2/N) and no
+    """The size rule charges entanglement N + 2 amplitudes per mode pair
+    (it builds the N + 2 support amplitudes of W and of GHZ once and
+    scores every pair from them), so N = 127, 8001 pairs of 129 amplitudes, is the largest N
+    within MAX_AMPLITUDES: it runs, with the W law (pair concurrence 2/N) and no
     GHZ pair entanglement, and N = 128 exits 2."""
     code, out, err = run_cli(capsys, "entanglement", "--n", "127", "--out", "-")
     assert code == 0, err
@@ -1446,7 +1476,7 @@ ODD_FLAGS = ["--ep", "--eps", "--dump", "--inj", "--con", "--para", "--for", "--
 GOOD_VALUES = {
     "n": ["1", "3", "4"], "epsilon": ["0.5", "1", "2"], "time": ["0", "1.3", "-2.5"],
     "out": ["-", "o.json", "o.csv"], "format": ["csv", "json"], "seed": ["0", "7"],
-    "parameter": sorted(SWEEP_PARAMETERS), "grid": ["0", "0,0.1", "-0.3,0", " 0.2"],
+    "parameter": sorted(PARAMETERS), "grid": ["0", "0,0.1", "-0.3,0", " 0.2"],
     "trials": ["1", "3"], "config": ["run.cfg", "missing.cfg"],
 }
 VALUES = ["-1", "-2.5", "-0", "1e-3", "nan", "inf", "-inf", "x", "-", "", "xml", "true",

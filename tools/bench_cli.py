@@ -12,7 +12,9 @@ reaped exit, and its peak RSS is the child's own ``ru_maxrss`` from
 the child's across exec, so the children are spawned by a small
 interpreter started with ``-S`` (about 10 MiB, below every row).  Each
 row gives the median and interquartile range of its wall times and the
-largest peak RSS.
+largest peak RSS.  The ``import wcavity.cli`` row ends with
+``gc.freeze()``, as ``cli.run`` does, so that it pays no shutdown
+collection that a CLI call skips.
 
 The import rows give, for each row that runs a subcommand, the median
 self and cumulative ``-X importtime`` microseconds of each ``wcavity``
@@ -50,7 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Each row and the interpreter arguments it runs.
 ROWS = {
     "python -c pass": ["-c", "pass"],
-    "import wcavity.cli": ["-c", "import wcavity.cli"],
+    "import wcavity.cli": ["-c", "import gc, wcavity.cli; gc.freeze()"],
     "simulate --n 9": ["-m", "wcavity", "simulate", "--n", "9"],
     "entanglement --n 10": ["-m", "wcavity", "entanglement", "--n", "10"],
     "sweep --n 3": ["-m", "wcavity", "sweep", "--n", "3", "--out", "-"],

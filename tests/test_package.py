@@ -68,6 +68,33 @@ def test_import_loads_no_submodule():
     assert cli.OPTIONS["parameter"].choices == tuple(sorted(cli.SWEEP_UNREAD))
 
 
+# Each public name of the library and the module that defines it.
+HOMES = {
+    "dynamics": ("HermitianOperator", "ModelParams", "build_hamiltonian",
+                 "evolve_closed_form", "propagate_numeric"),
+    "entanglement": ("DensityMatrix", "concurrence", "fidelity", "ghz_state",
+                     "pairwise_concurrences", "partial_trace", "success_probability",
+                     "w_state"),
+    "fock": ("Basis", "StateVector", "atom_population", "build_basis", "initial_state",
+             "state_from_dict"),
+    "protocol": ("SweepResult", "SweepRow", "coupling_disorder_sweep", "detuning_sweep",
+                 "mode_count_sweep", "timing_error_sweep"),
+    "sector": ("PropagationError", "optimal_time"),
+    "validation": ("ValidationReport", "measure_rabi_period", "run_validation"),
+}
+
+
+@pytest.mark.parametrize("home, name", [(home, name) for home, names in HOMES.items()
+                                        for name in names], ids=lambda value: value)
+def test_public_name_is_defined_by_its_home_module(home, name):
+    """The name is defined at the top level of its home module, and the
+    package does not serve it: ``from wcavity import <name>`` fails."""
+    assert name in top_level_names(SRC / f"{home}.py")
+    assert name not in top_level_names(SRC / "__init__.py")
+    with pytest.raises(ImportError):
+        exec(f"from wcavity import {name}", {})
+
+
 def test_readme_library_example_runs():
     """The python block under ``## Library`` in README.md runs in a fresh
     interpreter and prints what its comments say."""

@@ -6,8 +6,9 @@ in ``sector`` and, run by the sweep alone, ``protocol.require_grid``), 3
 numerical failure.  Times are in units of 1/epsilon; every evolution runs
 in the interaction frame, on resonance but in the detuning sweep.  This
 module alone writes bytes, all through ``_write``: it holds the schema
-version, the 12-digit number format and the layout of every report and
-sweep file, while the library returns plain values.
+version, the 12-digit number format and the one layout of every
+command's report, ``{"schema_version", "config", <results>}``, while the
+library returns plain values.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def build_parser():
-    """The argparse parser; ``parse_args`` builds it only for an argv it does not read."""
+def build_parser(command: str | None = None):
+    """The argparse parser, or the subparser of ``command``; ``parse_args``
+    builds it only for an argv it does not read."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -138,10 +140,10 @@ def build_parser():
         description="Single-atom multi-cavity W-state preparation simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
+    for name, spec in COMMANDS.items():
+        cmd = sub.add_parser(name, help=spec.help)
         for key, option in OPTIONS.items():
-            if key not in command.options:
+            if key not in spec.options:
                 continue
             if option.parse is _parse_bool:
                 cmd.add_argument(_flag(key), action="store_true", default=None, help=option.help)
@@ -155,15 +157,18 @@ def build_parser():
                          help="flat key=value config file; flags override")
     sub.choices["validate"].add_argument("--inject-fault", action="store_true",
                                          default=False, help=argparse.SUPPRESS)
-    return parser
+    return parser if command is None else sub.choices[command]
 
 
 def parse_args(argv=None):
     """``build_parser().parse_args(argv)``, argv ``sys.argv[1:]`` by default.
     An argv ``<command> (--flag value | --flag=value | --bool-flag)*`` of
-    exact flags, whose values ``Option.parse`` reads and none starts with
-    ``-`` but ``-``, is read from ``OPTIONS`` and ``COMMANDS``; argparse
-    reads any other, and words every usage error and help text."""
+    exact flags, whose values ``Option.parse`` reads and no separate one
+    starts with ``-`` but ``-``, is read from ``OPTIONS`` and ``COMMANDS``;
+    argparse reads any other, and words every usage error and help text.
+    The value of ``--flag=value`` is read as given, ``--`` too, on every
+    Python: argparse before 3.13 reads ``--flag=--`` as an empty list,
+    which is read here as ``--`` again."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = COMMANDS.get(argv[0]) if argv else None
     if command is not None:
@@ -182,16 +187,26 @@ def parse_args(argv=None):
             if parse is _parse_bool:  # a bare flag
                 values[key] = True
                 continue
-            value = value if eq else next(tokens, None)
-            if value is None or (value.startswith("-") and value != "-"):
-                break
+            if not eq:
+                value = next(tokens, None)
+                if value is None or (value.startswith("-") and value != "-"):
+                    break
             try:
                 values[key] = parse(value)
             except ValueError:
                 break
         else:
             return types.SimpleNamespace(**values)
-    return build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for key, value in vars(args).items():
+        if value == []:  # --<key>=--, before 3.13
+            parse = OPTIONS[key].parse if key in OPTIONS else str
+            try:
+                setattr(args, key, parse("--"))
+            except ValueError:
+                build_parser(args.command).error(
+                    f"argument {_flag(key)}: invalid {parse.__name__} value: '--'")
+    return args
 
 
 def _load_config_file(path: str) -> dict:
@@ -237,7 +252,7 @@ def resolve_config(args) -> dict:
     --time angle.  A sweep's grid and sizes are left to the sweep, whose
     ``protocol.require_grid`` refuses them before any work."""
     command = COMMANDS[args.command]
-    if args.config in ("", []):  # argparse before 3.13 reads --<flag>=-- as []
+    if args.config == "":
         raise ValueError("--config must not be empty")
     file_values = {} if args.config is None else _load_config_file(args.config)
     unknown = set(file_values) - command.options
@@ -253,8 +268,6 @@ def resolve_config(args) -> dict:
         if key not in command.options:
             continue
         value = getattr(args, key)
-        if value == []:  # as --config above
-            raise ValueError(f"{_flag(key)} must not be empty")
         if key in file_values:
             lineno, text = file_values[key]
             where = f"{args.config}:{lineno}: key {key!r}: "
@@ -302,21 +315,8 @@ def resolve_config(args) -> dict:
     return config
 
 
-def _echo(config: dict) -> dict:
-    """The resolved config as reports embed it; a sweep's parameter, grid
-    and, where it reads them, trials and seed are grouped under ``sweep``
-    and nowhere else."""
-    if config["command"] != "sweep":
-        return dict(config)
-    grouped = ("parameter", "grid", "trials", "seed")
-    echo = {k: v for k, v in config.items() if k not in grouped}
-    echo["sweep"] = {"parameter": config["parameter"], "grid": list(config["grid"])}
-    echo["sweep"].update((k, config[k]) for k in ("trials", "seed") if k in config)
-    return echo
-
-
-#: Version of the report and sweep-file layout.
-SCHEMA_VERSION = "3"
+#: Version of the report layout.
+SCHEMA_VERSION = "4"
 
 
 def fmt12(value) -> str:
@@ -329,43 +329,49 @@ def round12(value: float) -> float:
 
 
 def _rounded(value):
+    """``value`` as a JSON report writes it: each float rounded to 12
+    digits, and each row (a NamedTuple) the dict of its fields."""
     if isinstance(value, float):
         return round12(value)
     if isinstance(value, dict):
         return {k: _rounded(v) for k, v in value.items()}
+    if hasattr(value, "_fields"):
+        return {k: _rounded(v) for k, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
         return [_rounded(v) for v in value]
     return value
 
 
-def _leaves(key: str, value):
-    """(dotted key, value) for each non-dict value under ``value``."""
-    if isinstance(value, dict):
-        for sub, inner in value.items():
-            yield from _leaves(f"{key}.{sub}", inner)
-    else:
-        yield key, value
-
-
-def _report_to_csv(report: dict) -> str:
-    """Comment lines, then each list-of-dict table with its keys as header,
-    then one ``key,value`` line per leaf of the other entries, then the
-    dumped state's amplitudes."""
-    lines = [f"# schema_version={report['schema_version']}"]
-    lines.append("# config=" + json.dumps(report["config"], sort_keys=True))
-    body = {k: v for k, v in report.items() if k not in ("schema_version", "config", "state")}
-    for table in (v for v in body.values() if isinstance(v, list)):
-        keys = list(table[0])
-        lines.append(",".join(keys))
-        lines.extend(",".join(_csv_cell(row[k]) for k in keys) for row in table)
-    for key, value in body.items():
-        if not isinstance(value, list):
-            lines.extend(f"{k},{_csv_cell(v)}" for k, v in _leaves(key, value))
-    if "state" in report:
-        lines.append("amplitude_index,re,im")
-        for k, (re, im) in enumerate(report["state"]["amplitudes"]):
-            lines.append(f"{k},{_csv_cell(re)},{_csv_cell(im)}")
-    return "\n".join(lines) + "\n"
+def _report_lines(config: dict, results: dict):
+    """The report of every command, ``{"schema_version", "config",
+    **results}``, in ``config``'s format, one newline-terminated line at a
+    time.  ``config`` is written exactly as given and the results with 12
+    digits.  As JSON it is one indented object.  As CSV it is the two
+    ``# `` lines of the schema version and the config, then each table (a
+    list of NamedTuple rows) under a header of its fields, then one
+    ``key,value`` line per other result, a dict's entries keyed
+    ``<result>.<key>``, then the dumped state's amplitudes; the rows are
+    made as they are written, so that no copy of a long table's text is
+    held."""
+    if config["format"] == "json":
+        report = {"schema_version": SCHEMA_VERSION, "config": config, **_rounded(results)}
+        yield json.dumps(report, indent=2) + "\n"
+        return
+    yield f"# schema_version={SCHEMA_VERSION}\n"
+    yield f"# config={json.dumps(config, sort_keys=True)}\n"
+    for table in (v for v in results.values() if isinstance(v, list)):
+        yield ",".join(table[0]._fields) + "\n"
+        for row in table:
+            yield ",".join(map(_csv_cell, row)) + "\n"
+    for key, value in results.items():
+        if isinstance(value, dict) and key != "state":
+            yield from (f"{key}.{k},{_csv_cell(v)}\n" for k, v in value.items())
+        elif not isinstance(value, (list, dict)):
+            yield f"{key},{_csv_cell(value)}\n"
+    if "state" in results:
+        yield "amplitude_index,re,im\n"
+        for k, (re, im) in enumerate(results["state"]["amplitudes"]):
+            yield f"{k},{_csv_cell(re)},{_csv_cell(im)}\n"
 
 
 def _csv_cell(value) -> str:
@@ -409,28 +415,8 @@ def _write(outputs) -> None:
         raise
 
 
-def sweep_csv_lines(rows, metadata: dict):
-    """A sweep's CSV, one newline-terminated line at a time: each entry of
-    ``metadata`` but the timestamp as a ``# key=value`` line, in key order,
-    so that a rerun writes the same bytes; then the header, the field names
-    of ``rows``, and each row."""
-    for key, value in sorted(metadata.items()):
-        if key != "timestamp":
-            yield f"# {key}={value}\n"
-    yield ",".join(rows[0]._fields) + "\n"
-    for row in rows:
-        yield ",".join(map(fmt12, row)) + "\n"
-
-
-def _json_lines(value):
-    # lazy, so that a sidecar's text is made only after its CSV is written
-    yield json.dumps(_rounded(value), indent=2) + "\n"
-
-
-def _emit(report: dict, config: dict) -> None:
-    csv = config["format"] == "csv"
-    lines = [_report_to_csv(_rounded(report))] if csv else _json_lines(report)
-    _write([(config["out"], lines)])
+def _emit(config: dict, results: dict) -> None:
+    _write([(config["out"], _report_lines(config, results))])
 
 
 def cmd_simulate(config: dict) -> int:
@@ -448,20 +434,18 @@ def cmd_simulate(config: dict) -> int:
 
     # the W target has the atom in its ground state, so the overlap with it
     # is also the success probability and the atom's ground population
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echo(config),
+    results = {
         "t": t,
         "t_star": t_star,
         "fidelity_W": sector.w_fidelity(pair, mode),
         "closed_vs_numeric_gap": max(abs(a - b) for a, b in zip(closed, numeric)),
     }
     if config["dump_state"]:
-        report["state"] = {
+        results["state"] = {
             "basis": {"n_modes": n, "n_max": 1, "excitation_cap": 1},
             "amplitudes": [[a.real, a.imag] for a in numeric],
         }
-    _emit(report, config)
+    _emit(config, results)
     return 0
 
 
@@ -471,25 +455,31 @@ def cmd_sweep(config: dict) -> int:
     # looked up on the module at the call, where a tracer may have wrapped
     # it; resolve_config left of these options exactly the ones it reads
     sweep = getattr(protocol, config["parameter"].replace("-", "_") + "_sweep")
-    result = sweep(**{k: config[k] for k in ("n", "epsilon", "grid", "trials", "seed")
-                      if k in config})
+    rows = sweep(**{k: config[k] for k in ("n", "epsilon", "grid", "trials", "seed")
+                    if k in config})
     # the admitted grid (the default for None) from the rows; no local keeps the given one
-    config["grid"] = tuple(row.x for row in result.rows)
-    metadata = {"schema_version": SCHEMA_VERSION, **result.metadata,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
-                "config": json.dumps(_echo(config), sort_keys=True)}
-
+    config["grid"] = tuple(row.x for row in rows)
+    lines = _report_lines(config, {"rows": rows})
     out = Path(config["out"])
-    if config["format"] == "json":
-        _emit({"metadata": metadata, "rows": [row._asdict() for row in result.rows]}, config)
-    elif config["out"] == "-" or (out.exists() and not out.is_file()):
-        # stdout, a device or a FIFO gets no sidecar: the CSV comment lines
-        # already carry the metadata
-        _write([(config["out"], sweep_csv_lines(result.rows, metadata))])
+    if config["format"] == "json" or config["out"] == "-" or (out.exists() and not out.is_file()):
+        # one file, or stdout, a device or a FIFO: no sidecar
+        _write([(config["out"], lines)])
     else:
+        # the sidecar holds what a rerun does not reproduce
         sidecar = out.with_suffix(".meta.json") if out.suffix == ".csv" else f"{out}.meta.json"
-        _write([(out, sweep_csv_lines(result.rows, metadata)), (sidecar, _json_lines(metadata))])
+        stamp = {"schema_version": SCHEMA_VERSION,
+                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())}
+        _write([(out, lines), (sidecar, [json.dumps(stamp, indent=2) + "\n"])])
     return 0
+
+
+class PairRow(NamedTuple):
+    """One mode pair of ``entanglement``: the modes (1-based) and the
+    pair's concurrence in W and in GHZ."""
+
+    pair: tuple[int, int]
+    concurrence_w: float
+    concurrence_ghz: float
 
 
 def cmd_entanglement(config: dict) -> int:
@@ -497,15 +487,7 @@ def cmd_entanglement(config: dict) -> int:
     # both states are reduced from the N + 2 amplitudes they occupy
     c_w = sector.pairwise_concurrences(sector.w_support(n))
     c_ghz = sector.pairwise_concurrences(sector.ghz_support(n))
-    rows = [
-        {
-            "pair": [i, j],
-            "concurrence_w": c_w[i, j],
-            "concurrence_ghz": c_ghz[i, j],
-        }
-        for i, j in c_w
-    ]
-    _emit({"schema_version": SCHEMA_VERSION, "config": _echo(config), "rows": rows}, config)
+    _emit(config, {"rows": [PairRow(pair, c_w[pair], c_ghz[pair]) for pair in c_w]})
     return 0
 
 
@@ -526,13 +508,10 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
                  f"failed={report.failed}\n")
     _write([("-", lines)])
     if config["out"] != "-":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": _echo(config),
-            "checks": [c._asdict() for c in report.checks],
+        _emit(config, {
+            "checks": list(report.checks),
             "summary": {key: getattr(report, key) for key in ("checks_run", "passed", "failed")},
-        }
-        _emit(payload, config)
+        })
     return 0 if report.all_passed else 1
 
 

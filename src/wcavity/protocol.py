@@ -9,10 +9,12 @@ trial index) so grid points and trials can run in any order or in
 parallel without changing results.
 
 Each sweep takes plain values, a grid of None for its default grid, and
-checks them with ``require_grid`` before any work.  The CLI admits a sweep
-by that call alone, so the library and the CLI refuse a bad grid, an
-input above the size rule, or one the sweep cannot run in doubles, with
-one message.
+checks them with ``require_grid`` before any work.  It returns one
+``SweepRow`` per grid entry, in grid order, and nothing else: its inputs
+are the caller's, and t* is ``optimal_time`` of them.  The CLI admits a
+sweep by that call alone, so the library and the CLI refuse a bad grid,
+an input above the size rule, or one the sweep cannot run in doubles,
+with one message.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
 
 
 class SweepRow(NamedTuple):
-    """One row of a sweep; the CLI writes the fields in this order.  A
-    sweep that draws nothing repeats its one fidelity as mean, min and
-    max, so that every sweep writes the same table."""
+    """One row of a sweep, at grid entry ``x``; the CLI writes the fields
+    in this order.  A sweep that draws nothing repeats its one fidelity as
+    mean, min and max, so that every sweep writes the same table."""
 
     x: float
     fidelity_mean: float
@@ -112,25 +114,15 @@ class SweepRow(NamedTuple):
     fidelity_max: float
 
 
-class SweepResult(NamedTuple):
-    """Rows aligned one-to-one with the grid, and the values the sweep
-    used: ``parameter`` first, then the sweep's own, in order."""
-
-    rows: list[SweepRow]
-    metadata: dict
-
-
-def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> SweepResult:
+def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> list[SweepRow]:
     """A timing-error or detuning sweep: one ``sector.evolve`` call, scored."""
     grid = require_grid(parameter, grid, n, epsilon)
     t_star, mode = optimal_time(n, epsilon), sector.bright_mode((epsilon,) * n)
     states = sector.evolve(mode, _points(parameter, grid, t_star, epsilon))
-    rows = [SweepRow(x, *[sector.w_fidelity(pair, mode)] * 3) for x, pair in zip(grid, states)]
-    return SweepResult(rows, {"parameter": parameter, "n_modes": n, "epsilon": epsilon,
-                              "t_star": t_star})
+    return [SweepRow(x, *[sector.w_fidelity(pair, mode)] * 3) for x, pair in zip(grid, states)]
 
 
-def timing_error_sweep(n: int, epsilon: float, grid) -> SweepResult:
+def timing_error_sweep(n: int, epsilon: float, grid) -> list[SweepRow]:
     """Fidelity versus timing offset around the optimal time.
 
     Grid entries are offsets in units of 1/epsilon; the state is evolved
@@ -181,7 +173,7 @@ def _require_normal_squares(n: int, epsilon: float, grid, source: str) -> None:
                              f"N * (epsilon (1 + {_NORMAL_BOUND:g} sigma))^2 overflows at N = {n}")
 
 
-def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int) -> SweepResult:
+def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int) -> list[SweepRow]:
     """Monte-Carlo fidelity under relative Gaussian coupling disorder.
 
     At grid value sigma every trial draws couplings eps_i = eps (1 + sigma
@@ -207,15 +199,10 @@ def coupling_disorder_sweep(n: int, epsilon: float, grid, trials: int, seed: int
         fids = [sector.w_fidelity(sector.closed_form(mode, t_star), mode)
                 for mode in map(sector.bright_mode, draws)]
         rows.append(SweepRow(sigma, math.fsum(fids) / len(fids), min(fids), max(fids)))
-    return SweepResult(rows, {
-        "parameter": "coupling-disorder", "n_modes": n, "epsilon": epsilon, "seed": seed,
-        "trials": trials, "rng": "numpy PCG64, one stream per (seed, grid_index, trial_index)",
-        "t_star": t_star,
-        "disorder_model": "gaussian relative std-dev, non-positive couplings redrawn",
-    })
+    return rows
 
 
-def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
+def detuning_sweep(n: int, epsilon: float, grid) -> list[SweepRow]:
     """Fidelity versus common-mode detuning at the optimal time.
 
     Grid entries are detunings in units of epsilon; all modes are shifted
@@ -225,7 +212,7 @@ def detuning_sweep(n: int, epsilon: float, grid) -> SweepResult:
     return _evolved_sweep("detuning", n, epsilon, grid)
 
 
-def mode_count_sweep(epsilon: float, grid) -> SweepResult:
+def mode_count_sweep(epsilon: float, grid) -> list[SweepRow]:
     """Numeric fidelity at the optimal time for each mode count in the
     grid; a count that repeats is evolved once."""
     counts = [int(x) for x in require_grid("mode-count", grid, None, epsilon)]
@@ -234,5 +221,4 @@ def mode_count_sweep(epsilon: float, grid) -> SweepResult:
         mode = sector.bright_mode((epsilon,) * n)
         (pair,) = sector.evolve(mode, ((optimal_time(n, epsilon), 0.0),))
         fidelities[n] = sector.w_fidelity(pair, mode)
-    rows = [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]
-    return SweepResult(rows, {"parameter": "mode-count", "epsilon": epsilon})
+    return [SweepRow(float(n), *[fidelities[n]] * 3) for n in counts]

@@ -80,8 +80,8 @@ def require_amplitudes(command: str, n: int, points: int) -> None:
     """Refuse (ValueError) a run of ``command`` that charges more than
     ``MAX_AMPLITUDES`` amplitudes: ``points`` x (N + 2)."""
     if points * (n + 2) > MAX_AMPLITUDES:
-        raise ValueError(f"{command} too large: it computes {points * (n + 2)} amplitudes, "
-                         f"above the limit of {MAX_AMPLITUDES}")
+        raise ValueError(f"{command} too large: its size is {points} points x {n + 2} "
+                         f"amplitudes = {points * (n + 2)}, above the limit of {MAX_AMPLITUDES}")
 
 
 #: Smallest sum of squares that ``_norm`` takes as it is, 2^53 times the

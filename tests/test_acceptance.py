@@ -184,7 +184,7 @@ def test_criterion_7_timing_error_law():
     result = timing_error_sweep(n, eps, grid)
     worst = max(
         abs(row.fidelity_mean - math.cos(math.sqrt(n) * row.x) ** 2)
-        for row in result.rows
+        for row in result
     )
 
     ok = worst <= 1e-8

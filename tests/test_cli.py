@@ -58,7 +58,7 @@ class TestSimulate:
         # both equal fidelity_W
         assert "success_prob" not in report and "atom_ground_prob" not in report
         assert report["closed_vs_numeric_gap"] <= 1e-9
-        assert report["schema_version"] == "3"
+        assert report["schema_version"] == "4"
         assert report["config"]["n"] == 3
 
     def test_zero_time_is_no_evolution(self, capsys):
@@ -90,7 +90,7 @@ class TestSimulate:
         )
         assert code == 0, err
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "# schema_version=3"
+        assert lines[0] == "# schema_version=4"
         assert lines[1].startswith("# config=")
         assert any(line.startswith("fidelity_W,1") for line in lines)
 
@@ -175,9 +175,9 @@ class TestSweep:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "x,fidelity_mean,fidelity_min,fidelity_max"
         assert data[1] == "0,1,1,1"
+        assert echoed_config(out.read_text())["parameter"] == "timing-error"
         meta = json.loads((tmp_path / "sweep.meta.json").read_text())
-        assert meta["parameter"] == "timing-error"
-        assert "timestamp" in meta
+        assert list(meta) == ["schema_version", "timestamp"]
 
     def test_zero_disorder_rows_are_ideal(self, capsys, tmp_path):
         out = tmp_path / "d.csv"
@@ -209,7 +209,7 @@ class TestSweep:
         )
         assert code == 0, err
         data = json.loads(out.read_text())
-        assert data["metadata"]["parameter"] == "detuning"
+        assert data["config"]["parameter"] == "detuning"
         assert data["rows"][0]["fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_count_sweep(self, capsys, tmp_path):
@@ -228,9 +228,7 @@ class TestSweep:
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(capsys, "sweep", "--n", "3", "--out", str(out))
         assert code == 0
-        meta = json.loads((tmp_path / "t.meta.json").read_text())
-        config = json.loads(meta["config"])
-        assert len(config["sweep"]["grid"]) == 41
+        assert len(echoed_config(out.read_text())["grid"]) == 41
 
     def test_missing_out_is_bad_input(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--parameter", "timing-error")
@@ -243,6 +241,11 @@ class TestSweep:
         )
         assert code == 2
         assert "grid" in err
+
+
+def echoed_config(text: str) -> dict:
+    """The config that a CSV report echoes on its ``# config=`` line."""
+    return json.loads(next(l for l in text.splitlines() if l.startswith("# config="))[9:])
 
 
 def sweep_rows(text: str) -> list[tuple[float, ...]]:
@@ -277,8 +280,8 @@ def test_default_grids_are_the_numpy_linspace_doubles():
 @pytest.mark.parametrize("parameter", ["timing-error", "coupling-disorder", "detuning",
                                        "mode-count"])
 def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path, monkeypatch):
-    """The ``# config=`` line and the sidecar echo the default grid with
-    the bytes they had when its values were ``np.float64``."""
+    """The ``# config=`` line echoes the default grid, in the flat config,
+    with the bytes it had when the grid's values were ``np.float64``."""
     import wcavity.protocol
 
     args = ["sweep", "--parameter", parameter]
@@ -295,11 +298,11 @@ def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path
         monkeypatch.chdir(tmp_path / str(numpy_grid))
         out = Path("s.csv")
         assert run_cli(capsys, *args, "--out", str(out))[0] == 0
-        sidecar = json.loads(out.with_suffix(".meta.json").read_text())
-        assert sidecar.pop("timestamp")
-        outputs.append((out.read_text(), sidecar))
+        outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert any(line.startswith("# config=") for line in outputs[0][0].splitlines())
+    # the flat config, the default grid in it
+    config = echoed_config(outputs[0].decode())
+    assert config["grid"] == list(stdlib(parameter, config.get("n")))
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
@@ -623,11 +626,9 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
     out = tmp_path / "report.json"
     extra = ["--grid", "0", "--parameter", "coupling-disorder"] if command == "sweep" else []
     assert main([command, "--format", "json", "--out", str(out), *extra]) == 0
-    report = json.loads(out.read_text())
-    echo = json.loads(report["metadata"]["config"]) if command == "sweep" else report["config"]
-    nested = echo.pop("sweep", {})
+    echo = json.loads(out.read_text())["config"]
     assert echo.pop("command") == command
-    echoed = set(echo) | set(nested)
+    echoed = set(echo)
 
     assert flags == file_keys == echoed == READS[command]
 
@@ -651,29 +652,39 @@ def test_unread_option_is_refused(command, key, capsys, tmp_path):
     assert not out.exists()
 
 
-# each flag that takes a value, by subcommand; on 3.13 ``--out=--``
-# names a file ``--``, which the run writes
-DOUBLE_DASH = [
-    pytest.param(command, name, marks=pytest.mark.skipif(
-        name == "--out" and sys.version_info >= (3, 13), reason="3.13 writes a file named --"))
-    for command in sorted(READS)
-    for name in [*(flag(key) for key in sorted(READS[command]) if SAMPLE[key] is not None),
-                 "--config"]
-]
+# each flag that takes a value, by subcommand
+DOUBLE_DASH = [(command, name) for command in sorted(READS)
+               for name in [*(flag(key) for key in sorted(READS[command])
+                              if SAMPLE[key] is not None), "--config"]]
+# the type name of each option whose type refuses the value --
+TYPE_NAMES = {"--n": "int", "--seed": "int", "--trials": "int", "--epsilon": "float",
+              "--time": "float", "--grid": "float_list"}
 
 
 @pytest.mark.parametrize("command,name", DOUBLE_DASH)
-def test_a_double_dash_flag_value_exits_2(command, name, capsys, tmp_path, monkeypatch):
-    """Before 3.13 argparse stores [] for ``--<flag>=--``, and
-    ``resolve_config`` refuses it as empty; 3.13 passes ``--`` on as the
-    value, which the option's type or check refuses."""
+def test_a_double_dash_flag_value_is_read_as_given(command, name, capsys, tmp_path, monkeypatch):
+    """``--<flag>=--`` has the value ``--`` on every Python, as on 3.13,
+    where argparse before 3.13 reads an empty list: ``--out`` and
+    ``--config`` name the path ``--``, ``--format`` and ``--parameter``
+    refuse an unknown choice, and every other option refuses it by its
+    type, in argparse's words."""
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, command, f"{name}=--")
-    if sys.version_info < (3, 13):
-        assert (code, out, err) == (2, "", f"error: {name} must not be empty\n")
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if name == "--out":
+        assert (code, err) == (0, "")
+        assert written == (["--", "--.meta.json"] if command == "sweep" else ["--"])
+        assert (out == "") is (command != "validate")
+        return
+    if name == "--config":
+        assert err == "error: [Errno 2] No such file or directory: '--'\n"
+    elif name in ("--format", "--parameter"):
+        assert err == f"error: unknown {name[2:]} '--'\n"
     else:
-        assert (code, out) == (2, "") and "error: " in err
-    assert list(tmp_path.iterdir()) == []
+        assert err.startswith(f"usage: wcavity {command} ")
+        assert err.endswith(f"wcavity {command}: error: argument {name}: "
+                            f"invalid {TYPE_NAMES[name]} value: '--'\n")
+    assert (code, out, written) == (2, "", [])
 
 
 @pytest.mark.parametrize("command,key", [
@@ -736,11 +747,11 @@ def test_sweep_leaves_no_partial_output_when_a_line_fails(capsys, tmp_path, monk
     """The CSV is written as its lines are made: a line that fails after
     the file is opened removes the file."""
 
-    def failing_lines(rows, metadata):
+    def failing_lines(config, results):
         yield "# first\n"
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "sweep_csv_lines", failing_lines)
+    monkeypatch.setattr(cli, "_report_lines", failing_lines)
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
     assert (code, err) == (2, "error: disk full\n")
@@ -756,7 +767,7 @@ def test_sweep_keeps_an_out_file_that_existed_when_the_sidecar_fails(capsys, tmp
     code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(out))
     assert code == 2
     assert err.startswith("error: ")
-    assert out.read_text().startswith("# config=")
+    assert out.read_text().startswith("# schema_version=4\n# config=")
     assert (tmp_path / "x.meta.json").is_dir()
 
 
@@ -782,21 +793,28 @@ def test_simulate_leaves_no_file_when_a_write_fails_part_way(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_removes_the_csv_and_sidecar_it_created_when_the_sidecar_fails(tmp_path):
-    """The file size limit admits the CSV and cuts the sidecar part-way:
-    both files, created by the run, are removed."""
-    first, second = tmp_path / "a", tmp_path / "b"
-    first.mkdir()
-    second.mkdir()
-    assert main(["sweep", "--grid", "0", "--out", str(first / "x.csv")]) == 0
-    # the two runs differ only in the directory name, of the same length
-    csv_size = (first / "x.csv").stat().st_size
-    assert (first / "x.meta.json").stat().st_size > csv_size
-    proc = run_with_file_size_limit(["sweep", "--grid", "0", "--out", str(second / "x.csv")],
-                                    csv_size, tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: [Errno {errno.EFBIG}]")
-    assert list(second.iterdir()) == []
+def test_sweep_removes_the_csv_and_sidecar_it_created_when_the_sidecar_fails(
+        capsys, tmp_path, monkeypatch):
+    """The sidecar's write fails part-way, after the CSV is written: both
+    files, created by the run, are removed."""
+    opened = []
+
+    def failing_open(path, mode, **kwargs):
+        handle = open(path, mode, **kwargs)
+        opened.append(Path(path).name)
+        if Path(path).suffixes == [".meta", ".json"]:
+            def writelines(lines):
+                handle.write("{")
+                handle.flush()
+                raise OSError(errno.EFBIG, "File too large")
+            handle.writelines = writelines
+        return handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, _, err = run_cli(capsys, "sweep", "--grid", "0", "--out", str(tmp_path / "x.csv"))
+    assert (code, err) == (2, f"error: [Errno {errno.EFBIG}] File too large\n")
+    assert opened == ["x.csv", "x.meta.json"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
@@ -820,41 +838,11 @@ def test_a_sweep_is_admitted_by_one_require_grid_call(parameter, capsys, monkeyp
     assert calls == [parameter]
 
 
-@pytest.mark.parametrize("parameter", PARAMETERS)
-def test_sweep_writes_the_csv_lines_of_its_result(parameter, capsys, tmp_path, monkeypatch):
-    """The CSV is ``cli.sweep_csv_lines`` of the sweep's rows and of the
-    metadata the CLI writes: the schema version, the values the sweep
-    used, the timestamp and the config, in that order."""
-    from wcavity import protocol
-
-    calls = []
-    real = cli.sweep_csv_lines
-
-    def recording(rows, metadata):
-        calls.append((rows, metadata))
-        return real(rows, metadata)
-
-    monkeypatch.setattr(cli, "sweep_csv_lines", recording)
-    args = ["sweep", "--parameter", parameter, "--grid", "1,2"]
-    args += ["--trials", "3"] if parameter == "coupling-disorder" else []
-    args += [] if parameter == "mode-count" else ["--n", "2"]
-    code, stdout, err = run_cli(capsys, *args, "--out", "-")
-    assert code == 0, err
-    ((rows, metadata),) = calls
-    lines = list(real(rows, metadata))
-    assert stdout == "".join(lines)
-    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-    assert lines[-3:-2] == [",".join(protocol.SweepRow._fields) + "\n"] and len(rows) == 2
-    keys = list(metadata)
-    assert (keys[:2], keys[-2:]) == (["schema_version", "parameter"], ["timestamp", "config"])
-    assert metadata["parameter"] == parameter
-
-
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_sweep_to_a_fifo_writes_no_sidecar(capsys, tmp_path):
     """An --out that exists and is no regular file (a FIFO, a device) is
     written as stdout is: the CSV alone, whose comment lines carry the
-    metadata, and no sidecar beside it."""
+    schema version and the config, and no sidecar beside it."""
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
@@ -882,16 +870,8 @@ def test_sweep_out_dash_writes_the_body_to_stdout_and_no_file(fmt, capsys, tmp_p
 
     assert run_cli(capsys, *args, "--out", "file")[0] == 0
     written = (tmp_path / "file").read_text()
-    if fmt == "csv":
-        # the comment lines carry the metadata a sidecar would; they differ
-        # from the file's only in the echoed --out
-        assert stdout.replace('"out": "-"', '"out": "file"') == written
-        assert "# seed=3" in stdout
-    else:
-        report, from_file = json.loads(stdout), json.loads(written)
-        for meta in (report["metadata"], from_file["metadata"]):
-            del meta["timestamp"], meta["config"]
-        assert report == from_file
+    # the two differ only in the echoed --out
+    assert stdout.replace('"out": "-"', '"out": "file"') == written
 
 
 def test_mode_count_sweep_refuses_n(capsys, tmp_path):
@@ -911,9 +891,9 @@ def test_mode_count_sweep_refuses_n(capsys, tmp_path):
     assert not out.exists()
 
     assert run_cli(capsys, *args)[0] == 0
-    config = json.loads(json.loads((tmp_path / "m.meta.json").read_text())["config"])
+    config = echoed_config(out.read_text())
     assert "n" not in config
-    assert config["sweep"]["parameter"] == "mode-count"
+    assert config["parameter"] == "mode-count"
 
 
 @pytest.mark.parametrize("parameter", ["timing-error", "detuning", "mode-count"])
@@ -935,54 +915,73 @@ def test_sweep_refuses_trials_and_seed_it_never_reads(parameter, key, source, ca
                    "(only coupling-disorder draws random trials)\n")
     assert not out.exists()
 
-    # not given, it is neither reported nor echoed
+    # not given, it is not echoed
     assert run_cli(capsys, *args)[0] == 0
-    lines = out.read_text().splitlines()
-    assert not any(line.startswith((f"# {key}=", "# rng=")) for line in lines)
-    config = json.loads(next(line for line in lines if line.startswith("# config="))[9:])
-    assert key not in config and key not in config["sweep"]
+    assert key not in echoed_config(out.read_text())
 
 
-# the metadata of each sweep besides schema_version, parameter, epsilon and
-# the echoed config: only the disorder sweep draws, and only a sweep at one
-# mode count has one
-SWEEP_METADATA = {
-    "timing-error": {"n_modes", "t_star"},
-    "coupling-disorder": {"n_modes", "t_star", "seed", "trials", "rng", "disorder_model"},
-    "detuning": {"n_modes", "t_star"},
-    "mode-count": set(),
+# the arguments and the result keys of each command's report
+REPORTS = {
+    "simulate": (["--n", "3"], {"t", "t_star", "fidelity_W", "closed_vs_numeric_gap"}),
+    "sweep": (["--parameter", "coupling-disorder", "--n", "3", "--grid", "0,0.05", "--trials",
+               "5", "--seed", "3"], {"rows"}),
+    "entanglement": (["--n", "3"], {"rows"}),
+    "validate": (["--seed", "7"], {"checks", "summary"}),
 }
 
 
-@pytest.mark.parametrize("parameter", sorted(SWEEP_METADATA))
-def test_schema_2_reports_only_values_the_sweep_used(parameter, capsys, tmp_path):
-    """The CSV comment lines, the sidecar and the JSON form name seed,
-    trials and rng exactly for the sweep that draws them, and no output
-    names the success probability, which equals the fidelity."""
-    args = ["sweep", "--parameter", parameter, "--grid", "1"]
-    if parameter != "mode-count":
-        args += ["--n", "3"]
-    csv_out, sidecar, json_out = tmp_path / "s.csv", tmp_path / "s.meta.json", tmp_path / "s.json"
-    assert run_cli(capsys, *args, "--out", str(csv_out))[0] == 0
-    assert run_cli(capsys, *args, "--format", "json", "--out", str(json_out))[0] == 0
-    keys = SWEEP_METADATA[parameter] | {"schema_version", "parameter", "epsilon", "config"}
-    draws = parameter == "coupling-disorder"
+def keys_under(value):
+    """Every dict key and NamedTuple-row field name under ``value``."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            yield from keys_under(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from keys_under(inner)
 
-    lines = csv_out.read_text().splitlines()
-    assert sorted(l[2:].partition("=")[0] for l in lines if l.startswith("# ")) == sorted(keys)
-    assert lines[-2:] == ["x,fidelity_mean,fidelity_min,fidelity_max", lines[-1]]
-    report = json.loads(json_out.read_text())
-    assert list(report["rows"][0]) == ["x", "fidelity_mean", "fidelity_min", "fidelity_max"]
-    for metadata in (json.loads(sidecar.read_text()), report["metadata"]):
-        assert metadata.pop("timestamp")
-        assert set(metadata) == keys
-        assert metadata["schema_version"] == "3"
-        echo = json.loads(metadata["config"])
-        assert "seed" not in echo  # only under sweep, where it is read
-        assert ("n" in echo) is (parameter != "mode-count")
-        assert set(echo["sweep"]) == {"parameter", "grid"} | ({"trials", "seed"} if draws else set())
-    for path in (csv_out, sidecar, json_out):
-        assert "success_prob" not in path.read_text()
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_every_report_writes_each_input_once(command, fmt, capsys, tmp_path):
+    """Every command writes one layout, ``{"schema_version", "config",
+    <results>}``: the top-level keys are exactly those, no key of the
+    config is written outside it, and a rerun writes the same bytes.  A
+    sweep's CSV file has a sidecar of the schema version and the
+    timestamp, the two values a rerun does not reproduce, and of no
+    other value."""
+    argv, results = REPORTS[command]
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, *argv, "--format", fmt, "--out", str(out)]
+    assert run_cli(capsys, *argv)[0] == 0
+    first = out.read_bytes()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert out.read_bytes() == first
+
+    text = first.decode()
+    if fmt == "json":
+        report = json.loads(text)
+        assert list(report)[:2] == ["schema_version", "config"]
+        assert set(report) == {"schema_version", "config"} | results
+        config = report.pop("config")
+        written = set(keys_under(report))
+    else:
+        lines = text.splitlines()
+        assert [line for line in lines if line.startswith("#")] == lines[:2]
+        assert lines[0] == "# schema_version=4"
+        config = echoed_config(text)
+        # each table's header fields and the key of each key,value line
+        body = [line.split(",") for line in lines[2:]]
+        written = {cell for row in body for cell in row} | {row[0].split(".")[0] for row in body}
+    assert config["command"] == command
+    assert not written & set(config), written & set(config)
+
+    sidecar = tmp_path / "report.meta.json"
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [out, sidecar] if (command, fmt) == ("sweep", "csv") else [out])
+    if sidecar.exists():
+        stamp = json.loads(sidecar.read_text())
+        assert list(stamp) == ["schema_version", "timestamp"] and stamp["schema_version"] == "4"
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -993,7 +992,7 @@ GOLDEN_DIR = Path(__file__).parent / "data"
     ("entanglement_n10.json", 10, "json"),
 ])
 def test_entanglement_report_matches_golden_bytes(name, n, fmt, capsys):
-    """The files under tests/data were written at schema version 3; every
+    """The files under tests/data were written at schema version 4; every
     value in them is the one the version that reduced one mode pair per
     call wrote, and the sector route reproduces that version's numbers."""
     code, out, err = run_cli(capsys, "entanglement", "--n", str(n), "--format", fmt, "--out", "-")
@@ -1039,8 +1038,8 @@ def basis_builds(monkeypatch):
     return calls
 
 
-ENTANGLEMENT_REFUSAL = ("entanglement too large: it computes 1056640 amplitudes, "
-                        "above the limit of 1048576")
+ENTANGLEMENT_REFUSAL = ("entanglement too large: its size is 8128 points x 130 amplitudes "
+                        "= 1056640, above the limit of 1048576")
 EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
 EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
 T_STAR_INFINITE = "epsilon {} is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = {}"
@@ -1061,11 +1060,14 @@ def zeros(k: int) -> str:
     (["sweep", "--parameter", "mode-count", "--grid", "1,20000"],
      "--grid entry 20000.0 is above the limit of 1022 modes"),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "300000"],
-     "sweep too large: it computes 16500000 amplitudes, above the limit of 1048576"),
+     "sweep too large: its size is 3300000 points x 5 amplitudes = 16500000, "
+     "above the limit of 1048576"),
     (["sweep", "--n", "3", "--parameter", "detuning", "--grid", zeros(209716)],
-     "sweep too large: it computes 1048580 amplitudes, above the limit of 1048576"),
+     "sweep too large: its size is 209716 points x 5 amplitudes = 1048580, "
+     "above the limit of 1048576"),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--trials", "19066"],
-     "sweep too large: it computes 1048630 amplitudes, above the limit of 1048576"),
+     "sweep too large: its size is 209726 points x 5 amplitudes = 1048630, "
+     "above the limit of 1048576"),
     (["sweep", "--n", "1023", "--parameter", "coupling-disorder", "--grid", "0", "--trials", "1"],
      "--n 1023 is above the limit of 1022 modes"),
     (["simulate", "--n", "3", "--epsilon", "1e-320"], T_STAR_INFINITE.format("1e-320", 3)),
@@ -1514,8 +1516,20 @@ class Deferred(Exception):
     argparse."""
 
 
-def deferred():
+def deferred(*args):
     raise Deferred
+
+
+def argparse_reads(parser):
+    """``parser.parse_args``, with the empty list that argparse before 3.13
+    reads for ``--<flag>=--`` read as the value ``--``, as 3.13 reads it."""
+    def read(argv):
+        args = parser.parse_args(argv)
+        for key, value in vars(args).items():
+            if value == []:
+                setattr(args, key, "--")
+        return args
+    return read
 
 
 def quietly(read, argv):
@@ -1533,14 +1547,15 @@ def test_the_reader_agrees_with_argparse(monkeypatch, tmp_path):
     exits, the reader has handed the argv to it.  ``main`` writes the same
     exit code, stdout and stderr with the reader and with argparse alone,
     on the first 20 argvs of each command that the reader reads (where
-    the two ways can differ)."""
+    the two ways can differ).  The value of ``--<flag>=--`` is ``--`` on
+    every Python, as argparse reads it from 3.13 on."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("format = csv\n")
-    parser = build_parser()
+    argparse_alone = argparse_reads(build_parser())
     monkeypatch.setattr(cli, "build_parser", deferred)
     read, refused, compared = 0, 0, dict.fromkeys(cli.COMMANDS, 0)
     for argv in random_argvs(20000):
-        want = quietly(parser.parse_args, argv)
+        want = quietly(argparse_alone, argv)
         refused += want is None
         try:
             got = quietly(cli.parse_args, argv)
@@ -1552,7 +1567,7 @@ def test_the_reader_agrees_with_argparse(monkeypatch, tmp_path):
         if compared[argv[0]] < 20:
             compared[argv[0]] += 1
             runs = []
-            for reader in (cli.parse_args, parser.parse_args):
+            for reader in (cli.parse_args, argparse_alone):
                 with monkeypatch.context() as patched:
                     patched.setattr(cli, "parse_args", reader)
                     out, err = io.StringIO(), io.StringIO()

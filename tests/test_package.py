@@ -77,7 +77,7 @@ HOMES = {
                      "w_state"),
     "fock": ("Basis", "StateVector", "atom_population", "build_basis", "initial_state",
              "state_from_dict"),
-    "protocol": ("SweepResult", "SweepRow", "coupling_disorder_sweep", "detuning_sweep",
+    "protocol": ("SweepRow", "coupling_disorder_sweep", "detuning_sweep",
                  "mode_count_sweep", "timing_error_sweep"),
     "sector": ("PropagationError", "optimal_time"),
     "validation": ("ValidationReport", "measure_rabi_period", "run_validation"),
@@ -163,7 +163,8 @@ def test_runtime_modules_never_import_numpy_or_the_oracle():
 def test_cli_alone_holds_the_output_rules():
     """``cli`` writes every byte: ``protocol`` and ``sector`` import neither
     ``json`` nor ``time``, only ``cli`` defines the number format and the
-    schema version, and the sweep's records are plain, with no method."""
+    schema version, and a sweep returns plain rows: ``protocol`` defines
+    one class, ``SweepRow``, with no method."""
     for module in ("protocol", "sector"):
         imported = {name for name, _ in imported_modules((SRC / f"{module}.py").read_text())}
         assert not imported & {"json", "time"}, module
@@ -173,9 +174,9 @@ def test_cli_alone_holds_the_output_rules():
             defined.setdefault(name, []).append(path.stem)
     assert defined == {"fmt12": ["cli"], "round12": ["cli"], "SCHEMA_VERSION": ["cli"]}
     tree = ast.parse((SRC / "protocol.py").read_text())
-    records = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for name in ("SweepResult", "SweepRow"):
-        assert not [node for node in records[name].body if isinstance(node, ast.FunctionDef)]
+    (row,) = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert row.name == "SweepRow"
+    assert not [node for node in row.body if isinstance(node, ast.FunctionDef)]
 
 
 def test_runtime_imports_argparse_only_to_build_the_parser():

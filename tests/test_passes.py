@@ -35,7 +35,7 @@ def test_simulate_reduces_its_couplings_once(argv, sizes, passes, capsys):
 
 def test_timing_error_sweep_reduces_its_couplings_once(passes):
     """One pass for the admission of the grid's angles, one for the sweep."""
-    rows = protocol.timing_error_sweep(1000, 1.0, None).rows
+    rows = protocol.timing_error_sweep(1000, 1.0, None)
     assert len(rows) == 41
     assert passes == [1000, 1000]
 
@@ -46,6 +46,6 @@ def test_mode_count_sweep_reduces_each_count_once(passes):
 
 
 def test_disorder_sweep_reduces_each_draw_once(passes):
-    rows = protocol.coupling_disorder_sweep(3, 1.0, (0.05,), 10, 0).rows
+    rows = protocol.coupling_disorder_sweep(3, 1.0, (0.05,), 10, 0)
     assert len(rows) == 1
     assert passes == [3] * 10

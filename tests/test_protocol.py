@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import normals, sector
-from wcavity.cli import SCHEMA_VERSION, fmt12, main, parse_args, sweep_csv_lines
+from wcavity.cli import fmt12, main, parse_args
 from wcavity.dynamics import (
     ModelParams,
     build_hamiltonian,
@@ -77,26 +77,26 @@ class TestOptimalTime:
 class TestTimingErrorSweep:
     def test_zero_offset_is_ideal(self):
         res = timing_error_sweep(3, 1.0, (0.0,))
-        assert res.rows[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
+        assert res[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_period_overshoot_kills_fidelity(self):
         n = 3
         x = math.pi / (2.0 * math.sqrt(n))  # offset of t*/1, one quarter period
         res = timing_error_sweep(n, 1.0, (x,))
-        assert res.rows[0].fidelity_mean == pytest.approx(0.0, abs=1e-8)
+        assert res[0].fidelity_mean == pytest.approx(0.0, abs=1e-8)
 
     def test_sixth_period_offset(self):
         n = 4
         x = math.pi / (6.0 * math.sqrt(n))
         res = timing_error_sweep(n, 1.0, (x,))
-        assert res.rows[0].fidelity_mean == pytest.approx(0.75, abs=1e-8)
+        assert res[0].fidelity_mean == pytest.approx(0.75, abs=1e-8)
 
     def test_matches_cosine_squared_law(self):
         n, eps = 3, 1.0
         t_star = optimal_time(n, eps)
         grid = np.linspace(-t_star / 2.0, t_star / 2.0, 41) * eps
         res = timing_error_sweep(n, eps, grid)
-        for row in res.rows:
+        for row in res:
             expected = math.cos(math.sqrt(n) * row.x) ** 2
             assert row.fidelity_mean == pytest.approx(expected, abs=1e-8)
 
@@ -104,7 +104,7 @@ class TestTimingErrorSweep:
         grid = (0.0, 0.2, 0.4)
         a = timing_error_sweep(3, 0.5, grid)
         b = timing_error_sweep(3, 2.0, grid)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.fidelity_mean == pytest.approx(rb.fidelity_mean, abs=1e-12)
 
     def test_evolves_once(self, eigh_calls, monkeypatch):
@@ -121,30 +121,30 @@ class TestTimingErrorSweep:
 class TestCouplingDisorderSweep:
     def test_zero_disorder_reduces_to_ideal(self):
         res = coupling_disorder_sweep(3, 1.0, (0.0,), 10, 1)
-        row = res.rows[0]
+        row = res[0]
         assert row.fidelity_mean == pytest.approx(1.0, abs=1e-12)
         assert row.fidelity_min == pytest.approx(1.0, abs=1e-12)
         assert row.fidelity_max == pytest.approx(1.0, abs=1e-12)
 
     def test_row_bounds(self):
         res = coupling_disorder_sweep(3, 1.0, (0.0, 0.02, 0.1, 0.5), 25, 7)
-        for row in res.rows:
+        for row in res:
             assert 0.0 <= row.fidelity_min <= row.fidelity_mean <= row.fidelity_max <= 1.0
 
     def test_regression_pin(self):
         res = coupling_disorder_sweep(3, 1.0, (0.05,), 200, 42)
-        assert res.rows[0].fidelity_mean == pytest.approx(DISORDER_PIN_MEAN, abs=1e-12)
+        assert res[0].fidelity_mean == pytest.approx(DISORDER_PIN_MEAN, abs=1e-12)
 
     def test_deterministic_per_seed(self):
         a = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
         b = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 9)
         assert a == b
         c = coupling_disorder_sweep(4, 1.0, (0.03, 0.06), 20, 10)
-        assert a.rows != c.rows
+        assert a != c
 
     def test_large_disorder_survives_redraw_rule(self):
         res = coupling_disorder_sweep(2, 1.0, (2.0,), 50, 3)
-        row = res.rows[0]
+        row = res[0]
         assert 0.0 <= row.fidelity_min and row.fidelity_max <= 1.0
 
     @pytest.mark.parametrize("grid", [(0.0, 1e200), (1e154,)])
@@ -214,6 +214,11 @@ def numpy_disorder_rows(n: int, epsilon: float, grid, trials: int,
     return rows
 
 
+def csv_cells(rows) -> list[list[str]]:
+    """The cells of ``rows`` as a sweep's CSV writes them."""
+    return [[fmt12(value) for value in row] for row in rows]
+
+
 def omega_bound(couplings, t: float) -> float:
     """|dF/dOmega| ulp(Omega) + 4 ulp(F) for one disorder trial at the Omega
     the sweep rounds, F = sin^2(Omega t) (sum_i eps_i)^2 / (N Omega^2): how
@@ -239,10 +244,9 @@ class TestDisorderOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
     def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
         args = (_default_grid("coupling-disorder", n), 100, seed)
-        result = coupling_disorder_sweep(n, 1.0, *args)
+        rows = coupling_disorder_sweep(n, 1.0, *args)
         oracle = numpy_disorder_rows(n, 1.0, *args)
-        assert ("".join(sweep_csv_lines(result.rows, result.metadata))
-                == "".join(sweep_csv_lines(oracle, result.metadata)))
+        assert csv_cells(rows) == csv_cells(oracle)
 
     @pytest.mark.parametrize("n, seed", [(2, 3), (6, 0), (12, 123)])
     def test_redrawn_couplings_csv_equals_the_numpy_route(self, n, seed):
@@ -257,7 +261,7 @@ class TestDisorderOracle:
         a mean, the mean of the trials' bounds)."""
         grid, trials = (0.5, 1.0, 2.0, 5.0, 10.0), 100
         t_star = optimal_time(n, 1.0)
-        rows = coupling_disorder_sweep(n, 1.0, grid, trials, seed).rows
+        rows = coupling_disorder_sweep(n, 1.0, grid, trials, seed)
         oracle = numpy_disorder_rows(n, 1.0, grid, trials, seed)
         assert [row.x for row in rows] == [row.x for row in oracle] == list(grid)
         differing = []
@@ -297,7 +301,7 @@ class TestDisorderOracle:
         a max of ...844; math.fsum and the numpy route give ...845, the
         correctly rounded value of the reference."""
         grid = _default_grid("coupling-disorder", 40)[:4]
-        row = coupling_disorder_sweep(40, 1.0, grid, 100, 0).rows[3]
+        row = coupling_disorder_sweep(40, 1.0, grid, 100, 0)[3]
         assert fmt12(row.x) == "0.03"
         t_star = optimal_time(40, 1.0)
         exact = max(next(reference.fidelities(draw, [(t_star, 0.0)]))
@@ -308,12 +312,12 @@ class TestDisorderOracle:
 class TestDetuningSweep:
     def test_zero_detuning_is_ideal(self):
         res = detuning_sweep(3, 1.0, (0.0,))
-        assert res.rows[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
+        assert res[0].fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_in_detuning_sign(self):
         grid = (-3.0, -1.0, -0.2, 0.2, 1.0, 3.0)
         res = detuning_sweep(3, 1.0, grid)
-        by_x = {row.x: row.fidelity_mean for row in res.rows}
+        by_x = {row.x: row.fidelity_mean for row in res}
         for x in (0.2, 1.0, 3.0):
             assert by_x[x] == pytest.approx(by_x[-x], abs=1e-9)
 
@@ -322,7 +326,7 @@ class TestDetuningSweep:
         # collective coupling Omega = sqrt(n) eps
         n, eps, x = 3, 1.0, 10.0
         res = detuning_sweep(n, eps, (x,))
-        got = res.rows[0].fidelity_mean
+        got = res[0].fidelity_mean
         omega_sq = n * eps**2
         rabi = math.sqrt(omega_sq + (x * eps) ** 2 / 4.0)
         analytic = (omega_sq / rabi**2) * math.sin(rabi * optimal_time(n, eps)) ** 2
@@ -336,7 +340,7 @@ class TestDetuningSweep:
         grid = (-4.0, -0.7, 0.3, 2.1, 8.0)
         res = detuning_sweep(n, eps, grid)
         t_star = optimal_time(n, eps)
-        for row in res.rows:
+        for row in res:
             omega_sq = n * eps**2
             rabi = math.sqrt(omega_sq + (row.x * eps) ** 2 / 4.0)
             analytic = (omega_sq / rabi**2) * math.sin(rabi * t_star) ** 2
@@ -362,15 +366,15 @@ class TestDetuningSweep:
 class TestModeCountSweep:
     def test_all_counts_succeed(self):
         res = mode_count_sweep(1.0, tuple(float(n) for n in range(1, 9)))
-        assert [row.x for row in res.rows] == [float(n) for n in range(1, 9)]
-        for row in res.rows:
+        assert [row.x for row in res] == [float(n) for n in range(1, 9)]
+        for row in res:
             assert row.fidelity_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_evolves_each_distinct_count_once(self, monkeypatch):
         """A row depends on its count alone, so a repeated count is evolved
         once and its rows equal those of a sweep over that count alone."""
         grid = (4.0, 4.0, 1.0, 4.0)
-        alone = {n: mode_count_sweep(1.3, (n,)).rows[0] for n in (1.0, 4.0)}
+        alone = {n: mode_count_sweep(1.3, (n,))[0] for n in (1.0, 4.0)}
         counts = []
         real = sector.evolve
         monkeypatch.setattr(sector, "evolve",
@@ -378,7 +382,7 @@ class TestModeCountSweep:
                             or real(mode, *args))
         res = mode_count_sweep(1.3, grid)
         assert counts == [4, 1]
-        assert res.rows == [alone[n] for n in grid]
+        assert res == [alone[n] for n in grid]
 
     def test_rejects_fractional_counts(self, capsys):
         with pytest.raises(ValueError, match="positive integers") as refused:
@@ -404,8 +408,8 @@ def dense_fidelity(n, epsilon, t, detuning=0.0):
 
 
 def assert_rows(result, grid, fids):
-    assert [row.x for row in result.rows] == [float(x) for x in grid]
-    for row, f in zip(result.rows, fids):
+    assert [row.x for row in result] == [float(x) for x in grid]
+    for row, f in zip(result, fids):
         for value in row[1:]:
             assert abs(value - f) <= ROUNDING_TOL
 
@@ -564,14 +568,12 @@ def test_mode_count_sweep_refuses_before_it_evolves(monkeypatch):
 
 
 class TestSweepOutput:
-    def test_a_sweep_returns_the_values_it_used(self):
-        """The result is a plain record: no schema version, timestamp or
-        config, which the CLI adds as it writes the files."""
+    def test_a_sweep_returns_its_rows(self):
+        """A sweep returns its rows alone, one per grid entry: no schema
+        version, timestamp, t* or input, which are the caller's."""
         res = timing_error_sweep(3, 1.0, (0.0, 0.1))
-        # the timing sweep draws nothing, so it reports no seed
-        assert res.metadata == {"parameter": "timing-error", "n_modes": 3, "epsilon": 1.0,
-                                "t_star": optimal_time(3, 1.0)}
-        assert [row.x for row in res.rows] == [0.0, 0.1]
+        assert type(res) is list and all(type(row) is SweepRow for row in res)
+        assert [row.x for row in res] == [0.0, 0.1]
 
     def test_csv_shape(self, capsys):
         assert main(["sweep", "--n", "3", "--grid", "0,0.1", "--out", "-"]) == 0
@@ -581,19 +583,18 @@ class TestSweepOutput:
         assert data[0] == ",".join(SweepRow._fields)
         assert len(data) == 3
         assert data[1].split(",")[0] == "0"
-        assert "# schema_version=3" in comments
-        assert not any(l.startswith(("# seed=", "# trials=", "# rng=")) for l in comments)
-        # the CSV stays reproducible: the timestamp is in the JSON forms only
-        assert not any("timestamp" in l for l in comments)
+        # the schema version and the config, and no timestamp: a rerun
+        # writes the same bytes
+        assert comments == lines[:2]
+        assert comments[0] == "# schema_version=4" and comments[1].startswith("# config=")
 
     def test_combined_dict_form(self, capsys):
         argv = ["sweep", "--n", "2", "--parameter", "detuning", "--grid", "0", "--format",
                 "json", "--out", "-"]
         assert main(argv) == 0
         data = json.loads(capsys.readouterr().out)
-        assert list(data["metadata"]) == ["schema_version", "parameter", "n_modes", "epsilon",
-                                          "t_star", "timestamp", "config"]
-        assert data["metadata"]["parameter"] == "detuning"
+        assert list(data) == ["schema_version", "config", "rows"]
+        assert data["config"]["parameter"] == "detuning"
         assert data["rows"][0]["fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
 
     def test_fixed_precision_formatting(self):
@@ -604,24 +605,22 @@ class TestSweepOutput:
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
-# each file's sweep, and its arguments before and after the default grid
+# the CLI arguments of each file's sweep, on the default grid
 GOLDEN_SWEEPS = {
-    "timing-error": (timing_error_sweep, (3, 1.0), ()),
-    "detuning": (detuning_sweep, (3, 1.0), ()),
-    "mode-count": (mode_count_sweep, (1.0,), ()),
-    "coupling-disorder-seed0": (coupling_disorder_sweep, (3, 1.0), (100, 0)),
-    "coupling-disorder-seed42": (coupling_disorder_sweep, (3, 1.0), (100, 42)),
+    "timing-error": ["--n", "3", "--parameter", "timing-error"],
+    "detuning": ["--n", "3", "--parameter", "detuning"],
+    "mode-count": ["--parameter", "mode-count"],
+    "coupling-disorder-seed0": ["--n", "3", "--parameter", "coupling-disorder", "--seed", "0"],
+    "coupling-disorder-seed42": ["--n", "3", "--parameter", "coupling-disorder", "--seed", "42"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
-def test_sweep_csv_matches_golden_bytes(name):
+def test_sweep_csv_matches_golden_bytes(name, capsys):
     """Same seed, same bytes across versions: the CSVs under tests/data
-    were written at N = 3, epsilon = 1 on the CLI's default grids, at
-    schema version 3 with every number unchanged from schema version 1;
-    every change must reproduce them exactly."""
-    sweep, before, after = GOLDEN_SWEEPS[name]
-    result = sweep(*before, _default_grid(name.partition("-seed")[0], 3), *after)
-    expected = (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_text()
-    written = {"schema_version": SCHEMA_VERSION, **result.metadata}
-    assert "".join(sweep_csv_lines(result.rows, written)) == expected
+    were written by ``sweep --out -`` at N = 3, epsilon = 1 on the CLI's
+    default grids, at schema version 4 with every number unchanged from
+    schema version 1; every change must reproduce each file whole."""
+    assert main(["sweep", *GOLDEN_SWEEPS[name], "--out", "-"]) == 0
+    written = capsys.readouterr().out
+    assert written.encode() == (GOLDEN_DIR / f"sweep_{name}_n3.csv").read_bytes()

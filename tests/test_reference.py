@@ -47,7 +47,7 @@ def sweep_cells(parameter, n, epsilon, grid, trials=None, seed=None):
     the same double inputs.  Raises the sweep's ValueError on a refused
     input."""
     if parameter == "coupling-disorder":
-        rows = protocol.coupling_disorder_sweep(n, epsilon, grid, trials, seed).rows
+        rows = protocol.coupling_disorder_sweep(n, epsilon, grid, trials, seed)
         t_star = optimal_time(n, epsilon)
         for gi, row in enumerate(rows):
             exact = [next(reference.fidelities(draw, [(t_star, 0.0)]))
@@ -55,7 +55,7 @@ def sweep_cells(parameter, n, epsilon, grid, trials=None, seed=None):
             for got, want in zip(row[1:], (reference.mean(exact), min(exact), max(exact))):
                 yield fmt12(got), reference.round12(want)
     elif parameter == "mode-count":
-        rows = protocol.mode_count_sweep(epsilon, grid).rows
+        rows = protocol.mode_count_sweep(epsilon, grid)
         exact = {n: reference.round12(next(reference.fidelities(
             (epsilon,) * n, [(optimal_time(n, epsilon), 0.0)]))) for n in {int(r.x) for r in rows}}
         for row in rows:
@@ -63,7 +63,7 @@ def sweep_cells(parameter, n, epsilon, grid, trials=None, seed=None):
     else:
         sweep = {"timing-error": protocol.timing_error_sweep,
                  "detuning": protocol.detuning_sweep}[parameter]
-        rows = sweep(n, epsilon, grid).rows
+        rows = sweep(n, epsilon, grid)
         points = protocol._points(parameter, [row.x for row in rows], optimal_time(n, epsilon),
                                   epsilon)
         for row, want in zip(rows, reference.fidelities((epsilon,) * n, points)):

@@ -400,7 +400,7 @@ def test_the_work_per_point_does_not_grow_with_n(route, monkeypatch):
         else:
             sweep = (protocol.timing_error_sweep if route == "timing-error sweep"
                      else protocol.detuning_sweep)
-            assert len(sweep(n, 0.7, [0.001 * k for k in range(points)]).rows) == points
+            assert len(sweep(n, 0.7, [0.001 * k for k in range(points)])) == points
         monkeypatch.setattr(sector, "math", math)
         return counter.parts
 

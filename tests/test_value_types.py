@@ -1,6 +1,7 @@
 """The package's value types: immutable records, and no ``dataclasses``."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ def _instances():
         "Basis": basis,
         "ModelParams": ModelParams.resonant(2, 1.0),
         "SweepRow": row,
-        "SweepResult": protocol.SweepResult([row], {}),
+        "PairRow": cli.PairRow((1, 2), 0.5, 0.0),
         "CheckResult": check,
         "ValidationReport": validation.ValidationReport((check,)),
     }
@@ -66,13 +67,18 @@ def test_value_classes_equal_their_own_class_only():
     assert repr(basis) == "Basis(n_modes=2, excitation_cap=1)"
 
 
-def test_sweep_row_fields_are_the_csv_columns():
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_row_fields_are_the_csv_columns_and_json_keys(fmt):
     row = protocol.SweepRow(0.5, 0.25, 0.125, 1.0)
-    assert "".join(cli.sweep_csv_lines([row], {"b": 1})).splitlines() == [
-        "# b=1", "x,fidelity_mean,fidelity_min,fidelity_max", "0.5,0.25,0.125,1"]
-    # and the keys of a JSON row
-    assert row._asdict() == {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125,
-                             "fidelity_max": 1.0}
+    config = {"format": fmt}
+    text = "".join(cli._report_lines(config, {"rows": [row]}))
+    if fmt == "csv":
+        assert text.splitlines() == [
+            "# schema_version=4", '# config={"format": "csv"}',
+            "x,fidelity_mean,fidelity_min,fidelity_max", "0.5,0.25,0.125,1"]
+    else:
+        assert json.loads(text)["rows"] == [
+            {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0}]
 
 
 def test_command_defaults_are_read_only():

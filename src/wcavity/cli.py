@@ -7,8 +7,9 @@ numerical failure.  Times are in units of 1/epsilon; every evolution runs
 in the interaction frame, on resonance but in the detuning sweep.  This
 module alone writes bytes, all through ``_write``: it holds the schema
 version, the 12-digit number format and the one layout of every
-command's report, ``{"schema_version", "config", <results>}``, while the
-library returns plain values.
+command's report, ``{"schema_version", "config", <results>}``, whose
+results are scalars (numbers) and tables (lists of NamedTuple rows),
+while the library returns plain values.
 """
 
 from __future__ import annotations
@@ -75,23 +76,23 @@ SWEEP_UNREAD = {
 
 # every option, in the order the resolved config is echoed
 OPTIONS = {
-    "n": Option(int, 3, "number of modes (default 3)", valid=lambda v: v >= 1,
-                requirement="must be >= 1"),
-    "epsilon": Option(float, 1.0, "coupling strength (default 1)",
+    "n": Option(int, 3, "number of modes", valid=lambda v: v >= 1, requirement="must be >= 1"),
+    "epsilon": Option(float, 1.0, "coupling strength",
                       valid=lambda v: math.isfinite(v) and v > 0,
                       requirement="must be finite and > 0"),
     "time": Option(float, None, "interaction time in 1/epsilon units (default: optimal)",
                    valid=math.isfinite, requirement="must be finite"),
     "out": Option(str, None, "output path, '-' for stdout", valid=bool,
                   requirement="must not be empty"),
-    "format": Option(str, "json", choices=("csv", "json")),
-    "seed": Option(int, 0, valid=lambda v: v >= 0, requirement="must be >= 0"),
+    "format": Option(str, "json", "report format", choices=("csv", "json")),
+    "seed": Option(int, 0, "seed of the random draws", valid=lambda v: v >= 0,
+                   requirement="must be >= 0"),
     "dump_state": Option(_parse_bool, False,
                          "include the state vector, on the N + 2 state sector, in the report"),
-    "parameter": Option(str, "timing-error", "swept quantity (default timing-error)",
+    "parameter": Option(str, "timing-error", "swept quantity",
                         choices=tuple(sorted(SWEEP_UNREAD))),
     "grid": Option(float_list, None, "comma-separated grid values"),
-    "trials": Option(int, None, "Monte-Carlo trials per grid point (default 100)",
+    "trials": Option(int, None, "Monte-Carlo trials per grid point",
                      valid=lambda v: v >= 1, requirement="must be >= 1"),
 }
 
@@ -132,7 +133,8 @@ def _flag(key: str) -> str:
 
 def build_parser(command: str | None = None):
     """The argparse parser, or the subparser of ``command``; ``parse_args``
-    builds it only for an argv it does not read."""
+    builds it only for an argv it does not read.  Each option's help ends
+    with the command's default, unless that is None or a bool."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -145,14 +147,18 @@ def build_parser(command: str | None = None):
         for key, option in OPTIONS.items():
             if key not in spec.options:
                 continue
+            default = spec.defaults.get(key, option.default)
+            text = option.help
+            if default is not None and not isinstance(default, bool):
+                text = f"{text} (default {default})"
             if option.parse is _parse_bool:
-                cmd.add_argument(_flag(key), action="store_true", default=None, help=option.help)
+                cmd.add_argument(_flag(key), action="store_true", default=None, help=text)
             else:
                 # the choices are checked by _require_valid, in the same
                 # words for a flag and a config-file value on every Python
                 metavar = option.choices and "{" + ",".join(option.choices) + "}"
                 cmd.add_argument(_flag(key), type=option.parse, metavar=metavar,
-                                 default=None, help=option.help)
+                                 default=None, help=text)
         cmd.add_argument("--config", default=None,
                          help="flat key=value config file; flags override")
     sub.choices["validate"].add_argument("--inject-fault", action="store_true",
@@ -333,8 +339,6 @@ def _rounded(value):
     digits, and each row (a NamedTuple) the dict of its fields."""
     if isinstance(value, float):
         return round12(value)
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
     if hasattr(value, "_fields"):
         return {k: _rounded(v) for k, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
@@ -345,33 +349,27 @@ def _rounded(value):
 def _report_lines(config: dict, results: dict):
     """The report of every command, ``{"schema_version", "config",
     **results}``, in ``config``'s format, one newline-terminated line at a
-    time.  ``config`` is written exactly as given and the results with 12
-    digits.  As JSON it is one indented object.  As CSV it is the two
-    ``# `` lines of the schema version and the config, then each table (a
-    list of NamedTuple rows) under a header of its fields, then one
-    ``key,value`` line per other result, a dict's entries keyed
-    ``<result>.<key>``, then the dumped state's amplitudes; the rows are
-    made as they are written, so that no copy of a long table's text is
-    held."""
+    time.  Each result is a scalar (a number) or a table (a list of
+    NamedTuple rows).  ``config`` is written exactly as given and the
+    results with 12 digits.  As JSON it is one indented object.  As CSV it
+    is the two ``# `` lines of the schema version and the config, then one
+    ``key,value`` line per scalar, then each table under a header of its
+    fields; the rows are made as they are written, so that no copy of a
+    long table's text is held."""
     if config["format"] == "json":
-        report = {"schema_version": SCHEMA_VERSION, "config": config, **_rounded(results)}
-        yield json.dumps(report, indent=2) + "\n"
+        rounded = {key: _rounded(value) for key, value in results.items()}
+        yield json.dumps({"schema_version": SCHEMA_VERSION, "config": config, **rounded},
+                         indent=2) + "\n"
         return
     yield f"# schema_version={SCHEMA_VERSION}\n"
     yield f"# config={json.dumps(config, sort_keys=True)}\n"
+    for key, value in results.items():
+        if not isinstance(value, list):
+            yield f"{key},{_csv_cell(value)}\n"
     for table in (v for v in results.values() if isinstance(v, list)):
         yield ",".join(table[0]._fields) + "\n"
         for row in table:
             yield ",".join(map(_csv_cell, row)) + "\n"
-    for key, value in results.items():
-        if isinstance(value, dict) and key != "state":
-            yield from (f"{key}.{k},{_csv_cell(v)}\n" for k, v in value.items())
-        elif not isinstance(value, (list, dict)):
-            yield f"{key},{_csv_cell(value)}\n"
-    if "state" in results:
-        yield "amplitude_index,re,im\n"
-        for k, (re, im) in enumerate(results["state"]["amplitudes"]):
-            yield f"{k},{_csv_cell(re)},{_csv_cell(im)}\n"
 
 
 def _csv_cell(value) -> str:
@@ -419,13 +417,22 @@ def _emit(config: dict, results: dict) -> None:
     _write([(config["out"], _report_lines(config, results))])
 
 
+class AmplitudeRow(NamedTuple):
+    """One amplitude of ``simulate --dump-state``: its index in the order
+    ``fock.build_basis(N, excitation_cap=1)`` enumerates the N + 2 sector
+    states, and its real and imaginary parts."""
+
+    amplitude_index: int
+    re: float
+    im: float
+
+
 def cmd_simulate(config: dict) -> int:
     # The evolution runs in the excitation <= 1 sector (N + 2 states): H
     # conserves the excitation number, so the sector holding the initial
     # state is closed under it.  The gap and --dump-state read its amplitudes.
     n, eps = config["n"], config["epsilon"]
-    t_star = optimal_time(n, eps)
-    t = t_star if config["time"] is None else config["time"] / eps
+    t = optimal_time(n, eps) if config["time"] is None else config["time"] / eps
 
     mode = sector.bright_mode((eps,) * n)
     closed = sector.amplitudes(mode, sector.closed_form(mode, t))
@@ -436,15 +443,11 @@ def cmd_simulate(config: dict) -> int:
     # is also the success probability and the atom's ground population
     results = {
         "t": t,
-        "t_star": t_star,
         "fidelity_W": sector.w_fidelity(pair, mode),
         "closed_vs_numeric_gap": max(abs(a - b) for a, b in zip(closed, numeric)),
     }
     if config["dump_state"]:
-        results["state"] = {
-            "basis": {"n_modes": n, "n_max": 1, "excitation_cap": 1},
-            "amplitudes": [[a.real, a.imag] for a in numeric],
-        }
+        results["amplitudes"] = [AmplitudeRow(k, a.real, a.imag) for k, a in enumerate(numeric)]
     _emit(config, results)
     return 0
 
@@ -500,19 +503,17 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
         # the checks run the dense numpy oracle, which the runtime leaves out
         raise ValueError("validate needs numpy: install wcavity[oracle]") from None
 
-    report = run_validation(seed=config["seed"], inject_fault=inject_fault)
+    checks = run_validation(seed=config["seed"], inject_fault=inject_fault)
+    passed = sum(check.passed for check in checks)
     lines = [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
              f"measured={check.measured:.3e} tolerance={check.tolerance:g} "
-             f"cases={check.cases}\n" for check in report.checks]
-    lines.append(f"summary: checks_run={report.checks_run} passed={report.passed} "
-                 f"failed={report.failed}\n")
+             f"cases={check.cases}\n" for check in checks]
+    lines.append(f"summary: checks_run={len(checks)} passed={passed} "
+                 f"failed={len(checks) - passed}\n")
     _write([("-", lines)])
     if config["out"] != "-":
-        _emit(config, {
-            "checks": list(report.checks),
-            "summary": {key: getattr(report, key) for key in ("checks_run", "passed", "failed")},
-        })
-    return 0 if report.all_passed else 1
+        _emit(config, {"checks": list(checks)})
+    return 0 if passed == len(checks) else 1
 
 
 def main(argv=None) -> int:

@@ -227,26 +227,3 @@ def initial_state(basis: Basis) -> StateVector:
 def _require_same_basis(a: StateVector, b: StateVector) -> None:
     if a.basis is not b.basis and a.basis != b.basis:
         raise ValueError("state vectors live on different bases")
-
-
-def atom_population(psi: StateVector, level: int) -> float:
-    """Total probability of finding the atom in the given level, 0 or 1:
-    the states with that level are a mask on ``levels[:, 0]``."""
-    probs = np.abs(psi.amplitudes[psi.basis.levels[:, 0] == level]) ** 2
-    return min(float(probs.sum()), 1.0)
-
-
-def state_from_dict(data: dict) -> StateVector:
-    """The state of a JSON dict in the layout of ``simulate --dump-state``:
-    basis parameters plus [re, im] amplitude pairs.  The basis is rebuilt
-    deterministically.  Every mode is a qubit, so a dump that allows more
-    than one photon per mode is refused."""
-    spec = data["basis"]
-    if int(spec["n_max"]) != 1:
-        raise ValueError(f"every mode is a qubit: n_max must be 1, got {spec['n_max']!r}")
-    basis = build_basis(
-        int(spec["n_modes"]),
-        None if spec.get("excitation_cap") is None else int(spec["excitation_cap"]),
-    )
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return StateVector(basis, amps)

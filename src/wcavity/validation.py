@@ -35,26 +35,6 @@ class CheckResult(NamedTuple):
     cases: int
 
 
-class ValidationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def checks_run(self) -> int:
-        return len(self.checks)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.checks_run - self.passed
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-
 def _random_params(rng) -> ModelParams:
     n = int(rng.integers(1, 5))
     return ModelParams(
@@ -235,12 +215,14 @@ def check_rabi_period() -> CheckResult:
     return _check("rabi-period", errors, 6)
 
 
-def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> ValidationReport:
-    """Run every check on fresh seeded streams; deterministic per seed."""
+def run_validation(seed: int = DEFAULT_SEED,
+                   inject_fault: bool = False) -> tuple[CheckResult, ...]:
+    """Every check's result, each run on a fresh seeded stream;
+    deterministic per seed."""
     # streams 0 and 1 go unused, so that each check keeps the stream, and
     # the draws, that it has always had at a given seed
     streams = np.random.SeedSequence(seed).spawn(7)
-    checks = (
+    return (
         check_unitarity(np.random.default_rng(streams[2])),
         check_composition(np.random.default_rng(streams[3])),
         check_oracle_equivalence(np.random.default_rng(streams[4])),
@@ -248,4 +230,3 @@ def run_validation(seed: int = DEFAULT_SEED, inject_fault: bool = False) -> Vali
         check_sector_route(np.random.default_rng(streams[5]), inject_fault=inject_fault),
         check_rng_stream(np.random.default_rng(streams[6])),
     )
-    return ValidationReport(checks)

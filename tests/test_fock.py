@@ -1,19 +1,8 @@
-import json
-import math
-
 import numpy as np
 import pytest
 
-from wcavity.cli import main
 from wcavity.entanglement import support_basis
-from wcavity.fock import (
-    MAX_DIMENSION,
-    StateVector,
-    atom_population,
-    build_basis,
-    initial_state,
-    state_from_dict,
-)
+from wcavity.fock import MAX_DIMENSION, StateVector, build_basis, initial_state
 
 from codes import digits, e, g
 
@@ -198,92 +187,10 @@ class TestStateVector:
             assert abs(psi.norm() - 1.0) <= 1e-12
 
 
-def state_dict(psi):
-    """The layout that ``simulate --dump-state`` writes, for any state."""
-    basis = psi.basis
-    return {
-        "basis": {"n_modes": basis.n_modes, "n_max": 1, "excitation_cap": basis.excitation_cap},
-        "amplitudes": [[a.real, a.imag] for a in psi.amplitudes.tolist()],
-    }
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        basis = build_basis(3, excitation_cap=1)
-        raw = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        psi = StateVector(basis, raw / np.linalg.norm(raw))
-        back = state_from_dict(state_dict(psi))
-        assert back.basis == psi.basis
-        np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_schema_shape(self, capsys):
-        """The layout as its one writer, ``simulate --dump-state``, writes
-        it: the excited-atom vacuum at t = 0 reads back as itself."""
-        assert main(["simulate", "--n", "2", "--time", "0", "--dump-state"]) == 0
-        data = json.loads(capsys.readouterr().out)["state"]
-        assert data["basis"] == {"n_modes": 2, "n_max": 1, "excitation_cap": 1}
-        assert all(len(pair) == 2 for pair in data["amplitudes"])
-        psi = initial_state(build_basis(2, excitation_cap=1))
-        assert data["amplitudes"][psi.basis.index[e(0, 0)]] == [1.0, 0.0]
-        np.testing.assert_array_equal(state_from_dict(data).amplitudes, psi.amplitudes)
-
-    def test_uncapped_round_trip(self):
-        psi = initial_state(build_basis(2))
-        data = state_dict(psi)
-        assert data["basis"]["excitation_cap"] is None
-        assert state_from_dict(data).basis == psi.basis
-
-    def test_refuses_a_dump_with_two_photons_per_mode(self):
-        """A dump that allows two photons per mode describes a space this
-        package does not model, so it is refused, not read as qubits."""
-        data = state_dict(initial_state(build_basis(2, excitation_cap=1)))
-        data["basis"]["n_max"] = 2
-        with pytest.raises(ValueError, match="n_max must be 1"):
-            state_from_dict(data)
-
-
-def test_atom_population_splits_by_level():
-    basis = build_basis(2, excitation_cap=1)
-    amps = np.zeros(4, complex)
-    amps[basis.index[e(0, 0)]] = math.sqrt(0.25)
-    amps[basis.index[g(1, 0)]] = math.sqrt(0.5)
-    amps[basis.index[g(0, 1)]] = math.sqrt(0.25)
-    psi = StateVector(basis, amps)
-    assert atom_population(psi, 0) == pytest.approx(0.75, abs=1e-12)
-    assert atom_population(psi, 1) == pytest.approx(0.25, abs=1e-12)
-
-
 def test_basis_labels_its_codes():
     assert build_basis(3).label(g(1, 0, 0)) == "|g;100>"
     assert build_basis(3).label(0b0010) == "|g;010>"
     assert build_basis(1).label(e(0)) == "|e;0>"
-
-
-def _atom_population_by_state(psi, level):
-    """The per-state loop that ``atom_population`` replaced."""
-    total = 0.0
-    for code, amp in zip(psi.basis.codes, psi.amplitudes):
-        if digits(code, psi.basis.n_modes)[0] == level:
-            total += abs(amp) ** 2
-    return min(float(total), 1.0)
-
-
-@pytest.mark.parametrize("spec", [(3, None), (2, None), (4, None), (9, 1), (3, 1), (7, None), (1, 1)])
-def test_atom_population_equals_the_per_state_loop(spec):
-    basis = build_basis(*spec)
-    rng = np.random.default_rng(spec[0] * 100 + 1)
-    for _ in range(20):
-        raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        raw[rng.random(basis.dim) < 0.3] = 0.0  # some sparse amplitudes too
-        if not raw.any():
-            raw[0] = 1.0
-        psi = StateVector(basis, raw / np.linalg.norm(raw))
-        for level in (0, 1):
-            # numpy's array modulus and sum may round the last bits differently
-            assert atom_population(psi, level) == pytest.approx(
-                _atom_population_by_state(psi, level), rel=0, abs=2e-15
-            )
 
 
 def test_state_vector_holds_one_state():

@@ -75,12 +75,11 @@ HOMES = {
     "entanglement": ("DensityMatrix", "concurrence", "fidelity", "ghz_state",
                      "pairwise_concurrences", "partial_trace", "success_probability",
                      "w_state"),
-    "fock": ("Basis", "StateVector", "atom_population", "build_basis", "initial_state",
-             "state_from_dict"),
+    "fock": ("Basis", "StateVector", "build_basis", "initial_state"),
     "protocol": ("SweepRow", "coupling_disorder_sweep", "detuning_sweep",
                  "mode_count_sweep", "timing_error_sweep"),
     "sector": ("PropagationError", "optimal_time"),
-    "validation": ("ValidationReport", "measure_rabi_period", "run_validation"),
+    "validation": ("CheckResult", "measure_rabi_period", "run_validation"),
 }
 
 

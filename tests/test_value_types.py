@@ -14,7 +14,6 @@ from wcavity.fock import build_basis
 
 def _instances():
     basis = build_basis(2, excitation_cap=1)
-    check = validation.CheckResult("hermiticity", True, 0.0, 1e-12, 1)
     row = protocol.SweepRow(0.0, 1.0, 1.0, 1.0)
     return {
         "Option": cli.OPTIONS["n"],
@@ -23,8 +22,8 @@ def _instances():
         "ModelParams": ModelParams.resonant(2, 1.0),
         "SweepRow": row,
         "PairRow": cli.PairRow((1, 2), 0.5, 0.0),
-        "CheckResult": check,
-        "ValidationReport": validation.ValidationReport((check,)),
+        "AmplitudeRow": cli.AmplitudeRow(0, 1.0, 0.0),
+        "CheckResult": validation.CheckResult("hermiticity", True, 0.0, 1e-12, 1),
     }
 
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import sector
-from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, build_basis
+from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, _require_same_basis, build_basis
 from .sector import PropagationError
 
 class ModelParams(Value):
@@ -114,9 +114,8 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     with delta_i the mode detunings; at resonance only the exchange term
     survives.  Each mode holds at most one photon, so each exchange
     element is its coupling; a transition that would put a second photon
-    in a mode, or that leaves a capped basis, is dropped.  A basis that
-    holds a state but not its exchange partner, such as
-    ``entanglement.support_basis``, raises ValueError.
+    in a mode is dropped.  A basis that holds a state but not its exchange
+    partner, such as ``entanglement.support_basis``, raises ValueError.
     """
     if params.n_modes != basis.n_modes:
         raise ValueError(
@@ -172,8 +171,7 @@ def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> Stat
     :class:`PropagationError`, as do non-finite amplitudes.  H
     must share psi0's basis, and t must be finite (ValueError).
     """
-    if H.basis is not psi0.basis and H.basis != psi0.basis:
-        raise ValueError("operator and state live on different bases")
+    _require_same_basis(H, psi0)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")

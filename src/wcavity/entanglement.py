@@ -56,7 +56,7 @@ def support_basis(n: int) -> Basis:
     with N + 2 states where the full space has 2 * 2^N."""
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
-    return Basis(n, n, (0, *(1 << i for i in range(n)), (1 << n) - 1))
+    return Basis(n, (0, *(1 << i for i in range(n)), (1 << n) - 1))
 
 
 def _superposition(basis: Basis, codes: tuple[int, ...], why: str) -> StateVector:
@@ -84,13 +84,9 @@ def w_state(basis: Basis) -> StateVector:
 
 def ghz_state(basis: Basis) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on the field, atom in the ground state:
-    the codes 0 and 2^n - 1, n the basis's ``n_modes``."""
-    n = basis.n_modes
-    if basis.excitation_cap is not None and basis.excitation_cap < n:
-        raise ValueError(
-            f"basis excitation cap {basis.excitation_cap} below {n}: cannot hold |1...1>"
-        )
-    return _superposition(basis, (0, (1 << n) - 1), "GHZ component")
+    the codes 0 and 2^n - 1, n the basis's ``n_modes``; ValueError
+    naming |g;1...1> on a basis that lacks it, such as the sector's."""
+    return _superposition(basis, (0, (1 << basis.n_modes) - 1), "GHZ component")
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
@@ -117,8 +113,8 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
 
     The complementary subsystems are summed out in the occupation basis:
     entries of the reduced matrix accumulate products of amplitudes whose
-    discarded configurations coincide.  Basis states absent from a capped
-    basis carry zero amplitude.
+    discarded configurations coincide.  Basis states absent from a
+    partial basis carry zero amplitude.
     """
     basis = psi.basis
     labels = sorted({int(s) for s in keep})

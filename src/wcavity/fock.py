@@ -72,23 +72,24 @@ class Basis(Value):
     attribute maps each code back to its position in ``codes``.  Bases
     are shared between callers, so nothing in one may change.
 
-    A basis may also hold only some states of its space, such as the
-    support of a few target states (``entanglement.support_basis``).
+    A basis may also hold only some states of its space, built by hand
+    as ``Basis(n_modes, codes)``, such as the support of a few target
+    states (``entanglement.support_basis``).
     """
 
     # __dict__ holds the cached_property values, which bypass __setattr__
-    __slots__ = ("n_modes", "excitation_cap", "codes", "index", "__dict__")
+    __slots__ = ("n_modes", "codes", "index", "__dict__")
 
-    def __init__(self, n_modes: int, excitation_cap: int | None, codes: tuple[int, ...]) -> None:
+    def __init__(self, n_modes: int, codes: tuple[int, ...]) -> None:
         index = types.MappingProxyType({code: k for k, code in enumerate(codes)})
-        for name, value in zip(self.__slots__, (n_modes, excitation_cap, codes, index)):
+        for name, value in zip(self.__slots__, (n_modes, codes, index)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return (self.n_modes, self.excitation_cap, self.codes)
+        return (self.n_modes, self.codes)
 
     def __repr__(self):
-        return f"Basis(n_modes={self.n_modes!r}, excitation_cap={self.excitation_cap!r})"
+        return f"Basis(n_modes={self.n_modes!r}, dim={self.dim!r})"
 
     @property
     def dim(self) -> int:
@@ -209,9 +210,8 @@ def _enumerate_basis(n_modes: int, excitation_cap: int | None) -> Basis:
     dim = 2 << min(n_modes, MAX_DIMENSION) if excitation_cap is None else n_modes + 2
     if dim > MAX_DIMENSION:
         raise ValueError(f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}")
-    if excitation_cap is None:
-        return Basis(n_modes, None, tuple(range(dim)))
-    return Basis(n_modes, excitation_cap, (0, *(1 << bit for bit in range(n_modes + 1))))
+    codes = range(dim) if excitation_cap is None else (0, *(1 << i for i in range(n_modes + 1)))
+    return Basis(n_modes, tuple(codes))
 
 
 def initial_state(basis: Basis) -> StateVector:
@@ -224,6 +224,7 @@ def initial_state(basis: Basis) -> StateVector:
     return StateVector(basis, amps)
 
 
-def _require_same_basis(a: StateVector, b: StateVector) -> None:
+def _require_same_basis(a, b) -> None:
+    """ValueError unless two states or operators share their basis."""
     if a.basis is not b.basis and a.basis != b.basis:
-        raise ValueError("state vectors live on different bases")
+        raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different bases")

@@ -104,7 +104,7 @@ class TestTargetStates:
 
     def test_w_requires_single_photon_states(self):
         with pytest.raises(ValueError, match=r"basis too small: missing \|g;10>"):
-            w_state(Basis(2, 0, (0,)))  # the vacuum alone
+            w_state(Basis(2, (0,)))  # the vacuum alone
 
     def test_ghz3(self):
         basis = build_basis(3)
@@ -119,7 +119,8 @@ class TestTargetStates:
         assert psi.amplitude(g(1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_ghz_rejects_low_excitation_cap(self):
-        with pytest.raises(ValueError, match="excitation cap"):
+        # the sector lacks |g;111>
+        with pytest.raises(ValueError, match=r"missing \|g;111> \(GHZ component\)"):
             ghz_state(build_basis(3, excitation_cap=1))
 
 

@@ -59,11 +59,12 @@ def test_value_classes_equal_their_own_class_only():
     assert "couplings=(1.0, 2.0)" in repr(params)
 
     basis = build_basis(2, excitation_cap=1)
-    assert basis == fock.Basis(2, 1, basis.codes)
-    assert hash(basis) == hash(fock.Basis(2, 1, basis.codes))
-    assert basis != (2, 1, basis.codes)
+    assert basis == fock.Basis(2, basis.codes)
+    assert hash(basis) == hash(fock.Basis(2, basis.codes))
+    assert basis != (2, basis.codes)
     assert basis != build_basis(2)
-    assert repr(basis) == "Basis(n_modes=2, excitation_cap=1)"
+    assert basis != fock.Basis(3, basis.codes)
+    assert repr(basis) == "Basis(n_modes=2, dim=4)"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -80,7 +81,10 @@ def test_sweep_row_fields_are_the_csv_columns_and_json_keys(fmt):
             {"x": 0.5, "fidelity_mean": 0.25, "fidelity_min": 0.125, "fidelity_max": 1.0}]
 
 
-def test_command_defaults_are_read_only():
-    assert cli.COMMANDS["simulate"].defaults == {}
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_defaults_are_read_only(command):
+    defaults = cli.COMMANDS[command].defaults
+    before = dict(defaults)
     with pytest.raises(TypeError):
-        cli.COMMANDS["simulate"].defaults["format"] = "csv"
+        defaults["format"] = "csv"
+    assert defaults == before

@@ -39,9 +39,8 @@ ROUNDING_TOL = 1e-12
 #: Seed of the randomized self-checks (``validation.run_validation``).
 DEFAULT_SEED = 20240201
 
-#: Most modes a run may have, a sector of 1024 states.  It bounds the time
-#: and memory of a run, not its rounding: each sum over the modes in this
-#: module is rounded once, by ``math.fsum``, at any N.
+#: Most modes a run may have, a sector of 1024 states: a bound on time and
+#: memory, not on rounding, since each sum over the modes here is rounded once.
 MAX_MODES = 1022
 
 #: Most amplitudes a run may charge for, N + 2 per point it evolves or
@@ -230,6 +229,10 @@ def ghz_support(n: int) -> list[float]:
     return [half] + [0.0] * n + [half]
 
 
+#: 2^1074: every finite double is a whole number of its reciprocal.
+_UNITS_PER_ONE = 2**1074
+
+
 def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
     """Concurrence of every two-mode reduction rho of the pure state with
     the N + 2 support amplitudes ``support`` (the atom in its ground
@@ -242,37 +245,34 @@ def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
     entry of rho (order |n_i n_j> = 00, 01, 10, 11) is read off the
     amplitudes, and rho is scored as an X state (Wootters; Yu and Eberly):
     2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
-    clipped into [0, 1].  Raises ValueError unless every entry off the
-    diagonal and the anti-diagonal is exactly zero, as each (0.0 or a
-    product with a support amplitude) is of an X-shaped support state."""
+    clipped into [0, 1].  Every entry off the diagonal and the anti-diagonal
+    is |g;0> (at N = 2 also |g;1,1>) times one mode's amplitude: unless each
+    is exactly zero, ValueError names the largest.  rho_00 is |g;0>'s weight
+    plus the exact total of the single weights less the pair's, rounded
+    once: the double ``math.fsum`` of the others gives (or OverflowError)."""
     n = len(support) - 2
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
     vac, ones = support[0], support[n + 1]
-    singles = [abs(a) ** 2 for a in support[1:n + 1]]
-    rho_33 = abs(ones) ** 2
+    modes = support[n:0:-1]  # mode k's amplitude at index k - 1
+    weights = [abs(a) ** 2 for a in modes]
+    vac_weight, rho_33 = abs(vac) ** 2, abs(ones) ** 2
+    # rho_01 and rho_02 of every pair, and at N = 2 rho_13 and rho_23
+    off = max([abs(vac * a.conjugate()) for a in modes]
+              + [abs(a * ones.conjugate()) for a in modes if n == 2])
+    if off != 0.0:
+        raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
+    # weights in whole units of 2^-1074: a float total less the pair's would leave
+    # rho_00 a residue of 1e-17, and sqrt(rho_00 rho_33) a concurrence error of 1e-8
+    units = [p << 1075 - q.bit_length() for p, q in (w.as_integer_ratio() for w in weights)]
+    total = sum(units)
     concurrences = {}
     for i in range(1, n):
-        x = support[n + 1 - i]
+        x, rest = modes[i - 1], total - units[i - 1]
         for j in range(i + 1, n + 1):
-            y = support[n + 1 - j]
-            # rho_00 is summed, not subtracted from the total: it multiplies
-            # rho_33 under a square root, which would turn a rounding residue
-            # of 1e-17 into a concurrence error of 1e-8
-            lo, hi = n - j, n - i  # rho_11 and rho_22 are singles[lo], singles[hi]
-            rho_00 = abs(vac) ** 2 + math.fsum(singles[:lo] + singles[lo + 1:hi] + singles[hi + 1:])
-            # rho_01, rho_02, rho_13 and rho_23; |g;1...1> meets |g;1_j> and
-            # |g;1_i> in the last two only at N = 2, where it leaves nothing
-            off = max(abs(vac * y.conjugate()), abs(vac * x.conjugate()),
-                      abs(y * ones.conjugate()) if n == 2 else 0.0,
-                      abs(x * ones.conjugate()) if n == 2 else 0.0)
-            if off != 0.0:
-                raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
-            # the state that leaves what |g;1...1> leaves: |g;0> at N = 2,
-            # |g;1_k> for the third mode k at N = 3, none beyond
-            partner = vac if n == 2 else support[i + j - 2] if n == 3 else 0.0
-            coherent = abs(y * x.conjugate()) - math.sqrt(max(rho_00 * rho_33, 0.0))
-            paired = (abs(partner * ones.conjugate())
-                      - math.sqrt(max(singles[lo] * singles[hi], 0.0)))
+            rho_00 = vac_weight + (rest - units[j - 1]) / _UNITS_PER_ONE
+            partner = vac if n == 2 else modes[5 - i - j] if n == 3 else 0.0
+            coherent = abs(modes[j - 1] * x.conjugate()) - math.sqrt(rho_00 * rho_33)
+            paired = abs(partner * ones.conjugate()) - math.sqrt(weights[j - 1] * weights[i - 1])
             concurrences[i, j] = min(max(2.0 * coherent, 2.0 * paired, 0.0), 1.0)
     return concurrences

@@ -501,10 +501,17 @@ def test_an_empty_environment_leaves_rho_00_exactly_zero():
     assert got[1, 2] == pytest.approx(4 / 9, abs=1e-15)
 
 
-def test_a_reduction_that_is_not_x_shaped_is_refused():
-    """W plus vacuum: <00|rho|01> = a_vac a_j is far from 0."""
-    n = 4
-    amps = [math.sqrt(0.5)] + [math.sqrt(0.5 / n)] * n + [0.0]
+@pytest.mark.parametrize("amps", [
+    # W plus vacuum: <00|rho|01> = a_vac a_j is far from 0
+    [math.sqrt(0.5)] + [math.sqrt(0.5 / 4)] * 4 + [0.0],
+    # at N = 2, 0.6 |g;1_1> + 0.8 |g;1,1>: <01|rho|11> = 0.48
+    [0.0, 0.6, 0.0, 0.8],
+    # 0.6 |g;0> + 0.8 |g;1_N>: X-shaped on the pairs without mode N, not on
+    # the first pair with it
+    [0.6, 0.8, 0.0, 0.0, 0.0, 0.0],
+    [0.6, 0.8] + [0.0] * 9,
+])
+def test_a_reduction_that_is_not_x_shaped_is_refused(amps):
     with pytest.raises(ValueError, match="not an X state"):
         sector.pairwise_concurrences(amps)
 

@@ -1,15 +1,16 @@
 """Command-line interface: simulate, sweep, entanglement, validate.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 bad input (also an
-input outside the size or range rule of its route, kept by the library
-in ``sector`` and, run by the sweep alone, ``protocol.require_grid``), 3
-numerical failure.  Times are in units of 1/epsilon; every evolution runs
-in the interaction frame, on resonance but in the detuning sweep.  This
-module alone writes bytes, all through ``_write``: it holds the schema
-version, the 12-digit number format and the one layout of every
-command's report, ``{"schema_version", "config", <results>}``, whose
-results are scalars (numbers) and tables (lists of NamedTuple rows),
-while the library returns plain values.
+Exit codes: 0 success, 1 validation-suite failure, 2 bad input (a usage
+error too, and an input outside the size or range rule of its route,
+kept by the library in ``sector`` and, run by the sweep alone,
+``protocol.require_grid``), printed as one ``error:`` line, 3 numerical
+failure.  Times are in units of 1/epsilon; every evolution runs in the
+interaction frame, on resonance but in the detuning sweep.  This module
+alone writes bytes, all through ``_write``: it holds the schema version,
+the 12-digit number format and the one layout of every command's report,
+``{"schema_version", "config", <results>}``, whose results are scalars
+(numbers) and tables (lists of NamedTuple rows), while the library
+returns plain values.
 """
 
 from __future__ import annotations
@@ -131,88 +132,77 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser, or the subparser of ``command``; ``parse_args``
-    builds it only for an argv it does not read.  Each option's help ends
-    with the command's default, unless that is None or a bool."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="wcavity",
-        description="Single-atom multi-cavity W-state preparation simulator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
-        cmd = sub.add_parser(name, help=spec.help)
+def _help(name: str | None = None) -> str:
+    """The help text of ``wcavity``, which lists the commands, or of
+    command ``name``, which lists its flags.  Each option's help ends with
+    the command's default, unless that is None or a bool."""
+    if name is None:
+        usage, about = "<command>", "Single-atom multi-cavity W-state preparation simulator."
+        heading, rows = "commands", [(command, spec.help) for command, spec in COMMANDS.items()]
+        rows.append(("<command> --help", "list the flags of a command"))
+    else:
+        spec = COMMANDS[name]
+        usage, about, heading, rows = name, spec.help, "flags", []
         for key, option in OPTIONS.items():
             if key not in spec.options:
                 continue
             default = spec.defaults.get(key, option.default)
-            text = option.help
+            text = option.help + (f": {', '.join(option.choices)}" if option.choices else "")
             if default is not None and not isinstance(default, bool):
                 text = f"{text} (default {default})"
-            if option.parse is _parse_bool:
-                cmd.add_argument(_flag(key), action="store_true", default=None, help=text)
-            else:
-                # the choices are checked by _require_valid, in the same
-                # words for a flag and a config-file value on every Python
-                metavar = option.choices and "{" + ",".join(option.choices) + "}"
-                cmd.add_argument(_flag(key), type=option.parse, metavar=metavar,
-                                 default=None, help=text)
-        cmd.add_argument("--config", default=None,
-                         help="flat key=value config file; flags override")
-    sub.choices["validate"].add_argument("--inject-fault", action="store_true",
-                                         default=False, help=argparse.SUPPRESS)
-    return parser if command is None else sub.choices[command]
+            value = "" if option.parse is _parse_bool else " " + key.upper()
+            rows.append((_flag(key) + value, text))
+        rows += [("--config CONFIG", "flat key=value config file; flags override"),
+                 ("-h, --help", "show this help and exit")]
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([f"usage: wcavity {usage} [--flag value ...]", "", about, "", f"{heading}:",
+                      *(f"  {left:{width}}  {text}" for left, text in rows)]) + "\n"
 
 
 def parse_args(argv=None):
-    """``build_parser().parse_args(argv)``, argv ``sys.argv[1:]`` by default.
-    An argv ``<command> (--flag value | --flag=value | --bool-flag)*`` of
-    exact flags, whose values ``Option.parse`` reads and no separate one
-    starts with ``-`` but ``-``, is read from ``OPTIONS`` and ``COMMANDS``;
-    argparse reads any other, and words every usage error and help text.
-    The value of ``--flag=value`` is read as given, ``--`` too, on every
-    Python: argparse before 3.13 reads ``--flag=--`` as an empty list,
-    which is read here as ``--`` again."""
+    """The namespace of typed values that ``argv`` (``sys.argv[1:]`` by
+    default) gives, or the help text that ``-h`` or ``--help`` in a flag
+    position asks for.  ``argv`` is ``<command> (--flag value |
+    --flag=value | --bool-flag)*`` with the command's exact flags, each
+    value read by its ``Option.parse``; the last of a repeated flag counts.
+    ``--flag=value`` is read as given, and a separate value is the next
+    token unless it starts with ``--``.  Any other argv raises ValueError
+    naming the token, and a value ``parse`` refuses as ``--n: <reason>``."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        flags = {_flag(k): (k, OPTIONS[k].parse) for k in OPTIONS if k in command.options}
-        flags["--config"] = ("config", str)
-        values = {key: None for key, _ in flags.values()} | {"command": argv[0]}
-        if argv[0] == "validate":
-            flags["--inject-fault"] = ("inject_fault", _parse_bool)
-            values["inject_fault"] = False
-        tokens = iter(argv[1:])
-        for token in tokens:
-            flag, eq, value = token.partition("=")
-            key, parse = flags.get(flag, (None, None))
-            if key is None or (eq and parse is _parse_bool):
-                break
-            if parse is _parse_bool:  # a bare flag
-                values[key] = True
-                continue
-            if not eq:
-                value = next(tokens, None)
-                if value is None or (value.startswith("-") and value != "-"):
-                    break
-            try:
-                values[key] = parse(value)
-            except ValueError:
-                break
-        else:
-            return types.SimpleNamespace(**values)
-    args = build_parser().parse_args(argv)
-    for key, value in vars(args).items():
-        if value == []:  # --<key>=--, before 3.13
-            parse = OPTIONS[key].parse if key in OPTIONS else str
-            try:
-                setattr(args, key, parse("--"))
-            except ValueError:
-                build_parser(args.command).error(
-                    f"argument {_flag(key)}: invalid {parse.__name__} value: '--'")
-    return args
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help()
+    if not argv or argv[0] not in COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValueError(f"{given}: expected one of {', '.join(COMMANDS)}")
+    name, command = argv[0], COMMANDS[argv[0]]
+    flags = {_flag(k): (k, OPTIONS[k].parse) for k in OPTIONS if k in command.options}
+    flags["--config"] = ("config", str)
+    values = {key: None for key, _ in flags.values()} | {"command": name}
+    if name == "validate":
+        flags["--inject-fault"] = ("inject_fault", _parse_bool)
+        values["inject_fault"] = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(name)
+        flag, eq, value = token.partition("=")
+        key, parse = flags.get(flag, (None, None))
+        if key is None:
+            raise ValueError(f"{name} reads no flag {flag!r}")
+        if parse is _parse_bool:  # a bare flag
+            if eq:
+                raise ValueError(f"{flag}: takes no value, got {value!r}")
+            values[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag}: expected a value")
+        try:
+            values[key] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return types.SimpleNamespace(**values)
 
 
 def _load_config_file(path: str) -> dict:
@@ -520,9 +510,9 @@ def cmd_validate(config: dict, inject_fault: bool) -> int:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors with code 2
-        return int(exc.code or 0)
-    try:
+        if isinstance(args, str):  # the help text
+            _write([("-", [args])])
+            return 0
         config = resolve_config(args)
         if args.command == "simulate":
             return cmd_simulate(config)

@@ -245,14 +245,18 @@ def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
     entry of rho (order |n_i n_j> = 00, 01, 10, 11) is read off the
     amplitudes, and rho is scored as an X state (Wootters; Yu and Eberly):
     2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
-    clipped into [0, 1].  Every entry off the diagonal and the anti-diagonal
-    is |g;0> (at N = 2 also |g;1,1>) times one mode's amplitude: unless each
-    is exactly zero, ValueError names the largest.  rho_00 is |g;0>'s weight
+    clipped into [0, 1].  A non-finite amplitude raises ValueError.  Every
+    entry off the diagonal and the anti-diagonal is |g;0> (at N = 2 also
+    |g;1,1>) times one mode's amplitude: unless each is exactly zero,
+    ValueError names the largest.  rho_00 is |g;0>'s weight
     plus the exact total of the single weights less the pair's, rounded
     once: the double ``math.fsum`` of the others gives (or OverflowError)."""
     n = len(support) - 2
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
+    for a in support:
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise ValueError(f"support amplitude {a!r} is not finite")
     vac, ones = support[0], support[n + 1]
     modes = support[n:0:-1]  # mode k's amplitude at index k - 1
     weights = [abs(a) ** 2 for a in modes]

@@ -84,6 +84,7 @@ COMMANDS = [
     *((["sweep", *args], {}) for args in (
         ["--out", "-"], ["--n", "1", "--out", "-"], ["--n", "7", "--epsilon", "0.5", "--out", "-"],
         ["--n", "3", "--grid=-0.3,0,0.1,0.25", "--out", "-"],
+        ["--n", "3", "--grid", "-0.1,0", "--out", "-"],
         ["--n", "3", "--format", "json", "--out", "-"],
         ["--n", "200", "--grid", "0,0.01", "--out", "-"],
         ["--n", "3", "--out", "{tmp}/t.csv"], ["--n", "3", "--out", "{tmp}/t.out"],
@@ -120,9 +121,12 @@ COMMANDS = [
     (["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/cfg.csv"], {"sweep.cfg": SWEEP_CFG}),
     (["sweep", "--config", "{tmp}/sweep.cfg", "--grid", "2", "--out", "-"], {"sweep.cfg": SWEEP_CFG}),
     (["sweep", "--config", "{tmp}/chunks.cfg", "--out", "-"], {"chunks.cfg": CHUNKS_CFG}),
+    # help
+    (["--help"], {}),
+    (["simulate", "--help"], {}),
     # refusals: bad input, the size rule and the range rule
     *((argv, {}) for argv in (
-        [], ["simulate", "--nmax", "2"], ["simulate", "--n", "0"], ["simulate", "--epsilon", "-1"],
+        [], ["simulate", "--nmax", "2"], ["simulate", "--eps", "2"], ["simulate", "--n", "0"], ["simulate", "--epsilon", "-1"],
         ["simulate", "--epsilon", "nan"], ["simulate", "--time", "inf"], ["sweep"],
         ["sweep", "--parameter", "bogus", "--out", "-"], ["sweep", "--grid", "a,b", "--out", "-"],
         ["sweep", "--grid", "nan", "--out", "-"], ["sweep", "--grid", ",", "--out", "-"],

@@ -19,12 +19,14 @@ ENTRIES = corpus.load()
 #: Corpus commands run as ``python -m wcavity`` in a fresh process, through
 #: ``__main__`` and the exit of ``cli.run``, which the in-process run skips:
 #: a simulate, an entanglement, a sweep with an --out file and its sidecar,
-#: and a refusal (exit 2).
+#: a refusal and a usage error (exit 2), and a help text.
 FRESH_SAMPLE = [
     ["simulate", "--n", "3", "--dump-state"],
     ["entanglement", "--n", "4", "--format", "csv"],
     ["sweep", "--n", "3", "--parameter", "detuning", "--out", "{tmp}/d.csv"],
     ["sweep", "--n", "1023", "--grid", "0", "--out", "-"],
+    ["simulate", "--eps", "2"],
+    ["simulate", "--help"],
 ]
 
 

@@ -178,14 +178,13 @@ def test_cli_alone_holds_the_output_rules():
     assert not [node for node in row.body if isinstance(node, ast.FunctionDef)]
 
 
-def test_runtime_imports_argparse_only_to_build_the_parser():
-    """``cli.parse_args`` reads a well-formed command line from the option
-    tables; argparse, which words every usage error and help text, is
-    imported by ``build_parser`` alone."""
-    found = [(module, func) for module in RUNTIME
-             for name, func in imported_modules((SRC / f"{module}.py").read_text())
-             if name == "argparse"]
-    assert found == [("cli", "build_parser")]
+def test_no_module_imports_argparse():
+    """``cli.parse_args`` alone reads the command line, from the option
+    tables: no module of the package imports argparse, in a function body
+    or at the top level."""
+    found = [(path.stem, func) for path in sorted(SRC.glob("*.py"))
+             for name, func in imported_modules(path.read_text()) if name == "argparse"]
+    assert found == []
 
 
 @pytest.mark.parametrize("source, expected", [

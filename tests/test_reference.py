@@ -92,7 +92,7 @@ def corpus_sweeps(tmp_path):
             key = parameter, n, epsilon, grid, trials, seed = tuple(
                 config.get(k) for k in ("parameter", "n", "epsilon", "grid", "trials", "seed"))
             protocol.require_grid(parameter, grid, n, epsilon, trials or 1, seed or 0)
-        except (ValueError, SystemExit):  # refused by the CLI or by the sweep
+        except ValueError:  # refused by the CLI or by the sweep
             continue
         configs[key] = None
     return list(configs)

@@ -4,6 +4,7 @@ pairwise concurrences against ``concurrence`` of ``partial_trace``."""
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -523,6 +524,21 @@ def test_an_off_x_entry_of_any_size_is_refused():
     and is refused."""
     amps = [2e-20] + [0.5] * 4 + [0.0]
     with pytest.raises(ValueError, match=r"not an X state: off-X entry 1\.000e-20"):
+        sector.pairwise_concurrences(amps)
+
+
+@pytest.mark.parametrize("amps, bad", [
+    # inf and NaN on |g;1...1> once scored 1.0 and nan on every pair
+    ([0.0, 0.5, 0.5, 0.5, math.inf], "inf"),
+    ([0.0, 0.5, 0.5, 0.5, math.nan], "nan"),
+    # a non-finite vacuum or mode amplitude, real or complex; a finite
+    # amplitude whose modulus overflows is not one of them
+    ([math.nan, 0.5, 0.5, 0.5, 0.0], "nan"),
+    ([0.0, 0.5, -math.inf, 0.5, 0.0], "-inf"),
+    ([0.0, complex(0.5, math.nan), 0.5, 0.5, complex(1e308, 1e308)], "(0.5+nanj)"),
+])
+def test_a_non_finite_amplitude_is_refused(amps, bad):
+    with pytest.raises(ValueError, match=re.escape(f"support amplitude {bad} is not finite")):
         sector.pairwise_concurrences(amps)
 
 

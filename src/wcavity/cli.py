@@ -183,9 +183,11 @@ def parse_args(argv=None):
         values["inject_fault"] = False
     tokens = iter(argv[1:])
     for token in tokens:
-        if token in ("-h", "--help"):
-            return _help(name)
         flag, eq, value = token.partition("=")
+        if flag in ("-h", "--help"):
+            if eq:
+                raise ValueError(f"--help: takes no value, got {value!r}")
+            return _help(name)
         key, parse = flags.get(flag, (None, None))
         if key is None:
             raise ValueError(f"{name} reads no flag {flag!r}")
@@ -410,8 +412,8 @@ def _emit(config: dict, results: dict) -> None:
 
 class AmplitudeRow(NamedTuple):
     """One amplitude of ``simulate --dump-state``: its index in the order
-    ``fock.build_basis(N, excitation_cap=1)`` enumerates the N + 2 sector
-    states, and its real and imaginary parts."""
+    ``fock.build_basis(N)`` enumerates the N + 2 sector states, and its
+    real and imaginary parts."""
 
     amplitude_index: int
     re: float

@@ -141,8 +141,8 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
 def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
     for any positive couplings: the ``sector.closed_form`` pair of their
-    ``sector.bright_mode``, spread by ``sector.amplitudes`` onto the sector
-    ``build_basis(N, excitation_cap=1)``, whose order is the sector's.
+    ``sector.bright_mode``, spread by ``sector.amplitudes`` onto
+    ``build_basis(N)``, whose order is the sector's.
 
     With Omega = sqrt(sum_i eps_i^2) the excited amplitude is cos(Omega t)
     and mode i carries -i (eps_i / Omega) sin(Omega t): only the coupling-
@@ -153,7 +153,7 @@ def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
         raise ValueError("detuned parameters: use propagate_numeric")
     mode = sector.bright_mode(params.couplings)
     amps = sector.amplitudes(mode, sector.closed_form(mode, t))
-    return StateVector(build_basis(params.n_modes, excitation_cap=1), amps)
+    return StateVector(build_basis(params.n_modes), amps)
 
 
 # The benchmark's traced run (perfbench/spans.py) still looks this name up.

@@ -9,8 +9,10 @@ photon numbers of modes 1..N::
     code = atom * 2^N + sum_i n_i * 2^(N - i)
 
 so |g;0...0> is 0, |g;1_i> is 2^(N - i) and |e;0...0> is 2^N.  A basis
-lists its codes in ascending order: the whole space is 0 .. 2 * 2^N - 1,
-and the one-excitation sector is 0, 1, 2, 4, ..., 2^N.
+lists its codes in ascending order.  The package builds one space, the
+one-excitation sector 0, 1, 2, 4, ..., 2^N (:func:`build_basis`); any
+other set of codes, such as the whole qubit space 0 .. 2 * 2^N - 1, is a
+``Basis`` built by hand.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .sector import ROUNDING_TOL
 
-#: Largest basis dimension accepted (the full space at N = 10): one dense
-#: complex matrix on it takes 64 MiB.
+#: Largest basis dimension that ``build_basis`` accepts (the sector at
+#: N = 2046): one dense complex matrix on it takes 64 MiB.
 MAX_DIMENSION = 2048
 
 
@@ -68,13 +70,14 @@ class Basis(Value):
     """Ordered basis of the atom + N-qubit-mode space: the ascending tuple
     ``codes`` of its states (the module docstring gives the code rule).
 
-    Use :func:`build_basis` to construct one; the read-only ``index``
-    attribute maps each code back to its position in ``codes``.  Bases
-    are shared between callers, so nothing in one may change.
+    :func:`build_basis` constructs the one-excitation sector; the
+    read-only ``index`` attribute maps each code back to its position in
+    ``codes``.  Bases are shared between callers, so nothing in one may
+    change.
 
-    A basis may also hold only some states of its space, built by hand
-    as ``Basis(n_modes, codes)``, such as the support of a few target
-    states (``entanglement.support_basis``).
+    Any other set of states is built by hand as ``Basis(n_modes, codes)``,
+    such as the support of a few target states
+    (``entanglement.support_basis``).
     """
 
     # __dict__ holds the cached_property values, which bypass __setattr__
@@ -177,41 +180,26 @@ def require_unit_rows(amplitudes: np.ndarray) -> None:
         raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
 
 
-def build_basis(n_modes: int, excitation_cap: int | None = None) -> Basis:
-    """The basis of one of the two spaces the package uses, its codes
-    ascending.
+def build_basis(n_modes: int) -> Basis:
+    """The basis of the one-excitation sector of N modes (the atomic
+    excitation counts), its N + 2 codes ascending: 0, 1, 2, 4, ..., 2^N.
 
-    Parameters
-    ----------
-    n_modes : int
-        Number of modes, >= 1.
-    excitation_cap : None or 1
-        ``None`` gives the whole qubit space, of dimension 2 * 2^N;
-        ``1`` gives the one-excitation sector (the atomic excitation
-        counts), of dimension N + 2.  Any other cap is refused.
-
+    ``n_modes`` must be an integer >= 1, checked before the cache is
+    consulted, so a float that equals an int is refused like any other.
     A dimension above ``MAX_DIMENSION`` raises ValueError before any code
-    is built.  Bases are memoized per (n_modes, excitation_cap): a
-    repeated call returns the same read-only object.  The arguments are
-    checked before the cache is consulted, so a float that equals an int
-    is refused like any other.
+    is built.  Bases are memoized per N: a repeated call returns the same
+    read-only object.
     """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    if excitation_cap is not None and (not isinstance(excitation_cap, int) or excitation_cap != 1):
-        raise ValueError("excitation_cap must be None (the qubit space) or the integer 1 "
-                         f"(the one-excitation sector), got {excitation_cap!r}")
-    return _enumerate_basis(n_modes, excitation_cap)
+    return _enumerate_basis(n_modes)
 
 
 @functools.lru_cache(maxsize=32)
-def _enumerate_basis(n_modes: int, excitation_cap: int | None) -> Basis:
-    # past MAX_DIMENSION modes 2 << N is over the limit anyway: min builds no huge int
-    dim = 2 << min(n_modes, MAX_DIMENSION) if excitation_cap is None else n_modes + 2
-    if dim > MAX_DIMENSION:
+def _enumerate_basis(n_modes: int) -> Basis:
+    if n_modes + 2 > MAX_DIMENSION:
         raise ValueError(f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}")
-    codes = range(dim) if excitation_cap is None else (0, *(1 << i for i in range(n_modes + 1)))
-    return Basis(n_modes, tuple(codes))
+    return Basis(n_modes, (0, *(1 << i for i in range(n_modes + 1))))
 
 
 def initial_state(basis: Basis) -> StateVector:

@@ -10,12 +10,12 @@ delta (the Morris-Shore reduction; Morris and Shore, Phys. Rev. A 27, 906
 two; the exact 2x2 exponential gives it at any time in O(1) work, and
 ``amplitudes`` spreads it onto the N + 2 states where they are output.
 
-Sector order, that of ``fock.build_basis(N, excitation_cap=1)``: the
-ascending codes of the ``fock`` module docstring, so index 0 is |g;0>
-(code 0), index j (1 <= j <= N) is |g; one photon in mode N + 1 - j>
-(code 2^(j - 1)), and index N + 1 is |e;0> (code 2^N).  The W and GHZ
-support (``entanglement.support_basis``) has the same order, with
-|g;1...1> (code 2^N - 1) at index N + 1.
+Sector order, that of ``fock.build_basis(N)``: the ascending codes of
+the ``fock`` module docstring, so index 0 is |g;0> (code 0), index j
+(1 <= j <= N) is |g; one photon in mode N + 1 - j> (code 2^(j - 1)),
+and index N + 1 is |e;0> (code 2^N).  The W and GHZ support
+(``entanglement.support_basis``) has the same order, with |g;1...1>
+(code 2^N - 1) at index N + 1.
 
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
 for annotations and one record), so that a process running ``simulate``,

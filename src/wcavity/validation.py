@@ -3,9 +3,10 @@
 Each check measures a defect on randomized inputs, evaluating each draw
 through one operator and one state as it draws it, and compares the
 largest defect to ``sector.ROUNDING_TOL`` (``rng-stream`` counts the
-draws that differ, and admits none).  The dense numpy routes check each
-other and ``sector``'s closed form and propagator, the routes
-``simulate`` and the sweeps run; ``rabi-period`` times the Rabi period,
+draws that differ, and admits none).  The dense numpy routes, on the
+N + 2 state sector that ``fock.build_basis`` builds, check each other
+and ``sector``'s closed form and propagator, the routes ``simulate``
+and the sweeps run; ``rabi-period`` times the Rabi period,
 four times t*, on ``sector.evolve``; numpy's generator checks
 ``normals``, the disorder sweep's stream.  ``inject_fault`` runs
 ``sector.evolve`` backwards in the sector-route check, the sign error a
@@ -96,7 +97,7 @@ def check_composition(rng) -> CheckResult:
 def _sector_gap(params: ModelParams, t: float, mode: sector.BrightMode, pair) -> float:
     """The amplitude gap between the N + 2 amplitudes that ``pair`` of
     ``mode``, at time t, stands for and the dense sector propagator."""
-    basis = build_basis(params.n_modes, excitation_cap=1)
+    basis = build_basis(params.n_modes)
     dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
     amps = sector.amplitudes(mode, pair)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))

@@ -182,6 +182,8 @@ COMMANDS = [
      {"run.cfg": "grid = a,b\n"}),
     (["sweep", "--parameter", "detuning", "--config", "{tmp}/run.cfg", "--out", "-"],
      {"run.cfg": "trials = 5\n"}),
+    # the help flag given a value
+    (["simulate", "--help=1"], {}),
     # the self-checks, on numpy
     (["validate"], {}, "numpy"),
     (["validate", "--seed", "7"], {}, "numpy"),

@@ -23,9 +23,11 @@ from wcavity.entanglement import (
     success_probability,
     w_state,
 )
-from wcavity.fock import StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, initial_state
 from wcavity.protocol import coupling_disorder_sweep, optimal_time, timing_error_sweep
 from wcavity.validation import measure_rabi_period
+
+from qubit_space import qubit_basis
 
 
 def verdict(number: int, ok: bool, description: str, detail: str) -> None:
@@ -132,7 +134,7 @@ def test_criterion_5_conservation_unitarity_suite():
             tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
             tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
         )
-        basis = build_basis(n)
+        basis = qubit_basis(n)
         H = build_hamiltonian(params, basis)
         herm = max(herm, float(np.max(np.abs(H.matrix - H.matrix.conj().T))))
         N = np.diag(basis.levels.sum(axis=1))
@@ -161,7 +163,7 @@ def test_criterion_6_robustness_claim_quantitative():
     worst_w = 0.0
     worst_ghz = 0.0
     for n in range(3, 9):
-        basis = build_basis(n)
+        basis = qubit_basis(n)
         w = w_state(basis)
         ghz = ghz_state(basis)
         for i, j in itertools.combinations(range(1, n + 1), 2):

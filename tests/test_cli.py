@@ -2,7 +2,6 @@ import contextlib
 import csv
 import errno
 import gc
-import inspect
 import io
 import json
 import math
@@ -33,6 +32,8 @@ from wcavity.entanglement import fidelity, success_probability, w_state
 from wcavity.fock import StateVector, build_basis, initial_state
 from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, ROUNDING_TOL
+
+from qubit_space import qubit_basis
 
 # the sweep parameters, in the order of cli.SWEEP_UNREAD
 PARAMETERS = list(cli.SWEEP_UNREAD)
@@ -78,7 +79,7 @@ class TestSimulate:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dumped_amplitudes_are_the_dense_sector_state(self, n, capsys):
         """The ``amplitudes`` rows of ``--dump-state``, indexed 0..N+1 in the
-        order of ``build_basis(N, excitation_cap=1)``, are the state there:
+        order of ``build_basis(N)``, are the state there:
         the dense sector propagator matches them within ``ROUNDING_TOL``,
         and at time 0 they are |e; 0>, the last state of that order.  Each
         part is rounded to 12 digits, within 5e-12 of its size, so their
@@ -86,7 +87,7 @@ class TestSimulate:
         (0.9999999999989159 at N = 5 here): the state is rebuilt from the
         rows divided by their norm."""
         rng = random.Random(n)
-        basis = build_basis(n, excitation_cap=1)
+        basis = build_basis(n)
         for time in [0.0] + [rng.uniform(-6.0, 6.0) for _ in range(4)]:
             eps = rng.uniform(0.25, 4.0)
             rows = run_json(capsys, "simulate", "--n", str(n), "--epsilon", repr(eps),
@@ -122,7 +123,7 @@ class TestSimulate:
 
 def dense_route(n, epsilon, t):
     """The simulate evolution on the whole truncated space 2 * 2^N."""
-    basis = build_basis(n)
+    basis = qubit_basis(n)
     params = ModelParams.resonant(n, epsilon)
     return propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
 
@@ -154,7 +155,7 @@ def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
     assert report["fidelity_W"] == pytest.approx(float(np.sum(np.abs(ground) ** 2)), abs=1e-12)
     assert report["closed_vs_numeric_gap"] <= 1e-9
     if dump:
-        sector = build_basis(n, excitation_cap=1)
+        sector = build_basis(n)
         amps = np.array([complex(row["re"], row["im"]) for row in report["amplitudes"]])
         assert len(amps) == sector.dim == n + 2
         # the dense route's amplitudes at the sector states, which hold all its norm
@@ -1137,10 +1138,7 @@ def basis_builds(monkeypatch):
     for name, real in (("build_basis", fock.build_basis),
                        ("support_basis", entanglement.support_basis)):
         def recording(*args, _name=name, _real=real, **kwargs):
-            bound = inspect.signature(_real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            uncapped = bound.arguments.get("excitation_cap", 0) is None
-            calls.append(f"{_name} uncapped" if uncapped else _name)
+            calls.append(_name)
             return _real(*args, **kwargs)
 
         for module in [m for k, m in sys.modules.items() if k.startswith("wcavity.")]:
@@ -1681,6 +1679,9 @@ REFUSED = [
     (["simulate", "--dump-state=true", "--out", "o.json"],
      "--dump-state: takes no value, got 'true'"),
     (["validate", "--inject-fault=", "--out", "o.json"], "--inject-fault: takes no value, got ''"),
+    (["simulate", "--help=1"], "--help: takes no value, got '1'"),
+    (["simulate", "-h=1"], "--help: takes no value, got '1'"),
+    (["sweep", "--out", "o.csv", "--help="], "--help: takes no value, got ''"),
     # a value its parse refuses: the flag, then the parse's reason
     (["simulate", "--n", "x"], "--n: invalid literal for int() with base 10: 'x'"),
     (["simulate", "--n=3=4"], "--n: invalid literal for int() with base 10: '3=4'"),

@@ -43,10 +43,11 @@ def test_corpus_records_every_command():
     assert recorded == [[argv, inputs] for argv, inputs, *_ in corpus.COMMANDS]
 
 
-def test_no_refusal_is_worded_by_argparse_choices():
-    # argparse quotes its choices list on some interpreters and not on
-    # others; the CLI checks choices itself, in one wording everywhere
-    assert not [e["argv"] for e in ENTRIES if "invalid choice" in e["stderr"]]
+def test_every_stderr_line_is_an_error_or_a_numerical_failure():
+    # a refusal is one "error:" line and a route that fails at run time one
+    # "numerical failure:" line: no traceback, warning or usage text
+    assert not [(e["argv"], line) for e in ENTRIES for line in e["stderr"].splitlines()
+                if not line.startswith(("error: ", "numerical failure: "))]
 
 
 def run_fresh(argv, inputs) -> dict:

@@ -21,6 +21,7 @@ from wcavity.dynamics import (
 from wcavity.fock import StateVector, build_basis, initial_state
 
 from codes import digits, e, g
+from qubit_space import qubit_basis
 
 
 def random_params(rng, n_modes=None):
@@ -96,14 +97,14 @@ class TestModelParams:
 class TestBuildHamiltonian:
     def test_single_mode_interaction_matrix(self):
         # hand evaluation on the basis (|g;0>, |g;1>, |e;0>)
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         H = build_hamiltonian(ModelParams.resonant(1, 0.8), basis).matrix
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.8
         np.testing.assert_array_equal(H, expected)
 
     def test_three_mode_excited_row(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         H = build_hamiltonian(ModelParams.resonant(3, 1.3), basis).matrix
         row = basis.index[e(0, 0, 0)]
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
@@ -112,7 +113,7 @@ class TestBuildHamiltonian:
         assert H[row, row] == 0.0
 
     def test_diagonal_holds_the_mode_detunings(self):
-        basis = build_basis(2)
+        basis = qubit_basis(2)
         H = build_hamiltonian(ModelParams((0.7, -0.25), (0.5, 0.5)), basis).matrix
         assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
         assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
@@ -121,7 +122,7 @@ class TestBuildHamiltonian:
 
     def test_truncation_drops_out_of_range_transitions(self):
         # |e;1> would couple to |g;2>, which a qubit mode cannot hold
-        basis = build_basis(1)
+        basis = qubit_basis(1)
         H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis).matrix
         row = basis.index[e(1)]
         off_diag = np.delete(H[row], row)
@@ -131,14 +132,14 @@ class TestBuildHamiltonian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3, excitation_cap=1))
+            build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3))
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
         for cap in [None, 1]:
             for _ in range(15):
                 params = random_params(rng, n_modes=int(rng.integers(1, 6 if cap else 5)))
-                basis = build_basis(params.n_modes, excitation_cap=cap)
+                basis = build_basis(params.n_modes) if cap else qubit_basis(params.n_modes)
                 H = build_hamiltonian(params, basis).matrix
                 np.testing.assert_array_equal(H, reference_hamiltonian(params, basis))
 
@@ -146,14 +147,14 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(42)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes)
+            basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis).matrix
             assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
 class TestExcitationOperator:
     def test_diagonal_eigenvalues(self):
-        basis = build_basis(3)
+        basis = qubit_basis(3)
         N = np.diag(basis.levels.sum(axis=1))
         assert N[basis.index[e(0, 0, 0)], basis.index[e(0, 0, 0)]] == 1.0
         assert N[basis.index[g(1, 1, 0)], basis.index[g(1, 1, 0)]] == 2.0
@@ -163,7 +164,7 @@ class TestExcitationOperator:
         rng = np.random.default_rng(1234)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes)
+            basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis).matrix
             N = np.diag(basis.levels.sum(axis=1))
             comm = H @ N - N @ H
@@ -202,7 +203,7 @@ class TestClosedForm:
         params = ModelParams((0.0,) * 3, (0.7, 1.3, 2.2))
         for t in (0.0, 0.37, -4.1, 250.0):
             psi = evolve_closed_form(params, t)
-            assert psi.basis == build_basis(3, excitation_cap=1)
+            assert psi.basis == build_basis(3)
             mode = sector.bright_mode(params.couplings)
             closed = np.array(sector.amplitudes(mode, sector.closed_form(mode, t)))
             assert psi.amplitudes.tobytes() == closed.tobytes()
@@ -276,7 +277,7 @@ class TestClosedFormAmplitudes:
 
 class TestPropagateNumeric:
     def test_time_zero_identity(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         psi0 = initial_state(basis)
         out = propagate_numeric(H, psi0, 0.0)
@@ -310,7 +311,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(99)
         for _ in range(10):
             params = random_params(rng)
-            basis = build_basis(params.n_modes)
+            basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-5.0, 5.0))
@@ -322,7 +323,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes)
+            basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-20.0, 20.0))
@@ -332,7 +333,7 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(555)
         for _ in range(50):
             params = random_params(rng)
-            basis = build_basis(params.n_modes)
+            basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis)
             psi = random_state(rng, basis)
             t1 = float(rng.uniform(-5.0, 5.0))
@@ -354,7 +355,7 @@ class TestPropagateNumeric:
             omega_modes = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             params = ModelParams(tuple(w - omega_a for w in omega_modes), couplings)
-            basis = build_basis(n)
+            basis = qubit_basis(n)
             lab = HermitianOperator(
                 basis, reference_hamiltonian(params, basis, lab=(omega_a, omega_modes))
             )
@@ -371,7 +372,7 @@ class TestPropagateNumeric:
         for n in range(1, 7):
             eps = float(rng.uniform(0.2, 4.0))
             params = ModelParams.resonant(n, eps)
-            basis = build_basis(n, excitation_cap=1)
+            basis = build_basis(n)
             H = build_hamiltonian(params, basis)
             psi0 = initial_state(basis)
             excited = basis.index[e(*([0] * n))]
@@ -384,31 +385,31 @@ class TestPropagateNumeric:
                 assert p_shift == pytest.approx(p_t, abs=1e-10)
 
     def test_rejects_basis_mismatch(self):
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(2, excitation_cap=1))
+        H = build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(2))
         with pytest.raises(ValueError, match="different bases"):
-            propagate_numeric(H, initial_state(build_basis(3, excitation_cap=1)), 1.0)
+            propagate_numeric(H, initial_state(build_basis(3)), 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
     def test_rejects_nonfinite_time(self, t):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
         with pytest.raises(ValueError, match="finite"):
             propagate_numeric(H, initial_state(basis), t)
 
     def test_takes_one_time(self):
-        basis = build_basis(2)
+        basis = qubit_basis(2)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         with pytest.raises(TypeError):
             propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
 
     def test_overflow_raises_propagation_error(self):
-        basis = build_basis(1)
+        basis = qubit_basis(1)
         H = build_hamiltonian(ModelParams((1e308,), (1.0,)), basis)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_numeric(H, initial_state(basis), 1e10)
 
     def test_norm_drift_guard(self, monkeypatch):
-        basis = build_basis(2, excitation_cap=1)
+        basis = build_basis(2)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         psi = initial_state(basis)
         real_eigh = np.linalg.eigh
@@ -422,7 +423,7 @@ class TestPropagateNumeric:
             propagate_numeric(H, psi, 0.5)
 
     def test_drift_that_grows_with_time_raises(self, monkeypatch):
-        basis = build_basis(2, excitation_cap=1)
+        basis = build_basis(2)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         real_eigh = np.linalg.eigh
 
@@ -440,7 +441,7 @@ class TestPropagateNumeric:
             propagate_numeric(H, psi, 2.0)
 
     def test_diagonalizes_once_per_operator(self, eigh_calls):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         psi0 = initial_state(basis)
         for t in np.linspace(0.0, 2.0, 50).tolist():
@@ -464,7 +465,7 @@ def test_propagate_numeric_matches_scipy_expm(basis_spec, seed, times):
     n, cap = basis_spec
     rng = np.random.default_rng(seed)
     params = random_params(rng, n_modes=n)
-    basis = build_basis(n, excitation_cap=cap)
+    basis = build_basis(n) if cap else qubit_basis(n)
     H = build_hamiltonian(params, basis)
     psi = random_state(rng, basis)
     for t in times:
@@ -485,7 +486,7 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     excitation <= 1 sector equals its evolution on the whole qubit space
     of dimension 2 * 2^N, where every other amplitude stays 0."""
     params = ModelParams((detuning,) * n, (epsilon,) * n)
-    sector, full = build_basis(n, excitation_cap=1), build_basis(n)
+    sector, full = build_basis(n), qubit_basis(n)
     assert full.dim == 2 * 2**n
     small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
     dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
@@ -508,7 +509,7 @@ def test_a_drift_above_the_rounding_tolerance_raises(route, drift, monkeypatch):
         def run():
             return list(sector.evolve(mode, ((0.5 * math.pi, 0.0),)))
     else:
-        basis = build_basis(2, excitation_cap=1)
+        basis = build_basis(2)
         H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
         real_eigh = np.linalg.eigh
 
@@ -529,19 +530,19 @@ def test_a_drift_above_the_rounding_tolerance_raises(route, drift, monkeypatch):
 
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator(basis, mat)
 
     def test_rejects_wrong_shape(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         with pytest.raises(ValueError):
             HermitianOperator(basis, np.eye(2))
 
     def test_constructor_copies(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[1, 2] = mat[2, 1] = 0.5
         H = HermitianOperator(basis, mat)
@@ -550,7 +551,7 @@ class TestHermitianOperator:
         assert H.matrix[1, 2] == 0.5 and H.defect == 0.0
 
     def test_keeps_its_defect(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1], mat[1, 0] = 0.5, 0.5 + 4e-13
         H = HermitianOperator(basis, mat)
@@ -559,13 +560,13 @@ class TestHermitianOperator:
         assert build_hamiltonian(ModelParams.resonant(1, 1.0), basis).defect == 0.0
 
     def test_refuses_a_stack(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         with pytest.raises(ValueError, match=r"shape \(2, 3, 3\) does not match"):
             HermitianOperator(basis, np.zeros((2, 3, 3)))
 
     @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.inf)])
     def test_rejects_a_non_finite_entry(self, entry):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[1, 1] = entry
         with pytest.raises(ValueError, match="operator entries must be finite"):
@@ -574,7 +575,7 @@ class TestHermitianOperator:
     def test_accepts_a_transposed_view(self):
         """A view whose last axis is not contiguous is checked and copied
         like any other matrix."""
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1], mat[1, 0] = 0.5j, -0.5j
         view = mat.T
@@ -587,7 +588,7 @@ class TestHermitianOperator:
         """The constructor checks the assembled matrix before it copies it,
         so the assembled matrix, its copy and the Hermiticity gap are never
         all alive: at dim 512 the peak stays within 2.6 matrices."""
-        basis = build_basis(8)
+        basis = qubit_basis(8)
         assert basis.dim == 512
         basis.levels, basis.exchange_pairs  # built and cached before the trace
         params = ModelParams.resonant(8, 1.0)
@@ -614,7 +615,7 @@ class TestEachResultIsACheckedCopy:
         return calls
 
     def test_build_hamiltonian_owns_a_read_only_matrix(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         assert not H.matrix.flags.writeable
         assert not np.shares_memory(H.matrix, basis.levels)
@@ -631,7 +632,7 @@ class TestEachResultIsACheckedCopy:
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_its_row_once(self, row_checks):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         psi0 = initial_state(basis)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         row_checks.clear()

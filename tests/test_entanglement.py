@@ -21,6 +21,7 @@ from wcavity.entanglement import (
 from wcavity.fock import Basis, StateVector, build_basis, initial_state
 
 from codes import e, g
+from qubit_space import qubit_basis
 
 
 def oracle_partial_trace(psi, keep):
@@ -81,7 +82,7 @@ PSI_PLUS[1] = PSI_PLUS[2] = 1.0 / math.sqrt(2.0)
 
 class TestTargetStates:
     def test_w3_amplitudes(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         psi = w_state(basis)
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
             assert psi.amplitude(s) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
@@ -89,16 +90,16 @@ class TestTargetStates:
         assert psi.amplitude(g(0, 0, 0)) == 0.0
 
     def test_w1_is_single_photon(self):
-        psi = w_state(build_basis(1, excitation_cap=1))
+        psi = w_state(build_basis(1))
         assert psi.amplitude(g(1)) == 1.0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_w_norm(self, n):
-        assert w_state(build_basis(n, excitation_cap=1)).norm() == pytest.approx(1.0, abs=1e-14)
+        assert w_state(build_basis(n)).norm() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", (2, 5))
     def test_w_reads_the_mode_count_from_the_basis(self, n):
-        psi = w_state(build_basis(n))
+        psi = w_state(qubit_basis(n))
         assert psi.basis.n_modes == n
         assert np.count_nonzero(psi.amplitudes) == n
 
@@ -107,32 +108,32 @@ class TestTargetStates:
             w_state(Basis(2, (0,)))  # the vacuum alone
 
     def test_ghz3(self):
-        basis = build_basis(3)
+        basis = qubit_basis(3)
         psi = ghz_state(basis)
         assert psi.amplitude(g(0, 0, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.amplitude(g(1, 1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_ghz2_is_bell_pair(self):
-        psi = ghz_state(build_basis(2))
+        psi = ghz_state(qubit_basis(2))
         assert psi.amplitude(g(0, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.amplitude(g(1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_ghz_rejects_low_excitation_cap(self):
         # the sector lacks |g;111>
         with pytest.raises(ValueError, match=r"missing \|g;111> \(GHZ component\)"):
-            ghz_state(build_basis(3, excitation_cap=1))
+            ghz_state(build_basis(3))
 
 
 class TestFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(12)
-        basis = build_basis(3)
+        basis = qubit_basis(3)
         psi = random_state(rng, basis)
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        basis = build_basis(2, excitation_cap=1)
+        basis = build_basis(2)
         a = np.zeros(4, complex)
         a[basis.index[e(0, 0)]] = 1.0
         b = np.zeros(4, complex)
@@ -140,7 +141,7 @@ class TestFidelity:
         assert fidelity(StateVector(basis, a), StateVector(basis, b)) == 0.0
 
     def test_w3_against_two_mode_superposition(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         amps = np.zeros(5, complex)
         for s in (g(1, 0, 0), g(0, 1, 0)):
             amps[basis.index[s]] = 1.0 / math.sqrt(2.0)
@@ -149,8 +150,8 @@ class TestFidelity:
 
     def test_basis_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(initial_state(build_basis(2, excitation_cap=1)),
-                     initial_state(build_basis(3, excitation_cap=1)))
+            fidelity(initial_state(build_basis(2)),
+                     initial_state(build_basis(3)))
 
 
 class TestSuccessProbability:
@@ -161,7 +162,7 @@ class TestSuccessProbability:
         assert success_probability(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_for_initial_state(self):
-        assert success_probability(initial_state(build_basis(3, excitation_cap=1))) == 0.0
+        assert success_probability(initial_state(build_basis(3))) == 0.0
 
     def test_half_at_half_rotation(self):
         eps = 1.0
@@ -177,14 +178,14 @@ class TestSuccessProbability:
 
 class TestPartialTrace:
     def test_product_state_single_mode(self):
-        basis = build_basis(2)
+        basis = qubit_basis(2)
         amps = np.zeros(8, complex)
         amps[basis.index[g(1, 0)]] = 1.0
         rho = partial_trace(StateVector(basis, amps), {1})
         np.testing.assert_allclose(rho.matrix, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_w3_pair_reduction(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         rho = partial_trace(w_state(basis), {1, 2})
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0 / 3.0
@@ -195,7 +196,7 @@ class TestPartialTrace:
         )
 
     def test_ghz3_pair_reduction_is_separable_mixture(self):
-        basis = build_basis(3)
+        basis = qubit_basis(3)
         psi = ghz_state(basis)
         rho = partial_trace(psi, {1, 2})
         expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -206,7 +207,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(20)
         for _ in range(15):
             n = int(rng.integers(2, 5))
-            basis = build_basis(n)
+            basis = qubit_basis(n)
             psi = random_state(rng, basis)
             size = int(rng.integers(1, min(n + 1, 3) + 1))
             keep = set(map(int, rng.choice(n + 1, size=size, replace=False)))
@@ -225,7 +226,7 @@ class TestPartialTrace:
         data=st.data(),
     )
     def test_matches_oracle_on_full_and_capped_bases(self, n, cap, zero_share, seed, data):
-        basis = build_basis(n, excitation_cap=cap)
+        basis = build_basis(n) if cap else qubit_basis(n)
         keep = data.draw(st.sets(st.integers(0, n), min_size=1), label="keep")
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
@@ -240,7 +241,7 @@ class TestPartialTrace:
     def test_w100_sector_pair_discards_99_subsystems(self):
         # atom plus 98 modes are traced out: more discarded qubits than an
         # int64 group key can hold
-        basis = build_basis(100, excitation_cap=1)
+        basis = build_basis(100)
         rho = partial_trace(w_state(basis), {17, 83})
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 0.98
@@ -258,7 +259,7 @@ class TestPartialTrace:
 
     def test_product_cut_gives_pure_reduction(self):
         rng = np.random.default_rng(33)
-        basis = build_basis(2)
+        basis = qubit_basis(2)
         for _ in range(10):
             a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -274,11 +275,11 @@ class TestPartialTrace:
 
     def test_rejects_empty_keep(self):
         with pytest.raises(ValueError, match="empty"):
-            partial_trace(w_state(build_basis(2, excitation_cap=1)), set())
+            partial_trace(w_state(build_basis(2)), set())
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="indices"):
-            partial_trace(w_state(build_basis(2, excitation_cap=1)), {3})
+            partial_trace(w_state(build_basis(2)), {3})
 
 
 class TestConcurrence:
@@ -295,31 +296,31 @@ class TestConcurrence:
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_w3_reduced_pair(self):
-        rho = partial_trace(w_state(build_basis(3, excitation_cap=1)), {1, 2})
+        rho = partial_trace(w_state(build_basis(3)), {1, 2})
         assert concurrence(rho) == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert oracle_concurrence(rho.matrix) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_ghz3_reduced_pair(self):
-        rho = partial_trace(ghz_state(build_basis(3)), {1, 2})
+        rho = partial_trace(ghz_state(qubit_basis(3)), {1, 2})
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_w_pairs_carry_two_over_n(self, n):
-        basis = build_basis(n)
+        basis = qubit_basis(n)
         psi = w_state(basis)
         for pair, value in pairwise_concurrences(psi).items():
             assert value == pytest.approx(2.0 / n, abs=1e-9), pair
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_ghz_pairs_carry_nothing(self, n):
-        basis = build_basis(n)
+        basis = qubit_basis(n)
         psi = ghz_state(basis)
         for pair, value in pairwise_concurrences(psi).items():
             assert value == pytest.approx(0.0, abs=1e-12), pair
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(404)
-        rho = partial_trace(w_state(build_basis(4, excitation_cap=1)), {2, 3})
+        rho = partial_trace(w_state(build_basis(4)), {2, 3})
         base = concurrence(rho)
         for _ in range(10):
             u = np.kron(random_unitary(rng), random_unitary(rng))
@@ -342,10 +343,10 @@ class TestConcurrence:
             assert concurrence(rho) == pytest.approx(oracle_concurrence(mat), abs=5e-8)
 
     def test_single_mode_has_no_pairs(self):
-        assert pairwise_concurrences(w_state(build_basis(1, excitation_cap=1))) == {}
+        assert pairwise_concurrences(w_state(build_basis(1))) == {}
 
     def test_rejects_wrong_dimension(self):
-        rho = partial_trace(w_state(build_basis(3, excitation_cap=1)), {1})
+        rho = partial_trace(w_state(build_basis(3)), {1})
         with pytest.raises(ValueError, match="two-qubit"):
             concurrence(rho)
 
@@ -374,7 +375,7 @@ class TestSupportBasis:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_holds_the_w_and_ghz_support_in_full_basis_order(self, n):
         basis = support_basis(n)
-        full = build_basis(n)
+        full = qubit_basis(n)
         assert basis.dim == n + 2
         positions = [full.index[code] for code in basis.codes]
         assert positions == sorted(positions)
@@ -386,7 +387,7 @@ class TestSupportBasis:
     def test_concurrences_equal_the_full_basis_ones_bit_for_bit(self, n):
         for make in (w_state, ghz_state):
             assert pairwise_concurrences(make(support_basis(n))) == pairwise_concurrences(
-                make(build_basis(n))
+                make(qubit_basis(n))
             )
 
     def test_reaches_beyond_the_full_space_limit(self):

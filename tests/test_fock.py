@@ -5,57 +5,43 @@ from wcavity.entanglement import support_basis
 from wcavity.fock import MAX_DIMENSION, StateVector, build_basis, initial_state
 
 from codes import digits, e, g
+from qubit_space import qubit_basis
 
 
 class TestBuildBasis:
     def test_single_mode_single_excitation(self):
-        basis = build_basis(n_modes=1, excitation_cap=1)
+        basis = build_basis(n_modes=1)
         assert basis.codes == (g(0), g(1), e(0)) == (0, 1, 2)
 
     def test_three_modes_single_excitation(self):
-        basis = build_basis(n_modes=3, excitation_cap=1)
+        basis = build_basis(n_modes=3)
         assert basis.dim == 5
         assert basis.codes == (g(0, 0, 0), g(0, 0, 1), g(0, 1, 0), g(1, 0, 0), e(0, 0, 0))
 
-    def test_two_modes_uncapped(self):
-        basis = build_basis(n_modes=2)
-        assert basis.dim == 8  # 2 atom levels x 2^2 occupations
-
-    @pytest.mark.parametrize("cap", [None, 1])
     @pytest.mark.parametrize("n_modes", range(1, 8))
-    def test_codes_are_the_ascending_codes_within_the_cap(self, n_modes, cap):
-        """A basis is the ascending codes of its space, 0 .. 2 * 2^N - 1,
-        with at most ``cap`` set bits."""
-        assert build_basis(n_modes, cap).codes == tuple(
-            code for code in range(2 * 2**n_modes)
-            if cap is None or bin(code).count("1") <= cap
+    def test_codes_are_the_ascending_codes_of_at_most_one_excitation(self, n_modes):
+        """The sector is the ascending codes of the qubit space,
+        0 .. 2 * 2^N - 1, with at most one set bit."""
+        assert build_basis(n_modes).codes == tuple(
+            code for code in range(2 * 2**n_modes) if bin(code).count("1") <= 1
         )
-
-    @pytest.mark.parametrize("cap", [0, 2, 3])
-    @pytest.mark.parametrize("n_modes", range(1, 8))
-    def test_refuses_a_cap_other_than_the_two_spaces(self, n_modes, cap):
-        """Only the qubit space (no cap) and the one-excitation sector
-        (cap 1) are built; any other cap is refused, naming both."""
-        with pytest.raises(ValueError, match=r"None \(the qubit space\) or the integer 1 "
-                                             r"\(the one-excitation sector\), got " + str(cap)):
-            build_basis(n_modes, cap)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_single_excitation_dimension(self, n):
-        assert build_basis(n, excitation_cap=1).dim == n + 2
+        assert build_basis(n).dim == n + 2
 
     def test_index_round_trip(self):
         for basis in (
-            build_basis(3, excitation_cap=1),
-            build_basis(2),
-            build_basis(5),
-            build_basis(40, excitation_cap=1),
+            build_basis(3),
+            qubit_basis(2),
+            qubit_basis(5),
+            build_basis(40),
         ):
             for k, code in enumerate(basis.codes):
                 assert basis.index[code] == k
 
     def test_cap_filters_total_excitation(self):
-        basis = build_basis(4, excitation_cap=1)
+        basis = build_basis(4)
         assert all(sum(digits(code, 4)) <= 1 for code in basis.codes)
         # brute-force count over the full product space
         expected = sum(
@@ -67,56 +53,55 @@ class TestBuildBasis:
         assert basis.dim == expected
 
     def test_deterministic_ordering(self):
-        assert build_basis(4, excitation_cap=1).codes == build_basis(4, excitation_cap=1).codes
+        assert build_basis(4).codes == build_basis(4).codes
 
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
-            build_basis(0, excitation_cap=1)
+            build_basis(0)
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(11)  # 2^12 > 2048
-        with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(2047, excitation_cap=1)  # 2047 + 2 > 2048
+            build_basis(2047)  # 2047 + 2 > 2048
 
     def test_has_no_photon_number_truncation(self):
-        """Every mode is a qubit: there is no n_max to pass, and no alias
-        of it is taken in silence."""
+        """Every mode is a qubit and the sector is the one space built:
+        there is no n_max or excitation cap to pass, and no alias of
+        either is taken in silence."""
         with pytest.raises(TypeError):
             build_basis(3, n_max=1)
         with pytest.raises(TypeError):
-            build_basis(3, 1, 1)
+            build_basis(3, excitation_cap=1)
+        with pytest.raises(TypeError):
+            build_basis(3, 1)
 
     def test_memoized_per_arguments(self):
         basis = build_basis(3)
-        assert build_basis(3, excitation_cap=None) is basis
-        assert build_basis(3, excitation_cap=1) is not basis
+        assert build_basis(3) is basis
+        assert build_basis(4) is not basis
         with pytest.raises(TypeError):  # shared between callers, so read-only
             basis.index[basis.codes[0]] = 1
 
-    @pytest.mark.parametrize("args", [(3.0,), (3.0, 1), (3, 1.0), (3, -1)])
-    def test_checks_arguments_before_the_cache(self, args):
+    @pytest.mark.parametrize("n_modes", [3.0, -1, "3"])
+    def test_checks_arguments_before_the_cache(self, n_modes):
         build_basis(3)
-        build_basis(3, excitation_cap=1)
         with pytest.raises(ValueError, match="integer"):
-            build_basis(*args)
+            build_basis(n_modes)
 
     def test_dimension_limit_is_inclusive(self):
-        assert build_basis(10).dim == MAX_DIMENSION == 2048
-        assert build_basis(2046, excitation_cap=1).dim == MAX_DIMENSION
+        assert build_basis(2046).dim == MAX_DIMENSION == 2048
         with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(11)
+            build_basis(2047)
 
     def test_large_mode_count_with_cap(self):
-        basis = build_basis(2000, excitation_cap=1)
+        basis = build_basis(2000)
         assert basis.dim == 2002
 
     @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, None), (5, 1), (6, None), (7, 1)])
     def test_levels_and_exchange_pairs_equal_a_per_state_loop(self, spec):
         """The rows of ``levels`` are the digits of the codes, and the
         exchange pairs are |g, n> -> |e, n - 1_i>, found state by state."""
-        basis = build_basis(*spec)
-        n = basis.n_modes
+        n, cap = spec
+        basis = build_basis(n) if cap else qubit_basis(n)
         levels = basis.levels
         assert levels.shape == (basis.dim, n + 1)
         assert levels.tolist() == [digits(code, n) for code in basis.codes]
@@ -137,18 +122,18 @@ class TestBuildBasis:
 
 class TestStateVector:
     def test_initial_state_three_modes(self):
-        basis = build_basis(3, excitation_cap=1)
+        basis = build_basis(3)
         psi = initial_state(basis)
         assert psi.amplitude(e(0, 0, 0)) == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
 
     def test_initial_state_one_mode(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         psi = initial_state(basis)
         assert psi.amplitude(e(0)) == 1.0
 
     def test_initial_state_is_normalized(self):
-        psi = initial_state(build_basis(4, excitation_cap=1))
+        psi = initial_state(build_basis(4))
         assert psi.norm() == pytest.approx(1.0, abs=1e-15)
 
     def test_initial_state_requires_excited_atom(self):
@@ -156,22 +141,22 @@ class TestStateVector:
             initial_state(support_basis(2))  # the field states only
 
     def test_rejects_unnormalized(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         with pytest.raises(ValueError, match="norm"):
             StateVector(basis, [0.5, 0.0, 0.0])
 
     def test_rejects_wrong_length(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         with pytest.raises(ValueError):
             StateVector(basis, [1.0, 0.0])
 
     def test_immutable(self):
-        psi = initial_state(build_basis(1, excitation_cap=1))
+        psi = initial_state(build_basis(1))
         with pytest.raises((ValueError, AttributeError)):
             psi.amplitudes[0] = 0.0
 
     def test_constructor_copies(self):
-        basis = build_basis(1, excitation_cap=1)
+        basis = build_basis(1)
         amps = np.array([0.0, 1.0, 0.0], dtype=complex)
         psi = StateVector(basis, amps)
         assert amps.flags.writeable and not psi.amplitudes.flags.writeable
@@ -180,7 +165,7 @@ class TestStateVector:
 
     def test_randomized_constructor_norm_invariant(self):
         rng = np.random.default_rng(7)
-        basis = build_basis(3)
+        basis = qubit_basis(3)
         for _ in range(25):
             raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             psi = StateVector(basis, raw / np.linalg.norm(raw))
@@ -188,12 +173,12 @@ class TestStateVector:
 
 
 def test_basis_labels_its_codes():
-    assert build_basis(3).label(g(1, 0, 0)) == "|g;100>"
+    assert qubit_basis(3).label(g(1, 0, 0)) == "|g;100>"
     assert build_basis(3).label(0b0010) == "|g;010>"
     assert build_basis(1).label(e(0)) == "|e;0>"
 
 
 def test_state_vector_holds_one_state():
-    basis = build_basis(2, excitation_cap=1)
+    basis = build_basis(2)
     with pytest.raises(ValueError, match=r"shape \(3, 4\), basis has dimension 4"):
         StateVector(basis, np.eye(basis.dim, dtype=complex)[:3])

@@ -401,7 +401,7 @@ grid_st = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)
 def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
-    basis = build_basis(n, excitation_cap=1)
+    basis = build_basis(n)
     params = ModelParams((detuning,) * n, (epsilon,) * n)
     psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
     return fidelity(psi, w_state(basis))

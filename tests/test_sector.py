@@ -38,7 +38,7 @@ def dense_operator(couplings, detuning):
     every mode at ``detuning``."""
     n = len(couplings)
     params = ModelParams((detuning,) * n, tuple(couplings))
-    return build_hamiltonian(params, build_basis(n, excitation_cap=1))
+    return build_hamiltonian(params, build_basis(n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -46,7 +46,7 @@ def test_sector_index_is_the_code_of_the_capped_basis_and_the_support(n):
     """Sector index 0 is code 0 (|g;0>), index j is code 2^(j - 1), |g; one
     photon in mode N + 1 - j>, and index N + 1 is code 2^N (|e;0>); the
     support has |g;1...1>, code 2^N - 1, at index N + 1."""
-    codes = build_basis(n, excitation_cap=1).codes
+    codes = build_basis(n).codes
     assert codes == (0, *(2 ** (j - 1) for j in range(1, n + 1)), 2**n)
     if n >= 2:
         assert support_basis(n).codes == (*codes[:n + 1], 2**n - 1)
@@ -217,7 +217,7 @@ def test_w_fidelity_matches_numpy_fidelity(couplings, t):
     n = len(couplings)
     mode = sector.bright_mode(couplings)
     (pair,) = sector.evolve(mode, ((t, 0.0),))
-    basis = build_basis(n, excitation_cap=1)
+    basis = build_basis(n)
     want = fidelity(w_state(basis), StateVector(basis, sector.amplitudes(mode, pair)))
     assert sector.w_fidelity(pair, mode) == pytest.approx(want, abs=1e-14)
 

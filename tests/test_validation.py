@@ -61,6 +61,30 @@ def test_rabi_period_evolves_only_on_the_sector_route(eigh_calls, monkeypatch):
     assert all(detuning == 0.0 for p in points for _, detuning in p)
 
 
+def test_validation_builds_only_the_sector(monkeypatch, eigh_calls):
+    """Every basis that ``run_validation`` builds, and every operator it
+    assembles and diagonalizes, is on the N + 2 state sector, N <= 6."""
+    built, assembled = [], []
+    real_basis, real_build = validation.build_basis, validation.build_hamiltonian
+
+    def recording_basis(n_modes):
+        basis = real_basis(n_modes)
+        built.append((n_modes, basis.dim))
+        return basis
+
+    def recording_build(params, basis):
+        assembled.append((basis.n_modes, basis.dim))
+        return real_build(params, basis)
+
+    monkeypatch.setattr(validation, "build_basis", recording_basis)
+    monkeypatch.setattr(validation, "build_hamiltonian", recording_build)
+    assert all(check.passed for check in run_validation())
+    assert len(built) == len(assembled) == 50 + 50 + 100 + 24
+    for n, dim in built + assembled:
+        assert dim == n + 2 <= 8
+    assert set(eigh_calls) <= {(dim, dim) for _, dim in assembled}
+
+
 def test_composition_diagonalizes_once_per_draw(eigh_calls):
     check_composition(np.random.default_rng(0))
     assert len(eigh_calls) == 50 and all(len(shape) == 2 for shape in eigh_calls)
@@ -260,18 +284,17 @@ def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
 # The lines of the checks that survived the move from stacked to per-draw
 # evaluation, as stacked evaluation printed them, and the rabi-period line
 # of the sector-route measurement; at seed 123, the closed-form-vs-numeric
-# and sector-vs-dense lines as sector's fsum norm rounds them.  Seed 7 and
-# --inject-fault are pinned in tests/data/corpus.json.
+# and sector-vs-dense lines as sector's fsum norm rounds them.  The two
+# propagator checks, which moved from the qubit space to the sector, and
+# seed 7 and --inject-fault are pinned in tests/data/corpus.json.
 STACKED_LINES = {
     "default": [
-        "PASS propagator-composition: measured=2.140e-15 tolerance=1e-12 cases=50",
         "PASS closed-form-vs-numeric: measured=6.943e-15 tolerance=1e-12 cases=100",
         "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
         "PASS sector-vs-dense: measured=6.492e-15 tolerance=1e-12 cases=24",
         "PASS rng-stream: measured=0.000e+00 tolerance=0 cases=2048",
     ],
     "123": [
-        "PASS propagator-composition: measured=2.880e-15 tolerance=1e-12 cases=50",
         "PASS closed-form-vs-numeric: measured=5.276e-15 tolerance=1e-12 cases=100",
         "PASS rabi-period: measured=2.448e-16 tolerance=1e-12 cases=6",
         "PASS sector-vs-dense: measured=2.982e-15 tolerance=1e-12 cases=24",
@@ -285,7 +308,7 @@ def test_validate_prints_what_stacked_evaluation_printed(seed, capsys):
     args = ["validate"] if seed == "default" else ["validate", "--seed", seed]
     assert main(args) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:6] == STACKED_LINES[seed]
+    assert lines[2:6] == STACKED_LINES[seed]
 
 
 def test_sector_check_passes_on_the_sector_route():

@@ -11,9 +11,11 @@ from wcavity import cli, fock, protocol, validation
 from wcavity.dynamics import ModelParams
 from wcavity.fock import build_basis
 
+from qubit_space import qubit_basis
+
 
 def _instances():
-    basis = build_basis(2, excitation_cap=1)
+    basis = build_basis(2)
     row = protocol.SweepRow(0.0, 1.0, 1.0, 1.0)
     return {
         "Option": cli.OPTIONS["n"],
@@ -58,11 +60,11 @@ def test_value_classes_equal_their_own_class_only():
     assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
     assert "couplings=(1.0, 2.0)" in repr(params)
 
-    basis = build_basis(2, excitation_cap=1)
+    basis = build_basis(2)
     assert basis == fock.Basis(2, basis.codes)
     assert hash(basis) == hash(fock.Basis(2, basis.codes))
     assert basis != (2, basis.codes)
-    assert basis != build_basis(2)
+    assert basis != qubit_basis(2)
     assert basis != fock.Basis(3, basis.codes)
     assert repr(basis) == "Basis(n_modes=2, dim=4)"
 

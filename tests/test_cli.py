@@ -1682,6 +1682,10 @@ REFUSED = [
     (["simulate", "--help=1"], "--help: takes no value, got '1'"),
     (["simulate", "-h=1"], "--help: takes no value, got '1'"),
     (["sweep", "--out", "o.csv", "--help="], "--help: takes no value, got ''"),
+    (["entanglement", "--help=1"], "--help: takes no value, got '1'"),
+    (["entanglement", "-h=1"], "--help: takes no value, got '1'"),
+    (["validate", "--help=true"], "--help: takes no value, got 'true'"),
+    (["validate", "-h=", "--out", "o.json"], "--help: takes no value, got ''"),
     # a value its parse refuses: the flag, then the parse's reason
     (["simulate", "--n", "x"], "--n: invalid literal for int() with base 10: 'x'"),
     (["simulate", "--n=3=4"], "--n: invalid literal for int() with base 10: '3=4'"),

@@ -81,7 +81,7 @@ class TestBuildBasis:
         with pytest.raises(TypeError):  # shared between callers, so read-only
             basis.index[basis.codes[0]] = 1
 
-    @pytest.mark.parametrize("n_modes", [3.0, -1, "3"])
+    @pytest.mark.parametrize("n_modes", [3.0, -1, "3", 0, None])
     def test_checks_arguments_before_the_cache(self, n_modes):
         build_basis(3)
         with pytest.raises(ValueError, match="integer"):

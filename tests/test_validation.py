@@ -85,6 +85,30 @@ def test_validation_builds_only_the_sector(monkeypatch, eigh_calls):
     assert set(eigh_calls) <= {(dim, dim) for _, dim in assembled}
 
 
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed, monkeypatch):
+    """At each seed the six checks run in their order on N + 2 state
+    bases and pass, and ``inject_fault`` fails ``sector-vs-dense`` alone."""
+    extra = []
+    real_basis = validation.build_basis
+
+    def recording_basis(n_modes):
+        basis = real_basis(n_modes)
+        extra.append(basis.dim - n_modes)
+        return basis
+
+    monkeypatch.setattr(validation, "build_basis", recording_basis)
+    clean = run_validation(seed=seed)
+    faulty = run_validation(seed=seed, inject_fault=True)
+    assert [c.name for c in clean] == [c.name for c in faulty] == [
+        "propagator-unitarity", "propagator-composition", "closed-form-vs-numeric",
+        "rabi-period", "sector-vs-dense", "rng-stream",
+    ]
+    assert all(c.passed for c in clean)
+    assert [c.name for c in faulty if not c.passed] == ["sector-vs-dense"]
+    assert extra and set(extra) == {2}
+
+
 def test_composition_diagonalizes_once_per_draw(eigh_calls):
     check_composition(np.random.default_rng(0))
     assert len(eigh_calls) == 50 and all(len(shape) == 2 for shape in eigh_calls)

@@ -159,6 +159,14 @@ def _help(name: str | None = None) -> str:
                       *(f"  {left:{width}}  {text}" for left, text in rows)]) + "\n"
 
 
+def _asks_help(token: str) -> bool:
+    """Whether ``token`` is ``-h`` or ``--help``; ValueError for ``--help=1``."""
+    flag, eq, value = token.partition("=")
+    if eq and flag in ("-h", "--help"):
+        raise ValueError(f"--help: takes no value, got {value!r}")
+    return flag in ("-h", "--help")
+
+
 def parse_args(argv=None):
     """The namespace of typed values that ``argv`` (``sys.argv[1:]`` by
     default) gives, or the help text that ``-h`` or ``--help`` in a flag
@@ -169,7 +177,7 @@ def parse_args(argv=None):
     token unless it starts with ``--``.  Any other argv raises ValueError
     naming the token, and a value ``parse`` refuses as ``--n: <reason>``."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] in (["-h"], ["--help"]):
+    if argv and _asks_help(argv[0]):
         return _help()
     if not argv or argv[0] not in COMMANDS:
         given = f"unknown command {argv[0]!r}" if argv else "no command"
@@ -183,11 +191,9 @@ def parse_args(argv=None):
         values["inject_fault"] = False
     tokens = iter(argv[1:])
     for token in tokens:
-        flag, eq, value = token.partition("=")
-        if flag in ("-h", "--help"):
-            if eq:
-                raise ValueError(f"--help: takes no value, got {value!r}")
+        if _asks_help(token):
             return _help(name)
+        flag, eq, value = token.partition("=")
         key, parse = flags.get(flag, (None, None))
         if key is None:
             raise ValueError(f"{name} reads no flag {flag!r}")

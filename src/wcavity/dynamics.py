@@ -112,29 +112,34 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
         H = sum_i delta_i * n_i + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
 
     with delta_i the mode detunings; at resonance only the exchange term
-    survives.  Each mode holds at most one photon, so each exchange
-    element is its coupling; a transition that would put a second photon
+    survives.  One pass over the codes reads each state's photons off its
+    bits in mode order: each photon adds its mode's detuning to the
+    diagonal, which so rounds as the sum in mode order, and, with the atom
+    in its ground state, puts its mode's coupling between the state and
+    its partner |e, n - 1_i>.  A transition that would put a second photon
     in a mode is dropped.  A basis that holds a state but not its exchange
     partner, such as ``entanglement.support_basis``, raises ValueError.
     """
     if params.n_modes != basis.n_modes:
-        raise ValueError(
-            f"params describe {params.n_modes} modes but basis has {basis.n_modes}"
-        )
-    occupations = basis.levels[:, 1:]
-    # one mode at a time, so that each entry rounds like sum_i delta_i n_i
-    # taken in mode order
-    diagonal = np.zeros(basis.dim)
-    for i, detuning in enumerate(params.detunings):
-        diagonal = diagonal + detuning * occupations[:, i]
+        raise ValueError(f"params describe {params.n_modes} modes but basis has {basis.n_modes}")
+    n, top = basis.n_modes, 1 << basis.n_modes
+    modes = list(zip(params.detunings, params.couplings))
     matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.fill_diagonal(matrix, diagonal)
-
-    # exchange term: <e, n - 1_i| a_i s_+ |g, n> = 1
-    ground, excited, mode = basis.exchange_pairs
-    elements = np.array(params.couplings)[mode]
-    matrix[excited, ground] = elements
-    matrix[ground, excited] = elements
+    for k, code in enumerate(basis.codes):
+        energy, photons = 0.0, code & (top - 1)
+        while photons:
+            bit = 1 << photons.bit_length() - 1  # the first mode that holds a photon
+            photons ^= bit
+            detuning, coupling = modes[n - bit.bit_length()]
+            energy += detuning
+            if not code & top:
+                # exchange term: <e, n - 1_i| a_i s_+ |g, n> = 1
+                partner = basis.index.get(code ^ top ^ bit)
+                if partner is None:
+                    raise ValueError(f"basis lacks {basis.label(code ^ top ^ bit)}, "
+                                     "the exchange partner of a state it holds")
+                matrix[k, partner] = matrix[partner, k] = coupling
+        matrix[k, k] = energy
     return HermitianOperator(basis, matrix)
 
 

@@ -127,14 +127,19 @@ def partial_trace(psi: StateVector, keep) -> DensityMatrix:
     # subsystems share configuration g, at their kept index; then
     # rho[r, c] = sum_g M[g, r] M[g, c]^*.  Zero amplitudes add nothing,
     # and W and GHZ states occupy only a few basis states.  Subsystem s is
-    # bit N - s of a code, so a configuration g is the code with the kept
-    # bits cleared, an exact int at any N; groups are numbered ascending.
+    # bit N - s of a code: its kept bits give its kept index, the first
+    # label most significant, and a configuration g is the code with the
+    # kept bits cleared, exact ints at any N; groups are numbered ascending.
     occupied = np.flatnonzero(psi.amplitudes)
-    kept_index = basis.levels[occupied][:, labels] @ (1 << np.arange(len(labels) - 1, -1, -1))
-    kept_mask = sum(1 << basis.n_modes - s for s in labels)
-    keys = [basis.codes[k] & ~kept_mask for k in occupied.tolist()]
+    bits = [1 << basis.n_modes - s for s in labels]
+    kept_mask = sum(bits)
+    place = {sum(itertools.compress(bits, kept)): r
+             for r, kept in enumerate(itertools.product((0, 1), repeat=len(bits)))}
+    codes = [basis.codes[k] for k in occupied.tolist()]
+    keys = [code & ~kept_mask for code in codes]
     group = {key: g for g, key in enumerate(sorted(set(keys)))}
     M = np.zeros((len(group), 2 ** len(labels)), dtype=complex)
+    kept_index = [place[code & kept_mask] for code in codes]
     M[[group[key] for key in keys], kept_index] = psi.amplitudes[occupied]
     return DensityMatrix(labels, M.T @ M.conj())
 

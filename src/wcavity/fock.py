@@ -9,24 +9,20 @@ photon numbers of modes 1..N::
     code = atom * 2^N + sum_i n_i * 2^(N - i)
 
 so |g;0...0> is 0, |g;1_i> is 2^(N - i) and |e;0...0> is 2^N.  A basis
-lists its codes in ascending order.  The package builds one space, the
-one-excitation sector 0, 1, 2, 4, ..., 2^N (:func:`build_basis`); any
-other set of codes, such as the whole qubit space 0 .. 2 * 2^N - 1, is a
-``Basis`` built by hand.
+is its N and its codes, in ascending order: each route reads a state's
+atom level and photons off its code's bits.  The package builds one
+space, the one-excitation sector 0, 1, 2, 4, ..., 2^N
+(:func:`build_basis`); any other set of codes, such as the whole qubit
+space 0 .. 2 * 2^N - 1, is a ``Basis`` built by hand.
 """
 
 from __future__ import annotations
 
-import functools
 import types
 
 import numpy as np
 
-from .sector import ROUNDING_TOL
-
-#: Largest basis dimension that ``build_basis`` accepts (the sector at
-#: N = 2046): one dense complex matrix on it takes 64 MiB.
-MAX_DIMENSION = 2048
+from .sector import ROUNDING_TOL, require_modes
 
 
 class Frozen:
@@ -67,21 +63,18 @@ class Value(Frozen):
 
 
 class Basis(Value):
-    """Ordered basis of the atom + N-qubit-mode space: the ascending tuple
-    ``codes`` of its states (the module docstring gives the code rule).
+    """Ordered basis of the atom + N-qubit-mode space: its ``n_modes`` and
+    the ascending tuple ``codes`` of its states (the module docstring
+    gives the code rule), and nothing else.  The read-only ``index`` maps
+    each code back to its position in ``codes``; two bases are equal when
+    their N and codes are.
 
-    :func:`build_basis` constructs the one-excitation sector; the
-    read-only ``index`` attribute maps each code back to its position in
-    ``codes``.  Bases are shared between callers, so nothing in one may
-    change.
-
-    Any other set of states is built by hand as ``Basis(n_modes, codes)``,
-    such as the support of a few target states
-    (``entanglement.support_basis``).
+    :func:`build_basis` constructs the one-excitation sector.  Any other
+    set of states is built by hand as ``Basis(n_modes, codes)``, such as
+    the support of a few target states (``entanglement.support_basis``).
     """
 
-    # __dict__ holds the cached_property values, which bypass __setattr__
-    __slots__ = ("n_modes", "codes", "index", "__dict__")
+    __slots__ = ("n_modes", "codes", "index")
 
     def __init__(self, n_modes: int, codes: tuple[int, ...]) -> None:
         index = types.MappingProxyType({code: k for k, code in enumerate(codes)})
@@ -102,39 +95,6 @@ class Basis(Value):
         """The ket of a code, atom then modes 1..N: ``|g;010>``."""
         digits = format(code, f"0{self.n_modes + 1}b")
         return f"|{'ge'[int(digits[0])]};{digits[1:]}>"
-
-    @functools.cached_property
-    def levels(self) -> np.ndarray:
-        """Read-only (dim, n_modes + 1) integer array, one row per state:
-        the binary digits of its code, so the atom level in column 0 and
-        the photon count of mode i in column i.  Built once per basis."""
-        width = self.n_modes + 1
-        digits = "".join(format(code, f"0{width}b") for code in self.codes).encode()
-        arr = np.frombuffer(digits, dtype=np.uint8).reshape(self.dim, width) - ord("0")
-        arr = arr.astype(np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @functools.cached_property
-    def exchange_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only index arrays (ground, excited, mode), one entry per
-        nonzero element <e, n - 1_i| a_i s_+ |g, n> = 1: the state
-        |g, n> sits at ``ground``, its partner |e, n - 1_i>, of code
-        ``code ^ 2^N ^ 2^(N - i)``, at ``excited``, and i - 1 is ``mode``.
-        Ascending by ground state, then by mode.  Built once per basis; a
-        basis that holds a state but not its partner raises ValueError."""
-        levels, top = self.levels, 1 << self.n_modes
-        ground, mode = np.nonzero(levels[:, 1:] * (levels[:, :1] == 0))
-        try:
-            excited = np.array([self.index[self.codes[k] ^ top ^ (top >> 1 + i)]
-                                for k, i in zip(ground.tolist(), mode.tolist())], dtype=np.intp)
-        except KeyError as missing:
-            raise ValueError(f"basis lacks {self.label(missing.args[0])}, "
-                             "the exchange partner of a state it holds") from None
-        arrays = (ground, excited, mode)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
 
 
 class StateVector(Frozen):
@@ -184,21 +144,14 @@ def build_basis(n_modes: int) -> Basis:
     """The basis of the one-excitation sector of N modes (the atomic
     excitation counts), its N + 2 codes ascending: 0, 1, 2, 4, ..., 2^N.
 
-    ``n_modes`` must be an integer >= 1, checked before the cache is
-    consulted, so a float that equals an int is refused like any other.
-    A dimension above ``MAX_DIMENSION`` raises ValueError before any code
-    is built.  Bases are memoized per N: a repeated call returns the same
-    read-only object.
+    ``n_modes`` must be an integer from 1 to ``sector.MAX_MODES``; a bool
+    or a float that equals an int is refused like any other non-integer
+    (ValueError).  Each call builds a new basis, equal to every other of
+    its N.
     """
-    if not isinstance(n_modes, int) or n_modes < 1:
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    return _enumerate_basis(n_modes)
-
-
-@functools.lru_cache(maxsize=32)
-def _enumerate_basis(n_modes: int) -> Basis:
-    if n_modes + 2 > MAX_DIMENSION:
-        raise ValueError(f"truncation too large: dimension exceeds safety limit {MAX_DIMENSION}")
+    require_modes(n_modes, "n_modes")
     return Basis(n_modes, (0, *(1 << i for i in range(n_modes + 1))))
 
 
@@ -214,5 +167,5 @@ def initial_state(basis: Basis) -> StateVector:
 
 def _require_same_basis(a, b) -> None:
     """ValueError unless two states or operators share their basis."""
-    if a.basis is not b.basis and a.basis != b.basis:
+    if a.basis != b.basis:
         raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different bases")

@@ -184,6 +184,8 @@ COMMANDS = [
      {"run.cfg": "trials = 5\n"}),
     # the help flag given a value
     (["simulate", "--help=1"], {}),
+    (["--help=1"], {}),
+    (["-h=1"], {}),
     # the self-checks, on numpy
     (["validate"], {}, "numpy"),
     (["validate", "--seed", "7"], {}, "numpy"),

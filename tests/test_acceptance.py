@@ -27,6 +27,7 @@ from wcavity.fock import StateVector, initial_state
 from wcavity.protocol import coupling_disorder_sweep, optimal_time, timing_error_sweep
 from wcavity.validation import measure_rabi_period
 
+from codes import excitations
 from qubit_space import qubit_basis
 
 
@@ -137,7 +138,7 @@ def test_criterion_5_conservation_unitarity_suite():
         basis = qubit_basis(n)
         H = build_hamiltonian(params, basis)
         herm = max(herm, float(np.max(np.abs(H.matrix - H.matrix.conj().T))))
-        N = np.diag(basis.levels.sum(axis=1))
+        N = np.diag(excitations(basis))
         comm = max(comm, float(np.max(np.abs(H.matrix @ N - N @ H.matrix))))
         raw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         psi = StateVector(basis, raw / np.linalg.norm(raw))

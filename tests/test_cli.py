@@ -33,6 +33,7 @@ from wcavity.fock import StateVector, build_basis, initial_state
 from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, ROUNDING_TOL
 
+from codes import digits
 from qubit_space import qubit_basis
 
 # the sweep parameters, in the order of cli.SWEEP_UNREAD
@@ -151,7 +152,7 @@ def test_simulate_matches_dense_full_space(n, epsilon, time, dump):
     # the W target has the atom in its ground state: the fidelity is the
     # success probability and the atom's ground population
     assert report["fidelity_W"] == pytest.approx(success_probability(dense), abs=1e-12)
-    ground = dense.amplitudes[dense.basis.levels[:, 0] == 0]
+    ground = dense.amplitudes[[digits(code, n)[0] == 0 for code in dense.basis.codes]]
     assert report["fidelity_W"] == pytest.approx(float(np.sum(np.abs(ground) ** 2)), abs=1e-12)
     assert report["closed_vs_numeric_gap"] <= 1e-9
     if dump:
@@ -1655,6 +1656,9 @@ REFUSED = [
     (["bogus"], f"unknown command 'bogus': expected one of {COMMAND_NAMES}"),
     (["--n", "3"], f"unknown command '--n': expected one of {COMMAND_NAMES}"),
     (["Simulate"], f"unknown command 'Simulate': expected one of {COMMAND_NAMES}"),
+    # the help flag given a value, before a command as after one
+    (["--help=1"], "--help: takes no value, got '1'"),
+    (["-h=1"], "--help: takes no value, got '1'"),
     # a flag the command does not read, abbreviations included
     (["simulate", "--eps", "2"], "simulate reads no flag '--eps'"),
     (["sweep", "--ep", "2", "--out", "o.csv"], "sweep reads no flag '--ep'"),

@@ -18,9 +18,10 @@ from wcavity.dynamics import (
     hermiticity_defect,
     propagate_numeric,
 )
-from wcavity.fock import StateVector, build_basis, initial_state
+from wcavity.entanglement import fidelity
+from wcavity.fock import Basis, StateVector, build_basis, initial_state
 
-from codes import digits, e, g
+from codes import digits, e, exchange_pairs, excitations, g
 from qubit_space import qubit_basis
 
 
@@ -36,11 +37,11 @@ def random_state(rng, basis):
 
 
 def reference_hamiltonian(params, basis, lab=None):
-    """The per-state loop that assembled H before the array version; kept
-    as the reference it must match bit for bit.  With ``lab`` =
-    (omega_a, omega_modes), the lab-frame H of those frequencies and
-    params' couplings instead: omega_a s_z + sum_i omega_i n_i, with
-    s_z = +-1/2, on the diagonal."""
+    """H by a per-state loop over the digits of each code, apart from
+    ``build_hamiltonian``'s walk over the bits: the reference it must
+    match bit for bit.  With ``lab`` = (omega_a, omega_modes), the
+    lab-frame H of those frequencies and params' couplings instead:
+    omega_a s_z + sum_i omega_i n_i, with s_z = +-1/2, on the diagonal."""
     dim = basis.dim
     matrix = np.zeros((dim, dim), dtype=complex)
     states = [digits(code, basis.n_modes) for code in basis.codes]
@@ -52,17 +53,9 @@ def reference_hamiltonian(params, basis, lab=None):
             s_z = 0.5 if atom == 1 else -0.5
             diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, occupations))
         matrix[k, k] = diag
-    for k, (atom, *occupations) in enumerate(states):
-        if atom != 0:
-            continue
-        for i, n_i in enumerate(occupations):
-            if n_i == 0:
-                continue
-            occ = list(occupations)
-            occ[i] = 0
-            partner = basis.index[e(*occ)]
-            matrix[partner, k] += params.couplings[i]
-            matrix[k, partner] += params.couplings[i]
+    for k, partner, i in exchange_pairs(basis):
+        matrix[partner, k] += params.couplings[i]
+        matrix[k, partner] += params.couplings[i]
     return matrix
 
 
@@ -143,6 +136,28 @@ class TestBuildHamiltonian:
                 H = build_hamiltonian(params, basis).matrix
                 np.testing.assert_array_equal(H, reference_hamiltonian(params, basis))
 
+    @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, None), (5, 1), (6, None), (7, 1)])
+    def test_equals_the_per_state_loop_bit_for_bit(self, spec):
+        """Unequal detunings, whose sums round by the order they are taken
+        in, and unequal couplings: every entry is the loop's, bit for bit,
+        on the qubit space (cap None) and on the sector (cap 1)."""
+        n, cap = spec
+        basis = build_basis(n) if cap else qubit_basis(n)
+        params = ModelParams(tuple(0.1 * (i + 1) * (-1) ** i + 1 / (i + 3) for i in range(n)),
+                             tuple(0.3 + 0.7 * i for i in range(n)))
+        np.testing.assert_array_equal(build_hamiltonian(params, basis).matrix,
+                                      reference_hamiltonian(params, basis))
+
+    @pytest.mark.parametrize("codes, missing", [
+        ((0b011, 0b110), "|e;01>"),  # |g;11>: mode 1's partner is sought first
+        ((0b011, 0b101), "|e;10>"),
+        ((0b001, 0b011, 0b101, 0b110), "|e;00>"),  # the partner of the first state
+    ])
+    def test_names_the_first_missing_exchange_partner(self, codes, missing):
+        with pytest.raises(ValueError, match=re.escape(
+                f"basis lacks {missing}, the exchange partner of a state it holds")):
+            build_hamiltonian(ModelParams.resonant(2, 1.0), Basis(2, codes))
+
     def test_hermiticity_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -152,10 +167,35 @@ class TestBuildHamiltonian:
             assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
+class TestEqualBases:
+    """Each ``build_basis`` call builds a new basis, so states and
+    operators on equal but distinct bases meet, as in
+    ``validation._sector_gap`` and ``evolve_closed_form``."""
+
+    def test_a_state_and_an_operator_on_two_builds_propagate_and_score(self):
+        params = ModelParams.resonant(3, 1.0)
+        H = build_hamiltonian(params, build_basis(3))
+        psi0 = initial_state(build_basis(3))
+        assert H.basis is not psi0.basis and H.basis == psi0.basis
+        dense = propagate_numeric(H, psi0, 0.4)
+        closed = evolve_closed_form(params, 0.4)  # on a third build_basis(3)
+        assert closed.basis is not dense.basis
+        assert fidelity(closed, dense) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("other", [qubit_basis(3), build_basis(4)], ids=["qubit", "n4"])
+    def test_bases_of_other_codes_or_n_are_refused(self, other):
+        H = build_hamiltonian(ModelParams.resonant(other.n_modes, 1.0), other)
+        psi = initial_state(build_basis(3))
+        with pytest.raises(ValueError, match="live on different bases"):
+            propagate_numeric(H, psi, 0.4)
+        with pytest.raises(ValueError, match="live on different bases"):
+            fidelity(initial_state(other), psi)
+
+
 class TestExcitationOperator:
     def test_diagonal_eigenvalues(self):
         basis = qubit_basis(3)
-        N = np.diag(basis.levels.sum(axis=1))
+        N = np.diag(excitations(basis))
         assert N[basis.index[e(0, 0, 0)], basis.index[e(0, 0, 0)]] == 1.0
         assert N[basis.index[g(1, 1, 0)], basis.index[g(1, 1, 0)]] == 2.0
         assert N[basis.index[g(0, 0, 0)], basis.index[g(0, 0, 0)]] == 0.0
@@ -166,7 +206,7 @@ class TestExcitationOperator:
             params = random_params(rng)
             basis = qubit_basis(params.n_modes)
             H = build_hamiltonian(params, basis).matrix
-            N = np.diag(basis.levels.sum(axis=1))
+            N = np.diag(excitations(basis))
             comm = H @ N - N @ H
             assert np.max(np.abs(comm)) <= 1e-13
 
@@ -590,7 +630,6 @@ class TestHermitianOperator:
         all alive: at dim 512 the peak stays within 2.6 matrices."""
         basis = qubit_basis(8)
         assert basis.dim == 512
-        basis.levels, basis.exchange_pairs  # built and cached before the trace
         params = ModelParams.resonant(8, 1.0)
         tracemalloc.start()
         try:
@@ -618,7 +657,6 @@ class TestEachResultIsACheckedCopy:
         basis = build_basis(3)
         H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
         assert not H.matrix.flags.writeable
-        assert not np.shares_memory(H.matrix, basis.levels)
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
         # sector.bright_mode takes Omega as the norm of the couplings once,

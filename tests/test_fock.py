@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wcavity.entanglement import support_basis
-from wcavity.fock import MAX_DIMENSION, StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, build_basis, initial_state
+from wcavity.sector import MAX_MODES
 
 from codes import digits, e, g
 from qubit_space import qubit_basis
@@ -39,6 +40,8 @@ class TestBuildBasis:
         ):
             for k, code in enumerate(basis.codes):
                 assert basis.index[code] == k
+            with pytest.raises(TypeError):  # equal bases hold equal indexes: read-only
+                basis.index[basis.codes[0]] = 1
 
     def test_cap_filters_total_excitation(self):
         basis = build_basis(4)
@@ -59,10 +62,6 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis(0)
 
-    def test_rejects_oversized_space(self):
-        with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(2047)  # 2047 + 2 > 2048
-
     def test_has_no_photon_number_truncation(self):
         """Every mode is a qubit and the sector is the one space built:
         there is no n_max or excitation cap to pass, and no alias of
@@ -74,50 +73,28 @@ class TestBuildBasis:
         with pytest.raises(TypeError):
             build_basis(3, 1)
 
-    def test_memoized_per_arguments(self):
+    def test_builds_a_new_equal_basis_on_each_call(self):
         basis = build_basis(3)
-        assert build_basis(3) is basis
-        assert build_basis(4) is not basis
-        with pytest.raises(TypeError):  # shared between callers, so read-only
-            basis.index[basis.codes[0]] = 1
+        assert build_basis(3) == basis and build_basis(3) is not basis
+        assert hash(build_basis(3)) == hash(basis)
+        assert build_basis(4) != basis
 
-    @pytest.mark.parametrize("n_modes", [3.0, -1, "3", 0, None])
-    def test_checks_arguments_before_the_cache(self, n_modes):
-        build_basis(3)
+    def test_a_basis_is_its_mode_count_and_its_codes(self):
+        basis = build_basis(3)
+        assert basis.__slots__ == ("n_modes", "codes", "index")
+        assert not hasattr(basis, "__dict__")
+
+    @pytest.mark.parametrize("n_modes", [True, False, 3.0, 1.0, -1, "3", 0, None])
+    def test_refuses_a_non_integer_or_a_bool(self, n_modes):
         with pytest.raises(ValueError, match="integer"):
             build_basis(n_modes)
 
-    def test_dimension_limit_is_inclusive(self):
-        assert build_basis(2046).dim == MAX_DIMENSION == 2048
-        with pytest.raises(ValueError, match="truncation too large"):
-            build_basis(2047)
-
-    def test_large_mode_count_with_cap(self):
-        basis = build_basis(2000)
-        assert basis.dim == 2002
-
-    @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, None), (5, 1), (6, None), (7, 1)])
-    def test_levels_and_exchange_pairs_equal_a_per_state_loop(self, spec):
-        """The rows of ``levels`` are the digits of the codes, and the
-        exchange pairs are |g, n> -> |e, n - 1_i>, found state by state."""
-        n, cap = spec
-        basis = build_basis(n) if cap else qubit_basis(n)
-        levels = basis.levels
-        assert levels.shape == (basis.dim, n + 1)
-        assert levels.tolist() == [digits(code, n) for code in basis.codes]
-        assert basis.levels is levels  # built once per basis
-        assert not levels.flags.writeable
-        pairs = []
-        for k, code in enumerate(basis.codes):
-            atom, *occupations = digits(code, n)
-            for i, n_i in enumerate(occupations):
-                if atom == 0 and n_i == 1:
-                    partner = occupations[:i] + [0] + occupations[i + 1:]
-                    pairs.append((k, basis.index[e(*partner)], i))
-        arrays = basis.exchange_pairs
-        assert list(zip(*(arr.tolist() for arr in arrays))) == pairs
-        assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
-        assert basis.exchange_pairs is arrays
+    def test_mode_limit_is_inclusive(self):
+        basis = build_basis(MAX_MODES)
+        assert basis.dim == MAX_MODES + 2 == 1024
+        assert basis.codes[-1] == 2**MAX_MODES  # an exact int at any N
+        with pytest.raises(ValueError, match="n_modes is above the limit of 1022 modes"):
+            build_basis(MAX_MODES + 1)
 
 
 class TestStateVector:

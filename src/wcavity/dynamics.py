@@ -14,6 +14,10 @@ takes one operator, one state and one time; an operator keeps its
 decomposition after the first use, so one Hamiltonian evolved to any
 number of times costs one ``eigh``.  Each mode is a qubit, as in the
 paper's protocol, where one excitation spreads over empty modes.
+
+The inputs are plain sequences, one entry per mode, in rad per unit
+time: the couplings eps_i > 0 and the detunings delta_i = omega_i -
+omega_a, in the interaction frame that rotates at the atomic frequency.
 """
 
 from __future__ import annotations
@@ -23,41 +27,8 @@ import math
 import numpy as np
 
 from . import sector
-from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, Value, _require_same_basis, build_basis
+from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, _require_same_basis, build_basis
 from .sector import PropagationError
-
-class ModelParams(Value):
-    """Physical parameters of the atom + N-mode model, in the interaction
-    frame that rotates at the atomic frequency.
-
-    detunings holds each mode's detuning omega_i - omega_a from the atom
-    and couplings the exchange strengths, all in rad per unit time, one
-    of each per mode: ``n_modes`` is the number of couplings.  Couplings
-    must be strictly positive.
-    """
-
-    __slots__ = ("n_modes", "detunings", "couplings")
-
-    def __init__(self, detunings: tuple[float, ...], couplings: tuple[float, ...]) -> None:
-        detunings = tuple(float(d) for d in detunings)
-        couplings = tuple(float(c) for c in couplings)
-        n_modes = len(couplings)
-        if n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if len(detunings) != n_modes:
-            raise ValueError(f"expected one detuning per coupling: {len(detunings)} detunings, "
-                             f"{n_modes} couplings")
-        if not all(math.isfinite(v) for v in (*detunings, *couplings)):
-            raise ValueError("model parameters must be finite")
-        if any(c <= 0 for c in couplings):
-            raise ValueError("couplings must be strictly positive")
-        for name, value in zip(self.__slots__, (n_modes, detunings, couplings)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def resonant(cls, n_modes: int, coupling: float) -> "ModelParams":
-        """All modes on resonance with the atom, identical couplings."""
-        return cls((0.0,) * n_modes, (coupling,) * n_modes)
 
 
 def hermiticity_defect(matrix) -> float:
@@ -105,13 +76,15 @@ class HermitianOperator(Frozen):
         return self._eigh
 
 
-def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
+def build_hamiltonian(basis: Basis, *, couplings, detunings) -> HermitianOperator:
     """Assemble the atom-field Hamiltonian on the given basis, in the
     interaction frame::
 
         H = sum_i delta_i * n_i + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
 
-    with delta_i the mode detunings; at resonance only the exchange term
+    with eps_i the ``couplings`` and delta_i the ``detunings``, one of each
+    per mode of the basis (ValueError for another count, a non-finite value
+    or a coupling that is not positive); at resonance only the exchange term
     survives.  One pass over the codes reads each state's photons off its
     bits in mode order: each photon adds its mode's detuning to the
     diagonal, which so rounds as the sum in mode order, and, with the atom
@@ -120,10 +93,15 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     in a mode is dropped.  A basis that holds a state but not its exchange
     partner, such as ``entanglement.support_basis``, raises ValueError.
     """
-    if params.n_modes != basis.n_modes:
-        raise ValueError(f"params describe {params.n_modes} modes but basis has {basis.n_modes}")
     n, top = basis.n_modes, 1 << basis.n_modes
-    modes = list(zip(params.detunings, params.couplings))
+    if len(couplings) != n or len(detunings) != n:
+        raise ValueError(f"the basis has {n} modes, so {n} couplings and {n} detunings: "
+                         f"got {len(couplings)} and {len(detunings)}")
+    if not all(math.isfinite(v) for v in (*detunings, *couplings)):
+        raise ValueError("model parameters must be finite")
+    if any(c <= 0 for c in couplings):
+        raise ValueError("couplings must be strictly positive")
+    modes = list(zip(detunings, couplings))
     matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k, code in enumerate(basis.codes):
         energy, photons = 0.0, code & (top - 1)
@@ -143,22 +121,21 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> HermitianOperator:
     return HermitianOperator(basis, matrix)
 
 
-def evolve_closed_form(params: ModelParams, t: float) -> StateVector:
+def evolve_closed_form(couplings, t: float) -> StateVector:
     """Resonant interaction-frame evolution of the excited-atom vacuum,
-    for any positive couplings: the ``sector.closed_form`` pair of their
-    ``sector.bright_mode``, spread by ``sector.amplitudes`` onto
-    ``build_basis(N)``, whose order is the sector's.
+    for any positive couplings, one per mode: the ``sector.closed_form``
+    pair of their ``sector.bright_mode``, spread by ``sector.amplitudes``
+    onto ``build_basis(N)``, whose order is the sector's.
 
     With Omega = sqrt(sum_i eps_i^2) the excited amplitude is cos(Omega t)
     and mode i carries -i (eps_i / Omega) sin(Omega t): only the coupling-
     weighted symmetric photon combination is ever populated.  Equal
     couplings give cos(sqrt(N) eps t) and -i sin(sqrt(N) eps t)/sqrt(N).
+    A detuned evolution is ``propagate_numeric``'s.
     """
-    if any(params.detunings):
-        raise ValueError("detuned parameters: use propagate_numeric")
-    mode = sector.bright_mode(params.couplings)
+    mode = sector.bright_mode(couplings)
     amps = sector.amplitudes(mode, sector.closed_form(mode, t))
-    return StateVector(build_basis(params.n_modes), amps)
+    return StateVector(build_basis(len(couplings)), amps)
 
 
 # The benchmark's traced run (perfbench/spans.py) still looks this name up.

@@ -39,30 +39,7 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Value(Frozen):
-    """A Frozen class whose instances are equal, and hash alike, when they
-    are of one class and their ``_key()`` (by default, the slot values) is
-    equal; never equal to a tuple of those values."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Basis(Value):
+class Basis(Frozen):
     """Ordered basis of the atom + N-qubit-mode space: its ``n_modes`` and
     the ascending tuple ``codes`` of its states (the module docstring
     gives the code rule), and nothing else.  The read-only ``index`` maps
@@ -81,8 +58,13 @@ class Basis(Value):
         for name, value in zip(self.__slots__, (n_modes, codes, index)):
             object.__setattr__(self, name, value)
 
-    def _key(self) -> tuple:
-        return (self.n_modes, self.codes)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented  # never equal to a tuple of its N and codes
+        return self is other or (self.n_modes, self.codes) == (other.n_modes, other.codes)
+
+    def __hash__(self):
+        return hash((self.n_modes, self.codes))
 
     def __repr__(self):
         return f"Basis(n_modes={self.n_modes!r}, dim={self.dim!r})"

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ModelParams, build_hamiltonian, propagate_numeric
+from .dynamics import build_hamiltonian, propagate_numeric
 from . import normals, sector
 from .fock import StateVector, build_basis, initial_state
 from .sector import DEFAULT_SEED, ROUNDING_TOL
@@ -36,12 +36,11 @@ class CheckResult(NamedTuple):
     cases: int
 
 
-def _random_params(rng) -> ModelParams:
+def _random_params(rng) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(couplings, detunings) of one to four modes, the detunings drawn first."""
     n = int(rng.integers(1, 5))
-    return ModelParams(
-        tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n)),
-        tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
-    )
+    detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
+    return tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)), detunings
 
 
 def _random_amplitudes(rng, basis) -> np.ndarray:
@@ -71,8 +70,9 @@ def check_unitarity(rng) -> CheckResult:
     hide shows here."""
     def defects(draws):
         for _ in range(draws):
-            params = _random_params(rng)
-            H = build_hamiltonian(params, build_basis(params.n_modes))
+            couplings, detunings = _random_params(rng)
+            H = build_hamiltonian(build_basis(len(couplings)), couplings=couplings,
+                                  detunings=detunings)
             _, eigvecs = H.eigh()
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
@@ -82,23 +82,25 @@ def check_unitarity(rng) -> CheckResult:
 def check_composition(rng) -> CheckResult:
     def defects(draws):
         for _ in range(draws):
-            params = _random_params(rng)
-            basis = build_basis(params.n_modes)
+            couplings, detunings = _random_params(rng)
+            basis = build_basis(len(couplings))
             psi = StateVector(basis, _random_amplitudes(rng, basis))
             t1 = float(rng.uniform(-5.0, 5.0))
             t2 = float(rng.uniform(-5.0, 5.0))
-            H = build_hamiltonian(params, basis)
+            H = build_hamiltonian(basis, couplings=couplings, detunings=detunings)
             two = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
             one = propagate_numeric(H, psi, t1 + t2)
             yield float(np.max(np.abs(two.amplitudes - one.amplitudes)))
     return _check("propagator-composition", defects, 50)
 
 
-def _sector_gap(params: ModelParams, t: float, mode: sector.BrightMode, pair) -> float:
+def _sector_gap(couplings, detuning: float, t: float, mode: sector.BrightMode, pair) -> float:
     """The amplitude gap between the N + 2 amplitudes that ``pair`` of
-    ``mode``, at time t, stands for and the dense sector propagator."""
-    basis = build_basis(params.n_modes)
-    dense = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    ``mode``, at time t, stands for and the dense sector propagator of
+    ``couplings`` and one common ``detuning``."""
+    basis = build_basis(len(couplings))
+    H = build_hamiltonian(basis, couplings=couplings, detunings=(detuning,) * len(couplings))
+    dense = propagate_numeric(H, initial_state(basis), t)
     amps = sector.amplitudes(mode, pair)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 
@@ -112,9 +114,8 @@ def check_oracle_equivalence(rng) -> CheckResult:
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
-            params = ModelParams.resonant(n, eps)
-            mode = sector.bright_mode(params.couplings)
-            yield _sector_gap(params, t, mode, sector.closed_form(mode, t))
+            mode = sector.bright_mode((eps,) * n)
+            yield _sector_gap((eps,) * n, 0.0, t, mode, sector.closed_form(mode, t))
     return _check("closed-form-vs-numeric", gaps, 100)
 
 
@@ -133,7 +134,7 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             t = float(rng.uniform(-5.0, 5.0))
             mode = sector.bright_mode(couplings)
             (pair,) = sector.evolve(mode, ((sign * t, detuning),))
-            yield _sector_gap(ModelParams((detuning,) * n, couplings), t, mode, pair)
+            yield _sector_gap(couplings, detuning, t, mode, pair)
     return _check("sector-vs-dense", gaps, 24)
 
 

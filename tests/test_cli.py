@@ -22,7 +22,6 @@ import wcavity
 from wcavity import cli
 from wcavity.cli import main, parse_args, resolve_config, run
 from wcavity.dynamics import (
-    ModelParams,
     PropagationError,
     build_hamiltonian,
     evolve_closed_form,
@@ -98,7 +97,7 @@ class TestSimulate:
             norm = np.linalg.norm(amps)
             assert abs(norm - 1.0) <= 5e-12
             StateVector(basis, amps / norm)  # refuses any but N + 2 amplitudes of norm 1
-            H = build_hamiltonian(ModelParams.resonant(n, eps), basis)
+            H = build_hamiltonian(basis, couplings=(eps,) * n, detunings=(0.0,) * n)
             dense = propagate_numeric(H, initial_state(basis), time / eps)
             assert np.max(np.abs(amps - dense.amplitudes)) <= ROUNDING_TOL
             if time == 0.0:
@@ -125,8 +124,8 @@ class TestSimulate:
 def dense_route(n, epsilon, t):
     """The simulate evolution on the whole truncated space 2 * 2^N."""
     basis = qubit_basis(n)
-    params = ModelParams.resonant(n, epsilon)
-    return propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    H = build_hamiltonian(basis, couplings=(epsilon,) * n, detunings=(0.0,) * n)
+    return propagate_numeric(H, initial_state(basis), t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1227,7 +1226,7 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
 
     # no CLI route but validate builds a basis; a library route that builds
     # one through another module's binding shows that the fixture sees it
-    evolve_closed_form(ModelParams.resonant(3, 1.0), 1.0)
+    evolve_closed_form((1.0,) * 3, 1.0)
     assert basis_builds == ["build_basis"]
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wcavity import fock, sector
 from wcavity.dynamics import (
     HermitianOperator,
-    ModelParams,
     PropagationError,
     build_hamiltonian,
     evolve_closed_form,
@@ -25,10 +24,19 @@ from codes import digits, e, exchange_pairs, excitations, g
 from qubit_space import qubit_basis
 
 
+def resonant(n_modes, coupling):
+    """The keywords of ``build_hamiltonian`` for N modes on resonance with
+    the atom, each of one coupling."""
+    return {"couplings": (coupling,) * n_modes, "detunings": (0.0,) * n_modes}
+
+
 def random_params(rng, n_modes=None):
+    """The keywords of ``build_hamiltonian`` for ``n_modes`` modes, or one
+    to four: random detunings, then random couplings."""
     n = int(n_modes or rng.integers(1, 5))
     detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
-    return ModelParams(detunings, tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)))
+    return {"couplings": tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)),
+            "detunings": detunings}
 
 
 def random_state(rng, basis):
@@ -36,69 +44,72 @@ def random_state(rng, basis):
     return StateVector(basis, raw / np.linalg.norm(raw))
 
 
-def reference_hamiltonian(params, basis, lab=None):
+def reference_hamiltonian(basis, *, couplings, detunings, lab=None):
     """H by a per-state loop over the digits of each code, apart from
     ``build_hamiltonian``'s walk over the bits: the reference it must
     match bit for bit.  With ``lab`` = (omega_a, omega_modes), the
-    lab-frame H of those frequencies and params' couplings instead:
+    lab-frame H of those frequencies and the couplings instead:
     omega_a s_z + sum_i omega_i n_i, with s_z = +-1/2, on the diagonal."""
     dim = basis.dim
     matrix = np.zeros((dim, dim), dtype=complex)
     states = [digits(code, basis.n_modes) for code in basis.codes]
     for k, (atom, *occupations) in enumerate(states):
         if lab is None:
-            diag = sum(d * n for d, n in zip(params.detunings, occupations))
+            diag = sum(d * n for d, n in zip(detunings, occupations))
         else:
             omega_a, omega_modes = lab
             s_z = 0.5 if atom == 1 else -0.5
             diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, occupations))
         matrix[k, k] = diag
     for k, partner, i in exchange_pairs(basis):
-        matrix[partner, k] += params.couplings[i]
-        matrix[k, partner] += params.couplings[i]
+        matrix[partner, k] += couplings[i]
+        matrix[k, partner] += couplings[i]
     return matrix
 
 
-class TestModelParams:
-    def test_reads_the_mode_count_from_the_couplings(self):
-        assert ModelParams((0.0, 0.5, 1.0), (1.0, 2.0, 3.0)).n_modes == 3
-
-    @pytest.mark.parametrize("detunings, couplings, counts", [
-        ((0.0,), (1.0, 1.0), "1 detunings, 2 couplings"),
-        ((0.0, 0.0), (1.0,), "2 detunings, 1 couplings"),
-    ])
-    def test_refuses_lengths_that_differ(self, detunings, couplings, counts):
-        with pytest.raises(ValueError, match=f"one detuning per coupling: {counts}"):
-            ModelParams(detunings, couplings)
-
-    def test_refuses_no_couplings(self):
-        with pytest.raises(ValueError, match="n_modes must be >= 1"):
-            ModelParams((), ())
-
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ValueError, match="positive"):
-            ModelParams((0.0,), (0.0,))
-
-    def test_rejects_a_non_finite_detuning(self):
-        with pytest.raises(ValueError, match="finite"):
-            ModelParams((0.0, math.inf), (1.0, 1.0))
-
-    def test_resonant_has_zero_detunings(self):
-        assert ModelParams.resonant(3, 0.7) == ModelParams((0.0,) * 3, (0.7,) * 3)
-
-
 class TestBuildHamiltonian:
+    @pytest.mark.parametrize("couplings, detunings, counts", [
+        ((1.0,) * 3, (0.0,) * 2, "got 3 and 2"),
+        ((1.0,) * 2, (0.0,) * 3, "got 2 and 3"),
+        ((1.0,) * 3, (0.0,) * 3, "got 3 and 3"),
+        ((), (), "got 0 and 0"),
+    ])
+    def test_refuses_a_count_that_is_not_the_basis_modes(self, couplings, detunings, counts):
+        # zip would otherwise pair the first N of each and drop the rest
+        with pytest.raises(ValueError, match=re.escape(
+                f"the basis has 2 modes, so 2 couplings and 2 detunings: {counts}")):
+            build_hamiltonian(build_basis(2), couplings=couplings, detunings=detunings)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_detuning_or_coupling(self, value):
+        basis = build_basis(2)
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            build_hamiltonian(basis, couplings=(1.0, 1.0), detunings=(0.0, value))
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            build_hamiltonian(basis, couplings=(1.0, value), detunings=(0.0, 0.0))
+
+    @pytest.mark.parametrize("coupling", [0.0, -0.0, -1.0])
+    def test_refuses_a_non_positive_coupling(self, coupling):
+        with pytest.raises(ValueError, match="couplings must be strictly positive"):
+            build_hamiltonian(build_basis(2), couplings=(1.0, coupling), detunings=(0.0, 0.0))
+
+    def test_takes_its_couplings_and_detunings_by_keyword_only(self):
+        with pytest.raises(TypeError):
+            build_hamiltonian(build_basis(1), (1.0,), (0.0,))
+        with pytest.raises(TypeError):
+            build_hamiltonian(build_basis(1), (1.0,), detunings=(0.0,))
+
     def test_single_mode_interaction_matrix(self):
         # hand evaluation on the basis (|g;0>, |g;1>, |e;0>)
         basis = build_basis(1)
-        H = build_hamiltonian(ModelParams.resonant(1, 0.8), basis).matrix
+        H = build_hamiltonian(basis, **resonant(1, 0.8)).matrix
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.8
         np.testing.assert_array_equal(H, expected)
 
     def test_three_mode_excited_row(self):
         basis = build_basis(3)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.3), basis).matrix
+        H = build_hamiltonian(basis, **resonant(3, 1.3)).matrix
         row = basis.index[e(0, 0, 0)]
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
             assert H[row, basis.index[s]] == 1.3
@@ -107,7 +118,7 @@ class TestBuildHamiltonian:
 
     def test_diagonal_holds_the_mode_detunings(self):
         basis = qubit_basis(2)
-        H = build_hamiltonian(ModelParams((0.7, -0.25), (0.5, 0.5)), basis).matrix
+        H = build_hamiltonian(basis, couplings=(0.5, 0.5), detunings=(0.7, -0.25)).matrix
         assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
         assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
         assert H[basis.index[e(0, 1)], basis.index[e(0, 1)]] == -0.25
@@ -116,7 +127,7 @@ class TestBuildHamiltonian:
     def test_truncation_drops_out_of_range_transitions(self):
         # |e;1> would couple to |g;2>, which a qubit mode cannot hold
         basis = qubit_basis(1)
-        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis).matrix
+        H = build_hamiltonian(basis, **resonant(1, 1.0)).matrix
         row = basis.index[e(1)]
         off_diag = np.delete(H[row], row)
         assert np.all(off_diag == np.delete(H[:, row], row))
@@ -125,16 +136,17 @@ class TestBuildHamiltonian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(3))
+            build_hamiltonian(build_basis(3), **resonant(2, 1.0))
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
         for cap in [None, 1]:
             for _ in range(15):
-                params = random_params(rng, n_modes=int(rng.integers(1, 6 if cap else 5)))
-                basis = build_basis(params.n_modes) if cap else qubit_basis(params.n_modes)
-                H = build_hamiltonian(params, basis).matrix
-                np.testing.assert_array_equal(H, reference_hamiltonian(params, basis))
+                n = int(rng.integers(1, 6 if cap else 5))
+                params = random_params(rng, n_modes=n)
+                basis = build_basis(n) if cap else qubit_basis(n)
+                H = build_hamiltonian(basis, **params).matrix
+                np.testing.assert_array_equal(H, reference_hamiltonian(basis, **params))
 
     @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, None), (5, 1), (6, None), (7, 1)])
     def test_equals_the_per_state_loop_bit_for_bit(self, spec):
@@ -143,10 +155,10 @@ class TestBuildHamiltonian:
         on the qubit space (cap None) and on the sector (cap 1)."""
         n, cap = spec
         basis = build_basis(n) if cap else qubit_basis(n)
-        params = ModelParams(tuple(0.1 * (i + 1) * (-1) ** i + 1 / (i + 3) for i in range(n)),
-                             tuple(0.3 + 0.7 * i for i in range(n)))
-        np.testing.assert_array_equal(build_hamiltonian(params, basis).matrix,
-                                      reference_hamiltonian(params, basis))
+        params = {"couplings": tuple(0.3 + 0.7 * i for i in range(n)),
+                  "detunings": tuple(0.1 * (i + 1) * (-1) ** i + 1 / (i + 3) for i in range(n))}
+        np.testing.assert_array_equal(build_hamiltonian(basis, **params).matrix,
+                                      reference_hamiltonian(basis, **params))
 
     @pytest.mark.parametrize("codes, missing", [
         ((0b011, 0b110), "|e;01>"),  # |g;11>: mode 1's partner is sought first
@@ -156,14 +168,14 @@ class TestBuildHamiltonian:
     def test_names_the_first_missing_exchange_partner(self, codes, missing):
         with pytest.raises(ValueError, match=re.escape(
                 f"basis lacks {missing}, the exchange partner of a state it holds")):
-            build_hamiltonian(ModelParams.resonant(2, 1.0), Basis(2, codes))
+            build_hamiltonian(Basis(2, codes), **resonant(2, 1.0))
 
     def test_hermiticity_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             params = random_params(rng)
-            basis = qubit_basis(params.n_modes)
-            H = build_hamiltonian(params, basis).matrix
+            basis = qubit_basis(len(params["couplings"]))
+            H = build_hamiltonian(basis, **params).matrix
             assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
@@ -173,18 +185,17 @@ class TestEqualBases:
     ``validation._sector_gap`` and ``evolve_closed_form``."""
 
     def test_a_state_and_an_operator_on_two_builds_propagate_and_score(self):
-        params = ModelParams.resonant(3, 1.0)
-        H = build_hamiltonian(params, build_basis(3))
+        H = build_hamiltonian(build_basis(3), **resonant(3, 1.0))
         psi0 = initial_state(build_basis(3))
         assert H.basis is not psi0.basis and H.basis == psi0.basis
         dense = propagate_numeric(H, psi0, 0.4)
-        closed = evolve_closed_form(params, 0.4)  # on a third build_basis(3)
+        closed = evolve_closed_form((1.0,) * 3, 0.4)  # on a third build_basis(3)
         assert closed.basis is not dense.basis
         assert fidelity(closed, dense) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("other", [qubit_basis(3), build_basis(4)], ids=["qubit", "n4"])
     def test_bases_of_other_codes_or_n_are_refused(self, other):
-        H = build_hamiltonian(ModelParams.resonant(other.n_modes, 1.0), other)
+        H = build_hamiltonian(other, **resonant(other.n_modes, 1.0))
         psi = initial_state(build_basis(3))
         with pytest.raises(ValueError, match="live on different bases"):
             propagate_numeric(H, psi, 0.4)
@@ -204,8 +215,8 @@ class TestExcitationOperator:
         rng = np.random.default_rng(1234)
         for _ in range(50):
             params = random_params(rng)
-            basis = qubit_basis(params.n_modes)
-            H = build_hamiltonian(params, basis).matrix
+            basis = qubit_basis(len(params["couplings"]))
+            H = build_hamiltonian(basis, **params).matrix
             N = np.diag(excitations(basis))
             comm = H @ N - N @ H
             assert np.max(np.abs(comm)) <= 1e-13
@@ -213,26 +224,24 @@ class TestExcitationOperator:
 
 class TestClosedForm:
     def test_time_zero_is_initial_state(self):
-        params = ModelParams.resonant(3, 1.0)
-        psi = evolve_closed_form(params, 0.0)
+        psi = evolve_closed_form((1.0,) * 3, 0.0)
         assert psi.amplitude(e(0, 0, 0)) == 1.0
 
     def test_three_modes_at_optimal_time(self):
         eps = 1.0
         t_star = math.pi / (2.0 * math.sqrt(3.0) * eps)
-        psi = evolve_closed_form(ModelParams.resonant(3, eps), t_star)
+        psi = evolve_closed_form((eps,) * 3, t_star)
         assert abs(psi.amplitude(e(0, 0, 0))) <= 1e-12
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
             assert psi.amplitude(s) == pytest.approx(-1j / math.sqrt(3.0), abs=1e-12)
 
     def test_single_mode_quarter_rotation(self):
-        psi = evolve_closed_form(ModelParams.resonant(1, 1.0), math.pi / 4.0)
+        psi = evolve_closed_form((1.0,), math.pi / 4.0)
         assert psi.amplitude(e(0)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert psi.amplitude(g(1)) == pytest.approx(-1j / math.sqrt(2.0), abs=1e-12)
 
     def test_takes_unequal_couplings(self):
-        params = ModelParams((0.0, 0.0), (1.0, 1.2))
-        psi = evolve_closed_form(params, 0.1)
+        psi = evolve_closed_form((1.0, 1.2), 0.1)
         omega = math.sqrt(1.0 + 1.2**2)
         assert psi.amplitude(e(0, 0)) == pytest.approx(math.cos(0.1 * omega), abs=1e-15)
         assert psi.amplitude(g(0, 1)) == pytest.approx(
@@ -240,11 +249,11 @@ class TestClosedForm:
         )
 
     def test_is_the_sector_closed_form_bit_for_bit(self):
-        params = ModelParams((0.0,) * 3, (0.7, 1.3, 2.2))
+        couplings = (0.7, 1.3, 2.2)
         for t in (0.0, 0.37, -4.1, 250.0):
-            psi = evolve_closed_form(params, t)
+            psi = evolve_closed_form(couplings, t)
             assert psi.basis == build_basis(3)
-            mode = sector.bright_mode(params.couplings)
+            mode = sector.bright_mode(couplings)
             closed = np.array(sector.amplitudes(mode, sector.closed_form(mode, t)))
             assert psi.amplitudes.tobytes() == closed.tobytes()
 
@@ -257,7 +266,7 @@ class TestClosedFormGeneral:
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 5.0))
             t = float(rng.uniform(0.0, 10.0))
-            psi = evolve_closed_form(ModelParams.resonant(n, eps), t)
+            psi = evolve_closed_form((eps,) * n, t)
             phase = math.sqrt(n) * eps * t
             assert abs(psi.amplitude(e(*(0,) * n)) - math.cos(phase)) <= 1e-14
             for i in range(n):
@@ -267,22 +276,16 @@ class TestClosedFormGeneral:
 
     def test_three_four_coupling_case(self):
         # Omega = 5, t = pi/10: full transfer weighted by eps_i / Omega
-        params = ModelParams((0.0, 0.0), (3.0, 4.0))
         t = math.pi / 10.0
-        psi = evolve_closed_form(params, t)
+        psi = evolve_closed_form((3.0, 4.0), t)
         assert abs(psi.amplitude(e(0, 0))) <= 1e-12
         assert psi.amplitude(g(1, 0)) == pytest.approx(-0.6j, abs=1e-12)
         assert psi.amplitude(g(0, 1)) == pytest.approx(-0.8j, abs=1e-12)
         # independent confirmation through the numeric propagator
         basis = psi.basis
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(basis, couplings=(3.0, 4.0), detunings=(0.0, 0.0))
         ref = propagate_numeric(H, initial_state(basis), t)
         assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) <= 1e-10
-
-    def test_rejects_detuning(self):
-        params = ModelParams((0.0, 0.3), (1.0, 1.0))
-        with pytest.raises(ValueError, match="detuned"):
-            evolve_closed_form(params, 0.1)
 
     def test_validated_against_numeric_on_random_draws(self):
         # formula must agree with the propagator before it is used anywhere
@@ -292,9 +295,8 @@ class TestClosedFormGeneral:
             n = int(rng.integers(1, 7))
             eps = tuple(float(c) for c in rng.uniform(0.1, 10.0, size=n))
             t = float(rng.uniform(0.0, 4.0 * math.pi / max(eps)))
-            params = ModelParams((0.0,) * n, eps)
-            closed = evolve_closed_form(params, t)
-            H = build_hamiltonian(params, closed.basis)
+            closed = evolve_closed_form(eps, t)
+            H = build_hamiltonian(closed.basis, couplings=eps, detunings=(0.0,) * n)
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
         assert worst <= 1e-8
@@ -307,18 +309,18 @@ class TestClosedFormAmplitudes:
         couplings = np.ones((4, 2))
         couplings[2] = 1e200
         for k, draw in enumerate(couplings):
-            params = ModelParams((0.0, 0.0), tuple(float(c) for c in draw))
+            couplings = tuple(float(c) for c in draw)
             if k == 2:
                 with pytest.raises(ValueError, match="finite"):
-                    evolve_closed_form(params, 1e200)
+                    evolve_closed_form(couplings, 1e200)
             else:
-                assert evolve_closed_form(params, 1e200).norm() == pytest.approx(1.0, abs=1e-15)
+                assert evolve_closed_form(couplings, 1e200).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPropagateNumeric:
     def test_time_zero_identity(self):
         basis = build_basis(3)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(3, 1.0))
         psi0 = initial_state(basis)
         out = propagate_numeric(H, psi0, 0.0)
         np.testing.assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-15)
@@ -326,9 +328,8 @@ class TestPropagateNumeric:
     def test_matches_closed_form_at_optimal_time(self):
         eps = 1.0
         t_star = math.pi / (2.0 * math.sqrt(3.0) * eps)
-        params = ModelParams.resonant(3, eps)
-        closed = evolve_closed_form(params, t_star)
-        H = build_hamiltonian(params, closed.basis)
+        closed = evolve_closed_form((eps,) * 3, t_star)
+        H = build_hamiltonian(closed.basis, **resonant(3, eps))
         numeric = propagate_numeric(H, initial_state(closed.basis), t_star)
         assert np.max(np.abs(closed.amplitudes - numeric.amplitudes)) <= 1e-10
 
@@ -339,9 +340,8 @@ class TestPropagateNumeric:
             n = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
-            params = ModelParams.resonant(n, eps)
-            closed = evolve_closed_form(params, t)
-            H = build_hamiltonian(params, closed.basis)
+            closed = evolve_closed_form((eps,) * n, t)
+            H = build_hamiltonian(closed.basis, **resonant(n, eps))
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
         assert worst <= 1e-8
@@ -351,8 +351,8 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(99)
         for _ in range(10):
             params = random_params(rng)
-            basis = qubit_basis(params.n_modes)
-            H = build_hamiltonian(params, basis)
+            basis = qubit_basis(len(params["couplings"]))
+            H = build_hamiltonian(basis, **params)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-5.0, 5.0))
             mine = propagate_numeric(H, psi, t)
@@ -363,8 +363,8 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             params = random_params(rng)
-            basis = qubit_basis(params.n_modes)
-            H = build_hamiltonian(params, basis)
+            basis = qubit_basis(len(params["couplings"]))
+            H = build_hamiltonian(basis, **params)
             psi = random_state(rng, basis)
             t = float(rng.uniform(-20.0, 20.0))
             assert abs(propagate_numeric(H, psi, t).norm() - 1.0) <= 1e-10
@@ -373,8 +373,8 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(555)
         for _ in range(50):
             params = random_params(rng)
-            basis = qubit_basis(params.n_modes)
-            H = build_hamiltonian(params, basis)
+            basis = qubit_basis(len(params["couplings"]))
+            H = build_hamiltonian(basis, **params)
             psi = random_state(rng, basis)
             t1 = float(rng.uniform(-5.0, 5.0))
             t2 = float(rng.uniform(-5.0, 5.0))
@@ -394,15 +394,16 @@ class TestPropagateNumeric:
             omega_a = float(rng.uniform(-5.0, 5.0))
             omega_modes = tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n))
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
-            params = ModelParams(tuple(w - omega_a for w in omega_modes), couplings)
+            params = {"couplings": couplings,
+                      "detunings": tuple(w - omega_a for w in omega_modes)}
             basis = qubit_basis(n)
             lab = HermitianOperator(
-                basis, reference_hamiltonian(params, basis, lab=(omega_a, omega_modes))
+                basis, reference_hamiltonian(basis, **params, lab=(omega_a, omega_modes))
             )
             psi = random_state(rng, basis)
             t = float(rng.uniform(0.0, 8.0))
             lab_out = propagate_numeric(lab, psi, t)
-            int_out = propagate_numeric(build_hamiltonian(params, basis), psi, t)
+            int_out = propagate_numeric(build_hamiltonian(basis, **params), psi, t)
             gap = np.max(np.abs(np.abs(lab_out.amplitudes) - np.abs(int_out.amplitudes)))
             assert gap <= 1e-10
 
@@ -411,9 +412,8 @@ class TestPropagateNumeric:
         rng = np.random.default_rng(31)
         for n in range(1, 7):
             eps = float(rng.uniform(0.2, 4.0))
-            params = ModelParams.resonant(n, eps)
             basis = build_basis(n)
-            H = build_hamiltonian(params, basis)
+            H = build_hamiltonian(basis, **resonant(n, eps))
             psi0 = initial_state(basis)
             excited = basis.index[e(*([0] * n))]
             period = 2.0 * math.pi / (math.sqrt(n) * eps)
@@ -425,32 +425,32 @@ class TestPropagateNumeric:
                 assert p_shift == pytest.approx(p_t, abs=1e-10)
 
     def test_rejects_basis_mismatch(self):
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), build_basis(2))
+        H = build_hamiltonian(build_basis(2), **resonant(2, 1.0))
         with pytest.raises(ValueError, match="different bases"):
             propagate_numeric(H, initial_state(build_basis(3)), 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
     def test_rejects_nonfinite_time(self, t):
         basis = build_basis(1)
-        H = build_hamiltonian(ModelParams.resonant(1, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(1, 1.0))
         with pytest.raises(ValueError, match="finite"):
             propagate_numeric(H, initial_state(basis), t)
 
     def test_takes_one_time(self):
         basis = qubit_basis(2)
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(2, 1.0))
         with pytest.raises(TypeError):
             propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
 
     def test_overflow_raises_propagation_error(self):
         basis = qubit_basis(1)
-        H = build_hamiltonian(ModelParams((1e308,), (1.0,)), basis)
+        H = build_hamiltonian(basis, couplings=(1.0,), detunings=(1e308,))
         with pytest.raises(PropagationError, match="non-finite"):
             propagate_numeric(H, initial_state(basis), 1e10)
 
     def test_norm_drift_guard(self, monkeypatch):
         basis = build_basis(2)
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(2, 1.0))
         psi = initial_state(basis)
         real_eigh = np.linalg.eigh
 
@@ -464,7 +464,7 @@ class TestPropagateNumeric:
 
     def test_drift_that_grows_with_time_raises(self, monkeypatch):
         basis = build_basis(2)
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(2, 1.0))
         real_eigh = np.linalg.eigh
 
         def decaying_eigh(matrix):
@@ -482,7 +482,7 @@ class TestPropagateNumeric:
 
     def test_diagonalizes_once_per_operator(self, eigh_calls):
         basis = build_basis(3)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(3, 1.0))
         psi0 = initial_state(basis)
         for t in np.linspace(0.0, 2.0, 50).tolist():
             propagate_numeric(H, psi0, t)
@@ -506,7 +506,7 @@ def test_propagate_numeric_matches_scipy_expm(basis_spec, seed, times):
     rng = np.random.default_rng(seed)
     params = random_params(rng, n_modes=n)
     basis = build_basis(n) if cap else qubit_basis(n)
-    H = build_hamiltonian(params, basis)
+    H = build_hamiltonian(basis, **params)
     psi = random_state(rng, basis)
     for t in times:
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
@@ -525,11 +525,11 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     """H conserves the excitation number, so |e; 0...0> evolved on the
     excitation <= 1 sector equals its evolution on the whole qubit space
     of dimension 2 * 2^N, where every other amplitude stays 0."""
-    params = ModelParams((detuning,) * n, (epsilon,) * n)
+    params = {"couplings": (epsilon,) * n, "detunings": (detuning,) * n}
     sector, full = build_basis(n), qubit_basis(n)
     assert full.dim == 2 * 2**n
-    small = propagate_numeric(build_hamiltonian(params, sector), initial_state(sector), time)
-    dense = propagate_numeric(build_hamiltonian(params, full), initial_state(full), time)
+    small = propagate_numeric(build_hamiltonian(sector, **params), initial_state(sector), time)
+    dense = propagate_numeric(build_hamiltonian(full, **params), initial_state(full), time)
     embedded = np.zeros(full.dim, dtype=complex)
     embedded[[full.index[code] for code in sector.codes]] = small.amplitudes
     np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
@@ -550,7 +550,7 @@ def test_a_drift_above_the_rounding_tolerance_raises(route, drift, monkeypatch):
             return list(sector.evolve(mode, ((0.5 * math.pi, 0.0),)))
     else:
         basis = build_basis(2)
-        H = build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(2, 1.0))
         real_eigh = np.linalg.eigh
 
         def scaled_eigh(matrix):
@@ -597,7 +597,7 @@ class TestHermitianOperator:
         H = HermitianOperator(basis, mat)
         assert H.defect == hermiticity_defect(mat) == pytest.approx(4e-13, rel=1e-3)
         assert isinstance(H.defect, float)
-        assert build_hamiltonian(ModelParams.resonant(1, 1.0), basis).defect == 0.0
+        assert build_hamiltonian(basis, **resonant(1, 1.0)).defect == 0.0
 
     def test_refuses_a_stack(self):
         basis = build_basis(1)
@@ -630,10 +630,10 @@ class TestHermitianOperator:
         all alive: at dim 512 the peak stays within 2.6 matrices."""
         basis = qubit_basis(8)
         assert basis.dim == 512
-        params = ModelParams.resonant(8, 1.0)
+        params = resonant(8, 1.0)
         tracemalloc.start()
         try:
-            build_hamiltonian(params, basis)
+            build_hamiltonian(basis, **params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -655,7 +655,7 @@ class TestEachResultIsACheckedCopy:
 
     def test_build_hamiltonian_owns_a_read_only_matrix(self):
         basis = build_basis(3)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(3, 1.0))
         assert not H.matrix.flags.writeable
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
@@ -665,14 +665,14 @@ class TestEachResultIsACheckedCopy:
         norms = []
         real = sector._norm
         monkeypatch.setattr(sector, "_norm", lambda parts: norms.append(len(parts)) or real(parts))
-        psi = evolve_closed_form(ModelParams.resonant(3, 1.0), 0.4)
+        psi = evolve_closed_form((1.0,) * 3, 0.4)
         assert (row_checks, norms) == ([(5,)], [3])
         assert not psi.amplitudes.flags.writeable
 
     def test_numeric_route_checks_its_row_once(self, row_checks):
         basis = build_basis(3)
         psi0 = initial_state(basis)
-        H = build_hamiltonian(ModelParams.resonant(3, 1.0), basis)
+        H = build_hamiltonian(basis, **resonant(3, 1.0))
         row_checks.clear()
         psi = propagate_numeric(H, psi0, 0.4)
         assert row_checks == [(5,)]
@@ -681,7 +681,7 @@ class TestEachResultIsACheckedCopy:
 
     def test_a_bad_row_raises_as_before(self):
         # Omega does not overflow, but the angle Omega t does
-        overflowing = ModelParams((0.0, 0.0), (1e200, 1e200))
+        overflowing = (1e200, 1e200)
         assert evolve_closed_form(overflowing, 1.0).norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             evolve_closed_form(overflowing, 1e200)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from wcavity import normals, sector
 from wcavity.cli import fmt12, main, parse_args
 from wcavity.dynamics import (
-    ModelParams,
     build_hamiltonian,
     propagate_numeric,
 )
@@ -402,8 +401,8 @@ def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
     basis = build_basis(n)
-    params = ModelParams((detuning,) * n, (epsilon,) * n)
-    psi = propagate_numeric(build_hamiltonian(params, basis), initial_state(basis), t)
+    H = build_hamiltonian(basis, couplings=(epsilon,) * n, detunings=(detuning,) * n)
+    psi = propagate_numeric(H, initial_state(basis), t)
     return fidelity(psi, w_state(basis))
 
 

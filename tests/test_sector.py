@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from wcavity import sector
 from wcavity.dynamics import (
-    ModelParams,
     PropagationError,
     build_hamiltonian,
     propagate_numeric,
@@ -37,8 +36,7 @@ def dense_operator(couplings, detuning):
     """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0 and
     every mode at ``detuning``."""
     n = len(couplings)
-    params = ModelParams((detuning,) * n, tuple(couplings))
-    return build_hamiltonian(params, build_basis(n))
+    return build_hamiltonian(build_basis(n), couplings=couplings, detunings=(detuning,) * n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -5,7 +5,7 @@ import pytest
 
 from wcavity import dynamics, normals, sector, validation
 from wcavity.cli import main
-from wcavity.dynamics import HermitianOperator, ModelParams
+from wcavity.dynamics import HermitianOperator
 from wcavity.fock import build_basis, initial_state
 from wcavity.validation import (
     _find_root,
@@ -74,9 +74,9 @@ def test_validation_builds_only_the_sector(monkeypatch, eigh_calls):
         built.append((n_modes, basis.dim))
         return basis
 
-    def recording_build(params, basis):
+    def recording_build(basis, **params):
         assembled.append((basis.n_modes, basis.dim))
-        return real_build(params, basis)
+        return real_build(basis, **params)
 
     monkeypatch.setattr(validation, "build_basis", recording_basis)
     monkeypatch.setattr(validation, "build_hamiltonian", recording_build)
@@ -133,7 +133,7 @@ def test_unitarity_check_and_the_propagator_both_refuse_a_drift(monkeypatch):
     assert not result.passed
     assert 1e-11 < result.measured < 1e-10
     basis = build_basis(2)
-    H = dynamics.build_hamiltonian(ModelParams.resonant(2, 1.0), basis)
+    H = dynamics.build_hamiltonian(basis, couplings=(1.0, 1.0), detunings=(0.0, 0.0))
     with pytest.raises(sector.PropagationError, match="norm drift"):
         dynamics.propagate_numeric(H, initial_state(basis), 0.7)
 
@@ -206,8 +206,8 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     ``rng-stream`` build none and pass."""
     real_build = validation.build_hamiltonian
 
-    def skewed(params, basis):
-        matrix = np.array(real_build(params, basis).matrix)
+    def skewed(basis, **params):
+        matrix = np.array(real_build(basis, **params).matrix)
         ground, excited, _ = map(list, zip(*exchange_pairs(basis)))
         matrix[..., ground, excited] *= 1 + 1e-9
         return HermitianOperator(basis, matrix)
@@ -259,26 +259,27 @@ def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
 
 
 def _params_one_draw_at_a_time(check, rng):
-    """The ModelParams of each draw, with every input taken from rng in the
-    order in which the check has always drawn it."""
+    """The (couplings, detunings) of each draw, with every input taken from
+    rng in the order in which the check has always drawn it."""
     params = []
     for _ in range(100 if check == "oracle" else 50 if check == "composition" else 24):
         if check == "composition":
-            params.append(validation._random_params(rng))
-            dim = validation.build_basis(params[-1].n_modes).dim
-            rng.standard_normal(dim), rng.standard_normal(dim)  # the state
+            n = int(rng.integers(1, 5))
+            detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
+            params.append((tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n)), detunings))
+            rng.standard_normal(n + 2), rng.standard_normal(n + 2)  # the state
             rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)  # t1, t2
             continue
         n = int(rng.integers(1, 7))
         if check == "oracle":
             eps = float(rng.uniform(0.1, 10.0))
             rng.uniform(0.0, 4.0 * math.pi / eps)  # the time
-            params.append(ModelParams.resonant(n, eps))
+            params.append(((eps,) * n, (0.0,) * n))
         else:
             couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
             detuning = float(rng.uniform(-5.0, 5.0))
             rng.uniform(-5.0, 5.0)  # the time
-            params.append(ModelParams((detuning,) * n, couplings))
+            params.append((couplings, (detuning,) * n))
     return params
 
 
@@ -294,9 +295,9 @@ def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
     seen = []
     real = validation.build_hamiltonian
 
-    def recording(params, basis):
-        seen.append(params)
-        return real(params, basis)
+    def recording(basis, *, couplings, detunings):
+        seen.append((couplings, detunings))
+        return real(basis, couplings=couplings, detunings=detunings)
 
     monkeypatch.setattr(validation, "build_hamiltonian", recording)
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 import wcavity
-from wcavity import cli, fock, protocol, validation
-from wcavity.dynamics import ModelParams
+from wcavity import cli, dynamics, entanglement, fock, protocol, sector, validation
 from wcavity.fock import build_basis
 
 from qubit_space import qubit_basis
@@ -21,7 +20,11 @@ def _instances():
         "Option": cli.OPTIONS["n"],
         "Command": cli.COMMANDS["sweep"],
         "Basis": basis,
-        "ModelParams": ModelParams.resonant(2, 1.0),
+        "StateVector": fock.initial_state(basis),
+        "HermitianOperator": dynamics.build_hamiltonian(basis, couplings=(1.0, 1.0),
+                                                        detunings=(0.0, 0.0)),
+        "DensityMatrix": entanglement.partial_trace(fock.initial_state(basis), {0}),
+        "BrightMode": sector.bright_mode((1.0, 1.0)),
         "SweepRow": row,
         "PairRow": cli.PairRow((1, 2), 0.5, 0.0),
         "AmplitudeRow": cli.AmplitudeRow(0, 1.0, 0.0),
@@ -52,14 +55,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_value_classes_equal_their_own_class_only():
-    params = ModelParams((0, 0.2), (1, 2))
-    same = ModelParams((0.0, 0.2), (1.0, 2.0))
-    assert params == same and hash(params) == hash(same)
-    assert params != ModelParams((0.0, 0.7), (1.0, 2.0))
-    assert params.detunings == (0.0, 0.2) and all(type(d) is float for d in params.detunings)
-    assert params.couplings == (1.0, 2.0) and all(type(c) is float for c in params.couplings)
-    assert "couplings=(1.0, 2.0)" in repr(params)
-
+    """A basis is equal, and hashes alike, only to a basis of its N and codes."""
     basis = build_basis(2)
     assert basis == fock.Basis(2, basis.codes)
     assert hash(basis) == hash(fock.Basis(2, basis.codes))

@@ -12,8 +12,10 @@ The two must agree to tight tolerance; the numerical route serves as the
 correctness oracle for the closed form and vice versa.  Every route
 takes one operator, one state and one time; an operator keeps its
 decomposition after the first use, so one Hamiltonian evolved to any
-number of times costs one ``eigh``.  Each mode is a qubit, as in the
-paper's protocol, where one excitation spreads over empty modes.
+number of times costs one ``eigh``.  ``build_hamiltonian`` builds H on
+the one-excitation sector of ``fock.build_basis``, where one excited atom
+and N empty modes stay, as in the paper's protocol; an operator on any
+other basis is a ``HermitianOperator`` of a matrix built by hand.
 
 The inputs are plain sequences, one entry per mode, in rad per unit
 time: the couplings eps_i > 0 and the detunings delta_i = omega_i -
@@ -76,48 +78,33 @@ class HermitianOperator(Frozen):
         return self._eigh
 
 
-def build_hamiltonian(basis: Basis, *, couplings, detunings) -> HermitianOperator:
-    """Assemble the atom-field Hamiltonian on the given basis, in the
-    interaction frame::
+def build_hamiltonian(*, couplings, detunings) -> HermitianOperator:
+    """Assemble the atom-field Hamiltonian on the N + 2 states of
+    ``build_basis(N)``, N the number of couplings, in the interaction frame::
 
         H = sum_i delta_i * n_i + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
 
     with eps_i the ``couplings`` and delta_i the ``detunings``, one of each
-    per mode of the basis (ValueError for another count, a non-finite value
-    or a coupling that is not positive); at resonance only the exchange term
-    survives.  One pass over the codes reads each state's photons off its
-    bits in mode order: each photon adds its mode's detuning to the
-    diagonal, which so rounds as the sum in mode order, and, with the atom
-    in its ground state, puts its mode's coupling between the state and
-    its partner |e, n - 1_i>.  A transition that would put a second photon
-    in a mode is dropped.  A basis that holds a state but not its exchange
-    partner, such as ``entanglement.support_basis``, raises ValueError.
+    per mode (ValueError for unequal counts, a non-finite value or a
+    coupling that is not positive); at resonance only the exchange term
+    survives.  On the sector H is an arrowhead: mode i's detuning, as
+    0.0 + delta_i, on the diagonal at |g;1_i>, index N + 1 - i, and its
+    coupling between that state and |e;0>, index N + 1.
     """
-    n, top = basis.n_modes, 1 << basis.n_modes
-    if len(couplings) != n or len(detunings) != n:
-        raise ValueError(f"the basis has {n} modes, so {n} couplings and {n} detunings: "
-                         f"got {len(couplings)} and {len(detunings)}")
+    if len(couplings) != len(detunings):
+        raise ValueError(f"one detuning per coupling: got {len(couplings)} couplings "
+                         f"and {len(detunings)} detunings")
     if not all(math.isfinite(v) for v in (*detunings, *couplings)):
         raise ValueError("model parameters must be finite")
     if any(c <= 0 for c in couplings):
         raise ValueError("couplings must be strictly positive")
-    modes = list(zip(detunings, couplings))
+    basis = build_basis(len(couplings))
+    excited = basis.n_modes + 1
     matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for k, code in enumerate(basis.codes):
-        energy, photons = 0.0, code & (top - 1)
-        while photons:
-            bit = 1 << photons.bit_length() - 1  # the first mode that holds a photon
-            photons ^= bit
-            detuning, coupling = modes[n - bit.bit_length()]
-            energy += detuning
-            if not code & top:
-                # exchange term: <e, n - 1_i| a_i s_+ |g, n> = 1
-                partner = basis.index.get(code ^ top ^ bit)
-                if partner is None:
-                    raise ValueError(f"basis lacks {basis.label(code ^ top ^ bit)}, "
-                                     "the exchange partner of a state it holds")
-                matrix[k, partner] = matrix[partner, k] = coupling
-        matrix[k, k] = energy
+    for i, (detuning, coupling) in enumerate(zip(detunings, couplings), start=1):
+        k = excited - i
+        matrix[k, k] = 0.0 + detuning
+        matrix[k, excited] = matrix[excited, k] = coupling
     return HermitianOperator(basis, matrix)
 
 

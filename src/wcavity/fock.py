@@ -18,6 +18,7 @@ space 0 .. 2 * 2^N - 1, is a ``Basis`` built by hand.
 
 from __future__ import annotations
 
+import operator
 import types
 
 import numpy as np
@@ -126,15 +127,20 @@ def build_basis(n_modes: int) -> Basis:
     """The basis of the one-excitation sector of N modes (the atomic
     excitation counts), its N + 2 codes ascending: 0, 1, 2, 4, ..., 2^N.
 
-    ``n_modes`` must be an integer from 1 to ``sector.MAX_MODES``; a bool
+    ``n_modes`` must be an integer from 1 to ``sector.MAX_MODES``, read by
+    ``operator.index``, so that a numpy integer counts as its int; a bool
     or a float that equals an int is refused like any other non-integer
     (ValueError).  Each call builds a new basis, equal to every other of
     its N.
     """
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
+    try:
+        n = operator.index(n_modes)
+    except TypeError:
+        n = 0
+    if isinstance(n_modes, bool) or n < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    require_modes(n_modes, "n_modes")
-    return Basis(n_modes, (0, *(1 << i for i in range(n_modes + 1))))
+    require_modes(n, "n_modes")
+    return Basis(n, (0, *(1 << i for i in range(n + 1))))
 
 
 def initial_state(basis: Basis) -> StateVector:

@@ -20,7 +20,6 @@ with one message.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 # The sweeps run on `sector`, and the disorder sweep draws from `normals`,
@@ -64,8 +63,8 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     the largest grid entry) from 1 to ``sector.MAX_MODES``, and grid length
     x ``trials`` points of N + 2 amplitudes.  The range rule is the
     route's: t* and each angle of ``sector.evolve`` must be finite
-    (``sector.require_angles``), and the disorder sweep's epsilon^2 normal
-    and its drawn couplings' sum of squares finite
+    (``sector.require_angles``), and the disorder sweep's t* and its drawn
+    couplings' sum of squares finite
     (``_require_normal_squares``).  The CLI makes no admission call of its
     own: a sweep it runs refuses here, and the CLI prints this message."""
     if n is not None:  # first: the default grid and the range rule need 1 <= N
@@ -85,8 +84,8 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     if parameter == "coupling-disorder":
         if any(x < 0 for x in grid):
             raise ValueError("disorder grid entries must be >= 0")
-        if epsilon > 0:  # else optimal_time refuses it
-            _require_normal_squares(n, epsilon, grid, source)
+        optimal_time(n, epsilon)  # here, so that a refused sweep imports no normals
+        _require_normal_squares(n, epsilon, grid, source)
     elif parameter == "mode-count":
         if any(x != int(x) or x < 1 for x in grid):
             raise ValueError("mode-count grid entries must be positive integers")
@@ -152,19 +151,17 @@ _NORMAL_BOUND = 14.0
 
 
 def _require_normal_squares(n: int, epsilon: float, grid, source: str) -> None:
-    """Refuse an epsilon whose square, or N-fold sum of squares, leaves the
-    normal doubles.  Then refuse the first sigma of ``grid`` at which a
-    drawn coupling epsilon (1 + xi sigma), |xi| <= ``_NORMAL_BOUND``, may
-    make that sum overflow; the message names the input ``source`` sigma
-    and the coupling ``--epsilon``, as the CLI reads them.  It is the range
+    """Refuse an epsilon whose N-fold sum of squares overflows.  Then
+    refuse the first sigma of ``grid`` at which a drawn coupling
+    epsilon (1 + xi sigma), |xi| <= ``_NORMAL_BOUND``, may make that sum
+    overflow; the message names the input ``source`` sigma and the
+    coupling ``--epsilon``, as the CLI reads them.  It is the upper range
     of the numpy route, which summed the squared couplings in doubles;
-    ``sector._norm`` needs no such range, but the sweep keeps it, so that
-    the same inputs run and the same are refused."""
-    square = epsilon * epsilon
-    if square < sys.float_info.min:
-        raise ValueError(f"--epsilon {epsilon!r} is too small: "
-                         "its square is below the smallest normal double")
-    if not math.isfinite(n * square):
+    ``sector._norm`` needs no such range, but the sweep keeps it.  An
+    epsilon whose square underflows runs: ``_norm`` scales such couplings
+    by a power of two, and the cells the CLI writes are those of
+    epsilon = 1."""
+    if not math.isfinite(n * (epsilon * epsilon)):
         raise ValueError(f"--epsilon {epsilon!r} is too large: N * epsilon^2 overflows at N = {n}")
     for sigma in grid:
         largest = epsilon * (1.0 + _NORMAL_BOUND * sigma)

@@ -120,7 +120,7 @@ class BrightMode(NamedTuple):
 def bright_mode(couplings) -> BrightMode:
     """The reduction of ``couplings``, mode i's at index i - 1, positive and
     finite (ValueError); an Omega that overflows is inf, for a route to refuse."""
-    if not couplings:
+    if len(couplings) == 0:
         raise ValueError("n_modes must be >= 1")
     if not all(math.isfinite(c) for c in couplings):
         raise ValueError("model parameters must be finite")

@@ -4,7 +4,8 @@ Each check measures a defect on randomized inputs, evaluating each draw
 through one operator and one state as it draws it, and compares the
 largest defect to ``sector.ROUNDING_TOL`` (``rng-stream`` counts the
 draws that differ, and admits none).  The dense numpy routes, on the
-N + 2 state sector that ``fock.build_basis`` builds, check each other
+N + 2 state sector where ``dynamics.build_hamiltonian`` builds each
+operator from its couplings and detunings alone, check each other
 and ``sector``'s closed form and propagator, the routes ``simulate``
 and the sweeps run; ``rabi-period`` times the Rabi period,
 four times t*, on ``sector.evolve``; numpy's generator checks
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dynamics import build_hamiltonian, propagate_numeric
 from . import normals, sector
-from .fock import StateVector, build_basis, initial_state
+from .fock import StateVector, initial_state
 from .sector import DEFAULT_SEED, ROUNDING_TOL
 
 
@@ -71,8 +72,7 @@ def check_unitarity(rng) -> CheckResult:
     def defects(draws):
         for _ in range(draws):
             couplings, detunings = _random_params(rng)
-            H = build_hamiltonian(build_basis(len(couplings)), couplings=couplings,
-                                  detunings=detunings)
+            H = build_hamiltonian(couplings=couplings, detunings=detunings)
             _, eigvecs = H.eigh()
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
@@ -83,11 +83,10 @@ def check_composition(rng) -> CheckResult:
     def defects(draws):
         for _ in range(draws):
             couplings, detunings = _random_params(rng)
-            basis = build_basis(len(couplings))
-            psi = StateVector(basis, _random_amplitudes(rng, basis))
+            H = build_hamiltonian(couplings=couplings, detunings=detunings)
+            psi = StateVector(H.basis, _random_amplitudes(rng, H.basis))
             t1 = float(rng.uniform(-5.0, 5.0))
             t2 = float(rng.uniform(-5.0, 5.0))
-            H = build_hamiltonian(basis, couplings=couplings, detunings=detunings)
             two = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
             one = propagate_numeric(H, psi, t1 + t2)
             yield float(np.max(np.abs(two.amplitudes - one.amplitudes)))
@@ -98,9 +97,8 @@ def _sector_gap(couplings, detuning: float, t: float, mode: sector.BrightMode, p
     """The amplitude gap between the N + 2 amplitudes that ``pair`` of
     ``mode``, at time t, stands for and the dense sector propagator of
     ``couplings`` and one common ``detuning``."""
-    basis = build_basis(len(couplings))
-    H = build_hamiltonian(basis, couplings=couplings, detunings=(detuning,) * len(couplings))
-    dense = propagate_numeric(H, initial_state(basis), t)
+    H = build_hamiltonian(couplings=couplings, detunings=(detuning,) * len(couplings))
+    dense = propagate_numeric(H, initial_state(H.basis), t)
     amps = sector.amplitudes(mode, pair)
     return max(abs(a - b) for a, b in zip(amps, dense.amplitudes.tolist()))
 

@@ -150,6 +150,7 @@ COMMANDS = [
         ["simulate", "--n", "13", "--epsilon", "2.5e307"],
         ["simulate", "--n", "3", "--time", "1e300", "--epsilon", "1e-10"],
         ["simulate", "--time", "1.04e308"],
+        # admitted: an epsilon whose square underflows writes the rows of epsilon = 1
         ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e-170", "--out", "-"],
         ["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e160", "--out", "-"],
         # a disorder sigma whose largest draw may overflow the sum of squares

@@ -27,7 +27,7 @@ from wcavity.protocol import coupling_disorder_sweep, optimal_time, timing_error
 from wcavity.validation import measure_rabi_period
 
 from codes import excitations
-from qubit_space import qubit_basis
+from qubit_space import qubit_basis, qubit_hamiltonian
 
 
 def verdict(number: int, ok: bool, description: str, detail: str) -> None:
@@ -51,7 +51,7 @@ def test_criterion_1_deterministic_w_generation():
         and all(abs(m - 1.0 / math.sqrt(3.0)) <= 1e-12 for m in photon_moduli)
         and abs(success_probability(closed) - 1.0) <= 1e-12
     )
-    H = build_hamiltonian(basis, couplings=couplings, detunings=(0.0,) * n)
+    H = build_hamiltonian(couplings=couplings, detunings=(0.0,) * n)
     numeric = propagate_numeric(H, initial_state(basis), t_star)
     gap = float(np.max(np.abs(closed.amplitudes - numeric.amplitudes)))
     elapsed = time.perf_counter() - start
@@ -74,7 +74,7 @@ def test_criterion_2_general_n_claim():
         closed = evolve_closed_form(couplings, t_star)
         basis = closed.basis
         target = w_state(basis)
-        H = build_hamiltonian(basis, couplings=couplings, detunings=(0.0,) * n)
+        H = build_hamiltonian(couplings=couplings, detunings=(0.0,) * n)
         numeric = propagate_numeric(H, initial_state(basis), t_star)
         for psi in (closed, numeric):
             f = abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2
@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence():
         t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
         couplings = (eps,) * n
         closed = evolve_closed_form(couplings, t)
-        H = build_hamiltonian(closed.basis, couplings=couplings, detunings=(0.0,) * n)
+        H = build_hamiltonian(couplings=couplings, detunings=(0.0,) * n)
         numeric = propagate_numeric(H, initial_state(closed.basis), t)
         worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
     elapsed = time.perf_counter() - start
@@ -131,8 +131,8 @@ def test_criterion_5_conservation_unitarity_suite():
         n = int(rng.integers(1, 5))
         detunings = tuple(float(d) for d in rng.uniform(-5.0, 5.0, size=n))
         couplings = tuple(float(c) for c in rng.uniform(0.1, 3.0, size=n))
-        basis = qubit_basis(n)
-        H = build_hamiltonian(basis, couplings=couplings, detunings=detunings)
+        H = qubit_hamiltonian(couplings=couplings, detunings=detunings)
+        basis = H.basis
         herm = max(herm, float(np.max(np.abs(H.matrix - H.matrix.conj().T))))
         N = np.diag(excitations(basis))
         comm = max(comm, float(np.max(np.abs(H.matrix @ N - N @ H.matrix))))

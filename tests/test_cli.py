@@ -33,7 +33,7 @@ from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, ROUNDING_TOL
 
 from codes import digits
-from qubit_space import qubit_basis
+from qubit_space import qubit_hamiltonian
 
 # the sweep parameters, in the order of cli.SWEEP_UNREAD
 PARAMETERS = list(cli.SWEEP_UNREAD)
@@ -97,7 +97,7 @@ class TestSimulate:
             norm = np.linalg.norm(amps)
             assert abs(norm - 1.0) <= 5e-12
             StateVector(basis, amps / norm)  # refuses any but N + 2 amplitudes of norm 1
-            H = build_hamiltonian(basis, couplings=(eps,) * n, detunings=(0.0,) * n)
+            H = build_hamiltonian(couplings=(eps,) * n, detunings=(0.0,) * n)
             dense = propagate_numeric(H, initial_state(basis), time / eps)
             assert np.max(np.abs(amps - dense.amplitudes)) <= ROUNDING_TOL
             if time == 0.0:
@@ -123,9 +123,8 @@ class TestSimulate:
 
 def dense_route(n, epsilon, t):
     """The simulate evolution on the whole truncated space 2 * 2^N."""
-    basis = qubit_basis(n)
-    H = build_hamiltonian(basis, couplings=(epsilon,) * n, detunings=(0.0,) * n)
-    return propagate_numeric(H, initial_state(basis), t)
+    H = qubit_hamiltonian(couplings=(epsilon,) * n, detunings=(0.0,) * n)
+    return propagate_numeric(H, initial_state(H.basis), t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1149,7 +1148,6 @@ def basis_builds(monkeypatch):
 
 ENTANGLEMENT_REFUSAL = ("entanglement too large: its size is 8128 points x 130 amplitudes "
                         "= 1056640, above the limit of 1048576")
-EPSILON_UNDERFLOW = "--epsilon {} is too small: its square is below the smallest normal double"
 EPSILON_OVERFLOW = "--epsilon {} is too large: N * epsilon^2 overflows at N = {}"
 T_STAR_INFINITE = "epsilon {} is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = {}"
 T_STAR_ZERO = "epsilon {} is too large: t* = pi / (2 sqrt(N) epsilon) is 0.0 at N = {}"
@@ -1185,8 +1183,8 @@ def zeros(k: int) -> str:
     (["simulate", "--n", "3", "--time", "1e300", "--epsilon", "1e-10"],
      ANGLE.format("--time 1e+300", "1e-10")),
     (["simulate", "--n", "3", "--time", "1.7e308"], ANGLE.format("--time 1.7e+308", "1.0")),
-    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e-170"],
-     EPSILON_UNDERFLOW.format("1e-170")),
+    (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "5.04e-309"],
+     T_STAR_INFINITE.format("5.04e-309", 3)),
     (["sweep", "--n", "3", "--parameter", "coupling-disorder", "--epsilon", "1e160"],
      EPSILON_OVERFLOW.format("1e+160", 3)),
     (["sweep", "--parameter", "mode-count", "--grid", "1,40", "--epsilon", "2.13e307"],
@@ -1297,9 +1295,8 @@ DISORDER_TRIALS = 100
 @pytest.mark.parametrize("admitted, refused", [
     # t* = pi / (2 sqrt(N) epsilon) against the largest double
     (["simulate", "--epsilon", "5.05e-309"], ["simulate", "--epsilon", "5.04e-309"]),
-    # epsilon^2 against the smallest normal double, 2.2250738585072014e-308
-    (("coupling-disorder", None, 3, 1.5e-154, DISORDER_TRIALS),
-     ("coupling-disorder", None, 3, 1.4e-154, DISORDER_TRIALS)),
+    (("coupling-disorder", None, 3, 5.05e-309, DISORDER_TRIALS),
+     ("coupling-disorder", None, 3, 5.04e-309, DISORDER_TRIALS)),
     # 2 sqrt(N) epsilon, the denominator of t*, against the largest double
     (["simulate", "--n", "3", "--epsilon", "5.18e307"], ["simulate", "--n", "3", "--epsilon", "5.19e307"]),
     (["simulate", "--n", "13", "--epsilon", "2.49e307"], ["simulate", "--n", "13", "--epsilon", "2.5e307"]),
@@ -1321,22 +1318,25 @@ DISORDER_TRIALS = 100
         "detuning-grid", "disorder-grid"])
 def test_closed_form_range_bound(admitted, refused):
     """The range rule admits the first input and refuses the second: t*,
-    each angle and detuning of the sector routes, and epsilon^2 and the
-    largest drawn coupling's sum of squares for the coupling-disorder
-    sweep, as finite or normal doubles."""
+    each angle and detuning of the sector routes, and the largest drawn
+    coupling's sum of squares for the coupling-disorder sweep, as finite
+    doubles."""
     admit(admitted)
     with pytest.raises(ValueError,
                        match="^(epsilon|--epsilon|--time|--grid) .* is too (small|large)"):
         admit(refused)
 
 
-@pytest.mark.parametrize("parameter", ["timing-error", "detuning", "mode-count", "simulate"])
-@pytest.mark.parametrize("epsilon", ["1e-170", "1e160"])
+@pytest.mark.parametrize("epsilon, parameter", [
+    *((epsilon, parameter) for epsilon in ("1e-170", "1e160")
+      for parameter in ("timing-error", "detuning", "mode-count", "simulate")),
+    ("1e-170", "coupling-disorder"),
+])
 def test_sweeps_off_the_closed_form_admit_any_epsilon(parameter, epsilon, capsys):
-    """Only the coupling-disorder sweep keeps the range of epsilon^2;
-    simulate and the other sweeps run on sector, whose Omega, ``_norm`` of
-    the couplings, scales them by a power of two where their squares leave
-    the normal doubles, and reach the W state."""
+    """Simulate and the sweeps run on sector, whose Omega, ``_norm`` of the
+    couplings, scales them by a power of two where their squares leave the
+    normal doubles, and reach the W state.  Only the coupling-disorder
+    sweep keeps a range of epsilon^2, its upper one: N epsilon^2 finite."""
     if parameter == "simulate":
         report = run_json(capsys, "simulate", "--n", "3", "--epsilon", epsilon)
         assert report["fidelity_W"] == 1.0

@@ -18,10 +18,10 @@ from wcavity.dynamics import (
     propagate_numeric,
 )
 from wcavity.entanglement import fidelity
-from wcavity.fock import Basis, StateVector, build_basis, initial_state
+from wcavity.fock import StateVector, build_basis, initial_state
 
-from codes import digits, e, exchange_pairs, excitations, g
-from qubit_space import qubit_basis
+from codes import e, excitations, g
+from qubit_space import qubit_basis, qubit_hamiltonian, reference_hamiltonian
 
 
 def resonant(n_modes, coupling):
@@ -44,138 +44,112 @@ def random_state(rng, basis):
     return StateVector(basis, raw / np.linalg.norm(raw))
 
 
-def reference_hamiltonian(basis, *, couplings, detunings, lab=None):
-    """H by a per-state loop over the digits of each code, apart from
-    ``build_hamiltonian``'s walk over the bits: the reference it must
-    match bit for bit.  With ``lab`` = (omega_a, omega_modes), the
-    lab-frame H of those frequencies and the couplings instead:
-    omega_a s_z + sum_i omega_i n_i, with s_z = +-1/2, on the diagonal."""
-    dim = basis.dim
-    matrix = np.zeros((dim, dim), dtype=complex)
-    states = [digits(code, basis.n_modes) for code in basis.codes]
-    for k, (atom, *occupations) in enumerate(states):
-        if lab is None:
-            diag = sum(d * n for d, n in zip(detunings, occupations))
-        else:
-            omega_a, omega_modes = lab
-            s_z = 0.5 if atom == 1 else -0.5
-            diag = omega_a * s_z + sum(w * n for w, n in zip(omega_modes, occupations))
-        matrix[k, k] = diag
-    for k, partner, i in exchange_pairs(basis):
-        matrix[partner, k] += couplings[i]
-        matrix[k, partner] += couplings[i]
-    return matrix
-
-
 class TestBuildHamiltonian:
-    @pytest.mark.parametrize("couplings, detunings, counts", [
-        ((1.0,) * 3, (0.0,) * 2, "got 3 and 2"),
-        ((1.0,) * 2, (0.0,) * 3, "got 2 and 3"),
-        ((1.0,) * 3, (0.0,) * 3, "got 3 and 3"),
-        ((), (), "got 0 and 0"),
-    ])
-    def test_refuses_a_count_that_is_not_the_basis_modes(self, couplings, detunings, counts):
-        # zip would otherwise pair the first N of each and drop the rest
+    @pytest.mark.parametrize("couplings, detunings", [((1.0,) * 3, (0.0,) * 2),
+                                                      ((1.0,) * 2, (0.0,) * 3)])
+    def test_refuses_unequal_counts_of_couplings_and_detunings(self, couplings, detunings):
+        # zip would otherwise pair the first of each and drop the rest
         with pytest.raises(ValueError, match=re.escape(
-                f"the basis has 2 modes, so 2 couplings and 2 detunings: {counts}")):
-            build_hamiltonian(build_basis(2), couplings=couplings, detunings=detunings)
+                f"one detuning per coupling: got {len(couplings)} couplings "
+                f"and {len(detunings)} detunings")):
+            build_hamiltonian(couplings=couplings, detunings=detunings)
+
+    def test_refuses_no_modes(self):
+        with pytest.raises(ValueError, match="n_modes must be a positive integer, got 0"):
+            build_hamiltonian(couplings=(), detunings=())
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_refuses_a_non_finite_detuning_or_coupling(self, value):
-        basis = build_basis(2)
         with pytest.raises(ValueError, match="model parameters must be finite"):
-            build_hamiltonian(basis, couplings=(1.0, 1.0), detunings=(0.0, value))
+            build_hamiltonian(couplings=(1.0, 1.0), detunings=(0.0, value))
         with pytest.raises(ValueError, match="model parameters must be finite"):
-            build_hamiltonian(basis, couplings=(1.0, value), detunings=(0.0, 0.0))
+            build_hamiltonian(couplings=(1.0, value), detunings=(0.0, 0.0))
 
     @pytest.mark.parametrize("coupling", [0.0, -0.0, -1.0])
     def test_refuses_a_non_positive_coupling(self, coupling):
         with pytest.raises(ValueError, match="couplings must be strictly positive"):
-            build_hamiltonian(build_basis(2), couplings=(1.0, coupling), detunings=(0.0, 0.0))
+            build_hamiltonian(couplings=(1.0, coupling), detunings=(0.0, 0.0))
 
     def test_takes_its_couplings_and_detunings_by_keyword_only(self):
         with pytest.raises(TypeError):
-            build_hamiltonian(build_basis(1), (1.0,), (0.0,))
-        with pytest.raises(TypeError):
-            build_hamiltonian(build_basis(1), (1.0,), detunings=(0.0,))
+            build_hamiltonian((1.0,), (0.0,))
+        with pytest.raises(TypeError):  # and no basis: it builds build_basis(N)
+            build_hamiltonian(build_basis(1), couplings=(1.0,), detunings=(0.0,))
 
     def test_single_mode_interaction_matrix(self):
         # hand evaluation on the basis (|g;0>, |g;1>, |e;0>)
-        basis = build_basis(1)
-        H = build_hamiltonian(basis, **resonant(1, 0.8)).matrix
+        H = build_hamiltonian(**resonant(1, 0.8))
+        assert H.basis == build_basis(1)
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.8
-        np.testing.assert_array_equal(H, expected)
+        np.testing.assert_array_equal(H.matrix, expected)
 
     def test_three_mode_excited_row(self):
-        basis = build_basis(3)
-        H = build_hamiltonian(basis, **resonant(3, 1.3)).matrix
+        H = build_hamiltonian(**resonant(3, 1.3))
+        basis = H.basis
         row = basis.index[e(0, 0, 0)]
         for s in (g(1, 0, 0), g(0, 1, 0), g(0, 0, 1)):
-            assert H[row, basis.index[s]] == 1.3
-        assert H[row, basis.index[g(0, 0, 0)]] == 0.0
-        assert H[row, row] == 0.0
+            assert H.matrix[row, basis.index[s]] == 1.3
+        assert H.matrix[row, basis.index[g(0, 0, 0)]] == 0.0
+        assert H.matrix[row, row] == 0.0
 
     def test_diagonal_holds_the_mode_detunings(self):
-        basis = qubit_basis(2)
-        H = build_hamiltonian(basis, couplings=(0.5, 0.5), detunings=(0.7, -0.25)).matrix
-        assert H[basis.index[g(1, 0)], basis.index[g(1, 0)]] == 0.7
-        assert H[basis.index[g(1, 1)], basis.index[g(1, 1)]] == 0.7 - 0.25
-        assert H[basis.index[e(0, 1)], basis.index[e(0, 1)]] == -0.25
-        assert H[basis.index[e(0, 0)], basis.index[e(0, 0)]] == 0.0
+        H = build_hamiltonian(couplings=(0.5, 0.5), detunings=(0.7, -0.25))
+        diagonal = {code: H.matrix[k, k] for code, k in H.basis.index.items()}
+        assert diagonal == {g(0, 0): 0.0, g(1, 0): 0.7, g(0, 1): -0.25, e(0, 0): 0.0}
 
     def test_truncation_drops_out_of_range_transitions(self):
         # |e;1> would couple to |g;2>, which a qubit mode cannot hold
         basis = qubit_basis(1)
-        H = build_hamiltonian(basis, **resonant(1, 1.0)).matrix
+        H = qubit_hamiltonian(**resonant(1, 1.0)).matrix
         row = basis.index[e(1)]
         off_diag = np.delete(H[row], row)
         assert np.all(off_diag == np.delete(H[:, row], row))
         assert H[row, basis.index[g(1)]] == 0.0
         assert H[row, basis.index[e(0)]] == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(build_basis(3), **resonant(2, 1.0))
-
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
-        for cap in [None, 1]:
-            for _ in range(15):
-                n = int(rng.integers(1, 6 if cap else 5))
-                params = random_params(rng, n_modes=n)
-                basis = build_basis(n) if cap else qubit_basis(n)
-                H = build_hamiltonian(basis, **params).matrix
-                np.testing.assert_array_equal(H, reference_hamiltonian(basis, **params))
+        for _ in range(15):
+            params = random_params(rng, n_modes=int(rng.integers(1, 6)))
+            H = build_hamiltonian(**params)
+            np.testing.assert_array_equal(H.matrix, reference_hamiltonian(H.basis, **params))
 
-    @pytest.mark.parametrize("spec", [(1, None), (3, None), (4, None), (5, 1), (6, None), (7, 1)])
-    def test_equals_the_per_state_loop_bit_for_bit(self, spec):
-        """Unequal detunings, whose sums round by the order they are taken
-        in, and unequal couplings: every entry is the loop's, bit for bit,
-        on the qubit space (cap None) and on the sector (cap 1)."""
-        n, cap = spec
-        basis = build_basis(n) if cap else qubit_basis(n)
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_equals_the_per_state_loop_bit_for_bit(self, n):
+        """Unequal detunings and unequal couplings: every entry is the
+        loop's on the sector, bit for bit."""
         params = {"couplings": tuple(0.3 + 0.7 * i for i in range(n)),
                   "detunings": tuple(0.1 * (i + 1) * (-1) ** i + 1 / (i + 3) for i in range(n))}
-        np.testing.assert_array_equal(build_hamiltonian(basis, **params).matrix,
-                                      reference_hamiltonian(basis, **params))
+        H = build_hamiltonian(**params)
+        assert H.matrix.tobytes() == reference_hamiltonian(H.basis, **params).tobytes()
 
-    @pytest.mark.parametrize("codes, missing", [
-        ((0b011, 0b110), "|e;01>"),  # |g;11>: mode 1's partner is sought first
-        ((0b011, 0b101), "|e;10>"),
-        ((0b001, 0b011, 0b101, 0b110), "|e;00>"),  # the partner of the first state
-    ])
-    def test_names_the_first_missing_exchange_partner(self, codes, missing):
-        with pytest.raises(ValueError, match=re.escape(
-                f"basis lacks {missing}, the exchange partner of a state it holds")):
-            build_hamiltonian(Basis(2, codes), **resonant(2, 1.0))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_restriction_of_the_qubit_model(self, n):
+        """H of the per-state loop on the whole qubit space has no entry
+        between a sector code (0, 1, 2, ..., 2^N) and any other code, and
+        its block on the sector codes is ``build_hamiltonian``'s matrix,
+        bit for bit: signed zeros among the detunings included."""
+        rng = np.random.default_rng(n)
+        full = qubit_basis(n)
+        inside = [full.index[code] for code in build_basis(n).codes]
+        outside = sorted(set(range(full.dim)) - set(inside))
+        for _ in range(10):
+            params = random_params(rng, n_modes=n)
+            signed = rng.choice([0.0, -0.0], size=n)
+            zeroed = rng.random(n) < 0.3
+            params["detunings"] = tuple(float(z) if zero else d for d, z, zero
+                                        in zip(params["detunings"], signed, zeroed))
+            reference = reference_hamiltonian(full, **params)
+            assert not reference[np.ix_(inside, outside)].any()
+            assert not reference[np.ix_(outside, inside)].any()
+            block = np.ascontiguousarray(reference[np.ix_(inside, inside)])
+            assert build_hamiltonian(**params).matrix.tobytes() == block.tobytes()
 
     def test_hermiticity_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            params = random_params(rng)
-            basis = qubit_basis(len(params["couplings"]))
-            H = build_hamiltonian(basis, **params).matrix
+            H = build_hamiltonian(**random_params(rng)).matrix
             assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
@@ -185,7 +159,7 @@ class TestEqualBases:
     ``validation._sector_gap`` and ``evolve_closed_form``."""
 
     def test_a_state_and_an_operator_on_two_builds_propagate_and_score(self):
-        H = build_hamiltonian(build_basis(3), **resonant(3, 1.0))
+        H = build_hamiltonian(**resonant(3, 1.0))
         psi0 = initial_state(build_basis(3))
         assert H.basis is not psi0.basis and H.basis == psi0.basis
         dense = propagate_numeric(H, psi0, 0.4)
@@ -193,14 +167,15 @@ class TestEqualBases:
         assert closed.basis is not dense.basis
         assert fidelity(closed, dense) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("other", [qubit_basis(3), build_basis(4)], ids=["qubit", "n4"])
-    def test_bases_of_other_codes_or_n_are_refused(self, other):
-        H = build_hamiltonian(other, **resonant(other.n_modes, 1.0))
+    @pytest.mark.parametrize("build, n", [(qubit_hamiltonian, 3), (build_hamiltonian, 4)],
+                             ids=["qubit", "n4"])
+    def test_bases_of_other_codes_or_n_are_refused(self, build, n):
+        H = build(**resonant(n, 1.0))
         psi = initial_state(build_basis(3))
         with pytest.raises(ValueError, match="live on different bases"):
             propagate_numeric(H, psi, 0.4)
         with pytest.raises(ValueError, match="live on different bases"):
-            fidelity(initial_state(other), psi)
+            fidelity(initial_state(H.basis), psi)
 
 
 class TestExcitationOperator:
@@ -214,10 +189,9 @@ class TestExcitationOperator:
     def test_commutes_with_hamiltonian_randomized(self):
         rng = np.random.default_rng(1234)
         for _ in range(50):
-            params = random_params(rng)
-            basis = qubit_basis(len(params["couplings"]))
-            H = build_hamiltonian(basis, **params).matrix
-            N = np.diag(excitations(basis))
+            H = qubit_hamiltonian(**random_params(rng))
+            N = np.diag(excitations(H.basis))
+            H = H.matrix
             comm = H @ N - N @ H
             assert np.max(np.abs(comm)) <= 1e-13
 
@@ -247,6 +221,11 @@ class TestClosedForm:
         assert psi.amplitude(g(0, 1)) == pytest.approx(
             -1.2j / omega * math.sin(0.1 * omega), abs=1e-15
         )
+
+    def test_takes_a_numpy_array_of_couplings(self):
+        couplings = (0.7, 1.3, 2.2)
+        psi = evolve_closed_form(np.array(couplings), 0.5)
+        assert psi.amplitudes.tobytes() == evolve_closed_form(couplings, 0.5).amplitudes.tobytes()
 
     def test_is_the_sector_closed_form_bit_for_bit(self):
         couplings = (0.7, 1.3, 2.2)
@@ -283,7 +262,7 @@ class TestClosedFormGeneral:
         assert psi.amplitude(g(0, 1)) == pytest.approx(-0.8j, abs=1e-12)
         # independent confirmation through the numeric propagator
         basis = psi.basis
-        H = build_hamiltonian(basis, couplings=(3.0, 4.0), detunings=(0.0, 0.0))
+        H = build_hamiltonian(couplings=(3.0, 4.0), detunings=(0.0, 0.0))
         ref = propagate_numeric(H, initial_state(basis), t)
         assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) <= 1e-10
 
@@ -296,7 +275,7 @@ class TestClosedFormGeneral:
             eps = tuple(float(c) for c in rng.uniform(0.1, 10.0, size=n))
             t = float(rng.uniform(0.0, 4.0 * math.pi / max(eps)))
             closed = evolve_closed_form(eps, t)
-            H = build_hamiltonian(closed.basis, couplings=eps, detunings=(0.0,) * n)
+            H = build_hamiltonian(couplings=eps, detunings=(0.0,) * n)
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
         assert worst <= 1e-8
@@ -320,7 +299,7 @@ class TestClosedFormAmplitudes:
 class TestPropagateNumeric:
     def test_time_zero_identity(self):
         basis = build_basis(3)
-        H = build_hamiltonian(basis, **resonant(3, 1.0))
+        H = build_hamiltonian(**resonant(3, 1.0))
         psi0 = initial_state(basis)
         out = propagate_numeric(H, psi0, 0.0)
         np.testing.assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-15)
@@ -329,7 +308,7 @@ class TestPropagateNumeric:
         eps = 1.0
         t_star = math.pi / (2.0 * math.sqrt(3.0) * eps)
         closed = evolve_closed_form((eps,) * 3, t_star)
-        H = build_hamiltonian(closed.basis, **resonant(3, eps))
+        H = build_hamiltonian(**resonant(3, eps))
         numeric = propagate_numeric(H, initial_state(closed.basis), t_star)
         assert np.max(np.abs(closed.amplitudes - numeric.amplitudes)) <= 1e-10
 
@@ -341,7 +320,7 @@ class TestPropagateNumeric:
             eps = float(rng.uniform(0.1, 10.0))
             t = float(rng.uniform(0.0, 4.0 * math.pi / eps))
             closed = evolve_closed_form((eps,) * n, t)
-            H = build_hamiltonian(closed.basis, **resonant(n, eps))
+            H = build_hamiltonian(**resonant(n, eps))
             numeric = propagate_numeric(H, initial_state(closed.basis), t)
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - numeric.amplitudes))))
         assert worst <= 1e-8
@@ -350,10 +329,8 @@ class TestPropagateNumeric:
         # third route: Pade scaling-and-squaring from scipy
         rng = np.random.default_rng(99)
         for _ in range(10):
-            params = random_params(rng)
-            basis = qubit_basis(len(params["couplings"]))
-            H = build_hamiltonian(basis, **params)
-            psi = random_state(rng, basis)
+            H = qubit_hamiltonian(**random_params(rng))
+            psi = random_state(rng, H.basis)
             t = float(rng.uniform(-5.0, 5.0))
             mine = propagate_numeric(H, psi, t)
             ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
@@ -362,20 +339,16 @@ class TestPropagateNumeric:
     def test_unitarity_randomized(self):
         rng = np.random.default_rng(2024)
         for _ in range(50):
-            params = random_params(rng)
-            basis = qubit_basis(len(params["couplings"]))
-            H = build_hamiltonian(basis, **params)
-            psi = random_state(rng, basis)
+            H = qubit_hamiltonian(**random_params(rng))
+            psi = random_state(rng, H.basis)
             t = float(rng.uniform(-20.0, 20.0))
             assert abs(propagate_numeric(H, psi, t).norm() - 1.0) <= 1e-10
 
     def test_composition_randomized(self):
         rng = np.random.default_rng(555)
         for _ in range(50):
-            params = random_params(rng)
-            basis = qubit_basis(len(params["couplings"]))
-            H = build_hamiltonian(basis, **params)
-            psi = random_state(rng, basis)
+            H = qubit_hamiltonian(**random_params(rng))
+            psi = random_state(rng, H.basis)
             t1 = float(rng.uniform(-5.0, 5.0))
             t2 = float(rng.uniform(-5.0, 5.0))
             two_step = propagate_numeric(H, propagate_numeric(H, psi, t1), t2)
@@ -403,7 +376,7 @@ class TestPropagateNumeric:
             psi = random_state(rng, basis)
             t = float(rng.uniform(0.0, 8.0))
             lab_out = propagate_numeric(lab, psi, t)
-            int_out = propagate_numeric(build_hamiltonian(basis, **params), psi, t)
+            int_out = propagate_numeric(qubit_hamiltonian(**params), psi, t)
             gap = np.max(np.abs(np.abs(lab_out.amplitudes) - np.abs(int_out.amplitudes)))
             assert gap <= 1e-10
 
@@ -413,7 +386,7 @@ class TestPropagateNumeric:
         for n in range(1, 7):
             eps = float(rng.uniform(0.2, 4.0))
             basis = build_basis(n)
-            H = build_hamiltonian(basis, **resonant(n, eps))
+            H = build_hamiltonian(**resonant(n, eps))
             psi0 = initial_state(basis)
             excited = basis.index[e(*([0] * n))]
             period = 2.0 * math.pi / (math.sqrt(n) * eps)
@@ -425,32 +398,30 @@ class TestPropagateNumeric:
                 assert p_shift == pytest.approx(p_t, abs=1e-10)
 
     def test_rejects_basis_mismatch(self):
-        H = build_hamiltonian(build_basis(2), **resonant(2, 1.0))
+        H = build_hamiltonian(**resonant(2, 1.0))
         with pytest.raises(ValueError, match="different bases"):
             propagate_numeric(H, initial_state(build_basis(3)), 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
     def test_rejects_nonfinite_time(self, t):
         basis = build_basis(1)
-        H = build_hamiltonian(basis, **resonant(1, 1.0))
+        H = build_hamiltonian(**resonant(1, 1.0))
         with pytest.raises(ValueError, match="finite"):
             propagate_numeric(H, initial_state(basis), t)
 
     def test_takes_one_time(self):
-        basis = qubit_basis(2)
-        H = build_hamiltonian(basis, **resonant(2, 1.0))
+        H = qubit_hamiltonian(**resonant(2, 1.0))
         with pytest.raises(TypeError):
-            propagate_numeric(H, initial_state(basis), np.array([0.1, 0.2]))
+            propagate_numeric(H, initial_state(H.basis), np.array([0.1, 0.2]))
 
     def test_overflow_raises_propagation_error(self):
-        basis = qubit_basis(1)
-        H = build_hamiltonian(basis, couplings=(1.0,), detunings=(1e308,))
+        H = build_hamiltonian(couplings=(1.0,), detunings=(1e308,))
         with pytest.raises(PropagationError, match="non-finite"):
-            propagate_numeric(H, initial_state(basis), 1e10)
+            propagate_numeric(H, initial_state(H.basis), 1e10)
 
     def test_norm_drift_guard(self, monkeypatch):
         basis = build_basis(2)
-        H = build_hamiltonian(basis, **resonant(2, 1.0))
+        H = build_hamiltonian(**resonant(2, 1.0))
         psi = initial_state(basis)
         real_eigh = np.linalg.eigh
 
@@ -464,7 +435,7 @@ class TestPropagateNumeric:
 
     def test_drift_that_grows_with_time_raises(self, monkeypatch):
         basis = build_basis(2)
-        H = build_hamiltonian(basis, **resonant(2, 1.0))
+        H = build_hamiltonian(**resonant(2, 1.0))
         real_eigh = np.linalg.eigh
 
         def decaying_eigh(matrix):
@@ -482,7 +453,7 @@ class TestPropagateNumeric:
 
     def test_diagonalizes_once_per_operator(self, eigh_calls):
         basis = build_basis(3)
-        H = build_hamiltonian(basis, **resonant(3, 1.0))
+        H = build_hamiltonian(**resonant(3, 1.0))
         psi0 = initial_state(basis)
         for t in np.linspace(0.0, 2.0, 50).tolist():
             propagate_numeric(H, psi0, t)
@@ -505,9 +476,8 @@ def test_propagate_numeric_matches_scipy_expm(basis_spec, seed, times):
     n, cap = basis_spec
     rng = np.random.default_rng(seed)
     params = random_params(rng, n_modes=n)
-    basis = build_basis(n) if cap else qubit_basis(n)
-    H = build_hamiltonian(basis, **params)
-    psi = random_state(rng, basis)
+    H = build_hamiltonian(**params) if cap else qubit_hamiltonian(**params)
+    psi = random_state(rng, H.basis)
     for t in times:
         ref = scipy.linalg.expm(-1j * H.matrix * t) @ psi.amplitudes
         np.testing.assert_allclose(propagate_numeric(H, psi, t).amplitudes, ref,
@@ -528,8 +498,8 @@ def test_sector_evolution_equals_the_dense_full_space(n, detuning, epsilon, time
     params = {"couplings": (epsilon,) * n, "detunings": (detuning,) * n}
     sector, full = build_basis(n), qubit_basis(n)
     assert full.dim == 2 * 2**n
-    small = propagate_numeric(build_hamiltonian(sector, **params), initial_state(sector), time)
-    dense = propagate_numeric(build_hamiltonian(full, **params), initial_state(full), time)
+    small = propagate_numeric(build_hamiltonian(**params), initial_state(sector), time)
+    dense = propagate_numeric(qubit_hamiltonian(**params), initial_state(full), time)
     embedded = np.zeros(full.dim, dtype=complex)
     embedded[[full.index[code] for code in sector.codes]] = small.amplitudes
     np.testing.assert_allclose(embedded, dense.amplitudes, atol=1e-12, rtol=0)
@@ -550,7 +520,7 @@ def test_a_drift_above_the_rounding_tolerance_raises(route, drift, monkeypatch):
             return list(sector.evolve(mode, ((0.5 * math.pi, 0.0),)))
     else:
         basis = build_basis(2)
-        H = build_hamiltonian(basis, **resonant(2, 1.0))
+        H = build_hamiltonian(**resonant(2, 1.0))
         real_eigh = np.linalg.eigh
 
         def scaled_eigh(matrix):
@@ -597,7 +567,7 @@ class TestHermitianOperator:
         H = HermitianOperator(basis, mat)
         assert H.defect == hermiticity_defect(mat) == pytest.approx(4e-13, rel=1e-3)
         assert isinstance(H.defect, float)
-        assert build_hamiltonian(basis, **resonant(1, 1.0)).defect == 0.0
+        assert build_hamiltonian(**resonant(1, 1.0)).defect == 0.0
 
     def test_refuses_a_stack(self):
         basis = build_basis(1)
@@ -627,17 +597,16 @@ class TestHermitianOperator:
     def test_build_hamiltonian_peaks_below_three_dense_matrices(self):
         """The constructor checks the assembled matrix before it copies it,
         so the assembled matrix, its copy and the Hermiticity gap are never
-        all alive: at dim 512 the peak stays within 2.6 matrices."""
-        basis = qubit_basis(8)
-        assert basis.dim == 512
-        params = resonant(8, 1.0)
+        all alive: at dim 512, N = 510, the peak stays within 2.6 matrices."""
+        params = resonant(510, 1.0)
         tracemalloc.start()
         try:
-            build_hamiltonian(basis, **params)
+            H = build_hamiltonian(**params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * basis.dim**2 * np.dtype(complex).itemsize
+        assert H.basis.dim == 512
+        assert peak <= 2.6 * H.basis.dim**2 * np.dtype(complex).itemsize
 
 
 class TestEachResultIsACheckedCopy:
@@ -654,8 +623,7 @@ class TestEachResultIsACheckedCopy:
         return calls
 
     def test_build_hamiltonian_owns_a_read_only_matrix(self):
-        basis = build_basis(3)
-        H = build_hamiltonian(basis, **resonant(3, 1.0))
+        H = build_hamiltonian(**resonant(3, 1.0))
         assert not H.matrix.flags.writeable
 
     def test_closed_form_checks_its_row_once(self, row_checks, monkeypatch):
@@ -672,7 +640,7 @@ class TestEachResultIsACheckedCopy:
     def test_numeric_route_checks_its_row_once(self, row_checks):
         basis = build_basis(3)
         psi0 = initial_state(basis)
-        H = build_hamiltonian(basis, **resonant(3, 1.0))
+        H = build_hamiltonian(**resonant(3, 1.0))
         row_checks.clear()
         psi = propagate_numeric(H, psi0, 0.4)
         assert row_checks == [(5,)]

@@ -170,7 +170,7 @@ class TestSuccessProbability:
         t = math.pi / (4.0 * math.sqrt(n) * eps)
         closed = evolve_closed_form((eps,) * n, t)
         assert success_probability(closed) == pytest.approx(0.5, abs=1e-12)
-        H = build_hamiltonian(closed.basis, couplings=(eps,) * n, detunings=(0.0,) * n)
+        H = build_hamiltonian(couplings=(eps,) * n, detunings=(0.0,) * n)
         numeric = propagate_numeric(H, initial_state(closed.basis), t)
         assert success_probability(numeric) == pytest.approx(0.5, abs=1e-9)
 
@@ -399,8 +399,3 @@ class TestSupportBasis:
     def test_refuses_one_mode(self):
         with pytest.raises(ValueError, match="n >= 2"):
             support_basis(1)
-
-    def test_hamiltonian_is_refused_by_the_missing_partner(self):
-        # |g;001> is held, and its exchange partner |e;000> is not
-        with pytest.raises(ValueError, match=r"basis lacks \|e;000>, the exchange partner"):
-            build_hamiltonian(support_basis(3), couplings=(1.0,) * 3, detunings=(0.0,) * 3)

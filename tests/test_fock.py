@@ -84,10 +84,16 @@ class TestBuildBasis:
         assert basis.__slots__ == ("n_modes", "codes", "index")
         assert not hasattr(basis, "__dict__")
 
-    @pytest.mark.parametrize("n_modes", [True, False, 3.0, 1.0, -1, "3", 0, None])
+    @pytest.mark.parametrize("n_modes", [True, False, 3.0, 1.0, -1, "3", 0, None,
+                                         np.float64(2.0), np.bool_(True)])
     def test_refuses_a_non_integer_or_a_bool(self, n_modes):
         with pytest.raises(ValueError, match="integer"):
             build_basis(n_modes)
+
+    @pytest.mark.parametrize("n_modes", [np.int64(3), np.uint8(3), np.intp(3)])
+    def test_takes_a_numpy_integer_as_its_int(self, n_modes):
+        basis = build_basis(n_modes)
+        assert basis == build_basis(3) and type(basis.n_modes) is int
 
     def test_mode_limit_is_inclusive(self):
         basis = build_basis(MAX_MODES)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -401,7 +402,7 @@ def dense_fidelity(n, epsilon, t, detuning=0.0):
     """W fidelity of |e;0> evolved by the dense sector propagator, all
     modes detuned by ``detuning`` from the atom."""
     basis = build_basis(n)
-    H = build_hamiltonian(basis, couplings=(epsilon,) * n, detunings=(detuning,) * n)
+    H = build_hamiltonian(couplings=(epsilon,) * n, detunings=(detuning,) * n)
     psi = propagate_numeric(H, initial_state(basis), t)
     return fidelity(psi, w_state(basis))
 
@@ -501,6 +502,31 @@ def test_a_sweep_refuses_n_below_one_before_its_default_grid(sweep, n):
     assert str(refused.value) == str(by_optimal_time.value) == "n must be >= 1"
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    (5.04e-309, "epsilon 5.04e-309 is too small: t* = pi / (2 sqrt(N) epsilon) is inf at N = 3"),
+    (1e160, "--epsilon 1e+160 is too large: N * epsilon^2 overflows at N = 3"),
+], ids=["t-star", "sum-of-squares"])
+def test_a_refused_disorder_sweep_imports_no_normals(epsilon, message, monkeypatch):
+    """``require_grid`` checks the disorder sweep's t* and its sum of
+    squares before the sweep imports its normal stream, which here would
+    raise ImportError."""
+    monkeypatch.setitem(sys.modules, "wcavity.normals", None)
+    with pytest.raises(ValueError) as refused:
+        coupling_disorder_sweep(3, epsilon, None, 1, 0)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("epsilon", [1e-170, 1e-300, 5.05e-309])
+def test_a_disorder_sweep_whose_epsilon_squared_underflows_runs_as_at_one(epsilon):
+    """The couplings of a trial are epsilon times the draws, and ``_norm``
+    scales squares that leave the normal doubles by a power of two, so every
+    cell the CLI writes is the cell of epsilon = 1 (a double may differ in
+    its last bit: the couplings and t* round apart at each epsilon)."""
+    def cells(eps):
+        return [[fmt12(v) for v in row] for row in coupling_disorder_sweep(3, eps, None, 100, 0)]
+    assert cells(epsilon) == cells(1.0)
+
+
 def test_require_grid_returns_the_grid_as_floats():
     grid = require_grid("mode-count", [1, 2.0], None, 1.0)
     assert grid == (1.0, 2.0) and all(type(x) is float for x in grid)
@@ -522,9 +548,9 @@ SWEEP_REFUSALS = list(corpus_sweep_refusals())
 
 def test_the_corpus_pins_the_sweep_refusals():
     # by range: the angle of five grid entries, the disorder sweep's
-    # epsilon^2 twice and its sigma twice, and t* five times; by size: N
+    # N epsilon^2 once and its sigma twice, and t* five times; by size: N
     # three times, the largest mode count and the amplitude count once each
-    assert len(SWEEP_REFUSALS) == 19
+    assert len(SWEEP_REFUSALS) == 18
     assert sum(" above the limit" in message for _, message in SWEEP_REFUSALS) == 5
 
 

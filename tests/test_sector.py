@@ -35,8 +35,7 @@ from numpy_route import closed_form_rows
 def dense_operator(couplings, detuning):
     """The interaction-frame Hamiltonian on the N + 2 sector, atom at 0 and
     every mode at ``detuning``."""
-    n = len(couplings)
-    return build_hamiltonian(build_basis(n), couplings=couplings, detunings=(detuning,) * n)
+    return build_hamiltonian(couplings=couplings, detunings=(detuning,) * len(couplings))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -419,6 +418,14 @@ def test_bright_mode_rejects_any_bad_coupling(couplings, message):
     no route gets the record of a bad one."""
     with pytest.raises(ValueError, match=message):
         sector.bright_mode(couplings)
+
+
+def test_bright_mode_takes_a_numpy_array():
+    """An array of couplings is a sized sequence like a tuple: the same
+    record, and the same refusal of none."""
+    assert sector.bright_mode(np.array([0.7, 1.3, 2.2])) == sector.bright_mode((0.7, 1.3, 2.2))
+    with pytest.raises(ValueError, match="n_modes must be >= 1"):
+        sector.bright_mode(np.ones(0))
 
 
 def test_closed_form_checks_finite_unit_norm(monkeypatch):

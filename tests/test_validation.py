@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from wcavity import dynamics, normals, sector, validation
+from wcavity import dynamics, fock, normals, sector, validation
 from wcavity.cli import main
 from wcavity.dynamics import HermitianOperator
 from wcavity.fock import build_basis, initial_state
@@ -64,21 +65,25 @@ def test_rabi_period_evolves_only_on_the_sector_route(eigh_calls, monkeypatch):
 
 
 def test_validation_builds_only_the_sector(monkeypatch, eigh_calls):
-    """Every basis that ``run_validation`` builds, and every operator it
-    assembles and diagonalizes, is on the N + 2 state sector, N <= 6."""
+    """Every basis that ``run_validation`` builds, one per operator inside
+    ``build_hamiltonian``, and every operator it assembles and
+    diagonalizes, is on the N + 2 state sector, N <= 6."""
     built, assembled = [], []
-    real_basis, real_build = validation.build_basis, validation.build_hamiltonian
+    real_basis, real_build = fock.build_basis, validation.build_hamiltonian
 
     def recording_basis(n_modes):
         basis = real_basis(n_modes)
         built.append((n_modes, basis.dim))
         return basis
 
-    def recording_build(basis, **params):
-        assembled.append((basis.n_modes, basis.dim))
-        return real_build(basis, **params)
+    def recording_build(**params):
+        H = real_build(**params)
+        assembled.append((H.basis.n_modes, H.basis.dim))
+        return H
 
-    monkeypatch.setattr(validation, "build_basis", recording_basis)
+    for module in [m for k, m in sys.modules.items() if k.startswith("wcavity.")]:
+        if getattr(module, "build_basis", None) is real_basis:
+            monkeypatch.setattr(module, "build_basis", recording_basis)
     monkeypatch.setattr(validation, "build_hamiltonian", recording_build)
     assert all(check.passed for check in run_validation())
     assert len(built) == len(assembled) == 50 + 50 + 100 + 24
@@ -92,14 +97,14 @@ def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed, monkeyp
     """At each seed the six checks run in their order on N + 2 state
     bases and pass, and ``inject_fault`` fails ``sector-vs-dense`` alone."""
     extra = []
-    real_basis = validation.build_basis
+    real_basis = dynamics.build_basis
 
     def recording_basis(n_modes):
         basis = real_basis(n_modes)
         extra.append(basis.dim - n_modes)
         return basis
 
-    monkeypatch.setattr(validation, "build_basis", recording_basis)
+    monkeypatch.setattr(dynamics, "build_basis", recording_basis)
     clean = run_validation(seed=seed)
     faulty = run_validation(seed=seed, inject_fault=True)
     assert [c.name for c in clean] == [c.name for c in faulty] == [
@@ -133,7 +138,7 @@ def test_unitarity_check_and_the_propagator_both_refuse_a_drift(monkeypatch):
     assert not result.passed
     assert 1e-11 < result.measured < 1e-10
     basis = build_basis(2)
-    H = dynamics.build_hamiltonian(basis, couplings=(1.0, 1.0), detunings=(0.0, 0.0))
+    H = dynamics.build_hamiltonian(couplings=(1.0, 1.0), detunings=(0.0, 0.0))
     with pytest.raises(sector.PropagationError, match="norm drift"):
         dynamics.propagate_numeric(H, initial_state(basis), 0.7)
 
@@ -206,11 +211,12 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     ``rng-stream`` build none and pass."""
     real_build = validation.build_hamiltonian
 
-    def skewed(basis, **params):
-        matrix = np.array(real_build(basis, **params).matrix)
-        ground, excited, _ = map(list, zip(*exchange_pairs(basis)))
+    def skewed(**params):
+        H = real_build(**params)
+        matrix = np.array(H.matrix)
+        ground, excited, _ = map(list, zip(*exchange_pairs(H.basis)))
         matrix[..., ground, excited] *= 1 + 1e-9
-        return HermitianOperator(basis, matrix)
+        return HermitianOperator(H.basis, matrix)
 
     monkeypatch.setattr(validation, "build_hamiltonian", skewed)
     assert main(["validate"]) == 1
@@ -295,9 +301,9 @@ def test_checks_take_the_per_draw_inputs(check, run, monkeypatch):
     seen = []
     real = validation.build_hamiltonian
 
-    def recording(basis, *, couplings, detunings):
+    def recording(*, couplings, detunings):
         seen.append((couplings, detunings))
-        return real(basis, couplings=couplings, detunings=detunings)
+        return real(couplings=couplings, detunings=detunings)
 
     monkeypatch.setattr(validation, "build_hamiltonian", recording)
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)

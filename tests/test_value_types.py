@@ -21,7 +21,7 @@ def _instances():
         "Command": cli.COMMANDS["sweep"],
         "Basis": basis,
         "StateVector": fock.initial_state(basis),
-        "HermitianOperator": dynamics.build_hamiltonian(basis, couplings=(1.0, 1.0),
+        "HermitianOperator": dynamics.build_hamiltonian(couplings=(1.0, 1.0),
                                                         detunings=(0.0, 0.0)),
         "DensityMatrix": entanglement.partial_trace(fock.initial_state(basis), {0}),
         "BrightMode": sector.bright_mode((1.0, 1.0)),

@@ -15,7 +15,8 @@ the ``fock`` module docstring, so index 0 is |g;0> (code 0), index j
 (1 <= j <= N) is |g; one photon in mode N + 1 - j> (code 2^(j - 1)),
 and index N + 1 is |e;0> (code 2^N).  The W and GHZ support
 (``entanglement.support_basis``) has the same order, with |g;1...1>
-(code 2^N - 1) at index N + 1.
+(code 2^N - 1) at index N + 1.  Pair concurrences are scored for unit
+states on it of two classes: W (single photons alone) and GHZ (none).
 
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
 for annotations and one record), so that a process running ``simulate``,
@@ -229,54 +230,32 @@ def ghz_support(n: int) -> list[float]:
     return [half] + [0.0] * n + [half]
 
 
-#: 2^1074: every finite double is a whole number of its reciprocal.
-_UNITS_PER_ONE = 2**1074
-
-
 def pairwise_concurrences(support) -> dict[tuple[int, int], float]:
     """Concurrence of every two-mode reduction rho of the pure state with
     the N + 2 support amplitudes ``support`` (the atom in its ground
     state), keyed by mode pair (i, j), i < j, in lexicographic order.
 
-    Tracing out the atom and the other modes groups the support states by
-    what they leave there: |g;0>, |g;1_i> and |g;1_j> leave nothing;
-    |g;1_k> leaves one photon in mode k; |g;1...1> leaves N - 2 photons,
-    which is nothing at N = 2 and the photon of |g;1_k> at N = 3.  Each
-    entry of rho (order |n_i n_j> = 00, 01, 10, 11) is read off the
-    amplitudes, and rho is scored as an X state (Wootters; Yu and Eberly):
-    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
-    clipped into [0, 1].  A non-finite amplitude raises ValueError.  Every
-    entry off the diagonal and the anti-diagonal is |g;0> (at N = 2 also
-    |g;1,1>) times one mode's amplitude: unless each is exactly zero,
-    ValueError names the largest.  rho_00 is |g;0>'s weight
-    plus the exact total of the single weights less the pair's, rounded
-    once: the double ``math.fsum`` of the others gives (or OverflowError)."""
+    In the W and GHZ classes (module docstring) rho (order |n_i n_j> = 00,
+    01, 10, 11, p_ab on the diagonal) is an X state, of concurrence
+    2 max(0, |rho_12| - sqrt(p_00 p_11), |rho_03| - sqrt(p_01 p_10))
+    (Wootters; Yu and Eberly), clipped into [0, 1].  W: p_11 = rho_03 = 0,
+    rho_12 = a_j a_i*.  GHZ: p_01 = p_10 = rho_12 = 0, rho_03 = |g;0>
+    |g;1,1>* at N = 2 and 0 beyond (|g;1...1> leaves photons that |g;0>
+    does not).  So C = 2 (|rho_12| + |rho_03|), in O(1) work per pair.
+    ValueError refuses a non-finite amplitude (naming it), a norm off 1
+    beyond ``ROUNDING_TOL``, and a state of neither class."""
     n = len(support) - 2
     if n < 2:
         raise ValueError(f"the W and GHZ support needs n >= 2, got {n!r}")
     for a in support:
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError(f"support amplitude {a!r} is not finite")
-    vac, ones = support[0], support[n + 1]
-    modes = support[n:0:-1]  # mode k's amplitude at index k - 1
-    weights = [abs(a) ** 2 for a in modes]
-    vac_weight, rho_33 = abs(vac) ** 2, abs(ones) ** 2
-    # rho_01 and rho_02 of every pair, and at N = 2 rho_13 and rho_23
-    off = max([abs(vac * a.conjugate()) for a in modes]
-              + [abs(a * ones.conjugate()) for a in modes if n == 2])
-    if off != 0.0:
-        raise ValueError(f"two-mode reduction is not an X state: off-X entry {off:.3e}")
-    # weights in whole units of 2^-1074: a float total less the pair's would leave
-    # rho_00 a residue of 1e-17, and sqrt(rho_00 rho_33) a concurrence error of 1e-8
-    units = [p << 1075 - q.bit_length() for p, q in (w.as_integer_ratio() for w in weights)]
-    total = sum(units)
-    concurrences = {}
-    for i in range(1, n):
-        x, rest = modes[i - 1], total - units[i - 1]
-        for j in range(i + 1, n + 1):
-            rho_00 = vac_weight + (rest - units[j - 1]) / _UNITS_PER_ONE
-            partner = vac if n == 2 else modes[5 - i - j] if n == 3 else 0.0
-            coherent = abs(modes[j - 1] * x.conjugate()) - math.sqrt(rho_00 * rho_33)
-            paired = abs(partner * ones.conjugate()) - math.sqrt(weights[j - 1] * weights[i - 1])
-            concurrences[i, j] = min(max(2.0 * coherent, 2.0 * paired, 0.0), 1.0)
-    return concurrences
+    norm = _norm([a.real for a in support] + [a.imag for a in support])
+    if not abs(norm - 1.0) <= ROUNDING_TOL:
+        raise ValueError(f"support state norm {norm!r} deviates from 1 beyond {ROUNDING_TOL}")
+    vac, ones, modes = support[0], support[n + 1], support[n:0:-1]  # mode k's at index k - 1
+    if any(modes) and (vac or ones):
+        raise ValueError("not W- or GHZ-class: single photons beside |g;0> or |g;1...1>")
+    rho_03 = abs(vac * ones.conjugate()) if n == 2 else 0.0
+    return {(i, j): min(2.0 * (abs(modes[j - 1] * modes[i - 1].conjugate()) + rho_03), 1.0)
+            for i in range(1, n) for j in range(i + 1, n + 1)}

@@ -458,18 +458,6 @@ def test_pairwise_concurrences_equal_numpy_concurrence(n, state):
         assert got[pair] == pytest.approx(2 / n if state == "W" else float(n == 2), abs=1e-12)
 
 
-def test_three_modes_trace_all_ones_with_the_photon_of_the_third_mode():
-    """At N = 3 the environment of |1,1,1> for pair (i, j) is one photon in
-    the third mode, as for |1_k>: the two are coherent in the reduction,
-    |rho_03| = 0.48, and the concurrence of pair (1, 2) is 2 |rho_03|."""
-    amps = [0.0, 0.6, 0.0, 0.0, 0.8]  # 0.6 |g;0,0,1> + 0.8 |g;1,1,1>
-    pairs, expected = numpy_pair_concurrences(amps)
-    got = sector.pairwise_concurrences(amps)
-    for pair, want in zip(pairs, expected):
-        assert got[pair] == pytest.approx(want, abs=1e-12)
-    assert got[1, 2] == pytest.approx(0.96, abs=1e-12)
-
-
 # zero, or of modulus at least 0.05: numpy's concurrence floors eigenvalues
 # below 1e-13 of the largest, which moves it by about twice the smallest
 # amplitude of a nearly pure product reduction
@@ -482,13 +470,14 @@ amplitude_st = st.just(0j) | st.builds(
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), data=st.data())
 def test_x_shaped_support_states_match_numpy(n, data):
-    """Support states without vacuum (N >= 3) or without single photons
-    reduce to X states; their concurrences equal the numpy ones."""
+    """Support states of the W class (single photons alone) or the GHZ
+    class (no single photon) reduce to X states; their concurrences equal
+    the numpy ones."""
     parts = data.draw(st.lists(amplitude_st, min_size=n + 2, max_size=n + 2))
-    if n == 2 or data.draw(st.booleans()):
+    if data.draw(st.booleans()):
         parts[1:n + 1] = [0.0] * n
     else:
-        parts[0] = 0.0
+        parts[0] = parts[n + 1] = 0.0
     norm = math.sqrt(sum(abs(a) ** 2 for a in parts))
     if norm == 0.0:
         parts, norm = [1.0] + [0.0] * (n + 1), 1.0
@@ -499,36 +488,22 @@ def test_x_shaped_support_states_match_numpy(n, data):
         assert got[pair] == pytest.approx(want, abs=1e-12)
 
 
-def test_an_empty_environment_leaves_rho_00_exactly_zero():
-    """2/3 |1_2> + 1/3 |1_1> + 2/3 |1,1,1>: the pair (1, 2) leaves no
-    |00> weight, and its concurrence is 2 |rho_12| = 4/9 to rounding; a
-    rho_00 left as a residue of the total would subtract sqrt(rho_00 rho_33)."""
-    got = sector.pairwise_concurrences([0.0, 0.0, 2 / 3, 1 / 3, 2 / 3])
-    assert got[1, 2] == pytest.approx(4 / 9, abs=1e-15)
-
-
 @pytest.mark.parametrize("amps", [
     # W plus vacuum: <00|rho|01> = a_vac a_j is far from 0
     [math.sqrt(0.5)] + [math.sqrt(0.5 / 4)] * 4 + [0.0],
     # at N = 2, 0.6 |g;1_1> + 0.8 |g;1,1>: <01|rho|11> = 0.48
     [0.0, 0.6, 0.0, 0.8],
+    # at N = 3, 0.6 |g;0,0,1> + 0.8 |g;1,1,1>: an X state, but of neither class
+    [0.0, 0.6, 0.0, 0.0, 0.8],
     # 0.6 |g;0> + 0.8 |g;1_N>: X-shaped on the pairs without mode N, not on
     # the first pair with it
     [0.6, 0.8, 0.0, 0.0, 0.0, 0.0],
     [0.6, 0.8] + [0.0] * 9,
+    # the class is read off exact zeros: W with a vacuum amplitude of 2e-20
+    [2e-20] + [0.5] * 4 + [0.0],
 ])
-def test_a_reduction_that_is_not_x_shaped_is_refused(amps):
-    with pytest.raises(ValueError, match="not an X state"):
-        sector.pairwise_concurrences(amps)
-
-
-def test_an_off_x_entry_of_any_size_is_refused():
-    """Every off-X entry of a support state's reduction is a product with
-    a support amplitude, or 0.0, so it is exactly zero when the state is
-    X-shaped: W with a vacuum amplitude of 2e-20 has <00|rho|01> = 1e-20,
-    and is refused."""
-    amps = [2e-20] + [0.5] * 4 + [0.0]
-    with pytest.raises(ValueError, match=r"not an X state: off-X entry 1\.000e-20"):
+def test_a_state_of_neither_class_is_refused(amps):
+    with pytest.raises(ValueError, match="not W- or GHZ-class"):
         sector.pairwise_concurrences(amps)
 
 

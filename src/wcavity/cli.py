@@ -93,7 +93,7 @@ OPTIONS = {
     "parameter": Option(str, "timing-error", "swept quantity",
                         choices=tuple(sorted(SWEEP_UNREAD))),
     "grid": Option(float_list, None, "comma-separated grid values"),
-    "trials": Option(int, None, "Monte-Carlo trials per grid point",
+    "trials": Option(int, 100, "Monte-Carlo trials per grid point",
                      valid=lambda v: v >= 1, requirement="must be >= 1"),
 }
 
@@ -115,7 +115,7 @@ COMMANDS = {
     "sweep": Command(
         "robustness sweep over a parameter grid",
         frozenset({"n", "epsilon", "out", "format", "seed", "parameter", "grid", "trials"}),
-        types.MappingProxyType({"format": "csv", "trials": 100}),
+        types.MappingProxyType({"format": "csv"}),
     ),
     "entanglement": Command(
         "pairwise concurrences of W versus GHZ reductions", frozenset({"n", "out", "format"})
@@ -316,7 +316,8 @@ def resolve_config(args) -> dict:
         eps, time = config["epsilon"], config["time"]
         optimal_time(n, eps)
         if time is not None:  # simulate evolves to t = time / epsilon
-            sector.require_angles(n, eps, [(time, (time / eps, 0.0))], "--time")
+            sector.require_angles(sector.bright_mode((eps,) * n), eps,
+                                  [(time, (time / eps, 0.0))], "--time")
     return config
 
 

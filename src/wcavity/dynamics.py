@@ -10,12 +10,11 @@ Two independent evolution routes are provided on purpose:
 
 The two must agree to tight tolerance; the numerical route serves as the
 correctness oracle for the closed form and vice versa.  Every route
-takes one operator, one state and one time; an operator keeps its
-decomposition after the first use, so one Hamiltonian evolved to any
-number of times costs one ``eigh``.  ``build_hamiltonian`` builds H on
-the one-excitation sector of ``fock.build_basis``, where one excited atom
-and N empty modes stay, as in the paper's protocol; an operator on any
-other basis is a ``HermitianOperator`` of a matrix built by hand.
+takes one operator, one state and one time, and each propagation runs
+one ``eigh``.  ``build_hamiltonian`` builds H on the one-excitation
+sector of ``fock.build_basis``, where one excited atom and N empty modes
+stay, as in the paper's protocol; an operator on any other basis is a
+``HermitianOperator`` of a matrix built by hand.
 
 The inputs are plain sequences, one entry per mode, in rad per unit
 time: the couplings eps_i > 0 and the detunings delta_i = omega_i -
@@ -45,12 +44,11 @@ class HermitianOperator(Frozen):
     Hermitian.
 
     The constructor checks the matrix's shape, finiteness and Hermiticity,
-    then copies it and marks the copy read-only, so its spectral
-    decomposition is computed on first use and kept (:meth:`eigh`).
-    ``defect`` keeps the measured max |H - H^dag|.
+    then copies it and marks the copy read-only.  ``defect`` keeps the
+    measured max |H - H^dag|.
     """
 
-    __slots__ = ("basis", "matrix", "defect", "_eigh")
+    __slots__ = ("basis", "matrix", "defect")
 
     def __init__(self, basis: Basis, matrix) -> None:
         # checked before the copy: the input, the copy and the Hermiticity gap never coexist
@@ -64,18 +62,8 @@ class HermitianOperator(Frozen):
             raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
         mat = mat.copy()
         mat.flags.writeable = False
-        for name, value in (("basis", basis), ("matrix", mat), ("defect", defect), ("_eigh", None)):
+        for name, value in (("basis", basis), ("matrix", mat), ("defect", defect)):
             object.__setattr__(self, name, value)
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (eigenvalues, eigenvectors) from ``numpy.linalg.eigh``,
-        computed once per operator."""
-        if self._eigh is None:
-            eigvals, eigvecs = np.linalg.eigh(self.matrix)
-            eigvals.flags.writeable = False
-            eigvecs.flags.writeable = False
-            object.__setattr__(self, "_eigh", (eigvals, eigvecs))
-        return self._eigh
 
 
 def build_hamiltonian(*, couplings, detunings) -> HermitianOperator:
@@ -132,19 +120,19 @@ evolve_closed_form_general = evolve_closed_form
 def propagate_numeric(H: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """Evolve psi0 by exp(-i H t) for one time t (which may be negative).
 
-    The eigenphases of the operator's cached spectral decomposition
-    (:meth:`HermitianOperator.eigh`) are applied exactly, so the
-    propagator is unitary up to rounding.  The state is renormalized only
-    when its norm drift is at most ``ROUNDING_TOL``, the drift that
-    ``StateVector`` admits; a larger drift raises
-    :class:`PropagationError`, as do non-finite amplitudes.  H
-    must share psi0's basis, and t must be finite (ValueError).
+    The eigenphases of H's spectral decomposition, from one
+    ``numpy.linalg.eigh`` of ``H.matrix`` per call, are applied exactly,
+    so the propagator is unitary up to rounding.  The state is
+    renormalized only when its norm drift is at most ``ROUNDING_TOL``, the
+    drift that ``StateVector`` admits; a larger drift raises
+    :class:`PropagationError`, as do non-finite amplitudes.  H must share
+    psi0's basis, and t must be finite (ValueError).
     """
     _require_same_basis(H, psi0)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")
-    eigvals, eigvecs = H.eigh()
+    eigvals, eigvecs = np.linalg.eigh(H.matrix)
     with np.errstate(invalid="ignore", over="ignore"):
         phases = np.exp(-1j * eigvals * t)
         coeffs = eigvecs.conj().T @ psi0.amplitudes  # eigvecs^dag psi0

@@ -97,7 +97,8 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
         sector.require_modes(n, f"--grid entry {max(grid)!r}")
     else:
         points = _points(parameter, grid, optimal_time(n, epsilon), epsilon)
-        sector.require_angles(n, epsilon, zip(grid, points), source)
+        mode = sector.bright_mode((epsilon,) * n)
+        sector.require_angles(mode, epsilon, zip(grid, points), source)
     sector.require_amplitudes("sweep", n, len(grid) * trials)
     return grid
 

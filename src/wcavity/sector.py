@@ -177,17 +177,15 @@ def evolve(mode: BrightMode, points) -> Iterator[tuple[complex, complex]]:
         yield excited / norm, bright / norm
 
 
-def require_angles(n: int, epsilon: float, points, source: str) -> None:
+def require_angles(mode: BrightMode, epsilon: float, points, source: str) -> None:
     """Refuse (ValueError) the first (x, (t, detuning)) of ``points`` at
-    which ``evolve`` of n couplings ``epsilon`` turns by an angle
-    |(detuning / 2, Omega)| t that is not a finite double; the message
-    names the input ``source`` x and the coupling ``--epsilon``, as the CLI
-    reads them.  Omega is ``_norm`` of the n couplings, the call
-    ``bright_mode`` makes, so the same double; epsilon is checked by the
-    caller, and an Omega that overflows is inf, whose angles are refused."""
-    omega = _norm((epsilon,) * n)
+    which ``evolve`` of ``mode``, a :func:`bright_mode` of equal couplings
+    ``epsilon``, turns by an angle |(detuning / 2, Omega)| t that is not a
+    finite double; the message names the input ``source`` x and the
+    coupling ``--epsilon``, as the CLI reads them.  An Omega that overflows
+    is inf, whose angles are refused."""
     for x, (t, detuning) in points:
-        if not math.isfinite(_norm((0.5 * detuning, omega)) * t):
+        if not math.isfinite(_norm((0.5 * detuning, mode.omega)) * t):
             raise ValueError(f"{source} {x!r} is too large for --epsilon {epsilon!r}: "
                              "the angle sqrt(Omega^2 + detuning^2 / 4) t is not finite")
 

@@ -66,14 +66,14 @@ def _check(name: str, defects, cases: int) -> CheckResult:
 
 
 def check_unitarity(rng) -> CheckResult:
-    """max |V^dag V - I| of the eigenvectors V that ``H.eigh()`` caches and
-    ``propagate_numeric`` evolves in: a drift that its renormalization would
-    hide shows here."""
+    """max |V^dag V - I| of the eigenvectors V of ``numpy.linalg.eigh``,
+    which ``propagate_numeric`` evolves in: a drift that its renormalization
+    would hide shows here."""
     def defects(draws):
         for _ in range(draws):
             couplings, detunings = _random_params(rng)
             H = build_hamiltonian(couplings=couplings, detunings=detunings)
-            _, eigvecs = H.eigh()
+            _, eigvecs = np.linalg.eigh(H.matrix)
             gram = eigvecs.conj().T @ eigvecs
             yield float(np.max(np.abs(gram - np.eye(len(gram)))))
     return _check("propagator-unitarity", defects, 50)
@@ -152,27 +152,22 @@ def check_rng_stream(rng) -> CheckResult:
 
 
 def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f between a and b, where fa = f(a) and fb = f(b) differ in
-    sign or one is zero, by regula falsi with the Illinois step: a point
-    where f is exactly zero or, once no float is left between the ends, the
-    end that the chord of the ends rounds onto."""
+    """A root of f between a < b, where fa = f(a) and fb = f(b) differ in
+    sign or one is zero, by bisection: a point where f is exactly zero or,
+    once no float is left between the ends, the end with the smaller |f|."""
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
     while True:
-        x = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < x < max(a, b):  # x rounds onto an end: step inside
-            end, other = (a, b) if abs(x - a) < abs(x - b) else (b, a)
-            x = math.nextafter(end, other)
-            if x == other:
-                return end
+        x = a + 0.5 * (b - a)
+        if not a < x < b:
+            return a if abs(fa) <= abs(fb) else b
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx < 0.0) == (fb < 0.0):
-            fa *= 0.5  # a is kept twice in a row
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
         else:
-            a, fa = b, fb
-        b, fb = x, fx
+            b, fb = x, fx
 
 
 def measure_rabi_period(n: int, epsilon: float) -> float:
@@ -181,9 +176,10 @@ def measure_rabi_period(n: int, epsilon: float) -> float:
 
     The excited amplitude, cos(sqrt(n) epsilon t), changes sign twice per
     cycle.  One ``evolve`` call scans 121 times up to the third change, and
-    :func:`_find_root` refines each; the period is the distance between the
-    first and third zeros.  The analytic estimate only sets the span, and
-    fewer than three changes in it raise ValueError.
+    :func:`_find_root` bisects each, one ``evolve`` call a point; the period
+    is the distance between the first and third zeros.  The analytic
+    estimate only sets the span, and fewer than three changes in it raise
+    ValueError.
     """
     mode = sector.bright_mode((epsilon,) * n)
 

@@ -119,7 +119,7 @@ class TestTargetStates:
         assert psi.amplitude(g(0, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
         assert psi.amplitude(g(1, 1)) == pytest.approx(1.0 / math.sqrt(2.0))
 
-    def test_ghz_rejects_low_excitation_cap(self):
+    def test_ghz_refuses_the_sector_basis(self):
         # the sector lacks |g;111>
         with pytest.raises(ValueError, match=r"missing \|g;111> \(GHZ component\)"):
             ghz_state(build_basis(3))

@@ -329,10 +329,10 @@ def test_require_angles_refuses_exactly_the_times_evolve_cannot_turn(n, detuning
         t = math.nextafter(t, math.inf)
     while not turns(t):
         t = math.nextafter(t, 0.0)
-    sector.require_angles(n, 1.0, [(t, (t, detuning))], "--time")
+    sector.require_angles(mode, 1.0, [(t, (t, detuning))], "--time")
     beyond = math.nextafter(t, math.inf)
     with pytest.raises(ValueError, match=r"^--time .* is too large for --epsilon 1\.0: the angle"):
-        sector.require_angles(n, 1.0, [(beyond, (beyond, detuning))], "--time")
+        sector.require_angles(mode, 1.0, [(beyond, (beyond, detuning))], "--time")
 
 
 def test_norm_drift_raises_and_small_drift_is_renormalized(monkeypatch):

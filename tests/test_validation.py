@@ -116,9 +116,10 @@ def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed, monkeyp
     assert extra and set(extra) == {2}
 
 
-def test_composition_diagonalizes_once_per_draw(eigh_calls):
+def test_composition_diagonalizes_once_per_propagation(eigh_calls):
+    """Three propagations a draw, t1 then t2 and t1 + t2, of 50 draws."""
     check_composition(np.random.default_rng(0))
-    assert len(eigh_calls) == 50 and all(len(shape) == 2 for shape in eigh_calls)
+    assert len(eigh_calls) == 150 and all(len(shape) == 2 for shape in eigh_calls)
 
 
 def test_unitarity_check_and_the_propagator_both_refuse_a_drift(monkeypatch):
@@ -231,7 +232,7 @@ def test_find_root_takes_exact_zeros_and_stops_between_adjacent_floats():
     def line(x):
         return x - 0.5
 
-    # 0.5 is the first chord's point inside a bracket, and either end of another
+    # 0.5 is the first midpoint of a bracket, and either end of another
     assert _find_root(line, 0.0, 1.0, -0.5, 0.5) == 0.5
     assert _find_root(line, 0.5, 0.75, 0.0, 0.25) == 0.5
     assert _find_root(line, 0.25, 0.5, -0.25, 0.0) == 0.5
@@ -247,6 +248,33 @@ def test_find_root_takes_exact_zeros_and_stops_between_adjacent_floats():
 
     assert _find_root(step, 0.0, 2048.0, -1.0, 1.0) in (1000.0, after)
     assert 1000.0 in calls and after in calls and len(calls) < 100
+
+
+def test_find_root_takes_a_decreasing_bracket():
+    """fa > 0 > fb, as at the Rabi scan's first zero of cos(Omega t): the
+    float pi / 2 lies 6.1e-17 below the zero of cos and the next float
+    1.6e-16 above it, so the end with the smaller |f| is pi / 2."""
+    above = math.nextafter(math.pi / 2, math.inf)
+    assert math.cos(math.pi / 2) > 0.0 > math.cos(above)
+    assert _find_root(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0)) == math.pi / 2
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (math.cos, 1.0, 2.0),
+    (math.cos, 1.5, 1.6),
+    (lambda x: x - 1000.0, 0.0, 1024.0),
+    (lambda x: -1.0 if x <= 1000.0 else 1.0, 0.0, 2048.0),
+])
+def test_find_root_evaluates_only_strictly_inside_the_bracket(f, a, b):
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    root = _find_root(traced, a, b, f(a), f(b))
+    assert calls and all(a < x < b for x in calls)
+    assert a <= root <= b
 
 
 def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):

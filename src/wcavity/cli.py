@@ -27,10 +27,10 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 # Only the modules every subcommand needs are imported here: a fresh
-# process pays for what its subcommand runs.  `simulate`, `entanglement`
-# and all four sweeps run on `sector` (the coupling-disorder sweep also on
-# `normals`), which need the standard library alone, so numpy, an optional
-# extra, is imported on the `validate` path only.
+# process pays for what its subcommand runs.  Every subcommand runs on
+# `sector`; the sweeps add `protocol`, the coupling-disorder sweep and
+# `validate` add `normals`, and `validate` adds `validation`.  All of them
+# need the standard library alone.
 from . import sector
 from .sector import DEFAULT_SEED, PropagationError, optimal_time
 
@@ -495,13 +495,7 @@ def cmd_entanglement(config: dict) -> int:
 
 
 def cmd_validate(config: dict, inject_fault: bool) -> int:
-    try:
-        from .validation import run_validation
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        # the checks run the dense numpy oracle, which the runtime leaves out
-        raise ValueError("validate needs numpy: install wcavity[oracle]") from None
+    from .validation import run_validation
 
     checks = run_validation(seed=config["seed"], inject_fault=inject_fault)
     passed = sum(check.passed for check in checks)
@@ -544,11 +538,11 @@ def run() -> NoReturn:
 
     After ``main`` returns, ``gc.freeze`` moves every live object into the
     collector's permanent generation, which the full collections of
-    interpreter shutdown skip: about 22k objects once numpy and the
-    package are loaded (``validate``), 5-8 ms per collection on a 2-core
-    host.  Exit is otherwise unchanged: atexit handlers run and open
-    files are flushed and closed.  ``main`` itself never freezes, because tests and library callers run
-    it in a process that goes on."""
+    interpreter shutdown skip: about 12k objects once a command has run,
+    3-4 ms per collection on a 2-core host.  Exit is otherwise unchanged:
+    atexit handlers run and open files are flushed and closed.  ``main``
+    itself never freezes, because tests and library callers run it in a
+    process that goes on."""
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -19,9 +19,9 @@ and index N + 1 is |e;0> (code 2^N).  The W and GHZ support
 states on it of two classes: W (single photons alone) and GHZ (none).
 
 This module imports only ``math`` (and ``collections.abc`` and ``typing``,
-for annotations and one record), so that a process running ``simulate``,
-``entanglement`` or a sweep never loads numpy; the numpy modules are its
-oracle.  It also holds the size rule that admits every command but
+for annotations and one record), so that no command loads numpy; its
+oracles are the numpy modules in the tests and ``validation`` in
+``validate``.  It also holds the size rule that admits every command but
 ``validate``; how a number is written is ``cli``'s alone.
 """
 

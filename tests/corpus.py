@@ -8,14 +8,11 @@ recorded in ``tests/data/corpus.json``.
 Each command runs in process through ``wcavity.cli.main``, in a fresh
 temporary directory that replaces ``{tmp}`` in its argv and in its stderr
 and that first receives the entry's input files.  Timestamp lines are
-masked before hashing.  An entry whose ``numpy`` names a version runs
-numpy's oracle (``validate``), whose measured gaps are roundings of that
-numpy: it is checked only under that version.  Every other entry holds
-one set of bytes, whatever the interpreter.
+masked before hashing.  Every entry holds one set of bytes, whatever the
+interpreter, with or without numpy.
 
 A change that means to move an output re-records the corpus and names
-every changed entry.  Recording keeps the entries it cannot run here
-(another numpy, or no numpy) as they were.
+every changed entry.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ SWEEP_CFG = "# a sweep read from a file\nn = 4\nparameter = detuning\ngrid = -1,
 #: A mode-count grid of 10000 ones: a large streamed CSV, of 130 kB.
 CHUNKS_CFG = "parameter = mode-count\ngrid = " + ",".join(["1"] * 10000) + "\n"
 
-#: (argv, input files) of each entry, and "numpy" for an entry that needs it.
+#: (argv, input files) of each entry.
 COMMANDS = [
     # simulate
     *((["simulate", *args], {}) for args in (
@@ -187,12 +184,12 @@ COMMANDS = [
     (["simulate", "--help=1"], {}),
     (["--help=1"], {}),
     (["-h=1"], {}),
-    # the self-checks, on numpy
-    (["validate"], {}, "numpy"),
-    (["validate", "--seed", "7"], {}, "numpy"),
-    (["validate", "--seed", "123"], {}, "numpy"),
-    (["validate", "--seed", "7", "--format", "csv", "--out", "{tmp}/v.csv"], {}, "numpy"),
-    (["validate", "--seed", "7", "--inject-fault"], {}, "numpy"),
+    # the self-checks
+    (["validate"], {}),
+    (["validate", "--seed", "7"], {}),
+    (["validate", "--seed", "123"], {}),
+    (["validate", "--seed", "7", "--format", "csv", "--out", "{tmp}/v.csv"], {}),
+    (["validate", "--seed", "7", "--inject-fault"], {}),
 ]
 
 
@@ -220,21 +217,6 @@ def run_entry(argv, inputs) -> dict:
                 "files": files}
 
 
-def numpy_version() -> str | None:
-    try:
-        import numpy
-    except ModuleNotFoundError:
-        return None
-    return numpy.__version__
-
-
-def skip_reason(entry) -> str | None:
-    """Why ``entry`` cannot be checked here, or None."""
-    if "numpy" in entry and entry["numpy"] != numpy_version():
-        return f"recorded under numpy {entry['numpy']}, not {numpy_version()}"
-    return None
-
-
 def compare(entry) -> dict:
     """(recorded, got) of each field in which this tree's run of ``entry``
     differs from it."""
@@ -247,36 +229,19 @@ def load() -> list[dict]:
 
 
 def record() -> list[dict]:
-    """The corpus of this tree, keeping what it cannot run here as it was."""
-    old = {json.dumps([e["argv"], e["inputs"]]): e for e in load()} if CORPUS.exists() else {}
-    entries = []
-    for argv, inputs, *kind in COMMANDS:
-        key = json.dumps([argv, inputs])
-        entry = {"argv": argv, "inputs": inputs}
-        if kind == ["numpy"]:
-            if numpy_version() is None:
-                entries.append(old[key])
-                continue
-            entry["numpy"] = numpy_version()
-        entry.update(run_entry(argv, inputs))
-        entries.append(entry)
-    return entries
+    """The corpus of this tree."""
+    return [{"argv": argv, "inputs": inputs, **run_entry(argv, inputs)}
+            for argv, inputs in COMMANDS]
 
 
 def main_check() -> int:
-    failed = skipped = 0
+    failed = 0
     for entry in load():
-        name = " ".join(entry["argv"])
-        reason = skip_reason(entry)
-        if reason:
-            skipped += 1
-            print(f"SKIP {name}: {reason}")
-            continue
         changed = compare(entry)
         if changed:
             failed += 1
-            print(f"DIFF {name}: {', '.join(changed)}")
-    print(f"corpus: {failed} differ, {skipped} skipped, of {len(load())} entries")
+            print(f"DIFF {' '.join(entry['argv'])}: {', '.join(changed)}")
+    print(f"corpus: {failed} differ, of {len(load())} entries")
     return 1 if failed else 0
 
 

@@ -1222,7 +1222,7 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
     assert basis_builds == []
     assert not out.exists()
 
-    # no CLI route but validate builds a basis; a library route that builds
+    # no CLI route builds a basis; a library route that builds
     # one through another module's binding shows that the fixture sees it
     evolve_closed_form((1.0,) * 3, 1.0)
     assert basis_builds == ["build_basis"]
@@ -1387,7 +1387,6 @@ def test_simulate_never_enumerates_the_uncapped_basis(dump, basis_builds, capsys
 
 
 _SECTOR_MODULES = {"wcavity", "wcavity.cli", "wcavity.sector"}
-_NUMPY_MODULES = _SECTOR_MODULES | {"wcavity.dynamics", "wcavity.fock"}
 _SECTOR_SWEEP_MODULES = _SECTOR_MODULES | {"wcavity.protocol"}
 
 
@@ -1395,7 +1394,7 @@ _SECTOR_SWEEP_MODULES = _SECTOR_MODULES | {"wcavity.protocol"}
     (["simulate", "--n", "3", "--out", "report.json"], _SECTOR_MODULES),
     (["entanglement", "--n", "4", "--out", "report.json"], _SECTOR_MODULES),
     (["validate", "--out", "report.json"],
-     _NUMPY_MODULES | {"wcavity.normals", "wcavity.validation"}),
+     _SECTOR_MODULES | {"wcavity.normals", "wcavity.validation"}),
     # the default parameter, timing-error
     (["sweep", "--n", "3", "--out", "sweep.csv"], _SECTOR_SWEEP_MODULES),
     (["sweep", "--n", "3", "--parameter", "detuning", "--out", "sweep.csv"],
@@ -1410,8 +1409,8 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
     returns, the package modules loaded are exactly those the subcommand
     runs, ``dataclasses`` is not loaded (it costs milliseconds of import
     and class generation per process), nor argparse and the gettext and
-    locale it loads (the command line is well formed), and numpy is loaded
-    only by the subcommands that run a numpy module."""
+    locale it loads (the command line is well formed), and no subcommand
+    loads numpy."""
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = ['wcavity', *{argv!r}]\n"
@@ -1432,7 +1431,7 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
     assert set(loaded) == modules
     assert not dataclasses_loaded
     assert parser_modules == []
-    assert numpy_loaded == ("wcavity.dynamics" in modules)
+    assert not numpy_loaded
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -1465,7 +1464,7 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-# each route but validate, by the golden file it writes (simulate has none)
+# each route by the golden file it writes (simulate and validate have none)
 NO_NUMPY_ROUTES = {
     "simulate": ["simulate", "--n", "3", "--dump-state"],
     "entanglement_n4.csv": ["entanglement", "--n", "4", "--format", "csv", "--out", "-"],
@@ -1482,11 +1481,10 @@ NO_NUMPY_ROUTES = {
 
 
 def test_runtime_runs_without_numpy(capsys):
-    """With numpy blocked in a fresh process, every route but validate
-    exits 0 with the bytes it writes with numpy: those of its golden file
-    (for a sweep, the CSV body below the ``# `` lines), and for simulate
-    those of this process.  validate exits 2 before any work and names the
-    extra that installs numpy."""
+    """With numpy blocked in a fresh process, every route exits 0 with the
+    bytes it writes with numpy: those of its golden file (for a sweep, the
+    CSV body below the ``# `` lines), and for simulate and validate those
+    of this process."""
     code = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
@@ -1502,9 +1500,8 @@ def test_runtime_runs_without_numpy(capsys):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert results.pop("validate") == [
-        2, "", "error: validate needs numpy: install wcavity[oracle]\n"]
-    assert run_cli(capsys, *NO_NUMPY_ROUTES["simulate"]) == tuple(results.pop("simulate"))
+    for name in ("simulate", "validate"):
+        assert run_cli(capsys, *NO_NUMPY_ROUTES[name]) == tuple(results.pop(name)), name
     for name, (status, out, err) in results.items():
         assert (status, err) == (0, ""), name
         expected = (GOLDEN_DIR / name).read_text()

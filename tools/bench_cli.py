@@ -3,6 +3,7 @@
 
     python tools/bench_cli.py                        # 40 rounds
     python tools/bench_cli.py --rounds 5 --out b.json
+    python tools/bench_cli.py --baseline ../old/src --out BENCH_x.json
 
 Each round runs every row once, in order, as a new interpreter
 (``sys.executable``); the rows alternate so that a drift of the host
@@ -28,7 +29,13 @@ once, from a run of it.
 The rows import the package from a copy of this tree's ``src`` that holds
 no cached bytecode, with ``PYTHONDONTWRITEBYTECODE=1``: every call
 compiles the package from source, as a fresh checkout run that way does.
-Standard library only.
+
+With ``--baseline SRC``, a second ``src`` tree (another checkout's, say)
+is measured in the same run: each row runs once on each tree, back to
+back, the tree that goes first alternating from round to round, so that
+one file holds a before and after that the host's drift falls on alike.
+The file gives the baseline's rows and import rows under ``baseline``,
+with its commit.  Standard library only.
 """
 
 from __future__ import annotations
@@ -60,20 +67,20 @@ ROWS = {
 }
 
 
-#: The spawner: reads the rounds, rows and environment as JSON from stdin
-#: and prints "wall_s peak_rss_kib exit_code" for each run.
+#: The spawner: reads the environments of the trees and the runs, each
+#: [argv, tree], as JSON from stdin, runs them in order and prints
+#: "wall_s peak_rss_kib exit_code" for each.
 SPAWNER = """
 import json, os, sys, time
 job = json.load(sys.stdin)
 null = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
-for _ in range(job["rounds"]):
-    for args in job["rows"]:
-        start = time.perf_counter()
-        pid = os.posix_spawn(sys.executable, [sys.executable, *args], job["env"],
-                             file_actions=null)
-        _, status, usage = os.wait4(pid, 0)
-        wall = time.perf_counter() - start
-        print(wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+for args, tree in job["runs"]:
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, *args], job["envs"][tree],
+                         file_actions=null)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    print(wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 """
 
 
@@ -94,12 +101,20 @@ def summary(walls) -> dict:
             "q3": round(q3 * 1e3, 2), "iqr": round((q3 - q1) * 1e3, 2)}
 
 
-def git(*args) -> str | None:
+def git(*args, cwd: Path = ROOT) -> str | None:
     try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+        return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
                               check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def revision(cwd: Path) -> dict:
+    """The commit of the checkout that holds ``cwd``, and whether its
+    tracked files differ from it; None for each that git cannot tell."""
+    status = git("status", "--porcelain", "--untracked-files=no", cwd=cwd)
+    return {"commit": git("rev-parse", "HEAD", cwd=cwd),
+            "tree_modified": None if status is None else bool(status)}
 
 
 def environment(rounds: int) -> dict:
@@ -107,14 +122,12 @@ def environment(rounds: int) -> dict:
         numpy = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
         numpy = None
-    status = git("status", "--porcelain", "--untracked-files=no")
     return {
         "nproc": os.cpu_count(),
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "numpy": numpy,
         "machine": platform.machine(),
-        "commit": git("rev-parse", "HEAD"),
-        "tree_modified": None if status is None else bool(status),
+        **revision(ROOT),
         "rounds": rounds,
         "pythondontwritebytecode": "1",
     }
@@ -145,48 +158,76 @@ def import_times(log: str) -> dict:
     return times
 
 
-def import_rows(rounds: int, env: dict, cwd: str) -> dict:
-    """The median self and cumulative import microseconds of each module,
-    per row that runs a subcommand."""
-    order = dependency_order(Path(env["PYTHONPATH"], "wcavity"))
-    codes = {}
-    for name, args in ROWS.items():
-        if args[:2] == ["-m", "wcavity"]:
-            loaded = subprocess.run([sys.executable, "-c", PROBE, *args[2:]], env=env, cwd=cwd,
-                                    capture_output=True, text=True, check=True).stdout.split()
-            codes[name] = "import wcavity\n" + "".join(
-                f"import wcavity.{m}\n" for m in order if f"wcavity.{m}" in loaded)
-    logs = {name: [] for name in codes}
-    for _ in range(rounds):
-        for name, code in codes.items():
-            logs[name].append(import_times(subprocess.run(
-                [sys.executable, "-X", "importtime", "-c", code], env=env, cwd=cwd,
-                capture_output=True, text=True, check=True).stderr))
-    return {name: {module: {"self_us": statistics.median(t[module][0] for t in times),
-                            "cumulative_us": statistics.median(t[module][1] for t in times)}
-                   for module in times[0]}
-            for name, times in logs.items()}
+def round_order(k: int, trees: int) -> range:
+    """The trees, by index, in the order in which round ``k`` runs them:
+    the first goes first in even rounds and last in odd ones."""
+    return range(trees) if k % 2 == 0 else range(trees - 1, -1, -1)
 
 
-def bench(rounds: int) -> dict:
+def import_rows(rounds: int, envs: list, cwd: str) -> list:
+    """For each tree's environment, the median self and cumulative import
+    microseconds of each module, per row that runs a subcommand."""
+    codes = []
+    for env in envs:
+        order = dependency_order(Path(env["PYTHONPATH"], "wcavity"))
+        codes.append({})
+        for name, args in ROWS.items():
+            if args[:2] == ["-m", "wcavity"]:
+                loaded = subprocess.run([sys.executable, "-c", PROBE, *args[2:]], env=env,
+                                        cwd=cwd, capture_output=True, text=True,
+                                        check=True).stdout.split()
+                codes[-1][name] = "import wcavity\n" + "".join(
+                    f"import wcavity.{m}\n" for m in order if f"wcavity.{m}" in loaded)
+    logs = [{name: [] for name in tree_codes} for tree_codes in codes]
+    for k in range(rounds):
+        for name in ROWS:
+            for tree in round_order(k, len(envs)):
+                if name in codes[tree]:
+                    logs[tree][name].append(import_times(subprocess.run(
+                        [sys.executable, "-X", "importtime", "-c", codes[tree][name]],
+                        env=envs[tree], cwd=cwd, capture_output=True, text=True,
+                        check=True).stderr))
+    return [{name: {module: {"self_us": statistics.median(t[module][0] for t in times),
+                             "cumulative_us": statistics.median(t[module][1] for t in times)}
+                    for module in times[0]}
+             for name, times in tree_logs.items()}
+            for tree_logs in logs]
+
+
+def bench(rounds: int, baseline: Path | None = None) -> dict:
+    """The report of this tree, and of the ``baseline`` src tree if given,
+    measured in the same rounds."""
+    sources = [ROOT / "src"] + ([baseline] if baseline is not None else [])
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp, "src")
-        shutil.copytree(ROOT / "src" / "wcavity", src / "wcavity",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-        job = {"rounds": rounds, "rows": list(ROWS.values()), "env": env}
+        envs = []
+        for k, source in enumerate(sources):
+            src = Path(tmp, f"src{k}")
+            shutil.copytree(source / "wcavity", src / "wcavity",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            envs.append({**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+        plan = [(tree, name) for k in range(rounds) for name in ROWS
+                for tree in round_order(k, len(sources))]
+        job = {"envs": envs, "runs": [[ROWS[name], tree] for tree, name in plan]}
         out = subprocess.run([sys.executable, "-S", "-c", SPAWNER], input=json.dumps(job),
                              cwd=tmp, capture_output=True, text=True, check=True).stdout
-        imports = import_rows(rounds, env, tmp)
-    runs = [line.split() for line in out.splitlines()]
-    rows = {}
-    for k, (name, args) in enumerate(ROWS.items()):
-        samples = runs[k::len(ROWS)]
-        rows[name] = {"argv": args,
-                      "wall_ms": summary([float(wall) for wall, _, _ in samples]),
-                      "peak_rss_mib": round(max(int(rss) for _, rss, _ in samples) / 1024, 1),
-                      "exit": sorted({int(code) for _, _, code in samples})}
-    return {"environment": environment(rounds), "rows": rows, "imports": imports}
+        imports = import_rows(rounds, envs, tmp)
+    samples = {}
+    for (tree, name), line in zip(plan, out.splitlines(), strict=True):
+        samples.setdefault((tree, name), []).append(line.split())
+    reports = []
+    for tree in range(len(sources)):
+        rows = {}
+        for name, args in ROWS.items():
+            runs = samples[tree, name]
+            rows[name] = {"argv": args,
+                          "wall_ms": summary([float(wall) for wall, _, _ in runs]),
+                          "peak_rss_mib": round(max(int(rss) for _, rss, _ in runs) / 1024, 1),
+                          "exit": sorted({int(code) for _, _, code in runs})}
+        reports.append({"rows": rows, "imports": imports[tree]})
+    report = {"environment": environment(rounds), **reports[0]}
+    if baseline is not None:
+        report["baseline"] = {**revision(baseline), **reports[1]}
+    return report
 
 
 def main(argv=None) -> int:
@@ -194,10 +235,16 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=40, help="alternating rounds (default 40)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_cli.json"),
                         help="output path (default BENCH_cli.json at the repo root)")
+    parser.add_argument("--baseline", type=Path, metavar="SRC",
+                        help="a second src tree, holding a wcavity package, measured in "
+                             "the same rounds")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    Path(args.out).write_text(json.dumps(bench(args.rounds), indent=2) + "\n", encoding="utf-8")
+    if args.baseline is not None and not (args.baseline / "wcavity").is_dir():
+        parser.error(f"--baseline {args.baseline} holds no wcavity package")
+    report = bench(args.rounds, args.baseline)
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -11,9 +11,10 @@ Two independent evolution routes are provided on purpose:
 The two must agree to tight tolerance; the numerical route serves as the
 correctness oracle for the closed form and vice versa.  Every route
 takes one operator, one state and one time, and each propagation runs
-one ``eigh``.  ``build_hamiltonian`` builds H on the one-excitation
-sector of ``fock.build_basis``, where one excited atom and N empty modes
-stay, as in the paper's protocol; an operator on any other basis is a
+one ``eigh``.  ``build_hamiltonian`` wraps the one builder of H,
+``validation.build_arrowhead``, on the one-excitation sector of
+``fock.build_basis``, where one excited atom and N empty modes stay, as
+in the paper's protocol; an operator on any other basis is a
 ``HermitianOperator`` of a matrix built by hand.
 
 The inputs are plain sequences, one entry per mode, in rad per unit
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import sector
+from . import sector, validation
 from .fock import ROUNDING_TOL, Basis, Frozen, StateVector, _require_same_basis, build_basis
 from .sector import PropagationError
 
@@ -67,33 +68,15 @@ class HermitianOperator(Frozen):
 
 
 def build_hamiltonian(*, couplings, detunings) -> HermitianOperator:
-    """Assemble the atom-field Hamiltonian on the N + 2 states of
-    ``build_basis(N)``, N the number of couplings, in the interaction frame::
-
-        H = sum_i delta_i * n_i + sum_i eps_i * (a_i s_+ + a_i^dag s_-)
-
-    with eps_i the ``couplings`` and delta_i the ``detunings``, one of each
-    per mode (ValueError for unequal counts, a non-finite value or a
-    coupling that is not positive); at resonance only the exchange term
-    survives.  On the sector H is an arrowhead: mode i's detuning, as
-    0.0 + delta_i, on the diagonal at |g;1_i>, index N + 1 - i, and its
-    coupling between that state and |e;0>, index N + 1.
+    """The atom-field Hamiltonian on the N + 2 states of ``build_basis(N)``,
+    N the number of couplings: the rows of ``validation.build_arrowhead``,
+    which define H and its layout and refuse what it refuses, before
+    ``build_basis`` refuses N < 1, as one checked operator.  At resonance
+    only the exchange term survives.
     """
-    if len(couplings) != len(detunings):
-        raise ValueError(f"one detuning per coupling: got {len(couplings)} couplings "
-                         f"and {len(detunings)} detunings")
-    if not all(math.isfinite(v) for v in (*detunings, *couplings)):
-        raise ValueError("model parameters must be finite")
-    if any(c <= 0 for c in couplings):
-        raise ValueError("couplings must be strictly positive")
-    basis = build_basis(len(couplings))
-    excited = basis.n_modes + 1
-    matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i, (detuning, coupling) in enumerate(zip(detunings, couplings), start=1):
-        k = excited - i
-        matrix[k, k] = 0.0 + detuning
-        matrix[k, excited] = matrix[excited, k] = coupling
-    return HermitianOperator(basis, matrix)
+    # an array before the operator: the rows are freed before its Hermiticity check
+    matrix = np.array(validation.build_arrowhead(couplings, detunings), dtype=complex)
+    return HermitianOperator(build_basis(len(couplings)), matrix)
 
 
 def evolve_closed_form(couplings, t: float) -> StateVector:

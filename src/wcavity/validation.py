@@ -6,13 +6,16 @@ through one operator and one state as it draws it, and compares the
 largest defect to ``sector.ROUNDING_TOL`` (``rng-stream`` counts the
 keys whose draws differ, and admits none).  The dense oracle here builds
 each operator on the N + 2 state sector from its couplings and
-detunings alone (:func:`build_arrowhead`), diagonalizes it by cyclic
-Jacobi rotations (:func:`jacobi`) and evolves a state by the phases of
-its eigenvalues (:func:`propagate`).  It checks itself and ``sector``'s
-closed form and propagator, the routes ``simulate`` and the sweeps run;
-``rabi-period`` times the Rabi period, four times t*, on
-``sector.evolve``; a committed checksum of numpy's draws checks
-``normals``, the disorder sweep's stream.  ``inject_fault`` runs
+detunings alone (:func:`build_arrowhead`, the one builder of H: the
+numpy oracle ``dynamics.build_hamiltonian`` wraps its rows),
+diagonalizes it by cyclic Jacobi rotations (:func:`jacobi`) and evolves
+a state by the phases of its eigenvalues (:func:`propagate`).  It checks
+itself and ``sector``'s closed form and propagator, the routes
+``simulate`` and the sweeps run; ``rabi-period`` times the Rabi period,
+four times t*, on ``sector.evolve``; a committed checksum of numpy's
+draws checks ``normals``, the disorder sweep's stream; and
+``hamiltonian-moments`` checks the builder's layout by tr H^3, which
+ties each mode's detuning to its coupling.  ``inject_fault`` runs
 ``sector.evolve`` backwards in the sector-route check, the sign error a
 bug in its 2x2 phase makes, so that the suite's ability to fail on a
 route the CLI runs is itself testable.  A route that raises in a check
@@ -63,9 +66,12 @@ def build_arrowhead(couplings, detunings) -> list[list[float]]:
 
     with eps_i the ``couplings`` and delta_i the ``detunings``, one of each
     per mode (ValueError for unequal counts, a non-finite value or a
-    coupling that is not positive), as a list of rows.  It is a real
-    arrowhead: mode i's detuning on the diagonal at |g;1_i>, index
-    N + 1 - i, and its coupling between that state and |e;0>, index N + 1.
+    coupling that is not positive, then for more than ``sector.MAX_MODES``
+    modes, before any row is built), as a list of rows.  It is a real
+    arrowhead: mode i's detuning, as 0.0 + delta_i, on the diagonal at
+    |g;1_i>, index N + 1 - i, and its coupling between that state and
+    |e;0>, index N + 1.  :func:`check_hamiltonian_moments` checks that
+    layout, and ``dynamics.build_hamiltonian`` wraps these rows.
     """
     if len(couplings) != len(detunings):
         raise ValueError(f"one detuning per coupling: got {len(couplings)} couplings "
@@ -74,6 +80,8 @@ def build_arrowhead(couplings, detunings) -> list[list[float]]:
         raise ValueError("model parameters must be finite")
     if any(c <= 0 for c in couplings):
         raise ValueError("couplings must be strictly positive")
+    if len(couplings) > sector.MAX_MODES:
+        raise ValueError(f"n_modes is above the limit of {sector.MAX_MODES} modes")
     excited = len(couplings) + 1
     matrix = [[0.0] * (excited + 1) for _ in range(excited + 1)]
     for i, (detuning, coupling) in enumerate(zip(detunings, couplings), start=1):
@@ -307,6 +315,28 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
     return _check("sector-vs-dense", gaps, 24)
 
 
+def check_hamiltonian_moments(rng) -> CheckResult:
+    """tr H^3 of :func:`build_arrowhead` against sum_i delta_i^3 +
+    3 sum_i eps_i^2 delta_i on random draws, relative to sum_i |delta_i|^3
+    + 3 sum_i eps_i^2 |delta_i|.  tr H and tr H^2 do not tie a mode's
+    detuning to its coupling, and tr H^3 does, read off the rows as
+    sum_ijk H_ij H_jk H_ki with no index convention: a detuning written on
+    another mode's diagonal fails here, where every check that propagates
+    holds for any symmetric matrix or draws one common detuning."""
+    def defects(draws):
+        for _ in range(draws):
+            couplings, detunings = _random_params(rng)
+            h = build_arrowhead(couplings, detunings)
+            dim = range(len(h))
+            trace = math.fsum([h[i][j] * h[j][k] * h[k][i] for i in dim for j in dim for k in dim])
+            law = math.fsum([*(d * d * d for d in detunings),
+                             *(3.0 * e * e * d for e, d in zip(couplings, detunings))])
+            scale = math.fsum([*(abs(d * d * d) for d in detunings),
+                               *(3.0 * e * e * abs(d) for e, d in zip(couplings, detunings))])
+            yield abs(trace - law) / scale
+    return _check("hamiltonian-moments", defects, 50)
+
+
 #: The keys of ``rng-stream``, one to four entries of 1, 32 and 64 bits,
 #: the edge words 0, 2^32 - 1, 2^63 and 2^64 - 1 among them, and the
 #: ``zlib.crc32`` of the text of numpy's first 256 draws at each,
@@ -418,4 +448,5 @@ def run_validation(seed: int = DEFAULT_SEED,
         check_rabi_period(),
         check_sector_route(stream("sector-vs-dense"), inject_fault=inject_fault),
         check_rng_stream(),
+        check_hamiltonian_moments(stream("hamiltonian-moments")),
     )

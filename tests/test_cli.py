@@ -386,8 +386,8 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         lines = out.strip().split("\n")
-        assert sum(1 for l in lines if l.startswith("PASS ")) == 6
-        assert lines[-1] == "summary: checks_run=6 passed=6 failed=0"
+        assert sum(1 for l in lines if l.startswith("PASS ")) == 7
+        assert lines[-1] == "summary: checks_run=7 passed=7 failed=0"
 
     def test_injected_fault_fails_the_sector_route(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--inject-fault")
@@ -401,7 +401,7 @@ class TestValidate:
         assert code == 0
         data = json.loads(out.read_text())
         assert list(data) == ["schema_version", "config", "checks"]
-        assert len(data["checks"]) == 6 and all(c["passed"] for c in data["checks"])
+        assert len(data["checks"]) == 7 and all(c["passed"] for c in data["checks"])
 
     @pytest.mark.parametrize("source", ["flag", "config", "out-dash"])
     def test_format_without_an_out_file_is_refused(self, source, capsys, tmp_path):
@@ -784,7 +784,7 @@ def test_validate_csv_reads_back_as_its_checks_table(capsys, tmp_path):
     with out.open(newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
     assert rows[0] == ["name", "passed", "measured", "tolerance", "cases"]
-    assert len(rows) == 7 and all(len(r) == 5 and r[1] == "True" for r in rows[1:])
+    assert len(rows) == 8 and all(len(r) == 5 and r[1] == "True" for r in rows[1:])
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,6 +70,17 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match="couplings must be strictly positive"):
             build_hamiltonian(couplings=(1.0, coupling), detunings=(0.0, 0.0))
 
+    def test_refuses_more_modes_than_build_basis_admits_after_the_values(self):
+        """N above ``MAX_MODES`` is refused with ``build_basis``'s message,
+        after a non-finite value is, and before any row is built."""
+        n = sector.MAX_MODES + 1
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            build_hamiltonian(couplings=(1.0,) * n, detunings=(math.nan,) * n)
+        with pytest.raises(ValueError) as basis_refusal:
+            build_basis(n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(basis_refusal.value))}$"):
+            build_hamiltonian(**resonant(n, 1.0))
+
     def test_takes_its_couplings_and_detunings_by_keyword_only(self):
         with pytest.raises(TypeError):
             build_hamiltonian((1.0,), (0.0,))

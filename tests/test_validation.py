@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wcavity import dynamics, normals, sector, validation
+from wcavity import normals, sector, validation
 from wcavity.cli import main
+from wcavity.fock import build_basis
 from wcavity.validation import (
     _find_root,
     build_arrowhead,
     check_composition,
+    check_hamiltonian_moments,
     check_oracle_equivalence,
     check_rabi_period,
     check_rng_stream,
@@ -25,16 +27,19 @@ from wcavity.validation import (
     run_validation,
 )
 
+from qubit_space import reference_hamiltonian
+
+
 CHECK_NAMES = [
     "propagator-unitarity", "propagator-composition", "closed-form-vs-numeric",
-    "rabi-period", "sector-vs-dense", "rng-stream",
+    "rabi-period", "sector-vs-dense", "rng-stream", "hamiltonian-moments",
 ]
 
 
 def test_all_checks_pass_by_default():
     checks = run_validation()
     assert [c.name for c in checks] == CHECK_NAMES
-    assert [c.cases for c in checks] == [50, 50, 100, 6, 24, 2048]
+    assert [c.cases for c in checks] == [50, 50, 100, 6, 24, 2048, 50]
     assert all(c.passed for c in checks)
 
 
@@ -86,19 +91,23 @@ def recording(monkeypatch, name, calls):
 
 def test_validation_builds_and_diagonalizes_only_the_sector(monkeypatch):
     """Every operator that ``run_validation`` builds is on the N + 2 state
-    sector of its couplings, N <= 6, and each is diagonalized once."""
+    sector of its couplings, N <= 6, and each that a check propagates is
+    diagonalized once; ``hamiltonian-moments``, last, diagonalizes none
+    of its 50."""
     built, diagonalized = [], []
     recording(monkeypatch, "build_arrowhead", built)
     recording(monkeypatch, "jacobi", diagonalized)
     assert all(check.passed for check in run_validation())
-    assert len(built) == len(diagonalized) == 50 + 50 + 100 + 24
+    assert len(diagonalized) == 50 + 50 + 100 + 24
+    assert len(built) == len(diagonalized) + 50
     for (couplings, _), (matrix,) in zip(built, diagonalized):
         assert len(matrix) == len(couplings) + 2 <= 8
+    assert all(len(couplings) <= 4 for couplings, _ in built[len(diagonalized):])
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed):
-    """At each seed the six checks run in their order and pass, each within
+    """At each seed the seven checks run in their order and pass, each within
     ``ROUNDING_TOL``, and ``inject_fault`` fails ``sector-vs-dense`` alone."""
     clean = run_validation(seed=seed)
     faulty = run_validation(seed=seed, inject_fault=True)
@@ -138,12 +147,20 @@ def test_unitarity_check_and_the_propagator_both_refuse_a_drift(monkeypatch):
         propagate(spectrum, [0j, 0j, 0j, 1 + 0j], 0.7)
 
 
-def test_unitarity_check_draws_only_the_parameters():
+def assert_draws_only_the_parameters(check):
     rng, reference = random.Random(5), random.Random(5)
-    assert check_unitarity(rng).cases == 50
+    assert check(rng).cases == 50
     for _ in range(50):
         validation._random_params(reference)
     assert rng.getstate() == reference.getstate()
+
+
+def test_unitarity_check_draws_only_the_parameters():
+    assert_draws_only_the_parameters(check_unitarity)
+
+
+def test_moments_check_draws_only_the_parameters():
+    assert_draws_only_the_parameters(check_hamiltonian_moments)
 
 
 def test_composition_check_fails_on_a_time_offset_in_the_propagator(monkeypatch):
@@ -216,10 +233,11 @@ def test_rng_stream_checksums_are_those_of_numpys_draws():
 
 def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     """A build whose exchange elements lose their symmetric partner by a
-    relative 1e-9 is refused by ``jacobi``: every check that builds an
-    operator reads FAIL with an infinite defect, and validate exits 1, a
-    failed check, not 2, bad input.  ``rabi-period`` and ``rng-stream``
-    build none and pass."""
+    relative 1e-9 is refused by ``jacobi``: every check that diagonalizes
+    an operator reads FAIL with an infinite defect, and validate exits 1, a
+    failed check, not 2, bad input.  ``hamiltonian-moments`` reads the
+    skewed exchange terms of tr H^3 and fails with a finite defect near
+    1e-9; ``rabi-period`` and ``rng-stream`` build no operator and pass."""
     real = validation.build_arrowhead
 
     def skewed(couplings, detunings):
@@ -233,14 +251,17 @@ def test_an_operator_the_oracle_refuses_fails_its_checks(monkeypatch, capsys):
     assert lines[0].startswith("FAIL propagator-unitarity: measured=inf ")
     assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
         "PASS rabi-period", "PASS rng-stream"]
-    assert lines[-1] == "summary: checks_run=6 passed=2 failed=4"
+    moments = lines[6]
+    assert moments.startswith("FAIL hamiltonian-moments: measured=")
+    assert 1e-12 < float(moments.split("measured=")[1].split()[0]) < 1e-8
+    assert lines[-1] == "summary: checks_run=7 passed=2 failed=5"
 
 
 def test_hitting_the_sweep_cap_fails_the_checks_not_the_suite(monkeypatch, capsys):
     """Every operator takes at least two sweeps, the last of which rotates
     nothing: at a cap of one sweep ``jacobi`` raises, and each check that
     diagonalizes reads FAIL with an infinite defect, while the suite runs
-    on."""
+    on; ``hamiltonian-moments`` runs no Jacobi and passes."""
     monkeypatch.setattr(validation, "JACOBI_SWEEPS", 1)
     with pytest.raises(sector.PropagationError, match="after 1 sweeps"):
         jacobi(build_arrowhead((1.0,), (0.0,)))
@@ -248,7 +269,7 @@ def test_hitting_the_sweep_cap_fails_the_checks_not_the_suite(monkeypatch, capsy
     assert [c.name for c in checks if not c.passed] == CHECK_NAMES[:3] + ["sector-vs-dense"]
     assert all(c.measured == math.inf for c in checks if not c.passed)
     assert main(["validate"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "summary: checks_run=6 passed=2 failed=4"
+    assert capsys.readouterr().out.splitlines()[-1] == "summary: checks_run=7 passed=3 failed=4"
 
 
 def test_find_root_takes_exact_zeros_and_stops_between_adjacent_floats():
@@ -459,6 +480,10 @@ MUTANTS = {
     "evolve-half-detuning": (sector, "mean, half = 0.5 * detuning, -0.5 * detuning",
                              "mean, half = 0.5 * detuning, 0.5 * detuning",
                              ["sector-vs-dense"]),
+    # mode i's detuning on mode N + 1 - i's diagonal: the propagating checks
+    # hold for any symmetric matrix or draw one common detuning
+    "arrowhead-detuning-index": (validation, "matrix[k][k] = 0.0 + detuning",
+                                 "matrix[i][i] = 0.0 + detuning", ["hamiltonian-moments"]),
 }
 
 
@@ -470,8 +495,8 @@ def test_each_dense_check_fails_on_a_mutant_of_its_route(name, monkeypatch):
     module, old, new, failing = MUTANTS[name]
     copy = mutant(module, old, new)
     if module is validation:
-        monkeypatch.setattr(validation, "jacobi", copy.jacobi)
-        monkeypatch.setattr(validation, "propagate", copy.propagate)
+        for function in ("build_arrowhead", "jacobi", "propagate"):
+            monkeypatch.setattr(validation, function, getattr(copy, function))
     else:
         for function in ("closed_form", "evolve"):
             monkeypatch.setattr(sector, function, getattr(copy, function))
@@ -563,9 +588,11 @@ def test_propagate_refuses_a_time_or_angle_off_the_doubles():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_arrowhead_is_the_dense_hamiltonian(seed):
-    """The oracle's builder writes the matrix of ``dynamics.build_hamiltonian``,
-    bit for bit."""
+    """The one builder of H writes, on random draws of one to six modes with
+    unequal couplings and detunings, the matrix that the tests' per-state
+    loop writes on the sector of ``build_basis``, bit for bit."""
     couplings, detunings = random_arrowhead(np.random.default_rng(seed))
-    expected = dynamics.build_hamiltonian(couplings=couplings, detunings=detunings).matrix
-    assert np.array_equal(np.array(build_arrowhead(couplings, detunings), dtype=complex),
-                          expected)
+    expected = reference_hamiltonian(build_basis(len(couplings)),
+                                     couplings=couplings, detunings=detunings)
+    got = np.array(build_arrowhead(couplings, detunings), dtype=complex)
+    assert got.tobytes() == expected.tobytes()

@@ -121,11 +121,17 @@ COMMANDS = [
     # help
     (["--help"], {}),
     (["simulate", "--help"], {}),
+    (["sweep", "--help"], {}),
+    (["entanglement", "--help"], {}),
+    (["validate", "--help"], {}),
     # refusals: bad input, the size rule and the range rule
     *((argv, {}) for argv in (
         [], ["simulate", "--nmax", "2"], ["simulate", "--eps", "2"], ["simulate", "--n", "0"], ["simulate", "--epsilon", "-1"],
         ["simulate", "--epsilon", "nan"], ["simulate", "--time", "inf"], ["sweep"],
-        ["sweep", "--parameter", "bogus", "--out", "-"], ["sweep", "--grid", "a,b", "--out", "-"],
+        ["sweep", "--parameter", "bogus", "--out", "-"],
+        # an unknown parameter is refused at its place in OPTIONS order, before --trials
+        ["sweep", "--n", "3", "--parameter", "bogus", "--trials", "0", "--out", "-"],
+        ["sweep", "--grid", "a,b", "--out", "-"],
         ["sweep", "--grid", "nan", "--out", "-"], ["sweep", "--grid", ",", "--out", "-"],
         ["sweep", "--parameter", "mode-count", "--grid", "1.5", "--out", "-"],
         ["sweep", "--parameter", "mode-count", "--n", "3", "--out", "-"],

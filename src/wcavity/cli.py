@@ -5,12 +5,13 @@ error too, and an input outside the size or range rule of its route,
 kept by the library in ``sector`` and, run by the sweep alone,
 ``protocol.require_grid``), printed as one ``error:`` line, 3 numerical
 failure.  Times are in units of 1/epsilon; every evolution runs in the
-interaction frame, on resonance but in the detuning sweep.  This module
+interaction frame, on resonance unless a sweep detunes it.  This module
 alone writes bytes, all through ``_write``: it holds the schema version,
 the 12-digit number format and the one layout of every command's report,
 ``{"schema_version", "config", <results>}``, whose results are scalars
 (numbers) and tables (lists of NamedTuple rows), while the library
-returns plain values.
+returns plain values.  It names no sweep parameter but the default: the
+one table of them is ``protocol.SWEEPS``, which only ``sweep`` loads.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import os
 import sys
 import time
 import types
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 # Only the modules every subcommand needs are imported here: a fresh
 # process pays for what its subcommand runs.  Every subcommand runs on
-# `sector`; the sweeps add `protocol`, the coupling-disorder sweep and
+# `sector`; the sweeps add `protocol`, the sweep that draws trials and
 # `validate` add `normals`, and `validate` adds `validation`.  All of them
 # need the standard library alone.
 from . import sector
@@ -51,31 +52,25 @@ def _parse_bool(value: str) -> bool:
 class Option(NamedTuple):
     """One CLI option: the flag ``--<key>`` (``_`` spelled ``-``) and the
     config-file key ``<key>``.  ``parse`` reads a config-file value; a
-    boolean option is a bare flag.  ``valid`` and ``requirement`` state
-    the check that every resolved value other than None must pass."""
+    boolean option is a bare flag.  ``choices()``, called only by a command
+    reading the option, lists its values.  ``valid`` and ``requirement``
+    state the check that every resolved value other than None must pass."""
 
     parse: Callable[[str], object]
     default: object = None
     help: str | None = None
-    choices: tuple[str, ...] | None = None
+    choices: Callable[[], Sequence[str]] | None = None
     valid: Callable[[object], bool] | None = None
     requirement: str = ""
 
 
-# Every sweep parameter, and the sweep options it never reads, each with
-# the reason, in ``OPTIONS`` order: refused if given and absent otherwise,
-# so that no output tells of a value the sweep did not use.  Parameter
-# ``p`` runs ``protocol.<p with - as _>_sweep``, whose parameters are the
-# sweep options that ``p`` reads.
-_DRAWS_NOTHING = dict.fromkeys(("seed", "trials"), "only coupling-disorder draws random trials")
-SWEEP_UNREAD = {
-    "timing-error": _DRAWS_NOTHING,
-    "coupling-disorder": {},
-    "detuning": _DRAWS_NOTHING,
-    "mode-count": {"n": "its grid lists the mode counts", **_DRAWS_NOTHING},
-}
+def _sweeps() -> dict:
+    from . import protocol  # here: of the commands, only sweep reads --parameter
+    return protocol.SWEEPS
 
-# every option, in the order the resolved config is echoed
+
+# every option, in the order the resolved config is echoed; the sweep
+# parameters, and the options each never reads, are ``protocol.SWEEPS``'s
 OPTIONS = {
     "n": Option(int, 3, "number of modes", valid=lambda v: v >= 1, requirement="must be >= 1"),
     "epsilon": Option(float, 1.0, "coupling strength",
@@ -85,13 +80,12 @@ OPTIONS = {
                    valid=math.isfinite, requirement="must be finite"),
     "out": Option(str, None, "output path, '-' for stdout", valid=bool,
                   requirement="must not be empty"),
-    "format": Option(str, "json", "report format", choices=("csv", "json")),
+    "format": Option(str, "json", "report format", choices=lambda: ("csv", "json")),
     "seed": Option(int, 0, "seed of the random draws", valid=lambda v: v >= 0,
                    requirement="must be >= 0"),
     "dump_state": Option(_parse_bool, False,
                          "include the state vector, on the N + 2 state sector, in the report"),
-    "parameter": Option(str, "timing-error", "swept quantity",
-                        choices=tuple(sorted(SWEEP_UNREAD))),
+    "parameter": Option(str, "timing-error", "swept quantity", choices=lambda: sorted(_sweeps())),
     "grid": Option(float_list, None, "comma-separated grid values"),
     "trials": Option(int, 100, "Monte-Carlo trials per grid point",
                      valid=lambda v: v >= 1, requirement="must be >= 1"),
@@ -147,7 +141,7 @@ def _help(name: str | None = None) -> str:
             if key not in spec.options:
                 continue
             default = spec.defaults.get(key, option.default)
-            text = option.help + (f": {', '.join(option.choices)}" if option.choices else "")
+            text = option.help + (f": {', '.join(option.choices())}" if option.choices else "")
             if default is not None and not isinstance(default, bool):
                 text = f"{text} (default {default})"
             value = "" if option.parse is _parse_bool else " " + key.upper()
@@ -238,7 +232,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _require_valid(key: str, option: Option, value) -> None:
-    if option.choices is not None and value not in option.choices:
+    if option.choices is not None and value not in option.choices():
         raise ValueError(f"unknown {key} {value!r}")
     if option.valid is not None and not option.valid(value):
         raise ValueError(f"{_flag(key)} {option.requirement}")
@@ -300,7 +294,7 @@ def resolve_config(args) -> dict:
         return config
     if args.command == "sweep":
         parameter = config["parameter"]
-        for key, reason in SWEEP_UNREAD[parameter].items():
+        for key, reason in _sweeps()[parameter]["unread"].items():
             if key in given:
                 raise ValueError(f"{given[key]}{_flag(key)} is not read by --parameter "
                                  f"{parameter} ({reason})")

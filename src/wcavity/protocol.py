@@ -35,29 +35,33 @@ def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
     return (*(i * step + start for i in range(num - 1)), stop)
 
 
-def _default_grid(parameter: str, n: int | None) -> tuple[float, ...]:
-    if parameter == "timing-error":
-        span = 0.2 * math.pi / (2.0 * math.sqrt(n))  # +-20% of the optimal time
-        return _linspace(-span, span, 41)
-    if parameter == "coupling-disorder":
-        return _linspace(0.0, 0.1, 11)
-    if parameter == "detuning":
-        return _linspace(-2.0, 2.0, 41)
-    return tuple(float(n) for n in range(1, 9))
+_DRAWS_NOTHING = dict.fromkeys(("seed", "trials"), "only coupling-disorder draws random trials")
 
-
-def _points(parameter: str, grid, t_star: float, epsilon: float):
-    """The (t, detuning) of each entry x of a timing-error or detuning grid."""
-    if parameter == "timing-error":
-        return ((t_star + x / epsilon, 0.0) for x in grid)
-    return ((t_star, x * epsilon) for x in grid)
+#: Every sweep parameter, by its ``--parameter`` name: ``unread``, the
+#: sweep options it never reads, each with the reason, in ``cli.OPTIONS``
+#: order (the CLI refuses each if given and echoes none); ``grid``, its
+#: default grid at N; and, for a sweep that evolves each entry x once,
+#: ``point``, the (t, detuning) of x, t* and epsilon.  Parameter ``p`` runs
+#: ``<p with - as _>_sweep``, whose parameters are the options ``p`` reads.
+SWEEPS = {
+    "timing-error": {  # the default grid spans +-20% of the optimal time
+        "unread": _DRAWS_NOTHING,
+        "grid": lambda n: _linspace(-(span := 0.2 * math.pi / (2.0 * math.sqrt(n))), span, 41),
+        "point": lambda x, t_star, epsilon: (t_star + x / epsilon, 0.0),
+    },
+    "coupling-disorder": {"unread": {}, "grid": lambda n: _linspace(0.0, 0.1, 11)},
+    "detuning": {"unread": _DRAWS_NOTHING, "grid": lambda n: _linspace(-2.0, 2.0, 41),
+                 "point": lambda x, t_star, epsilon: (t_star, x * epsilon)},
+    "mode-count": {"unread": {"n": "its grid lists the mode counts", **_DRAWS_NOTHING},
+                   "grid": lambda n: tuple(map(float, range(1, 9)))},
+}
 
 
 def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: int = 1,
                  seed: int = 0) -> tuple[float, ...]:
     """``grid``, or the default grid if it is None, as a tuple of floats,
     once it and N, epsilon, ``trials`` and ``seed`` are inputs that the
-    sweep of ``parameter`` (a key of ``cli.SWEEP_UNREAD``) runs in
+    sweep of ``parameter`` (a key of ``SWEEPS``) runs in
     doubles; ``n`` is None for the mode-count sweep, whose grid lists the
     counts.  The size rule is ``sector``'s: N (for the mode-count sweep,
     the largest grid entry) from 1 to ``sector.MAX_MODES``, and grid length
@@ -69,9 +73,9 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
     own: a sweep it runs refuses here, and the CLI prints this message."""
     if n is not None:  # first: the default grid and the range rule need 1 <= N
         sector.require_modes(n, f"--n {n}")
-    source = "--grid entry"
+    sweep, source = SWEEPS[parameter], "--grid entry"
     if grid is None:
-        grid, source = _default_grid(parameter, n), "default grid entry"
+        grid, source = sweep["grid"](n), "default grid entry"
     grid = tuple(float(x) for x in grid)
     if not grid:
         raise ValueError("sweep grid must not be empty")
@@ -96,9 +100,9 @@ def require_grid(parameter: str, grid, n: int | None, epsilon: float, trials: in
         n = int(max(grid))
         sector.require_modes(n, f"--grid entry {max(grid)!r}")
     else:
-        points = _points(parameter, grid, optimal_time(n, epsilon), epsilon)
-        mode = sector.bright_mode((epsilon,) * n)
-        sector.require_angles(mode, epsilon, zip(grid, points), source)
+        t_star, point = optimal_time(n, epsilon), sweep["point"]
+        points = ((x, point(x, t_star, epsilon)) for x in grid)
+        sector.require_angles(sector.bright_mode((epsilon,) * n), epsilon, points, source)
     sector.require_amplitudes("sweep", n, len(grid) * trials)
     return grid
 
@@ -115,10 +119,11 @@ class SweepRow(NamedTuple):
 
 
 def _evolved_sweep(parameter: str, n: int, epsilon: float, grid) -> list[SweepRow]:
-    """A timing-error or detuning sweep: one ``sector.evolve`` call, scored."""
+    """The sweep of an entry of ``SWEEPS`` with a ``point``: one ``evolve`` call, scored."""
     grid = require_grid(parameter, grid, n, epsilon)
-    t_star, mode = optimal_time(n, epsilon), sector.bright_mode((epsilon,) * n)
-    states = sector.evolve(mode, _points(parameter, grid, t_star, epsilon))
+    t_star, point = optimal_time(n, epsilon), SWEEPS[parameter]["point"]
+    mode = sector.bright_mode((epsilon,) * n)
+    states = sector.evolve(mode, (point(x, t_star, epsilon) for x in grid))
     return [SweepRow(x, *[sector.w_fidelity(pair, mode)] * 3) for x, pair in zip(grid, states)]
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity import cli
+from wcavity import cli, protocol
 from wcavity.cli import main, parse_args, resolve_config, run
 from wcavity.dynamics import (
     PropagationError,
@@ -35,8 +35,8 @@ from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, ROUNDING_TOL
 from codes import digits
 from qubit_space import qubit_hamiltonian
 
-# the sweep parameters, in the order of cli.SWEEP_UNREAD
-PARAMETERS = list(cli.SWEEP_UNREAD)
+# the sweep parameters, in the order of protocol.SWEEPS
+PARAMETERS = list(protocol.SWEEPS)
 
 
 def run_cli(capsys, *argv):
@@ -272,11 +272,9 @@ def sweep_rows(text: str) -> list[tuple[float, ...]]:
 
 
 def test_default_grids_are_the_numpy_linspace_doubles():
-    """``protocol._default_grid`` builds each default grid with the standard
-    library, bit for bit the ``np.linspace`` grid it used to return, at
-    every N the sweeps admit."""
-    from wcavity.protocol import _default_grid
-
+    """Each default grid of ``protocol.SWEEPS`` is built with the standard
+    library, bit for bit the ``np.linspace`` grid it used to be, at every N
+    the sweeps admit."""
     fixed = {
         "coupling-disorder": np.linspace(0.0, 0.1, 11),
         "detuning": np.linspace(-2.0, 2.0, 41),
@@ -288,7 +286,7 @@ def test_default_grids_are_the_numpy_linspace_doubles():
             want = fixed.get(parameter)
             if want is None:
                 want = np.linspace(-span, span, 41)
-            got = _default_grid(parameter, n)
+            got = protocol.SWEEPS[parameter]["grid"](n)
             assert all(type(x) is float for x in got)
             assert [x.hex() for x in got] == [float(x).hex() for x in want], (parameter, n)
 
@@ -298,17 +296,15 @@ def test_default_grids_are_the_numpy_linspace_doubles():
 def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path, monkeypatch):
     """The ``# config=`` line echoes the default grid, in the flat config,
     with the bytes it had when the grid's values were ``np.float64``."""
-    import wcavity.protocol
-
     args = ["sweep", "--parameter", parameter]
     if parameter != "mode-count":
         args += ["--n", "5"]
     outputs = []
     for numpy_grid in (False, True):
         if numpy_grid:
-            stdlib = wcavity.protocol._default_grid
-            monkeypatch.setattr(wcavity.protocol, "_default_grid",
-                                lambda *a: tuple(np.array(stdlib(*a))))
+            stdlib = protocol.SWEEPS[parameter]["grid"]
+            monkeypatch.setitem(protocol.SWEEPS[parameter], "grid",
+                                lambda n: tuple(np.array(stdlib(n))))
         # the echoed config names --out: both runs write s.csv in a directory of their own
         (tmp_path / str(numpy_grid)).mkdir()
         monkeypatch.chdir(tmp_path / str(numpy_grid))
@@ -318,7 +314,7 @@ def test_default_grid_echo_is_that_of_the_numpy_grid(parameter, capsys, tmp_path
     assert outputs[0] == outputs[1]
     # the flat config, the default grid in it
     config = echoed_config(outputs[0].decode())
-    assert config["grid"] == list(stdlib(parameter, config.get("n")))
+    assert config["grid"] == list(stdlib(config.get("n")))
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
@@ -653,7 +649,7 @@ def test_help_names_the_default_of_the_command(command, capsys):
     for key in keys:
         option = cli.OPTIONS[key]
         assert "(default " not in option.help, key
-        want = option.help + (f": {', '.join(option.choices)}" if option.choices else "")
+        want = option.help + (f": {', '.join(option.choices())}" if option.choices else "")
         default = spec.defaults.get(key, option.default)
         if default is not None and not isinstance(default, bool):
             want += f" (default {default})"
@@ -666,6 +662,39 @@ def test_help_lists_the_commands(capsys):
     assert text.startswith("usage: wcavity <command> [--flag value ...]\n")
     for name, spec in cli.COMMANDS.items():
         assert f"  {name} " in text and f" {spec.help}\n" in text
+
+
+def test_a_sweep_parameter_is_one_entry_of_the_table(capsys, monkeypatch):
+    """A parameter added as one ``protocol.SWEEPS`` entry, with its
+    ``protocol.<name>_sweep`` and no other edit, is a choice of ``sweep
+    --help``, is refused an option it does not read, with the entry's
+    reason, and writes its CSV: here the interaction time as a fraction
+    x of t*, whose fidelity is sin^2(x pi / 2)."""
+    monkeypatch.setitem(protocol.SWEEPS, "time-fraction", {
+        "unread": {"seed": "a toy reason", "trials": "a toy reason"},
+        "grid": lambda n: (0.0, 0.5, 1.0),
+        "point": lambda x, t_star, epsilon: (x * t_star, 0.0),
+    })
+    monkeypatch.setattr(protocol, "time_fraction_sweep", raising=False,
+                        value=lambda n, epsilon, grid: protocol._evolved_sweep(
+                            "time-fraction", n, epsilon, grid))
+    assert help_rows(help_text(capsys, "sweep", "--help"))["--parameter"] == (
+        "swept quantity: coupling-disorder, detuning, mode-count, time-fraction, timing-error "
+        "(default timing-error)")
+    code, _, err = run_cli(capsys, "sweep", "--parameter", "time-fraction", "--seed", "1",
+                           "--out", "-")
+    assert (code, err) == (2, "error: --seed is not read by --parameter time-fraction "
+                              "(a toy reason)\n")
+    code, out, err = run_cli(capsys, "sweep", "--n", "4", "--parameter", "time-fraction",
+                             "--out", "-")
+    assert code == 0, err
+    config = echoed_config(out)
+    assert (config["parameter"], config["grid"]) == ("time-fraction", [0.0, 0.5, 1.0])
+    assert "seed" not in config and "trials" not in config
+    rows = sweep_rows(out)
+    assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+    for x, *fids in rows:
+        assert fids == pytest.approx([math.sin(x * math.pi / 2) ** 2] * 3, abs=1e-11), x
 
 
 def test_inject_fault_is_read_but_not_listed(capsys):
@@ -1435,25 +1464,30 @@ def test_a_fresh_process_loads_only_its_subcommand_modules(argv, modules, tmp_pa
 
 
 @pytest.mark.parametrize("argv, status", [
-    (["--help"], 0), (["simulate", "--help"], 0), (["simulate", "--nmax", "2"], 2),
+    (["--help"], 0), (["simulate", "--help"], 0), (["entanglement", "--help"], 0),
+    (["validate", "--help"], 0), (["sweep", "--help"], 0), (["simulate", "--nmax", "2"], 2),
     (["simulate", "--n", "2", "--time", "-2.5"], 0),
     (["sweep", "--n", "3", "--grid", "-0.1,0", "--out", "-"], 0),
-], ids=["help", "simulate-help", "simulate-nmax", "simulate-negative-time", "sweep-negative-grid"])
+], ids=["help", "simulate-help", "entanglement-help", "validate-help", "sweep-help",
+        "simulate-nmax", "simulate-negative-time", "sweep-negative-grid"])
 def test_help_and_usage_errors_load_no_parser_module(argv, status, tmp_path):
     """Help, a usage error and a negative separate value are read from the
     option tables too, in a fresh process: argparse and the gettext and
-    locale it loads stay unloaded."""
+    locale it loads stay unloaded.  ``wcavity.protocol`` is loaded by a
+    sweep alone, ``sweep --help`` too, whose ``--parameter`` choices are
+    the keys of ``protocol.SWEEPS``: no other command's help loads it."""
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['wcavity', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('wcavity', run_name='__main__')\n"
         "except SystemExit as exc:\n"
-        "    print(exc.code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+        "    print(exc.code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules],\n"
+        "          'wcavity.protocol' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == f"{status} []", proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{status} [] {argv[0] == 'sweep'}", proc.stderr
 
 
 def test_cli_import_leaves_numpy_unloaded():

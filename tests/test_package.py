@@ -39,9 +39,11 @@ def top_level_names(path: Path) -> set:
 def test_import_loads_no_submodule():
     """``import wcavity`` loads no submodule and binds no name but its
     dunders: each name is imported from the module that defines it.  The
-    sweep parameters are named once, by the keys of ``cli.SWEEP_UNREAD``,
-    and parameter ``p`` runs ``protocol.<p with - as _>_sweep``, whose
-    parameters are the sweep options that ``p`` reads."""
+    sweep parameters are named once, by the keys of ``protocol.SWEEPS``,
+    the one table of them: no module defines a retired table of them
+    (``SWEEP_PARAMETERS``, ``SWEEP_UNREAD``).  Parameter ``p`` runs
+    ``protocol.<p with - as _>_sweep``, whose parameters are the sweep
+    options that ``p`` reads, and ``--parameter`` admits the keys alone."""
     code = (
         "import sys, wcavity\n"
         "print(sorted(m for m in sys.modules if m.startswith('wcavity')))\n"
@@ -57,15 +59,15 @@ def test_import_loads_no_submodule():
     assert wcavity.__version__ == "0.1.0"
 
     assert [path.stem for path in sorted(SRC.glob("*.py"))
-            if "SWEEP_PARAMETERS" in top_level_names(path)] == []
+            if {"SWEEP_PARAMETERS", "SWEEP_UNREAD"} & top_level_names(path)] == []
     sweeps = {name for name, value in vars(protocol).items()
               if name.endswith("_sweep") and not name.startswith("_") and callable(value)}
     options = {"n", "epsilon", "grid", "trials", "seed"}
-    assert sweeps == {p.replace("-", "_") + "_sweep" for p in cli.SWEEP_UNREAD}
-    for parameter, unread in cli.SWEEP_UNREAD.items():
+    assert sweeps == {p.replace("-", "_") + "_sweep" for p in protocol.SWEEPS}
+    for parameter, entry in protocol.SWEEPS.items():
         sweep = getattr(protocol, parameter.replace("-", "_") + "_sweep")
-        assert set(inspect.signature(sweep).parameters) == options - set(unread), parameter
-    assert cli.OPTIONS["parameter"].choices == tuple(sorted(cli.SWEEP_UNREAD))
+        assert set(inspect.signature(sweep).parameters) == options - set(entry["unread"]), parameter
+    assert cli.OPTIONS["parameter"].choices() == sorted(protocol.SWEEPS)
 
 
 # Each public name of the library and the module that defines it.

@@ -20,8 +20,8 @@ from wcavity.entanglement import fidelity, w_state
 from wcavity.fock import build_basis, initial_state
 from wcavity.protocol import (
     _NORMAL_BOUND,
+    SWEEPS,
     SweepRow,
-    _default_grid,
     coupling_disorder_sweep,
     detuning_sweep,
     mode_count_sweep,
@@ -113,7 +113,7 @@ class TestTimingErrorSweep:
         runs = []
         real = sector.evolve
         monkeypatch.setattr(sector, "evolve", lambda *args: runs.append(args) or real(*args))
-        timing_error_sweep(3, 1.0, _default_grid("timing-error", 3))
+        timing_error_sweep(3, 1.0, SWEEPS["timing-error"]["grid"](3))
         assert len(runs) == 1
         assert eigh_calls == []
 
@@ -243,7 +243,7 @@ class TestDisorderOracle:
     @pytest.mark.parametrize("seed", [0, 7, 42, 123, 2**64])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
     def test_default_grid_csv_equals_the_numpy_route(self, n, seed):
-        args = (_default_grid("coupling-disorder", n), 100, seed)
+        args = (SWEEPS["coupling-disorder"]["grid"](n), 100, seed)
         rows = coupling_disorder_sweep(n, 1.0, *args)
         oracle = numpy_disorder_rows(n, 1.0, *args)
         assert csv_cells(rows) == csv_cells(oracle)
@@ -300,7 +300,7 @@ class TestDisorderOracle:
         """N = 40, seed 0, sigma = 0.03: Python's sum over the overlap gave
         a max of ...844; math.fsum and the numpy route give ...845, the
         correctly rounded value of the reference."""
-        grid = _default_grid("coupling-disorder", 40)[:4]
+        grid = SWEEPS["coupling-disorder"]["grid"](40)[:4]
         row = coupling_disorder_sweep(40, 1.0, grid, 100, 0)[3]
         assert fmt12(row.x) == "0.03"
         t_star = optimal_time(40, 1.0)

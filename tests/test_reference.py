@@ -64,8 +64,8 @@ def sweep_cells(parameter, n, epsilon, grid, trials=None, seed=None):
         sweep = {"timing-error": protocol.timing_error_sweep,
                  "detuning": protocol.detuning_sweep}[parameter]
         rows = sweep(n, epsilon, grid)
-        points = protocol._points(parameter, [row.x for row in rows], optimal_time(n, epsilon),
-                                  epsilon)
+        t_star, point = optimal_time(n, epsilon), protocol.SWEEPS[parameter]["point"]
+        points = [point(row.x, t_star, epsilon) for row in rows]
         for row, want in zip(rows, reference.fidelities((epsilon,) * n, points)):
             yield fmt12(row.fidelity_mean), reference.round12(want)
 

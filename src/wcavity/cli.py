@@ -180,9 +180,6 @@ def parse_args(argv=None):
     flags = {_flag(k): (k, OPTIONS[k].parse) for k in OPTIONS if k in command.options}
     flags["--config"] = ("config", str)
     values = {key: None for key, _ in flags.values()} | {"command": name}
-    if name == "validate":
-        flags["--inject-fault"] = ("inject_fault", _parse_bool)
-        values["inject_fault"] = False
     tokens = iter(argv[1:])
     for token in tokens:
         if _asks_help(token):
@@ -488,10 +485,10 @@ def cmd_entanglement(config: dict) -> int:
     return 0
 
 
-def cmd_validate(config: dict, inject_fault: bool) -> int:
+def cmd_validate(config: dict) -> int:
     from .validation import run_validation
 
-    checks = run_validation(seed=config["seed"], inject_fault=inject_fault)
+    checks = run_validation(seed=config["seed"])
     passed = sum(check.passed for check in checks)
     lines = [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
              f"measured={check.measured:.3e} tolerance={check.tolerance:g} "
@@ -511,13 +508,9 @@ def main(argv=None) -> int:
             _write([("-", [args])])
             return 0
         config = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        if args.command == "entanglement":
-            return cmd_entanglement(config)
-        return cmd_validate(config, args.inject_fault)
+        command = {"simulate": cmd_simulate, "sweep": cmd_sweep,
+                   "entanglement": cmd_entanglement, "validate": cmd_validate}[args.command]
+        return command(config)
     except PropagationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

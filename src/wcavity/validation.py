@@ -15,11 +15,11 @@ itself and ``sector``'s closed form and propagator, the routes
 four times t*, on ``sector.evolve``; a committed checksum of numpy's
 draws checks ``normals``, the disorder sweep's stream; and
 ``hamiltonian-moments`` checks the builder's layout by tr H^3, which
-ties each mode's detuning to its coupling.  ``inject_fault`` runs
-``sector.evolve`` backwards in the sector-route check, the sign error a
-bug in its 2x2 phase makes, so that the suite's ability to fail on a
-route the CLI runs is itself testable.  A route that raises in a check
-fails that check (:func:`_check`).
+ties each mode's detuning to its coupling.  A route that raises in a
+check fails that check (:func:`_check`).  The checks read ``sector``'s
+routes off the module at each call, so a test can patch one from outside:
+the tests run ``sector.evolve`` to -t instead of t, the sign error a bug
+in its 2x2 phase makes, and ``sector-vs-dense`` alone fails.
 
 Each check draws from its own ``random.Random``, keyed by the seed and
 the check's name.  Every sum of floats is a plain loop or ``math.fsum``
@@ -296,13 +296,10 @@ def check_oracle_equivalence(rng) -> CheckResult:
     return _check("closed-form-vs-numeric", gaps, 100)
 
 
-def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
+def check_sector_route(rng) -> CheckResult:
     """``sector.evolve``, the route ``simulate`` and three sweeps run,
     against the dense sector route on random draws: unequal couplings and
-    one common detuning.  With ``inject_fault``, ``sector.evolve`` runs to
-    -t instead of t."""
-    sign = -1.0 if inject_fault else 1.0
-
+    one common detuning."""
     def gaps(draws):
         for _ in range(draws):
             n = rng.randint(1, 6)
@@ -310,7 +307,7 @@ def check_sector_route(rng, inject_fault: bool = False) -> CheckResult:
             detuning = rng.uniform(-5.0, 5.0)
             t = rng.uniform(-5.0, 5.0)
             mode = sector.bright_mode(couplings)
-            (pair,) = sector.evolve(mode, ((sign * t, detuning),))
+            (pair,) = sector.evolve(mode, ((t, detuning),))
             yield _sector_gap(couplings, detuning, t, mode, pair)
     return _check("sector-vs-dense", gaps, 24)
 
@@ -434,8 +431,7 @@ def check_rabi_period() -> CheckResult:
     return _check("rabi-period", errors, 6)
 
 
-def run_validation(seed: int = DEFAULT_SEED,
-                   inject_fault: bool = False) -> tuple[CheckResult, ...]:
+def run_validation(seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
     """Every check's result, each drawing from its own stream, keyed by
     ``seed`` and the check's name; deterministic per seed."""
     def stream(name: str) -> random.Random:
@@ -446,7 +442,7 @@ def run_validation(seed: int = DEFAULT_SEED,
         check_composition(stream("propagator-composition")),
         check_oracle_equivalence(stream("closed-form-vs-numeric")),
         check_rabi_period(),
-        check_sector_route(stream("sector-vs-dense"), inject_fault=inject_fault),
+        check_sector_route(stream("sector-vs-dense")),
         check_rng_stream(),
         check_hamiltonian_moments(stream("hamiltonian-moments")),
     )

@@ -195,6 +195,7 @@ COMMANDS = [
     (["validate", "--seed", "7"], {}),
     (["validate", "--seed", "123"], {}),
     (["validate", "--seed", "7", "--format", "csv", "--out", "{tmp}/v.csv"], {}),
+    # no flag injects a fault: the tests patch it in from outside
     (["validate", "--seed", "7", "--inject-fault"], {}),
 ]
 

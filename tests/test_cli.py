@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcavity
-from wcavity import cli, protocol
+from wcavity import cli, protocol, sector
 from wcavity.cli import main, parse_args, resolve_config, run
 from wcavity.dynamics import (
     PropagationError,
@@ -32,6 +33,7 @@ from wcavity.fock import StateVector, build_basis, initial_state
 from wcavity.protocol import require_grid
 from wcavity.sector import MAX_AMPLITUDES, MAX_MODES, ROUNDING_TOL
 
+import fault
 from codes import digits
 from qubit_space import qubit_hamiltonian
 
@@ -385,11 +387,16 @@ class TestValidate:
         assert sum(1 for l in lines if l.startswith("PASS ")) == 7
         assert lines[-1] == "summary: checks_run=7 passed=7 failed=0"
 
-    def test_injected_fault_fails_the_sector_route(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--inject-fault")
+    def test_injected_fault_fails_the_sector_route(self, capsys, monkeypatch):
+        """With ``sector.evolve`` run to -t, validate exits 1, fails
+        ``sector-vs-dense`` alone and writes these pinned bytes."""
+        monkeypatch.setattr(sector, "evolve", fault.backwards(sector.evolve))
+        code, out, _ = run_cli(capsys, "validate", "--seed", "7")
         assert code == 1
-        assert "FAIL sector-vs-dense" in out
-        assert "failed=1" in out
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL ")] == [
+            "FAIL sector-vs-dense"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9d3886e94db0a2b181f5a94f181218cff1eb25e9b98f4a2ca74ef46d8769ac9a")
 
     def test_report_file(self, capsys, tmp_path):
         out = tmp_path / "validate.json"
@@ -697,17 +704,11 @@ def test_a_sweep_parameter_is_one_entry_of_the_table(capsys, monkeypatch):
         assert fids == pytest.approx([math.sin(x * math.pi / 2) ** 2] * 3, abs=1e-11), x
 
 
-def test_inject_fault_is_read_but_not_listed(capsys):
-    assert "--inject-fault" not in help_text(capsys, "validate", "--help")
-    assert parse_args(["validate"]).inject_fault is False
-    assert parse_args(["validate", "--inject-fault"]).inject_fault is True
-
-
 @pytest.mark.parametrize("command", sorted(READS))
 def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
     """The flags ``parse_args`` reads, the flags the help lists, the config
     file keys and the echoed config are the same options."""
-    flags = set(vars(parse_args([command]))) - {"command", "config", "inject_fault"}
+    flags = set(vars(parse_args([command]))) - {"command", "config"}
     listed = set(help_rows(cli._help(command)))
     assert listed == {flag(key) for key in flags} | {"--config", "-h"}
 
@@ -1575,28 +1576,39 @@ def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, mo
     assert events == ["main", "freeze"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--n", "13", "--dump-state"],
+# the child's program: the module entry, or one that first injects the
+# tests' fault (``sector.evolve`` run to -t) and then runs the same entry
+MODULE = ("-m", "wcavity")
+FAULTY = ("-c", "import fault; fault.inject(); from wcavity import cli; cli.run()")
+
+
+@pytest.mark.parametrize("program, argv", [
+    (MODULE, ["simulate", "--n", "13", "--dump-state"]),
     # about 450 KB of CSV, far above a 64 KiB pipe buffer; the grid comes
     # from a file because one argv string is capped at 128 KiB on Linux
-    ["sweep", "--n", "3", "--config", "long-grid.cfg", "--out", "-"],
-    ["validate", "--inject-fault"],
-    ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"],
-    ["simulate", "--epsilon", "1e-320"],
+    (MODULE, ["sweep", "--n", "3", "--config", "long-grid.cfg", "--out", "-"]),
+    (FAULTY, ["validate", "--seed", "7"]),
+    (MODULE, ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"]),
+    (MODULE, ["simulate", "--epsilon", "1e-320"]),
 ], ids=["simulate-dump", "sweep-long-grid", "validate-fault", "sweep-refused",
         "simulate-refused-epsilon"])
-def test_a_fresh_process_writes_what_main_writes(argv, capsys, tmp_path, monkeypatch):
-    """``python -m wcavity`` through pipes: the same stdout and stderr
-    bytes and the same exit code as ``main`` in process.  The child's
-    stdout is block-buffered, as in a shell pipeline, so output still in
-    the buffer at exit is checked too."""
+def test_a_fresh_process_writes_what_main_writes(program, argv, capsys, tmp_path, monkeypatch):
+    """A fresh process through pipes: the same stdout and stderr bytes and
+    the same exit code as ``main`` in process, with the fault injected in
+    both for the failing validate (exit 1).  The child's stdout is
+    block-buffered, as in a shell pipeline, so output still in the buffer
+    at exit is checked too."""
     monkeypatch.chdir(tmp_path)
     grid = ",".join(repr(k / 4096) for k in range(-3000, 3000))
     (tmp_path / "long-grid.cfg").write_text(f"grid = {grid}\n")
-    code, out, err = run_cli(capsys, *argv)
     env = package_env()
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.run([sys.executable, "-m", "wcavity", *argv], env=env,
+    if program is FAULTY:
+        monkeypatch.setattr(sector, "evolve", fault.backwards(sector.evolve))
+        env["PYTHONPATH"] += os.pathsep + str(Path(fault.__file__).parent)
+    code, out, err = run_cli(capsys, *argv)
+    assert program is MODULE or code == 1
+    proc = subprocess.run([sys.executable, *program, *argv], env=env,
                           cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           timeout=120)
     assert proc.returncode == code
@@ -1628,9 +1640,8 @@ def test_a_failed_write_to_stdout_exits_2(argv, tmp_path):
 
 
 # The one reader of the command line.  Each argv it reads, and the values
-# of the namespace it gives that differ from the command's unset ones
-# (None for an option, False for --inject-fault); compared by repr, so
-# that value types count.
+# of the namespace it gives other than None, the value of every unset
+# option; compared by repr, so that value types count.
 ACCEPTED = [
     (["simulate"], {}),
     (["simulate", "--n", "3", "--epsilon=0.5", "--dump-state"],
@@ -1662,15 +1673,14 @@ ACCEPTED = [
     (["sweep", "--parameter", "bogus", "--format", "xml"],
      {"parameter": "bogus", "format": "xml"}),
     (["entanglement", "--n", "-1", "--config", "run.cfg"], {"n": -1, "config": "run.cfg"}),
-    (["validate", "--inject-fault", "--seed", "0"], {"inject_fault": True, "seed": 0}),
+    (["validate", "--seed", "0"], {"seed": 0}),
 ]
 
 
 def unset(command):
     """The namespace values of ``command`` given no flag."""
     values = {key: None for key in cli.COMMANDS[command].options}
-    values |= {"config": None, "command": command}
-    return values | ({"inject_fault": False} if command == "validate" else {})
+    return values | {"config": None, "command": command}
 
 
 @pytest.mark.parametrize("argv, values", ACCEPTED, ids=repr)
@@ -1695,6 +1705,7 @@ REFUSED = [
     (["simulate", "--dump", "--out", "o.json"], "simulate reads no flag '--dump'"),
     (["simulate", "--out", "o.json", "--bogus"], "simulate reads no flag '--bogus'"),
     (["simulate", "--inject-fault"], "simulate reads no flag '--inject-fault'"),
+    (["validate", "--inject-fault"], "validate reads no flag '--inject-fault'"),
     (["simulate", "--N", "3"], "simulate reads no flag '--N'"),
     (["simulate", "-n", "3"], "simulate reads no flag '-n'"),
     (["simulate", "--", "--n", "3"], "simulate reads no flag '--'"),
@@ -1712,7 +1723,6 @@ REFUSED = [
     (["simulate", "--dump-state=1"], "--dump-state: takes no value, got '1'"),
     (["simulate", "--dump-state=true", "--out", "o.json"],
      "--dump-state: takes no value, got 'true'"),
-    (["validate", "--inject-fault=", "--out", "o.json"], "--inject-fault: takes no value, got ''"),
     (["simulate", "--help=1"], "--help: takes no value, got '1'"),
     (["simulate", "-h=1"], "--help: takes no value, got '1'"),
     (["sweep", "--out", "o.csv", "--help="], "--help: takes no value, got ''"),

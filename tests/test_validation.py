@@ -27,6 +27,7 @@ from wcavity.validation import (
     run_validation,
 )
 
+from fault import backwards
 from qubit_space import reference_hamiltonian
 
 
@@ -49,8 +50,9 @@ def test_deterministic_per_seed():
     assert [(c.name, c.measured) for c in a] == [(c.name, c.measured) for c in b]
 
 
-def test_fault_injection_fails_only_the_sector_route():
-    outcomes = {c.name: c.passed for c in run_validation(inject_fault=True)}
+def test_fault_injection_fails_only_the_sector_route(monkeypatch):
+    monkeypatch.setattr(sector, "evolve", backwards(sector.evolve))
+    outcomes = {c.name: c.passed for c in run_validation()}
     assert outcomes["sector-vs-dense"] is False
     assert all(ok for name, ok in outcomes.items() if name != "sector-vs-dense")
 
@@ -106,14 +108,17 @@ def test_validation_builds_and_diagonalizes_only_the_sector(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
-def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed):
+def test_every_seed_passes_and_a_fault_fails_only_the_sector_route(seed, monkeypatch):
     """At each seed the seven checks run in their order and pass, each within
-    ``ROUNDING_TOL``, and ``inject_fault`` fails ``sector-vs-dense`` alone."""
+    ``ROUNDING_TOL``.  With ``sector.evolve`` run to -t, ``sector-vs-dense``
+    alone fails, and each other check's result is the clean run's."""
     clean = run_validation(seed=seed)
-    faulty = run_validation(seed=seed, inject_fault=True)
+    monkeypatch.setattr(sector, "evolve", backwards(sector.evolve))
+    faulty = run_validation(seed=seed)
     assert [c.name for c in clean] == [c.name for c in faulty] == CHECK_NAMES
     assert all(c.passed and c.measured <= sector.ROUNDING_TOL for c in clean)
     assert [c.name for c in faulty if not c.passed] == ["sector-vs-dense"]
+    assert [c for c in faulty if c.passed] == [c for c in clean if c.name != "sector-vs-dense"]
 
 
 def test_composition_diagonalizes_once_per_draw(monkeypatch):
@@ -322,16 +327,22 @@ def test_find_root_evaluates_only_strictly_inside_the_bracket(f, a, b):
 
 
 def test_injected_fault_runs_the_sector_route_backwards(monkeypatch):
-    """The fault is a sign error of the time that ``sector.evolve`` gets,
-    which the dense route does not share."""
+    """The tests' fault is a sign error of the time that ``sector.evolve``
+    gets, which the dense route does not share."""
     times = []
     real = sector.evolve
-    monkeypatch.setattr(sector, "evolve",
-                        lambda c, points: times.extend(t for t, _ in points) or real(c, points))
+
+    def recorded(mode, points):
+        points = list(points)
+        times.extend(t for t, _ in points)
+        return real(mode, points)
+
+    monkeypatch.setattr(sector, "evolve", recorded)
     clean = check_sector_route(random.Random(3))
     forward = list(times)
     times.clear()
-    faulty = check_sector_route(random.Random(3), inject_fault=True)
+    monkeypatch.setattr(sector, "evolve", backwards(recorded))
+    faulty = check_sector_route(random.Random(3))
     assert clean.passed and not faulty.passed
     assert times == [-t for t in forward]
 

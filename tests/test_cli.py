@@ -398,6 +398,22 @@ class TestValidate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "9d3886e94db0a2b181f5a94f181218cff1eb25e9b98f4a2ca74ef46d8769ac9a")
 
+    def test_a_sitecustomize_on_the_path_injects_the_fault(self, capsys, tmp_path, monkeypatch):
+        """The route README and CI give for a fresh process: a
+        ``sitecustomize`` that calls ``fault.inject()``, on ``PYTHONPATH``
+        with the tests, makes ``python -m wcavity validate --seed 7`` write
+        the bytes and exit code of the in-process faulted run."""
+        (tmp_path / "sitecustomize.py").write_text("import fault; fault.inject()\n")
+        monkeypatch.setattr(sector, "evolve", fault.backwards(sector.evolve))
+        code, out, err = run_cli(capsys, "validate", "--seed", "7")
+        assert code == 1
+        env = package_env()
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tmp_path), str(Path(fault.__file__).parent), env["PYTHONPATH"]])
+        proc = subprocess.run([sys.executable, "-m", "wcavity", "validate", "--seed", "7"],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
     def test_report_file(self, capsys, tmp_path):
         out = tmp_path / "validate.json"
         code, _, _ = run_cli(capsys, "validate", "--out", str(out))

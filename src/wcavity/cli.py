@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input (a usage
 error too, and an input outside the size or range rule of its route,
-kept by the library in ``sector`` and, run by the sweep alone,
-``protocol.require_grid``), printed as one ``error:`` line, 3 numerical
+kept by the library in ``sector``, which ``simulate`` and
+``entanglement`` call before any work, and in ``protocol.require_grid``,
+which a sweep calls), printed as one ``error:`` line, 3 numerical
 failure.  Times are in units of 1/epsilon; every evolution runs in the
 interaction frame, on resonance unless a sweep detunes it.  This module
 alone writes bytes, all through ``_write``: it holds the schema version,
@@ -161,15 +162,22 @@ def _asks_help(token: str) -> bool:
     return flag in ("-h", "--help")
 
 
-def parse_args(argv=None):
-    """The namespace of typed values that ``argv`` (``sys.argv[1:]`` by
-    default) gives, or the help text that ``-h`` or ``--help`` in a flag
-    position asks for.  ``argv`` is ``<command> (--flag value |
-    --flag=value | --bool-flag)*`` with the command's exact flags, each
-    value read by its ``Option.parse``; the last of a repeated flag counts.
+def read_config(argv=None) -> dict | str:
+    """The config that ``argv`` (``sys.argv[1:]`` by default) gives, or the
+    help text that ``-h`` or ``--help`` in a flag position asks for.
+    ``argv`` is ``<command> (--flag value | --flag=value | --bool-flag)*``
+    with the command's exact flags, each value read by its ``Option.parse``
+    as its token is read; the last of a repeated flag counts.
     ``--flag=value`` is read as given, and a separate value is the next
-    token unless it starts with ``--``.  Any other argv raises ValueError
-    naming the token, and a value ``parse`` refuses as ``--n: <reason>``."""
+    token unless it starts with ``--``.  The config holds the command and
+    the value of each option it reads, in ``OPTIONS`` order: the flag if
+    given, else the ``--config`` file's value, else the command's default,
+    else the option's; a sweep's grid is the tuple of floats given, or None
+    for the default grid.  Every config-file value is parsed and checked, a
+    value a flag overrides too; a refused one is named by its file line.
+    Any other argv raises ValueError naming the token, a value ``parse``
+    refuses as ``--n: <reason>``.  The inputs of a route are its own to
+    admit: the reader runs none."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and _asks_help(argv[0]):
         return _help()
@@ -179,7 +187,7 @@ def parse_args(argv=None):
     name, command = argv[0], COMMANDS[argv[0]]
     flags = {_flag(k): (k, OPTIONS[k].parse) for k in OPTIONS if k in command.options}
     flags["--config"] = ("config", str)
-    values = {key: None for key, _ in flags.values()} | {"command": name}
+    values = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if _asks_help(token):
@@ -201,7 +209,54 @@ def parse_args(argv=None):
             values[key] = parse(value)
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from None
-    return types.SimpleNamespace(**values)
+
+    path = values.pop("config", None)
+    if path == "":
+        raise ValueError("--config must not be empty")
+    file_values = {} if path is None else _load_config_file(path)
+    unknown = set(file_values) - command.options
+    if unknown:
+        lineno = min(file_values[key][0] for key in unknown)
+        raise ValueError(f"{path}:{lineno}: unknown config file keys: {sorted(unknown)}")
+
+    config = {"command": name}
+    # each option given, and how a refusal of it begins: "" for a flag, its
+    # file line for a config-file value
+    given = {}
+    for key, option in OPTIONS.items():
+        if key not in command.options:
+            continue
+        value = values.get(key)
+        if key in file_values:
+            lineno, text = file_values[key]
+            where = f"{path}:{lineno}: key {key!r}: "
+            try:
+                file_value = option.parse(text)
+                _require_valid(key, option, file_value)
+            except ValueError as exc:
+                raise ValueError(f"{where}{exc}") from None
+            if value is None:
+                value, given[key] = file_value, where
+        if value is not None and key not in given:
+            _require_valid(key, option, value)
+            given[key] = ""
+        config[key] = command.defaults.get(key, option.default) if value is None else value
+
+    if config["out"] is None:
+        if name == "sweep":
+            raise ValueError("sweep requires --out")
+        config["out"] = "-"
+    if name == "validate" and "format" in given and config["out"] == "-":
+        raise ValueError(f"{given['format']}--format sets the format of validate's --out "
+                         "file, and there is none: validate prints its text lines")
+    if name == "sweep":
+        parameter = config["parameter"]
+        for key, reason in _sweeps()[parameter]["unread"].items():
+            if key in given:
+                raise ValueError(f"{given[key]}{_flag(key)} is not read by --parameter "
+                                 f"{parameter} ({reason})")
+            del config[key]
+    return config
 
 
 def _load_config_file(path: str) -> dict:
@@ -233,83 +288,6 @@ def _require_valid(key: str, option: Option, value) -> None:
         raise ValueError(f"unknown {key} {value!r}")
     if option.valid is not None and not option.valid(value):
         raise ValueError(f"{_flag(key)} {option.requirement}")
-
-
-def resolve_config(args) -> dict:
-    """The command and the value of each option it reads, in ``OPTIONS``
-    order: the flag if given, else the config-file value, else the
-    command's default, else the option's; a sweep's grid is the tuple of
-    floats given, or None for the default grid.  Every config-file value
-    is parsed and checked, a value a flag overrides too; a refused one is
-    named by its file line.  Refuses, before any work, an input of
-    ``simulate`` or ``entanglement`` outside the size or range rule of its
-    route, by ``sector``'s checks of N, entanglement's amplitude count and
-    simulate's t* and --time angle.  A sweep's grid and sizes are left to
-    the sweep, whose ``protocol.require_grid`` refuses them before any work."""
-    command = COMMANDS[args.command]
-    if args.config == "":
-        raise ValueError("--config must not be empty")
-    file_values = {} if args.config is None else _load_config_file(args.config)
-    unknown = set(file_values) - command.options
-    if unknown:
-        lineno = min(file_values[key][0] for key in unknown)
-        raise ValueError(f"{args.config}:{lineno}: unknown config file keys: {sorted(unknown)}")
-
-    config = {"command": args.command}
-    # each option given, and how a refusal of it begins: "" for a flag, its
-    # file line for a config-file value
-    given = {}
-    for key, option in OPTIONS.items():
-        if key not in command.options:
-            continue
-        value = getattr(args, key)
-        if key in file_values:
-            lineno, text = file_values[key]
-            where = f"{args.config}:{lineno}: key {key!r}: "
-            try:
-                file_value = option.parse(text)
-                _require_valid(key, option, file_value)
-            except ValueError as exc:
-                raise ValueError(f"{where}{exc}") from None
-            if value is None:
-                value, given[key] = file_value, where
-        if value is not None and key not in given:
-            _require_valid(key, option, value)
-            given[key] = ""
-        config[key] = command.defaults.get(key, option.default) if value is None else value
-
-    if config["out"] is None:
-        if args.command == "sweep":
-            raise ValueError("sweep requires --out")
-        config["out"] = "-"
-    if args.command == "entanglement" and config["n"] < 2:
-        raise ValueError("entanglement comparison needs --n >= 2")
-    if args.command == "validate":
-        if "format" in given and config["out"] == "-":
-            raise ValueError(f"{given['format']}--format sets the format of validate's --out "
-                             "file, and there is none: validate prints its text lines")
-        return config
-    if args.command == "sweep":
-        parameter = config["parameter"]
-        for key, reason in _sweeps()[parameter]["unread"].items():
-            if key in given:
-                raise ValueError(f"{given[key]}{_flag(key)} is not read by --parameter "
-                                 f"{parameter} ({reason})")
-            del config[key]
-        return config
-    n = config["n"]
-    sector.require_modes(n, f"--n {n}")
-    # entanglement charges one point per mode pair; simulate's one point of
-    # N + 2 <= 1024 amplitudes, at any N admitted above, is never refused
-    if args.command == "entanglement":
-        sector.require_amplitudes(args.command, n, n * (n - 1) // 2)
-    if args.command == "simulate":
-        eps, time = config["epsilon"], config["time"]
-        optimal_time(n, eps)
-        if time is not None:  # simulate evolves to t = time / epsilon
-            sector.require_angles(sector.bright_mode((eps,) * n), eps,
-                                  [(time, (time / eps, 0.0))], "--time")
-    return config
 
 
 #: Version of the report layout.
@@ -423,9 +401,15 @@ def cmd_simulate(config: dict) -> int:
     # conserves the excitation number, so the sector holding the initial
     # state is closed under it.  The gap and --dump-state read its amplitudes.
     n, eps = config["n"], config["epsilon"]
-    t = optimal_time(n, eps) if config["time"] is None else config["time"] / eps
-
+    # admitted first: N, then t* (with --time too), then the --time angle;
+    # one point of N + 2 <= 1024 amplitudes is never refused by size
+    sector.require_modes(n, f"--n {n}")
+    t = optimal_time(n, eps)
     mode = sector.bright_mode((eps,) * n)
+    if config["time"] is not None:  # simulate evolves to t = time / epsilon
+        t = config["time"] / eps
+        sector.require_angles(mode, eps, [(config["time"], (t, 0.0))], "--time")
+
     closed = sector.amplitudes(mode, sector.closed_form(mode, t))
     (pair,) = sector.evolve(mode, ((t, 0.0),))
     numeric = sector.amplitudes(mode, pair)
@@ -447,7 +431,8 @@ def cmd_sweep(config: dict) -> int:
     from . import protocol
 
     # looked up on the module at the call, where a tracer may have wrapped
-    # it; resolve_config left of these options exactly the ones it reads
+    # it; read_config left of these options exactly the ones it reads, and
+    # the sweep admits them
     sweep = getattr(protocol, config["parameter"].replace("-", "_") + "_sweep")
     rows = sweep(**{k: config[k] for k in ("n", "epsilon", "grid", "trials", "seed")
                     if k in config})
@@ -478,6 +463,10 @@ class PairRow(NamedTuple):
 
 def cmd_entanglement(config: dict) -> int:
     n = config["n"]
+    if n < 2:
+        raise ValueError("entanglement comparison needs --n >= 2")
+    sector.require_modes(n, f"--n {n}")
+    sector.require_amplitudes("entanglement", n, n * (n - 1) // 2)  # one point per mode pair
     # both states are reduced from the N + 2 amplitudes they occupy
     c_w = sector.pairwise_concurrences(sector.w_support(n))
     c_ghz = sector.pairwise_concurrences(sector.ghz_support(n))
@@ -503,13 +492,12 @@ def cmd_validate(config: dict) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(argv)
-        if isinstance(args, str):  # the help text
-            _write([("-", [args])])
+        config = read_config(argv)
+        if isinstance(config, str):  # the help text
+            _write([("-", [config])])
             return 0
-        config = resolve_config(args)
         command = {"simulate": cmd_simulate, "sweep": cmd_sweep,
-                   "entanglement": cmd_entanglement, "validate": cmd_validate}[args.command]
+                   "entanglement": cmd_entanglement, "validate": cmd_validate}[config["command"]]
         return command(config)
     except PropagationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

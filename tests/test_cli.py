@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import wcavity
 from wcavity import cli, protocol, sector
-from wcavity.cli import main, parse_args, resolve_config, run
+from wcavity.cli import main, read_config, run
 from wcavity.dynamics import (
     PropagationError,
     build_hamiltonian,
@@ -722,9 +722,16 @@ def test_a_sweep_parameter_is_one_entry_of_the_table(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
-    """The flags ``parse_args`` reads, the flags the help lists, the config
+    """The flags ``read_config`` reads, the flags the help lists, the config
     file keys and the echoed config are the same options."""
-    flags = set(vars(parse_args([command]))) - {"command", "config"}
+    flags = set()
+    for key, value in SAMPLE.items():
+        try:
+            read_config([command, flag(key), *([] if value is None else [value])])
+        except ValueError as exc:  # a flag read may still be refused later
+            if str(exc) == f"{command} reads no flag {flag(key)!r}":
+                continue
+        flags.add(key)
     listed = set(help_rows(cli._help(command)))
     assert listed == {flag(key) for key in flags} | {"--config", "-h"}
 
@@ -737,7 +744,7 @@ def test_flags_file_keys_and_echo_name_the_same_options(command, tmp_path):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"{key} = {'true' if value is None else value}\n")
         try:
-            resolve_config(parse_args([command, "--config", str(cfg), *required]))
+            read_config([command, "--config", str(cfg), *required])
         except ValueError as exc:
             assert "unknown config file keys" in str(exc)
         else:
@@ -1275,12 +1282,18 @@ def test_refused_input_exits_two_before_any_basis_is_built(argv, message, basis_
 
 
 def admit(case):
-    """Admit ``case``: a ``simulate`` or ``entanglement`` argv by
-    ``resolve_config``, and a sweep, given as the arguments of
-    ``protocol.require_grid``, by that call, the only one that admits it."""
+    """Admit ``case``: a ``simulate`` or ``entanglement`` argv by ``main``,
+    which runs it (ValueError with its message if it exits 2), and a sweep,
+    given as the arguments of ``protocol.require_grid``, by that call, the
+    only one that admits it."""
     if isinstance(case, tuple):
         return require_grid(*case)
-    return resolve_config(parse_args([*case, "--out", "-"]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*case, "--out", os.devnull])
+    if code == 2:
+        raise ValueError(err.getvalue().removeprefix("error: "))
+    assert (code, err.getvalue()) == (0, "")
 
 
 @pytest.mark.parametrize("largest, args", [
@@ -1592,9 +1605,11 @@ def test_process_entry_exits_with_the_code_of_main_and_freezes_after_it(code, mo
     assert events == ["main", "freeze"]
 
 
-# the child's program: the module entry, or one that first injects the
-# tests' fault (``sector.evolve`` run to -t) and then runs the same entry
+# the child's program: the package entry, the entry of ``cli`` run as a
+# script, or one that first injects the tests' fault (``sector.evolve``
+# run to -t) and then runs the same entry
 MODULE = ("-m", "wcavity")
+CLI_MODULE = ("-m", "wcavity.cli")
 FAULTY = ("-c", "import fault; fault.inject(); from wcavity import cli; cli.run()")
 
 
@@ -1606,8 +1621,10 @@ FAULTY = ("-c", "import fault; fault.inject(); from wcavity import cli; cli.run(
     (FAULTY, ["validate", "--seed", "7"]),
     (MODULE, ["sweep", "--parameter", "detuning", "--trials", "7", "--out", "-"]),
     (MODULE, ["simulate", "--epsilon", "1e-320"]),
+    (CLI_MODULE, ["entanglement", "--n", "5", "--format", "csv"]),
+    (CLI_MODULE, ["simulate", "--epsilon", "1e-320", "--time", "1"]),
 ], ids=["simulate-dump", "sweep-long-grid", "validate-fault", "sweep-refused",
-        "simulate-refused-epsilon"])
+        "simulate-refused-epsilon", "cli-module-entanglement", "cli-module-refused-epsilon"])
 def test_a_fresh_process_writes_what_main_writes(program, argv, capsys, tmp_path, monkeypatch):
     """A fresh process through pipes: the same stdout and stderr bytes and
     the same exit code as ``main`` in process, with the fault injected in
@@ -1623,7 +1640,7 @@ def test_a_fresh_process_writes_what_main_writes(program, argv, capsys, tmp_path
         monkeypatch.setattr(sector, "evolve", fault.backwards(sector.evolve))
         env["PYTHONPATH"] += os.pathsep + str(Path(fault.__file__).parent)
     code, out, err = run_cli(capsys, *argv)
-    assert program is MODULE or code == 1
+    assert program is not FAULTY or code == 1
     proc = subprocess.run([sys.executable, *program, *argv], env=env,
                           cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           timeout=120)
@@ -1656,8 +1673,8 @@ def test_a_failed_write_to_stdout_exits_2(argv, tmp_path):
 
 
 # The one reader of the command line.  Each argv it reads, and the values
-# of the namespace it gives other than None, the value of every unset
-# option; compared by repr, so that value types count.
+# of the config it gives other than its command's defaults (``DEFAULTS``);
+# compared by repr, so that value types count.
 ACCEPTED = [
     (["simulate"], {}),
     (["simulate", "--n", "3", "--epsilon=0.5", "--dump-state"],
@@ -1667,7 +1684,6 @@ ACCEPTED = [
     (["simulate", "--dump-state", "--dump-state"], {"dump_state": True}),
     # a value given with = is read as given
     (["simulate", "--out=--"], {"out": "--"}),
-    (["simulate", "--out=", "--config=--"], {"out": "", "config": "--"}),
     (["simulate", "--out=--n=3"], {"out": "--n=3"}),
     (["simulate", "--n=03"], {"n": 3}),
     # a separate value is the next token unless it starts with --
@@ -1677,32 +1693,34 @@ ACCEPTED = [
     (["simulate", "--out", "-x"], {"out": "-x"}),
     (["simulate", "--out", "-h"], {"out": "-h"}),
     (["simulate", "--out", "simulate"], {"out": "simulate"}),
-    (["simulate", "--out", ""], {"out": ""}),
-    (["simulate", "--epsilon", "nan", "--time", "-inf"],
-     {"epsilon": math.nan, "time": -math.inf}),
-    (["sweep", "--grid", "-0.1,0", "--out", "-"], {"grid": (-0.1, 0.0), "out": "-"}),
-    (["sweep", "--grid=-0.3,0", "--grid", " 0.2"], {"grid": (0.2,)}),
-    (["sweep", "--grid", ",", "--trials", "-1", "--seed", "7"],
-     {"grid": (), "trials": -1, "seed": 7}),
-    # choices and ranges are checked by resolve_config, for a flag and a
-    # config-file value alike
-    (["sweep", "--parameter", "bogus", "--format", "xml"],
-     {"parameter": "bogus", "format": "xml"}),
-    (["entanglement", "--n", "-1", "--config", "run.cfg"], {"n": -1, "config": "run.cfg"}),
+    # the reader admits no route: simulate's N, t* and --time angle, a
+    # sweep's grid and entanglement's size are the command's to refuse
+    (["simulate", "--n", "2000", "--epsilon", "1e-320", "--time", "1e308"],
+     {"n": 2000, "epsilon": 1e-320, "time": 1e308}),
+    (["entanglement", "--n", "1"], {"n": 1}),
+    (["sweep", "--grid", "-0.1,0", "--out", "-"], {"grid": (-0.1, 0.0)}),
+    (["sweep", "--grid=-0.3,0", "--grid", " 0.2", "--out", "-"], {"grid": (0.2,)}),
+    (["sweep", "--grid", ",", "--parameter", "coupling-disorder", "--trials", "1", "--seed", "7",
+      "--out", "-"],
+     {"parameter": "coupling-disorder", "grid": (), "seed": 7, "trials": 1}),
     (["validate", "--seed", "0"], {"seed": 0}),
 ]
 
-
-def unset(command):
-    """The namespace values of ``command`` given no flag."""
-    values = {key: None for key in cli.COMMANDS[command].options}
-    return values | {"config": None, "command": command}
+# the config of each command given no flag but a sweep's --out -
+DEFAULTS = {
+    "simulate": {"command": "simulate", "n": 3, "epsilon": 1.0, "time": None, "out": "-",
+                 "format": "json", "dump_state": False},
+    "sweep": {"command": "sweep", "n": 3, "epsilon": 1.0, "out": "-", "format": "csv",
+              "parameter": "timing-error", "grid": None},
+    "entanglement": {"command": "entanglement", "n": 3, "out": "-", "format": "json"},
+    "validate": {"command": "validate", "out": "-", "format": "json", "seed": 20240201},
+}
 
 
 @pytest.mark.parametrize("argv, values", ACCEPTED, ids=repr)
 def test_the_reader_gives_typed_values(argv, values):
-    want = unset(argv[0]) | values
-    assert repr(sorted(vars(parse_args(argv)).items())) == repr(sorted(want.items()))
+    want = DEFAULTS[argv[0]] | values
+    assert repr(sorted(read_config(argv).items())) == repr(sorted(want.items()))
 
 
 COMMAND_NAMES = "simulate, sweep, entanglement, validate"
@@ -1755,6 +1773,20 @@ REFUSED = [
     (["sweep", "--grid", "a,b", "--out", "o.csv"], "--grid: could not convert string to float: 'a'"),
     (["sweep", "--out", "o.csv", "--seed", "-x"],
      "--seed: invalid literal for int() with base 10: '-x'"),
+    # a value its parse reads and the option refuses, flag by flag in
+    # OPTIONS order, once every token is read
+    (["simulate", "--out", ""], "--out must not be empty"),
+    (["simulate", "--out="], "--out must not be empty"),
+    (["simulate", "--epsilon", "nan", "--time", "-inf"], "--epsilon must be finite and > 0"),
+    (["simulate", "--time", "-inf"], "--time must be finite"),
+    (["sweep", "--parameter", "bogus", "--format", "xml"], "unknown format 'xml'"),
+    (["sweep", "--parameter", "bogus", "--out", "-"], "unknown parameter 'bogus'"),
+    (["sweep", "--grid", ",", "--trials", "-1", "--seed", "7"], "--trials must be >= 1"),
+    (["entanglement", "--n", "-1"], "--n must be >= 1"),
+    # --config is read as a path, after every token and before any option
+    (["simulate", "--out=", "--config=--"], "[Errno 2] No such file or directory: '--'"),
+    (["entanglement", "--n", "-1", "--config", "run.cfg"],
+     "[Errno 2] No such file or directory: 'run.cfg'"),
 ]
 
 
@@ -1774,12 +1806,20 @@ TOKENS = [*(flag(key) for key in cli.OPTIONS), "--config", "--inject-fault", "--
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(TOKENS), st.text(max_size=4)), max_size=6))
-def test_the_reader_reads_or_refuses_every_argv(argv):
-    """Any argv gives a namespace or a help text, or ValueError, which
-    ``main`` prints as a usage error with exit 2: nothing else escapes."""
+@given(argv=st.lists(st.one_of(st.sampled_from(TOKENS), st.text(max_size=4)), max_size=6))
+def test_the_reader_reads_or_refuses_every_argv(argv, tmp_path_factory):
+    """Any argv gives a config or a help text, or ValueError or OSError
+    (a ``--config`` token is read as a path, here in an empty directory),
+    which ``main`` prints as a usage error with exit 2: nothing else
+    escapes."""
+    empty = tmp_path_factory.getbasetemp() / "empty-cwd"
+    empty.mkdir(exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(empty)
     try:
-        args = parse_args(argv)
-    except ValueError:
+        config = read_config(argv)
+    except (ValueError, OSError):
         return
-    assert isinstance(args, str) or args.command == argv[0]
+    finally:
+        os.chdir(cwd)
+    assert isinstance(config, str) or config["command"] == argv[0]

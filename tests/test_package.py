@@ -182,9 +182,9 @@ def test_cli_alone_holds_the_output_rules():
 
 
 def test_no_module_imports_argparse():
-    """``cli.parse_args`` alone reads the command line, from the option
-    tables: no module of the package imports argparse, in a function body
-    or at the top level."""
+    """``cli.read_config`` alone reads the command line into a config,
+    from the option tables: no module of the package imports argparse, in
+    a function body or at the top level."""
     found = [(path.stem, func) for path in sorted(SRC.glob("*.py"))
              for name, func in imported_modules(path.read_text()) if name == "argparse"]
     assert found == []

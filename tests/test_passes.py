@@ -25,8 +25,8 @@ def passes(monkeypatch):
 
 @pytest.mark.parametrize("argv, sizes", [
     (["simulate", "--n", "1000"], [1000]),
-    # the admission of --time takes Omega once more, on its own pass
-    (["simulate", "--n", "1000", "--time", "0.3"], [1000, 1000]),
+    # the admission of --time reads the Omega of the route's one pass
+    (["simulate", "--n", "1000", "--time", "0.3"], [1000]),
 ])
 def test_simulate_reduces_its_couplings_once(argv, sizes, passes, capsys):
     assert cli.main([*argv, "--out", "-"]) == 0, capsys.readouterr().err

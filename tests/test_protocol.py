@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcavity import normals, sector
-from wcavity.cli import fmt12, main, parse_args
+from wcavity.cli import fmt12, main, read_config
 from wcavity.dynamics import (
     build_hamiltonian,
     propagate_numeric,
@@ -560,11 +560,9 @@ def test_library_refuses_what_the_cli_refuses_with_its_message(argv, message, mo
     the library too, with the CLI's message: the same N, epsilon and grid
     (None for the default grid) and the CLI's defaults for the rest.  A
     size refusal comes before the route builds any coupling tuple."""
-    args = vars(parse_args(argv))
-    defaults = {"n": 3, "epsilon": 1.0, "parameter": "timing-error", "trials": 100, "seed": 0}
-    n, eps, parameter, trials, seed = (defaults[k] if args[k] is None else args[k]
-                                       for k in defaults)
-    grid = args["grid"]
+    config = read_config(argv)
+    n, eps, parameter, grid, trials, seed = (
+        config.get(k) for k in ("n", "epsilon", "parameter", "grid", "trials", "seed"))
     call = {
         "timing-error": lambda: timing_error_sweep(n, eps, grid),
         "coupling-disorder": lambda: coupling_disorder_sweep(n, eps, grid, trials, seed),

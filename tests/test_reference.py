@@ -17,7 +17,7 @@ import pytest
 import reference
 from corpus import COMMANDS
 from wcavity import normals, protocol
-from wcavity.cli import fmt12, parse_args, resolve_config
+from wcavity.cli import fmt12, read_config
 from wcavity.sector import MAX_MODES, optimal_time
 
 #: The most cells, of the corpus's sweep rows and of the seeded rows, that
@@ -87,8 +87,7 @@ def corpus_sweeps(tmp_path):
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
         try:
-            config = resolve_config(parse_args(
-                [arg.replace("{tmp}", str(tmp_path)) for arg in argv]))
+            config = read_config([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
             key = parameter, n, epsilon, grid, trials, seed = tuple(
                 config.get(k) for k in ("parameter", "n", "epsilon", "grid", "trials", "seed"))
             protocol.require_grid(parameter, grid, n, epsilon, trials or 1, seed or 0)
